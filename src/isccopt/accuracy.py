@@ -1,11 +1,12 @@
 """Analytical accuracy model: ideal-accuracy curve and its fit, the pruning
-and quantization penalty factors, the accuracy lower bound, and the inverse
-map from a target accuracy to the minimum sensing power."""
+and quantization penalty factors, the accuracy lower bound, the inverse
+map from a target accuracy to the minimum sensing power, and the least
+pruning ratio whose sensing power fits under the cap."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfeasibleError
 
@@ -19,8 +20,6 @@ class AccuracyParams:
     c_m: margin compensation constant (calibrated against experiments).
     margin_exponent: exponent on the margin term in the penalty (1 or 2).
     f_min, f_max: feature range seen by the quantizer.
-    r0_model: optional override for the ideal-accuracy curve; must expose
-    value(ps), ceiling, and optionally inverse(target).
     """
 
     a: float
@@ -30,14 +29,15 @@ class AccuracyParams:
     margin_exponent: int = 2
     f_min: float = 0.0
     f_max: float = 1.0
-    r0_model: object | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.r0_model is None:
-            if self.a < 0 or self.b <= 0:
-                raise ValueError("arctan coefficients need a >= 0, b > 0")
-            if self.a * math.pi / 2.0 > 1.0 + 1e-12:
-                raise ValueError("a*pi/2 must not exceed 1 (accuracy cap)")
+        values = (self.a, self.b, self.s, self.c_m, self.f_min, self.f_max)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("accuracy parameters must be finite")
+        if self.a < 0 or self.b <= 0:
+            raise ValueError("arctan coefficients need a >= 0, b > 0")
+        if self.a * math.pi / 2.0 > 1.0 + 1e-12:
+            raise ValueError("a*pi/2 must not exceed 1 (accuracy cap)")
         if self.s <= 0:
             raise ValueError("minimum score s must be positive")
         if self.c_m <= 0:
@@ -87,45 +87,18 @@ def ideal_accuracy(ps: float, params: AccuracyParams) -> float:
     """Noise-limited classification accuracy at sensing power ps."""
     if ps < 0:
         raise ValueError("sensing power must be nonnegative")
-    if params.r0_model is not None:
-        return params.r0_model.value(ps)
     return params.a * math.atan(params.b * ps)
 
 
 def accuracy_ceiling(params: AccuracyParams) -> float:
     """Supremum of the ideal-accuracy curve."""
-    if params.r0_model is not None:
-        return params.r0_model.ceiling
     return params.a * math.pi / 2.0
 
 
 def _invert_ideal_accuracy(target: float, params: AccuracyParams) -> float:
     if target <= 0.0:
         return 0.0
-    if params.r0_model is not None:
-        model = params.r0_model
-        if hasattr(model, "inverse"):
-            return model.inverse(target)
-        return _bisect_inverse(model.value, target)
     return math.tan(target / params.a) / params.b
-
-
-def _bisect_inverse(fn, target, tol=1e-10):
-    """Numeric inverse of a monotone increasing accuracy curve."""
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if fn(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise InfeasibleError("accuracy_ceiling", f"curve never reaches {target}")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def penalty_factor(rho: float, q: int | None, terms: PenaltyTerms,
@@ -178,6 +151,40 @@ def min_sensing_power(rho: float, q: int | None, terms: PenaltyTerms,
     return ps
 
 
+def min_pruning_ratio(q: int | None, terms: PenaltyTerms, params: AccuracyParams,
+                      r_t: float, p_max: float, floor: float) -> float:
+    """Smallest rho >= floor at which min_sensing_power stays within p_max.
+
+    Within p_max means K <= K* = 1 - r_t/ideal_accuracy(p_max), that is
+    pruning_error_factor(rho) <= U*. The factor is convex and decreasing
+    with derivative -(ln rho)^2, so Newton steps from `floor` rise
+    monotonically to the root; they stop once a step no longer moves rho.
+    The last few ulps of rounding are then closed by probing upward.
+    Raises InfeasibleError when no rho in [floor, 1] is feasible.
+    """
+    margin = (terms.tail_norm / (params.c_m * params.s)) ** params.margin_exponent
+    scale = margin * terms.prune_coeff
+    ideal = ideal_accuracy(p_max, params)
+    rho = floor
+    if scale > 0.0 and r_t < ideal:
+        u_star = (1.0 - r_t / ideal - penalty_factor(1.0, q, terms, params)) / scale
+        while rho < 1.0:
+            step = (pruning_error_factor(rho) - u_star) / math.log(rho) ** 2
+            if not rho + step > rho:
+                break
+            rho = min(rho + step, 1.0)
+    step = math.ulp(rho)
+    while True:
+        try:
+            min_sensing_power(rho, q, terms, params, r_t, p_max)
+            return rho
+        except InfeasibleError:
+            if rho >= 1.0:
+                raise
+            rho = min(rho + step, 1.0)
+            step *= 2.0
+
+
 def fit_accuracy_curve(samples, b_bracket=(1e-4, 1e4), tol=1e-12):
     """Least-squares (a, b) fit of accuracy = a*arctan(b*power).
 
@@ -185,7 +192,7 @@ def fit_accuracy_curve(samples, b_bracket=(1e-4, 1e4), tol=1e-12):
     on the residual over log10(b) in `b_bracket` (residual assumed unimodal
     there). Input: iterable of (power, accuracy) pairs.
     """
-    from .solvers import golden_section  # local import: solvers depends on us
+    from .solvers import golden_section  # local import: solvers -> cost -> accuracy
 
     pairs = [(float(p), float(y)) for p, y in samples]
     if len(pairs) < 2:

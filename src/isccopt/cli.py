@@ -97,14 +97,9 @@ def _report_infeasible(sol) -> None:
         print(f"  l={l} q={q}: {reason}", file=sys.stderr)
 
 
-def _solver_opts(cfg: RunConfig) -> dict:
-    return {"eps_rho": cfg.solver["eps_rho"], "rel_tol": cfg.solver["rel_tol"],
-            "max_iter": cfg.solver["max_iter"]}
-
-
 def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     sol = optimizer.solve_scenario(cfg.network, cfg.scenario, cfg.accuracy,
-                                   **_solver_opts(cfg))
+                                   eps_rho=cfg.solver["eps_rho"])
     _write_solution(cfg, sol, out_dir, "solution")
     if not sol.feasible:
         _report_infeasible(sol)
@@ -118,7 +113,7 @@ def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_baseline(cfg: RunConfig, args, out_dir: Path) -> int:
     sol = optimizer.solve_baseline(args.kind, cfg.network, cfg.scenario,
-                                   cfg.accuracy, **_solver_opts(cfg))
+                                   cfg.accuracy, eps_rho=cfg.solver["eps_rho"])
     _write_solution(cfg, sol, out_dir, f"baseline_{args.kind}")
     if not sol.feasible:
         _report_infeasible(sol)
@@ -130,12 +125,14 @@ def cmd_baseline(cfg: RunConfig, args, out_dir: Path) -> int:
 def cmd_sweep(cfg: RunConfig, args, out_dir: Path) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
+        for value in values:   # each value must make a valid scenario
+            optimizer.apply_axis(cfg.scenario, args.axis, value)
     except ValueError as err:
         raise ConfigError(f"bad sweep values: {err}") from err
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = optimizer.sweep(cfg.network, cfg.scenario, cfg.accuracy, args.axis,
-                           values, **_solver_opts(cfg))
+                           values, eps_rho=cfg.solver["eps_rho"])
     csv_rows = [optimizer.solution_row(f"{args.axis}={row.value!r}", row.solution)
                 for row in rows]
     optimizer.write_solutions_csv(out_dir / "sweep.csv", csv_rows)

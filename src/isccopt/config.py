@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import netmodel
 from .accuracy import AccuracyParams
@@ -74,8 +74,6 @@ DEFAULT_CONFIG = {
     },
     "solver": {
         "eps_rho": 1e-6,
-        "rel_tol": 1e-6,
-        "max_iter": 100,
     },
 }
 
@@ -147,13 +145,17 @@ def build_config(raw: dict) -> RunConfig:
         echo, processing = _build_echo(echo_block)
         solver = _merged(DEFAULT_CONFIG["solver"], raw.get("solver", {}))
         _reject_unknown(solver, "solver", "solver")
-        seed = int(raw.get("seed", DEFAULT_CONFIG["seed"]))
+        solver["eps_rho"] = float(solver["eps_rho"])
+        if not 0.0 < solver["eps_rho"] < math.inf:
+            raise ConfigError(f"solver.eps_rho must be positive and finite, "
+                              f"got {solver['eps_rho']!r}")
+        seed = _integer(raw.get("seed", DEFAULT_CONFIG["seed"]), "seed")
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as err:
+    except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise ConfigError(str(err)) from err
     if not sc.splits:
-        sc = sc.with_splits(sorted(net.split_candidates))
+        sc = replace(sc, splits=tuple(sorted(net.split_candidates)))
     if max(sc.splits) > net.depth:
         raise ConfigError(f"split candidates {sc.splits} exceed network depth {net.depth}")
     resolved = {
@@ -169,6 +171,15 @@ def build_config(raw: dict) -> RunConfig:
                      resolved=resolved)
 
 
+def _integer(value, name: str) -> int:
+    """An integral JSON number as int; 50000.7, NaN and booleans are
+    rejected rather than truncated."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_scenario(block: dict) -> Scenario:
     _reject_unknown(block, "scenario", "scenario")
     return Scenario(
@@ -181,10 +192,11 @@ def _build_scenario(block: dict) -> Scenario:
         bandwidth=float(block["bandwidth"]),
         g_over_bn0=10.0 ** (float(block["snr_db"]) / 10.0),
         t0=float(block["t0"]),
-        m_chirps=int(block["m_chirps"]),
+        m_chirps=_integer(block["m_chirps"], "scenario.m_chirps"),
         fs=float(block["fs"]),
-        q_max=int(block["q_max"]),
-        splits=tuple(int(l) for l in block.get("splits", ())),
+        q_max=_integer(block["q_max"], "scenario.q_max"),
+        splits=tuple(_integer(l, "scenario.splits[]")
+                     for l in block.get("splits", ())),
     )
 
 
@@ -207,17 +219,18 @@ def _build_network(block: dict) -> netmodel.NetworkModel:
     layers = tuple(_build_layer(rec) for rec in block["layers"])
     net = netmodel.NetworkModel(
         layers=layers,
-        input_dim=int(block["input_dim"]),
+        input_dim=_integer(block["input_dim"], "network.input_dim"),
         split_candidates=frozenset(block.get("split_candidates", ())) or
         frozenset(range(1, len(layers) + 1)),
     )
     if block.get("weights_file"):
         return netmodel.load_weights(net, block["weights_file"])
+    weight_seed = _integer(block["weight_seed"], "network.weight_seed")
     if block.get("rates"):
-        return netmodel.generate_weights(net, block["rates"], int(block["weight_seed"]))
+        return netmodel.generate_weights(net, block["rates"], weight_seed)
     if block.get("target_norms"):
         rates = netmodel.rates_for_norms(net, block["target_norms"])
-        return netmodel.generate_weights(net, rates, int(block["weight_seed"]))
+        return netmodel.generate_weights(net, rates, weight_seed)
     return net
 
 
@@ -225,7 +238,8 @@ def _build_accuracy(block: dict) -> AccuracyParams:
     _reject_unknown(block, "accuracy", "accuracy")
     return AccuracyParams(
         a=float(block["a"]), b=float(block["b"]), s=float(block["s"]),
-        c_m=float(block["c_m"]), margin_exponent=int(block["margin_exponent"]),
+        c_m=float(block["c_m"]),
+        margin_exponent=_integer(block["margin_exponent"], "accuracy.margin_exponent"),
         f_min=float(block["f_min"]), f_max=float(block["f_max"]))
 
 
@@ -246,7 +260,7 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
     params = EchoParams(
         power=float(block["power"]),
         chirp_duration=float(block["chirp_duration"]),
-        n_chirps=int(block["n_chirps"]),
+        n_chirps=_integer(block["n_chirps"], "echo.n_chirps"),
         sample_rate=float(block["sample_rate"]),
         target=TargetPath(delay=float(target["delay"]),
                           doppler_hz=float(target["doppler_hz"]),
@@ -256,10 +270,10 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
         chirp_bandwidth=float(block["chirp_bandwidth"]),
     )
     processing = {
-        "svd_r1": int(block["svd_r1"]),
-        "svd_r2": int(block["svd_r2"]),  # 0 means "up to full rank"
-        "window_len": int(block["window_len"]),
-        "hop": int(block["hop"]),
+        "svd_r1": _integer(block["svd_r1"], "echo.svd_r1"),
+        "svd_r2": _integer(block["svd_r2"], "echo.svd_r2"),  # 0: up to full rank
+        "window_len": _integer(block["window_len"], "echo.window_len"),
+        "hop": _integer(block["hop"], "echo.hop"),
     }
     return params, processing
 

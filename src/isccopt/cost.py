@@ -42,8 +42,8 @@ class Scenario:
                         g_over_bn0=self.g_over_bn0, t0=self.t0,
                         m_chirps=self.m_chirps, fs=self.fs)
         for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.r_t < 1.0:
             raise ValueError("target accuracy must lie in [0, 1)")
         if int(self.q_max) != self.q_max or self.q_max < 2:
@@ -52,10 +52,6 @@ class Scenario:
     @property
     def t_sen(self) -> float:
         return self.t0 * self.m_chirps
-
-    def with_splits(self, splits) -> "Scenario":
-        from dataclasses import replace
-        return replace(self, splits=tuple(splits))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Outer enumeration over split point and quantization bits with inner
-alternating optimization, the three ablation baselines, and parameter
-sweeps."""
+"""Outer enumeration over split point and quantization bits with an exact
+nested pruning-ratio search per pair, the three ablation baselines, and
+parameter sweeps."""
 
 from __future__ import annotations
 
@@ -10,14 +10,19 @@ import math
 from dataclasses import dataclass, replace
 
 from . import netmodel
-from .accuracy import AccuracyParams, PenaltyTerms, min_sensing_power
-from .cost import Allocation, CostBreakdown, Scenario, comm_cost, total_cost
+from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
+                       min_sensing_power)
+from .cost import Allocation, CostBreakdown, Scenario, total_cost
 from .errors import InfeasibleError
 from .quant import delta_coeff
-from .solvers import (SubproblemContext, min_rate_time, solve_pc_nue,
-                      solve_rho_ps)
+from .solvers import (SubproblemContext, golden_section, min_rate_time,
+                      solve_pc_nue)
 
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
+
+# smallest pruning ratio the rho search will consider; the decision domain
+# is (0, 1] and the objective stays finite as rho -> 0+
+RHO_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,6 @@ class Solution:
     alloc: Allocation | None
     cost: CostBreakdown | None
     iterations: int
-    trace: tuple[float, ...]
     reasons: tuple[tuple[int, int, str], ...] = ()
 
     @property
@@ -53,141 +57,162 @@ def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
                         tail_norm=netmodel.tail_norm_product(net, l))
 
 
-def _rho_step(l, q, p_c, nu_e, net, sc, terms, ap, eps_rho, fix_rho):
-    if fix_rho is None:
-        return solve_rho_ps(l, q, p_c, nu_e, net, sc, terms, ap, eps_rho=eps_rho)
-    t_comm, _ = comm_cost(l, q if q is not None else 2, p_c, net, sc)
-    t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
-    t1 = sc.t_max - sc.t_sen - t_server - t_comm
-    if netmodel.cum_flops(net, 1, l, fix_rho, warn=False) > t1 * nu_e:
-        raise InfeasibleError("latency_budget",
-                              f"edge compute at rho={fix_rho} misses the deadline")
-    return fix_rho, min_sensing_power(fix_rho, q, terms, ap, sc.r_t, sc.p_max)
+class PairEnergy:
+    """Energy of one (l, q) pair as a function of the pruning ratio alone.
 
+    For fixed rho the sensing power is the closed-form inverse of the
+    accuracy bound, and (p_c, nu_e) is the exact KKT optimum for the edge
+    FLOPs a2 = cum_flops(1..l, rho), so
 
-def _pc_step(l, q, rho, p_c, nu_e, net, sc):
-    """Optimal (p_c, nu_e) given the rest; handles the no-communication
-    (l = L) and no-computation (zero edge FLOPs) corners."""
-    t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
-    t2 = sc.t_max - sc.t_sen - t_server
-    a2 = netmodel.cum_flops(net, 1, l, rho, warn=False)
-    if l == net.depth:
-        if t2 <= 0:
-            raise InfeasibleError("latency_budget", "sensing alone exceeds the deadline")
-        if a2 > 0:
+        E(rho) = t_sen * p_s(rho) + e_comm + e_comp.
+
+    q is None for the on-device split l = L. A call raises InfeasibleError
+    where rho admits no feasible point; each call that returns records
+    (energy, p_s, p_c, nu_e) in `points`.
+    """
+
+    def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams):
+        self.l, self.q, self.net, self.sc, self.terms, self.ap = l, q, net, sc, terms, ap
+        t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
+        self.t2 = sc.t_max - sc.t_sen - t_server   # left for edge compute and upload
+        self.a1 = 0.0 if l == net.depth else netmodel.feature_dim(net, l) * q / sc.bandwidth
+        self.points: dict[float, tuple[float, float, float, float]] = {}
+
+    def __call__(self, rho: float) -> float:
+        sc = self.sc
+        p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
+        a2 = netmodel.cum_flops(self.net, 1, self.l, rho, warn=False)
+        p_c, nu_e, e_edge = self._power_freq(a2)
+        energy = sc.t_sen * p_s + e_edge
+        self.points[rho] = energy, p_s, p_c, nu_e
+        return energy
+
+    def _power_freq(self, a2: float) -> tuple[float, float, float]:
+        """Optimal (p_c, nu_e) for edge FLOPs a2 and their energy; handles
+        the no-communication (l = L) and no-computation (a2 <= 0) corners."""
+        sc, t2, a1 = self.sc, self.t2, self.a1
+        if self.l == self.net.depth:
+            if t2 <= 0:
+                raise InfeasibleError("latency_budget", "sensing alone exceeds the deadline")
+            if a2 <= 0:
+                return sc.p_max, sc.nu_max, 0.0
             nu_req = a2 / t2
             if nu_req > sc.nu_max * (1.0 + 1e-12):
                 raise InfeasibleError("latency_budget",
                                       f"needs {nu_req:.4g} FLOP/s > {sc.nu_max:.4g}")
             nu_e = min(nu_req, sc.nu_max)
-        return p_c, nu_e
-    a1 = netmodel.feature_dim(net, l) * q / sc.bandwidth
-    if a2 <= 0:
-        # nothing to compute on the edge: stretch transmission to the budget
-        t_star = t2 / a1
-        if t_star < min_rate_time(sc):
-            raise InfeasibleError("latency_budget",
-                                  "upload misses the deadline even at p_max")
-        return math.expm1(math.log(2.0) / t_star) / sc.g_over_bn0, nu_e
-    sol = solve_pc_nue(SubproblemContext(a1=a1, a2=a2, t2=t2), sc)
-    return sol.p_c, sol.nu_e
+            return sc.p_max, nu_e, sc.kappa * a2 * nu_e**2
+        if a2 <= 0:
+            # nothing to compute on the edge: stretch transmission to the budget
+            t_star = t2 / a1
+            if t_star < min_rate_time(sc):
+                raise InfeasibleError("latency_budget",
+                                      "upload misses the deadline even at p_max")
+            p_c = math.expm1(math.log(2.0) / t_star) / sc.g_over_bn0
+            return p_c, sc.nu_max, p_c * t2
+        sol = solve_pc_nue(SubproblemContext(a1=a1, a2=a2, t2=t2), sc)
+        return sol.p_c, sol.nu_e, sol.p_c * a1 * sol.t + sc.kappa * a2 * sol.nu_e**2
+
+    def rho_max(self) -> float:
+        """Largest rho whose edge FLOPs meet the deadline at (p_max, nu_max):
+        a1*t_min + cum_flops(1..l, rho)/nu_max <= t2."""
+        sc, net, l = self.sc, self.net, self.l
+        cap = (self.t2 - self.a1 * min_rate_time(sc)) * sc.nu_max
+        if cap <= 0:
+            raise InfeasibleError(
+                "latency_budget",
+                f"no time left for edge compute (t2={self.t2:.6g} s)")
+        slope, intercept = netmodel.cum_flops_affine(net, 1, l)
+        if slope <= 0.0:
+            if intercept > cap:
+                raise InfeasibleError("latency_budget", "fixed edge FLOPs exceed budget")
+            return 1.0
+        rho_max = (cap - intercept) / slope
+        if rho_max <= RHO_FLOOR:
+            raise InfeasibleError(
+                "latency_budget",
+                f"edge compute misses deadline at any rho (rho_max={rho_max:.3g})")
+        rho_max = min(rho_max, 1.0)
+        # guard the closed form against the per-layer clamp at tiny rho
+        if netmodel.cum_flops(net, 1, l, rho_max, warn=False) > cap * (1.0 + 1e-12):
+            lo, hi = RHO_FLOOR, rho_max
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                if netmodel.cum_flops(net, 1, l, mid, warn=False) <= cap:
+                    lo = mid
+                else:
+                    hi = mid
+            rho_max = lo
+        return rho_max
+
+    def best(self, rhos, origin: str) -> Solution:
+        """Solution at the least-energy rho of `rhos` (the first on ties);
+        `iterations` is the number of points E(rho) was evaluated at."""
+        rho = min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
+        _, p_s, p_c, nu_e = self.points[rho]
+        alloc = Allocation(l=self.l, q=self.q or 2, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
+        return Solution(origin=origin, feasible=True, alloc=alloc,
+                        cost=total_cost(alloc, self.net, self.sc),
+                        iterations=len(self.points))
 
 
-def alternate_inner(l, q, net, sc: Scenario, terms: PenaltyTerms,
-                    ap: AccuracyParams, rel_tol: float = 1e-6,
-                    max_iter: int = 100, eps_rho: float = 1e-6,
-                    fix_rho: float | None = None,
-                    origin: str = "proposed",
-                    init: tuple[float, float] | None = None) -> Solution:
-    """Alternating optimization of (rho, p_s) and (p_c, nu_e) for one
-    (l, q) pair, starting from the most permissive (p_max, nu_max) unless
-    an explicit (p_c, nu_e) start is given.
+def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
+               eps_rho: float = 1e-6, origin: str = "proposed") -> Solution:
+    """Least-energy allocation of one (l, q) pair (q is None for l = L).
 
-    Each block is solved to optimality, so the objective trace is
-    nonincreasing; stops on relative change below rel_tol or after
-    max_iter rounds. Raises InfeasibleError if either subproblem is empty.
+    Minimizes E(rho) of PairEnergy by golden-section search over
+    [rho_min, rho_max]: rho_max is the largest rho whose edge compute meets
+    the deadline at (p_max, nu_max), rho_min the smallest rho whose sensing
+    power fits under p_max (both closed form). Both endpoints stay
+    candidates. Raises InfeasibleError when no rho is feasible.
     """
-    p_c, nu_e = init if init is not None else (sc.p_max, sc.nu_max)
-    trace = []
-    prev = None
-    rho = p_s = None
-    for it in range(1, max_iter + 1):
-        rho, p_s = _rho_step(l, q, p_c, nu_e, net, sc, terms, ap, eps_rho, fix_rho)
-        p_c, nu_e = _pc_step(l, q, rho, p_c, nu_e, net, sc)
-        alloc = Allocation(l=l, q=q if q is not None else 2, rho=rho,
-                           p_s=p_s, p_c=p_c, nu_e=nu_e)
-        breakdown = total_cost(alloc, net, sc)
-        obj = breakdown.e_total
-        trace.append(obj)
-        if prev is not None and abs(prev - obj) <= rel_tol * max(obj, 1e-300):
-            break
-        prev = obj
-    return Solution(origin=origin, feasible=True, alloc=alloc, cost=breakdown,
-                    iterations=it, trace=tuple(trace))
+    energy = PairEnergy(l, q, net, sc, terms, ap)
+    rho_max = energy.rho_max()
+    energy(rho_max)   # raises the binding reason when no rho is feasible
+    rho_min = min(min_pruning_ratio(q, terms, ap, sc.r_t, sc.p_max, RHO_FLOOR), rho_max)
+    rhos = [rho_min, rho_max]
+    if rho_max - rho_min > eps_rho:
+        rhos.insert(1, golden_section(energy, rho_min, rho_max, eps_rho))
+    return energy.best(rhos, origin)
 
 
-def _warm_start(l, q, net, sc):
-    """(p_c, nu_e) KKT optimum for the unpruned edge model; None when even
-    rho=1 misses the deadline. Second deterministic start that keeps the
-    alternation from stalling in the aggressive-pruning corner."""
-    try:
-        return _pc_step(l, q, 1.0, sc.p_max, sc.nu_max, net, sc)
-    except InfeasibleError:
-        return None
-
-
-def _enumerate(net, sc, ap, fix_rho, origin, rel_tol, max_iter, eps_rho):
-    """Shared outer loop of the proposed method and the no-prune baseline."""
-    splits = sorted(sc.splits or net.split_candidates)
+def _enumerate(net, sc, ap, origin, solve_one):
+    """Shared outer loop of the proposed method and the no-prune baseline:
+    `solve_one(l, q, terms)` solves one pair."""
     candidates = []
     reasons = []
-    for l in splits:
-        on_device_split = l == net.depth
+    for l in sorted(sc.splits or net.split_candidates):
         terms = penalty_terms(net, l, ap)
-        qs = [None] if on_device_split else list(range(2, sc.q_max + 1))
+        qs = [None] if l == net.depth else range(2, sc.q_max + 1)
         for q in qs:
             try:
-                sol = alternate_inner(l, q, net, sc, terms, ap, rel_tol=rel_tol,
-                                      max_iter=max_iter, eps_rho=eps_rho,
-                                      fix_rho=fix_rho, origin=origin)
+                sol = solve_one(l, q, terms)
             except InfeasibleError as err:
                 reasons.append((l, q if q is not None else 2, err.reason))
                 continue
-            if fix_rho is None:
-                warm = _warm_start(l, q, net, sc)
-                if warm is not None:
-                    try:
-                        alt = alternate_inner(l, q, net, sc, terms, ap,
-                                              rel_tol=rel_tol, max_iter=max_iter,
-                                              eps_rho=eps_rho, origin=origin,
-                                              init=warm)
-                    except InfeasibleError:
-                        alt = None
-                    if alt is not None and alt.cost.e_total < sol.cost.e_total:
-                        sol = alt
             candidates.append((sol.cost.e_total, sol.alloc.q, l, sol))
     if not candidates:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
-                        iterations=0, trace=(), reasons=tuple(reasons))
+                        iterations=0, reasons=tuple(reasons))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     best = candidates[0][3]
     return replace(best, reasons=tuple(reasons))
 
 
-def solve_scenario(net, sc: Scenario, ap: AccuracyParams, rel_tol: float = 1e-6,
-                   max_iter: int = 100, eps_rho: float = 1e-6) -> Solution:
+def solve_scenario(net, sc: Scenario, ap: AccuracyParams,
+                   eps_rho: float = 1e-6) -> Solution:
     """Minimum-energy allocation over all (l, q) pairs.
 
-    Enumerates every admissible split and bit width, runs the alternating
-    inner loop on each, and returns the feasible solution of least energy
-    (ties broken by smaller q, then smaller l). When every pair is
-    infeasible the Solution carries one reason per pair.
+    Enumerates every admissible split and bit width, solves each pair with
+    solve_pair, and returns the feasible solution of least energy (ties
+    broken by smaller q, then smaller l). When every pair is infeasible the
+    Solution carries one reason per pair.
     """
-    return _enumerate(net, sc, ap, None, "proposed", rel_tol, max_iter, eps_rho)
+    return _enumerate(net, sc, ap, "proposed", lambda l, q, terms: solve_pair(
+        l, q, net, sc, terms, ap, eps_rho=eps_rho))
 
 
 def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
-                   rel_tol: float = 1e-6, max_iter: int = 100,
                    eps_rho: float = 1e-6) -> Solution:
     """Ablation baselines.
 
@@ -200,16 +225,15 @@ def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
     if kind == "on_device":
         terms = penalty_terms(net, net.depth, ap)
         try:
-            sol = alternate_inner(net.depth, None, net, sc, terms, ap,
-                                  rel_tol=rel_tol, max_iter=max_iter,
-                                  eps_rho=eps_rho, origin="on_device")
+            return solve_pair(net.depth, None, net, sc, terms, ap, eps_rho=eps_rho,
+                              origin="on_device")
         except InfeasibleError as err:
             return Solution(origin="on_device", feasible=False, alloc=None,
-                            cost=None, iterations=0, trace=(),
+                            cost=None, iterations=0,
                             reasons=((net.depth, 2, err.reason),))
-        return sol
     if kind == "no_prune":
-        return _enumerate(net, sc, ap, 1.0, "no_prune", rel_tol, max_iter, eps_rho)
+        return _enumerate(net, sc, ap, "no_prune", lambda l, q, terms: PairEnergy(
+            l, q, net, sc, terms, ap).best([1.0], "no_prune"))
     raise ValueError(f"unknown baseline {kind!r}")
 
 
@@ -226,14 +250,13 @@ def _solve_on_server(net, sc, ap):
                                   "raw upload misses the deadline even at p_max")
     except InfeasibleError as err:
         return Solution(origin="on_server", feasible=False, alloc=None,
-                        cost=None, iterations=0, trace=(),
-                        reasons=((0, q_raw, err.reason),))
+                        cost=None, iterations=0, reasons=((0, q_raw, err.reason),))
     t_star = t2 / a1
     p_c = math.expm1(math.log(2.0) / t_star) / sc.g_over_bn0
     alloc = Allocation(l=0, q=q_raw, rho=1.0, p_s=p_s, p_c=p_c, nu_e=sc.nu_max)
     breakdown = total_cost(alloc, net, sc)
     return Solution(origin="on_server", feasible=True, alloc=alloc,
-                    cost=breakdown, iterations=1, trace=(breakdown.e_total,))
+                    cost=breakdown, iterations=1)
 
 
 @dataclass(frozen=True)
@@ -256,7 +279,7 @@ def apply_axis(sc: Scenario, axis: str, value: float) -> Scenario:
 
 
 def sweep(net, sc: Scenario, ap: AccuracyParams, axis: str, values,
-          origins: tuple[str, ...] = ORIGINS, **solver_opts) -> list[SweepRow]:
+          origins: tuple[str, ...] = ORIGINS, eps_rho: float = 1e-6) -> list[SweepRow]:
     """Re-solve the proposed method and every baseline per swept value.
 
     Infeasible points are recorded as infeasible rows; the sweep continues.
@@ -269,9 +292,9 @@ def sweep(net, sc: Scenario, ap: AccuracyParams, axis: str, values,
         sc_v = apply_axis(sc, axis, value)
         for origin in origins:
             if origin == "proposed":
-                sol = solve_scenario(net, sc_v, ap, **solver_opts)
+                sol = solve_scenario(net, sc_v, ap, eps_rho=eps_rho)
             else:
-                sol = solve_baseline(origin, net, sc_v, ap, **solver_opts)
+                sol = solve_baseline(origin, net, sc_v, ap, eps_rho=eps_rho)
             rows.append(SweepRow(axis=axis, value=value, solution=sol))
     return rows
 
@@ -305,10 +328,9 @@ def write_solutions_csv(path, rows) -> None:
 
 
 def solution_to_dict(sol: Solution) -> dict:
-    """JSON-ready view of a Solution, full precision, including the trace."""
+    """JSON-ready view of a Solution, full precision."""
     out = {"origin": sol.origin, "feasible": sol.feasible,
-           "iterations": sol.iterations, "trace": list(sol.trace),
-           "reasons": [list(r) for r in sol.reasons]}
+           "iterations": sol.iterations, "reasons": [list(r) for r in sol.reasons]}
     if sol.feasible:
         a, c = sol.alloc, sol.cost
         out["allocation"] = {"l": a.l, "q": a.q, "rho": a.rho, "p_s": a.p_s,
@@ -326,7 +348,6 @@ def solution_from_dict(data: dict) -> Solution:
     if not data.get("feasible"):
         return Solution(origin=data["origin"], feasible=False, alloc=None,
                         cost=None, iterations=data.get("iterations", 0),
-                        trace=tuple(data.get("trace", ())),
                         reasons=tuple(tuple(r) for r in data.get("reasons", ())))
     a = data["allocation"]
     c = data["cost"]
@@ -336,7 +357,7 @@ def solution_from_dict(data: dict) -> Solution:
                          t_sen=c["t_sen"], t_comp_edge=c["t_comp_edge"],
                          t_comp_server=c["t_comp_server"], t_comm=c["t_comm"])
     return Solution(origin=data["origin"], feasible=True, alloc=alloc, cost=cost,
-                    iterations=data["iterations"], trace=tuple(data["trace"]),
+                    iterations=data["iterations"],
                     reasons=tuple(tuple(r) for r in data.get("reasons", ())))
 
 

@@ -4,7 +4,7 @@ results and for both subproblem solvers.
 Each oracle avoids the code path of the quantity it checks: order-statistics
 sampling against the closed-form pruning factor, measured forward-pass errors
 against the norm-product bound, raw grid search against the KKT solver and
-the full alternating optimizer, and an end-to-end synthetic classification
+the full optimizer, and an end-to-end synthetic classification
 task against the accuracy lower bound.
 """
 
@@ -213,11 +213,12 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams,
               grid_spec: GridSpec = GridSpec(), seed: int = 0,
               tolerance: float = math.inf) -> OracleReport:
     """Coarse exhaustive search over (l, q, rho, nu_e, p_c) with the
-    sensing power inverted per rho, against the alternating optimizer.
+    sensing power inverted per rho, against the optimizer.
 
-    The gap (solver energy - grid best)/grid best may be positive
-    (alternating optimization is local); it is reported, and `passed`
-    reflects the given tolerance (default: report-only).
+    The gap (solver energy - grid best)/grid best may be positive (the
+    golden-section search over rho assumes E(rho) is unimodal); it is
+    reported, and `passed` reflects the given tolerance (default:
+    report-only).
     """
     sol = solve_scenario(net, sc, ap)
     best = math.inf

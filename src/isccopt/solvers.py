@@ -1,22 +1,16 @@
-"""Scalar numerical kernels and the two subproblem solvers: golden-section
-over the pruning ratio with the matching minimum sensing power, and the
-KKT closed form for the communication-power / edge-frequency pair."""
+"""Scalar numerical kernels (Lambert W, golden-section search) and the KKT
+closed form for the communication-power / edge-frequency subproblem."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from . import netmodel
-from .accuracy import AccuracyParams, PenaltyTerms, min_sensing_power
-from .cost import Scenario, comm_cost
+from .cost import Scenario
 from .errors import InfeasibleError
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # bracket contraction factor
-
-# smallest pruning ratio the rho search will consider; the decision domain
-# is (0, 1] and the objective stays finite as rho -> 0+
-RHO_FLOOR = 1e-9
+LN2 = math.log(2.0)
 
 
 def lambert_w0(x: float) -> float:
@@ -25,7 +19,9 @@ def lambert_w0(x: float) -> float:
     Seeded Halley iteration: near the branch point -1/e a series in
     p = sqrt(2(e*x + 1)) seeds (and for tiny p directly returns) the root;
     large arguments start from the asymptotic log(x) - log(log(x)).
-    Residual |w*e^w - x| converges to ~1e-16 * max(1, |x|).
+    Residual |w*e^w - x| converges to ~1e-16 * max(1, |x|). Stops when the
+    step falls below rounding or stops shrinking (near the branch point the
+    step test alone sits below rounding).
     """
     if math.isnan(x):
         raise ValueError("lambert_w0: nan argument")
@@ -50,14 +46,16 @@ def lambert_w0(x: float) -> float:
     else:
         lx = math.log(x)
         w = lx - math.log(lx)
+    prev = math.inf
     for _ in range(100):
         ew = math.exp(w)
         resid = w * ew - x
         denom = ew * (w + 1.0) - (w + 2.0) * resid / (2.0 * w + 2.0)
         dw = resid / denom
         w -= dw
-        if abs(dw) <= 1e-16 * (2.0 + abs(w)):
+        if abs(dw) <= 1e-16 * (2.0 + abs(w)) or abs(dw) >= prev:
             break
+        prev = abs(dw)
     return w
 
 
@@ -65,17 +63,21 @@ def golden_section(f, lb: float, ub: float, eps: float) -> float:
     """Argmin of a unimodal function on [lb, ub] by golden-section search.
 
     Shrinks the bracket by the golden ratio until its width is at most eps
-    and returns the midpoint; exactly one new function evaluation per
-    iteration. Non-finite function values raise.
+    (or rounding stops it shrinking) and returns the midpoint; exactly one
+    new function evaluation per iteration. Non-finite function values raise.
     """
     if not lb < ub:
         raise ValueError(f"need lb < ub, got [{lb}, {ub}]")
+    if not eps > 0:
+        raise ValueError(f"need eps > 0, got {eps}")
     x1 = lb + (1.0 - INV_GOLDEN) * (ub - lb)
     x2 = lb + INV_GOLDEN * (ub - lb)
     f1, f2 = f(x1), f(x2)
     if not (math.isfinite(f1) and math.isfinite(f2)):
         raise ValueError("non-finite objective value in golden-section search")
-    while ub - lb > eps:
+    width = math.inf
+    while eps < ub - lb < width:
+        width = ub - lb
         if f1 < f2:
             ub, x2, f2 = x2, x1, f1
             x1 = lb + (1.0 - INV_GOLDEN) * (ub - lb)
@@ -171,143 +173,60 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
 
     The latency constraint a1*t + a2/nu_e <= t2 is always active at the
     optimum (energy falls monotonically toward the deadline), so the
-    multiplier mu1 is found by bisection on the monotone latency map
+    multiplier mu1 solves lat(mu1) = t2 on the monotone latency map
 
         t(mu1)    = max(t_stationary(mu1), t_min)
-        nu_e(mu1) = min(nu_max, (mu1 / (2*kappa))^(1/3))
+        nu_e(mu1) = min(nu_max, (mu1 / (2*kappa))^(1/3)).
 
-    until the activated latency matches t2 within rel_tol. Infeasible when
-    even (p_max, nu_max) misses the deadline. Bracket failures raise rather
-    than returning a silently wrong point.
+    Safeguarded Newton steps on z = log(mu1) find the root, with the
+    analytic derivative dW/du = 1/(e^W (1 + W)) of the Lambert W inside
+    t_stationary. They start at mu1 = 2*kappa*(a2/t2)^3, where
+    a2/nu_e = t2 alone, so the start is at or below the root; the top of
+    the bracket is the multiplier from which both t and nu_e sit at their
+    bounds. A step leaving the bracket is replaced by bisection. Stops when
+    the latency matches t2 within rel_tol. Infeasible when even
+    (p_max, nu_max) misses the deadline.
     """
+    g = sc.g_over_bn0
     t_min = min_rate_time(sc)
     floor = ctx.a1 * t_min + ctx.a2 / sc.nu_max
     if floor > ctx.t2 * (1.0 + 1e-12):
         raise InfeasibleError(
             "latency_budget",
             f"best achievable latency {floor:.6g} s > budget {ctx.t2:.6g} s")
-
-    def activated(mu1):
-        t = max(t_stationary(mu1, sc.g_over_bn0), t_min)
-        nu = min(sc.nu_max, (mu1 / (2.0 * sc.kappa)) ** (1.0 / 3.0))
-        return t, nu, ctx.a1 * t + ctx.a2 / nu
-
-    mu_lo = 1e-30
-    _, _, lat_lo = activated(mu_lo)
-    if lat_lo <= ctx.t2:
-        # budget slack even with vanishing pressure; deadline met at mu -> 0
-        mu_hi = mu_lo
-    else:
-        mu_hi = max(1e-12, 2.0 * sc.kappa * sc.nu_max**3)
-        for _ in range(max_iter):
-            _, _, lat_hi = activated(mu_hi)
-            if lat_hi <= ctx.t2:
-                break
-            mu_hi *= 2.0
+    two_kappa = 2.0 * sc.kappa
+    # t_stationary reaches t_min where 1 + W = ln(1 + g*p_max)
+    snr = 1.0 + g * sc.p_max
+    mu_top = max(two_kappa * sc.nu_max**3, (snr * (math.log(snr) - 1.0) + 1.0) / g)
+    z_lo, z_hi = math.log(two_kappa * (ctx.a2 / ctx.t2) ** 3), math.log(mu_top)
+    z = z_lo
+    for _ in range(max_iter):
+        mu1 = math.exp(z)
+        nu = (mu1 / two_kappa) ** (1.0 / 3.0)
+        slope = 0.0   # d lat / d z
+        if nu < sc.nu_max:
+            slope -= ctx.a2 / (3.0 * nu)
         else:
-            raise InfeasibleError("bisection_bracket",
-                                  "no multiplier meets the latency budget")
-        for _ in range(max_iter):
-            mid = 0.5 * (mu_lo + mu_hi)
-            t, nu, lat = activated(mid)
-            if abs(lat - ctx.t2) <= rel_tol * ctx.t2:
-                mu_lo = mu_hi = mid
-                break
-            if lat > ctx.t2:
-                mu_lo = mid
-            else:
-                mu_hi = mid
-    mu1 = mu_hi
-    t, nu, lat = activated(mu1)
-    if abs(lat - ctx.t2) > 10.0 * rel_tol * ctx.t2 and lat > ctx.t2:
+            nu = sc.nu_max
+        w = lambert_w0((mu1 * g - 1.0) / math.e)
+        if (1.0 + w) * t_min >= LN2:
+            t = t_min
+        elif w > -1.0:
+            t = LN2 / (1.0 + w)
+            slope -= ctx.a1 * t * mu1 * g / (math.exp(w + 1.0) * (1.0 + w) ** 2)
+        else:
+            t = math.inf
+        lat = ctx.a1 * t + ctx.a2 / nu
+        if abs(lat - ctx.t2) <= rel_tol * ctx.t2:
+            break
+        if lat > ctx.t2:
+            z_lo = z
+        else:
+            z_hi = z
+        step = (lat - ctx.t2) / slope if slope < 0.0 else math.nan
+        z = z - step if z_lo < z - step < z_hi else 0.5 * (z_lo + z_hi)
+    else:
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {ctx.t2:.12g} s")
-    p_c = math.expm1(math.log(2.0) / t) / sc.g_over_bn0
+    p_c = math.expm1(LN2 / t) / g
     return PowerFreqSolution(p_c=p_c, nu_e=nu, t=t, mu1=mu1)
-
-
-def edge_flops_affine(net, l: int) -> tuple[float, float]:
-    """(slope, intercept) of the edge-side FLOP count in rho."""
-    return netmodel.cum_flops_affine(net, 1, l)
-
-
-def solve_rho_ps(l: int, q: int | None, p_c: float, nu_e: float, net,
-                 sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
-                 eps_rho: float = 1e-6) -> tuple[float, float]:
-    """Optimal pruning ratio and sensing power given (l, q, p_c, nu_e).
-
-    The latency budget left for edge compute fixes rho_max in closed form
-    (edge FLOPs are affine in rho); the p_max feasibility of the minimum
-    sensing power fixes rho_min by bisection (the required power falls as
-    rho grows). The sensing-plus-compute energy
-
-        h(rho) = t_sen * min_sensing_power(rho) + kappa*nu_e^2*flops(rho)
-
-    is unimodal on the bracket and minimized by golden-section search; the
-    returned value is the best of the search midpoint and both endpoints.
-    """
-    t_comm, _ = comm_cost(l, q if q is not None else 2, p_c, net, sc)
-    t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
-    t1 = sc.t_max - sc.t_sen - t_server - t_comm
-    if t1 <= 0:
-        raise InfeasibleError(
-            "latency_budget",
-            f"no time left for edge compute (t1={t1:.6g} s)")
-    slope, intercept = edge_flops_affine(net, l)
-    cap = t1 * nu_e
-    if slope <= 0.0:
-        if intercept > cap:
-            raise InfeasibleError("latency_budget", "fixed edge FLOPs exceed budget")
-        rho_max = 1.0
-    else:
-        rho_max = (cap - intercept) / slope
-        if rho_max <= RHO_FLOOR:
-            raise InfeasibleError(
-                "latency_budget",
-                f"edge compute misses deadline at any rho (rho_max={rho_max:.3g})")
-        rho_max = min(rho_max, 1.0)
-        # guard the closed form against the per-layer clamp at tiny rho
-        if netmodel.cum_flops(net, 1, l, rho_max, warn=False) > cap * (1.0 + 1e-12):
-            lo, hi = RHO_FLOOR, rho_max
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if netmodel.cum_flops(net, 1, l, mid, warn=False) <= cap:
-                    lo = mid
-                else:
-                    hi = mid
-            rho_max = lo
-
-    def required_ps(rho):
-        return min_sensing_power(rho, q, terms, ap, sc.r_t, sc.p_max)
-
-    # p_max feasibility boundary: feasible side is high rho
-    required_ps(rho_max)  # raises with the binding reason if hopeless
-    def feasible(rho):
-        try:
-            required_ps(rho)
-            return True
-        except InfeasibleError:
-            return False
-
-    if feasible(RHO_FLOOR):
-        rho_min = RHO_FLOOR
-    else:
-        lo, hi = RHO_FLOOR, rho_max
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                hi = mid
-            else:
-                lo = mid
-        rho_min = hi
-
-    def h(rho):
-        comp = netmodel.cum_flops(net, 1, l, rho, warn=False)
-        return sc.t_sen * required_ps(rho) + sc.kappa * nu_e**2 * comp
-
-    if rho_max - rho_min <= eps_rho:
-        rho_star = rho_max
-    else:
-        mid = golden_section(h, rho_min, rho_max, eps_rho)
-        rho_star = min((rho_min, mid, rho_max), key=h)
-    return rho_star, required_ps(rho_star)

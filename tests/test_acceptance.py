@@ -9,6 +9,7 @@ import pytest
 
 from isccopt import optimizer as opt
 from isccopt import oracles as orc
+from isccopt.cost import check_feasible
 from isccopt.errors import InfeasibleError
 from isccopt.quant import QuantSpec
 from isccopt.solvers import golden_section, lambert_w0, solve_pc_nue
@@ -118,14 +119,18 @@ class TestCriterion06GoldenSection:
                f"worst error {worst:.2e} (tol 1e-8)")
 
 
-class TestCriterion07AlternatingConvergence:
-    def test_traces_nonincreasing_and_converged(self):
+class TestCriterion07PairSolverOptimality:
+    def test_pairs_at_or_below_rho_grid(self):
+        # every pair the solver returns is at or below a 400-point rho grid
+        # of E(rho) with the exact KKT block, and passes check_feasible;
+        # every pair feasible on the grid is feasible for the solver
         rng = np.random.default_rng(7000)
+        grid = np.linspace(opt.RHO_FLOOR, 1.0, 400)
         feasible_cases = 0
         attempts = 0
-        worst_rise = -math.inf
-        max_iters = 0
-        n_traces = 0
+        gaps = []
+        missed = 0
+        unchecked = 0
         while feasible_cases < 100 and attempts < 400:
             attempts += 1
             net, sc, ap = orc.random_test_case(rng)
@@ -134,22 +139,33 @@ class TestCriterion07AlternatingConvergence:
                 terms = opt.penalty_terms(net, l, ap)
                 qs = [None] if l == net.depth else range(2, sc.q_max + 1)
                 for q in qs:
+                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    best = math.inf
+                    for rho in grid:
+                        try:
+                            best = min(best, energy(float(rho)))
+                        except InfeasibleError:
+                            pass
                     try:
-                        sol = opt.alternate_inner(l, q, net, sc, terms, ap)
+                        sol = opt.solve_pair(l, q, net, sc, terms, ap)
                     except InfeasibleError:
+                        missed += math.isfinite(best)
                         continue
                     any_pair = True
-                    n_traces += 1
-                    max_iters = max(max_iters, sol.iterations)
-                    rises = [b - a for a, b in zip(sol.trace, sol.trace[1:])]
-                    worst_rise = max(worst_rise, max(rises, default=-math.inf))
+                    unchecked += not check_feasible(sol.alloc, net, sc, terms, ap).ok
+                    if math.isfinite(best):
+                        gaps.append(sol.e_total / best - 1.0)
             if any_pair:
                 feasible_cases += 1
-        ok = (feasible_cases == 100 and worst_rise <= 1e-9 and max_iters < 100)
+        worst = max(gaps)
+        ok = (feasible_cases == 100 and worst <= 1e-9 and missed == 0
+              and unchecked == 0)
         report(7, ok,
-               f"alternating optimization on {feasible_cases} feasible random "
-               f"scenarios ({n_traces} traces): worst objective rise "
-               f"{worst_rise:.2e} (tol 1e-9), max iterations {max_iters} (<100)")
+               f"pair solver on {feasible_cases} feasible random scenarios "
+               f"({len(gaps)} pairs) vs a 400-point rho grid with the exact KKT "
+               f"block: worst gap {worst:.2e} (tol 1e-9), median gap "
+               f"{float(np.median(gaps)):.2e}, grid-feasible pairs rejected "
+               f"{missed}, check_feasible failures {unchecked}")
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +290,6 @@ class TestCriterion12FullProblemGap:
         assert len(gaps) == 10
         median = float(np.median(gaps))
         report(12, median <= 0.05,
-               f"alternating solver vs coarse full grid over 10 random "
+               f"optimizer vs coarse full grid over 10 random "
                f"scenarios: median gap {median:.3%} (soft ceiling 5%), "
                f"max gap {max(gaps):.3%}")

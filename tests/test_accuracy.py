@@ -5,8 +5,8 @@ import pytest
 
 from isccopt.accuracy import (AccuracyParams, PenaltyTerms, accuracy_ceiling,
                               accuracy_lower_bound, fit_accuracy_curve,
-                              ideal_accuracy, min_sensing_power,
-                              penalty_factor, pruning_error_factor,
+                              ideal_accuracy, min_pruning_ratio,
+                              min_sensing_power, penalty_factor, pruning_error_factor,
                               quant_error_factor)
 from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
@@ -217,18 +217,38 @@ class TestMinSensingPower:
         assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
 
 
-class TestGenericAccuracyModel:
-    class Saturating:
-        """R0 = 1 - exp(-25 * ps): monotone, ceiling 1, no closed inverse given."""
+class TestMinPruningRatio:
+    def test_boundary_of_the_sensing_power_cap(self):
+        # min_sensing_power succeeds at the closed-form rho_min and raises
+        # just below it (unless rho_min is the floor itself)
+        rng = np.random.default_rng(19)
+        p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
+        interior = 0
+        for _ in range(200):
+            terms = PenaltyTerms(prune_coeff=float(rng.uniform(0.1, 3)),
+                                 quant_coeff=float(rng.uniform(0, 1)),
+                                 tail_norm=float(rng.uniform(0.5, 3)))
+            q = int(rng.integers(2, 7))
+            r_t = float(rng.uniform(0.3, 0.9))
+            p_max = float(10.0 ** rng.uniform(-2, 0))
+            try:
+                min_sensing_power(1.0, q, terms, p, r_t, p_max)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    min_pruning_ratio(q, terms, p, r_t, p_max, 1e-9)
+                continue
+            rho = min_pruning_ratio(q, terms, p, r_t, p_max, 1e-9)
+            assert 1e-9 <= rho <= 1.0
+            min_sensing_power(rho, q, terms, p, r_t, p_max)
+            if rho > 1e-9:
+                interior += 1
+                with pytest.raises(InfeasibleError):
+                    min_sensing_power(rho * (1.0 - 1e-9), q, terms, p, r_t, p_max)
+        assert interior >= 50
 
-        ceiling = 1.0
-
-        def value(self, ps):
-            return 1.0 - math.exp(-25.0 * ps)
-
-    def test_numeric_inversion_round_trip(self):
-        p = AccuracyParams(a=0.6, b=50.0, s=2.0, r0_model=self.Saturating())
-        terms = PenaltyTerms(prune_coeff=0.5, quant_coeff=0.1, tail_norm=1.0)
-        ps = min_sensing_power(0.8, 3, terms, p, 0.9, 10.0)
-        got = accuracy_lower_bound(alloc(p_s=ps, rho=0.8, q=3), terms, p)
-        assert got == pytest.approx(0.9, abs=1e-8)
+    def test_floor_when_pruning_is_free(self):
+        p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
+        terms = PenaltyTerms(prune_coeff=0.0, quant_coeff=0.5, tail_norm=1.0)
+        assert min_pruning_ratio(3, terms, p, 0.8, 1.0, 1e-9) == 1e-9
+        terms = PenaltyTerms(prune_coeff=0.5, quant_coeff=0.5, tail_norm=1.0)
+        assert min_pruning_ratio(3, terms, p, 0.0, 1.0, 1e-9) == 1e-9

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isccopt import netmodel as nm
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
-from isccopt.cost import total_cost
-from isccopt.errors import ConfigError
-from isccopt.optimizer import solution_from_dict
+from isccopt.cost import check_feasible, total_cost
+from isccopt.errors import ConfigError, InfeasibleError
+from isccopt.optimizer import penalty_terms, solution_from_dict, solve_scenario
 
 
 class TestConfig:
@@ -116,6 +118,72 @@ class TestCliSolve:
         rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 3
         assert "config error" in capsys.readouterr().err
+
+
+BAD_VALUES = [
+    ("scenario", "t_max", float("nan")),
+    ("scenario", "nu_max", float("inf")),
+    ("scenario", "m_chirps", 50000.7),
+    ("solver", "eps_rho", 0),
+    ("solver", "eps_rho", float("nan")),
+    ("solver", "max_iter", 0),
+]
+
+
+@pytest.mark.parametrize("block, key, value", BAD_VALUES)
+def test_bad_value_exits_3_with_message(tmp_path, capsys, block, key, value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({block: {key: value}}))   # NaN/Infinity literals
+    rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "config error" in err and key in err
+
+
+SCENARIO_VALUES = {
+    "t_max": (0.45, 2.0), "r_t": (-0.1, 0.99), "p_max": (0.01, 2.0),
+    "nu_max": (1e5, 1e8), "kappa": (1e-23, 1e-19), "snr_db": (-10.0, 40.0),
+    "m_chirps": (1000, 60000),
+}
+ODD = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 0.5, 1e5 + 0.7])
+
+
+@st.composite
+def config_overrides(draw):
+    """Valid scenario and solver values, at most one of them replaced by a
+    non-finite, non-positive or borderline one."""
+    scenario = {}
+    for key, (lo, hi) in SCENARIO_VALUES.items():
+        if draw(st.booleans()):
+            scenario[key] = draw(st.integers(lo, hi) if key == "m_chirps"
+                                 else st.floats(lo, hi))
+    solver = {"eps_rho": draw(st.one_of(st.just(1e-6), st.floats(1e-300, 0.5)))}
+    odd = draw(st.sampled_from([None] * 4 + list(SCENARIO_VALUES) + ["eps_rho"]))
+    if odd is not None:
+        (solver if odd == "eps_rho" else scenario)[odd] = draw(ODD)
+    return {"scenario": scenario, "solver": solver}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(config_overrides())
+def test_config_values_fail_closed_or_solve_feasibly(raw):
+    # every config either is rejected with ConfigError or solves to an
+    # allocation that passes check_feasible (or to per-pair reasons)
+    try:
+        cfg = build_config(raw)
+    except ConfigError:
+        return
+    net, sc, ap = cfg.network, cfg.scenario, cfg.accuracy
+    try:
+        sol = solve_scenario(net, sc, ap, eps_rho=cfg.solver["eps_rho"])
+    except InfeasibleError:
+        return
+    if not sol.feasible:
+        assert sol.reasons
+        return
+    terms = penalty_terms(net, sol.alloc.l, ap)
+    assert check_feasible(sol.alloc, net, sc, terms, ap).ok
 
 
 class TestCliSweepAndBaseline:

@@ -4,6 +4,7 @@ import pytest
 
 from isccopt import netmodel as nm
 from isccopt import optimizer as opt
+from isccopt.accuracy import min_pruning_ratio
 from isccopt.cost import Scenario, check_feasible, total_cost
 from isccopt.errors import InfeasibleError
 
@@ -30,20 +31,30 @@ class TestPenaltyTerms:
 
 
 class TestAlternateInner:
-    def test_trace_nonincreasing_and_converges(self, template_net,
-                                               default_scenario, default_params):
+    """Per-pair cases of the pair solver."""
+
+    def test_returns_least_evaluated_energy(self, template_net,
+                                            default_scenario, default_params):
+        # the chosen point is no worse than either end of the rho bracket,
+        # and the search stops after the golden-section evaluations plus
+        # the bracket ends
         for l, q in ((1, 4), (3, 6), (5, 2), (6, 3)):
             terms = opt.penalty_terms(template_net, l, default_params)
-            sol = opt.alternate_inner(l, q, template_net, default_scenario,
-                                      terms, default_params)
-            assert sol.iterations < 100
-            trace = sol.trace
-            assert all(a - b >= -1e-9 for a, b in zip(trace, trace[1:]))
+            sol = opt.solve_pair(l, q, template_net, default_scenario, terms,
+                                 default_params)
+            energy = opt.PairEnergy(l, q, template_net, default_scenario, terms,
+                                    default_params)
+            rho_max = energy.rho_max()
+            rho_min = min_pruning_ratio(q, terms, default_params, default_scenario.r_t,
+                                        default_scenario.p_max, opt.RHO_FLOOR)
+            assert sol.e_total <= min(energy(rho_min), energy(rho_max)) * (1 + 1e-12)
+            assert rho_min <= sol.alloc.rho <= rho_max
+            assert 3 <= sol.iterations <= 40
 
     def test_on_device_split(self, template_net, default_scenario, default_params):
         terms = opt.penalty_terms(template_net, 7, default_params)
-        sol = opt.alternate_inner(7, None, template_net, default_scenario,
-                                  terms, default_params)
+        sol = opt.solve_pair(7, None, template_net, default_scenario,
+                             terms, default_params)
         assert sol.cost.t_comm == 0.0
         assert sol.cost.e_comm == 0.0
         # edge compute deadline is active
@@ -55,7 +66,7 @@ class TestAlternateInner:
                       m_chirps=50000, fs=1e7, q_max=6, splits=(1,))
         terms = opt.penalty_terms(template_net, 1, default_params)
         with pytest.raises(InfeasibleError):
-            opt.alternate_inner(1, 6, template_net, sc, terms, default_params)
+            opt.solve_pair(1, 6, template_net, sc, terms, default_params)
 
 
 class TestSolveScenario:

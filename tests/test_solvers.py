@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from isccopt import netmodel as nm
-from isccopt.accuracy import min_sensing_power
+from isccopt import solvers
 from isccopt.errors import InfeasibleError
+from isccopt.optimizer import PairEnergy, penalty_terms, solve_pair
 from isccopt.solvers import (INV_GOLDEN, SubproblemContext, golden_section,
                              lambert_w0, min_rate_time, solve_pc_nue,
-                             solve_rho_ps, t_stationary,
-                             t_stationary_rootfind)
+                             t_stationary, t_stationary_rootfind)
 
 
 class TestLambertW:
@@ -39,6 +38,34 @@ class TestLambertW:
         xs = np.linspace(-1 / math.e + 1e-9, 100, 200)
         ws = [lambert_w0(float(x)) for x in xs]
         assert all(a < b for a, b in zip(ws, ws[1:]))
+
+    def test_halley_steps_bounded(self, monkeypatch):
+        # one exp per Halley step; near the branch point the step test alone
+        # sits below rounding, so the iteration must also stop once the step
+        # stops shrinking
+        calls = 0
+        exp = math.exp
+
+        def counting_exp(x):
+            nonlocal calls
+            calls += 1
+            return exp(x)
+
+        xs = np.concatenate([
+            [-1.0 / math.e],
+            -1.0 / math.e + np.geomspace(1e-12, 0.99 / math.e, 12),
+            np.geomspace(1e-9, 1e6, 37),
+            np.linspace(-1.0 / math.e, -0.335, 400),
+        ])
+        worst = 0
+        for x in xs:
+            calls = 0
+            monkeypatch.setattr(solvers.math, "exp", counting_exp)
+            w = lambert_w0(float(x))
+            monkeypatch.undo()
+            worst = max(worst, calls)
+            assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+        assert worst <= 6
 
 
 class TestGoldenSection:
@@ -80,6 +107,14 @@ class TestGoldenSection:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             golden_section(lambda x: x, 1, 1, 1e-6)
+        for eps in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError):
+                golden_section(lambda x: x, 0, 1, eps)
+
+    def test_eps_below_rounding_terminates(self):
+        # the bracket stops shrinking at a few ulps: the search must stop too
+        x = golden_section(lambda x: (x - 0.3) ** 2, 1e-9, 1.0, 1e-300)
+        assert x == pytest.approx(0.3, abs=1e-12)
 
 
 class TestTStationary:
@@ -160,100 +195,79 @@ class TestSolvePcNue:
 
 def rho_context(template_net, default_params, **kw):
     sc = make_scenario(**kw)
-    from isccopt.optimizer import penalty_terms
     l = kw.pop("l", 3)
     terms = penalty_terms(template_net, l, default_params)
     return l, sc, terms
 
 
+def feasible_energies(energy, grid):
+    """E(rho) over the grid points where it is feasible."""
+    vals = []
+    for r in grid:
+        try:
+            vals.append(energy(float(r)))
+        except InfeasibleError:
+            continue
+    return np.array(vals)
+
+
 class TestSolveRhoPs:
+    """The pruning-ratio cases, run on the pair solver's search over the
+    joint energy E(rho)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_zero_target_returns_lower_bracket(self, template_net, default_params):
         l, sc, terms = rho_context(template_net, default_params, r_t=0.0)
-        rho, ps = solve_rho_ps(l, 4, 0.1, 4e6, template_net, sc, terms,
-                               default_params)
-        assert ps == 0.0
-        assert rho <= 1e-6  # pinned to the bottom of the bracket
+        sol = solve_pair(l, 4, template_net, sc, terms, default_params)
+        assert sol.alloc.p_s == 0.0
+        assert sol.alloc.rho <= 1e-6  # pinned to the bottom of the bracket
 
     def test_budget_exhausted(self, template_net, default_params):
         l, sc, terms = rho_context(template_net, default_params, t_max=0.5001)
         with pytest.raises(InfeasibleError) as err:
-            solve_rho_ps(l, 4, 0.1, 4e6, template_net, sc, terms, default_params)
+            solve_pair(l, 4, template_net, sc, terms, default_params)
         assert err.value.reason == "latency_budget"
 
     def test_accuracy_constraint_active(self, template_net, default_params):
         from isccopt.accuracy import accuracy_lower_bound
-        from isccopt.cost import Allocation
         l, sc, terms = rho_context(template_net, default_params)
-        rho, ps = solve_rho_ps(l, 4, 0.1, 4e6, template_net, sc, terms,
-                               default_params)
-        a = Allocation(l=l, q=4, rho=rho, p_s=ps, p_c=0.1, nu_e=4e6)
-        assert accuracy_lower_bound(a, terms, default_params) == pytest.approx(
+        sol = solve_pair(l, 4, template_net, sc, terms, default_params)
+        assert accuracy_lower_bound(sol.alloc, terms, default_params) == pytest.approx(
             sc.r_t, abs=1e-9)
 
     def test_against_dense_grid(self, template_net, default_params):
         rng = np.random.default_rng(31)
+        grid = np.linspace(1e-9, 1.0, 2000)
         checked = 0
         while checked < 20:
             l = int(rng.integers(1, 8))
             q = int(rng.integers(2, 7))
-            p_c = float(rng.uniform(0.01, 1.0))
-            nu_e = float(rng.uniform(1e6, 8e6))
             sc = make_scenario(t_max=float(rng.uniform(0.6, 1.2)),
                                r_t=float(rng.uniform(0.5, 0.9)))
-            from isccopt.optimizer import penalty_terms
             terms = penalty_terms(template_net, l, default_params)
+            q = None if l == template_net.depth else q
             try:
-                rho, ps = solve_rho_ps(l, q, p_c, nu_e, template_net, sc, terms,
-                                       default_params)
+                sol = solve_pair(l, q, template_net, sc, terms, default_params)
             except InfeasibleError:
+                assert feasible_energies(PairEnergy(l, q, template_net, sc, terms,
+                                                    default_params), grid).size == 0
                 continue
             checked += 1
-
-            def h(r):
-                power = min_sensing_power(r, q, terms, default_params, sc.r_t,
-                                          sc.p_max)
-                comp = nm.cum_flops(template_net, 1, l, r, warn=False)
-                return sc.t_sen * power + sc.kappa * nu_e**2 * comp
-
-            from isccopt.cost import comm_cost
-            t_comm, _ = comm_cost(l, q, p_c, template_net, sc)
-            t1 = sc.t_max - sc.t_sen - nm.cum_flops(
-                template_net, l + 1, 7, 1.0) / sc.nu_s - t_comm
-            grid = np.linspace(1e-9, 1.0, 10000)
-            vals = []
-            for r in grid:
-                if nm.cum_flops(template_net, 1, l, r, warn=False) > t1 * nu_e:
-                    continue
-                try:
-                    vals.append(h(r))
-                except InfeasibleError:
-                    continue
-            assert h(rho) <= min(vals) + 1e-9
+            vals = feasible_energies(
+                PairEnergy(l, q, template_net, sc, terms, default_params), grid)
+            assert sol.e_total <= vals.min() + 1e-9
 
     def test_objective_unimodal_on_bracket(self, template_net, default_params):
         # sampled-unimodality diagnostic: at most one strict local minimum
         rng = np.random.default_rng(41)
         for _ in range(10):
             l = int(rng.integers(1, 8))
-            q = int(rng.integers(2, 7))
-            from isccopt.optimizer import penalty_terms
+            q = None if l == template_net.depth else int(rng.integers(2, 7))
             terms = penalty_terms(template_net, l, default_params)
             sc = make_scenario(r_t=float(rng.uniform(0.5, 0.9)))
-            nu_e = float(rng.uniform(1e6, 8e6))
-
-            def h(r):
-                power = min_sensing_power(r, q, terms, default_params, sc.r_t,
-                                          sc.p_max)
-                comp = nm.cum_flops(template_net, 1, l, r, warn=False)
-                return sc.t_sen * power + sc.kappa * nu_e**2 * comp
-
-            vals = []
-            for r in np.linspace(0.05, 1.0, 200):
-                try:
-                    vals.append(h(r))
-                except InfeasibleError:
-                    vals = []  # restart: keep only the feasible tail
-            vals = np.array(vals)
+            vals = feasible_energies(
+                PairEnergy(l, q, template_net, sc, terms, default_params),
+                np.linspace(0.05, 1.0, 200))
             if vals.size < 3:
                 continue
             diffs = np.diff(vals)
