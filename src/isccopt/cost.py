@@ -117,7 +117,7 @@ def comp_cost(l: int, rho: float, nu_e: float, net: NetworkModel,
     """
     if nu_e <= 0:
         raise ValueError("edge frequency must be positive")
-    edge_flops = netmodel.cum_flops(net, 1, l, rho) if l >= 1 else 0.0
+    edge_flops = netmodel.cum_flops(net, 1, l, rho, warn=False) if l >= 1 else 0.0
     server_flops = netmodel.cum_flops(net, l + 1, net.depth, 1.0)
     t_edge = edge_flops / nu_e
     t_server = server_flops / sc.nu_s

@@ -24,6 +24,11 @@ ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
 # is (0, 1] and the objective stays finite as rho -> 0+
 RHO_FLOOR = 1e-9
 
+# a pair is searched while its lower bound is at most the incumbent's
+# e_total times (1 + PRUNE_RTOL); the margin absorbs the rounding between
+# E(rho), the KKT stopping test and total_cost
+PRUNE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -68,7 +73,7 @@ class PairEnergy:
 
     q is None for the on-device split l = L. A call raises InfeasibleError
     where rho admits no feasible point; each call that returns records
-    (energy, p_s, p_c, nu_e) in `points`.
+    (energy, p_s, p_c, nu_e, e_edge) in `points`.
     """
 
     def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams):
@@ -76,7 +81,7 @@ class PairEnergy:
         t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
         self.t2 = sc.t_max - sc.t_sen - t_server   # left for edge compute and upload
         self.a1 = 0.0 if l == net.depth else netmodel.feature_dim(net, l) * q / sc.bandwidth
-        self.points: dict[float, tuple[float, float, float, float]] = {}
+        self.points: dict[float, tuple[float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
         sc = self.sc
@@ -84,7 +89,7 @@ class PairEnergy:
         a2 = netmodel.cum_flops(self.net, 1, self.l, rho, warn=False)
         p_c, nu_e, e_edge = self._power_freq(a2)
         energy = sc.t_sen * p_s + e_edge
-        self.points[rho] = energy, p_s, p_c, nu_e
+        self.points[rho] = energy, p_s, p_c, nu_e, e_edge
         return energy
 
     def _power_freq(self, a2: float) -> tuple[float, float, float]:
@@ -145,11 +150,40 @@ class PairEnergy:
             rho_max = lo
         return rho_max
 
-    def best(self, rhos, origin: str) -> Solution:
-        """Solution at the least-energy rho of `rhos` (the first on ties);
-        `iterations` is the number of points E(rho) was evaluated at."""
+    def bracket(self) -> tuple[float, float]:
+        """(rho_min, rho_max) with E evaluated at both ends: rho_max is the
+        largest rho whose edge compute meets the deadline at (p_max, nu_max),
+        rho_min the smallest rho whose sensing power fits under p_max (both
+        closed form). Raises InfeasibleError when no rho is feasible."""
+        rho_max = self.rho_max()
+        self(rho_max)   # raises the binding reason when no rho is feasible
+        rho_min = min(min_pruning_ratio(self.q, self.terms, self.ap, self.sc.r_t,
+                                        self.sc.p_max, RHO_FLOOR), rho_max)
+        self(rho_min)
+        return rho_min, rho_max
+
+    def pin(self, rho: float) -> tuple[float, float]:
+        """The one-point bracket [rho, rho], with E evaluated there."""
+        self(rho)
+        return rho, rho
+
+    def lower_bound(self, rho_min: float, rho_max: float) -> float:
+        """Lower bound of E on a bracket from its two evaluated ends:
+        t_sen * p_s(rho_max) + e_edge(rho_min). Exact, because p_s is
+        nonincreasing in rho and the edge energy nondecreasing in the edge
+        FLOPs, which are nondecreasing in rho."""
+        return self.sc.t_sen * self.points[rho_max][1] + self.points[rho_min][4]
+
+    def search(self, rho_min: float, rho_max: float, eps_rho: float,
+               origin: str) -> Solution:
+        """Solution at the least-energy point of rho_min, the golden-section
+        argmin over the bracket at eps_rho, and rho_max (the first on
+        ties); `iterations` is the number of points E(rho) was evaluated at."""
+        rhos = [rho_min, rho_max]
+        if rho_max - rho_min > eps_rho:
+            rhos.insert(1, golden_section(self, rho_min, rho_max, eps_rho))
         rho = min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
-        _, p_s, p_c, nu_e = self.points[rho]
+        _, p_s, p_c, nu_e, _ = self.points[rho]
         alloc = Allocation(l=self.l, q=self.q or 2, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
         return Solution(origin=origin, feasible=True, alloc=alloc,
                         cost=total_cost(alloc, self.net, self.sc),
@@ -161,55 +195,75 @@ def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
     """Least-energy allocation of one (l, q) pair (q is None for l = L).
 
     Minimizes E(rho) of PairEnergy by golden-section search over
-    [rho_min, rho_max]: rho_max is the largest rho whose edge compute meets
-    the deadline at (p_max, nu_max), rho_min the smallest rho whose sensing
-    power fits under p_max (both closed form). Both endpoints stay
-    candidates. Raises InfeasibleError when no rho is feasible.
+    [rho_min, rho_max] (PairEnergy.bracket). Raises InfeasibleError when no
+    rho is feasible.
     """
     energy = PairEnergy(l, q, net, sc, terms, ap)
-    rho_max = energy.rho_max()
-    energy(rho_max)   # raises the binding reason when no rho is feasible
-    rho_min = min(min_pruning_ratio(q, terms, ap, sc.r_t, sc.p_max, RHO_FLOOR), rho_max)
-    rhos = [rho_min, rho_max]
-    if rho_max - rho_min > eps_rho:
-        rhos.insert(1, golden_section(energy, rho_min, rho_max, eps_rho))
-    return energy.best(rhos, origin)
+    return energy.search(*energy.bracket(), eps_rho, origin)
 
 
-def _enumerate(net, sc, ap, origin, solve_one):
-    """Shared outer loop of the proposed method and the no-prune baseline:
-    `solve_one(l, q, terms)` solves one pair."""
-    candidates = []
-    reasons = []
+def _pairs(net, sc):
+    """Every admissible (l, q) pair in enumeration order; q is None for the
+    split after the last layer."""
     for l in sorted(sc.splits or net.split_candidates):
-        terms = penalty_terms(net, l, ap)
-        qs = [None] if l == net.depth else range(2, sc.q_max + 1)
-        for q in qs:
-            try:
-                sol = solve_one(l, q, terms)
-            except InfeasibleError as err:
-                reasons.append((l, q if q is not None else 2, err.reason))
-                continue
-            candidates.append((sol.cost.e_total, sol.alloc.q, l, sol))
-    if not candidates:
+        for q in [None] if l == net.depth else range(2, sc.q_max + 1):
+            yield l, q
+
+
+def _enumerate(net, sc, ap, origin, pairs, bracket, eps_rho):
+    """The one outer loop, a best-first bound-and-prune over (l, q) pairs.
+
+    Pass 1 brackets every pair in `pairs` order (`bracket(energy)` returns
+    (rho_min, rho_max) with E evaluated at both ends) and takes the pair's
+    lower bound from them; a pair that raises leaves its reason. Pass 2
+    searches the pairs in (bound, q, l) order and stops at the first whose
+    bound exceeds the incumbent's e_total by more than PRUNE_RTOL: neither
+    it nor any pair after it can beat or tie the incumbent, so the answer
+    is the least (e_total, q, l) over all pairs, as if every pair were
+    searched.
+    """
+    reasons = []
+    bounded = []
+    terms = {}
+    for l, q in pairs:
+        if l not in terms:
+            terms[l] = penalty_terms(net, l, ap)
+        energy = PairEnergy(l, q, net, sc, terms[l], ap)
+        try:
+            rhos = bracket(energy)
+        except InfeasibleError as err:
+            reasons.append((l, q or 2, err.reason))
+            continue
+        bounded.append((energy.lower_bound(*rhos), q or 2, l, energy, rhos))
+    best = None
+    for bound, q, l, energy, rhos in sorted(bounded, key=lambda b: b[:3]):
+        if best is not None and bound > best.e_total * (1.0 + PRUNE_RTOL):
+            break
+        try:
+            sol = energy.search(*rhos, eps_rho, origin)
+        except InfeasibleError as err:
+            reasons.append((l, q, err.reason))
+            continue
+        if best is None or (sol.e_total, q, l) < (best.e_total, best.alloc.q, best.alloc.l):
+            best = sol
+    if best is None:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
-                        iterations=0, reasons=tuple(reasons))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    best = candidates[0][3]
-    return replace(best, reasons=tuple(reasons))
+                        iterations=0, reasons=tuple(sorted(reasons)))
+    return replace(best, reasons=tuple(sorted(reasons)))
 
 
 def solve_scenario(net, sc: Scenario, ap: AccuracyParams,
                    eps_rho: float = 1e-6) -> Solution:
     """Minimum-energy allocation over all (l, q) pairs.
 
-    Enumerates every admissible split and bit width, solves each pair with
-    solve_pair, and returns the feasible solution of least energy (ties
-    broken by smaller q, then smaller l). When every pair is infeasible the
-    Solution carries one reason per pair.
+    Solves the pairs as solve_pair does, skipping the search of every pair
+    whose exact lower bound rules it out (see _enumerate), and returns the
+    feasible solution of least energy (ties broken by smaller q, then
+    smaller l). When every pair is infeasible the Solution carries one
+    reason per pair.
     """
-    return _enumerate(net, sc, ap, "proposed", lambda l, q, terms: solve_pair(
-        l, q, net, sc, terms, ap, eps_rho=eps_rho))
+    return _enumerate(net, sc, ap, "proposed", _pairs(net, sc), PairEnergy.bracket,
+                      eps_rho)
 
 
 def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
@@ -223,17 +277,11 @@ def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
     if kind == "on_server":
         return _solve_on_server(net, sc, ap)
     if kind == "on_device":
-        terms = penalty_terms(net, net.depth, ap)
-        try:
-            return solve_pair(net.depth, None, net, sc, terms, ap, eps_rho=eps_rho,
-                              origin="on_device")
-        except InfeasibleError as err:
-            return Solution(origin="on_device", feasible=False, alloc=None,
-                            cost=None, iterations=0,
-                            reasons=((net.depth, 2, err.reason),))
+        return _enumerate(net, sc, ap, "on_device", [(net.depth, None)],
+                          PairEnergy.bracket, eps_rho)
     if kind == "no_prune":
-        return _enumerate(net, sc, ap, "no_prune", lambda l, q, terms: PairEnergy(
-            l, q, net, sc, terms, ap).best([1.0], "no_prune"))
+        return _enumerate(net, sc, ap, "no_prune", _pairs(net, sc),
+                          lambda energy: energy.pin(1.0), eps_rho)
     raise ValueError(f"unknown baseline {kind!r}")
 
 

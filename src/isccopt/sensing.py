@@ -9,6 +9,7 @@ Only the statistical structure matters downstream.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,15 @@ class EchoParams:
 
     def __post_init__(self):
         object.__setattr__(self, "clutter", tuple(self.clutter))
+        values = dict(power=self.power, chirp_duration=self.chirp_duration,
+                      sample_rate=self.sample_rate, noise_psd=self.noise_psd,
+                      chirp_bandwidth=self.chirp_bandwidth,
+                      **{"target." + k: v for k, v in vars(self.target).items()})
+        for i, path in enumerate(self.clutter):
+            values.update({f"clutter[{i}].{k}": v for k, v in vars(path).items()})
+        for name, value in values.items():
+            if not cmath.isfinite(value):
+                raise ValueError(f"echo {name} must be finite, got {value}")
         if self.power < 0:
             raise ValueError("sensing power must be nonnegative")
         if self.sample_rate * self.chirp_duration < 1:

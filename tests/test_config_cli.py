@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isccopt
 from isccopt import netmodel as nm
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
@@ -112,6 +118,17 @@ class TestCliSolve:
         assert rc == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_clamped_rho_solve_is_warning_free(self, tmp_path):
+        # r_t = 0 puts the chosen rho at the floor, where layer FLOPs clamp
+        cfg_path = tmp_path / "vacuous.json"
+        cfg_path.write_text(json.dumps({"scenario": {"r_t": 0.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "solution.json").read_text())
+        assert payload["solution"]["allocation"]["rho"] <= 1e-6
+
     def test_config_error_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"scenario": {"wrong_key": 1}}))
@@ -127,6 +144,9 @@ BAD_VALUES = [
     ("solver", "eps_rho", 0),
     ("solver", "eps_rho", float("nan")),
     ("solver", "max_iter", 0),
+    ("echo", "power", float("nan")),
+    ("echo", "noise_psd", float("inf")),
+    ("echo", "target", {"delay": 2e-6, "doppler_hz": float("nan"), "gain": [1.0, 0.0]}),
 ]
 
 
@@ -164,7 +184,6 @@ def config_overrides(draw):
     return {"scenario": scenario, "solver": solver}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(config_overrides())
 def test_config_values_fail_closed_or_solve_feasibly(raw):
@@ -233,3 +252,13 @@ class TestCliValidateFitSense:
         spec = np.loadtxt(tmp_path / "spectrogram.csv", delimiter=",")
         assert np.linalg.norm(spec) == pytest.approx(1.0, abs=1e-9)
         assert "spectrogram" in capsys.readouterr().out
+
+
+def test_python_m_isccopt_help():
+    src = str(Path(isccopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "isccopt", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: isccopt" in proc.stdout

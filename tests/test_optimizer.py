@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from isccopt import netmodel as nm
 from isccopt import optimizer as opt
+from isccopt import oracles as orc
 from isccopt.accuracy import min_pruning_ratio
 from isccopt.cost import Scenario, check_feasible, total_cost
 from isccopt.errors import InfeasibleError
@@ -86,7 +89,6 @@ class TestSolveScenario:
         b = opt.solve_scenario(template_net, default_scenario, default_params)
         assert a == b
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_vacuous_accuracy_target(self, template_net, default_params):
         sc = Scenario(t_max=2.0, r_t=0.0, p_max=1.0, nu_max=8e6, nu_s=1e11,
                       kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
@@ -112,6 +114,114 @@ class TestSolveScenario:
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
         # no strictly cheaper (e, q, l) lexicographic candidate exists
         assert sol.feasible
+
+
+def exhaustive(kind, net, sc, ap):
+    """What solve_scenario (kind "proposed") or the on_device / no_prune
+    baseline must return: every pair searched in enumeration order, the
+    least (e_total, q, l) kept, one reason per rejected pair."""
+    best, reasons = None, []
+    splits = [net.depth] if kind == "on_device" else sorted(sc.splits or net.split_candidates)
+    for l in splits:
+        terms = opt.penalty_terms(net, l, ap)
+        for q in [None] if l == net.depth else range(2, sc.q_max + 1):
+            try:
+                if kind == "no_prune":
+                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    sol = energy.search(*energy.pin(1.0), 1e-6, kind)
+                else:
+                    sol = opt.solve_pair(l, q, net, sc, terms, ap, origin=kind)
+            except InfeasibleError as err:
+                reasons.append((l, 2 if q is None else q, err.reason))
+                continue
+            if best is None or ((sol.e_total, sol.alloc.q, l)
+                                < (best.e_total, best.alloc.q, best.alloc.l)):
+                best = sol
+    if best is None:
+        return opt.Solution(origin=kind, feasible=False, alloc=None, cost=None,
+                            iterations=0, reasons=tuple(reasons))
+    return replace(best, reasons=tuple(reasons))
+
+
+@pytest.fixture(scope="module")
+def criterion07_cases():
+    """Criterion 07's 100 random_test_case scenarios (rng 7000) with a
+    feasible pair."""
+    rng = np.random.default_rng(7000)
+    cases = []
+    for _ in range(400):
+        net, sc, ap = orc.random_test_case(rng)
+        if opt.solve_scenario(net, sc, ap).feasible:
+            cases.append((net, sc, ap))
+            if len(cases) == 100:
+                break
+    assert len(cases) == 100
+    return cases
+
+
+SWEEPS = {"t_max": [0.5001, 0.51, 0.55, 0.6, 0.8, 1.0, 1.2, 1.4, 2.0],
+          "r_t": [0.0, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99],
+          "snr": [1.0, 10.0, 50.0, 100.0, 500.0, 1000.0]}
+
+
+class TestBoundAndPrune:
+    """The endpoint lower bound and the best-first search that skips pairs
+    it rules out."""
+
+    def test_bound_below_every_feasible_point(self, criterion07_cases):
+        grid = np.linspace(opt.RHO_FLOOR, 1.0, 400)
+        pairs = 0
+        for net, sc, ap in criterion07_cases:
+            for l in sorted(sc.splits):
+                terms = opt.penalty_terms(net, l, ap)
+                for q in [None] if l == net.depth else range(2, sc.q_max + 1):
+                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    try:
+                        bound = energy.lower_bound(*energy.bracket())
+                    except InfeasibleError:
+                        continue
+                    pairs += 1
+                    assert bound <= opt.solve_pair(l, q, net, sc, terms, ap).e_total
+                    fresh = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    for rho in grid:
+                        try:
+                            assert bound <= fresh(float(rho))
+                        except InfeasibleError:
+                            pass
+        assert pairs >= 800
+
+    @pytest.mark.parametrize("axis", sorted(SWEEPS))
+    def test_equals_exhaustive_search_on_stock_sweeps(self, template_net,
+                                                      default_scenario,
+                                                      default_params, axis):
+        for value in SWEEPS[axis]:
+            sc = opt.apply_axis(default_scenario, axis, value)
+            for kind in ("proposed", "on_device", "no_prune"):
+                got = (opt.solve_scenario(template_net, sc, default_params)
+                       if kind == "proposed"
+                       else opt.solve_baseline(kind, template_net, sc, default_params))
+                want = exhaustive(kind, template_net, sc, default_params)
+                for f in fields(opt.Solution):
+                    assert getattr(got, f.name) == getattr(want, f.name), (value, kind, f.name)
+
+    def test_equals_exhaustive_search_on_random_cases(self, criterion07_cases):
+        for net, sc, ap in criterion07_cases:
+            got = opt.solve_scenario(net, sc, ap)
+            want = exhaustive("proposed", net, sc, ap)
+            for f in fields(opt.Solution):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    def test_skips_searches(self, template_net, default_scenario, default_params,
+                            monkeypatch):
+        # the stock solve searches fewer pairs than it brackets
+        searched = []
+        golden = opt.golden_section
+        monkeypatch.setattr(opt, "golden_section",
+                            lambda *args: searched.append(1) or golden(*args))
+        sol = opt.solve_scenario(template_net, default_scenario, default_params)
+        bracketed = sum(1 for _ in opt._pairs(template_net, default_scenario)) - len(sol.reasons)
+        assert sol.feasible
+        assert 1 <= len(searched) < bracketed
 
 
 class TestBaselines:

@@ -215,7 +215,6 @@ class TestSolveRhoPs:
     """The pruning-ratio cases, run on the pair solver's search over the
     joint energy E(rho)."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_zero_target_returns_lower_bracket(self, template_net, default_params):
         l, sc, terms = rho_context(template_net, default_params, r_t=0.0)
         sol = solve_pair(l, 4, template_net, sc, terms, default_params)
