@@ -167,21 +167,34 @@ class PairEnergy:
         self(rho)
         return rho, rho
 
-    def lower_bound(self, rho_min: float, rho_max: float) -> float:
-        """Lower bound of E on a bracket from its two evaluated ends:
-        t_sen * p_s(rho_max) + e_edge(rho_min). Exact, because p_s is
-        nonincreasing in rho and the edge energy nondecreasing in the edge
-        FLOPs, which are nondecreasing in rho."""
-        return self.sc.t_sen * self.points[rho_max][1] + self.points[rho_min][4]
+    def lower_bound(self, *rhos: float) -> float:
+        """Lower bound of E on [rhos[0], rhos[-1]] from E evaluated at the
+        increasing points `rhos`: the least t_sen * p_s(b) + e_edge(a) over
+        neighbours a < b. Exact, because p_s is nonincreasing in rho and the
+        edge energy nondecreasing in the edge FLOPs, which are nondecreasing
+        in rho."""
+        pts = [self.points[r] for r in rhos]
+        return min(self.sc.t_sen * b[1] + a[4] for a, b in zip(pts, pts[1:]))
 
     def search(self, rho_min: float, rho_max: float, eps_rho: float,
-               origin: str) -> Solution:
+               origin: str, cutoff: float = math.inf) -> Solution | None:
         """Solution at the least-energy point of rho_min, the golden-section
         argmin over the bracket at eps_rho, and rho_max (the first on
-        ties); `iterations` is the number of points E(rho) was evaluated at."""
+        ties); `iterations` is the number of points E(rho) was evaluated at.
+
+        None when both ends and the lower bound on a golden-section bracket
+        (from its ends and interior points) exceed `cutoff`: the search
+        stops there, as every candidate point lies above the cutoff.
+        """
         rhos = [rho_min, rho_max]
         if rho_max - rho_min > eps_rho:
-            rhos.insert(1, golden_section(self, rho_min, rho_max, eps_rho))
+            stop = None
+            if min(self.points[rho_min][0], self.points[rho_max][0]) > cutoff:
+                stop = lambda *bracket: self.lower_bound(*bracket) > cutoff
+            rho = golden_section(self, rho_min, rho_max, eps_rho, stop)
+            if rho is None:
+                return None
+            rhos.insert(1, rho)
         rho = min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
         _, p_s, p_c, nu_e, _ = self.points[rho]
         alloc = Allocation(l=self.l, q=self.q or 2, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
@@ -211,16 +224,19 @@ def _pairs(net, sc):
 
 
 def _enumerate(net, sc, ap, origin, pairs, bracket, eps_rho):
-    """The one outer loop, a best-first bound-and-prune over (l, q) pairs.
+    """The one outer loop, a bound-and-prune over (l, q) pairs.
 
     Pass 1 brackets every pair in `pairs` order (`bracket(energy)` returns
     (rho_min, rho_max) with E evaluated at both ends) and takes the pair's
-    lower bound from them; a pair that raises leaves its reason. Pass 2
-    searches the pairs in (bound, q, l) order and stops at the first whose
-    bound exceeds the incumbent's e_total by more than PRUNE_RTOL: neither
-    it nor any pair after it can beat or tie the incumbent, so the answer
-    is the least (e_total, q, l) over all pairs, as if every pair were
-    searched.
+    lower bound from them; a pair that raises leaves its reason. The least
+    energy at any bracket end is the first incumbent. Pass 2 searches the
+    pairs whose bound is within PRUNE_RTOL of the incumbent, most promising
+    first: by the mean of the bound and the better end, then q, then l. A
+    search abandons its pair as soon as no point it could return is within
+    PRUNE_RTOL of the incumbent, and a finished search lowers the incumbent
+    to its e_total. A skipped or abandoned pair can neither beat nor tie the
+    answer, so the answer is the least (e_total, q, l) over all pairs, with
+    its `iterations`, as if every pair were searched.
     """
     reasons = []
     bounded = []
@@ -234,18 +250,25 @@ def _enumerate(net, sc, ap, origin, pairs, bracket, eps_rho):
         except InfeasibleError as err:
             reasons.append((l, q or 2, err.reason))
             continue
-        bounded.append((energy.lower_bound(*rhos), q or 2, l, energy, rhos))
+        bound = energy.lower_bound(*rhos)
+        end = min(energy.points[r][0] for r in rhos)
+        bounded.append((bound + end, q or 2, l, bound, end, energy, rhos))
     best = None
-    for bound, q, l, energy, rhos in sorted(bounded, key=lambda b: b[:3]):
-        if best is not None and bound > best.e_total * (1.0 + PRUNE_RTOL):
-            break
+    incumbent = min((b[4] for b in bounded), default=math.inf)
+    for _, q, l, bound, _, energy, rhos in sorted(bounded, key=lambda b: b[:3]):
+        cutoff = incumbent * (1.0 + PRUNE_RTOL)
+        if bound > cutoff:
+            continue
         try:
-            sol = energy.search(*rhos, eps_rho, origin)
+            sol = energy.search(*rhos, eps_rho, origin, cutoff)
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue
+        if sol is None:
+            continue
         if best is None or (sol.e_total, q, l) < (best.e_total, best.alloc.q, best.alloc.l):
             best = sol
+        incumbent = min(incumbent, sol.e_total)
     if best is None:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
                         iterations=0, reasons=tuple(sorted(reasons)))

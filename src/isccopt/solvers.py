@@ -59,12 +59,15 @@ def lambert_w0(x: float) -> float:
     return w
 
 
-def golden_section(f, lb: float, ub: float, eps: float) -> float:
+def golden_section(f, lb: float, ub: float, eps: float, stop=None) -> float | None:
     """Argmin of a unimodal function on [lb, ub] by golden-section search.
 
     Shrinks the bracket by the golden ratio until its width is at most eps
     (or rounding stops it shrinking) and returns the midpoint; exactly one
     new function evaluation per iteration. Non-finite function values raise.
+    If given, `stop(lb, x1, x2, ub)` is asked with the bracket and its two
+    evaluated interior points before each shrink; the search returns None
+    as soon as it answers true.
     """
     if not lb < ub:
         raise ValueError(f"need lb < ub, got [{lb}, {ub}]")
@@ -77,6 +80,8 @@ def golden_section(f, lb: float, ub: float, eps: float) -> float:
         raise ValueError("non-finite objective value in golden-section search")
     width = math.inf
     while eps < ub - lb < width:
+        if stop is not None and stop(lb, x1, x2, ub):
+            return None
         width = ub - lb
         if f1 < f2:
             ub, x2, f2 = x2, x1, f1

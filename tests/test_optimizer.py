@@ -177,17 +177,27 @@ class TestBoundAndPrune:
                 for q in [None] if l == net.depth else range(2, sc.q_max + 1):
                     energy = opt.PairEnergy(l, q, net, sc, terms, ap)
                     try:
-                        bound = energy.lower_bound(*energy.bracket())
+                        rho_min, rho_max = energy.bracket()
                     except InfeasibleError:
                         continue
                     pairs += 1
+                    bound = energy.lower_bound(rho_min, rho_max)
                     assert bound <= opt.solve_pair(l, q, net, sc, terms, ap).e_total
+                    # the bound from interior points too, as a search uses it
+                    chain = np.linspace(rho_min, rho_max, 5)
+                    for rho in chain:
+                        energy(float(rho))
+                    chain_bound = energy.lower_bound(*map(float, chain))
+                    assert bound <= chain_bound
                     fresh = opt.PairEnergy(l, q, net, sc, terms, ap)
                     for rho in grid:
                         try:
-                            assert bound <= fresh(float(rho))
+                            e = fresh(float(rho))
                         except InfeasibleError:
-                            pass
+                            continue
+                        assert bound <= e
+                        if rho_min <= rho <= rho_max:
+                            assert chain_bound <= e
         assert pairs >= 800
 
     @pytest.mark.parametrize("axis", sorted(SWEEPS))
@@ -211,17 +221,24 @@ class TestBoundAndPrune:
             for f in fields(opt.Solution):
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
 
-    def test_skips_searches(self, template_net, default_scenario, default_params,
-                            monkeypatch):
-        # the stock solve searches fewer pairs than it brackets
-        searched = []
-        golden = opt.golden_section
-        monkeypatch.setattr(opt, "golden_section",
-                            lambda *args: searched.append(1) or golden(*args))
+    def test_skips_and_abandons_searches(self, template_net, default_scenario,
+                                         default_params, monkeypatch):
+        # the stock solve starts fewer searches than it brackets and
+        # abandons some of those it starts
+        searches = []
+        search = opt.PairEnergy.search
+
+        def logged(self, *args):
+            sol = search(self, *args)
+            searches.append(sol)
+            return sol
+
+        monkeypatch.setattr(opt.PairEnergy, "search", logged)
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
         bracketed = sum(1 for _ in opt._pairs(template_net, default_scenario)) - len(sol.reasons)
+        finished = [s for s in searches if s is not None]
         assert sol.feasible
-        assert 1 <= len(searched) < bracketed
+        assert 1 <= len(finished) < len(searches) < bracketed
 
 
 class TestBaselines:

@@ -116,6 +116,26 @@ class TestGoldenSection:
         x = golden_section(lambda x: (x - 0.3) ** 2, 1e-9, 1.0, 1e-300)
         assert x == pytest.approx(0.3, abs=1e-12)
 
+    def test_stop_abandons_the_search(self):
+        seen = []
+
+        def stop(*bracket):
+            seen.append(bracket)
+            return len(seen) == 3
+
+        assert golden_section(lambda x: (x - 0.3) ** 2, 0, 1, 1e-8, stop) is None
+        assert len(seen) == 3
+        # asked with the shrinking bracket and its two interior points
+        for lb, x1, x2, ub in seen:
+            assert lb < x1 < x2 < ub
+        assert seen[2][3] - seen[2][0] < seen[0][3] - seen[0][0]
+
+    def test_stop_that_never_fires_changes_nothing(self):
+        def f(x):
+            return (x - 0.3) ** 2
+
+        assert golden_section(f, 0, 1, 1e-8, lambda *b: False) == golden_section(f, 0, 1, 1e-8)
+
 
 class TestTStationary:
     def test_lambert_form_matches_rootfinding(self):
