@@ -28,7 +28,6 @@ DEFAULT_CONFIG = {
         "snr_db": 20.0,
         "t0": 1e-5,
         "m_chirps": 50000,
-        "fs": 1e7,
         "q_max": 6,
         "splits": [1, 2, 3, 4, 5, 6, 7],
     },
@@ -138,12 +137,13 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 def build_config(raw: dict) -> RunConfig:
     _reject_unknown(raw, "", "")
     try:
-        sc = _build_scenario(_merged(DEFAULT_CONFIG["scenario"], raw.get("scenario", {})))
-        net = _build_network(_merged(DEFAULT_CONFIG["network"], raw.get("network", {})))
-        ap = _build_accuracy(_merged(DEFAULT_CONFIG["accuracy"], raw.get("accuracy", {})))
-        echo_block = _merged(DEFAULT_CONFIG["echo"], raw.get("echo", {}))
-        echo, processing = _build_echo(echo_block)
-        solver = _merged(DEFAULT_CONFIG["solver"], raw.get("solver", {}))
+        resolved = {key: _merged(DEFAULT_CONFIG[key], raw.get(key, {}))
+                    for key in ("scenario", "network", "accuracy", "echo", "solver")}
+        sc = _build_scenario(resolved["scenario"])
+        net = _build_network(resolved["network"])
+        ap = _build_accuracy(resolved["accuracy"])
+        echo, processing = _build_echo(resolved["echo"])
+        solver = resolved["solver"]
         _reject_unknown(solver, "solver", "solver")
         solver["eps_rho"] = float(solver["eps_rho"])
         if not 0.0 < solver["eps_rho"] < math.inf:
@@ -158,14 +158,7 @@ def build_config(raw: dict) -> RunConfig:
         sc = replace(sc, splits=tuple(sorted(net.split_candidates)))
     if max(sc.splits) > net.depth:
         raise ConfigError(f"split candidates {sc.splits} exceed network depth {net.depth}")
-    resolved = {
-        "seed": seed,
-        "scenario": _merged(DEFAULT_CONFIG["scenario"], raw.get("scenario", {})),
-        "network": _merged(DEFAULT_CONFIG["network"], raw.get("network", {})),
-        "accuracy": _merged(DEFAULT_CONFIG["accuracy"], raw.get("accuracy", {})),
-        "echo": echo_block,
-        "solver": solver,
-    }
+    resolved = {"seed": seed, **resolved}
     return RunConfig(scenario=sc, network=net, accuracy=ap, echo=echo,
                      echo_processing=processing, solver=solver, seed=seed,
                      resolved=resolved)
@@ -193,7 +186,6 @@ def _build_scenario(block: dict) -> Scenario:
         g_over_bn0=10.0 ** (float(block["snr_db"]) / 10.0),
         t0=float(block["t0"]),
         m_chirps=_integer(block["m_chirps"], "scenario.m_chirps"),
-        fs=float(block["fs"]),
         q_max=_integer(block["q_max"], "scenario.q_max"),
         splits=tuple(_integer(l, "scenario.splits[]")
                      for l in block.get("splits", ())),

@@ -31,7 +31,6 @@ class Scenario:
     g_over_bn0: float
     t0: float
     m_chirps: int
-    fs: float
     q_max: int
     splits: tuple[int, ...] = ()
 
@@ -40,7 +39,7 @@ class Scenario:
         positive = dict(t_max=self.t_max, p_max=self.p_max, nu_max=self.nu_max,
                         nu_s=self.nu_s, kappa=self.kappa, bandwidth=self.bandwidth,
                         g_over_bn0=self.g_over_bn0, t0=self.t0,
-                        m_chirps=self.m_chirps, fs=self.fs)
+                        m_chirps=self.m_chirps)
         for name, value in positive.items():
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -117,7 +116,7 @@ def comp_cost(l: int, rho: float, nu_e: float, net: NetworkModel,
     """
     if nu_e <= 0:
         raise ValueError("edge frequency must be positive")
-    edge_flops = netmodel.cum_flops(net, 1, l, rho, warn=False) if l >= 1 else 0.0
+    edge_flops = netmodel.cum_flops(net, 1, l, rho, warn=False)
     server_flops = netmodel.cum_flops(net, l + 1, net.depth, 1.0)
     t_edge = edge_flops / nu_e
     t_server = server_flops / sc.nu_s

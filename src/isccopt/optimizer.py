@@ -53,7 +53,7 @@ def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
     The quantization coefficient is dropped for a split after the last
     layer: nothing is transmitted there, so quantization cannot hurt.
     """
-    prune_c = netmodel.pruning_penalty_coeff(net, l) if l >= 1 else 0.0
+    prune_c = netmodel.pruning_penalty_coeff(net, l)
     if l < net.depth:
         quant_c = delta_coeff(net, l, ap.f_min, ap.f_max)
     else:
@@ -71,8 +71,10 @@ class PairEnergy:
 
         E(rho) = t_sen * p_s(rho) + e_comm + e_comp.
 
-    q is None for the on-device split l = L. A call raises InfeasibleError
-    where rho admits no feasible point; each call that returns records
+    q is None for the on-device split l = L (no upload). The split l = 0
+    uploads the raw input: no edge FLOPs, so the upload stretches to the
+    budget at nu_e = nu_max. A call raises InfeasibleError where rho
+    admits no feasible point; each call that returns records
     (energy, p_s, p_c, nu_e, e_edge) in `points`.
     """
 
@@ -291,43 +293,23 @@ def solve_scenario(net, sc: Scenario, ap: AccuracyParams,
 
 def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
                    eps_rho: float = 1e-6) -> Solution:
-    """Ablation baselines.
+    """Ablation baselines: each picks its (l, q) pairs and rho bracket for
+    the loop that solve_scenario runs.
 
-    on_server: upload the raw (quantized) input, all compute on the server.
+    on_server: the pair (0, q_max) at rho = 1, i.e. upload the raw
+    (quantized) input and run every layer on the server.
     on_device: split after the last layer, pruning allowed, no uplink.
     no_prune: full enumeration with the pruning ratio pinned to 1.
     """
     if kind == "on_server":
-        return _solve_on_server(net, sc, ap)
-    if kind == "on_device":
-        return _enumerate(net, sc, ap, "on_device", [(net.depth, None)],
-                          PairEnergy.bracket, eps_rho)
-    if kind == "no_prune":
-        return _enumerate(net, sc, ap, "no_prune", _pairs(net, sc),
-                          lambda energy: energy.pin(1.0), eps_rho)
-    raise ValueError(f"unknown baseline {kind!r}")
-
-
-def _solve_on_server(net, sc, ap):
-    q_raw = sc.q_max
-    terms = penalty_terms(net, 0, ap)
-    try:
-        p_s = min_sensing_power(1.0, q_raw, terms, ap, sc.r_t, sc.p_max)
-        t_server = netmodel.cum_flops(net, 1, net.depth, 1.0) / sc.nu_s
-        t2 = sc.t_max - sc.t_sen - t_server
-        a1 = net.input_dim * q_raw / sc.bandwidth
-        if t2 <= 0 or t2 / a1 < min_rate_time(sc):
-            raise InfeasibleError("latency_budget",
-                                  "raw upload misses the deadline even at p_max")
-    except InfeasibleError as err:
-        return Solution(origin="on_server", feasible=False, alloc=None,
-                        cost=None, iterations=0, reasons=((0, q_raw, err.reason),))
-    t_star = t2 / a1
-    p_c = math.expm1(math.log(2.0) / t_star) / sc.g_over_bn0
-    alloc = Allocation(l=0, q=q_raw, rho=1.0, p_s=p_s, p_c=p_c, nu_e=sc.nu_max)
-    breakdown = total_cost(alloc, net, sc)
-    return Solution(origin="on_server", feasible=True, alloc=alloc,
-                    cost=breakdown, iterations=1)
+        pairs, bracket = [(0, sc.q_max)], lambda energy: energy.pin(1.0)
+    elif kind == "on_device":
+        pairs, bracket = [(net.depth, None)], PairEnergy.bracket
+    elif kind == "no_prune":
+        pairs, bracket = _pairs(net, sc), lambda energy: energy.pin(1.0)
+    else:
+        raise ValueError(f"unknown baseline {kind!r}")
+    return _enumerate(net, sc, ap, kind, pairs, bracket, eps_rho)
 
 
 @dataclass(frozen=True)

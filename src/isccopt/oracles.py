@@ -397,7 +397,6 @@ def random_test_case(rng):
         g_over_bn0=float(10.0 ** rng.uniform(0.0, 2.0)),
         t0=t0,
         m_chirps=int(round(t_sen / t0)),
-        fs=1e6,
         q_max=5,
         splits=tuple(range(1, net.depth + 1)),
     )
@@ -423,7 +422,7 @@ def random_power_freq_context(rng):
     a2 = float(10.0 ** rng.uniform(3.0, 5.5))
     sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=nu_max, nu_s=1e11,
                   kappa=kappa, bandwidth=1e5, g_over_bn0=g, t0=1e-5,
-                  m_chirps=1000, fs=1e7, q_max=4)
+                  m_chirps=1000, q_max=4)
     floor = a1 * min_rate_time(sc) + a2 / nu_max
     t2 = floor * float(rng.uniform(1.05, 4.0))
     return SubproblemContext(a1=a1, a2=a2, t2=t2), sc

@@ -94,7 +94,3 @@ def quant_error_bound(net: NetworkModel, l: int, spec: QuantSpec) -> float:
     feature vector."""
     return delta_coeff(net, l, spec.f_min, spec.f_max) * quant_error_factor(spec.bits)
 
-
-def payload_bits(net: NetworkModel, l: int, bits: int) -> float:
-    """Bits on the air for one inference round: feature size times bits."""
-    return feature_dim(net, l) * bits

@@ -123,50 +123,6 @@ class PowerFreqSolution:
     mu1: float     # multiplier of the latency constraint
 
 
-def t_stationary(mu1: float, g_over_bn0: float) -> float:
-    """Inverse-rate value solving the energy/latency stationarity condition
-    for multiplier mu1, via the principal Lambert W branch:
-
-        t = ln2 / (1 + W((mu1 * g_over_bn0 - 1)/e)).
-
-    mu1 -> 0 gives t -> infinity (no latency pressure, vanishing power).
-    """
-    if mu1 < 0:
-        raise ValueError("multiplier must be nonnegative")
-    arg = (mu1 * g_over_bn0 - 1.0) / math.e
-    w = lambert_w0(arg)
-    denom = 1.0 + w
-    if denom <= 0.0:
-        return math.inf
-    return math.log(2.0) / denom
-
-
-def t_stationary_rootfind(mu1: float, g_over_bn0: float,
-                          tol: float = 1e-14) -> float:
-    """Cross-check for t_stationary: direct monotone root-finding of the
-    stationarity residual (1 - z)e^z = 1 - mu1*g_over_bn0 in z = ln2/t."""
-    target = 1.0 - mu1 * g_over_bn0
-
-    def psi(z):
-        return (1.0 - z) * math.exp(z)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(400):
-        if psi(hi) <= target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("stationarity bracket failure")
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if psi(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    return math.inf if z == 0.0 else math.log(2.0) / z
-
-
 def min_rate_time(sc: Scenario) -> float:
     """Smallest admissible inverse spectral efficiency, reached at p_max."""
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
@@ -180,12 +136,13 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
     optimum (energy falls monotonically toward the deadline), so the
     multiplier mu1 solves lat(mu1) = t2 on the monotone latency map
 
-        t(mu1)    = max(t_stationary(mu1), t_min)
-        nu_e(mu1) = min(nu_max, (mu1 / (2*kappa))^(1/3)).
+        t(mu1)    = max(ln2 / (1 + W((mu1 * g_over_bn0 - 1)/e)), t_min)
+        nu_e(mu1) = min(nu_max, (mu1 / (2*kappa))^(1/3)),
 
-    Safeguarded Newton steps on z = log(mu1) find the root, with the
-    analytic derivative dW/du = 1/(e^W (1 + W)) of the Lambert W inside
-    t_stationary. They start at mu1 = 2*kappa*(a2/t2)^3, where
+    where ln2 / (1 + W(.)) (principal branch) is the inverse rate solving
+    the energy/latency stationarity condition. Safeguarded Newton steps on
+    z = log(mu1) find the root, with the analytic derivative
+    dW/du = 1/(e^W (1 + W)). They start at mu1 = 2*kappa*(a2/t2)^3, where
     a2/nu_e = t2 alone, so the start is at or below the root; the top of
     the bracket is the multiplier from which both t and nu_e sit at their
     bounds. A step leaving the bracket is replaced by bisection. Stops when
@@ -200,7 +157,7 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
             "latency_budget",
             f"best achievable latency {floor:.6g} s > budget {ctx.t2:.6g} s")
     two_kappa = 2.0 * sc.kappa
-    # t_stationary reaches t_min where 1 + W = ln(1 + g*p_max)
+    # the stationary inverse rate reaches t_min where 1 + W = ln(1 + g*p_max)
     snr = 1.0 + g * sc.p_max
     mu_top = max(two_kappa * sc.nu_max**3, (snr * (math.log(snr) - 1.0) + 1.0) / g)
     z_lo, z_hi = math.log(two_kappa * (ctx.a2 / ctx.t2) ** 3), math.log(mu_top)

@@ -1,44 +1,25 @@
-"""Shared fixtures: the default CNN template with generated weights and the
-stock scenario/accuracy constants used across test modules."""
+"""Shared fixtures: the stock network, scenario and accuracy constants,
+all built from the program's DEFAULT_CONFIG."""
 
 import numpy as np
 import pytest
 
-from isccopt import netmodel as nm
-from isccopt.accuracy import AccuracyParams
-from isccopt.cost import Scenario
-
-
-def build_template_net():
-    layers = (
-        nm.conv(28, 28, 6, 5, 1),
-        nm.maxpool(14, 14, 6, 2),
-        nm.conv(10, 10, 16, 5, 6),
-        nm.maxpool(5, 5, 16, 2),
-        nm.fc(120, 400),
-        nm.fc(60, 120),
-        nm.fc(5, 60),
-    )
-    net = nm.NetworkModel(layers=layers, input_dim=1024)
-    rates = nm.rates_for_norms(net, [6.0, 2.5, 2.5, 0.6, 0.6])
-    return nm.generate_weights(net, rates, seed=20)
+from util import stock_config
 
 
 @pytest.fixture(scope="session")
 def template_net():
-    return build_template_net()
+    return stock_config().network
 
 
 @pytest.fixture(scope="session")
 def default_scenario():
-    return Scenario(t_max=0.8, r_t=0.85, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                    kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                    m_chirps=50000, fs=1e7, q_max=6, splits=tuple(range(1, 8)))
+    return stock_config().scenario
 
 
 @pytest.fixture(scope="session")
 def default_params():
-    return AccuracyParams(a=0.6366, b=100.0, s=34.0)
+    return stock_config().accuracy
 
 
 @pytest.fixture

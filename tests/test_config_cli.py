@@ -16,8 +16,10 @@ from isccopt import netmodel as nm
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
-from isccopt.errors import ConfigError, InfeasibleError
-from isccopt.optimizer import penalty_terms, solution_from_dict, solve_scenario
+from isccopt.errors import ConfigError
+from isccopt.optimizer import (ORIGINS, _pairs, penalty_terms, solution_from_dict,
+                               solve_baseline, solve_scenario)
+from isccopt.oracles import random_test_case
 
 
 class TestConfig:
@@ -43,6 +45,8 @@ class TestConfig:
                                               "gain": [1, 0], "x": 1}}})
         with pytest.raises(ConfigError):
             build_config({"solver": {"eps_rho": 1e-6, "mystery": True}})
+        with pytest.raises(ConfigError):   # fs is not a scenario key
+            build_config({"scenario": {"fs": 1e7}})
 
     def test_partial_override_merges_defaults(self):
         cfg = build_config({"scenario": {"t_max": 1.2}})
@@ -83,6 +87,10 @@ class TestConfig:
         cfg = build_config({})
         assert cfg.resolved["scenario"] == DEFAULT_CONFIG["scenario"]
         assert cfg.resolved["seed"] == 0
+
+    def test_table_ii_config_is_the_default(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "tableII.json"
+        assert load_config(path).resolved == build_config({}).resolved
 
 
 class TestCliSolve:
@@ -184,25 +192,44 @@ def config_overrides(draw):
     return {"scenario": scenario, "solver": solver}
 
 
+def assert_every_origin_solves_or_gives_reasons(net, sc, ap, eps_rho=1e-6):
+    """Each origin returns an allocation that passes check_feasible on the
+    splits of its (l, q) pairs, or one reason per pair."""
+    every_pair = [(l, q or 2) for l, q in _pairs(net, sc)]
+    pairs_of = {"proposed": every_pair, "no_prune": every_pair,
+                "on_server": [(0, sc.q_max)], "on_device": [(net.depth, 2)]}
+    assert set(pairs_of) == set(ORIGINS)
+    for origin, pairs in pairs_of.items():
+        if origin == "proposed":
+            sol = solve_scenario(net, sc, ap, eps_rho=eps_rho)
+        else:
+            sol = solve_baseline(origin, net, sc, ap, eps_rho=eps_rho)
+        if sol.feasible:
+            terms = penalty_terms(net, sol.alloc.l, ap)
+            splits = {l for l, _ in pairs}
+            assert check_feasible(sol.alloc, net, sc, terms, ap, splits=splits).ok, origin
+        else:
+            assert [r[:2] for r in sol.reasons] == pairs, origin
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(config_overrides())
 def test_config_values_fail_closed_or_solve_feasibly(raw):
-    # every config either is rejected with ConfigError or solves to an
-    # allocation that passes check_feasible (or to per-pair reasons)
+    # every config either is rejected with ConfigError or is solved by
+    # every origin (see assert_every_origin_solves_or_gives_reasons)
     try:
         cfg = build_config(raw)
     except ConfigError:
         return
-    net, sc, ap = cfg.network, cfg.scenario, cfg.accuracy
-    try:
-        sol = solve_scenario(net, sc, ap, eps_rho=cfg.solver["eps_rho"])
-    except InfeasibleError:
-        return
-    if not sol.feasible:
-        assert sol.reasons
-        return
-    terms = penalty_terms(net, sol.alloc.l, ap)
-    assert check_feasible(sol.alloc, net, sc, terms, ap).ok
+    assert_every_origin_solves_or_gives_reasons(
+        cfg.network, cfg.scenario, cfg.accuracy, cfg.solver["eps_rho"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_cases_solve_feasibly_or_give_reasons(seed):
+    assert_every_origin_solves_or_gives_reasons(
+        *random_test_case(np.random.default_rng(seed)))
 
 
 class TestCliSweepAndBaseline:

@@ -6,6 +6,7 @@ import pytest
 from isccopt import netmodel as nm
 from isccopt.cost import (Allocation, Scenario, check_feasible, comm_cost,
                           comp_cost, total_cost)
+from util import make_scenario
 
 
 def make_alloc(**kw):
@@ -126,9 +127,7 @@ class TestCheckFeasible:
         return penalty_terms(template_net, 2, default_params)
 
     def test_latency_overshoot_slack(self, template_net, default_params, terms):
-        sc = Scenario(t_max=0.4, r_t=0.1, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=50000, fs=1e7, q_max=6, splits=(1, 2, 3))
+        sc = make_scenario(t_max=0.4, r_t=0.1, splits=(1, 2, 3))
         a = make_alloc(p_s=0.9, nu_e=8e6, rho=1.0)
         report = check_feasible(a, template_net, sc, terms, default_params)
         latency = report.slack("latency")
@@ -163,22 +162,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(t_max=0.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                     m_chirps=1000, fs=1e7, q_max=4)
+                     m_chirps=1000, q_max=4)
 
     def test_target_range(self):
         with pytest.raises(ValueError):
             Scenario(t_max=1.0, r_t=1.0, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                     m_chirps=1000, fs=1e7, q_max=4)
+                     m_chirps=1000, q_max=4)
 
     def test_zero_target_allowed(self):
         sc = Scenario(t_max=1.0, r_t=0.0, p_max=1.0, nu_max=1e6, nu_s=1e9,
                       kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=1000, fs=1e7, q_max=4)
+                      m_chirps=1000, q_max=4)
         assert sc.t_sen == pytest.approx(0.01)
 
     def test_q_max_domain(self):
         with pytest.raises(ValueError):
             Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                     m_chirps=1000, fs=1e7, q_max=1)
+                     m_chirps=1000, q_max=1)

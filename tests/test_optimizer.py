@@ -8,8 +8,9 @@ from isccopt import netmodel as nm
 from isccopt import optimizer as opt
 from isccopt import oracles as orc
 from isccopt.accuracy import min_pruning_ratio
-from isccopt.cost import Scenario, check_feasible, total_cost
+from isccopt.cost import check_feasible, total_cost
 from isccopt.errors import InfeasibleError
+from util import make_scenario
 
 
 class TestPenaltyTerms:
@@ -64,9 +65,7 @@ class TestAlternateInner:
         assert sol.cost.t_total == pytest.approx(default_scenario.t_max, rel=1e-9)
 
     def test_infeasible_budget_raises(self, template_net, default_params):
-        sc = Scenario(t_max=0.5004, r_t=0.85, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=50000, fs=1e7, q_max=6, splits=(1,))
+        sc = make_scenario(t_max=0.5004, splits=(1,))
         terms = opt.penalty_terms(template_net, 1, default_params)
         with pytest.raises(InfeasibleError):
             opt.solve_pair(1, 6, template_net, sc, terms, default_params)
@@ -90,9 +89,7 @@ class TestSolveScenario:
         assert a == b
 
     def test_vacuous_accuracy_target(self, template_net, default_params):
-        sc = Scenario(t_max=2.0, r_t=0.0, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=50000, fs=1e7, q_max=6, splits=tuple(range(1, 8)))
+        sc = make_scenario(t_max=2.0, r_t=0.0)
         sol = opt.solve_scenario(template_net, sc, default_params)
         assert sol.feasible
         assert sol.alloc.p_s <= 1e-12
@@ -100,9 +97,7 @@ class TestSolveScenario:
 
     def test_all_pairs_infeasible_reports_reasons(self, template_net,
                                                   default_params):
-        sc = Scenario(t_max=0.5001, r_t=0.85, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=50000, fs=1e7, q_max=4, splits=(1, 2, 3))
+        sc = make_scenario(t_max=0.5001, q_max=4, splits=(1, 2, 3))
         sol = opt.solve_scenario(template_net, sc, default_params)
         assert not sol.feasible
         assert sol.e_total == math.inf
@@ -260,6 +255,25 @@ class TestBaselines:
         assert sol.alloc.l == 0
         assert sol.alloc.q == default_scenario.q_max
 
+    @pytest.mark.parametrize("axis", ["t_max", "snr"])
+    def test_on_server_uploads_raw_input_until_the_deadline(
+            self, template_net, default_scenario, default_params, axis):
+        # the pair (0, q_max) at rho = 1: no edge compute, so nu_e sits at
+        # nu_max and the upload stretches to the deadline
+        terms = opt.penalty_terms(template_net, 0, default_params)
+        for value in SWEEPS[axis]:
+            sc = opt.apply_axis(default_scenario, axis, value)
+            sol = opt.solve_baseline("on_server", template_net, sc, default_params)
+            if not sol.feasible:
+                assert [r[:2] for r in sol.reasons] == [(0, sc.q_max)]
+                continue
+            a = sol.alloc
+            assert (a.l, a.q, a.rho, a.nu_e) == (0, sc.q_max, 1.0, sc.nu_max)
+            assert sol.iterations == 1
+            assert sol.cost.t_total == pytest.approx(sc.t_max, rel=1e-12)
+            assert check_feasible(a, template_net, sc, terms, default_params,
+                                  splits=[0]).ok
+
     def test_no_prune_keeps_everything(self, template_net, default_scenario,
                                        default_params):
         sol = opt.solve_baseline("no_prune", template_net, default_scenario,
@@ -324,9 +338,7 @@ class TestSerialization:
         assert recost.e_total == pytest.approx(sol.cost.e_total, rel=1e-12)
 
     def test_infeasible_roundtrip(self, template_net, default_params):
-        sc = Scenario(t_max=0.5001, r_t=0.85, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=50000, fs=1e7, q_max=4, splits=(1,))
+        sc = make_scenario(t_max=0.5001, q_max=4, splits=(1,))
         sol = opt.solve_scenario(template_net, sc, default_params)
         back = opt.solution_from_dict(opt.solution_to_dict(sol))
         assert back == sol

@@ -6,6 +6,7 @@ import pytest
 from isccopt import oracles as orc
 from isccopt.quant import QuantSpec
 from isccopt.solvers import SubproblemContext, min_rate_time
+from util import make_scenario
 
 
 class TestPruningExpectation:
@@ -78,7 +79,7 @@ class TestGridSubproblem:
         from isccopt.cost import Scenario
         sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e11,
                       kappa=1e-20, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=1000, fs=1e7, q_max=4)
+                      m_chirps=1000, q_max=4)
         floor = 0.05 * min_rate_time(sc) + 1e4 / sc.nu_max
         ctx = SubproblemContext(a1=0.05, a2=1e4, t2=floor)
         rep = orc.grid_subproblem(ctx, sc, 100, seed=0)
@@ -94,7 +95,7 @@ class TestGridSubproblem:
         from isccopt.cost import Scenario
         sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e11,
                       kappa=1e-20, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=1000, fs=1e7, q_max=4)
+                      m_chirps=1000, q_max=4)
         floor = 0.05 * min_rate_time(sc) + 1e4 / sc.nu_max
         ctx = SubproblemContext(a1=0.05, a2=1e4, t2=floor * 0.5)
         rep = orc.grid_subproblem(ctx, sc, 50, seed=0)
@@ -112,10 +113,7 @@ class TestGridFull:
         assert math.isfinite(rep.stats["solver_energy"])
 
     def test_both_infeasible_case(self, template_net, default_params):
-        from isccopt.cost import Scenario
-        sc = Scenario(t_max=0.5001, r_t=0.85, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=50000, fs=1e7, q_max=4, splits=(1, 2))
+        sc = make_scenario(t_max=0.5001, q_max=4, splits=(1, 2))
         rep = orc.grid_full(template_net, sc, default_params, seed=0)
         assert rep.passed
         assert rep.stats.get("both_infeasible") == 1.0

@@ -3,7 +3,7 @@ import pytest
 
 from isccopt import netmodel as nm
 from isccopt.quant import (QuantSpec, calibrate_range, delta_coeff,
-                           payload_bits, quant_error_bound, quantize_vector)
+                           quant_error_bound, quantize_vector)
 
 
 class TestQuantSpec:
@@ -117,11 +117,6 @@ class TestQuantErrorBound:
         net = nm.NetworkModel(layers=(nm.fc(8, 32),), input_dim=32)
         spec = QuantSpec(bits=2, f_min=0.0, f_max=2.0)
         assert quant_error_bound(net, 0, spec) == pytest.approx(32 * 4 / 4)
-
-    def test_payload(self):
-        net = nm.NetworkModel(layers=(nm.fc(8, 32),), input_dim=32)
-        assert payload_bits(net, 1, 6) == 48
-        assert payload_bits(net, 0, 4) == 128
 
 
 class TestCalibrateRange:

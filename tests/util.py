@@ -1,17 +1,48 @@
 """Helpers shared between the solver tests and the acceptance suite."""
 
+import functools
 import math
+from dataclasses import replace
 
-from isccopt.cost import Scenario
+from isccopt.config import build_config
 from isccopt.solvers import min_rate_time
 
 
+@functools.cache
+def stock_config():
+    """The stock run configuration: DEFAULT_CONFIG with no overrides."""
+    return build_config({})
+
+
 def make_scenario(**kw):
-    base = dict(t_max=0.8, r_t=0.85, p_max=1.0, nu_max=8e6, nu_s=1e11,
-                kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                m_chirps=50000, fs=1e7, q_max=6, splits=tuple(range(1, 8)))
-    base.update(kw)
-    return Scenario(**base)
+    """The stock scenario with the given fields replaced."""
+    return replace(stock_config().scenario, **kw)
+
+
+def t_stationary_rootfind(mu1, g_over_bn0, tol=1e-14):
+    """Reference for the stationary inverse rate of multiplier mu1: direct
+    monotone root-finding of the stationarity residual
+    (1 - z)e^z = 1 - mu1*g_over_bn0 in z = ln2/t."""
+    target = 1.0 - mu1 * g_over_bn0
+
+    def psi(z):
+        return (1.0 - z) * math.exp(z)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(400):
+        if psi(hi) <= target:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError("stationarity bracket failure")
+    while hi - lo > tol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if psi(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    z = 0.5 * (lo + hi)
+    return math.inf if z == 0.0 else math.log(2.0) / z
 
 
 def pc_objective(ctx, sc, t, nu):
