@@ -98,8 +98,7 @@ def _report_infeasible(sol) -> None:
 
 
 def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
-    sol = optimizer.solve_scenario(cfg.network, cfg.scenario, cfg.accuracy,
-                                   eps_rho=cfg.solver["eps_rho"])
+    sol = optimizer.solve_scenario(cfg.network, cfg.scenario, cfg.accuracy)
     _write_solution(cfg, sol, out_dir, "solution")
     if not sol.feasible:
         _report_infeasible(sol)
@@ -112,8 +111,7 @@ def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 
 
 def cmd_baseline(cfg: RunConfig, args, out_dir: Path) -> int:
-    sol = optimizer.solve_baseline(args.kind, cfg.network, cfg.scenario,
-                                   cfg.accuracy, eps_rho=cfg.solver["eps_rho"])
+    sol = optimizer.solve_baseline(args.kind, cfg.network, cfg.scenario, cfg.accuracy)
     _write_solution(cfg, sol, out_dir, f"baseline_{args.kind}")
     if not sol.feasible:
         _report_infeasible(sol)
@@ -131,8 +129,7 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path) -> int:
         raise ConfigError(f"bad sweep values: {err}") from err
     if not values:
         raise ConfigError("sweep needs at least one value")
-    rows = optimizer.sweep(cfg.network, cfg.scenario, cfg.accuracy, args.axis,
-                           values, eps_rho=cfg.solver["eps_rho"])
+    rows = optimizer.sweep(cfg.network, cfg.scenario, cfg.accuracy, args.axis, values)
     csv_rows = [optimizer.solution_row(f"{args.axis}={row.value!r}", row.solution)
                 for row in rows]
     optimizer.write_solutions_csv(out_dir / "sweep.csv", csv_rows)
@@ -204,6 +201,9 @@ def _validate_suites(cfg: RunConfig, args):
 
 
 def cmd_validate(cfg: RunConfig, args, out_dir: Path) -> int:
+    for flag, value in (("--trials", args.trials), ("--grid-n", args.grid_n)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     suites = _validate_suites(cfg, args)
     names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True
@@ -224,11 +224,16 @@ def cmd_validate(cfg: RunConfig, args, out_dir: Path) -> int:
 def cmd_fit_r0(cfg: RunConfig, args, out_dir: Path) -> int:
     try:
         data = np.loadtxt(args.samples, delimiter=",")
-    except OSError as err:
+    except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read samples: {err}") from err
     if data.ndim != 2 or data.shape[1] != 2:
         raise ConfigError("samples CSV must have two columns: power, accuracy")
-    a, b = fit_accuracy_curve(data)
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("samples CSV has non-finite entries")
+    try:
+        a, b = fit_accuracy_curve(data)
+    except ValueError as err:
+        raise ConfigError(f"cannot fit samples: {err}") from err
     optimizer.dump_json(out_dir / "fit_r0.json",
                         {"a": a, "b": b, "n_samples": int(data.shape[0]),
                          "config": cfg.resolved})

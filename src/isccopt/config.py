@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import netmodel
 from .accuracy import AccuracyParams
@@ -29,7 +29,7 @@ DEFAULT_CONFIG = {
         "t0": 1e-5,
         "m_chirps": 50000,
         "q_max": 6,
-        "splits": [1, 2, 3, 4, 5, 6, 7],
+        "splits": [0, 1, 2, 3, 4, 5, 6, 7],
     },
     "network": {
         "input_dim": 1024,
@@ -71,19 +71,15 @@ DEFAULT_CONFIG = {
         "window_len": 64,
         "hop": 32,
     },
-    "solver": {
-        "eps_rho": 1e-6,
-    },
 }
 
 _SCHEMA = {
-    "": {"seed", "scenario", "network", "accuracy", "echo", "solver"},
+    "": {"seed", "scenario", "network", "accuracy", "echo"},
     "scenario": set(DEFAULT_CONFIG["scenario"]),
     "network": {"input_dim", "layers", "weight_seed", "target_norms", "rates",
-                "weights_file", "split_candidates"},
+                "weights_file"},
     "accuracy": set(DEFAULT_CONFIG["accuracy"]),
     "echo": set(DEFAULT_CONFIG["echo"]),
-    "solver": set(DEFAULT_CONFIG["solver"]),
     "layer": {"kind", "alpha", "beta", "gamma", "psi", "gamma_prev", "n", "n_prev"},
     "path": {"delay", "doppler_hz", "gain"},
 }
@@ -111,7 +107,6 @@ class RunConfig:
     accuracy: AccuracyParams
     echo: EchoParams
     echo_processing: dict
-    solver: dict
     seed: int
     resolved: dict
 
@@ -138,30 +133,23 @@ def build_config(raw: dict) -> RunConfig:
     _reject_unknown(raw, "", "")
     try:
         resolved = {key: _merged(DEFAULT_CONFIG[key], raw.get(key, {}))
-                    for key in ("scenario", "network", "accuracy", "echo", "solver")}
+                    for key in ("scenario", "network", "accuracy", "echo")}
         sc = _build_scenario(resolved["scenario"])
         net = _build_network(resolved["network"])
         ap = _build_accuracy(resolved["accuracy"])
         echo, processing = _build_echo(resolved["echo"])
-        solver = resolved["solver"]
-        _reject_unknown(solver, "solver", "solver")
-        solver["eps_rho"] = float(solver["eps_rho"])
-        if not 0.0 < solver["eps_rho"] < math.inf:
-            raise ConfigError(f"solver.eps_rho must be positive and finite, "
-                              f"got {solver['eps_rho']!r}")
         seed = _integer(raw.get("seed", DEFAULT_CONFIG["seed"]), "seed")
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise ConfigError(str(err)) from err
-    if not sc.splits:
-        sc = replace(sc, splits=tuple(sorted(net.split_candidates)))
-    if max(sc.splits) > net.depth:
-        raise ConfigError(f"split candidates {sc.splits} exceed network depth {net.depth}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    if not all(0 <= l <= net.depth for l in sc.splits):
+        raise ConfigError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     resolved = {"seed": seed, **resolved}
     return RunConfig(scenario=sc, network=net, accuracy=ap, echo=echo,
-                     echo_processing=processing, solver=solver, seed=seed,
-                     resolved=resolved)
+                     echo_processing=processing, seed=seed, resolved=resolved)
 
 
 def _integer(value, name: str) -> int:
@@ -187,8 +175,7 @@ def _build_scenario(block: dict) -> Scenario:
         t0=float(block["t0"]),
         m_chirps=_integer(block["m_chirps"], "scenario.m_chirps"),
         q_max=_integer(block["q_max"], "scenario.q_max"),
-        splits=tuple(_integer(l, "scenario.splits[]")
-                     for l in block.get("splits", ())),
+        splits=tuple(_integer(l, "scenario.splits[]") for l in block["splits"]),
     )
 
 
@@ -210,13 +197,12 @@ def _build_network(block: dict) -> netmodel.NetworkModel:
     _reject_unknown(block, "network", "network")
     layers = tuple(_build_layer(rec) for rec in block["layers"])
     net = netmodel.NetworkModel(
-        layers=layers,
-        input_dim=_integer(block["input_dim"], "network.input_dim"),
-        split_candidates=frozenset(block.get("split_candidates", ())) or
-        frozenset(range(1, len(layers) + 1)),
-    )
+        layers=layers, input_dim=_integer(block["input_dim"], "network.input_dim"))
     if block.get("weights_file"):
-        return netmodel.load_weights(net, block["weights_file"])
+        try:
+            return netmodel.load_weights(net, block["weights_file"])
+        except OSError as err:
+            raise ConfigError(f"cannot read network.weights_file: {err}") from err
     weight_seed = _integer(block["weight_seed"], "network.weight_seed")
     if block.get("rates"):
         return netmodel.generate_weights(net, block["rates"], weight_seed)
@@ -267,6 +253,17 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
         "window_len": _integer(block["window_len"], "echo.window_len"),
         "hop": _integer(block["hop"], "echo.hop"),
     }
+    # the sense chain runs on an n_fast x n_chirps echo
+    min_dim = min(params.n_fast, params.n_chirps)
+    r1, r2 = processing["svd_r1"], processing["svd_r2"]
+    if not 1 <= r1 <= (r2 or min_dim) <= min_dim:
+        raise ConfigError(f"echo.svd_r1 and echo.svd_r2 need 1 <= svd_r1 <= svd_r2 <= "
+                          f"{min_dim} (svd_r2 = 0: {min_dim}), got ({r1}, {r2})")
+    if not 1 <= processing["window_len"] <= params.n_chirps:
+        raise ConfigError(f"echo.window_len must lie in 1..{params.n_chirps} (n_chirps), "
+                          f"got {processing['window_len']}")
+    if processing["hop"] < 1:
+        raise ConfigError(f"echo.hop must be >= 1, got {processing['hop']}")
     return params, processing
 
 

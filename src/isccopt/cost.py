@@ -18,7 +18,9 @@ class Scenario:
 
     Units: seconds, watts, Hz, FLOP/s; kappa in J*s^2/FLOP (effective
     switched capacitance); g_over_bn0 is the linear SNR per watt of
-    transmit power (channel gain over bandwidth*noise density).
+    transmit power (channel gain over bandwidth*noise density). `splits`
+    is the set of admissible split layers l in 0..L, where l = 0 uploads
+    the raw input and l = L runs every layer on the device.
     """
 
     t_max: float
@@ -32,7 +34,7 @@ class Scenario:
     t0: float
     m_chirps: int
     q_max: int
-    splits: tuple[int, ...] = ()
+    splits: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "splits", tuple(self.splits))
@@ -47,6 +49,10 @@ class Scenario:
             raise ValueError("target accuracy must lie in [0, 1)")
         if int(self.q_max) != self.q_max or self.q_max < 2:
             raise ValueError("q_max must be an integer >= 2")
+        if not self.splits or len(set(self.splits)) != len(self.splits):
+            raise ValueError(f"splits must be nonempty without repeats, got {self.splits}")
+        if any(int(l) != l or l < 0 for l in self.splits):
+            raise ValueError(f"splits must be nonnegative integers, got {self.splits}")
 
     @property
     def t_sen(self) -> float:
@@ -116,7 +122,7 @@ def comp_cost(l: int, rho: float, nu_e: float, net: NetworkModel,
     """
     if nu_e <= 0:
         raise ValueError("edge frequency must be positive")
-    edge_flops = netmodel.cum_flops(net, 1, l, rho, warn=False)
+    edge_flops = netmodel.cum_flops(net, 1, l, rho)
     server_flops = netmodel.cum_flops(net, l + 1, net.depth, 1.0)
     t_edge = edge_flops / nu_e
     t_server = server_flops / sc.nu_s
@@ -164,7 +170,7 @@ def check_feasible(alloc: Allocation, net: NetworkModel, sc: Scenario,
     outside the scenario's set). Slacks within -tol still pass, so
     boundary-active converged solutions report ok.
     """
-    allowed = set(splits) if splits is not None else set(sc.splits or net.split_candidates)
+    allowed = set(splits) if splits is not None else set(sc.splits)
     try:
         bound = accuracy_lower_bound(alloc, terms, ap)
         accuracy_check = ConstraintCheck("accuracy", bound - sc.r_t >= -tol,

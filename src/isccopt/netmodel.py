@@ -10,7 +10,6 @@ which is the setting in which the pruning error bound is validated.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,11 +96,10 @@ def fc(n, n_prev, weights=None) -> LayerSpec:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Ordered layer stack plus the set of admissible split points."""
+    """Ordered layer stack with its input size."""
 
     layers: tuple[LayerSpec, ...]
     input_dim: int
-    split_candidates: frozenset[int] = frozenset()
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -110,10 +108,6 @@ class NetworkModel:
             raise ValueError("network needs at least one layer")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
-        splits = frozenset(self.split_candidates) or frozenset(range(1, len(layers) + 1))
-        if not all(1 <= l <= len(layers) for l in splits):
-            raise ValueError("split candidates must lie in 1..L")
-        object.__setattr__(self, "split_candidates", splits)
         self._check_chain()
 
     def _check_chain(self):
@@ -172,30 +166,19 @@ class PrunedNetwork:
     pruned_weights: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
 
 
-def flops(layer: LayerSpec, rho: float = 1.0, warn: bool = True) -> float:
+def flops(layer: LayerSpec, rho: float = 1.0) -> float:
     """Floating point operations to compute one layer at pruning ratio rho.
 
     conv: (2*gamma_prev*psi^2*rho - 1)*alpha*beta*gamma
     mp:   alpha*beta*gamma*psi^2          (rho ignored)
     fc:   (2*n_prev*rho - 1)*n
 
-    Degenerate negative values (tiny layers at small rho) clamp to 0 and
-    are flagged with a RuntimeWarning unless warn=False (solvers probe the
-    tiny-rho region deliberately).
+    Degenerate negative values (tiny layers at small rho) clamp to 0.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     slope, intercept = flops_affine(layer)
-    value = slope * rho + intercept
-    if value < 0.0:
-        if warn:
-            warnings.warn(
-                f"negative FLOP count clamped to 0 for {layer.kind} layer at rho={rho}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return 0.0
-    return value
+    return max(slope * rho + intercept, 0.0)
 
 
 def flops_affine(layer: LayerSpec) -> tuple[float, float]:
@@ -208,8 +191,7 @@ def flops_affine(layer: LayerSpec) -> tuple[float, float]:
     return 0.0, float(layer.alpha * layer.beta * layer.gamma * layer.psi**2)
 
 
-def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0,
-              warn: bool = True) -> float:
+def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0) -> float:
     """Sum of per-layer FLOPs over the inclusive range l_from..l_to.
 
     An empty range (l_from > l_to) is allowed and returns 0, so callers can
@@ -219,7 +201,7 @@ def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0,
         return 0.0
     if not (1 <= l_from and l_to <= net.depth):
         raise IndexError(f"range {l_from}..{l_to} outside 1..{net.depth}")
-    return sum(flops(net.layer(l), rho, warn=warn) for l in range(l_from, l_to + 1))
+    return sum(flops(net.layer(l), rho) for l in range(l_from, l_to + 1))
 
 
 def cum_flops_affine(net: NetworkModel, l_from: int, l_to: int) -> tuple[float, float]:
@@ -375,7 +357,7 @@ def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
     return total
 
 
-def random_fc_network(dims, rates, rng, split_candidates=None) -> NetworkModel:
+def random_fc_network(dims, rates, rng) -> NetworkModel:
     """Analysis network: fully-connected stack with zero-mean Laplacian
     weights, one rate per layer (|w| ~ Exponential(rate))."""
     dims = list(dims)
@@ -386,11 +368,7 @@ def random_fc_network(dims, rates, rng, split_candidates=None) -> NetworkModel:
     for n_prev, n, rate in zip(dims[:-1], dims[1:], rates):
         w = rng.laplace(0.0, 1.0 / rate, size=(n, n_prev))
         layers.append(fc(n, n_prev, weights=w))
-    return NetworkModel(
-        layers=tuple(layers),
-        input_dim=dims[0],
-        split_candidates=frozenset(split_candidates or range(1, len(layers) + 1)),
-    )
+    return NetworkModel(layers=tuple(layers), input_dim=dims[0])
 
 
 def generate_weights(net: NetworkModel, rates, seed: int) -> NetworkModel:
@@ -448,15 +426,3 @@ def load_weights(net: NetworkModel, path) -> NetworkModel:
         raise ValueError("weight file longer than network dimensions")
     return net.with_weights(mats)
 
-
-def save_weights(net: NetworkModel, path) -> None:
-    """Write weights in the flat format accepted by load_weights."""
-    path = str(path)
-    mats = [layer.weights for layer in net.layers if layer.is_weighted]
-    if any(m is None for m in mats):
-        raise ValueError("network has layers without weights")
-    flat = np.concatenate([m.reshape(-1) for m in mats])
-    if path.endswith((".bin", ".raw")):
-        flat.astype("<f8").tofile(path)
-    else:
-        np.savetxt(path, flat)

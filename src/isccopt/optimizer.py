@@ -24,6 +24,9 @@ ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
 # is (0, 1] and the objective stays finite as rho -> 0+
 RHO_FLOOR = 1e-9
 
+# width of the rho bracket at which the golden-section search stops
+EPS_RHO = 1e-6
+
 # a pair is searched while its lower bound is at most the incumbent's
 # e_total times (1 + PRUNE_RTOL); the margin absorbs the rounding between
 # E(rho), the KKT stopping test and total_cost
@@ -88,7 +91,7 @@ class PairEnergy:
     def __call__(self, rho: float) -> float:
         sc = self.sc
         p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
-        a2 = netmodel.cum_flops(self.net, 1, self.l, rho, warn=False)
+        a2 = netmodel.cum_flops(self.net, 1, self.l, rho)
         p_c, nu_e, e_edge = self._power_freq(a2)
         energy = sc.t_sen * p_s + e_edge
         self.points[rho] = energy, p_s, p_c, nu_e, e_edge
@@ -141,11 +144,11 @@ class PairEnergy:
                 f"edge compute misses deadline at any rho (rho_max={rho_max:.3g})")
         rho_max = min(rho_max, 1.0)
         # guard the closed form against the per-layer clamp at tiny rho
-        if netmodel.cum_flops(net, 1, l, rho_max, warn=False) > cap * (1.0 + 1e-12):
+        if netmodel.cum_flops(net, 1, l, rho_max) > cap * (1.0 + 1e-12):
             lo, hi = RHO_FLOOR, rho_max
             for _ in range(100):
                 mid = 0.5 * (lo + hi)
-                if netmodel.cum_flops(net, 1, l, mid, warn=False) <= cap:
+                if netmodel.cum_flops(net, 1, l, mid) <= cap:
                     lo = mid
                 else:
                     hi = mid
@@ -156,7 +159,11 @@ class PairEnergy:
         """(rho_min, rho_max) with E evaluated at both ends: rho_max is the
         largest rho whose edge compute meets the deadline at (p_max, nu_max),
         rho_min the smallest rho whose sensing power fits under p_max (both
-        closed form). Raises InfeasibleError when no rho is feasible."""
+        closed form). The raw-input split l = 0 runs no layer on the device,
+        so rho changes nothing there and the bracket is [1, 1]. Raises
+        InfeasibleError when no rho is feasible."""
+        if self.l == 0:
+            return self.pin(1.0)
         rho_max = self.rho_max()
         self(rho_max)   # raises the binding reason when no rho is feasible
         rho_min = min(min_pruning_ratio(self.q, self.terms, self.ap, self.sc.r_t,
@@ -178,10 +185,10 @@ class PairEnergy:
         pts = [self.points[r] for r in rhos]
         return min(self.sc.t_sen * b[1] + a[4] for a, b in zip(pts, pts[1:]))
 
-    def search(self, rho_min: float, rho_max: float, eps_rho: float,
-               origin: str, cutoff: float = math.inf) -> Solution | None:
+    def search(self, rho_min: float, rho_max: float, origin: str,
+               cutoff: float = math.inf) -> Solution | None:
         """Solution at the least-energy point of rho_min, the golden-section
-        argmin over the bracket at eps_rho, and rho_max (the first on
+        argmin over the bracket at EPS_RHO, and rho_max (the first on
         ties); `iterations` is the number of points E(rho) was evaluated at.
 
         None when both ends and the lower bound on a golden-section bracket
@@ -189,11 +196,11 @@ class PairEnergy:
         stops there, as every candidate point lies above the cutoff.
         """
         rhos = [rho_min, rho_max]
-        if rho_max - rho_min > eps_rho:
+        if rho_max - rho_min > EPS_RHO:
             stop = None
             if min(self.points[rho_min][0], self.points[rho_max][0]) > cutoff:
                 stop = lambda *bracket: self.lower_bound(*bracket) > cutoff
-            rho = golden_section(self, rho_min, rho_max, eps_rho, stop)
+            rho = golden_section(self, rho_min, rho_max, EPS_RHO, stop)
             if rho is None:
                 return None
             rhos.insert(1, rho)
@@ -206,7 +213,7 @@ class PairEnergy:
 
 
 def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
-               eps_rho: float = 1e-6, origin: str = "proposed") -> Solution:
+               origin: str = "proposed") -> Solution:
     """Least-energy allocation of one (l, q) pair (q is None for l = L).
 
     Minimizes E(rho) of PairEnergy by golden-section search over
@@ -214,18 +221,18 @@ def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
     rho is feasible.
     """
     energy = PairEnergy(l, q, net, sc, terms, ap)
-    return energy.search(*energy.bracket(), eps_rho, origin)
+    return energy.search(*energy.bracket(), origin)
 
 
 def _pairs(net, sc):
     """Every admissible (l, q) pair in enumeration order; q is None for the
     split after the last layer."""
-    for l in sorted(sc.splits or net.split_candidates):
+    for l in sorted(sc.splits):
         for q in [None] if l == net.depth else range(2, sc.q_max + 1):
             yield l, q
 
 
-def _enumerate(net, sc, ap, origin, pairs, bracket, eps_rho):
+def _enumerate(net, sc, ap, origin, pairs, bracket):
     """The one outer loop, a bound-and-prune over (l, q) pairs.
 
     Pass 1 brackets every pair in `pairs` order (`bracket(energy)` returns
@@ -262,7 +269,7 @@ def _enumerate(net, sc, ap, origin, pairs, bracket, eps_rho):
         if bound > cutoff:
             continue
         try:
-            sol = energy.search(*rhos, eps_rho, origin, cutoff)
+            sol = energy.search(*rhos, origin, cutoff)
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue
@@ -277,8 +284,7 @@ def _enumerate(net, sc, ap, origin, pairs, bracket, eps_rho):
     return replace(best, reasons=tuple(sorted(reasons)))
 
 
-def solve_scenario(net, sc: Scenario, ap: AccuracyParams,
-                   eps_rho: float = 1e-6) -> Solution:
+def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:
     """Minimum-energy allocation over all (l, q) pairs.
 
     Solves the pairs as solve_pair does, skipping the search of every pair
@@ -287,12 +293,10 @@ def solve_scenario(net, sc: Scenario, ap: AccuracyParams,
     smaller l). When every pair is infeasible the Solution carries one
     reason per pair.
     """
-    return _enumerate(net, sc, ap, "proposed", _pairs(net, sc), PairEnergy.bracket,
-                      eps_rho)
+    return _enumerate(net, sc, ap, "proposed", _pairs(net, sc), PairEnergy.bracket)
 
 
-def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
-                   eps_rho: float = 1e-6) -> Solution:
+def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams) -> Solution:
     """Ablation baselines: each picks its (l, q) pairs and rho bracket for
     the loop that solve_scenario runs.
 
@@ -302,14 +306,14 @@ def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams,
     no_prune: full enumeration with the pruning ratio pinned to 1.
     """
     if kind == "on_server":
-        pairs, bracket = [(0, sc.q_max)], lambda energy: energy.pin(1.0)
+        pairs, bracket = [(0, sc.q_max)], PairEnergy.bracket
     elif kind == "on_device":
         pairs, bracket = [(net.depth, None)], PairEnergy.bracket
     elif kind == "no_prune":
         pairs, bracket = _pairs(net, sc), lambda energy: energy.pin(1.0)
     else:
         raise ValueError(f"unknown baseline {kind!r}")
-    return _enumerate(net, sc, ap, kind, pairs, bracket, eps_rho)
+    return _enumerate(net, sc, ap, kind, pairs, bracket)
 
 
 @dataclass(frozen=True)
@@ -332,7 +336,7 @@ def apply_axis(sc: Scenario, axis: str, value: float) -> Scenario:
 
 
 def sweep(net, sc: Scenario, ap: AccuracyParams, axis: str, values,
-          origins: tuple[str, ...] = ORIGINS, eps_rho: float = 1e-6) -> list[SweepRow]:
+          origins: tuple[str, ...] = ORIGINS) -> list[SweepRow]:
     """Re-solve the proposed method and every baseline per swept value.
 
     Infeasible points are recorded as infeasible rows; the sweep continues.
@@ -345,9 +349,9 @@ def sweep(net, sc: Scenario, ap: AccuracyParams, axis: str, values,
         sc_v = apply_axis(sc, axis, value)
         for origin in origins:
             if origin == "proposed":
-                sol = solve_scenario(net, sc_v, ap, eps_rho=eps_rho)
+                sol = solve_scenario(net, sc_v, ap)
             else:
-                sol = solve_baseline(origin, net, sc_v, ap, eps_rho=eps_rho)
+                sol = solve_baseline(origin, net, sc_v, ap)
             rows.append(SweepRow(axis=axis, value=value, solution=sol))
     return rows
 

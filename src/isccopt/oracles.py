@@ -222,14 +222,14 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams,
     """
     sol = solve_scenario(net, sc, ap)
     best = math.inf
-    splits = sorted(sc.splits or net.split_candidates)
+    splits = sorted(sc.splits)
     rho_grid = np.linspace(grid_spec.rho_lo, 1.0, grid_spec.rho_n)
     nu_grid = np.geomspace(sc.nu_max * 1e-3, sc.nu_max, grid_spec.nue_n)
     pc_grid = np.geomspace(sc.p_max * 1e-4, sc.p_max, grid_spec.pc_n)
     for l in splits:
         terms = penalty_terms(net, l, ap)
         t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
-        edge = np.array([netmodel.cum_flops(net, 1, l, r, warn=False) for r in rho_grid])
+        edge = np.array([netmodel.cum_flops(net, 1, l, r) for r in rho_grid])
         qs = [None] if l == net.depth else range(2, sc.q_max + 1)
         for q in qs:
             ps = np.full(rho_grid.shape, np.nan)
@@ -422,7 +422,7 @@ def random_power_freq_context(rng):
     a2 = float(10.0 ** rng.uniform(3.0, 5.5))
     sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=nu_max, nu_s=1e11,
                   kappa=kappa, bandwidth=1e5, g_over_bn0=g, t0=1e-5,
-                  m_chirps=1000, q_max=4)
+                  m_chirps=1000, q_max=4, splits=(1,))
     floor = a1 * min_rate_time(sc) + a2 / nu_max
     t2 = floor * float(rng.uniform(1.05, 4.0))
     return SubproblemContext(a1=a1, a2=a2, t2=t2), sc

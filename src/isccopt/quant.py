@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accuracy import quant_error_factor
 from .netmodel import MP, NetworkModel, feature_dim
 
 
@@ -87,10 +86,4 @@ def delta_coeff(net: NetworkModel, l: int, f_min: float, f_max: float) -> float:
     else:
         n_eff = feature_dim(net, l)
     return 0.25 * n_eff * (f_max - f_min) ** 2
-
-
-def quant_error_bound(net: NetworkModel, l: int, spec: QuantSpec) -> float:
-    """Upper bound on the expected squared quantization error of the split
-    feature vector."""
-    return delta_coeff(net, l, spec.f_min, spec.f_max) * quant_error_factor(spec.bits)
 

@@ -145,12 +145,6 @@ def spectrogram(ybar: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     return mags / norm
 
 
-def spectrogram_size(n_slow: int, window_len: int, hop: int) -> int:
-    """Output length of `spectrogram` for given slow-time length."""
-    frames = (n_slow - window_len) // hop + 1
-    return frames * window_len
-
-
 def sensing_cost(p_s: float, t0: float, m: int) -> tuple[float, float]:
     """(latency, energy) of an M-chirp sensing round: T = t0*m, E = p_s*T."""
     if t0 <= 0 or m <= 0:

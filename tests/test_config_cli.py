@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isccopt
-from isccopt import netmodel as nm
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
@@ -43,10 +42,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"echo": {"target": {"delay": 1e-6, "doppler_hz": 0,
                                               "gain": [1, 0], "x": 1}}})
-        with pytest.raises(ConfigError):
-            build_config({"solver": {"eps_rho": 1e-6, "mystery": True}})
-        with pytest.raises(ConfigError):   # fs is not a scenario key
-            build_config({"scenario": {"fs": 1e7}})
+        # removed keys: fs, the solver block and network.split_candidates
+        for raw in ({"scenario": {"fs": 1e7}}, {"solver": {"eps_rho": 1e-6}},
+                    {"network": {"split_candidates": [1, 2]}}):
+            with pytest.raises(ConfigError, match="unknown key"):
+                build_config(raw)
 
     def test_partial_override_merges_defaults(self):
         cfg = build_config({"scenario": {"t_max": 1.2}})
@@ -64,10 +64,8 @@ class TestConfig:
     def test_weights_file(self, tmp_path):
         rng = np.random.default_rng(0)
         ws = [rng.standard_normal((4, 6)), rng.standard_normal((2, 4))]
-        net = nm.NetworkModel(layers=(nm.fc(4, 6), nm.fc(2, 4)),
-                              input_dim=6).with_weights(ws)
         path = tmp_path / "w.bin"
-        nm.save_weights(net, path)
+        np.concatenate([w.reshape(-1) for w in ws]).astype("<f8").tofile(path)
         cfg = build_config({
             "scenario": {"splits": [1, 2]},
             "network": {"input_dim": 6,
@@ -145,16 +143,26 @@ class TestCliSolve:
         assert "config error" in capsys.readouterr().err
 
 
+# the stock echo is 100 fast-time samples x 256 chirps
 BAD_VALUES = [
     ("scenario", "t_max", float("nan")),
     ("scenario", "nu_max", float("inf")),
     ("scenario", "m_chirps", 50000.7),
-    ("solver", "eps_rho", 0),
-    ("solver", "eps_rho", float("nan")),
-    ("solver", "max_iter", 0),
+    ("scenario", "splits", []),
+    ("scenario", "splits", [-1]),
+    ("scenario", "splits", [2.5]),
     ("echo", "power", float("nan")),
     ("echo", "noise_psd", float("inf")),
     ("echo", "target", {"delay": 2e-6, "doppler_hz": float("nan"), "gain": [1.0, 0.0]}),
+    ("scenario", "splits", [1, 1]),
+    ("echo", "svd_r1", 0),
+    ("echo", "svd_r1", 101),
+    ("echo", "svd_r2", -1),
+    ("echo", "svd_r2", 101),
+    ("echo", "window_len", 0),
+    ("echo", "window_len", 257),
+    ("echo", "hop", 0),
+    ("network", "weights_file", "no-such-weights.bin"),
 ]
 
 
@@ -178,21 +186,20 @@ ODD = st.sampled_from([float("nan"), float("inf"), float("-inf"), 0.0, -1.0, 0.5
 
 @st.composite
 def config_overrides(draw):
-    """Valid scenario and solver values, at most one of them replaced by a
-    non-finite, non-positive or borderline one."""
+    """Valid scenario values, at most one of them replaced by a non-finite,
+    non-positive or borderline one."""
     scenario = {}
     for key, (lo, hi) in SCENARIO_VALUES.items():
         if draw(st.booleans()):
             scenario[key] = draw(st.integers(lo, hi) if key == "m_chirps"
                                  else st.floats(lo, hi))
-    solver = {"eps_rho": draw(st.one_of(st.just(1e-6), st.floats(1e-300, 0.5)))}
-    odd = draw(st.sampled_from([None] * 4 + list(SCENARIO_VALUES) + ["eps_rho"]))
+    odd = draw(st.sampled_from([None] * 4 + list(SCENARIO_VALUES)))
     if odd is not None:
-        (solver if odd == "eps_rho" else scenario)[odd] = draw(ODD)
-    return {"scenario": scenario, "solver": solver}
+        scenario[odd] = draw(ODD)
+    return {"scenario": scenario}
 
 
-def assert_every_origin_solves_or_gives_reasons(net, sc, ap, eps_rho=1e-6):
+def assert_every_origin_solves_or_gives_reasons(net, sc, ap):
     """Each origin returns an allocation that passes check_feasible on the
     splits of its (l, q) pairs, or one reason per pair."""
     every_pair = [(l, q or 2) for l, q in _pairs(net, sc)]
@@ -201,9 +208,9 @@ def assert_every_origin_solves_or_gives_reasons(net, sc, ap, eps_rho=1e-6):
     assert set(pairs_of) == set(ORIGINS)
     for origin, pairs in pairs_of.items():
         if origin == "proposed":
-            sol = solve_scenario(net, sc, ap, eps_rho=eps_rho)
+            sol = solve_scenario(net, sc, ap)
         else:
-            sol = solve_baseline(origin, net, sc, ap, eps_rho=eps_rho)
+            sol = solve_baseline(origin, net, sc, ap)
         if sol.feasible:
             terms = penalty_terms(net, sol.alloc.l, ap)
             splits = {l for l, _ in pairs}
@@ -221,8 +228,7 @@ def test_config_values_fail_closed_or_solve_feasibly(raw):
         cfg = build_config(raw)
     except ConfigError:
         return
-    assert_every_origin_solves_or_gives_reasons(
-        cfg.network, cfg.scenario, cfg.accuracy, cfg.solver["eps_rho"])
+    assert_every_origin_solves_or_gives_reasons(cfg.network, cfg.scenario, cfg.accuracy)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -272,6 +278,33 @@ class TestCliValidateFitSense:
         payload = json.loads((tmp_path / "fit_r0.json").read_text())
         assert payload["a"] == pytest.approx(a, rel=1e-6)
         assert payload["b"] == pytest.approx(b, rel=1e-6)
+
+    @pytest.mark.parametrize("suite, flag, value", [
+        ("pruning-mean", "--trials", "0"),
+        ("power-freq-grid", "--grid-n", "-3"),
+        ("power-freq-grid", "--grid-n", "0")])
+    def test_validate_counts_below_one_exit_3(self, tmp_path, capsys, suite, flag, value):
+        rc = main(["validate", "--suite", suite, flag, value, "--out", str(tmp_path)])
+        assert rc == 3
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "0.1,0.2\n0.3\n",              # ragged
+        "0.1,nan\n0.2,0.5\n",          # non-finite
+        "-0.1,0.2\n0.2,0.5\n",         # negative power
+        "0.1,0.2\n0.1,0.3\n"],         # all powers equal
+        ids=["ragged", "non-finite", "negative", "equal-powers"])
+    def test_fit_r0_bad_samples_exit_3(self, tmp_path, capsys, text):
+        path = tmp_path / "samples.csv"
+        path.write_text(text)
+        rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_sense_demo_negative_seed_exits_3(self, tmp_path, capsys):
+        rc = main(["sense-demo", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 3
+        assert "seed" in capsys.readouterr().err
 
     def test_sense_demo(self, tmp_path, capsys):
         rc = main(["sense-demo", "--out", str(tmp_path)])

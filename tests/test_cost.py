@@ -144,15 +144,13 @@ class TestCheckFeasible:
         assert not report.slack("quant_bits") >= 0 or not report.ok
         assert not [c for c in report.checks if c.name == "quant_bits"][0].ok
 
-    def test_split_override(self, template_net, default_scenario,
-                            default_params):
+    def test_split_override(self, template_net, default_params):
         from isccopt.optimizer import penalty_terms
+        sc = make_scenario(splits=(1, 2, 3, 4, 5, 6, 7))
         terms0 = penalty_terms(template_net, 0, default_params)
         a = make_alloc(l=0, q=6, rho=1.0, p_s=0.06)
-        bad = check_feasible(a, template_net, default_scenario, terms0,
-                             default_params)
-        good = check_feasible(a, template_net, default_scenario, terms0,
-                              default_params, splits={0})
+        bad = check_feasible(a, template_net, sc, terms0, default_params)
+        good = check_feasible(a, template_net, sc, terms0, default_params, splits={0})
         assert not [c for c in bad.checks if c.name == "split"][0].ok
         assert [c for c in good.checks if c.name == "split"][0].ok
 
@@ -162,22 +160,28 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(t_max=0.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                     m_chirps=1000, q_max=4)
+                     m_chirps=1000, q_max=4, splits=(1,))
 
     def test_target_range(self):
         with pytest.raises(ValueError):
             Scenario(t_max=1.0, r_t=1.0, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                     m_chirps=1000, q_max=4)
+                     m_chirps=1000, q_max=4, splits=(1,))
 
     def test_zero_target_allowed(self):
         sc = Scenario(t_max=1.0, r_t=0.0, p_max=1.0, nu_max=1e6, nu_s=1e9,
                       kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=1000, q_max=4)
+                      m_chirps=1000, q_max=4, splits=(1,))
         assert sc.t_sen == pytest.approx(0.01)
 
     def test_q_max_domain(self):
         with pytest.raises(ValueError):
             Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                     m_chirps=1000, q_max=1)
+                     m_chirps=1000, q_max=1, splits=(1,))
+
+    def test_split_set_domain(self):
+        # empty, repeated, negative and fractional split sets
+        for splits in [(), (1, 1), (-1, 2), (2.5,)]:
+            with pytest.raises(ValueError):
+                make_scenario(splits=splits)

@@ -39,14 +39,11 @@ class TestFlops:
             assert slope >= 0
             assert slope * 0.5 + intercept == f[1]
 
-    def test_degenerate_clamps_with_warning(self):
+    def test_degenerate_clamps_to_zero(self):
         layer = nm.fc(1, 2)  # (2*2*rho - 1)*1 < 0 for rho < 0.25
-        with pytest.warns(RuntimeWarning):
-            assert nm.flops(layer, 0.1) == 0.0
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert nm.flops(layer, 0.1, warn=False) == 0.0
+        assert nm.flops(layer, 0.1) == 0.0
+        assert nm.flops(layer, 0.25) == 0.0
+        assert nm.flops(layer, 0.5) == 1.0
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):
@@ -282,11 +279,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             nm.fc(3, 4, weights=np.ones((3, 3)))
 
-    def test_bad_split_candidates(self):
-        with pytest.raises(ValueError):
-            nm.NetworkModel(layers=(nm.fc(4, 4),), input_dim=4,
-                            split_candidates=frozenset({2}))
-
     def test_dims_must_be_positive(self):
         with pytest.raises(ValueError):
             nm.fc(0, 4)
@@ -315,7 +307,7 @@ class TestGeneratorsAndIO:
         ws = [rng.standard_normal((4, 6)), rng.standard_normal((3, 4))]
         net = small_fc_net(ws)
         path = tmp_path / "weights.txt"
-        nm.save_weights(net, path)
+        np.savetxt(path, np.concatenate([w.reshape(-1) for w in ws]))
         bare = nm.NetworkModel(layers=(nm.fc(4, 6), nm.fc(3, 4)), input_dim=6)
         loaded = nm.load_weights(bare, path)
         for l in (1, 2):
@@ -326,7 +318,7 @@ class TestGeneratorsAndIO:
         ws = [rng.standard_normal((4, 6)), rng.standard_normal((3, 4))]
         net = small_fc_net(ws)
         path = tmp_path / "weights.bin"
-        nm.save_weights(net, path)
+        np.concatenate([w.reshape(-1) for w in ws]).astype("<f8").tofile(path)
         bare = nm.NetworkModel(layers=(nm.fc(4, 6), nm.fc(3, 4)), input_dim=6)
         loaded = nm.load_weights(bare, path)
         for l in (1, 2):

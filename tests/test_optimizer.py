@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isccopt import netmodel as nm
 from isccopt import optimizer as opt
@@ -116,14 +118,14 @@ def exhaustive(kind, net, sc, ap):
     baseline must return: every pair searched in enumeration order, the
     least (e_total, q, l) kept, one reason per rejected pair."""
     best, reasons = None, []
-    splits = [net.depth] if kind == "on_device" else sorted(sc.splits or net.split_candidates)
+    splits = [net.depth] if kind == "on_device" else sorted(sc.splits)
     for l in splits:
         terms = opt.penalty_terms(net, l, ap)
         for q in [None] if l == net.depth else range(2, sc.q_max + 1):
             try:
                 if kind == "no_prune":
                     energy = opt.PairEnergy(l, q, net, sc, terms, ap)
-                    sol = energy.search(*energy.pin(1.0), 1e-6, kind)
+                    sol = energy.search(*energy.pin(1.0), kind)
                 else:
                     sol = opt.solve_pair(l, q, net, sc, terms, ap, origin=kind)
             except InfeasibleError as err:
@@ -294,6 +296,36 @@ class TestBaselines:
                                       default_params)
             if base.feasible:
                 assert prop.e_total <= base.e_total + 1e-9
+
+
+def assert_proposed_never_loses(net, sc, ap):
+    """The proposed answer is at most each baseline's whose pairs lie in
+    the scenario's split set (no_prune's always do)."""
+    prop = opt.solve_scenario(net, sc, ap)
+    for kind, split in (("on_server", 0), ("on_device", net.depth), ("no_prune", None)):
+        if split is not None and split not in sc.splits:
+            continue
+        base = opt.solve_baseline(kind, net, sc, ap)
+        if base.feasible:
+            assert prop.e_total <= base.e_total * (1 + 1e-12), (kind, sc)
+
+
+class TestProposedNeverLoses:
+    # dense just above t_sen = 0.5 s, where the raw-input upload wins
+    T_MAX = [0.501 + 0.001 * k for k in range(100)] + [0.7 + 0.1 * k for k in range(12)]
+
+    @pytest.mark.parametrize("axis", ["t_max", "r_t", "snr"])
+    def test_stock_sweeps(self, template_net, default_scenario, default_params, axis):
+        assert 0 in default_scenario.splits
+        for value in self.T_MAX if axis == "t_max" else SWEEPS[axis]:
+            sc = opt.apply_axis(default_scenario, axis, value)
+            assert_proposed_never_loses(template_net, sc, default_params)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_cases_with_raw_input_split(self, seed):
+        net, sc, ap = orc.random_test_case(np.random.default_rng(seed))
+        assert_proposed_never_loses(net, replace(sc, splits=(0,) + sc.splits), ap)
 
 
 class TestSweep:

@@ -79,7 +79,7 @@ class TestGridSubproblem:
         from isccopt.cost import Scenario
         sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e11,
                       kappa=1e-20, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=1000, q_max=4)
+                      m_chirps=1000, q_max=4, splits=(1,))
         floor = 0.05 * min_rate_time(sc) + 1e4 / sc.nu_max
         ctx = SubproblemContext(a1=0.05, a2=1e4, t2=floor)
         rep = orc.grid_subproblem(ctx, sc, 100, seed=0)
@@ -95,7 +95,7 @@ class TestGridSubproblem:
         from isccopt.cost import Scenario
         sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e11,
                       kappa=1e-20, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
-                      m_chirps=1000, q_max=4)
+                      m_chirps=1000, q_max=4, splits=(1,))
         floor = 0.05 * min_rate_time(sc) + 1e4 / sc.nu_max
         ctx = SubproblemContext(a1=0.05, a2=1e4, t2=floor * 0.5)
         rep = orc.grid_subproblem(ctx, sc, 50, seed=0)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from isccopt import netmodel as nm
-from isccopt.quant import (QuantSpec, calibrate_range, delta_coeff,
-                           quant_error_bound, quantize_vector)
+from isccopt.accuracy import quant_error_factor
+from isccopt.quant import QuantSpec, calibrate_range, delta_coeff, quantize_vector
 
 
 class TestQuantSpec:
@@ -91,15 +91,18 @@ class TestQuantizeVector:
 
 
 class TestQuantErrorBound:
+    """The bound delta_coeff * quant_error_factor on the expected squared
+    quantization error of the split feature vector."""
+
     def test_direct_formula(self):
         # feature size 100 with unit range at 3 bits
         net = nm.NetworkModel(layers=(nm.fc(100, 64), nm.fc(10, 100)), input_dim=64)
-        spec = QuantSpec(bits=3, f_min=0.0, f_max=1.0)
-        assert quant_error_bound(net, 1, spec) == pytest.approx(100 / 4 / 9)
+        bound = delta_coeff(net, 1, 0.0, 1.0) * quant_error_factor(3)
+        assert bound == pytest.approx(100 / 4 / 9)
 
     def test_monotone_to_zero_in_bits(self):
         net = nm.NetworkModel(layers=(nm.fc(100, 64),), input_dim=64)
-        bounds = [quant_error_bound(net, 1, QuantSpec(bits=q, f_min=0.0, f_max=1.0))
+        bounds = [delta_coeff(net, 1, 0.0, 1.0) * quant_error_factor(q)
                   for q in range(2, 16)]
         assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[-1] < 1e-6 * bounds[0]
@@ -108,15 +111,15 @@ class TestQuantErrorBound:
         # split right before a pooling layer uses the pooled feature size
         layers = (nm.conv(10, 10, 1, 3, 1), nm.maxpool(5, 5, 1, 2), nm.fc(4, 25))
         net = nm.NetworkModel(layers=layers, input_dim=144)
-        spec = QuantSpec(bits=2, f_min=0.0, f_max=1.0)
         assert nm.feature_dim(net, 1) == 100
-        assert quant_error_bound(net, 1, spec) == pytest.approx(25 / 4)
-        assert quant_error_bound(net, 2, spec) == pytest.approx(25 / 4)
+        for l in (1, 2):
+            bound = delta_coeff(net, l, 0.0, 1.0) * quant_error_factor(2)
+            assert bound == pytest.approx(25 / 4)
 
     def test_input_split(self):
         net = nm.NetworkModel(layers=(nm.fc(8, 32),), input_dim=32)
-        spec = QuantSpec(bits=2, f_min=0.0, f_max=2.0)
-        assert quant_error_bound(net, 0, spec) == pytest.approx(32 * 4 / 4)
+        bound = delta_coeff(net, 0, 0.0, 2.0) * quant_error_factor(2)
+        assert bound == pytest.approx(32 * 4 / 4)
 
 
 class TestCalibrateRange:
