@@ -86,7 +86,12 @@ _SCHEMA = {
 
 
 def _reject_unknown(block: dict, schema_key: str, where: str):
-    unknown = set(block) - _SCHEMA[schema_key]
+    # an unknown block is named with the keys it sets ("solver.eps_rho"),
+    # so the message points at the setting the user wrote
+    unknown = []
+    for key in set(block) - _SCHEMA[schema_key]:
+        value = block[key]
+        unknown += [f"{key}.{k}" for k in value] if isinstance(value, dict) and value else [key]
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'config root'}")
 

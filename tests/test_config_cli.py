@@ -163,6 +163,10 @@ BAD_VALUES = [
     ("echo", "window_len", 257),
     ("echo", "hop", 0),
     ("network", "weights_file", "no-such-weights.bin"),
+    # the solver block is gone: its keys are unknown and named in the message
+    ("solver", "eps_rho", 0),
+    ("solver", "eps_rho", float("nan")),
+    ("solver", "max_iter", 0),
 ]
 
 
