@@ -10,6 +10,11 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError
 
+# fit_accuracy_curve searches b in FIT_B_BRACKET until the log10(b) bracket
+# is FIT_LOGB_TOL wide
+FIT_B_BRACKET = (1e-4, 1e4)
+FIT_LOGB_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class AccuracyParams:
@@ -101,17 +106,16 @@ def _invert_ideal_accuracy(target: float, params: AccuracyParams) -> float:
     return math.tan(target / params.a) / params.b
 
 
-def penalty_factor(rho: float, q: int | None, terms: PenaltyTerms,
+def penalty_factor(rho: float, q: int, terms: PenaltyTerms,
                    params: AccuracyParams) -> float:
     """Combined accuracy penalty K in bound R0(ps) * (1 - K):
 
         K = (w / (c_m s))^e * (C*u(rho) + D*v(q))
 
-    with e the margin exponent, C/D/w the split-dependent terms. q may be
-    None when the quantization coefficient is zero (no transmission).
+    with e the margin exponent, C/D/w the split-dependent terms.
     """
     margin = (terms.tail_norm / (params.c_m * params.s)) ** params.margin_exponent
-    quant = terms.quant_coeff * quant_error_factor(q) if terms.quant_coeff else 0.0
+    quant = terms.quant_coeff * quant_error_factor(q)
     return margin * (terms.prune_coeff * pruning_error_factor(rho) + quant)
 
 
@@ -125,7 +129,7 @@ def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> 
     return max(0.0, ideal_accuracy(alloc.p_s, params) * (1.0 - k))
 
 
-def min_sensing_power(rho: float, q: int | None, terms: PenaltyTerms,
+def min_sensing_power(rho: float, q: int, terms: PenaltyTerms,
                       params: AccuracyParams, r_t: float, p_max: float) -> float:
     """Smallest sensing power meeting accuracy target r_t at (rho, q).
 
@@ -151,7 +155,7 @@ def min_sensing_power(rho: float, q: int | None, terms: PenaltyTerms,
     return ps
 
 
-def min_pruning_ratio(q: int | None, terms: PenaltyTerms, params: AccuracyParams,
+def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
                       r_t: float, p_max: float, floor: float) -> float:
     """Smallest rho >= floor at which min_sensing_power stays within p_max.
 
@@ -185,12 +189,13 @@ def min_pruning_ratio(q: int | None, terms: PenaltyTerms, params: AccuracyParams
             step *= 2.0
 
 
-def fit_accuracy_curve(samples, b_bracket=(1e-4, 1e4), tol=1e-12):
+def fit_accuracy_curve(samples):
     """Least-squares (a, b) fit of accuracy = a*arctan(b*power).
 
     For fixed b the optimal a is closed-form; b is found by golden-section
-    on the residual over log10(b) in `b_bracket` (residual assumed unimodal
-    there). Input: iterable of (power, accuracy) pairs.
+    on the residual over log10(b) in FIT_B_BRACKET (residual assumed
+    unimodal there), to FIT_LOGB_TOL. Input: iterable of (power, accuracy)
+    pairs.
     """
     from .solvers import golden_section  # local import: solvers -> cost -> accuracy
 
@@ -216,7 +221,7 @@ def fit_accuracy_curve(samples, b_bracket=(1e-4, 1e4), tol=1e-12):
         a = a_closed_form(b)
         return sum((y - a * math.atan(b * p)) ** 2 for p, y in pairs)
 
-    lo, hi = math.log10(b_bracket[0]), math.log10(b_bracket[1])
-    logb = golden_section(residual_logb, lo, hi, tol)
+    lo, hi = math.log10(FIT_B_BRACKET[0]), math.log10(FIT_B_BRACKET[1])
+    logb = golden_section(residual_logb, lo, hi, FIT_LOGB_TOL)
     b = 10.0**logb
     return a_closed_form(b), b

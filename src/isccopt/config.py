@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import netmodel
 from .accuracy import AccuracyParams
 from .cost import Scenario
@@ -76,8 +78,7 @@ DEFAULT_CONFIG = {
 _SCHEMA = {
     "": {"seed", "scenario", "network", "accuracy", "echo"},
     "scenario": set(DEFAULT_CONFIG["scenario"]),
-    "network": {"input_dim", "layers", "weight_seed", "target_norms", "rates",
-                "weights_file"},
+    "network": {"input_dim", "layers", "weight_seed", "target_norms", "weights_file"},
     "accuracy": set(DEFAULT_CONFIG["accuracy"]),
     "echo": set(DEFAULT_CONFIG["echo"]),
     "layer": {"kind", "alpha", "beta", "gamma", "psi", "gamma_prev", "n", "n_prev"},
@@ -204,17 +205,42 @@ def _build_network(block: dict) -> netmodel.NetworkModel:
     net = netmodel.NetworkModel(
         layers=layers, input_dim=_integer(block["input_dim"], "network.input_dim"))
     if block.get("weights_file"):
+        source = "network.weights_file"
         try:
-            return netmodel.load_weights(net, block["weights_file"])
+            net = netmodel.load_weights(net, block["weights_file"])
         except OSError as err:
-            raise ConfigError(f"cannot read network.weights_file: {err}") from err
-    weight_seed = _integer(block["weight_seed"], "network.weight_seed")
-    if block.get("rates"):
-        return netmodel.generate_weights(net, block["rates"], weight_seed)
-    if block.get("target_norms"):
-        rates = netmodel.rates_for_norms(net, block["target_norms"])
-        return netmodel.generate_weights(net, rates, weight_seed)
+            raise ConfigError(f"cannot read {source}: {err}") from err
+    else:
+        source = "network.target_norms"
+        if not block.get("target_norms"):
+            raise ConfigError(f"the network needs weights: set network.weights_file "
+                              f"or a non-empty {source}")
+        norms = [float(t) for t in block["target_norms"]]
+        if not all(0.0 < t < math.inf for t in norms):
+            raise ConfigError(f"{source} entries must be positive and finite, got {norms}")
+        weight_seed = _integer(block["weight_seed"], "network.weight_seed")
+        rates = netmodel.rates_for_norms(net, norms)
+        net = netmodel.generate_weights(net, rates, weight_seed)
+    _check_weights(net, source)
     return net
+
+
+def _check_weights(net: netmodel.NetworkModel, source: str) -> None:
+    """Every weighted layer needs finite entries and nonzero, finite
+    accuracy-bound factors ||W||_F^2 and M/lambda^2 (netmodel.prune_factors)."""
+    for i, layer in enumerate(net.layers, start=1):
+        if not layer.is_weighted:
+            continue
+        if not np.all(np.isfinite(layer.weights)):
+            raise ConfigError(f"{source}: layer {i} has non-finite weights")
+        try:
+            with np.errstate(over="ignore"):
+                factors = netmodel.prune_factors(layer)
+        except (ArithmeticError, ValueError):   # overflow, or zero magnitude sum
+            factors = (0.0,)
+        if not all(0.0 < f < math.inf for f in factors):
+            raise ConfigError(f"{source}: layer {i} weights are too small or too large: "
+                              f"||W||_F^2 and M/lambda^2 must be nonzero and finite")
 
 
 def _build_accuracy(block: dict) -> AccuracyParams:

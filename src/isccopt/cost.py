@@ -12,6 +12,13 @@ from .netmodel import NetworkModel
 from .sensing import sensing_cost
 
 
+# widest feature word, in bits, that a bit width q may ask for
+MAX_BITS = 64
+
+# check_feasible passes a constraint whose slack is at least -FEASIBLE_TOL
+FEASIBLE_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Scenario:
     """System constants of one deployment.
@@ -47,8 +54,12 @@ class Scenario:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.r_t < 1.0:
             raise ValueError("target accuracy must lie in [0, 1)")
-        if int(self.q_max) != self.q_max or self.q_max < 2:
-            raise ValueError("q_max must be an integer >= 2")
+        if int(self.q_max) != self.q_max or not 2 <= self.q_max <= MAX_BITS:
+            raise ValueError(f"q_max must be an integer in 2..{MAX_BITS}, got {self.q_max}")
+        if math.log2(1.0 + self.g_over_bn0 * self.p_max) <= 0.0:
+            raise ValueError(f"the SNR at p_max, g_over_bn0 * p_max = "
+                             f"{self.g_over_bn0 * self.p_max:.3g}, is too small for "
+                             f"any uplink rate (log2(1 + SNR) rounds to 0)")
         if not self.splits or len(set(self.splits)) != len(self.splits):
             raise ValueError(f"splits must be nonempty without repeats, got {self.splits}")
         if any(int(l) != l or l < 0 for l in self.splits):
@@ -100,15 +111,13 @@ def comm_cost(l: int, q: int, p_c: float, net: NetworkModel,
               sc: Scenario) -> tuple[float, float]:
     """(latency, energy) of uploading the split feature vector.
 
-    Payload is feature_dim(l) * q bits at the achievable rate; a split after
-    the last layer means fully on-device inference and costs (0, 0).
+    Payload is upload_dim(l) * q bits at the achievable rate; a split after
+    the last layer uploads nothing and costs (0, 0).
     """
-    if l == net.depth:
-        return 0.0, 0.0
     if p_c <= 0:
         raise ValueError("communication power must be positive")
     rate = comm_rate(p_c, sc)
-    t_comm = netmodel.feature_dim(net, l) * q / rate
+    t_comm = netmodel.upload_dim(net, l) * q / rate
     return t_comm, p_c * t_comm
 
 
@@ -163,17 +172,17 @@ class FeasibilityReport:
 
 def check_feasible(alloc: Allocation, net: NetworkModel, sc: Scenario,
                    terms: PenaltyTerms, ap: AccuracyParams,
-                   splits=None, tol: float = 1e-9) -> FeasibilityReport:
+                   splits=None) -> FeasibilityReport:
     """Evaluate every constraint with its slack (positive = satisfied).
 
     `splits` overrides the admissible split set (baselines use l=0 or l=L
-    outside the scenario's set). Slacks within -tol still pass, so
+    outside the scenario's set). Slacks within -FEASIBLE_TOL still pass, so
     boundary-active converged solutions report ok.
     """
     allowed = set(splits) if splits is not None else set(sc.splits)
     try:
         bound = accuracy_lower_bound(alloc, terms, ap)
-        accuracy_check = ConstraintCheck("accuracy", bound - sc.r_t >= -tol,
+        accuracy_check = ConstraintCheck("accuracy", bound - sc.r_t >= -FEASIBLE_TOL,
                                          bound - sc.r_t)
     except ValueError:
         # quantizer domain violated (e.g. q < 2): no bound exists
@@ -181,14 +190,14 @@ def check_feasible(alloc: Allocation, net: NetworkModel, sc: Scenario,
     breakdown = total_cost(alloc, net, sc)
     checks = (
         accuracy_check,
-        ConstraintCheck("latency", sc.t_max - breakdown.t_total >= -tol,
+        ConstraintCheck("latency", sc.t_max - breakdown.t_total >= -FEASIBLE_TOL,
                         sc.t_max - breakdown.t_total),
         ConstraintCheck("split", alloc.l in allowed, 0.0 if alloc.l in allowed else -1.0),
-        ConstraintCheck("prune_ratio", 0.0 < alloc.rho <= 1.0 + tol,
+        ConstraintCheck("prune_ratio", 0.0 < alloc.rho <= 1.0 + FEASIBLE_TOL,
                         min(alloc.rho, 1.0 - alloc.rho)),
-        ConstraintCheck("sensing_power", 0.0 <= alloc.p_s <= sc.p_max + tol,
+        ConstraintCheck("sensing_power", 0.0 <= alloc.p_s <= sc.p_max + FEASIBLE_TOL,
                         sc.p_max - alloc.p_s),
-        ConstraintCheck("comm_power", 0.0 < alloc.p_c <= sc.p_max + tol,
+        ConstraintCheck("comm_power", 0.0 < alloc.p_c <= sc.p_max + FEASIBLE_TOL,
                         sc.p_max - alloc.p_c),
         ConstraintCheck("edge_frequency", 0.0 < alloc.nu_e <= sc.nu_max * (1 + 1e-12),
                         sc.nu_max - alloc.nu_e),

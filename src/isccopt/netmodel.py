@@ -221,6 +221,12 @@ def feature_dim(net: NetworkModel, l: int) -> int:
     return net.layer(l).out_dim
 
 
+def upload_dim(net: NetworkModel, l: int) -> int:
+    """Number of features a split after layer l uploads: none after the
+    last layer (fully on-device inference), else feature_dim(l)."""
+    return 0 if l == net.depth else feature_dim(net, l)
+
+
 def _weight_chain(net, pruned, l):
     """Weight matrices of layers 1..l, substituting pruned copies if given."""
     mats = []
@@ -332,6 +338,13 @@ def layer_laplace_rate(layer: LayerSpec) -> float:
     return layer.weight_count / total
 
 
+def prune_factors(layer: LayerSpec) -> tuple[float, float]:
+    """(M / lambda^2, ||W||_F^2) of one weighted layer, the two per-layer
+    factors of pruning_penalty_coeff."""
+    rate = layer_laplace_rate(layer)
+    return layer.weight_count / rate**2, float(np.sum(layer.weights**2))
+
+
 def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
     """Pruning penalty coefficient of the first l layers:
 
@@ -339,14 +352,8 @@ def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
 
     with lambda_k the fitted per-layer magnitude rate.
     """
-    entries = []
-    for i in range(1, l + 1):
-        layer = net.layer(i)
-        if not layer.is_weighted:
-            continue
-        rate = layer_laplace_rate(layer)
-        sq_norm = float(np.sum(layer.weights**2))
-        entries.append((layer.weight_count / rate**2, sq_norm))
+    entries = [prune_factors(layer) for layer in map(net.layer, range(1, l + 1))
+               if layer.is_weighted]
     total = 0.0
     for k, (lead, _) in enumerate(entries):
         prod = 1.0

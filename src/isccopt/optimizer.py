@@ -51,17 +51,11 @@ class Solution:
 
 
 def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
-    """Split-dependent accuracy penalty coefficients.
-
-    The quantization coefficient is dropped for a split after the last
-    layer: nothing is transmitted there, so quantization cannot hurt.
-    """
-    prune_c = netmodel.pruning_penalty_coeff(net, l)
-    if l < net.depth:
-        quant_c = delta_coeff(net, l, ap.f_min, ap.f_max)
-    else:
-        quant_c = 0.0
-    return PenaltyTerms(prune_coeff=prune_c, quant_coeff=quant_c,
+    """Split-dependent accuracy penalty coefficients. The quantization
+    coefficient is 0 for a split after the last layer (delta_coeff): nothing
+    is uploaded there, so quantization cannot hurt."""
+    return PenaltyTerms(prune_coeff=netmodel.pruning_penalty_coeff(net, l),
+                        quant_coeff=delta_coeff(net, l, ap.f_min, ap.f_max),
                         tail_norm=netmodel.tail_norm_product(net, l))
 
 
@@ -74,7 +68,7 @@ class PairEnergy:
 
         E(rho) = t_sen * p_s(rho) + e_comm + e_comp.
 
-    q is None for the on-device split l = L (no upload). The split l = 0
+    The on-device split l = L uploads nothing (a1 = 0). The split l = 0
     uploads the raw input: no edge FLOPs, so the upload stretches to the
     budget at nu_e = nu_max. A call raises InfeasibleError where rho
     admits no feasible point; each call that returns records
@@ -85,7 +79,7 @@ class PairEnergy:
         self.l, self.q, self.net, self.sc, self.terms, self.ap = l, q, net, sc, terms, ap
         t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
         self.t2 = sc.t_max - sc.t_sen - t_server   # left for edge compute and upload
-        self.a1 = 0.0 if l == net.depth else netmodel.feature_dim(net, l) * q / sc.bandwidth
+        self.a1 = netmodel.upload_dim(net, l) * q / sc.bandwidth
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
@@ -99,9 +93,9 @@ class PairEnergy:
 
     def _power_freq(self, a2: float) -> tuple[float, float, float]:
         """Optimal (p_c, nu_e) for edge FLOPs a2 and their energy; handles
-        the no-communication (l = L) and no-computation (a2 <= 0) corners."""
+        the no-upload (a1 = 0) and no-computation (a2 <= 0) corners."""
         sc, t2, a1 = self.sc, self.t2, self.a1
-        if self.l == self.net.depth:
+        if a1 == 0.0:
             if t2 <= 0:
                 raise InfeasibleError("latency_budget", "sensing alone exceeds the deadline")
             if a2 <= 0:
@@ -206,7 +200,7 @@ class PairEnergy:
             rhos.insert(1, rho)
         rho = min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
         _, p_s, p_c, nu_e, _ = self.points[rho]
-        alloc = Allocation(l=self.l, q=self.q or 2, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
+        alloc = Allocation(l=self.l, q=self.q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
         return Solution(origin=origin, feasible=True, alloc=alloc,
                         cost=total_cost(alloc, self.net, self.sc),
                         iterations=len(self.points))
@@ -214,7 +208,7 @@ class PairEnergy:
 
 def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
                origin: str = "proposed") -> Solution:
-    """Least-energy allocation of one (l, q) pair (q is None for l = L).
+    """Least-energy allocation of one (l, q) pair.
 
     Minimizes E(rho) of PairEnergy by golden-section search over
     [rho_min, rho_max] (PairEnergy.bracket). Raises InfeasibleError when no
@@ -225,10 +219,11 @@ def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
 
 
 def _pairs(net, sc):
-    """Every admissible (l, q) pair in enumeration order; q is None for the
-    split after the last layer."""
+    """Every admissible (l, q) pair in enumeration order; a split that
+    uploads nothing (after the last layer) has the one pair (l, 2)."""
     for l in sorted(sc.splits):
-        for q in [None] if l == net.depth else range(2, sc.q_max + 1):
+        q_top = sc.q_max if netmodel.upload_dim(net, l) else 2
+        for q in range(2, q_top + 1):
             yield l, q
 
 
@@ -257,11 +252,11 @@ def _enumerate(net, sc, ap, origin, pairs, bracket):
         try:
             rhos = bracket(energy)
         except InfeasibleError as err:
-            reasons.append((l, q or 2, err.reason))
+            reasons.append((l, q, err.reason))
             continue
         bound = energy.lower_bound(*rhos)
         end = min(energy.points[r][0] for r in rhos)
-        bounded.append((bound + end, q or 2, l, bound, end, energy, rhos))
+        bounded.append((bound + end, q, l, bound, end, energy, rhos))
     best = None
     incumbent = min((b[4] for b in bounded), default=math.inf)
     for _, q, l, bound, _, energy, rhos in sorted(bounded, key=lambda b: b[:3]):
@@ -302,13 +297,14 @@ def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams) -> Solution
 
     on_server: the pair (0, q_max) at rho = 1, i.e. upload the raw
     (quantized) input and run every layer on the server.
-    on_device: split after the last layer, pruning allowed, no uplink.
+    on_device: the pair (L, 2), the split after the last layer, pruning
+    allowed, nothing uploaded.
     no_prune: full enumeration with the pruning ratio pinned to 1.
     """
     if kind == "on_server":
         pairs, bracket = [(0, sc.q_max)], PairEnergy.bracket
     elif kind == "on_device":
-        pairs, bracket = [(net.depth, None)], PairEnergy.bracket
+        pairs, bracket = [(net.depth, 2)], PairEnergy.bracket
     elif kind == "no_prune":
         pairs, bracket = _pairs(net, sc), lambda energy: energy.pin(1.0)
     else:

@@ -201,16 +201,15 @@ def grid_subproblem(ctx: SubproblemContext, sc: Scenario, grid_n: int,
                if solver_feasible else math.nan})
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    rho_n: int = 24
-    nue_n: int = 16
-    pc_n: int = 16
-    rho_lo: float = 0.05
+# grid_full's grid: rho on [GRID_RHO_LO, 1], nu_e over the top three
+# decades below nu_max, p_c over the top four decades below p_max
+GRID_RHO_N = 24
+GRID_RHO_LO = 0.05
+GRID_NUE_N = 16
+GRID_PC_N = 16
 
 
-def grid_full(net, sc: Scenario, ap: AccuracyParams,
-              grid_spec: GridSpec = GridSpec(), seed: int = 0,
+def grid_full(net, sc: Scenario, ap: AccuracyParams, seed: int = 0,
               tolerance: float = math.inf) -> OracleReport:
     """Coarse exhaustive search over (l, q, rho, nu_e, p_c) with the
     sensing power inverted per rho, against the optimizer.
@@ -223,15 +222,15 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams,
     sol = solve_scenario(net, sc, ap)
     best = math.inf
     splits = sorted(sc.splits)
-    rho_grid = np.linspace(grid_spec.rho_lo, 1.0, grid_spec.rho_n)
-    nu_grid = np.geomspace(sc.nu_max * 1e-3, sc.nu_max, grid_spec.nue_n)
-    pc_grid = np.geomspace(sc.p_max * 1e-4, sc.p_max, grid_spec.pc_n)
+    rho_grid = np.linspace(GRID_RHO_LO, 1.0, GRID_RHO_N)
+    nu_grid = np.geomspace(sc.nu_max * 1e-3, sc.nu_max, GRID_NUE_N)
+    pc_grid = np.geomspace(sc.p_max * 1e-4, sc.p_max, GRID_PC_N)
     for l in splits:
         terms = penalty_terms(net, l, ap)
         t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
         edge = np.array([netmodel.cum_flops(net, 1, l, r) for r in rho_grid])
-        qs = [None] if l == net.depth else range(2, sc.q_max + 1)
-        for q in qs:
+        n_up = netmodel.upload_dim(net, l)
+        for q in range(2, (sc.q_max if n_up else 2) + 1):
             ps = np.full(rho_grid.shape, np.nan)
             for i, r in enumerate(rho_grid):
                 try:
@@ -245,20 +244,14 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams,
             e_sen = sc.t_sen * ps
             t_edge = edge[:, None] / nu_grid[None, :]
             e_comp = sc.kappa * edge[:, None] * nu_grid[None, :] ** 2
-            if l == net.depth:
-                t_tot = sc.t_sen + t_server + t_edge
-                e_tot = e_sen[:, None] + e_comp
-                feas = ok_rho[:, None] & (t_tot <= sc.t_max)
-            else:
-                bits = netmodel.feature_dim(net, l) * q
-                rate = sc.bandwidth * np.log2(1.0 + sc.g_over_bn0 * pc_grid)
-                t_comm = bits / rate
-                e_comm = pc_grid * t_comm
-                t_tot = (sc.t_sen + t_server + t_edge[:, :, None]
-                         + t_comm[None, None, :])
-                e_tot = (e_sen[:, None, None] + e_comp[:, :, None]
-                         + e_comm[None, None, :])
-                feas = ok_rho[:, None, None] & (t_tot <= sc.t_max)
+            rate = sc.bandwidth * np.log2(1.0 + sc.g_over_bn0 * pc_grid)
+            t_comm = n_up * q / rate
+            e_comm = pc_grid * t_comm
+            t_tot = (sc.t_sen + t_server + t_edge[:, :, None]
+                     + t_comm[None, None, :])
+            e_tot = (e_sen[:, None, None] + e_comp[:, :, None]
+                     + e_comm[None, None, :])
+            feas = ok_rho[:, None, None] & (t_tot <= sc.t_max)
             if np.any(feas):
                 best = min(best, float(np.min(e_tot[feas])))
     if not sol.feasible and not math.isfinite(best):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netmodel import MP, NetworkModel, feature_dim
+from .netmodel import MP, NetworkModel, feature_dim, upload_dim
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,10 @@ def delta_coeff(net: NetworkModel, l: int, f_min: float, f_max: float) -> float:
     """Quantization penalty coefficient of a split after layer l:
     N/4 * (f_max - f_min)^2, where N is the feature size of layer l+1 when
     that layer is max-pooling (pooling shrinks the effective dimension),
-    else of layer l. l=0 means quantizing the raw input."""
-    if l < net.depth and net.layer(l + 1).kind == MP:
+    else the upload size of layer l. l=0 means quantizing the raw input; a
+    split after the last layer uploads nothing, so its coefficient is 0."""
+    n_eff = upload_dim(net, l)
+    if n_eff and net.layer(l + 1).kind == MP:
         n_eff = feature_dim(net, l + 1)
-    else:
-        n_eff = feature_dim(net, l)
     return 0.25 * n_eff * (f_max - f_min) ** 2
 

@@ -11,6 +11,10 @@ from .errors import InfeasibleError
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # bracket contraction factor
 LN2 = math.log(2.0)
+# solve_pc_nue stops when the latency is within KKT_REL_TOL of the budget,
+# and gives up after KKT_MAX_ITER steps
+KKT_REL_TOL = 1e-10
+KKT_MAX_ITER = 500
 
 
 def lambert_w0(x: float) -> float:
@@ -128,8 +132,7 @@ def min_rate_time(sc: Scenario) -> float:
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
 
 
-def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
-                 rel_tol: float = 1e-10, max_iter: int = 500) -> PowerFreqSolution:
+def solve_pc_nue(ctx: SubproblemContext, sc: Scenario) -> PowerFreqSolution:
     """Jointly optimal communication power and edge frequency.
 
     The latency constraint a1*t + a2/nu_e <= t2 is always active at the
@@ -146,7 +149,7 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
     a2/nu_e = t2 alone, so the start is at or below the root; the top of
     the bracket is the multiplier from which both t and nu_e sit at their
     bounds. A step leaving the bracket is replaced by bisection. Stops when
-    the latency matches t2 within rel_tol. Infeasible when even
+    the latency matches t2 within KKT_REL_TOL. Infeasible when even
     (p_max, nu_max) misses the deadline.
     """
     g = sc.g_over_bn0
@@ -162,7 +165,7 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
     mu_top = max(two_kappa * sc.nu_max**3, (snr * (math.log(snr) - 1.0) + 1.0) / g)
     z_lo, z_hi = math.log(two_kappa * (ctx.a2 / ctx.t2) ** 3), math.log(mu_top)
     z = z_lo
-    for _ in range(max_iter):
+    for _ in range(KKT_MAX_ITER):
         mu1 = math.exp(z)
         nu = (mu1 / two_kappa) ** (1.0 / 3.0)
         slope = 0.0   # d lat / d z
@@ -179,7 +182,7 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario,
         else:
             t = math.inf
         lat = ctx.a1 * t + ctx.a2 / nu
-        if abs(lat - ctx.t2) <= rel_tol * ctx.t2:
+        if abs(lat - ctx.t2) <= KKT_REL_TOL * ctx.t2:
             break
         if lat > ctx.t2:
             z_lo = z

@@ -137,7 +137,7 @@ class TestCriterion07PairSolverOptimality:
             any_pair = False
             for l in sorted(sc.splits):
                 terms = opt.penalty_terms(net, l, ap)
-                qs = [None] if l == net.depth else range(2, sc.q_max + 1)
+                qs = [2] if l == net.depth else range(2, sc.q_max + 1)
                 for q in qs:
                     energy = opt.PairEnergy(l, q, net, sc, terms, ap)
                     best = math.inf

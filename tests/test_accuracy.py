@@ -115,7 +115,7 @@ class TestPenaltyAndBound:
     def test_no_penalty_when_error_free(self):
         p = AccuracyParams(a=0.6, b=50.0, s=2.0)
         terms = PenaltyTerms(prune_coeff=3.0, quant_coeff=0.0, tail_norm=1.5)
-        k = penalty_factor(1.0, None, terms, p)
+        k = penalty_factor(1.0, 2, terms, p)
         assert k == 0.0
         a = alloc(p_s=0.05, rho=1.0, q=2)
         assert accuracy_lower_bound(a, terms, p) == pytest.approx(

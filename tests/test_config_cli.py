@@ -42,9 +42,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_config({"echo": {"target": {"delay": 1e-6, "doppler_hz": 0,
                                               "gain": [1, 0], "x": 1}}})
-        # removed keys: fs, the solver block and network.split_candidates
+        # removed keys: fs, the solver block, network.split_candidates and
+        # network.rates
         for raw in ({"scenario": {"fs": 1e7}}, {"solver": {"eps_rho": 1e-6}},
-                    {"network": {"split_candidates": [1, 2]}}):
+                    {"network": {"split_candidates": [1, 2]}},
+                    {"network": {"rates": [1, 1, 1, 1, 1]}}):
             with pytest.raises(ConfigError, match="unknown key"):
                 build_config(raw)
 
@@ -143,7 +145,19 @@ class TestCliSolve:
         assert "config error" in capsys.readouterr().err
 
 
-# the stock echo is 100 fast-time samples x 256 chirps
+def stock_weights_file(head):
+    """Writer of a weights file for the stock network: the entries `head`,
+    then ones."""
+    def write(tmp_path):
+        count = sum(layer.weight_count for layer in load_config(None).network.layers)
+        path = tmp_path / "weights.bin"
+        np.concatenate([head, np.ones(count - len(head))]).astype("<f8").tofile(path)
+        return str(path)
+    return write
+
+
+# the stock echo is 100 fast-time samples x 256 chirps; the stock network's
+# first layer has 150 weights
 BAD_VALUES = [
     ("scenario", "t_max", float("nan")),
     ("scenario", "nu_max", float("inf")),
@@ -163,6 +177,16 @@ BAD_VALUES = [
     ("echo", "window_len", 257),
     ("echo", "hop", 0),
     ("network", "weights_file", "no-such-weights.bin"),
+    ("network", "weights_file", stock_weights_file(np.zeros(150))),
+    ("network", "weights_file", stock_weights_file([np.nan])),
+    ("network", "rates", [0, 1, 1, 1, 1]),
+    ("network", "target_norms", [0, 2.5, 2.5, 0.6, 0.6]),
+    ("network", "target_norms", [1e-300, 2.5, 2.5, 0.6, 0.6]),
+    ("network", "target_norms", [1e300, 2.5, 2.5, 0.6, 0.6]),
+    ("network", "target_norms", []),
+    ("network", "target_norms", None),
+    ("scenario", "q_max", 65),
+    ("scenario", "p_max", 1e-300),
     # the solver block is gone: its keys are unknown and named in the message
     ("solver", "eps_rho", 0),
     ("solver", "eps_rho", float("nan")),
@@ -172,6 +196,8 @@ BAD_VALUES = [
 
 @pytest.mark.parametrize("block, key, value", BAD_VALUES)
 def test_bad_value_exits_3_with_message(tmp_path, capsys, block, key, value):
+    if callable(value):   # a file the config names, written here
+        value = value(tmp_path)
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({block: {key: value}}))   # NaN/Infinity literals
     rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
@@ -206,7 +232,7 @@ def config_overrides(draw):
 def assert_every_origin_solves_or_gives_reasons(net, sc, ap):
     """Each origin returns an allocation that passes check_feasible on the
     splits of its (l, q) pairs, or one reason per pair."""
-    every_pair = [(l, q or 2) for l, q in _pairs(net, sc)]
+    every_pair = list(_pairs(net, sc))
     pairs_of = {"proposed": every_pair, "no_prune": every_pair,
                 "on_server": [(0, sc.q_max)], "on_device": [(net.depth, 2)]}
     assert set(pairs_of) == set(ORIGINS)
@@ -251,9 +277,11 @@ class TestCliSweepAndBaseline:
         assert len(lines) == 1 + 5 * 4  # header + 5 values x 4 origins
 
     def test_sweep_bad_values(self, tmp_path):
-        rc = main(["sweep", "--axis", "t_max", "--values", "abc",
-                   "--out", str(tmp_path)])
-        assert rc == 3
+        # not a number, and an SNR too small for any uplink rate
+        for axis, values in (("t_max", "abc"), ("snr", "1e-300")):
+            rc = main(["sweep", "--axis", axis, "--values", values,
+                       "--out", str(tmp_path)])
+            assert rc == 3, values
 
     def test_baseline(self, tmp_path, capsys):
         rc = main(["baseline", "--kind", "on_device", "--out", str(tmp_path)])

@@ -179,6 +179,10 @@ class TestScenarioValidation:
             Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=1e6, nu_s=1e9,
                      kappa=1e-21, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
                      m_chirps=1000, q_max=1, splits=(1,))
+        # a feature word has at most 64 bits
+        assert make_scenario(q_max=64).q_max == 64
+        with pytest.raises(ValueError, match="q_max"):
+            make_scenario(q_max=65)
 
     def test_split_set_domain(self):
         # empty, repeated, negative and fractional split sets

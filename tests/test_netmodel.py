@@ -81,16 +81,23 @@ class TestCumFlops:
 class TestFeatureDim:
     def test_input(self, template_net):
         assert nm.feature_dim(template_net, 0) == 1024
+        assert nm.upload_dim(template_net, 0) == 1024
 
     def test_maxpool(self, template_net):
         assert nm.feature_dim(template_net, 2) == 14 * 14 * 6
 
     def test_fc(self, template_net):
         assert nm.feature_dim(template_net, 6) == 60
+        assert nm.upload_dim(template_net, 6) == 60
+        # the split after the last layer uploads nothing
+        assert nm.feature_dim(template_net, 7) == 5
+        assert nm.upload_dim(template_net, 7) == 0
 
     def test_out_of_range(self, template_net):
         with pytest.raises(IndexError):
             nm.feature_dim(template_net, 8)
+        with pytest.raises(IndexError):
+            nm.upload_dim(template_net, 8)
 
 
 class TestForward:

@@ -10,7 +10,7 @@ from isccopt import netmodel as nm
 from isccopt import optimizer as opt
 from isccopt import oracles as orc
 from isccopt.accuracy import min_pruning_ratio
-from isccopt.cost import check_feasible, total_cost
+from isccopt.cost import check_feasible, comm_cost, total_cost
 from isccopt.errors import InfeasibleError
 from util import make_scenario
 
@@ -58,13 +58,17 @@ class TestAlternateInner:
             assert 3 <= sol.iterations <= 40
 
     def test_on_device_split(self, template_net, default_scenario, default_params):
+        sc = default_scenario
         terms = opt.penalty_terms(template_net, 7, default_params)
-        sol = opt.solve_pair(7, None, template_net, default_scenario,
-                             terms, default_params)
+        sol = opt.solve_pair(7, 2, template_net, sc, terms, default_params)
         assert sol.cost.t_comm == 0.0
         assert sol.cost.e_comm == 0.0
+        # nothing is uploaded at any bit width, so the split has one pair
+        for q in range(2, sc.q_max + 1):
+            assert comm_cost(7, q, sc.p_max, template_net, sc) == (0.0, 0.0)
+        assert [p for p in opt._pairs(template_net, sc) if p[0] == 7] == [(7, 2)]
         # edge compute deadline is active
-        assert sol.cost.t_total == pytest.approx(default_scenario.t_max, rel=1e-9)
+        assert sol.cost.t_total == pytest.approx(sc.t_max, rel=1e-9)
 
     def test_infeasible_budget_raises(self, template_net, default_params):
         sc = make_scenario(t_max=0.5004, splits=(1,))
@@ -121,7 +125,7 @@ def exhaustive(kind, net, sc, ap):
     splits = [net.depth] if kind == "on_device" else sorted(sc.splits)
     for l in splits:
         terms = opt.penalty_terms(net, l, ap)
-        for q in [None] if l == net.depth else range(2, sc.q_max + 1):
+        for q in [2] if l == net.depth else range(2, sc.q_max + 1):
             try:
                 if kind == "no_prune":
                     energy = opt.PairEnergy(l, q, net, sc, terms, ap)
@@ -129,7 +133,7 @@ def exhaustive(kind, net, sc, ap):
                 else:
                     sol = opt.solve_pair(l, q, net, sc, terms, ap, origin=kind)
             except InfeasibleError as err:
-                reasons.append((l, 2 if q is None else q, err.reason))
+                reasons.append((l, q, err.reason))
                 continue
             if best is None or ((sol.e_total, sol.alloc.q, l)
                                 < (best.e_total, best.alloc.q, best.alloc.l)):
@@ -171,7 +175,7 @@ class TestBoundAndPrune:
         for net, sc, ap in criterion07_cases:
             for l in sorted(sc.splits):
                 terms = opt.penalty_terms(net, l, ap)
-                for q in [None] if l == net.depth else range(2, sc.q_max + 1):
+                for q in [2] if l == net.depth else range(2, sc.q_max + 1):
                     energy = opt.PairEnergy(l, q, net, sc, terms, ap)
                     try:
                         rho_min, rho_max = energy.bracket()

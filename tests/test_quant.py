@@ -102,7 +102,7 @@ class TestQuantErrorBound:
 
     def test_monotone_to_zero_in_bits(self):
         net = nm.NetworkModel(layers=(nm.fc(100, 64),), input_dim=64)
-        bounds = [delta_coeff(net, 1, 0.0, 1.0) * quant_error_factor(q)
+        bounds = [delta_coeff(net, 0, 0.0, 1.0) * quant_error_factor(q)
                   for q in range(2, 16)]
         assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
         assert bounds[-1] < 1e-6 * bounds[0]
@@ -137,4 +137,6 @@ class TestCalibrateRange:
 class TestDeltaCoeff:
     def test_scales_with_range_squared(self):
         net = nm.NetworkModel(layers=(nm.fc(10, 5),), input_dim=5)
-        assert delta_coeff(net, 1, 0.0, 2.0) == 4 * delta_coeff(net, 1, 0.0, 1.0)
+        assert delta_coeff(net, 0, 0.0, 2.0) == 4 * delta_coeff(net, 0, 0.0, 1.0)
+        # nothing is uploaded after the last layer
+        assert delta_coeff(net, 1, 0.0, 1.0) == 0.0

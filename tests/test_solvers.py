@@ -259,7 +259,7 @@ class TestSolveRhoPs:
             sc = make_scenario(t_max=float(rng.uniform(0.6, 1.2)),
                                r_t=float(rng.uniform(0.5, 0.9)))
             terms = penalty_terms(template_net, l, default_params)
-            q = None if l == template_net.depth else q
+            q = 2 if l == template_net.depth else q
             try:
                 sol = solve_pair(l, q, template_net, sc, terms, default_params)
             except InfeasibleError:
@@ -276,7 +276,7 @@ class TestSolveRhoPs:
         rng = np.random.default_rng(41)
         for _ in range(10):
             l = int(rng.integers(1, 8))
-            q = None if l == template_net.depth else int(rng.integers(2, 7))
+            q = 2 if l == template_net.depth else int(rng.integers(2, 7))
             terms = penalty_terms(template_net, l, default_params)
             sc = make_scenario(r_t=float(rng.uniform(0.5, 0.9)))
             vals = feasible_energies(
