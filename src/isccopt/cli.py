@@ -167,8 +167,8 @@ def _validate_suites(cfg: RunConfig, args):
         rng = np.random.default_rng(seed + 301)
         reports = []
         for i in range(20):
-            ctx, sc = oracles.random_power_freq_context(rng)
-            reports.append(oracles.grid_subproblem(ctx, sc, args.grid_n, seed=seed + i))
+            abc, sc = oracles.random_power_freq_context(rng)
+            reports.append(oracles.grid_subproblem(*abc, sc, args.grid_n, seed=seed + i))
         return reports
 
     suites["power-freq-grid"] = power_freq

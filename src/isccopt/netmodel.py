@@ -204,14 +204,32 @@ def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0) -> fl
     return sum(flops(net.layer(l), rho) for l in range(l_from, l_to + 1))
 
 
-def cum_flops_affine(net: NetworkModel, l_from: int, l_to: int) -> tuple[float, float]:
-    """(slope, intercept) of the unclamped affine form of cum_flops."""
-    slope = intercept = 0.0
-    for l in range(l_from, l_to + 1):
-        s, c = flops_affine(net.layer(l))
-        slope += s
-        intercept += c
-    return slope, intercept
+def max_rho(net: NetworkModel, l: int, cap: float) -> float:
+    """Largest rho in (0, 1] with cum_flops(net, 1, l, rho) <= cap, or 0.0
+    when there is none.
+
+    cum_flops is a sum of max(0, slope*rho + intercept) terms, so it is
+    continuous, nondecreasing and affine between the layers' clamp points
+    -intercept/slope. The walk starts with every layer on the piece that
+    ends at rho = 1 and solves the affine equation there; a root below the
+    piece's highest clamp point drops the layers that clamp there (they
+    contribute nothing below it) and moves one piece down.
+    """
+    if cap < 0.0:   # FLOP counts are never negative
+        return 0.0
+    pieces = [flops_affine(net.layer(i)) for i in range(1, l + 1)]
+    hi = 1.0
+    while True:
+        slope = sum(s for s, _ in pieces)
+        intercept = sum(c for _, c in pieces)
+        if slope <= 0.0:   # only fixed FLOPs (max-pooling) are left
+            return hi if intercept <= cap else 0.0
+        lo = max(-c / s for s, c in pieces if s > 0.0)
+        rho = (cap - intercept) / slope
+        if rho >= lo:
+            return min(rho, hi)
+        pieces = [(s, c) for s, c in pieces if s == 0.0 or -c / s < lo]
+        hi = lo
 
 
 def feature_dim(net: NetworkModel, l: int) -> int:

@@ -15,8 +15,7 @@ from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
 from .cost import Allocation, CostBreakdown, Scenario, total_cost
 from .errors import InfeasibleError
 from .quant import delta_coeff
-from .solvers import (SubproblemContext, golden_section, min_rate_time,
-                      solve_pc_nue)
+from .solvers import golden_section, min_rate_time, solve_pc_nue
 
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
 
@@ -68,11 +67,11 @@ class PairEnergy:
 
         E(rho) = t_sen * p_s(rho) + e_comm + e_comp.
 
-    The on-device split l = L uploads nothing (a1 = 0). The split l = 0
-    uploads the raw input: no edge FLOPs, so the upload stretches to the
-    budget at nu_e = nu_max. A call raises InfeasibleError where rho
-    admits no feasible point; each call that returns records
-    (energy, p_s, p_c, nu_e, e_edge) in `points`.
+    The on-device split l = L uploads nothing (a1 = 0), and the split l = 0
+    computes nothing on the edge (a2 = 0); solve_pc_nue covers both
+    corners. A call raises InfeasibleError where rho admits no feasible
+    point; each call that returns records (energy, p_s, p_c, nu_e, e_edge)
+    in `points`.
     """
 
     def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams):
@@ -86,67 +85,20 @@ class PairEnergy:
         sc = self.sc
         p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
         a2 = netmodel.cum_flops(self.net, 1, self.l, rho)
-        p_c, nu_e, e_edge = self._power_freq(a2)
-        energy = sc.t_sen * p_s + e_edge
-        self.points[rho] = energy, p_s, p_c, nu_e, e_edge
+        edge = solve_pc_nue(self.a1, a2, self.t2, sc)
+        energy = sc.t_sen * p_s + edge.energy
+        self.points[rho] = energy, p_s, edge.p_c, edge.nu_e, edge.energy
         return energy
-
-    def _power_freq(self, a2: float) -> tuple[float, float, float]:
-        """Optimal (p_c, nu_e) for edge FLOPs a2 and their energy; handles
-        the no-upload (a1 = 0) and no-computation (a2 <= 0) corners."""
-        sc, t2, a1 = self.sc, self.t2, self.a1
-        if a1 == 0.0:
-            if t2 <= 0:
-                raise InfeasibleError("latency_budget", "sensing alone exceeds the deadline")
-            if a2 <= 0:
-                return sc.p_max, sc.nu_max, 0.0
-            nu_req = a2 / t2
-            if nu_req > sc.nu_max * (1.0 + 1e-12):
-                raise InfeasibleError("latency_budget",
-                                      f"needs {nu_req:.4g} FLOP/s > {sc.nu_max:.4g}")
-            nu_e = min(nu_req, sc.nu_max)
-            return sc.p_max, nu_e, sc.kappa * a2 * nu_e**2
-        if a2 <= 0:
-            # nothing to compute on the edge: stretch transmission to the budget
-            t_star = t2 / a1
-            if t_star < min_rate_time(sc):
-                raise InfeasibleError("latency_budget",
-                                      "upload misses the deadline even at p_max")
-            p_c = math.expm1(math.log(2.0) / t_star) / sc.g_over_bn0
-            return p_c, sc.nu_max, p_c * t2
-        sol = solve_pc_nue(SubproblemContext(a1=a1, a2=a2, t2=t2), sc)
-        return sol.p_c, sol.nu_e, sol.p_c * a1 * sol.t + sc.kappa * a2 * sol.nu_e**2
 
     def rho_max(self) -> float:
         """Largest rho whose edge FLOPs meet the deadline at (p_max, nu_max):
         a1*t_min + cum_flops(1..l, rho)/nu_max <= t2."""
-        sc, net, l = self.sc, self.net, self.l
-        cap = (self.t2 - self.a1 * min_rate_time(sc)) * sc.nu_max
-        if cap <= 0:
-            raise InfeasibleError(
-                "latency_budget",
-                f"no time left for edge compute (t2={self.t2:.6g} s)")
-        slope, intercept = netmodel.cum_flops_affine(net, 1, l)
-        if slope <= 0.0:
-            if intercept > cap:
-                raise InfeasibleError("latency_budget", "fixed edge FLOPs exceed budget")
-            return 1.0
-        rho_max = (cap - intercept) / slope
+        cap = (self.t2 - self.a1 * min_rate_time(self.sc)) * self.sc.nu_max
+        rho_max = netmodel.max_rho(self.net, self.l, cap)
         if rho_max <= RHO_FLOOR:
             raise InfeasibleError(
                 "latency_budget",
-                f"edge compute misses deadline at any rho (rho_max={rho_max:.3g})")
-        rho_max = min(rho_max, 1.0)
-        # guard the closed form against the per-layer clamp at tiny rho
-        if netmodel.cum_flops(net, 1, l, rho_max) > cap * (1.0 + 1e-12):
-            lo, hi = RHO_FLOOR, rho_max
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if netmodel.cum_flops(net, 1, l, mid) <= cap:
-                    lo = mid
-                else:
-                    hi = mid
-            rho_max = lo
+                f"edge compute misses the deadline at any rho (budget {cap:.6g} FLOPs)")
         return rho_max
 
     def bracket(self) -> tuple[float, float]:
@@ -242,6 +194,8 @@ def _enumerate(net, sc, ap, origin, pairs, bracket):
     answer, so the answer is the least (e_total, q, l) over all pairs, with
     its `iterations`, as if every pair were searched.
     """
+    if not all(0 <= l <= net.depth for l in sc.splits):
+        raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     reasons = []
     bounded = []
     terms = {}

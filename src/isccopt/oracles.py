@@ -23,7 +23,7 @@ from .errors import InfeasibleError
 from .netmodel import forward, prune, pruning_error_bound, random_fc_network
 from .optimizer import penalty_terms, solve_scenario
 from .quant import QuantSpec, calibrate_range, quantize_vector
-from .solvers import SubproblemContext, min_rate_time, solve_pc_nue
+from .solvers import min_rate_time, solve_pc_nue
 
 
 @dataclass(frozen=True)
@@ -153,21 +153,22 @@ def mc_quant_check(spec: QuantSpec, n: int, trials: int, seed: int) -> OracleRep
                "bias_sigmas": abs(bias) / sigma_bias, "bits": spec.bits})
 
 
-def grid_subproblem(ctx: SubproblemContext, sc: Scenario, grid_n: int,
+def grid_subproblem(a1: float, a2: float, t2: float, sc: Scenario, grid_n: int,
                     seed: int = 0, tolerance: float = 5e-3) -> OracleReport:
-    """Exhaustive (t, nu_e) grid against the KKT power/frequency solver.
+    """Exhaustive (t, nu_e) grid against the KKT power/frequency solver of
+    the subproblem (a1, a2, t2) with a1, a2 > 0 (see solve_pc_nue).
 
     Grid energy is evaluated from the raw formulas; the solver must come
     within `tolerance` relative of the best feasible grid point (it should
     be below it, up to ties).
     """
     t_min = min_rate_time(sc)
-    t_hi = ctx.t2 / ctx.a1
+    t_hi = t2 / a1
     grid_feasible = t_hi >= t_min
     try:
-        sol = solve_pc_nue(ctx, sc)
-        solver_obj = (ctx.a1 * math.expm1(math.log(2.0) / sol.t) * sol.t
-                      / sc.g_over_bn0 + sc.kappa * ctx.a2 * sol.nu_e**2)
+        sol = solve_pc_nue(a1, a2, t2, sc)
+        solver_obj = (a1 * math.expm1(math.log(2.0) / sol.t) * sol.t
+                      / sc.g_over_bn0 + sc.kappa * a2 * sol.nu_e**2)
         solver_feasible = True
     except InfeasibleError:
         solver_obj = math.inf
@@ -176,9 +177,9 @@ def grid_subproblem(ctx: SubproblemContext, sc: Scenario, grid_n: int,
     if grid_feasible:
         t = np.linspace(t_min, t_hi, grid_n)
         nu = np.geomspace(sc.nu_max * 1e-4, sc.nu_max, grid_n)
-        energy = (ctx.a1 * np.expm1(np.log(2.0) / t)[:, None] * t[:, None]
-                  / sc.g_over_bn0 + sc.kappa * ctx.a2 * nu[None, :] ** 2)
-        feasible = ctx.a1 * t[:, None] + ctx.a2 / nu[None, :] <= ctx.t2
+        energy = (a1 * np.expm1(np.log(2.0) / t)[:, None] * t[:, None]
+                  / sc.g_over_bn0 + sc.kappa * a2 * nu[None, :] ** 2)
+        feasible = a1 * t[:, None] + a2 / nu[None, :] <= t2
         if np.any(feasible):
             best = float(np.min(energy[feasible]))
         else:
@@ -197,7 +198,7 @@ def grid_subproblem(ctx: SubproblemContext, sc: Scenario, grid_n: int,
         name="power-freq-grid", trials=grid_n**2, passed=violation <= tolerance,
         worst_violation=violation, tolerance=tolerance, seed=seed,
         stats={"solver_energy": solver_obj, "grid_energy": best,
-               "latency_slack": ctx.t2 - (ctx.a1 * sol.t + ctx.a2 / sol.nu_e)
+               "latency_slack": t2 - (a1 * sol.t + a2 / sol.nu_e)
                if solver_feasible else math.nan})
 
 
@@ -407,7 +408,8 @@ def random_test_case(rng):
 
 
 def random_power_freq_context(rng):
-    """Random feasible (context, scenario) pair for the KKT solver oracle."""
+    """Random feasible subproblem ((a1, a2, t2), scenario) for the KKT solver
+    oracle, with a1, a2 > 0."""
     g = float(10.0 ** rng.uniform(0.0, 2.0))
     nu_max = float(10.0 ** rng.uniform(5.0, 7.0))
     kappa = float(10.0 ** rng.uniform(-22.0, -19.0))
@@ -418,4 +420,4 @@ def random_power_freq_context(rng):
                   m_chirps=1000, q_max=4, splits=(1,))
     floor = a1 * min_rate_time(sc) + a2 / nu_max
     t2 = floor * float(rng.uniform(1.05, 4.0))
-    return SubproblemContext(a1=a1, a2=a2, t2=t2), sc
+    return (a1, a2, t2), sc

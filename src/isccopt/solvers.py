@@ -4,7 +4,7 @@ closed form for the communication-power / edge-frequency subproblem."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cost import Scenario
 from .errors import InfeasibleError
@@ -102,29 +102,12 @@ def golden_section(f, lb: float, ub: float, eps: float, stop=None) -> float | No
     return 0.5 * (lb + ub)
 
 
-@dataclass(frozen=True)
-class SubproblemContext:
-    """Constants of the power/frequency subproblem: a1 = payload/bandwidth
-    (seconds per inverse-rate unit), a2 = edge FLOPs, t2 = latency budget
-    left after sensing and server compute."""
-
-    a1: float
-    a2: float
-    t2: float
-
-    def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0:
-            raise ValueError("a1 and a2 must be positive")
-        if not math.isfinite(self.t2):
-            raise ValueError("t2 must be finite")
-
-
-@dataclass(frozen=True)
-class PowerFreqSolution:
+class PowerFreqSolution(NamedTuple):
     p_c: float
     nu_e: float
     t: float       # inverse spectral efficiency 1/log2(1+SNR)
     mu1: float     # multiplier of the latency constraint
+    energy: float  # p_c * a1 * t + kappa * a2 * nu_e^2
 
 
 def min_rate_time(sc: Scenario) -> float:
@@ -132,12 +115,22 @@ def min_rate_time(sc: Scenario) -> float:
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
 
 
-def solve_pc_nue(ctx: SubproblemContext, sc: Scenario) -> PowerFreqSolution:
-    """Jointly optimal communication power and edge frequency.
+def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolution:
+    """Jointly optimal communication power and edge frequency: the least
+    a1*t*p_c + kappa*a2*nu_e^2 subject to a1*t + a2/nu_e <= t2, where a1 is
+    payload/bandwidth, a2 the edge FLOPs, t2 the latency budget left after
+    sensing and server compute, and t = 1/log2(1 + g_over_bn0*p_c).
 
-    The latency constraint a1*t + a2/nu_e <= t2 is always active at the
-    optimum (energy falls monotonically toward the deadline), so the
-    multiplier mu1 solves lat(mu1) = t2 on the monotone latency map
+    Infeasible when even (p_max, nu_max) misses the deadline. Nothing
+    uploaded (a1 = 0): p_c = p_max and nu_e is the slowest frequency that
+    meets the budget, mu1 = 2*kappa*nu_e^3 (0 when a2 = 0 too, as the
+    deadline is then slack). Nothing computed on the edge
+    (a2 = 0): the upload stretches to the budget at nu_e = nu_max, and mu1
+    is the stationary multiplier of t.
+
+    Otherwise the latency constraint is active at the optimum (energy falls
+    monotonically toward the deadline), so the multiplier mu1 solves
+    lat(mu1) = t2 on the monotone latency map
 
         t(mu1)    = max(ln2 / (1 + W((mu1 * g_over_bn0 - 1)/e)), t_min)
         nu_e(mu1) = min(nu_max, (mu1 / (2*kappa))^(1/3)),
@@ -149,28 +142,39 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario) -> PowerFreqSolution:
     a2/nu_e = t2 alone, so the start is at or below the root; the top of
     the bracket is the multiplier from which both t and nu_e sit at their
     bounds. A step leaving the bracket is replaced by bisection. Stops when
-    the latency matches t2 within KKT_REL_TOL. Infeasible when even
-    (p_max, nu_max) misses the deadline.
+    the latency matches t2 within KKT_REL_TOL.
     """
+    if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
+        raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
     g = sc.g_over_bn0
     t_min = min_rate_time(sc)
-    floor = ctx.a1 * t_min + ctx.a2 / sc.nu_max
-    if floor > ctx.t2 * (1.0 + 1e-12):
+    floor = a1 * t_min + a2 / sc.nu_max
+    if floor > t2 * (1.0 + 1e-12) or t2 <= 0:
         raise InfeasibleError(
             "latency_budget",
-            f"best achievable latency {floor:.6g} s > budget {ctx.t2:.6g} s")
+            f"best achievable latency {floor:.6g} s > budget {t2:.6g} s")
     two_kappa = 2.0 * sc.kappa
+    if a1 == 0.0:
+        nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
+        return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0,
+                                 sc.kappa * a2 * nu**2)
+    if a2 == 0.0:
+        t = max(t2 / a1, t_min)
+        z = LN2 / t
+        p_c = math.expm1(z) / g
+        return PowerFreqSolution(p_c, sc.nu_max, t, ((z - 1.0) * math.exp(z) + 1.0) / g,
+                                 p_c * t2)
     # the stationary inverse rate reaches t_min where 1 + W = ln(1 + g*p_max)
     snr = 1.0 + g * sc.p_max
     mu_top = max(two_kappa * sc.nu_max**3, (snr * (math.log(snr) - 1.0) + 1.0) / g)
-    z_lo, z_hi = math.log(two_kappa * (ctx.a2 / ctx.t2) ** 3), math.log(mu_top)
+    z_lo, z_hi = math.log(two_kappa * (a2 / t2) ** 3), math.log(mu_top)
     z = z_lo
     for _ in range(KKT_MAX_ITER):
         mu1 = math.exp(z)
         nu = (mu1 / two_kappa) ** (1.0 / 3.0)
         slope = 0.0   # d lat / d z
         if nu < sc.nu_max:
-            slope -= ctx.a2 / (3.0 * nu)
+            slope -= a2 / (3.0 * nu)
         else:
             nu = sc.nu_max
         w = lambert_w0((mu1 * g - 1.0) / math.e)
@@ -178,20 +182,20 @@ def solve_pc_nue(ctx: SubproblemContext, sc: Scenario) -> PowerFreqSolution:
             t = t_min
         elif w > -1.0:
             t = LN2 / (1.0 + w)
-            slope -= ctx.a1 * t * mu1 * g / (math.exp(w + 1.0) * (1.0 + w) ** 2)
+            slope -= a1 * t * mu1 * g / (math.exp(w + 1.0) * (1.0 + w) ** 2)
         else:
             t = math.inf
-        lat = ctx.a1 * t + ctx.a2 / nu
-        if abs(lat - ctx.t2) <= KKT_REL_TOL * ctx.t2:
+        lat = a1 * t + a2 / nu
+        if abs(lat - t2) <= KKT_REL_TOL * t2:
             break
-        if lat > ctx.t2:
+        if lat > t2:
             z_lo = z
         else:
             z_hi = z
-        step = (lat - ctx.t2) / slope if slope < 0.0 else math.nan
+        step = (lat - t2) / slope if slope < 0.0 else math.nan
         z = z - step if z_lo < z - step < z_hi else 0.5 * (z_lo + z_hi)
     else:
         raise InfeasibleError("bisection_bracket",
-                              f"latency {lat:.12g} s vs budget {ctx.t2:.12g} s")
+                              f"latency {lat:.12g} s vs budget {t2:.12g} s")
     p_c = math.expm1(LN2 / t) / g
-    return PowerFreqSolution(p_c=p_c, nu_e=nu, t=t, mu1=mu1)
+    return PowerFreqSolution(p_c, nu, t, mu1, p_c * a1 * t + sc.kappa * a2 * nu**2)

@@ -68,14 +68,15 @@ class TestCriterion04PowerFreqOptimality:
         worst_lat = 0.0
         worst_kkt = 0.0
         for i in range(20):
-            ctx, sc = orc.random_power_freq_context(rng)
-            rep = orc.grid_subproblem(ctx, sc, 400, seed=i, tolerance=5e-3)
+            abc, sc = orc.random_power_freq_context(rng)
+            a1, a2, t2 = abc
+            rep = orc.grid_subproblem(*abc, sc, 400, seed=i, tolerance=5e-3)
             assert rep.passed, rep.stats
             worst_gap = max(worst_gap, rep.worst_violation)
-            sol = solve_pc_nue(ctx, sc)
-            lat = abs(ctx.a1 * sol.t + ctx.a2 / sol.nu_e - ctx.t2) / ctx.t2
+            sol = solve_pc_nue(*abc, sc)
+            lat = abs(a1 * sol.t + a2 / sol.nu_e - t2) / t2
             worst_lat = max(worst_lat, lat)
-            worst_kkt = max(worst_kkt, max(kkt_residuals(ctx, sc, sol)))
+            worst_kkt = max(worst_kkt, max(kkt_residuals(abc, sc, sol)))
         ok = worst_gap <= 5e-3 and worst_lat <= 1e-9 and worst_kkt <= 1e-8
         report(4, ok,
                f"power/frequency solver vs 400x400 grid: worst rel gap "

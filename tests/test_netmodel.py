@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isccopt import netmodel as nm
+from util import max_rho_bisection
 
 
 def small_fc_net(weights):
@@ -76,6 +79,46 @@ class TestCumFlops:
             nm.cum_flops(two_fc, 0, 2)
         with pytest.raises(IndexError):
             nm.cum_flops(two_fc, 1, 3)
+
+
+def max_rho_caps(net, l):
+    """Caps around every clamp point of layers 1..l, below the fixed
+    (max-pooling) FLOPs, and at and above the FLOPs at rho = 1."""
+    fixed = sum(c for s, c in map(nm.flops_affine, net.layers[:l]) if s == 0.0)
+    clamps = [-c / s for s, c in map(nm.flops_affine, net.layers[:l]) if s > 0.0]
+    caps = [0.5 * fixed, -1.0]
+    for rho in clamps + [0.01, 0.3, 1.0]:
+        flops = nm.cum_flops(net, 1, l, rho)
+        caps += [flops * (1.0 - 1e-6), flops, flops * (1.0 + 1e-6) + 1e-3]
+    return caps
+
+
+class TestMaxRho:
+    def test_stock_net_matches_bisection(self, template_net):
+        for l in range(1, template_net.depth + 1):
+            for cap in max_rho_caps(template_net, l):
+                assert nm.max_rho(template_net, l, cap) == pytest.approx(
+                    max_rho_bisection(template_net, l, cap), rel=1e-12, abs=0.0), (l, cap)
+
+    def test_below_the_fixed_flops_is_none(self, template_net):
+        # the max-pooling FLOPs of layers 1..2 do not shrink with rho
+        fixed = nm.flops(template_net.layer(2))
+        assert nm.max_rho(template_net, 2, 0.5 * fixed) == 0.0
+        assert nm.max_rho(template_net, 2, 1e12) == 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=6),
+           st.integers(1, 5), st.floats(-0.1, 1.2))
+    def test_random_fc_stacks_match_bisection(self, dims, l, frac):
+        net = nm.random_fc_network(dims, [1.0] * (len(dims) - 1),
+                                   np.random.default_rng(0))
+        l = min(l, net.depth)
+        cap = frac * nm.cum_flops(net, 1, l, 1.0)
+        assert nm.max_rho(net, l, cap) == pytest.approx(
+            max_rho_bisection(net, l, cap), rel=1e-12, abs=0.0)
+        for cap in max_rho_caps(net, l):
+            assert nm.max_rho(net, l, cap) == pytest.approx(
+                max_rho_bisection(net, l, cap), rel=1e-12, abs=0.0), cap
 
 
 class TestFeatureDim:

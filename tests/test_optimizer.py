@@ -12,6 +12,7 @@ from isccopt import oracles as orc
 from isccopt.accuracy import min_pruning_ratio
 from isccopt.cost import check_feasible, comm_cost, total_cost
 from isccopt.errors import InfeasibleError
+from isccopt.solvers import min_rate_time
 from util import make_scenario
 
 
@@ -36,7 +37,7 @@ class TestPenaltyTerms:
             nm.pruning_penalty_coeff(template_net, 3))
 
 
-class TestAlternateInner:
+class TestSolvePair:
     """Per-pair cases of the pair solver."""
 
     def test_returns_least_evaluated_energy(self, template_net,
@@ -75,6 +76,19 @@ class TestAlternateInner:
         terms = opt.penalty_terms(template_net, 1, default_params)
         with pytest.raises(InfeasibleError):
             opt.solve_pair(1, 6, template_net, sc, terms, default_params)
+
+    def test_edge_flops_over_budget_at_every_rho(self, template_net, default_params):
+        # at t_max = 0.501 layers 1..5 need more FLOPs at rho = RHO_FLOOR than
+        # the deadline leaves at nu_max: the deadline, not the accuracy
+        # target, rules the pair out
+        sc = make_scenario(t_max=0.501)
+        terms = opt.penalty_terms(template_net, 5, default_params)
+        energy = opt.PairEnergy(5, 2, template_net, sc, terms, default_params)
+        cap = (energy.t2 - energy.a1 * min_rate_time(sc)) * sc.nu_max
+        assert nm.cum_flops(template_net, 1, 5, opt.RHO_FLOOR) > cap > 0
+        with pytest.raises(InfeasibleError) as err:
+            energy.bracket()
+        assert err.value.reason == "latency_budget"
 
 
 class TestSolveScenario:
@@ -286,6 +300,16 @@ class TestBaselines:
                                  default_params)
         assert sol.feasible
         assert sol.alloc.rho == 1.0
+
+    @pytest.mark.parametrize("origin", opt.ORIGINS)
+    def test_split_above_depth_rejected(self, template_net, default_scenario,
+                                        default_params, origin):
+        sc = replace(default_scenario, splits=(9,))
+        with pytest.raises(ValueError, match=r"must lie in 0\.\.7"):
+            if origin == "proposed":
+                opt.solve_scenario(template_net, sc, default_params)
+            else:
+                opt.solve_baseline(origin, template_net, sc, default_params)
 
     def test_unknown_kind(self, template_net, default_scenario, default_params):
         with pytest.raises(ValueError):

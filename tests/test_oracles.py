@@ -5,7 +5,7 @@ import pytest
 
 from isccopt import oracles as orc
 from isccopt.quant import QuantSpec
-from isccopt.solvers import SubproblemContext, min_rate_time
+from isccopt.solvers import min_rate_time
 from util import make_scenario
 
 
@@ -81,14 +81,13 @@ class TestGridSubproblem:
                       kappa=1e-20, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
                       m_chirps=1000, q_max=4, splits=(1,))
         floor = 0.05 * min_rate_time(sc) + 1e4 / sc.nu_max
-        ctx = SubproblemContext(a1=0.05, a2=1e4, t2=floor)
-        rep = orc.grid_subproblem(ctx, sc, 100, seed=0)
+        rep = orc.grid_subproblem(0.05, 1e4, floor, sc, 100, seed=0)
         assert rep.passed
 
     def test_random_contexts(self, rng):
         for i in range(10):
-            ctx, sc = orc.random_power_freq_context(rng)
-            rep = orc.grid_subproblem(ctx, sc, 200, seed=i)
+            abc, sc = orc.random_power_freq_context(rng)
+            rep = orc.grid_subproblem(*abc, sc, 200, seed=i)
             assert rep.passed, rep.stats
 
     def test_both_infeasible(self):
@@ -97,8 +96,7 @@ class TestGridSubproblem:
                       kappa=1e-20, bandwidth=1e5, g_over_bn0=100.0, t0=1e-5,
                       m_chirps=1000, q_max=4, splits=(1,))
         floor = 0.05 * min_rate_time(sc) + 1e4 / sc.nu_max
-        ctx = SubproblemContext(a1=0.05, a2=1e4, t2=floor * 0.5)
-        rep = orc.grid_subproblem(ctx, sc, 50, seed=0)
+        rep = orc.grid_subproblem(0.05, 1e4, floor * 0.5, sc, 50, seed=0)
         assert rep.passed
         assert rep.stats.get("both_infeasible") == 1.0
 
@@ -162,6 +160,6 @@ class TestRandomCases:
 
     def test_power_freq_context_feasible(self, rng):
         for _ in range(20):
-            ctx, sc = orc.random_power_freq_context(rng)
-            floor = ctx.a1 * min_rate_time(sc) + ctx.a2 / sc.nu_max
-            assert ctx.t2 >= floor
+            (a1, a2, t2), sc = orc.random_power_freq_context(rng)
+            floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
+            assert t2 >= floor

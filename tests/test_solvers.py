@@ -7,8 +7,8 @@ from isccopt import solvers
 from isccopt.errors import InfeasibleError
 from isccopt.optimizer import PairEnergy, penalty_terms, solve_pair
 from isccopt.oracles import random_power_freq_context
-from isccopt.solvers import (INV_GOLDEN, SubproblemContext, golden_section,
-                             lambert_w0, min_rate_time, solve_pc_nue)
+from isccopt.solvers import (INV_GOLDEN, golden_section, lambert_w0,
+                             min_rate_time, solve_pc_nue)
 from util import (kkt_residuals, make_scenario, pc_objective,
                   t_stationary_rootfind)
 
@@ -146,8 +146,8 @@ class TestTStationary:
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(400):
-            ctx, sc = random_power_freq_context(rng)
-            sol = solve_pc_nue(ctx, sc)
+            abc, sc = random_power_freq_context(rng)
+            sol = solve_pc_nue(*abc, sc)
             if sol.t > min_rate_time(sc):
                 checked += 1
                 assert sol.t == pytest.approx(
@@ -159,53 +159,84 @@ class TestSolvePcNue:
     def test_boundary_active_corner(self):
         sc = make_scenario()
         t_min = min_rate_time(sc)
-        ctx = SubproblemContext(a1=0.01, a2=1e5, t2=0.01 * t_min + 1e5 / sc.nu_max)
-        sol = solve_pc_nue(ctx, sc)
+        sol = solve_pc_nue(0.01, 1e5, 0.01 * t_min + 1e5 / sc.nu_max, sc)
         assert sol.p_c == pytest.approx(sc.p_max, rel=1e-6)
         assert sol.nu_e == pytest.approx(sc.nu_max, rel=1e-6)
 
     def test_latency_active_with_slack_budget(self):
         sc = make_scenario()
-        ctx = SubproblemContext(a1=0.02, a2=2e5, t2=0.25)
-        sol = solve_pc_nue(ctx, sc)
-        lat = ctx.a1 * sol.t + ctx.a2 / sol.nu_e
-        assert lat == pytest.approx(ctx.t2, rel=1e-9)
+        a1, a2, t2 = 0.02, 2e5, 0.25
+        sol = solve_pc_nue(a1, a2, t2, sc)
+        assert a1 * sol.t + a2 / sol.nu_e == pytest.approx(t2, rel=1e-9)
+        assert sol.energy == pytest.approx(pc_objective((a1, a2, t2), sc, sol.t, sol.nu_e),
+                                           rel=1e-12)
 
     def test_infeasible_budget(self):
         sc = make_scenario()
         t_min = min_rate_time(sc)
         floor = 0.01 * t_min + 1e5 / sc.nu_max
         with pytest.raises(InfeasibleError) as err:
-            solve_pc_nue(SubproblemContext(a1=0.01, a2=1e5, t2=floor * 0.9), sc)
+            solve_pc_nue(0.01, 1e5, floor * 0.9, sc)
+        assert err.value.reason == "latency_budget"
+
+    @pytest.mark.parametrize("a1, a2", [(0.0, 1e5), (0.01, 0.0), (0.0, 0.0)],
+                             ids=["no-upload", "no-edge-compute", "neither"])
+    def test_corners(self, a1, a2):
+        # nothing uploaded: p_max and the slowest frequency meeting the
+        # budget; nothing computed on the edge: the upload stretches to the
+        # budget at nu_max; neither: zero energy. Just past each corner's
+        # floor the budget is missed.
+        sc = make_scenario()
+        floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
+        t2 = 2.0 * floor or 0.1
+        sol = solve_pc_nue(a1, a2, t2, sc)
+        if a1 == 0.0:
+            assert sol.p_c == sc.p_max
+            assert sol.nu_e == (a2 / t2 if a2 else sc.nu_max)
+            assert sol.energy == sc.kappa * a2 * sol.nu_e**2
+        else:
+            assert sol.t == t2 / a1
+            assert sol.nu_e == sc.nu_max
+            assert sol.energy == pytest.approx(pc_objective((a1, a2, t2), sc, sol.t, sol.nu_e),
+                                               rel=1e-12)
+        assert (sol.energy == 0.0) == (a1 == a2 == 0.0)
+        assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-12
+        if floor:
+            solve_pc_nue(a1, a2, floor, sc)
+        with pytest.raises(InfeasibleError) as err:
+            solve_pc_nue(a1, a2, floor * (1.0 - 1e-9), sc)
         assert err.value.reason == "latency_budget"
 
     def test_against_fine_grid(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            ctx, sc = random_power_freq_context(rng)
-            sol = solve_pc_nue(ctx, sc)
-            t = np.linspace(min_rate_time(sc), ctx.t2 / ctx.a1, 300)
+            abc, sc = random_power_freq_context(rng)
+            a1, a2, t2 = abc
+            sol = solve_pc_nue(*abc, sc)
+            t = np.linspace(min_rate_time(sc), t2 / a1, 300)
             nu = np.geomspace(sc.nu_max * 1e-4, sc.nu_max, 300)
-            energy = (ctx.a1 * np.expm1(math.log(2.0) / t)[:, None] * t[:, None]
-                      / sc.g_over_bn0 + sc.kappa * ctx.a2 * nu[None, :] ** 2)
-            feas = ctx.a1 * t[:, None] + ctx.a2 / nu[None, :] <= ctx.t2
+            energy = (a1 * np.expm1(math.log(2.0) / t)[:, None] * t[:, None]
+                      / sc.g_over_bn0 + sc.kappa * a2 * nu[None, :] ** 2)
+            feas = a1 * t[:, None] + a2 / nu[None, :] <= t2
             best = float(np.min(energy[feas]))
-            got = pc_objective(ctx, sc, sol.t, sol.nu_e)
+            got = pc_objective(abc, sc, sol.t, sol.nu_e)
             assert got <= best * (1 + 5e-3)
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
-            ctx, sc = random_power_freq_context(rng)
-            sol = solve_pc_nue(ctx, sc)
-            res = kkt_residuals(ctx, sc, sol)
+            abc, sc = random_power_freq_context(rng)
+            sol = solve_pc_nue(*abc, sc)
+            res = kkt_residuals(abc, sc, sol)
             assert max(res) <= 1e-8
 
     def test_a_constants_validated(self):
-        with pytest.raises(ValueError):
-            SubproblemContext(a1=0.0, a2=1.0, t2=1.0)
-        with pytest.raises(ValueError):
-            SubproblemContext(a1=1.0, a2=-1.0, t2=1.0)
+        # a negative payload or FLOP count, or a budget that is not finite
+        sc = make_scenario()
+        for a1, a2, t2 in ((-1e-3, 1.0, 1.0), (1.0, -1.0, 1.0), (math.nan, 1.0, 1.0),
+                           (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)):
+            with pytest.raises(ValueError):
+                solve_pc_nue(a1, a2, t2, sc)
 
 
 def rho_context(template_net, default_params, **kw):
@@ -226,9 +257,9 @@ def feasible_energies(energy, grid):
     return np.array(vals)
 
 
-class TestSolveRhoPs:
-    """The pruning-ratio cases, run on the pair solver's search over the
-    joint energy E(rho)."""
+class TestPairRhoSearch:
+    """The pruning-ratio cases of the pair solver's search over the joint
+    energy E(rho)."""
 
     def test_zero_target_returns_lower_bracket(self, template_net, default_params):
         l, sc, terms = rho_context(template_net, default_params, r_t=0.0)

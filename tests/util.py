@@ -4,6 +4,7 @@ import functools
 import math
 from dataclasses import replace
 
+from isccopt import netmodel
 from isccopt.config import build_config
 from isccopt.solvers import min_rate_time
 
@@ -45,29 +46,47 @@ def t_stationary_rootfind(mu1, g_over_bn0, tol=1e-14):
     return math.inf if z == 0.0 else math.log(2.0) / z
 
 
-def pc_objective(ctx, sc, t, nu):
-    """Communication plus computation energy at inverse rate t, frequency nu."""
-    return ctx.a1 * math.expm1(math.log(2.0) / t) * t / sc.g_over_bn0 \
-        + sc.kappa * ctx.a2 * nu**2
+def max_rho_bisection(net, l, cap):
+    """Reference for netmodel.max_rho: 100 bisection steps on the monotone
+    cum_flops(1..l, rho) over (0, 1]; 0.0 when no rho meets the cap."""
+    if netmodel.cum_flops(net, 1, l, 1.0) <= cap:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if netmodel.cum_flops(net, 1, l, mid) <= cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
-def kkt_residuals(ctx, sc, sol):
+def pc_objective(abc, sc, t, nu):
+    """Communication plus computation energy of the power/frequency
+    subproblem abc = (a1, a2, t2) at inverse rate t, frequency nu."""
+    a1, a2, _ = abc
+    return a1 * math.expm1(math.log(2.0) / t) * t / sc.g_over_bn0 \
+        + sc.kappa * a2 * nu**2
+
+
+def kkt_residuals(abc, sc, sol):
     """Relative stationarity and complementary-slackness residuals of a
-    power/frequency solution."""
+    solution of the power/frequency subproblem abc = (a1, a2, t2)."""
+    a1, a2, _ = abc
     g = sc.g_over_bn0
     z = math.log(2.0) / sol.t
-    phi_t = (ctx.a1 / g) * (math.exp(z) * (1.0 - z) - 1.0)
+    phi_t = (a1 / g) * (math.exp(z) * (1.0 - z) - 1.0)
     mu2 = 0.0
     t_min = min_rate_time(sc)
     if sol.t <= t_min * (1 + 1e-9):
-        mu2 = phi_t + sol.mu1 * ctx.a1
-    stat_t = phi_t + sol.mu1 * ctx.a1 - mu2
-    scale_t = max(abs(phi_t), sol.mu1 * ctx.a1, 1e-300)
+        mu2 = phi_t + sol.mu1 * a1
+    stat_t = phi_t + sol.mu1 * a1 - mu2
+    scale_t = max(abs(phi_t), sol.mu1 * a1, 1e-300)
     mu3 = 0.0
     if sol.nu_e >= sc.nu_max * (1 - 1e-9):
-        mu3 = sol.mu1 * ctx.a2 / sol.nu_e**2 - 2 * sc.kappa * ctx.a2 * sol.nu_e
-    stat_nu = 2 * sc.kappa * ctx.a2 * sol.nu_e - sol.mu1 * ctx.a2 / sol.nu_e**2 + mu3
-    scale_nu = max(2 * sc.kappa * ctx.a2 * sol.nu_e, 1e-300)
+        mu3 = sol.mu1 * a2 / sol.nu_e**2 - 2 * sc.kappa * a2 * sol.nu_e
+    stat_nu = 2 * sc.kappa * a2 * sol.nu_e - sol.mu1 * a2 / sol.nu_e**2 + mu3
+    scale_nu = max(2 * sc.kappa * a2 * sol.nu_e, 1e-300)
     comp2 = mu2 * (t_min - sol.t)
     comp3 = mu3 * (sol.nu_e - sc.nu_max)
     return (abs(stat_t) / scale_t, abs(stat_nu) / scale_nu,
