@@ -100,12 +100,6 @@ class TestMaxRho:
                 assert nm.max_rho(template_net, l, cap) == pytest.approx(
                     max_rho_bisection(template_net, l, cap), rel=1e-12, abs=0.0), (l, cap)
 
-    def test_below_the_fixed_flops_is_none(self, template_net):
-        # the max-pooling FLOPs of layers 1..2 do not shrink with rho
-        fixed = nm.flops(template_net.layer(2))
-        assert nm.max_rho(template_net, 2, 0.5 * fixed) == 0.0
-        assert nm.max_rho(template_net, 2, 1e12) == 1.0
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.integers(1, 40), min_size=2, max_size=6),
            st.integers(1, 5), st.floats(-0.1, 1.2))
