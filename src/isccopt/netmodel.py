@@ -26,7 +26,9 @@ class LayerSpec:
     conv: alpha x beta x gamma output map, psi x psi filters, gamma_prev input
     channels. mp: pooling over psi x psi windows, alpha x beta x gamma output.
     fc: n outputs from n_prev inputs. `weights` is optional; max-pooling
-    layers never carry weights.
+    layers never carry weights. A weighted layer stores ||W||_F, ||W||_F^2
+    and the magnitude rate M / sum|w| (None for an all-zero layer) once, as
+    `fro_norm`, `fro_sq` and `laplace_rate`.
     """
 
     kind: str
@@ -38,6 +40,9 @@ class LayerSpec:
     n: int = 0
     n_prev: int = 0
     weights: np.ndarray | None = field(default=None, repr=False)
+    fro_norm: float | None = field(default=None, init=False, repr=False, compare=False)
+    fro_sq: float | None = field(default=None, init=False, repr=False, compare=False)
+    laplace_rate: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (CONV, MP, FC):
@@ -59,6 +64,13 @@ class LayerSpec:
                     f"weight count {w.size} does not match layer size {self.weight_count}"
                 )
             object.__setattr__(self, "weights", w)
+            # config._check_weights rejects weights whose norms overflow
+            with np.errstate(over="ignore"):
+                total = float(np.sum(np.abs(w)))
+                object.__setattr__(self, "fro_norm", float(np.linalg.norm(w)))
+                object.__setattr__(self, "fro_sq", float(np.sum(w**2)))
+            object.__setattr__(self, "laplace_rate",
+                               self.weight_count / total if total else None)
 
     @property
     def weight_count(self) -> int:
@@ -341,7 +353,7 @@ def tail_norm_product(net: NetworkModel, l: int) -> float:
             continue
         if layer.weights is None:
             raise ValueError(f"layer {i} has no weight matrix")
-        prod *= float(np.linalg.norm(layer.weights))
+        prod *= layer.fro_norm
     return prod
 
 
@@ -350,17 +362,16 @@ def layer_laplace_rate(layer: LayerSpec) -> float:
     lambda = M / sum(|w|)."""
     if layer.weights is None:
         raise ValueError("layer has no weight matrix")
-    total = float(np.sum(np.abs(layer.weights)))
-    if total == 0.0:
+    if layer.laplace_rate is None:
         raise ValueError("all-zero layer: magnitude rate undefined")
-    return layer.weight_count / total
+    return layer.laplace_rate
 
 
 def prune_factors(layer: LayerSpec) -> tuple[float, float]:
     """(M / lambda^2, ||W||_F^2) of one weighted layer, the two per-layer
     factors of pruning_penalty_coeff."""
     rate = layer_laplace_rate(layer)
-    return layer.weight_count / rate**2, float(np.sum(layer.weights**2))
+    return layer.weight_count / rate**2, layer.fro_sq
 
 
 def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isccopt import sensing
 from isccopt.sensing import (ClutterPath, EchoParams, TargetPath,
                              clutter_filter, generate_echo, sensing_cost,
                              spectrogram)
+from util import stock_config, svd_band
 
 
 def make_params(**overrides):
@@ -112,6 +118,92 @@ class TestClutterFilter:
         with pytest.raises(ValueError):
             clutter_filter(y, 1, 2)
 
+    def test_one_d_rejected(self):
+        with pytest.raises(ValueError, match="y must be 2-D"):
+            clutter_filter(np.ones(5, dtype=complex), 1, 1)
+
+    @pytest.mark.parametrize("r1", [2, 3])
+    def test_stock_echo_certified(self, r1):
+        # the stock echo's clutter and target give a clear gap after the
+        # top one and two singular values, so no SVD is needed
+        cfg = stock_config()
+        y = generate_echo(cfg.echo, seed=cfg.seed)
+        u = sensing._dominant_subspace(y, r1 - 1)
+        assert u is not None
+        u_svd = np.linalg.svd(y)[0][:, :r1 - 1]
+        gap = u @ u.conj().T - u_svd @ u_svd.conj().T
+        assert np.linalg.norm(gap, 2) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["repeated-top", "gaussian-r1=2", "gaussian-r1=3",
+                                      "partial-band", "start-misses-top"])
+    def test_fallback_is_the_svd_expression(self, case, rng):
+        # no certifiable gap (or a band short of full rank): the output is
+        # the full-SVD expression itself
+        g = rng.standard_normal((20, 30)) + 1j * rng.standard_normal((20, 30))
+        if case == "start-misses-top":
+            # the Gram's five largest columns span eigenvectors e_0..e_4
+            # (eigenvalues 0.9..0.35), an invariant subspace that misses
+            # the top eigenvector (eigenvalue 1, spread over e_5..e_19);
+            # only the Frobenius bound on lambda_2 refuses the Ritz pair
+            left = np.eye(20)
+            left[5:, 5:] = np.linalg.qr(np.c_[np.ones(15), g.real[5:, :14]])[0]
+            lam = np.array([0.9, 0.5, 0.45, 0.4, 0.35, 1.0] + [0.01] * 14)
+            right = np.linalg.qr(g.real[:, :20].T)[0]
+            y, r1, r2 = (left * np.sqrt(lam)) @ right.T, 2, 20
+        elif case == "repeated-top":
+            left = np.linalg.qr(g[:12, :12])[0]
+            right = np.linalg.qr(g[:18, 12:24])[0]
+            s = np.array([4.0, 4.0, 2.0, 1.0] + [0.5] * 8)
+            y, r1, r2 = (left * s) @ right.conj().T, 2, 12
+        elif case == "partial-band":
+            y, r1, r2 = g[:12, :18], 2, 8
+        else:
+            y, r1, r2 = g, int(case[-1]), 20
+        np.testing.assert_array_equal(clutter_filter(y, r1, r2), svd_band(y, r1, r2))
+
+
+@st.composite
+def echo_cases(draw):
+    """Echo scenes with up to two clutter paths, wide and tall, plus r1."""
+    duration = 1e-5
+    unit = st.floats(0.0, 1.0)
+
+    def gain(top):
+        mag, phase = draw(st.floats(0.0, top)), draw(st.floats(0.0, 2 * math.pi))
+        return complex(mag * math.cos(phase), mag * math.sin(phase))
+
+    target = TargetPath(delay=draw(unit) * 0.9 * duration,
+                        doppler_hz=draw(st.floats(-40000.0, 40000.0)), gain=gain(2.0))
+    clutter = tuple(ClutterPath(delay=draw(unit) * 0.9 * duration, gain=gain(3.0))
+                    for _ in range(draw(st.integers(0, 2))))
+    noise = draw(st.one_of(st.just(0.0), st.floats(-11.0, -8.0).map(lambda e: 10.0**e)))
+    params = EchoParams(power=draw(st.floats(0.01, 1.0)), chirp_duration=duration,
+                        n_chirps=draw(st.integers(8, 256)),
+                        sample_rate=draw(st.floats(2e6, 2e7)), target=target,
+                        clutter=clutter, noise_psd=noise)
+    return params, draw(st.integers(0, 2**31 - 1)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(echo_cases())
+def test_full_rank_filter_matches_svd(case):
+    params, seed, r1 = case
+    y = generate_echo(params, seed=seed)
+    r2 = min(y.shape)
+    r1 = min(r1, r2)
+    got = clutter_filter(y, r1, r2)
+    want = svd_band(y, r1, r2)
+    y_norm = np.linalg.norm(y)
+    assert np.linalg.norm(got - want) <= 1e-12 * y_norm
+    np.testing.assert_array_equal(clutter_filter(y, r1, r2), got)
+    # the spectrogram is normalized, so it scales a matrix difference by
+    # ||y|| / ||ybar||; compare it where the kept part is above rounding
+    if np.linalg.norm(want) > 1e-3 * y_norm:
+        w = min(16, params.n_chirps)
+        spec = spectrogram(got, w, w // 2)
+        assert np.max(np.abs(spec - spectrogram(want, w, w // 2))) <= 1e-12
+        np.testing.assert_array_equal(spectrogram(clutter_filter(y, r1, r2), w, w // 2), spec)
+
 
 class TestSpectrogram:
     def test_unit_norm(self, rng):
@@ -167,6 +259,16 @@ class TestSpectrogram:
             spectrogram(y, 32, 8)
         with pytest.raises(ValueError):
             spectrogram(y, 8, 0)
+
+    @pytest.mark.parametrize("window_len", [0, -3])
+    def test_window_below_one(self, rng, window_len):
+        y = rng.standard_normal((2, 16)).astype(complex)
+        with pytest.raises(ValueError, match="window_len"):
+            spectrogram(y, window_len, 8)
+
+    def test_one_d_rejected(self):
+        with pytest.raises(ValueError, match="ybar must be 2-D"):
+            spectrogram(np.ones(16, dtype=complex), 4, 2)
 
 
 class TestSensingCost:

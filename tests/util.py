@@ -4,6 +4,8 @@ import functools
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from isccopt import netmodel
 from isccopt.config import build_config
 from isccopt.solvers import min_rate_time
@@ -92,3 +94,11 @@ def kkt_residuals(abc, sc, sol):
     return (abs(stat_t) / scale_t, abs(stat_nu) / scale_nu,
             abs(comp2) / max(abs(mu2) * t_min, 1e-300) if mu2 else 0.0,
             abs(comp3) / max(abs(mu3) * sc.nu_max, 1e-300) if mu3 else 0.0)
+
+
+def svd_band(y, r1, r2):
+    """Reference for sensing.clutter_filter: singular components r1..r2 of
+    y rebuilt from a full SVD, the expression its fallback evaluates."""
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    keep = slice(r1 - 1, r2)
+    return (u[:, keep] * s[keep]) @ vh[keep, :]
