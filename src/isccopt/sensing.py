@@ -157,7 +157,8 @@ def _dominant_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
     the sine of the angle to the true subspace is at most the Ritz residual
     over the gap theta_k - that bound. The basis is returned once that
     ratio is at most SUBSPACE_TOL; without a gap (noise alone, a repeated
-    singular value at k) it never is.
+    singular value at k) it never is, so a gap bound still <= 0 after the
+    second step gives up at once.
     """
     d = a.shape[0]
     if k == 0:
@@ -167,7 +168,7 @@ def _dominant_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
     p = min(k + SUBSPACE_OVERSAMPLE, d)
     start = np.argsort(-np.linalg.norm(g, axis=0), kind="stable")[:p]
     q = np.linalg.qr(g[:, start])[0]
-    for _ in range(SUBSPACE_MAX_ITER):
+    for step in range(SUBSPACE_MAX_ITER):
         gq = g @ q
         theta, w = np.linalg.eigh(q.conj().T @ gq)
         theta, w = theta[::-1], w[:, ::-1]
@@ -176,6 +177,8 @@ def _dominant_subspace(a: np.ndarray, k: int) -> np.ndarray | None:
         gap = theta[k - 1] - np.sqrt(max(fro2 - float(np.sum(theta[:k] ** 2)), 0.0))
         if gap > 0 and resid <= SUBSPACE_TOL * gap:
             return x
+        if gap <= 0 and step >= 1:
+            return None
         q = np.linalg.qr(gx)[0]
     return None
 

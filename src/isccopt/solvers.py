@@ -1,5 +1,5 @@
-"""Scalar numerical kernels (Lambert W, golden-section search) and the KKT
-closed form for the communication-power / edge-frequency subproblem."""
+"""Golden-section search and the KKT solve of the communication-power /
+edge-frequency subproblem."""
 
 from __future__ import annotations
 
@@ -15,52 +15,6 @@ LN2 = math.log(2.0)
 # and gives up after KKT_MAX_ITER steps
 KKT_REL_TOL = 1e-10
 KKT_MAX_ITER = 500
-
-
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function (w*e^w = x, w >= -1).
-
-    Seeded Halley iteration: near the branch point -1/e a series in
-    p = sqrt(2(e*x + 1)) seeds (and for tiny p directly returns) the root;
-    large arguments start from the asymptotic log(x) - log(log(x)).
-    Residual |w*e^w - x| converges to ~1e-16 * max(1, |x|). Stops when the
-    step falls below rounding or stops shrinking (near the branch point the
-    step test alone sits below rounding).
-    """
-    if math.isnan(x):
-        raise ValueError("lambert_w0: nan argument")
-    branch = -1.0 / math.e
-    if x < branch:
-        if x > branch * (1.0 + 1e-12):  # rounding fuzz at the branch point
-            x = branch
-        else:
-            raise InfeasibleError("lambert_domain", f"x={x} < -1/e")
-    p_sq = 2.0 * (math.e * x + 1.0)
-    if p_sq <= 0.0:
-        return -1.0
-    if p_sq < 1e-6:
-        # series about the branch point; error O(p^5) ~ 1e-15
-        p = math.sqrt(p_sq)
-        return -1.0 + p - p_sq / 3.0 + 11.0 / 72.0 * p * p_sq
-    if x < 0.25:
-        p = math.sqrt(p_sq)
-        w = -1.0 + p - p_sq / 3.0 + 11.0 / 72.0 * p * p_sq
-    elif x < math.e:
-        w = math.log1p(x) * 0.7
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-    prev = math.inf
-    for _ in range(100):
-        ew = math.exp(w)
-        resid = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * resid / (2.0 * w + 2.0)
-        dw = resid / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (2.0 + abs(w)) or abs(dw) >= prev:
-            break
-        prev = abs(dw)
-    return w
 
 
 def golden_section(f, lb: float, ub: float, eps: float, stop=None) -> float | None:
@@ -115,6 +69,15 @@ def min_rate_time(sc: Scenario) -> float:
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
 
 
+def _mu1_ratio(z: float) -> float:
+    """(z*e^z - expm1(z)) / z^2, i.e. g_over_bn0*mu1(z)/z^2 (see
+    solve_pc_nue); its Taylor series below z = 1e-3, where the difference
+    cancels (either is within 1e-12 relative)."""
+    if z > 1e-3:
+        return (z * math.exp(z) - math.expm1(z)) / (z * z)
+    return 0.5 + z * (1.0 / 3.0 + z * (0.125 + z / 30.0))
+
+
 def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolution:
     """Jointly optimal communication power and edge frequency: the least
     a1*t*p_c + kappa*a2*nu_e^2 subject to a1*t + a2/nu_e <= t2, where a1 is
@@ -124,25 +87,25 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
     Infeasible when even (p_max, nu_max) misses the deadline. Nothing
     uploaded (a1 = 0): p_c = p_max and nu_e is the slowest frequency that
     meets the budget, mu1 = 2*kappa*nu_e^3 (0 when a2 = 0 too, as the
-    deadline is then slack). Nothing computed on the edge
-    (a2 = 0): the upload stretches to the budget at nu_e = nu_max, and mu1
-    is the stationary multiplier of t.
+    deadline is then slack). Nothing computed on the edge (a2 = 0): the
+    upload stretches to the budget at nu_e = nu_max, and mu1 is the
+    multiplier mu1(z) below.
 
     Otherwise the latency constraint is active at the optimum (energy falls
-    monotonically toward the deadline), so the multiplier mu1 solves
-    lat(mu1) = t2 on the monotone latency map
+    monotonically toward the deadline). In the spectral efficiency
+    z = ln2/t, stationarity in t gives the latency multiplier in closed
+    form, and the frequency follows from it:
 
-        t(mu1)    = max(ln2 / (1 + W((mu1 * g_over_bn0 - 1)/e)), t_min)
-        nu_e(mu1) = min(nu_max, (mu1 / (2*kappa))^(1/3)),
+        mu1(z)  = (z*e^z - expm1(z)) / g_over_bn0
+        nu_e(z) = min(nu_max, (mu1(z) / (2*kappa))^(1/3)).
 
-    where ln2 / (1 + W(.)) (principal branch) is the inverse rate solving
-    the energy/latency stationarity condition. Safeguarded Newton steps on
-    z = log(mu1) find the root, with the analytic derivative
-    dW/du = 1/(e^W (1 + W)). They start at mu1 = 2*kappa*(a2/t2)^3, where
-    a2/nu_e = t2 alone, so the start is at or below the root; the top of
-    the bracket is the multiplier from which both t and nu_e sit at their
-    bounds. A step leaving the bracket is replaced by bisection. Stops when
-    the latency matches t2 within KKT_REL_TOL.
+    The latency a1*t + a2/nu_e(z) rises strictly with t on [t_min, t2/a1].
+    If it already reaches t2 at t_min, that bound binds: the upload runs at
+    p_max, the edge takes the rest of the budget, nu_e = a2/(t2 - a1*t_min),
+    and mu1 = 2*kappa*nu_e^3. Otherwise Newton steps in t with the analytic
+    slope solve latency = t2 from t_min; a step leaving the bracket is
+    replaced by bisection in z. Stops when the latency matches t2 within
+    KKT_REL_TOL.
     """
     if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
         raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
@@ -162,40 +125,37 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
         t = max(t2 / a1, t_min)
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return PowerFreqSolution(p_c, sc.nu_max, t, ((z - 1.0) * math.exp(z) + 1.0) / g,
-                                 p_c * t2)
-    # the stationary inverse rate reaches t_min where 1 + W = ln(1 + g*p_max)
-    snr = 1.0 + g * sc.p_max
-    mu_top = max(two_kappa * sc.nu_max**3, (snr * (math.log(snr) - 1.0) + 1.0) / g)
-    z_lo, z_hi = math.log(two_kappa * (a2 / t2) ** 3), math.log(mu_top)
-    z = z_lo
+        return PowerFreqSolution(p_c, sc.nu_max, t, z * z * _mu1_ratio(z) / g, p_c * t2)
+    # at t2/a1 the upload alone fills the budget
+    t_lo, t_hi, t = t_min, t2 / a1, t_min
     for _ in range(KKT_MAX_ITER):
-        mu1 = math.exp(z)
-        nu = (mu1 / two_kappa) ** (1.0 / 3.0)
-        slope = 0.0   # d lat / d z
+        z = LN2 / t
+        r = _mu1_ratio(z)
+        # (mu1/(2*kappa))^(1/3), with z^2 kept out of the root: no underflow
+        nu = z ** (2.0 / 3.0) * (r / (two_kappa * g)) ** (1.0 / 3.0)
+        slope = a1   # d lat / d t
         if nu < sc.nu_max:
-            slope -= a2 / (3.0 * nu)
+            slope += a2 * z * math.exp(z) / (3.0 * LN2 * r * nu)
         else:
             nu = sc.nu_max
-        w = lambert_w0((mu1 * g - 1.0) / math.e)
-        if (1.0 + w) * t_min >= LN2:
-            t = t_min
-        elif w > -1.0:
-            t = LN2 / (1.0 + w)
-            slope -= a1 * t * mu1 * g / (math.exp(w + 1.0) * (1.0 + w) ** 2)
-        else:
-            t = math.inf
         lat = a1 * t + a2 / nu
         if abs(lat - t2) <= KKT_REL_TOL * t2:
             break
-        if lat > t2:
-            z_lo = z
+        if lat < t2:
+            t_lo = t
+        elif t > t_lo:
+            t_hi = t
         else:
-            z_hi = z
-        step = (lat - t2) / slope if slope < 0.0 else math.nan
-        z = z - step if z_lo < z - step < z_hi else 0.5 * (z_lo + z_hi)
+            # the latency misses t2 even at t = t_min, so that bound binds:
+            # upload at p_max, the edge takes the rest of the budget
+            nu = a2 / max(t2 - a1 * t_min, a2 / sc.nu_max)
+            return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3,
+                                     sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2)
+        t -= (lat - t2) / slope
+        if not t_lo < t < t_hi:
+            t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)   # bisect z: t_hi may be inf
     else:
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {t2:.12g} s")
-    p_c = math.expm1(LN2 / t) / g
-    return PowerFreqSolution(p_c, nu, t, mu1, p_c * a1 * t + sc.kappa * a2 * nu**2)
+    p_c = math.expm1(z) / g
+    return PowerFreqSolution(p_c, nu, t, z * z * r / g, p_c * a1 * t + sc.kappa * a2 * nu**2)

@@ -134,6 +134,25 @@ class TestClutterFilter:
         gap = u @ u.conj().T - u_svd @ u_svd.conj().T
         assert np.linalg.norm(gap, 2) <= 1e-13
 
+    def test_no_gap_gives_up_after_two_steps(self, monkeypatch):
+        # with r1 = 4 the stock echo has s4/s3 = 0.97: the gap bound stays
+        # negative, so the filter stops after two Rayleigh-Ritz steps (one
+        # eigh each) and takes the SVD expression
+        cfg = stock_config()
+        y = generate_echo(cfg.echo, seed=cfg.seed)
+        eigh = np.linalg.eigh
+        calls = 0
+
+        def counting_eigh(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        got = clutter_filter(y, 4, min(y.shape))
+        assert calls == 2
+        np.testing.assert_array_equal(got, svd_band(y, 4, min(y.shape)))
+
     @pytest.mark.parametrize("case", ["repeated-top", "gaussian-r1=2", "gaussian-r1=3",
                                       "partial-band", "start-misses-top"])
     def test_fallback_is_the_svd_expression(self, case, rng):

@@ -3,71 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isccopt import solvers
+from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
 from isccopt.optimizer import PairEnergy, penalty_terms, solve_pair
 from isccopt.oracles import random_power_freq_context
-from isccopt.solvers import (INV_GOLDEN, golden_section, lambert_w0,
+from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, golden_section,
                              min_rate_time, solve_pc_nue)
 from util import (kkt_residuals, make_scenario, pc_objective,
                   t_stationary_rootfind)
-
-
-class TestLambertW:
-    def test_anchor_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-12)
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-8)
-
-    def test_residual_over_range(self):
-        rng = np.random.default_rng(3)
-        xs = np.concatenate([
-            [-1 / math.e, -1 / math.e + 1e-12, -0.25, -1e-8, 0.0, 1e-8],
-            10.0 ** rng.uniform(-6, 6, size=40),
-            -1 / math.e + 10.0 ** rng.uniform(-10, -0.5, size=10),
-        ])
-        for x in xs:
-            w = lambert_w0(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-
-    def test_domain_error(self):
-        with pytest.raises(InfeasibleError):
-            lambert_w0(-1.0 / math.e - 1e-6)
-        with pytest.raises(ValueError):
-            lambert_w0(float("nan"))
-
-    def test_monotone(self):
-        xs = np.linspace(-1 / math.e + 1e-9, 100, 200)
-        ws = [lambert_w0(float(x)) for x in xs]
-        assert all(a < b for a, b in zip(ws, ws[1:]))
-
-    def test_halley_steps_bounded(self, monkeypatch):
-        # one exp per Halley step; near the branch point the step test alone
-        # sits below rounding, so the iteration must also stop once the step
-        # stops shrinking
-        calls = 0
-        exp = math.exp
-
-        def counting_exp(x):
-            nonlocal calls
-            calls += 1
-            return exp(x)
-
-        xs = np.concatenate([
-            [-1.0 / math.e],
-            -1.0 / math.e + np.geomspace(1e-12, 0.99 / math.e, 12),
-            np.geomspace(1e-9, 1e6, 37),
-            np.linspace(-1.0 / math.e, -0.335, 400),
-        ])
-        worst = 0
-        for x in xs:
-            calls = 0
-            monkeypatch.setattr(solvers.math, "exp", counting_exp)
-            w = lambert_w0(float(x))
-            monkeypatch.undo()
-            worst = max(worst, calls)
-            assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
-        assert worst <= 6
 
 
 class TestGoldenSection:
@@ -140,7 +83,7 @@ class TestGoldenSection:
 
 
 class TestTStationary:
-    def test_lambert_form_matches_rootfinding(self):
+    def test_inverse_rate_matches_rootfinding(self):
         # off its t_min bound, the inverse rate solve_pc_nue returns is the
         # stationary point of its multiplier
         rng = np.random.default_rng(4)
@@ -170,6 +113,65 @@ class TestSolvePcNue:
         assert a1 * sol.t + a2 / sol.nu_e == pytest.approx(t2, rel=1e-9)
         assert sol.energy == pytest.approx(pc_objective((a1, a2, t2), sc, sol.t, sol.nu_e),
                                            rel=1e-12)
+
+    @pytest.mark.parametrize("a1, a2, t2, g, nu_max, kappa", [
+        (0.001373648480281528, 177307.34392644008, 6.868667743383109,
+         3.241957906293015, 103202.64776101366, 1.943759341998906e-22),
+        (0.0022130576074375235, 293545.736929997, 6.44410437968787,
+         1.2822423249122905, 155258.94256791487, 1.5771100609359044e-22),
+    ], ids=["draw-1", "draw-2"])
+    def test_small_multiplier_draws_solve(self, a1, a2, t2, g, nu_max, kappa):
+        # two random_power_freq_context draws whose multiplier sits where
+        # mu1*g_over_bn0 is close to 0; both are feasible with slack, and
+        # the latency must meet the budget within the solver's stop test
+        sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=nu_max, nu_s=1e11,
+                      kappa=kappa, bandwidth=1e5, g_over_bn0=g, t0=1e-5,
+                      m_chirps=1000, q_max=4, splits=(1,))
+        sol = solve_pc_nue(a1, a2, t2, sc)
+        assert abs(a1 * sol.t + a2 / sol.nu_e - t2) <= KKT_REL_TOL * t2
+        assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-8
+
+    def test_budget_at_the_floor(self):
+        # t2 equal to the best achievable latency: (p_max, nu_max) exactly
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            (a1, a2, _), sc = random_power_freq_context(rng)
+            t_min = min_rate_time(sc)
+            sol = solve_pc_nue(a1, a2, a1 * t_min + a2 / sc.nu_max, sc)
+            assert sol.energy == pytest.approx(
+                sc.p_max * a1 * t_min + sc.kappa * a2 * sc.nu_max**2, rel=1e-12)
+
+    def test_t_min_binds_near_the_floor(self):
+        # when the latency at t_min still misses the budget, the upload runs
+        # at p_max and the edge frequency takes the rest of the budget
+        rng = np.random.default_rng(29)
+        bound = 0
+        for _ in range(100):
+            (a1, a2, _), sc = random_power_freq_context(rng)
+            t_min = min_rate_time(sc)
+            t2 = (a1 * t_min + a2 / sc.nu_max) * 1.001
+            sol = solve_pc_nue(a1, a2, t2, sc)
+            if sol.t == t_min:
+                bound += 1
+                assert sol.p_c == sc.p_max
+                assert sol.nu_e == a2 / (t2 - a1 * t_min) < sc.nu_max
+                assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-8
+            else:
+                assert sol.t > t_min
+        assert bound >= 3
+
+    @pytest.mark.parametrize("a1", [1e-18, 1e-300])
+    def test_vanishing_upload_meets_the_no_upload_corner(self, a1):
+        # t2/a1 is far beyond any float a Newton step or a midpoint in t
+        # could evaluate safely; the solve must still converge, to the
+        # a1 = 0 answer
+        (_, a2, _), sc = random_power_freq_context(np.random.default_rng(1))
+        t2 = 4.0 * a2 / sc.nu_max
+        sol = solve_pc_nue(a1, a2, t2, sc)
+        corner = solve_pc_nue(0.0, a2, t2, sc)
+        assert abs(a1 * sol.t + a2 / sol.nu_e - t2) <= KKT_REL_TOL * t2
+        assert sol.nu_e == pytest.approx(corner.nu_e, rel=1e-9)
+        assert sol.energy == pytest.approx(corner.energy, rel=1e-9)
 
     def test_infeasible_budget(self):
         sc = make_scenario()
