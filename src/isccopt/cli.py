@@ -2,7 +2,7 @@
 accuracy-curve fits, and a sensing demo, all driven by a JSON config.
 
 Exit codes: 0 success, 1 validation suite failure, 2 infeasible problem,
-3 config error.
+3 config error, 4 an answer failed its constraint check (no file written).
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import optimizer, oracles, sensing
+from . import cost, optimizer, oracles, sensing
 from .accuracy import fit_accuracy_curve
 from .config import RunConfig, load_config, sanitize_floats
-from .errors import ConfigError
+from .errors import CheckError, ConfigError
 from .quant import QuantSpec
 
 
@@ -82,6 +82,25 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3
+    except CheckError as err:
+        print(f"answer check failed, no output written: {err}", file=sys.stderr)
+        return 4
+
+
+def _check(cfg: RunConfig, sc, sol, label: str = "") -> None:
+    """Run check_feasible on a feasible Solution before it is written, over
+    the split set of its origin: {0} for on_server, {L} for on_device, the
+    scenario's otherwise. Raises CheckError naming each failing constraint
+    with its slack."""
+    if not sol.feasible:
+        return
+    net, ap, a = cfg.network, cfg.accuracy, sol.alloc
+    splits = {"on_server": {0}, "on_device": {net.depth}}.get(sol.origin)
+    report = cost.check_feasible(a, net, sc, optimizer.penalty_terms(net, a.l, ap), ap,
+                                 splits=splits)
+    failed = [f"{c.name} slack {c.slack!r}" for c in report.checks if not c.ok]
+    if failed:
+        raise CheckError(f"{label}{sol.origin} (l={a.l}, q={a.q}): " + ", ".join(failed))
 
 
 def _write_solution(cfg: RunConfig, sol, out_dir: Path, stem: str) -> None:
@@ -99,6 +118,7 @@ def _report_infeasible(sol) -> None:
 
 def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
     sol = optimizer.solve_scenario(cfg.network, cfg.scenario, cfg.accuracy)
+    _check(cfg, cfg.scenario, sol)
     _write_solution(cfg, sol, out_dir, "solution")
     if not sol.feasible:
         _report_infeasible(sol)
@@ -112,6 +132,7 @@ def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_baseline(cfg: RunConfig, args, out_dir: Path) -> int:
     sol = optimizer.solve_baseline(args.kind, cfg.network, cfg.scenario, cfg.accuracy)
+    _check(cfg, cfg.scenario, sol)
     _write_solution(cfg, sol, out_dir, f"baseline_{args.kind}")
     if not sol.feasible:
         _report_infeasible(sol)
@@ -130,6 +151,9 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = optimizer.sweep(cfg.network, cfg.scenario, cfg.accuracy, args.axis, values)
+    for row in rows:
+        _check(cfg, optimizer.apply_axis(cfg.scenario, args.axis, row.value),
+               row.solution, f"{args.axis}={row.value!r} ")
     csv_rows = [optimizer.solution_row(f"{args.axis}={row.value!r}", row.solution)
                 for row in rows]
     optimizer.write_solutions_csv(out_dir / "sweep.csv", csv_rows)

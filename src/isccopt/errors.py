@@ -16,3 +16,7 @@ class InfeasibleError(Exception):
 
 class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
+
+
+class CheckError(Exception):
+    """An answer failed the constraint check it must pass before output."""

@@ -10,7 +10,9 @@ which is the setting in which the pruning error bound is validated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,12 +108,47 @@ def fc(n, n_prev, weights=None) -> LayerSpec:
     return LayerSpec(FC, n=n, n_prev=n_prev, weights=weights)
 
 
+class FlopPieces(NamedTuple):
+    """The clamped FLOP count of layers 1..l as a piecewise-affine function
+    of rho: `points` are the ascending clamp points -intercept/slope of the
+    layers with a slope, and on piece j (the rho with exactly j points
+    below them) the count is slopes[j]*rho + intercepts[j], the sums over
+    the max-pooling layers and the layers whose clamp point lies below rho.
+    """
+
+    points: tuple[float, ...]
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
+
+
+def _flop_pieces(layers) -> FlopPieces:
+    """FlopPieces of `layers`. Slopes and intercepts are whole numbers, so
+    every sum in the table is exact while the FLOPs stay below 2**53."""
+    affine = [flops_affine(layer) for layer in layers]
+    slope = 0.0
+    intercept = sum((c for s, c in affine if s == 0.0), 0.0)
+    active = sorted((-c / s, s, c) for s, c in affine if s != 0.0)
+    slopes, intercepts = [slope], [intercept]
+    for _, s, c in active:
+        slope += s
+        intercept += c
+        slopes.append(slope)
+        intercepts.append(intercept)
+    return FlopPieces(tuple(t for t, _, _ in active), tuple(slopes), tuple(intercepts))
+
+
 @dataclass(frozen=True)
 class NetworkModel:
-    """Ordered layer stack with its input size."""
+    """Ordered layer stack with its input size.
+
+    `flop_table[l]` holds the FlopPieces of layers 1..l for every split l in
+    0..L; cum_flops and max_rho read it. It is built here, so `replace` and
+    `with_weights` rebuild it, and it takes no part in equality or repr.
+    """
 
     layers: tuple[LayerSpec, ...]
     input_dim: int
+    flop_table: tuple[FlopPieces, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -121,6 +158,8 @@ class NetworkModel:
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
         self._check_chain()
+        object.__setattr__(self, "flop_table", tuple(
+            _flop_pieces(layers[:l]) for l in range(len(layers) + 1)))
 
     def _check_chain(self):
         prev_dim = self.input_dim
@@ -207,41 +246,58 @@ def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0) -> fl
     """Sum of per-layer FLOPs over the inclusive range l_from..l_to.
 
     An empty range (l_from > l_to) is allowed and returns 0, so callers can
-    write cum_flops(net, l+1, L) for l = L.
+    write cum_flops(net, l+1, L) for l = L. The count is read from
+    `net.flop_table`: one piece lookup per prefix, and a range starting
+    above layer 1 takes the difference of two prefixes' (slope, intercept).
+    Those are sums of whole numbers, so the difference is the exact sum
+    over the range's unclamped layers: the count is exact at rho = 1 and 0
+    where every layer of the range clamps. It is never negative: no float
+    rho lies between a clamp point and its rounding, so every layer counted
+    has slope*rho + intercept > 0 exactly. Their sums then satisfy
+    slope*rho > -intercept, and rounding cannot take the product below
+    that whole number.
     """
     if l_from > l_to:
         return 0.0
-    if not (1 <= l_from and l_to <= net.depth):
+    table = net.flop_table
+    if not (1 <= l_from and l_to < len(table)):
         raise IndexError(f"range {l_from}..{l_to} outside 1..{net.depth}")
-    return sum(flops(net.layer(l), rho) for l in range(l_from, l_to + 1))
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    points, slopes, intercepts = table[l_to]
+    j = bisect_left(points, rho)
+    slope, intercept = slopes[j], intercepts[j]
+    if l_from > 1:
+        points, slopes, intercepts = table[l_from - 1]
+        j = bisect_left(points, rho)
+        slope -= slopes[j]
+        intercept -= intercepts[j]
+    return slope * rho + intercept
 
 
 def max_rho(net: NetworkModel, l: int, cap: float) -> float:
     """Largest rho in (0, 1] with cum_flops(net, 1, l, rho) <= cap, or 0.0
     when there is none.
 
-    cum_flops is a sum of max(0, slope*rho + intercept) terms, so it is
-    continuous, nondecreasing and affine between the layers' clamp points
-    -intercept/slope. The walk starts with every layer on the piece that
-    ends at rho = 1 and solves the affine equation there; a root below the
-    piece's highest clamp point drops the layers that clamp there (they
-    contribute nothing below it) and moves one piece down.
+    cum_flops is continuous, nondecreasing and affine on each piece of
+    `net.flop_table[l]`. The walk starts on the piece that holds rho = 1 and
+    solves the affine equation there; a root below the piece's lowest clamp
+    point moves one piece down, where the layers that clamp at that point
+    contribute nothing. The lowest piece has only max-pooling layers, whose
+    FLOPs do not depend on rho.
     """
+    if not 0 <= l <= net.depth:
+        raise IndexError(f"split {l} outside 0..{net.depth}")
     if cap < 0.0:   # FLOP counts are never negative
         return 0.0
-    pieces = [flops_affine(net.layer(i)) for i in range(1, l + 1)]
+    points, slopes, intercepts = net.flop_table[l]
     hi = 1.0
-    while True:
-        slope = sum(s for s, _ in pieces)
-        intercept = sum(c for _, c in pieces)
-        if slope <= 0.0:   # only fixed FLOPs (max-pooling) are left
-            return hi if intercept <= cap else 0.0
-        lo = max(-c / s for s, c in pieces if s > 0.0)
-        rho = (cap - intercept) / slope
-        if rho >= lo:
+    for j in range(bisect_left(points, hi), 0, -1):
+        rho = (cap - intercepts[j]) / slopes[j]
+        if rho >= points[j - 1]:
             return min(rho, hi)
-        pieces = [(s, c) for s, c in pieces if s == 0.0 or -c / s < lo]
-        hi = lo
+        hi = points[j - 1]
+    return hi if intercepts[0] <= cap else 0.0
 
 
 def feature_dim(net: NetworkModel, l: int) -> int:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isccopt
+from isccopt import optimizer
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
@@ -288,6 +290,52 @@ class TestCliSweepAndBaseline:
         assert rc == 0
         assert (tmp_path / "baseline_on_device.csv").exists()
         assert "on_device: E=" in capsys.readouterr().out
+
+
+def below_accuracy_inverse(sol):
+    """`sol` with its sensing power halved, below the accuracy inverse."""
+    return replace(sol, alloc=replace(sol.alloc, p_s=0.5 * sol.alloc.p_s))
+
+
+class TestCliChecksBeforeOutput:
+    def test_solve_answer_failing_its_check_exits_4(self, tmp_path, capsys, monkeypatch):
+        solve = optimizer.solve_scenario
+        monkeypatch.setattr(optimizer, "solve_scenario",
+                            lambda *a: below_accuracy_inverse(solve(*a)))
+        rc = main(["solve", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "accuracy slack -" in err and "Traceback" not in err
+        assert not (tmp_path / "solution.json").exists()
+        assert not (tmp_path / "solution.csv").exists()
+
+    def test_sweep_with_one_failing_row_exits_4(self, tmp_path, capsys, monkeypatch):
+        sweep = optimizer.sweep
+
+        def corrupt_one_row(*args, **kwargs):
+            rows = sweep(*args, **kwargs)
+            rows[5] = replace(rows[5], solution=below_accuracy_inverse(rows[5].solution))
+            return rows
+
+        monkeypatch.setattr(optimizer, "sweep", corrupt_one_row)
+        rc = main(["sweep", "--axis", "t_max", "--values", "0.8,1.0",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "t_max=1.0 on_server" in err and "accuracy slack -" in err
+        assert not (tmp_path / "sweep.json").exists()
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["on_server", "on_device", "no_prune"])
+    def test_baselines_pass_on_their_own_splits(self, tmp_path, kind):
+        # l = 0 and l = L lie outside the scenario's splits here; the check
+        # takes each baseline's split set from its origin
+        cfg_path = tmp_path / "mid_splits.json"
+        cfg_path.write_text(json.dumps({"scenario": {"splits": [2, 3]}}))
+        rc = main(["baseline", "--kind", kind, "--config", str(cfg_path),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert (tmp_path / f"baseline_{kind}.json").exists()
 
 
 class TestCliValidateFitSense:

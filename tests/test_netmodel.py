@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +83,142 @@ class TestCumFlops:
             nm.cum_flops(two_fc, 0, 2)
         with pytest.raises(IndexError):
             nm.cum_flops(two_fc, 1, 3)
+
+
+@st.composite
+def layer_stacks(draw):
+    """Mixed conv / max-pool / fc stacks that chain. Small fan-ins put clamp
+    points -intercept/slope = 1/(2 fan-in) anywhere in (0, 0.5], and equal
+    fan-ins give repeated clamp points."""
+    input_dim = draw(st.integers(1, 64))
+    prev_dim, channels = input_dim, None
+    layers = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from([nm.CONV, nm.MP, nm.FC]))
+        if kind == nm.FC:
+            layer = nm.fc(draw(st.integers(1, 12)), prev_dim)
+        else:
+            alpha, beta = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+            psi = draw(st.integers(1, 4))
+            if kind == nm.CONV:
+                layer = nm.conv(alpha, beta, draw(st.integers(1, 6)), psi,
+                                channels or draw(st.integers(1, 4)))
+            else:
+                layer = nm.maxpool(alpha, beta, channels or draw(st.integers(1, 6)), psi)
+        layers.append(layer)
+        prev_dim = layer.out_dim
+        channels = None if kind == nm.FC else layer.gamma
+    return nm.NetworkModel(layers=tuple(layers), input_dim=input_dim)
+
+
+def clamp_points(net, a=1, b=None):
+    return [-c / s for s, c in map(nm.flops_affine, net.layers[a - 1:b]) if s > 0.0]
+
+
+def rho_draws(net):
+    """A geometric grid over (0, 1] and each clamp point with its adjacent
+    floats and the points 1e-9 relative away."""
+    grid = [2.0 ** (-k / 4) for k in range(80)]
+    near = [r for t in clamp_points(net)
+            for r in (t * (1.0 - 1e-9), math.nextafter(t, 0.0), t,
+                      math.nextafter(t, 1.0), t * (1.0 + 1e-9))]
+    return sorted(set(grid + near))
+
+
+def layer_sum(net, a, b, rho):
+    """The per-layer reference: sum of flops(layer, rho) over a..b."""
+    return sum(nm.flops(net.layer(i), rho) for i in range(a, b + 1))
+
+
+STACKS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestFlopTable:
+    @STACKS
+    @given(layer_stacks(), st.data())
+    def test_matches_the_layer_sum(self, net, data):
+        b = data.draw(st.integers(1, net.depth))
+        a = data.draw(st.integers(1, b))
+        for rho in rho_draws(net):
+            # relative to the size of the summed terms: both sides round
+            # s*rho + c, which cancels near a clamp point
+            scale = sum(s * rho + abs(c)
+                        for s, c in map(nm.flops_affine, net.layers[a - 1:b]))
+            got = nm.cum_flops(net, a, b, rho)
+            assert abs(got - layer_sum(net, a, b, rho)) <= 1e-12 * scale, (a, b, rho)
+
+    @STACKS
+    @given(layer_stacks(), st.data())
+    def test_exact_at_one_and_dyadic_rho(self, net, data):
+        b = data.draw(st.integers(1, net.depth))
+        a = data.draw(st.integers(1, b))
+        for rho in (1.0, 0.5, 0.25, 0.75, 0.375, 0.125, 2.0 ** -10, 5 / 64):
+            assert nm.cum_flops(net, a, b, rho) == layer_sum(net, a, b, rho), rho
+
+    @STACKS
+    @given(layer_stacks(), st.data())
+    def test_nondecreasing_and_nonnegative(self, net, data):
+        b = data.draw(st.integers(1, net.depth))
+        a = data.draw(st.integers(1, b))
+        counts = [nm.cum_flops(net, a, b, rho) for rho in rho_draws(net)]
+        assert min(counts) >= 0.0
+        assert all(lo <= hi for lo, hi in zip(counts, counts[1:]))
+
+    @STACKS
+    @given(layer_stacks(), st.data())
+    def test_zero_where_the_whole_range_clamps(self, net, data):
+        b = data.draw(st.integers(1, net.depth))
+        a = data.draw(st.integers(1, b))
+        if any(layer.kind == nm.MP for layer in net.layers[a - 1:b]):
+            return   # max-pooling FLOPs never clamp
+        lowest = min(clamp_points(net, a, b))
+        for rho in (lowest, lowest * (1.0 - 1e-9), lowest * data.draw(st.floats(1e-6, 1.0))):
+            assert nm.cum_flops(net, a, b, rho) == 0.0, rho
+
+    def test_rho_outside_the_domain_raises(self, template_net):
+        for rho in (0.0, -0.5, 1.0 + 1e-12, 2.0):
+            with pytest.raises(ValueError):
+                nm.cum_flops(template_net, 1, 3, rho)
+            with pytest.raises(ValueError):
+                nm.cum_flops(template_net, 4, 7, rho)
+
+    @STACKS
+    @given(layer_stacks(), st.data())
+    def test_max_rho_inverts_the_count(self, net, data):
+        l = data.draw(st.integers(1, net.depth))
+        rho = data.draw(st.sampled_from(rho_draws(net)))
+        caps = [data.draw(st.floats(-0.1, 1.2)) * nm.cum_flops(net, 1, l, 1.0),
+                nm.cum_flops(net, 1, l, rho)]
+        for cap in caps:
+            r = nm.max_rho(net, l, cap)
+            if r == 0.0:   # the max-pooling FLOPs alone exceed the cap
+                assert nm.cum_flops(net, 1, l, 1e-300) > cap
+                continue
+            assert nm.cum_flops(net, 1, l, r) <= cap * (1 + 1e-12)
+            if r < 1.0:
+                assert nm.cum_flops(net, 1, l, min(r * (1 + 1e-9), 1.0)) > cap
+
+    def test_replace_and_with_weights_rebuild_the_table(self, template_net, rng):
+        bare = nm.NetworkModel(
+            layers=tuple(dataclasses.replace(layer, weights=None)
+                         for layer in template_net.layers),
+            input_dim=template_net.input_dim)
+        assert bare.flop_table == template_net.flop_table
+        weights = [rng.standard_normal(layer.weight_count) for layer in bare.layers
+                   if layer.is_weighted]
+        assert bare.with_weights(weights).flop_table == bare.flop_table
+        for l in range(1, bare.depth + 1):
+            head = dataclasses.replace(bare, layers=bare.layers[:l])
+            fresh = nm.NetworkModel(layers=bare.layers[:l], input_dim=bare.input_dim)
+            assert head.flop_table == fresh.flop_table == bare.flop_table[:l + 1]
+
+    def test_table_takes_no_part_in_equality_or_repr(self, template_net):
+        field = {f.name: f for f in dataclasses.fields(nm.NetworkModel)}["flop_table"]
+        assert not field.compare and not field.repr
+        other = copy.copy(template_net)
+        object.__setattr__(other, "flop_table", ())
+        assert other == template_net
+        assert repr(other) == repr(template_net)
 
 
 def max_rho_caps(net, l):
