@@ -5,7 +5,7 @@ against brute-force oracles."""
 from .accuracy import AccuracyParams, PenaltyTerms
 from .cost import Allocation, CostBreakdown, Scenario
 from .errors import ConfigError, InfeasibleError
-from .netmodel import NetworkModel, PrunedNetwork
+from .netmodel import NetworkModel
 from .optimizer import Solution, solve_baseline, solve_scenario, sweep
 from .quant import QuantSpec
 
@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyParams", "Allocation", "ConfigError", "CostBreakdown",
-    "InfeasibleError", "NetworkModel", "PenaltyTerms", "PrunedNetwork",
-    "QuantSpec", "Scenario", "Solution", "solve_baseline", "solve_scenario",
-    "sweep", "__version__",
+    "InfeasibleError", "NetworkModel", "PenaltyTerms", "QuantSpec", "Scenario",
+    "Solution", "solve_baseline", "solve_scenario", "sweep", "__version__",
 ]

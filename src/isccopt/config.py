@@ -185,23 +185,26 @@ def _build_scenario(block: dict) -> Scenario:
     )
 
 
-def _build_layer(record: dict) -> netmodel.LayerSpec:
-    _reject_unknown(record, "layer", "network.layers[]")
+def _build_layer(i: int, record: dict) -> netmodel.LayerSpec:
+    where = f"network.layers[{i}]"
+    _reject_unknown(record, "layer", where)
     kind = record.get("kind")
+
+    def dims(*keys):
+        return [_integer(record[key], f"{where}.{key}") for key in keys]
+
     if kind == "conv":
-        return netmodel.conv(record["alpha"], record["beta"], record["gamma"],
-                             record["psi"], record["gamma_prev"])
+        return netmodel.conv(*dims("alpha", "beta", "gamma", "psi", "gamma_prev"))
     if kind == "mp":
-        return netmodel.maxpool(record["alpha"], record["beta"], record["gamma"],
-                                record["psi"])
+        return netmodel.maxpool(*dims("alpha", "beta", "gamma", "psi"))
     if kind == "fc":
-        return netmodel.fc(record["n"], record["n_prev"])
+        return netmodel.fc(*dims("n", "n_prev"))
     raise ConfigError(f"unknown layer kind {kind!r}")
 
 
 def _build_network(block: dict) -> netmodel.NetworkModel:
     _reject_unknown(block, "network", "network")
-    layers = tuple(_build_layer(rec) for rec in block["layers"])
+    layers = tuple(_build_layer(i, rec) for i, rec in enumerate(block["layers"]))
     net = netmodel.NetworkModel(
         layers=layers, input_dim=_integer(block["input_dim"], "network.input_dim"))
     if block.get("weights_file"):

@@ -2,10 +2,12 @@
 and the weight-derived quantities used by the accuracy bounds.
 
 Layers are 1-indexed throughout (layer 0 means "the raw input").
-Convolution weights are stored as flattened 2-D matrices; they are used only
-for norms and pruning statistics. Forward passes are supported for
-fully-connected chains (bias-free, ReLU between layers, none after the last),
-which is the setting in which the pruning error bound is validated.
+Convolution weights are stored as flattened 2-D matrices
+(LayerSpec.weight_shape); they are used only for norms and pruning
+statistics. Forward passes are supported for fully-connected chains
+(bias-free, ReLU between layers, none after the last), which is the setting
+in which the pruning error bound is validated. Pruning returns another
+NetworkModel.
 """
 
 from __future__ import annotations
@@ -75,13 +77,21 @@ class LayerSpec:
                                self.weight_count / total if total else None)
 
     @property
+    def weight_shape(self) -> tuple[int, int]:
+        """Shape of the weight matrix: (n, n_prev) for fc, (gamma,
+        gamma_prev*psi^2) for conv (one flattened filter per row), and
+        (0, 0) for max-pooling."""
+        if self.kind == FC:
+            return self.n, self.n_prev
+        if self.kind == CONV:
+            return self.gamma, self.gamma_prev * self.psi**2
+        return 0, 0
+
+    @property
     def weight_count(self) -> int:
         """Number of parameters implied by the layer dimensions."""
-        if self.kind == CONV:
-            return self.gamma * self.gamma_prev * self.psi**2
-        if self.kind == FC:
-            return self.n * self.n_prev
-        return 0
+        rows, cols = self.weight_shape
+        return rows * cols
 
     @property
     def out_dim(self) -> int:
@@ -194,27 +204,13 @@ class NetworkModel:
     def with_weights(self, weights: list[np.ndarray]) -> "NetworkModel":
         """Attach one weight array per weighted layer (in layer order)."""
         mats = list(weights)
-        new_layers = []
-        for layer in self.layers:
-            if layer.is_weighted:
-                if not mats:
-                    raise ValueError("fewer weight arrays than weighted layers")
-                new_layers.append(replace(layer, weights=mats.pop(0)))
-            else:
-                new_layers.append(layer)
-        if mats:
-            raise ValueError("more weight arrays than weighted layers")
-        return replace(self, layers=tuple(new_layers))
-
-
-@dataclass(frozen=True)
-class PrunedNetwork:
-    """Magnitude-pruned copy of the first `split` layers of `base`."""
-
-    base: NetworkModel
-    rho: float
-    split: int
-    pruned_weights: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
+        n_weighted = sum(layer.is_weighted for layer in self.layers)
+        if len(mats) != n_weighted:
+            raise ValueError(f"{len(mats)} weight arrays for {n_weighted} weighted layers")
+        it = iter(mats)
+        return replace(self, layers=tuple(
+            replace(layer, weights=next(it)) if layer.is_weighted else layer
+            for layer in self.layers))
 
 
 def flops(layer: LayerSpec, rho: float = 1.0) -> float:
@@ -313,8 +309,8 @@ def upload_dim(net: NetworkModel, l: int) -> int:
     return 0 if l == net.depth else feature_dim(net, l)
 
 
-def _weight_chain(net, pruned, l):
-    """Weight matrices of layers 1..l, substituting pruned copies if given."""
+def _weight_chain(net, l):
+    """Weight matrices of the weighted layers among 1..l."""
     mats = []
     for i in range(1, l + 1):
         layer = net.layer(i)
@@ -322,81 +318,77 @@ def _weight_chain(net, pruned, l):
             continue
         if layer.weights is None:
             raise ValueError(f"layer {i} has no weight matrix")
-        if pruned is not None and i in pruned.pruned_weights:
-            mats.append(pruned.pruned_weights[i])
-        else:
-            mats.append(layer.weights)
+        mats.append(layer.weights)
     return mats
 
 
-def forward(net: NetworkModel | PrunedNetwork, x: np.ndarray, l: int) -> np.ndarray:
+def _leave_one_out(entries) -> float:
+    """sum_k lead_k * prod_{k'!=k} sq_k' over (lead, sq) pairs."""
+    total = 0.0
+    for k, (lead, _) in enumerate(entries):
+        prod = 1.0
+        for k2, (_, sq) in enumerate(entries):
+            if k2 != k:
+                prod *= sq
+        total += lead * prod
+    return total
+
+
+def forward(net: NetworkModel, x: np.ndarray, l: int) -> np.ndarray:
     """Bias-free ReLU chain W_l relu(W_{l-1} relu(... W_1 x)).
 
     Only fully-connected stacks are supported; ReLU is applied between
     layers but not after layer l. `x` may be a vector or a (dim, batch)
     matrix.
     """
-    if isinstance(net, PrunedNetwork):
-        base, pruned = net.base, net
-    else:
-        base, pruned = net, None
-    if any(base.layer(i).kind != FC for i in range(1, l + 1)):
+    if any(net.layer(i).kind != FC for i in range(1, l + 1)):
         raise ValueError("forward pass supports fully-connected stacks only")
-    mats = _weight_chain(base, pruned, l)
     out = np.asarray(x, dtype=float)
-    for k, w in enumerate(mats):
+    for k, w in enumerate(_weight_chain(net, l)):
         if k > 0:
             out = np.maximum(out, 0.0)
         out = w @ out
     return out
 
 
-def prune(net: NetworkModel, rho: float, l: int) -> PrunedNetwork:
-    """Per-layer magnitude pruning of layers 1..l.
+def prune(net: NetworkModel, rho: float, l: int) -> NetworkModel:
+    """`net` with layers 1..l magnitude-pruned.
 
     In each weighted layer the floor((1-rho)*M) entries of smallest absolute
     value are zeroed (ties broken by flat index order); survivors keep their
-    original values.
+    original values. Layers above l keep their weight arrays, or none.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    pruned = {}
+    mats = []
     for i in range(1, l + 1):
         layer = net.layer(i)
         if not layer.is_weighted:
             continue
         if layer.weights is None:
             raise ValueError(f"layer {i} has no weight matrix to prune")
-        w = layer.weights
-        n_zero = int(np.floor((1.0 - rho) * w.size))
-        out = w.copy()
+        out = layer.weights.copy()
+        n_zero = int(np.floor((1.0 - rho) * out.size))
         if n_zero > 0:
             flat = out.reshape(-1)
             order = np.argsort(np.abs(flat), kind="stable")
             flat[order[:n_zero]] = 0.0
-        pruned[i] = out
-    return PrunedNetwork(base=net, rho=rho, split=l, pruned_weights=pruned)
+        mats.append(out)
+    mats += [layer.weights for layer in net.layers[l:] if layer.is_weighted]
+    return net.with_weights(mats)
 
 
-def pruning_error_bound(net: NetworkModel, pruned: PrunedNetwork, l: int) -> float:
-    """Worst-case squared feature error of the pruned sub-model:
+def pruning_error_bound(net: NetworkModel, pruned: NetworkModel, l: int) -> float:
+    """Worst-case squared feature error of `pruned` against `net` over
+    layers 1..l:
 
         sum_{k<=l} ||W_k - What_k||_F^2 * prod_{k'!=k, k'<=l} ||W_k'||_F^2
 
     Valid for unit-norm inputs through the bias-free ReLU chain.
     """
-    originals = _weight_chain(net, None, l)
-    replaced = _weight_chain(net, pruned, l)
-    sq_norms = [float(np.sum(w * w)) for w in originals]
-    total = 0.0
-    for k, (w, w_hat) in enumerate(zip(originals, replaced)):
-        diff = float(np.sum((w - w_hat) ** 2))
-        prod = 1.0
-        for k2, sq in enumerate(sq_norms):
-            if k2 != k:
-                prod *= sq
-        total += diff * prod
-    return total
+    return _leave_one_out([
+        (float(np.sum((w - w_hat) ** 2)), float(np.sum(w * w)))
+        for w, w_hat in zip(_weight_chain(net, l), _weight_chain(pruned, l))])
 
 
 def tail_norm_product(net: NetworkModel, l: int) -> float:
@@ -413,21 +405,15 @@ def tail_norm_product(net: NetworkModel, l: int) -> float:
     return prod
 
 
-def layer_laplace_rate(layer: LayerSpec) -> float:
-    """Maximum-likelihood exponential rate of the |weight| distribution:
-    lambda = M / sum(|w|)."""
+def prune_factors(layer: LayerSpec) -> tuple[float, float]:
+    """(M / lambda^2, ||W||_F^2) of one weighted layer, the two per-layer
+    factors of pruning_penalty_coeff. lambda = M / sum(|w|) is the
+    maximum-likelihood exponential rate of the |weight| distribution."""
     if layer.weights is None:
         raise ValueError("layer has no weight matrix")
     if layer.laplace_rate is None:
         raise ValueError("all-zero layer: magnitude rate undefined")
-    return layer.laplace_rate
-
-
-def prune_factors(layer: LayerSpec) -> tuple[float, float]:
-    """(M / lambda^2, ||W||_F^2) of one weighted layer, the two per-layer
-    factors of pruning_penalty_coeff."""
-    rate = layer_laplace_rate(layer)
-    return layer.weight_count / rate**2, layer.fro_sq
+    return layer.weight_count / layer.laplace_rate**2, layer.fro_sq
 
 
 def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
@@ -437,47 +423,31 @@ def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
 
     with lambda_k the fitted per-layer magnitude rate.
     """
-    entries = [prune_factors(layer) for layer in map(net.layer, range(1, l + 1))
-               if layer.is_weighted]
-    total = 0.0
-    for k, (lead, _) in enumerate(entries):
-        prod = 1.0
-        for k2, (_, sq) in enumerate(entries):
-            if k2 != k:
-                prod *= sq
-        total += lead * prod
-    return total
+    return _leave_one_out([prune_factors(layer)
+                           for layer in map(net.layer, range(1, l + 1))
+                           if layer.is_weighted])
 
 
 def random_fc_network(dims, rates, rng) -> NetworkModel:
     """Analysis network: fully-connected stack with zero-mean Laplacian
     weights, one rate per layer (|w| ~ Exponential(rate))."""
     dims = list(dims)
-    rates = list(rates)
-    if len(rates) != len(dims) - 1:
-        raise ValueError("need one rate per layer (len(dims) - 1)")
-    layers = []
-    for n_prev, n, rate in zip(dims[:-1], dims[1:], rates):
-        w = rng.laplace(0.0, 1.0 / rate, size=(n, n_prev))
-        layers.append(fc(n, n_prev, weights=w))
-    return NetworkModel(layers=tuple(layers), input_dim=dims[0])
+    template = NetworkModel(
+        layers=tuple(fc(n, n_prev) for n_prev, n in zip(dims[:-1], dims[1:])),
+        input_dim=dims[0])
+    return generate_weights(template, rates, rng)
 
 
-def generate_weights(net: NetworkModel, rates, seed: int) -> NetworkModel:
-    """Attach zero-mean Laplacian weights, one rate per weighted layer."""
+def generate_weights(net: NetworkModel, rates, seed) -> NetworkModel:
+    """Attach zero-mean Laplacian weights, one rate per weighted layer, drawn
+    in layer order from np.random.default_rng(seed) (a Generator as is)."""
     rng = np.random.default_rng(seed)
     rates = list(rates)
     weighted = [layer for layer in net.layers if layer.is_weighted]
     if len(rates) != len(weighted):
         raise ValueError(f"need {len(weighted)} rates, got {len(rates)}")
-    mats = []
-    for layer, rate in zip(weighted, rates):
-        if layer.kind == FC:
-            shape = (layer.n, layer.n_prev)
-        else:
-            shape = (layer.gamma, layer.gamma_prev * layer.psi**2)
-        mats.append(rng.laplace(0.0, 1.0 / rate, size=shape))
-    return net.with_weights(mats)
+    return net.with_weights([rng.laplace(0.0, 1.0 / rate, size=layer.weight_shape)
+                             for layer, rate in zip(weighted, rates)])
 
 
 def rates_for_norms(net: NetworkModel, target_norms) -> list[float]:
@@ -508,11 +478,7 @@ def load_weights(net: NetworkModel, path) -> NetworkModel:
         count = layer.weight_count
         if offset + count > flat.size:
             raise ValueError("weight file too short for network dimensions")
-        if layer.kind == FC:
-            shape = (layer.n, layer.n_prev)
-        else:
-            shape = (layer.gamma, layer.gamma_prev * layer.psi**2)
-        mats.append(flat[offset:offset + count].reshape(shape))
+        mats.append(flat[offset:offset + count].reshape(layer.weight_shape))
         offset += count
     if offset != flat.size:
         raise ValueError("weight file longer than network dimensions")

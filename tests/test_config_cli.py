@@ -79,6 +79,42 @@ class TestConfig:
         })
         np.testing.assert_array_equal(cfg.network.layer(1).weights, ws[0])
 
+    @pytest.mark.parametrize("suffix", [".bin", ".txt"])
+    def test_stock_weights_through_weights_file(self, tmp_path, suffix):
+        # the conv layers' (gamma, gamma_prev*psi^2) rows, written row-major
+        # in layer order, load back into the same network
+        stock = build_config({})
+        flat = np.concatenate([layer.weights.reshape(-1)
+                               for layer in stock.network.layers if layer.is_weighted])
+        path = tmp_path / f"weights{suffix}"
+        if suffix == ".bin":
+            flat.astype("<f8").tofile(path)
+        else:
+            np.savetxt(path, flat)
+        cfg = build_config({"network": {"weights_file": str(path)}})
+        assert repr(cfg.network) == repr(stock.network)
+        for ours, theirs in zip(cfg.network.layers, stock.network.layers):
+            if not theirs.is_weighted:
+                continue
+            assert ours.weights.shape == theirs.weights.shape == theirs.weight_shape
+            if suffix == ".bin":
+                np.testing.assert_array_equal(ours.weights, theirs.weights)
+            else:
+                np.testing.assert_allclose(ours.weights, theirs.weights, rtol=1e-15)
+        assert repr(solve_scenario(cfg.network, cfg.scenario, cfg.accuracy)) == repr(
+            solve_scenario(stock.network, stock.scenario, stock.accuracy))
+
+    def test_integral_float_dims_give_the_same_network(self):
+        layers = [{key: value if key == "kind" else float(value)
+                   for key, value in record.items()}
+                  for record in DEFAULT_CONFIG["network"]["layers"]]
+        net = build_config({"network": {"layers": layers}}).network
+        stock = build_config({}).network
+        assert repr(net) == repr(stock)   # the dimensions are ints again
+        for ours, theirs in zip(net.layers, stock.layers):
+            if theirs.is_weighted:
+                np.testing.assert_array_equal(ours.weights, theirs.weights)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -147,6 +183,13 @@ class TestCliSolve:
         assert "config error" in capsys.readouterr().err
 
 
+def stock_layers_with(index, key, value):
+    """The stock network's layer records with one dimension replaced."""
+    layers = [dict(record) for record in DEFAULT_CONFIG["network"]["layers"]]
+    layers[index][key] = value
+    return layers
+
+
 def stock_weights_file(head):
     """Writer of a weights file for the stock network: the entries `head`,
     then ones."""
@@ -187,6 +230,10 @@ BAD_VALUES = [
     ("network", "target_norms", [1e300, 2.5, 2.5, 0.6, 0.6]),
     ("network", "target_norms", []),
     ("network", "target_norms", None),
+    # each layer dimension is named in the message: network.layers[i].<key>
+    ("network", "layers", stock_layers_with(4, "n", 2.5)),
+    ("network", "layers", stock_layers_with(2, "gamma", True)),
+    ("network", "layers", stock_layers_with(1, "psi", "5")),
     ("scenario", "q_max", 65),
     ("scenario", "p_max", 1e-300),
     # the solver block is gone: its keys are unknown and named in the message

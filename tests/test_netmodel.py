@@ -323,45 +323,93 @@ class TestForward:
             nm.forward(template_net, np.zeros(1024), 1)
 
 
+def weighted_pairs(net, pruned):
+    return [(a, b) for a, b in zip(net.layers, pruned.layers) if a.is_weighted]
+
+
 class TestPrune:
-    def test_identity_at_one(self, rng):
+    def test_identity_at_one(self, rng, template_net):
         net = small_fc_net([rng.standard_normal((4, 4))])
         pruned = nm.prune(net, 1.0, 1)
-        np.testing.assert_array_equal(pruned.pruned_weights[1], net.layer(1).weights)
+        np.testing.assert_array_equal(pruned.layer(1).weights, net.layer(1).weights)
+        for l in range(template_net.depth + 1):
+            pairs = weighted_pairs(template_net, nm.prune(template_net, 1.0, l))
+            for layer, kept in pairs:
+                np.testing.assert_array_equal(kept.weights, layer.weights)
+
+    def test_returns_a_network_pruned_up_to_l(self, template_net):
+        for l in range(template_net.depth + 1):
+            pruned = nm.prune(template_net, 0.5, l)
+            assert isinstance(pruned, nm.NetworkModel)
+            assert repr(pruned) == repr(template_net)   # same layers, same dims
+            for i, layer in enumerate(template_net.layers, start=1):
+                new = pruned.layer(i)
+                if not layer.is_weighted:
+                    assert new is layer
+                    continue
+                if i > l:
+                    assert new.weights is layer.weights
+                    continue
+                assert new.weights is not layer.weights
+                assert new.weights.shape == layer.weight_shape
+                zeros = np.count_nonzero(new.weights == 0.0)
+                assert zeros == layer.weight_count // 2, (l, i)
+
+    def test_cached_norms_match_the_pruned_weights(self, template_net):
+        pruned = nm.prune(template_net, 0.3, 5)
+        for i in (1, 3, 5):
+            layer = pruned.layer(i)
+            w = layer.weights
+            assert layer.fro_norm == float(np.linalg.norm(w))
+            assert layer.fro_sq == float(np.sum(w**2))
+            assert layer.laplace_rate == w.size / float(np.sum(np.abs(w)))
+        # the unpruned layers keep their norms
+        for layer, kept in weighted_pairs(template_net, pruned)[3:]:
+            assert (kept.fro_norm, kept.fro_sq, kept.laplace_rate) == (
+                layer.fro_norm, layer.fro_sq, layer.laplace_rate)
+
+    def test_layers_above_l_need_no_weights(self, rng):
+        w = rng.standard_normal((4, 6))
+        net = nm.NetworkModel(layers=(nm.fc(4, 6, weights=w), nm.fc(3, 4)), input_dim=6)
+        pruned = nm.prune(net, 0.5, 1)
+        assert pruned.layer(2).weights is None
+        assert np.count_nonzero(pruned.layer(1).weights) == 12
+        with pytest.raises(ValueError, match="layer 2 has no weight matrix"):
+            nm.prune(net, 0.5, 2)
 
     def test_smallest_magnitudes_zeroed(self):
         w = np.array([[0.1, -0.5], [0.2, 0.9]])
         net = small_fc_net([w])
         pruned = nm.prune(net, 0.5, 1)
-        np.testing.assert_array_equal(pruned.pruned_weights[1],
+        np.testing.assert_array_equal(pruned.layer(1).weights,
                                       np.array([[0.0, -0.5], [0.0, 0.9]]))
 
     def test_floor_count(self, rng):
         w = rng.standard_normal((1, 7))
         net = small_fc_net([w])
         pruned = nm.prune(net, 0.3, 1)
-        assert np.count_nonzero(pruned.pruned_weights[1] == 0.0) == 4
+        assert np.count_nonzero(pruned.layer(1).weights == 0.0) == 4
 
     def test_tie_break_by_index(self):
         w = np.array([[0.5, 0.5, 0.5, 0.5]])
         net = small_fc_net([w])
         pruned = nm.prune(net, 0.5, 1)
-        np.testing.assert_array_equal(pruned.pruned_weights[1],
+        np.testing.assert_array_equal(pruned.layer(1).weights,
                                       np.array([[0.0, 0.0, 0.5, 0.5]]))
 
     def test_survivors_keep_values(self, rng):
         w = rng.standard_normal((6, 6))
         net = small_fc_net([w])
         pruned = nm.prune(net, 0.4, 1)
-        kept = pruned.pruned_weights[1] != 0
-        np.testing.assert_array_equal(pruned.pruned_weights[1][kept], w[kept])
+        kept = pruned.layer(1).weights != 0
+        np.testing.assert_array_equal(pruned.layer(1).weights[kept], w[kept])
 
     def test_monotone_zero_sets(self, rng):
         w = rng.standard_normal((10, 10))
         net = small_fc_net([w])
         for r_hi, r_lo in ((0.9, 0.5), (0.7, 0.2), (0.5, 0.1)):
-            z_hi = nm.prune(net, r_hi, 1).pruned_weights[1] == 0
-            z_lo = nm.prune(net, r_lo, 1).pruned_weights[1] == 0
+            z_hi = nm.prune(net, r_hi, 1).layer(1).weights == 0
+            z_lo = nm.prune(net, r_lo, 1).layer(1).weights == 0
             assert (z_lo | ~z_hi).all()  # zeros at high rho stay zero at low rho
 
 
@@ -375,7 +423,7 @@ class TestPruningErrorBound:
         w = rng.standard_normal((5, 8))
         net = small_fc_net([w])
         pruned = nm.prune(net, 0.6, 1)
-        expected = np.sum((w - pruned.pruned_weights[1]) ** 2)
+        expected = np.sum((w - pruned.layer(1).weights) ** 2)
         assert nm.pruning_error_bound(net, pruned, 1) == pytest.approx(expected, rel=1e-14)
 
     def test_dominates_measured_error(self, rng):
@@ -420,12 +468,17 @@ class TestLaplaceRateAndPenaltyCoeff:
         c = 0.25
         w = np.array([[c, -c], [c, -c]])
         layer = nm.fc(2, 2, weights=w)
-        assert nm.layer_laplace_rate(layer) == pytest.approx(1.0 / c)
+        assert layer.laplace_rate == pytest.approx(1.0 / c)
+        # M / lambda^2 and ||W||_F^2 are both 4 c^2
+        assert nm.prune_factors(layer) == pytest.approx((4 * c**2, 4 * c**2))
 
     def test_all_zero_layer_errors(self):
         layer = nm.fc(2, 2, weights=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            nm.layer_laplace_rate(layer)
+        assert layer.laplace_rate is None
+        with pytest.raises(ValueError, match="all-zero"):
+            nm.prune_factors(layer)
+        with pytest.raises(ValueError, match="no weight matrix"):
+            nm.prune_factors(nm.fc(2, 2))
 
     def test_single_layer_coeff(self):
         c = 0.5
@@ -478,8 +531,24 @@ class TestGeneratorsAndIO:
     def test_laplacian_rate_matches(self, rng):
         rate = 7.0
         net = nm.random_fc_network([100, 100], [rate], rng)
-        fitted = nm.layer_laplace_rate(net.layer(1))
-        assert fitted == pytest.approx(rate, rel=0.05)
+        assert net.layer(1).laplace_rate == pytest.approx(rate, rel=0.05)
+
+    def test_random_fc_network_draw_order(self):
+        # the random-fc benchmark inputs and the margin suite depend on
+        # these exact draws: one Laplace matrix per layer, in layer order
+        dims, rates = [9, 7, 5, 3], [2.0, 3.0, 4.0]
+        rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
+        net = nm.random_fc_network(dims, rates, rng)
+        ref = [ref_rng.laplace(0.0, 1.0 / rate, size=(n, n_prev))
+               for n_prev, n, rate in zip(dims[:-1], dims[1:], rates)]
+        for layer, w in zip(net.layers, ref):
+            np.testing.assert_array_equal(layer.weights, w)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_weight_shape(self):
+        assert nm.fc(4, 6).weight_shape == (4, 6)
+        assert nm.conv(10, 10, 16, 5, 6).weight_shape == (16, 150)
+        assert nm.maxpool(5, 5, 16, 2).weight_shape == (0, 0)
 
     def test_rates_for_norms(self, template_net):
         for layer, target in zip(
