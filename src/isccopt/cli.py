@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cost, optimizer, oracles, sensing
+from . import optimizer, oracles, sensing
 from .accuracy import fit_accuracy_curve
 from .config import RunConfig, load_config, sanitize_floats
 from .errors import CheckError, ConfigError
@@ -33,12 +33,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[common], help="solve the configured scenario")
-    p.set_defaults(handler=cmd_solve)
+    p.set_defaults(handler=cmd_solve, kind="proposed")
 
     p = sub.add_parser("baseline", parents=[common], help="solve one ablation baseline")
-    p.add_argument("--kind", required=True,
-                   choices=["on_server", "on_device", "no_prune"])
-    p.set_defaults(handler=cmd_baseline)
+    p.add_argument("--kind", required=True, choices=optimizer.ORIGINS[1:])
+    p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="re-solve proposed + baselines along one axis")
@@ -87,22 +86,6 @@ def main(argv=None) -> int:
         return 4
 
 
-def _check(cfg: RunConfig, sc, sol, label: str = "") -> None:
-    """Run check_feasible on a feasible Solution before it is written, over
-    the split set of its origin: {0} for on_server, {L} for on_device, the
-    scenario's otherwise. Raises CheckError naming each failing constraint
-    with its slack."""
-    if not sol.feasible:
-        return
-    net, ap, a = cfg.network, cfg.accuracy, sol.alloc
-    splits = {"on_server": {0}, "on_device": {net.depth}}.get(sol.origin)
-    report = cost.check_feasible(a, net, sc, optimizer.penalty_terms(net, a.l, ap), ap,
-                                 splits=splits)
-    failed = [f"{c.name} slack {c.slack!r}" for c in report.checks if not c.ok]
-    if failed:
-        raise CheckError(f"{label}{sol.origin} (l={a.l}, q={a.q}): " + ", ".join(failed))
-
-
 def _write_solution(cfg: RunConfig, sol, out_dir: Path, stem: str) -> None:
     rows = [optimizer.solution_row(stem, sol)]
     optimizer.write_solutions_csv(out_dir / f"{stem}.csv", rows)
@@ -117,27 +100,20 @@ def _report_infeasible(sol) -> None:
 
 
 def cmd_solve(cfg: RunConfig, args, out_dir: Path) -> int:
-    sol = optimizer.solve_scenario(cfg.network, cfg.scenario, cfg.accuracy)
-    _check(cfg, cfg.scenario, sol)
-    _write_solution(cfg, sol, out_dir, "solution")
+    """`solve` (kind proposed) and `baseline --kind`."""
+    kind = args.kind
+    if kind == "proposed":
+        sol = optimizer.solve_scenario(cfg.network, cfg.scenario, cfg.accuracy)
+    else:
+        sol = optimizer.solve_baseline(kind, cfg.network, cfg.scenario, cfg.accuracy)
+    _write_solution(cfg, sol, out_dir, "solution" if kind == "proposed" else f"baseline_{kind}")
     if not sol.feasible:
         _report_infeasible(sol)
         return 2
     a = sol.alloc
-    print(f"proposed: E={sol.cost.e_total:.6g} J  T={sol.cost.t_total:.6g} s  "
+    print(f"{kind}: E={sol.cost.e_total:.6g} J  T={sol.cost.t_total:.6g} s  "
           f"l={a.l} q={a.q} rho={a.rho:.4f} p_s={a.p_s:.4g} W "
           f"p_c={a.p_c:.4g} W nu_e={a.nu_e:.4g} FLOP/s  ({sol.iterations} iters)")
-    return 0
-
-
-def cmd_baseline(cfg: RunConfig, args, out_dir: Path) -> int:
-    sol = optimizer.solve_baseline(args.kind, cfg.network, cfg.scenario, cfg.accuracy)
-    _check(cfg, cfg.scenario, sol)
-    _write_solution(cfg, sol, out_dir, f"baseline_{args.kind}")
-    if not sol.feasible:
-        _report_infeasible(sol)
-        return 2
-    print(f"{args.kind}: E={sol.cost.e_total:.6g} J  T={sol.cost.t_total:.6g} s")
     return 0
 
 
@@ -151,9 +127,6 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     rows = optimizer.sweep(cfg.network, cfg.scenario, cfg.accuracy, args.axis, values)
-    for row in rows:
-        _check(cfg, optimizer.apply_axis(cfg.scenario, args.axis, row.value),
-               row.solution, f"{args.axis}={row.value!r} ")
     csv_rows = [optimizer.solution_row(f"{args.axis}={row.value!r}", row.solution)
                 for row in rows]
     optimizer.write_solutions_csv(out_dir / "sweep.csv", csv_rows)

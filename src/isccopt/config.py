@@ -191,6 +191,9 @@ def _build_layer(i: int, record: dict) -> netmodel.LayerSpec:
     kind = record.get("kind")
 
     def dims(*keys):
+        missing = [f"{where}.{key}" for key in keys if key not in record]
+        if missing:
+            raise ConfigError("missing " + ", ".join(missing))
         return [_integer(record[key], f"{where}.{key}") for key in keys]
 
     if kind == "conv":

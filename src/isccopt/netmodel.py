@@ -76,6 +76,17 @@ class LayerSpec:
             object.__setattr__(self, "laplace_rate",
                                self.weight_count / total if total else None)
 
+    def __eq__(self, other):
+        """Equal kind and dimensions, and equal weight arrays (or none)."""
+        if not isinstance(other, LayerSpec):
+            return NotImplemented
+        dims = ("kind", "alpha", "beta", "gamma", "psi", "gamma_prev", "n", "n_prev")
+        if any(getattr(self, d) != getattr(other, d) for d in dims):
+            return False
+        if self.weights is None or other.weights is None:
+            return self.weights is other.weights
+        return bool(np.array_equal(self.weights, other.weights))
+
     @property
     def weight_shape(self) -> tuple[int, int]:
         """Shape of the weight matrix: (n, n_prev) for fc, (gamma,
@@ -356,11 +367,11 @@ def prune(net: NetworkModel, rho: float, l: int) -> NetworkModel:
 
     In each weighted layer the floor((1-rho)*M) entries of smallest absolute
     value are zeroed (ties broken by flat index order); survivors keep their
-    original values. Layers above l keep their weight arrays, or none.
+    original values. The layers above l are kept as they are.
     """
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    mats = []
+    layers = list(net.layers)
     for i in range(1, l + 1):
         layer = net.layer(i)
         if not layer.is_weighted:
@@ -373,9 +384,8 @@ def prune(net: NetworkModel, rho: float, l: int) -> NetworkModel:
             flat = out.reshape(-1)
             order = np.argsort(np.abs(flat), kind="stable")
             flat[order[:n_zero]] = 0.0
-        mats.append(out)
-    mats += [layer.weights for layer in net.layers[l:] if layer.is_weighted]
-    return net.with_weights(mats)
+        layers[i - 1] = replace(layer, weights=out)
+    return replace(net, layers=tuple(layers))
 
 
 def pruning_error_bound(net: NetworkModel, pruned: NetworkModel, l: int) -> float:
@@ -430,24 +440,30 @@ def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
 
 def random_fc_network(dims, rates, rng) -> NetworkModel:
     """Analysis network: fully-connected stack with zero-mean Laplacian
-    weights, one rate per layer (|w| ~ Exponential(rate))."""
+    weights, one rate per layer (|w| ~ Exponential(rate)), drawn as
+    generate_weights draws them."""
     dims = list(dims)
-    template = NetworkModel(
-        layers=tuple(fc(n, n_prev) for n_prev, n in zip(dims[:-1], dims[1:])),
-        input_dim=dims[0])
-    return generate_weights(template, rates, rng)
+    shapes = list(zip(dims[1:], dims[:-1]))
+    mats = _laplace_weights(shapes, rates, rng)
+    return NetworkModel(layers=tuple(fc(n, n_prev, w) for (n, n_prev), w in zip(shapes, mats)),
+                        input_dim=dims[0])
 
 
 def generate_weights(net: NetworkModel, rates, seed) -> NetworkModel:
-    """Attach zero-mean Laplacian weights, one rate per weighted layer, drawn
-    in layer order from np.random.default_rng(seed) (a Generator as is)."""
+    """Attach zero-mean Laplacian weights, one rate per weighted layer,
+    drawn in layer order (_laplace_weights)."""
+    return net.with_weights(_laplace_weights(
+        [layer.weight_shape for layer in net.layers if layer.is_weighted], rates, seed))
+
+
+def _laplace_weights(shapes, rates, seed) -> list[np.ndarray]:
+    """One zero-mean Laplacian matrix per shape, with the matching rate,
+    drawn in order from np.random.default_rng(seed) (a Generator as is)."""
     rng = np.random.default_rng(seed)
     rates = list(rates)
-    weighted = [layer for layer in net.layers if layer.is_weighted]
-    if len(rates) != len(weighted):
-        raise ValueError(f"need {len(weighted)} rates, got {len(rates)}")
-    return net.with_weights([rng.laplace(0.0, 1.0 / rate, size=layer.weight_shape)
-                             for layer, rate in zip(weighted, rates)])
+    if len(rates) != len(shapes):
+        raise ValueError(f"need {len(shapes)} rates, got {len(rates)}")
+    return [rng.laplace(0.0, 1.0 / rate, size=shape) for shape, rate in zip(shapes, rates)]
 
 
 def rates_for_norms(net: NetworkModel, target_norms) -> list[float]:

@@ -12,11 +12,12 @@ from dataclasses import dataclass, replace
 from . import netmodel
 from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
                        min_sensing_power)
-from .cost import Allocation, CostBreakdown, Scenario, total_cost
-from .errors import InfeasibleError
+from .cost import Allocation, CostBreakdown, Scenario, check_feasible, total_cost
+from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
 from .solvers import golden_section, min_rate_time, solve_pc_nue
 
+# the proposed design, then the three ablation baselines
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
 
 # smallest pruning ratio the rho search will consider; the decision domain
@@ -170,32 +171,49 @@ def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
     return energy.search(*energy.bracket(), origin)
 
 
-def _pairs(net, sc):
-    """Every admissible (l, q) pair in enumeration order; a split that
-    uploads nothing (after the last layer) has the one pair (l, 2)."""
-    for l in sorted(sc.splits):
-        q_top = sc.q_max if netmodel.upload_dim(net, l) else 2
-        for q in range(2, q_top + 1):
-            yield l, q
+# the pruning ratio an origin pins every pair to; the others search rho
+PINNED_RHO = {"no_prune": 1.0}
 
 
-def _enumerate(net, sc, ap, origin, pairs, bracket):
-    """The one outer loop, a bound-and-prune over (l, q) pairs.
+def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
+    """The (l, q) pairs an origin enumerates, in order; with PINNED_RHO
+    this is each origin's whole rule. proposed and no_prune take every
+    admissible pair (a split that uploads nothing, after the last layer,
+    has the one pair (l, 2)). on_server uploads the raw quantized input and
+    runs every layer on the server: the pair (0, q_max). on_device runs
+    every layer on the device and uploads nothing: the pair (L, 2)."""
+    if origin == "on_server":
+        return [(0, sc.q_max)]
+    if origin == "on_device":
+        return [(net.depth, 2)]
+    if origin not in ORIGINS:
+        raise ValueError(f"unknown origin {origin!r}")
+    return [(l, q) for l in sorted(sc.splits)
+            for q in range(2, (sc.q_max if netmodel.upload_dim(net, l) else 2) + 1)]
 
-    Pass 1 brackets every pair in `pairs` order (`bracket(energy)` returns
-    (rho_min, rho_max) with E evaluated at both ends) and takes the pair's
-    lower bound from them; a pair that raises leaves its reason. The least
-    energy at any bracket end is the first incumbent. Pass 2 searches the
-    pairs whose bound is within PRUNE_RTOL of the incumbent, most promising
-    first: by the mean of the bound and the better end, then q, then l. A
-    search abandons its pair as soon as no point it could return is within
+
+def _enumerate(net, sc, ap, origin):
+    """The one outer loop, a bound-and-prune over the origin's (l, q) pairs.
+
+    Pass 1 brackets every pair in _pairs order (PairEnergy.bracket, or the
+    origin's PINNED_RHO) and takes the pair's lower bound from the bracket
+    ends; a pair that raises leaves its reason. The least energy at any
+    bracket end is the first incumbent. Pass 2 searches the pairs whose
+    bound is within PRUNE_RTOL of the incumbent, most promising first: by
+    the mean of the bound and the better end, then q, then l. A search
+    abandons its pair as soon as no point it could return is within
     PRUNE_RTOL of the incumbent, and a finished search lowers the incumbent
     to its e_total. A skipped or abandoned pair can neither beat nor tie the
     answer, so the answer is the least (e_total, q, l) over all pairs, with
     its `iterations`, as if every pair were searched.
+
+    The answer is run through check_feasible over the splits of the pairs,
+    and CheckError names each constraint it fails, with its slack.
     """
     if not all(0 <= l <= net.depth for l in sc.splits):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
+    pairs = _pairs(net, sc, origin)
+    pinned = PINNED_RHO.get(origin)
     reasons = []
     bounded = []
     terms = {}
@@ -204,7 +222,7 @@ def _enumerate(net, sc, ap, origin, pairs, bracket):
             terms[l] = penalty_terms(net, l, ap)
         energy = PairEnergy(l, q, net, sc, terms[l], ap)
         try:
-            rhos = bracket(energy)
+            rhos = energy.bracket() if pinned is None else energy.pin(pinned)
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue
@@ -230,6 +248,11 @@ def _enumerate(net, sc, ap, origin, pairs, bracket):
     if best is None:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
                         iterations=0, reasons=tuple(sorted(reasons)))
+    a = best.alloc
+    report = check_feasible(a, net, sc, terms[a.l], ap, splits={l for l, _ in pairs})
+    failed = [f"{c.name} slack {c.slack!r}" for c in report.checks if not c.ok]
+    if failed:
+        raise CheckError(f"{origin} (l={a.l}, q={a.q}): " + ", ".join(failed))
     return replace(best, reasons=tuple(sorted(reasons)))
 
 
@@ -240,30 +263,18 @@ def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:
     whose exact lower bound rules it out (see _enumerate), and returns the
     feasible solution of least energy (ties broken by smaller q, then
     smaller l). When every pair is infeasible the Solution carries one
-    reason per pair.
+    reason per pair. Raises CheckError when the answer fails its check.
     """
-    return _enumerate(net, sc, ap, "proposed", _pairs(net, sc), PairEnergy.bracket)
+    return _enumerate(net, sc, ap, "proposed")
 
 
 def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams) -> Solution:
-    """Ablation baselines: each picks its (l, q) pairs and rho bracket for
-    the loop that solve_scenario runs.
-
-    on_server: the pair (0, q_max) at rho = 1, i.e. upload the raw
-    (quantized) input and run every layer on the server.
-    on_device: the pair (L, 2), the split after the last layer, pruning
-    allowed, nothing uploaded.
-    no_prune: full enumeration with the pruning ratio pinned to 1.
-    """
-    if kind == "on_server":
-        pairs, bracket = [(0, sc.q_max)], PairEnergy.bracket
-    elif kind == "on_device":
-        pairs, bracket = [(net.depth, 2)], PairEnergy.bracket
-    elif kind == "no_prune":
-        pairs, bracket = _pairs(net, sc), lambda energy: energy.pin(1.0)
-    else:
+    """Ablation baseline `kind` (on_server, on_device or no_prune), solved
+    by the loop of solve_scenario over the pairs and rho rule that _pairs
+    and PINNED_RHO state for it."""
+    if kind not in ORIGINS[1:]:
         raise ValueError(f"unknown baseline {kind!r}")
-    return _enumerate(net, sc, ap, kind, pairs, bracket)
+    return _enumerate(net, sc, ap, kind)
 
 
 @dataclass(frozen=True)
@@ -290,6 +301,7 @@ def sweep(net, sc: Scenario, ap: AccuracyParams, axis: str, values,
     """Re-solve the proposed method and every baseline per swept value.
 
     Infeasible points are recorded as infeasible rows; the sweep continues.
+    An answer failing its check raises CheckError prefixed with axis=value.
     """
     values = list(values)
     if not values:
@@ -298,10 +310,10 @@ def sweep(net, sc: Scenario, ap: AccuracyParams, axis: str, values,
     for value in values:
         sc_v = apply_axis(sc, axis, value)
         for origin in origins:
-            if origin == "proposed":
-                sol = solve_scenario(net, sc_v, ap)
-            else:
-                sol = solve_baseline(origin, net, sc_v, ap)
+            try:
+                sol = _enumerate(net, sc_v, ap, origin)
+            except CheckError as err:
+                raise CheckError(f"{axis}={value!r} {err}") from err
             rows.append(SweepRow(axis=axis, value=value, solution=sol))
     return rows
 

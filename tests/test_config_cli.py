@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isccopt
-from isccopt import optimizer
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
@@ -21,6 +19,7 @@ from isccopt.errors import ConfigError
 from isccopt.optimizer import (ORIGINS, _pairs, penalty_terms, solution_from_dict,
                                solve_baseline, solve_scenario)
 from isccopt.oracles import random_test_case
+from util import halve_sensing_power
 
 
 class TestConfig:
@@ -114,6 +113,10 @@ class TestConfig:
         for ours, theirs in zip(net.layers, stock.layers):
             if theirs.is_weighted:
                 np.testing.assert_array_equal(ours.weights, theirs.weights)
+
+    def test_missing_layer_dimension_is_named(self):
+        with pytest.raises(ConfigError, match=r"^missing network\.layers\[0\]\.n_prev$"):
+            build_config({"network": {"layers": [{"kind": "fc", "n": 4}]}})
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -234,6 +237,7 @@ BAD_VALUES = [
     ("network", "layers", stock_layers_with(4, "n", 2.5)),
     ("network", "layers", stock_layers_with(2, "gamma", True)),
     ("network", "layers", stock_layers_with(1, "psi", "5")),
+    ("network", "layers", [{"kind": "fc", "n": 4}]),
     ("scenario", "q_max", 65),
     ("scenario", "p_max", 1e-300),
     # the solver block is gone: its keys are unknown and named in the message
@@ -339,16 +343,9 @@ class TestCliSweepAndBaseline:
         assert "on_device: E=" in capsys.readouterr().out
 
 
-def below_accuracy_inverse(sol):
-    """`sol` with its sensing power halved, below the accuracy inverse."""
-    return replace(sol, alloc=replace(sol.alloc, p_s=0.5 * sol.alloc.p_s))
-
-
 class TestCliChecksBeforeOutput:
     def test_solve_answer_failing_its_check_exits_4(self, tmp_path, capsys, monkeypatch):
-        solve = optimizer.solve_scenario
-        monkeypatch.setattr(optimizer, "solve_scenario",
-                            lambda *a: below_accuracy_inverse(solve(*a)))
+        halve_sensing_power(monkeypatch)
         rc = main(["solve", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 4
@@ -357,19 +354,14 @@ class TestCliChecksBeforeOutput:
         assert not (tmp_path / "solution.csv").exists()
 
     def test_sweep_with_one_failing_row_exits_4(self, tmp_path, capsys, monkeypatch):
-        sweep = optimizer.sweep
-
-        def corrupt_one_row(*args, **kwargs):
-            rows = sweep(*args, **kwargs)
-            rows[5] = replace(rows[5], solution=below_accuracy_inverse(rows[5].solution))
-            return rows
-
-        monkeypatch.setattr(optimizer, "sweep", corrupt_one_row)
+        halve_sensing_power(monkeypatch,
+                            lambda origin, sc: origin == "on_server" and sc.t_max == 1.0)
         rc = main(["sweep", "--axis", "t_max", "--values", "0.8,1.0",
                    "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert rc == 4
         assert "t_max=1.0 on_server" in err and "accuracy slack -" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "sweep.json").exists()
         assert not (tmp_path / "sweep.csv").exists()
 

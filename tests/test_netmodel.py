@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isccopt import netmodel as nm
+from isccopt.config import build_config
 from util import max_rho_bisection
 
 
@@ -221,6 +222,29 @@ class TestFlopTable:
         assert repr(other) == repr(template_net)
 
 
+class TestEquality:
+    def test_networks_built_alike_are_equal(self):
+        a, b = build_config({}).network, build_config({}).network
+        assert a.layers[0].weights is not b.layers[0].weights
+        assert (a == b) is True and (a != b) is False
+        assert (a.layers[0] == b.layers[0]) is True
+
+    def test_pruned_network_differs_from_its_parent(self, template_net):
+        assert nm.prune(template_net, 1.0, 3) == template_net
+        for l in range(1, template_net.depth + 1):
+            pruned = nm.prune(template_net, 0.5, l)
+            assert (pruned == template_net) is False
+            assert (pruned.layer(1) == template_net.layer(1)) is False
+
+    def test_weights_and_dimensions_take_part(self):
+        w = np.arange(6.0).reshape(2, 3)
+        assert nm.fc(2, 3, w) == nm.fc(2, 3, w.copy())
+        assert nm.fc(2, 3, w) != nm.fc(2, 3)
+        assert nm.fc(2, 3) == nm.fc(2, 3)
+        assert nm.fc(2, 3) != nm.fc(3, 2)
+        assert nm.maxpool(2, 2, 3, 2) != nm.conv(2, 2, 3, 2, 3)
+
+
 def max_rho_caps(net, l):
     """Caps around every clamp point of layers 1..l, below the fixed
     (max-pooling) FLOPs, and at and above the FLOPs at rho = 1."""
@@ -354,6 +378,12 @@ class TestPrune:
                 assert new.weights.shape == layer.weight_shape
                 zeros = np.count_nonzero(new.weights == 0.0)
                 assert zeros == layer.weight_count // 2, (l, i)
+
+    def test_layers_above_l_are_kept_as_they_are(self, template_net):
+        for l in range(template_net.depth + 1):
+            pruned = nm.prune(template_net, 0.5, l)
+            assert all(new is layer for new, layer in
+                       zip(pruned.layers[l:], template_net.layers[l:]))
 
     def test_cached_norms_match_the_pruned_weights(self, template_net):
         pruned = nm.prune(template_net, 0.3, 5)

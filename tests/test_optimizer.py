@@ -11,9 +11,9 @@ from isccopt import optimizer as opt
 from isccopt import oracles as orc
 from isccopt.accuracy import min_pruning_ratio
 from isccopt.cost import check_feasible, comm_cost, total_cost
-from isccopt.errors import InfeasibleError
+from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import min_rate_time
-from util import make_scenario
+from util import halve_sensing_power, make_scenario
 
 
 class TestPenaltyTerms:
@@ -385,6 +385,44 @@ class TestSweep:
                                    default_params):
         with pytest.raises(ValueError):
             opt.sweep(template_net, default_scenario, default_params, "t_max", [])
+
+
+def solve_origin(origin, net, sc, ap):
+    if origin == "proposed":
+        return opt.solve_scenario(net, sc, ap)
+    return opt.solve_baseline(origin, net, sc, ap)
+
+
+class TestLibraryChecksItsAnswers:
+    """The solve loop runs check_feasible on its answer, so every caller of
+    solve_scenario, solve_baseline and sweep gets a checked answer."""
+
+    @pytest.mark.parametrize("origin", opt.ORIGINS)
+    def test_failing_answer_raises(self, template_net, default_scenario,
+                                   default_params, monkeypatch, origin):
+        halve_sensing_power(monkeypatch)
+        with pytest.raises(CheckError, match=rf"^{origin} \(l=\d+, q=\d+\): "
+                                             r"accuracy slack -"):
+            solve_origin(origin, template_net, default_scenario, default_params)
+
+    def test_sweep_names_the_failing_row(self, template_net, default_scenario,
+                                         default_params, monkeypatch):
+        halve_sensing_power(monkeypatch,
+                            lambda origin, sc: origin == "no_prune" and sc.t_max == 0.9)
+        with pytest.raises(CheckError, match=r"^t_max=0\.9 no_prune \(l=\d+, q=\d+\): "
+                                             r"accuracy slack -"):
+            opt.sweep(template_net, default_scenario, default_params, "t_max",
+                      [0.7, 0.8, 0.9])
+
+    @pytest.mark.parametrize("origin", opt.ORIGINS)
+    def test_each_origin_checked_on_its_own_splits(self, template_net, default_scenario,
+                                                   default_params, origin):
+        # l = 0 and l = L lie outside these splits; on_server and on_device
+        # are checked on the split of their one pair
+        sc = replace(default_scenario, splits=(2, 3))
+        sol = solve_origin(origin, template_net, sc, default_params)
+        assert sol.feasible
+        assert sol.alloc.l in {l for l, _ in opt._pairs(template_net, sc, origin)}
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from isccopt import netmodel
+from isccopt import netmodel, optimizer
 from isccopt.config import build_config
 from isccopt.solvers import min_rate_time
 
@@ -20,6 +20,22 @@ def stock_config():
 def make_scenario(**kw):
     """The stock scenario with the given fields replaced."""
     return replace(stock_config().scenario, **kw)
+
+
+def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
+    """Make the solver return answers that fail their accuracy check:
+    optimizer.min_sensing_power gives half the accuracy inverse in the
+    solves of the (origin, scenario) pairs that `when` selects."""
+    inverse, solve = optimizer.min_sensing_power, optimizer._enumerate
+    active = [False]
+
+    def enumerate_(net, sc, ap, origin):
+        active[0] = when(origin, sc)
+        return solve(net, sc, ap, origin)
+
+    monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
+    monkeypatch.setattr(optimizer, "min_sensing_power",
+                        lambda *a: inverse(*a) * (0.5 if active[0] else 1.0))
 
 
 def t_stationary_rootfind(mu1, g_over_bn0, tol=1e-14):
