@@ -19,6 +19,13 @@ from .config import RunConfig, load_config, sanitize_floats
 from .errors import CheckError, ConfigError
 from .quant import QuantSpec
 
+# largest --trials and --grid-n that validate accepts. The quantizer suite
+# holds about eleven trials x 100 float arrays at once (8.9 kB per trial),
+# margin about 2.3 kB per trial, and each power-freq grid a few grid_n x
+# grid_n arrays (17 B per cell), so the peaks at the bounds are about
+# 0.45 GB and 0.27 GB
+MAX_TRIALS = 50_000
+MAX_GRID_N = 4_000
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -198,9 +205,10 @@ def _validate_suites(cfg: RunConfig, args):
 
 
 def cmd_validate(cfg: RunConfig, args, out_dir: Path) -> int:
-    for flag, value in (("--trials", args.trials), ("--grid-n", args.grid_n)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    for flag, value, top in (("--trials", args.trials, MAX_TRIALS),
+                             ("--grid-n", args.grid_n, MAX_GRID_N)):
+        if not 1 <= value <= top:
+            raise ConfigError(f"{flag} must lie in 1..{top}, got {value}")
     suites = _validate_suites(cfg, args)
     names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True

@@ -97,6 +97,19 @@ def _reject_unknown(block: dict, schema_key: str, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where or 'config root'}")
 
 
+def _record(value, where: str) -> dict:
+    """`value`, a config block or record, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _require(record: dict, keys, where: str) -> None:
+    missing = [f"{where}.{key}" for key in keys if key not in record]
+    if missing:
+        raise ConfigError("missing " + ", ".join(missing))
+
+
 def _merged(defaults: dict, override: dict) -> dict:
     out = dict(defaults)
     out.update(override)
@@ -138,7 +151,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 def build_config(raw: dict) -> RunConfig:
     _reject_unknown(raw, "", "")
     try:
-        resolved = {key: _merged(DEFAULT_CONFIG[key], raw.get(key, {}))
+        resolved = {key: _merged(DEFAULT_CONFIG[key], _record(raw.get(key, {}), key))
                     for key in ("scenario", "network", "accuracy", "echo")}
         sc = _build_scenario(resolved["scenario"])
         net = _build_network(resolved["network"])
@@ -187,13 +200,11 @@ def _build_scenario(block: dict) -> Scenario:
 
 def _build_layer(i: int, record: dict) -> netmodel.LayerSpec:
     where = f"network.layers[{i}]"
-    _reject_unknown(record, "layer", where)
+    _reject_unknown(_record(record, where), "layer", where)
     kind = record.get("kind")
 
     def dims(*keys):
-        missing = [f"{where}.{key}" for key in keys if key not in record]
-        if missing:
-            raise ConfigError("missing " + ", ".join(missing))
+        _require(record, keys, where)
         return [_integer(record[key], f"{where}.{key}") for key in keys]
 
     if kind == "conv":
@@ -258,20 +269,34 @@ def _build_accuracy(block: dict) -> AccuracyParams:
         f_min=float(block["f_min"]), f_max=float(block["f_max"]))
 
 
-def _complex(value) -> complex:
-    if isinstance(value, (int, float)):
+def _complex(value, where: str) -> complex:
+    """A path gain: a real number or an [re, im] pair of them."""
+    def real(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if real(value):
         return complex(value)
-    return complex(float(value[0]), float(value[1]))
+    if isinstance(value, list) and len(value) == 2 and all(map(real, value)):
+        return complex(float(value[0]), float(value[1]))
+    raise ConfigError(f"{where} must be a number or an [re, im] pair, got {value!r}")
+
+
+def _path(record, keys, where: str) -> dict:
+    """An echo path record with every key in `keys`."""
+    _reject_unknown(_record(record, where), "path", where)
+    _require(record, keys, where)
+    return record
 
 
 def _build_echo(block: dict) -> tuple[EchoParams, dict]:
     _reject_unknown(block, "echo", "echo")
-    target = block["target"]
-    _reject_unknown(target, "path", "echo.target")
+    target = _path(block["target"], ("delay", "doppler_hz", "gain"), "echo.target")
     clutter = []
-    for rec in block.get("clutter", []):
-        _reject_unknown(rec, "path", "echo.clutter[]")
-        clutter.append(ClutterPath(delay=float(rec["delay"]), gain=_complex(rec["gain"])))
+    for i, rec in enumerate(block.get("clutter", [])):
+        where = f"echo.clutter[{i}]"
+        rec = _path(rec, ("delay", "gain"), where)
+        clutter.append(ClutterPath(delay=float(rec["delay"]),
+                                   gain=_complex(rec["gain"], f"{where}.gain")))
     params = EchoParams(
         power=float(block["power"]),
         chirp_duration=float(block["chirp_duration"]),
@@ -279,7 +304,7 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
         sample_rate=float(block["sample_rate"]),
         target=TargetPath(delay=float(target["delay"]),
                           doppler_hz=float(target["doppler_hz"]),
-                          gain=_complex(target["gain"])),
+                          gain=_complex(target["gain"], "echo.target.gain")),
         clutter=tuple(clutter),
         noise_psd=float(block["noise_psd"]),
         chirp_bandwidth=float(block["chirp_bandwidth"]),

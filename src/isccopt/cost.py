@@ -157,7 +157,12 @@ class ConstraintCheck:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """Every constraint check of one allocation, and the cost breakdown the
+    latency check read (None when the allocation lies outside the domain of
+    total_cost)."""
+
     checks: tuple[ConstraintCheck, ...]
+    cost: CostBreakdown | None
 
     @property
     def ok(self) -> bool:
@@ -170,38 +175,52 @@ class FeasibilityReport:
         raise KeyError(name)
 
 
+def _box(name: str, ok: bool, value: float, lo: float, hi: float) -> ConstraintCheck:
+    """A bound check whose slack is the distance from `value` to the nearer
+    of lo and hi, negative outside [lo, hi]."""
+    return ConstraintCheck(name, ok, float(min(value - lo, hi - value)))
+
+
 def check_feasible(alloc: Allocation, net: NetworkModel, sc: Scenario,
                    terms: PenaltyTerms, ap: AccuracyParams,
                    splits=None) -> FeasibilityReport:
-    """Evaluate every constraint with its slack (positive = satisfied).
+    """Evaluate every constraint with its slack (positive = satisfied), and
+    the allocation's cost breakdown. An allocation outside its box is
+    reported, not raised on.
 
     `splits` overrides the admissible split set (baselines use l=0 or l=L
     outside the scenario's set). Slacks within -FEASIBLE_TOL still pass, so
-    boundary-active converged solutions report ok.
+    boundary-active converged solutions report ok. A box check's slack is
+    the distance to its nearer bound, so a failing check never shows a
+    positive slack. Where total_cost has no value (a split outside 0..L, a
+    power or frequency outside its domain, rho outside (0, 1]) the report
+    carries no cost and the latency slack is -inf.
     """
     allowed = set(splits) if splits is not None else set(sc.splits)
+    a = alloc
     try:
-        bound = accuracy_lower_bound(alloc, terms, ap)
+        bound = accuracy_lower_bound(a, terms, ap)
         accuracy_check = ConstraintCheck("accuracy", bound - sc.r_t >= -FEASIBLE_TOL,
                                          bound - sc.r_t)
     except ValueError:
         # quantizer domain violated (e.g. q < 2): no bound exists
         accuracy_check = ConstraintCheck("accuracy", False, -math.inf)
-    breakdown = total_cost(alloc, net, sc)
+    try:
+        breakdown = total_cost(a, net, sc) if a.l in range(net.depth + 1) else None
+    except ValueError:
+        breakdown = None
+    latency = sc.t_max - breakdown.t_total if breakdown is not None else -math.inf
+    integral_q = float(a.q).is_integer()
     checks = (
         accuracy_check,
-        ConstraintCheck("latency", sc.t_max - breakdown.t_total >= -FEASIBLE_TOL,
-                        sc.t_max - breakdown.t_total),
-        ConstraintCheck("split", alloc.l in allowed, 0.0 if alloc.l in allowed else -1.0),
-        ConstraintCheck("prune_ratio", 0.0 < alloc.rho <= 1.0 + FEASIBLE_TOL,
-                        min(alloc.rho, 1.0 - alloc.rho)),
-        ConstraintCheck("sensing_power", 0.0 <= alloc.p_s <= sc.p_max + FEASIBLE_TOL,
-                        sc.p_max - alloc.p_s),
-        ConstraintCheck("comm_power", 0.0 < alloc.p_c <= sc.p_max + FEASIBLE_TOL,
-                        sc.p_max - alloc.p_c),
-        ConstraintCheck("edge_frequency", 0.0 < alloc.nu_e <= sc.nu_max * (1 + 1e-12),
-                        sc.nu_max - alloc.nu_e),
-        ConstraintCheck("quant_bits", int(alloc.q) == alloc.q and 2 <= alloc.q <= sc.q_max,
-                        float(sc.q_max - alloc.q)),
+        ConstraintCheck("latency", latency >= -FEASIBLE_TOL, latency),
+        ConstraintCheck("split", a.l in allowed, 0.0 if a.l in allowed else -1.0),
+        _box("prune_ratio", 0.0 < a.rho <= 1.0 + FEASIBLE_TOL, a.rho, 0.0, 1.0),
+        _box("sensing_power", 0.0 <= a.p_s <= sc.p_max + FEASIBLE_TOL, a.p_s, 0.0, sc.p_max),
+        _box("comm_power", 0.0 < a.p_c <= sc.p_max + FEASIBLE_TOL, a.p_c, 0.0, sc.p_max),
+        _box("edge_frequency", 0.0 < a.nu_e <= sc.nu_max * (1 + 1e-12),
+             a.nu_e, 0.0, sc.nu_max),
+        _box("quant_bits", integral_q and 2 <= a.q <= sc.q_max,
+             a.q if integral_q else -math.inf, 2, sc.q_max),
     )
-    return FeasibilityReport(checks=checks)
+    return FeasibilityReport(checks=checks, cost=breakdown)

@@ -7,12 +7,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import netmodel
 from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
                        min_sensing_power)
-from .cost import Allocation, CostBreakdown, Scenario, check_feasible, total_cost
+from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
 from .solvers import golden_section, min_rate_time, solve_pc_nue
@@ -28,8 +28,8 @@ RHO_FLOOR = 1e-9
 EPS_RHO = 1e-6
 
 # a pair is searched while its lower bound is at most the incumbent's
-# e_total times (1 + PRUNE_RTOL); the margin absorbs the rounding between
-# E(rho), the KKT stopping test and total_cost
+# E(rho) times (1 + PRUNE_RTOL); the margin absorbs the rounding between
+# E(rho), its bounds and the KKT stopping test
 PRUNE_RTOL = 1e-9
 
 
@@ -132,11 +132,10 @@ class PairEnergy:
         pts = [self.points[r] for r in rhos]
         return min(self.sc.t_sen * b[1] + a[4] for a, b in zip(pts, pts[1:]))
 
-    def search(self, rho_min: float, rho_max: float, origin: str,
-               cutoff: float = math.inf) -> Solution | None:
-        """Solution at the least-energy point of rho_min, the golden-section
-        argmin over the bracket at EPS_RHO, and rho_max (the first on
-        ties); `iterations` is the number of points E(rho) was evaluated at.
+    def search(self, rho_min: float, rho_max: float,
+               cutoff: float = math.inf) -> float | None:
+        """The least-energy point of rho_min, the golden-section argmin over
+        the bracket at EPS_RHO, and rho_max (the first on ties).
 
         None when both ends and the lower bound on a golden-section bracket
         (from its ends and interior points) exceed `cutoff`: the search
@@ -151,24 +150,34 @@ class PairEnergy:
             if rho is None:
                 return None
             rhos.insert(1, rho)
-        rho = min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
-        _, p_s, p_c, nu_e, _ = self.points[rho]
-        alloc = Allocation(l=self.l, q=self.q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
-        return Solution(origin=origin, feasible=True, alloc=alloc,
-                        cost=total_cost(alloc, self.net, self.sc),
-                        iterations=len(self.points))
+        return min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
+
+
+def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
+    """The Solution of `energy`'s pair at `rho`, a point E was evaluated at.
+    check_feasible over `splits` gives its cost breakdown, and CheckError
+    names each constraint it fails, with its slack; `iterations` is the
+    number of points E was evaluated at."""
+    _, p_s, p_c, nu_e, _ = energy.points[rho]
+    alloc = Allocation(l=energy.l, q=energy.q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
+    report = check_feasible(alloc, energy.net, energy.sc, energy.terms, energy.ap, splits)
+    failed = [f"{c.name} slack {c.slack!r}" for c in report.checks if not c.ok]
+    if failed:
+        raise CheckError(f"{origin} (l={alloc.l}, q={alloc.q}): " + ", ".join(failed))
+    return Solution(origin=origin, feasible=True, alloc=alloc, cost=report.cost,
+                    iterations=len(energy.points))
 
 
 def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
                origin: str = "proposed") -> Solution:
-    """Least-energy allocation of one (l, q) pair.
+    """Least-energy allocation of one (l, q) pair, checked on the split l.
 
     Minimizes E(rho) of PairEnergy by golden-section search over
     [rho_min, rho_max] (PairEnergy.bracket). Raises InfeasibleError when no
-    rho is feasible.
+    rho is feasible, and CheckError when the answer fails its check.
     """
     energy = PairEnergy(l, q, net, sc, terms, ap)
-    return energy.search(*energy.bracket(), origin)
+    return _answer(energy, energy.search(*energy.bracket()), origin, {l})
 
 
 # the pruning ratio an origin pins every pair to; the others search rho
@@ -203,23 +212,22 @@ def _enumerate(net, sc, ap, origin):
     the mean of the bound and the better end, then q, then l. A search
     abandons its pair as soon as no point it could return is within
     PRUNE_RTOL of the incumbent, and a finished search lowers the incumbent
-    to its e_total. A skipped or abandoned pair can neither beat nor tie the
-    answer, so the answer is the least (e_total, q, l) over all pairs, with
-    its `iterations`, as if every pair were searched.
+    to the E(rho) of the point it returns. A skipped or abandoned pair can
+    neither beat nor tie the answer, so the answer is the least (E, q, l)
+    over all pairs, with its `iterations`, as if every pair were searched.
 
-    The answer is run through check_feasible over the splits of the pairs,
-    and CheckError names each constraint it fails, with its slack.
+    The answer is built once, by _answer: check_feasible over the splits of
+    the pairs gives its cost, and CheckError names each constraint it
+    fails, with its slack.
     """
     if not all(0 <= l <= net.depth for l in sc.splits):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
     pinned = PINNED_RHO.get(origin)
+    terms = {l: penalty_terms(net, l, ap) for l in {l for l, _ in pairs}}
     reasons = []
     bounded = []
-    terms = {}
     for l, q in pairs:
-        if l not in terms:
-            terms[l] = penalty_terms(net, l, ap)
         energy = PairEnergy(l, q, net, sc, terms[l], ap)
         try:
             rhos = energy.bracket() if pinned is None else energy.pin(pinned)
@@ -236,24 +244,21 @@ def _enumerate(net, sc, ap, origin):
         if bound > cutoff:
             continue
         try:
-            sol = energy.search(*rhos, origin, cutoff)
+            rho = energy.search(*rhos, cutoff)
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue
-        if sol is None:
+        if rho is None:
             continue
-        if best is None or (sol.e_total, q, l) < (best.e_total, best.alloc.q, best.alloc.l):
-            best = sol
-        incumbent = min(incumbent, sol.e_total)
+        e = energy.points[rho][0]
+        if best is None or (e, q, l) < best[:3]:
+            best = (e, q, l, energy, rho)
+        incumbent = min(incumbent, e)
+    reasons = tuple(sorted(reasons))
     if best is None:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
-                        iterations=0, reasons=tuple(sorted(reasons)))
-    a = best.alloc
-    report = check_feasible(a, net, sc, terms[a.l], ap, splits={l for l, _ in pairs})
-    failed = [f"{c.name} slack {c.slack!r}" for c in report.checks if not c.ok]
-    if failed:
-        raise CheckError(f"{origin} (l={a.l}, q={a.q}): " + ", ".join(failed))
-    return replace(best, reasons=tuple(sorted(reasons)))
+                        iterations=0, reasons=reasons)
+    return replace(_answer(*best[3:], origin, set(terms)), reasons=reasons)
 
 
 def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:
@@ -324,17 +329,12 @@ CSV_COLUMNS = ("scenario_id", "origin", "l", "q", "rho", "p_s", "p_c", "nu_e",
 
 
 def solution_row(scenario_id: str, sol: Solution) -> dict:
-    row = {"scenario_id": scenario_id, "origin": sol.origin,
-           "feasible": sol.feasible, "iters": sol.iterations}
-    if sol.feasible:
-        a, c = sol.alloc, sol.cost
-        row.update(l=a.l, q=a.q, rho=repr(a.rho), p_s=repr(a.p_s),
-                   p_c=repr(a.p_c), nu_e=repr(a.nu_e), e_sen=repr(c.e_sen),
-                   e_comp=repr(c.e_comp), e_comm=repr(c.e_comm),
-                   e_total=repr(c.e_total), t_total=repr(c.t_total))
-    else:
-        row.update({k: "" for k in CSV_COLUMNS if k not in row})
-    return row
+    """solution_to_dict flattened onto CSV_COLUMNS; the columns an
+    infeasible solution has no value for are empty."""
+    data = solution_to_dict(sol)
+    flat = {"scenario_id": scenario_id, "iters": data["iterations"], **data,
+            **data.get("allocation", {}), **data.get("cost", {})}
+    return {key: flat.get(key, "") for key in CSV_COLUMNS}
 
 
 def write_solutions_csv(path, rows) -> None:
@@ -342,42 +342,35 @@ def write_solutions_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def solution_to_dict(sol: Solution) -> dict:
-    """JSON-ready view of a Solution, full precision."""
+    """JSON-ready view of a Solution, full precision; the cost also carries
+    its e_total and t_total."""
     out = {"origin": sol.origin, "feasible": sol.feasible,
            "iterations": sol.iterations, "reasons": [list(r) for r in sol.reasons]}
     if sol.feasible:
-        a, c = sol.alloc, sol.cost
-        out["allocation"] = {"l": a.l, "q": a.q, "rho": a.rho, "p_s": a.p_s,
-                             "p_c": a.p_c, "nu_e": a.nu_e}
-        out["cost"] = {"e_sen": c.e_sen, "e_comp": c.e_comp, "e_comm": c.e_comm,
-                       "e_total": c.e_total, "t_sen": c.t_sen,
-                       "t_comp_edge": c.t_comp_edge,
-                       "t_comp_server": c.t_comp_server, "t_comm": c.t_comm,
-                       "t_total": c.t_total}
+        out["allocation"] = asdict(sol.alloc)
+        out["cost"] = {**asdict(sol.cost), "e_total": sol.cost.e_total,
+                       "t_total": sol.cost.t_total}
     return out
 
 
+def _from_fields(cls, record: dict):
+    return cls(**{f.name: record[f.name] for f in fields(cls)})
+
+
 def solution_from_dict(data: dict) -> Solution:
-    """Inverse of solution_to_dict (costs are reconstructed, not re-derived)."""
-    if not data.get("feasible"):
-        return Solution(origin=data["origin"], feasible=False, alloc=None,
-                        cost=None, iterations=data.get("iterations", 0),
-                        reasons=tuple(tuple(r) for r in data.get("reasons", ())))
-    a = data["allocation"]
-    c = data["cost"]
-    alloc = Allocation(l=a["l"], q=a["q"], rho=a["rho"], p_s=a["p_s"],
-                       p_c=a["p_c"], nu_e=a["nu_e"])
-    cost = CostBreakdown(e_sen=c["e_sen"], e_comp=c["e_comp"], e_comm=c["e_comm"],
-                         t_sen=c["t_sen"], t_comp_edge=c["t_comp_edge"],
-                         t_comp_server=c["t_comp_server"], t_comm=c["t_comm"])
-    return Solution(origin=data["origin"], feasible=True, alloc=alloc, cost=cost,
-                    iterations=data["iterations"],
-                    reasons=tuple(tuple(r) for r in data.get("reasons", ())))
+    """Strict inverse of solution_to_dict: every key it writes must be
+    present (the cost's totals are recomputed, not read)."""
+    feasible = data["feasible"]
+    return Solution(
+        origin=data["origin"], feasible=feasible,
+        alloc=_from_fields(Allocation, data["allocation"]) if feasible else None,
+        cost=_from_fields(CostBreakdown, data["cost"]) if feasible else None,
+        iterations=data["iterations"],
+        reasons=tuple(tuple(r) for r in data["reasons"]))
 
 
 def dump_json(path, payload: dict) -> None:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isccopt
+from isccopt import cli
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
@@ -239,6 +240,14 @@ BAD_VALUES = [
     ("network", "layers", stock_layers_with(1, "psi", "5")),
     ("network", "layers", [{"kind": "fc", "n": 4}]),
     ("scenario", "q_max", 65),
+    # a record that is not a JSON object, a gain that is neither a number
+    # nor an [re, im] pair, and a missing path key are named by their path
+    ("echo", "target", [1, 2]),
+    ("network", "layers", [[1, 2]]),
+    ("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0, "gain": [1]}),
+    ("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0}),
+    ("echo", "clutter", [{"delay": 1e-6}]),
+    ("echo", "clutter", [{"delay": 1e-6, "gain": True}]),
     ("scenario", "p_max", 1e-300),
     # the solver block is gone: its keys are unknown and named in the message
     ("solver", "eps_rho", 0),
@@ -257,6 +266,25 @@ def test_bad_value_exits_3_with_message(tmp_path, capsys, block, key, value):
     err = capsys.readouterr().err
     assert rc == 3
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"echo": {"target": [1, 2]}}, "echo.target must be a JSON object"),
+    ({"network": {"layers": [[1, 2]]}}, "network.layers[0] must be a JSON object"),
+    ({"echo": {"target": {"delay": 2e-6, "doppler_hz": 3000.0, "gain": [1]}}},
+     "echo.target.gain must be a number or an [re, im] pair"),
+    ({"echo": {"clutter": [{"delay": 1e-6, "gain": [1, 2, 3]}]}},
+     "echo.clutter[0].gain must be a number or an [re, im] pair"),
+    ({"echo": {"target": {"delay": 2e-6, "doppler_hz": 3000.0}}},
+     "missing echo.target.gain"),
+    ({"echo": {"clutter": [{"gain": 1.0}]}}, "missing echo.clutter[0].delay"),
+    ({"echo": {"clutter": [5]}}, "echo.clutter[0] must be a JSON object"),
+    ({"echo": [1]}, "echo must be a JSON object"),
+    ({"scenario": 5}, "scenario must be a JSON object")])
+def test_wrong_shape_names_its_path(raw, message):
+    with pytest.raises(ConfigError) as err:
+        build_config(raw)
+    assert str(err.value).startswith(message)
 
 
 SCENARIO_VALUES = {
@@ -406,6 +434,20 @@ class TestCliValidateFitSense:
         rc = main(["validate", "--suite", suite, flag, value, "--out", str(tmp_path)])
         assert rc == 3
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, top", [("--trials", "MAX_TRIALS"),
+                                           ("--grid-n", "MAX_GRID_N")])
+    def test_validate_counts_above_bound_exit_3(self, tmp_path, capsys, monkeypatch,
+                                                flag, top):
+        # rejected before any suite is built: no report is written
+        monkeypatch.setattr(cli, "_validate_suites",
+                            lambda *args: pytest.fail("suites built past the bound"))
+        value = str(getattr(cli, top) + 1)
+        rc = main(["validate", "--suite", "all", flag, value, "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+        assert not list(tmp_path.glob("validate_*.json"))
 
     @pytest.mark.parametrize("text", [
         "0.1,0.2\n0.3\n",              # ragged

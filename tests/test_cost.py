@@ -155,6 +155,48 @@ class TestCheckFeasible:
         assert [c for c in good.checks if c.name == "split"][0].ok
 
 
+    @pytest.mark.parametrize("field, value, check", [
+        ("p_c", 0.0, "comm_power"),
+        ("p_c", -0.1, "comm_power"),
+        ("nu_e", 0.0, "edge_frequency"),
+        ("p_s", -0.1, "sensing_power"),
+        ("p_s", 2.0, "sensing_power"),
+        ("rho", 0.0, "prune_ratio"),
+        ("rho", 1.5, "prune_ratio"),
+        ("l", 9, "split"),
+        ("l", -1, "split"),
+        ("q", 1, "quant_bits"),
+        ("q", 7, "quant_bits"),
+        ("q", 2.5, "quant_bits")])
+    def test_out_of_box_allocation_is_reported(self, template_net, default_scenario,
+                                               default_params, terms, field, value, check):
+        # the report names the failing check with a slack that is not
+        # positive, and carries a breakdown exactly where total_cost has one
+        a = make_alloc(**{field: value})
+        report = check_feasible(a, template_net, default_scenario, terms, default_params)
+        assert not report.ok
+        assert not [c for c in report.checks if c.name == check][0].ok
+        assert all(c.slack <= 0 for c in report.checks if not c.ok)
+        try:
+            breakdown = total_cost(a, template_net, default_scenario)
+        except (ValueError, IndexError):
+            assert report.cost is None
+            assert report.slack("latency") == -math.inf
+        else:
+            assert report.cost == breakdown
+            assert report.slack("latency") == default_scenario.t_max - breakdown.t_total
+
+    def test_box_slack_is_the_distance_to_the_nearer_bound(
+            self, template_net, default_scenario, default_params, terms):
+        sc = default_scenario
+        report = check_feasible(make_alloc(p_s=0.05, q=5), template_net, sc, terms,
+                                default_params)
+        assert report.slack("sensing_power") == 0.05
+        assert report.slack("quant_bits") == 1.0
+        assert report.slack("prune_ratio") == pytest.approx(0.2)
+        assert report.cost == total_cost(make_alloc(p_s=0.05, q=5), template_net, sc)
+
+
 class TestScenarioValidation:
     def test_positive_fields(self):
         with pytest.raises(ValueError):

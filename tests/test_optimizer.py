@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +12,7 @@ from isccopt import netmodel as nm
 from isccopt import optimizer as opt
 from isccopt import oracles as orc
 from isccopt.accuracy import min_pruning_ratio
-from isccopt.cost import check_feasible, comm_cost, total_cost
+from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import min_rate_time
 from util import halve_sensing_power, make_scenario
@@ -124,6 +126,24 @@ class TestSolveScenario:
         pairs = {(l, q) for l, q, _ in sol.reasons}
         assert pairs == {(l, q) for l in (1, 2, 3) for q in (2, 3, 4)}
 
+    def test_stock_solve_costs_its_answer_once(self, template_net, default_scenario,
+                                               default_params, monkeypatch):
+        # the answer's breakdown is the one check_feasible computes; count
+        # total_cost in every module that holds the name
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return total_cost(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("isccopt") and getattr(module, "total_cost", None) is total_cost:
+                monkeypatch.setattr(module, "total_cost", counted)
+        sol = opt.solve_scenario(template_net, default_scenario, default_params)
+        assert sol.feasible
+        assert len(calls) == 1
+        assert sol.cost == total_cost(sol.alloc, template_net, default_scenario)
+
     def test_tie_break_prefers_smaller_q_then_l(self, template_net,
                                                 default_scenario, default_params):
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
@@ -134,22 +154,28 @@ class TestSolveScenario:
 def exhaustive(kind, net, sc, ap):
     """What solve_scenario (kind "proposed") or the on_device / no_prune
     baseline must return: every pair searched in enumeration order, the
-    least (e_total, q, l) kept, one reason per rejected pair."""
+    least (e_total, q, l) kept, one reason per rejected pair. The pairs are
+    ranked by total_cost's e_total, not by the E(rho) that the solve loop
+    ranks them by, so the loop's ranking is checked against the cost
+    model."""
     best, reasons = None, []
     splits = [net.depth] if kind == "on_device" else sorted(sc.splits)
     for l in splits:
         terms = opt.penalty_terms(net, l, ap)
         for q in [2] if l == net.depth else range(2, sc.q_max + 1):
+            energy = opt.PairEnergy(l, q, net, sc, terms, ap)
             try:
-                if kind == "no_prune":
-                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
-                    sol = energy.search(*energy.pin(1.0), kind)
-                else:
-                    sol = opt.solve_pair(l, q, net, sc, terms, ap, origin=kind)
+                rho = energy.search(*(energy.pin(1.0) if kind == "no_prune"
+                                      else energy.bracket()))
             except InfeasibleError as err:
                 reasons.append((l, q, err.reason))
                 continue
-            if best is None or ((sol.e_total, sol.alloc.q, l)
+            _, p_s, p_c, nu_e, _ = energy.points[rho]
+            alloc = Allocation(l=l, q=q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
+            sol = opt.Solution(origin=kind, feasible=True, alloc=alloc,
+                               cost=total_cost(alloc, net, sc),
+                               iterations=len(energy.points))
+            if best is None or ((sol.e_total, q, l)
                                 < (best.e_total, best.alloc.q, best.alloc.l)):
                 best = sol
     if best is None:
@@ -438,8 +464,41 @@ class TestSerialization:
     def test_infeasible_roundtrip(self, template_net, default_params):
         sc = make_scenario(t_max=0.5001, q_max=4, splits=(1,))
         sol = opt.solve_scenario(template_net, sc, default_params)
+        assert not sol.feasible
         back = opt.solution_from_dict(opt.solution_to_dict(sol))
         assert back == sol
+        assert back == opt.solution_from_dict(json.loads(json.dumps(opt.solution_to_dict(sol))))
+
+    @pytest.mark.parametrize("origin", opt.ORIGINS)
+    def test_every_origin_roundtrips_through_json(self, template_net, default_scenario,
+                                                  default_params, origin):
+        sol = solve_origin(origin, template_net, default_scenario, default_params)
+        assert sol.feasible
+        data = json.loads(json.dumps(opt.solution_to_dict(sol)))
+        assert opt.solution_from_dict(data) == sol
+        assert data["cost"]["e_total"] == sol.e_total
+        assert data["cost"]["t_total"] == sol.cost.t_total
+
+    @pytest.mark.parametrize("path", [("origin",), ("feasible",), ("iterations",),
+                                      ("reasons",), ("allocation", "nu_e"),
+                                      ("cost", "t_comm")])
+    def test_from_dict_is_strict(self, template_net, default_scenario,
+                                 default_params, path):
+        data = opt.solution_to_dict(
+            opt.solve_scenario(template_net, default_scenario, default_params))
+        record = data
+        for key in path[:-1]:
+            record = record[key]
+        del record[path[-1]]
+        with pytest.raises(KeyError):
+            opt.solution_from_dict(data)
+
+    def test_infeasible_csv_row(self, template_net, default_params):
+        sc = make_scenario(t_max=0.5001, q_max=4, splits=(1,))
+        row = opt.solution_row("edge", opt.solve_scenario(template_net, sc, default_params))
+        assert tuple(row) == opt.CSV_COLUMNS
+        filled = {"scenario_id": "edge", "origin": "proposed", "feasible": False, "iters": 0}
+        assert row == {key: filled.get(key, "") for key in opt.CSV_COLUMNS}
 
     def test_csv_rows(self, template_net, default_scenario, default_params,
                       tmp_path):
