@@ -160,11 +160,15 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
     """Smallest rho >= floor at which min_sensing_power stays within p_max.
 
     Within p_max means K <= K* = 1 - r_t/ideal_accuracy(p_max), that is
-    pruning_error_factor(rho) <= U*. The factor is convex and decreasing
-    with derivative -(ln rho)^2, so Newton steps from `floor` rise
-    monotonically to the root; they stop once a step no longer moves rho.
-    The last few ulps of rounding are then closed by probing upward.
-    Raises InfeasibleError when no rho in [floor, 1] is feasible.
+    u(rho) = pruning_error_factor(rho) <= U*. The factor is convex and
+    decreasing with derivative -(ln rho)^2, so Newton steps from a point
+    left of the root rise monotonically to it; they stop once a step no
+    longer moves rho. The last few ulps of rounding are then closed by
+    probing upward. As (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >=
+    (1 - rho)^3/3, so the steps start at the larger of `floor` and
+    1 - (3 U*)^(1/3); when U* < 0 no rho < 1 qualifies (u >= 0), and only
+    rho = 1 is probed. Raises InfeasibleError when no rho in [floor, 1] is
+    feasible.
     """
     margin = (terms.tail_norm / (params.c_m * params.s)) ** params.margin_exponent
     scale = margin * terms.prune_coeff
@@ -172,6 +176,10 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
     rho = floor
     if scale > 0.0 and r_t < ideal:
         u_star = (1.0 - r_t / ideal - penalty_factor(1.0, q, terms, params)) / scale
+        if u_star < 0.0:
+            rho = 1.0
+        elif 3.0 * u_star < 1.0:
+            rho = max(floor, 1.0 - (3.0 * u_star) ** (1.0 / 3.0))
         while rho < 1.0:
             step = (pruning_error_factor(rho) - u_star) / math.log(rho) ** 2
             if not rho + step > rho:

@@ -104,6 +104,13 @@ def _record(value, where: str) -> dict:
     return value
 
 
+def _array(value, where: str) -> list:
+    """`value`, a config array, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON array, got {value!r}")
+    return value
+
+
 def _require(record: dict, keys, where: str) -> None:
     missing = [f"{where}.{key}" for key in keys if key not in record]
     if missing:
@@ -194,7 +201,8 @@ def _build_scenario(block: dict) -> Scenario:
         t0=float(block["t0"]),
         m_chirps=_integer(block["m_chirps"], "scenario.m_chirps"),
         q_max=_integer(block["q_max"], "scenario.q_max"),
-        splits=tuple(_integer(l, "scenario.splits[]") for l in block["splits"]),
+        splits=tuple(_integer(l, "scenario.splits[]")
+                     for l in _array(block["splits"], "scenario.splits")),
     )
 
 
@@ -218,7 +226,8 @@ def _build_layer(i: int, record: dict) -> netmodel.LayerSpec:
 
 def _build_network(block: dict) -> netmodel.NetworkModel:
     _reject_unknown(block, "network", "network")
-    layers = tuple(_build_layer(i, rec) for i, rec in enumerate(block["layers"]))
+    layers = tuple(_build_layer(i, rec)
+                   for i, rec in enumerate(_array(block["layers"], "network.layers")))
     net = netmodel.NetworkModel(
         layers=layers, input_dim=_integer(block["input_dim"], "network.input_dim"))
     if block.get("weights_file"):
@@ -232,7 +241,7 @@ def _build_network(block: dict) -> netmodel.NetworkModel:
         if not block.get("target_norms"):
             raise ConfigError(f"the network needs weights: set network.weights_file "
                               f"or a non-empty {source}")
-        norms = [float(t) for t in block["target_norms"]]
+        norms = [float(t) for t in _array(block["target_norms"], source)]
         if not all(0.0 < t < math.inf for t in norms):
             raise ConfigError(f"{source} entries must be positive and finite, got {norms}")
         weight_seed = _integer(block["weight_seed"], "network.weight_seed")
@@ -292,7 +301,7 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
     _reject_unknown(block, "echo", "echo")
     target = _path(block["target"], ("delay", "doppler_hz", "gain"), "echo.target")
     clutter = []
-    for i, rec in enumerate(block.get("clutter", [])):
+    for i, rec in enumerate(_array(block["clutter"], "echo.clutter")):
         where = f"echo.clutter[{i}]"
         rec = _path(rec, ("delay", "gain"), where)
         clutter.append(ClutterPath(delay=float(rec["delay"]),

@@ -15,7 +15,7 @@ from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
 from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
-from .solvers import golden_section, min_rate_time, solve_pc_nue
+from .solvers import brent, min_rate_time, solve_pc_nue
 
 # the proposed design, then the three ablation baselines
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
@@ -24,7 +24,7 @@ ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
 # is (0, 1] and the objective stays finite as rho -> 0+
 RHO_FLOOR = 1e-9
 
-# width of the rho bracket at which the golden-section search stops
+# width of the rho bracket at which the pair search (Brent's method) stops
 EPS_RHO = 1e-6
 
 # a pair is searched while its lower bound is at most the incumbent's
@@ -134,23 +134,21 @@ class PairEnergy:
 
     def search(self, rho_min: float, rho_max: float,
                cutoff: float = math.inf) -> float | None:
-        """The least-energy point of rho_min, the golden-section argmin over
-        the bracket at EPS_RHO, and rho_max (the first on ties).
+        """The least-energy point that Brent's method evaluates on the
+        bracket, stopping at a width of EPS_RHO (the bracket ends count, and
+        the smallest rho wins ties).
 
-        None when both ends and the lower bound on a golden-section bracket
-        (from its ends and interior points) exceed `cutoff`: the search
-        stops there, as every candidate point lies above the cutoff.
+        None when both ends and the lower bound on a Brent bracket (from the
+        points evaluated in it) exceed `cutoff`: the search stops there, as
+        every point it could return lies above the cutoff. The cutoff only
+        ends a search early, so a finished search returns the same point
+        whatever the cutoff.
         """
-        rhos = [rho_min, rho_max]
-        if rho_max - rho_min > EPS_RHO:
-            stop = None
-            if min(self.points[rho_min][0], self.points[rho_max][0]) > cutoff:
-                stop = lambda *bracket: self.lower_bound(*bracket) > cutoff
-            rho = golden_section(self, rho_min, rho_max, EPS_RHO, stop)
-            if rho is None:
-                return None
-            rhos.insert(1, rho)
-        return min(rhos, key=lambda r: self.points[r][0] if r in self.points else self(r))
+        e_min, e_max = self.points[rho_min][0], self.points[rho_max][0]
+        stop = None
+        if min(e_min, e_max) > cutoff:
+            stop = lambda *rhos: self.lower_bound(*rhos) > cutoff
+        return brent(self, rho_min, rho_max, e_min, e_max, EPS_RHO, stop)
 
 
 def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
@@ -172,9 +170,10 @@ def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
                origin: str = "proposed") -> Solution:
     """Least-energy allocation of one (l, q) pair, checked on the split l.
 
-    Minimizes E(rho) of PairEnergy by golden-section search over
-    [rho_min, rho_max] (PairEnergy.bracket). Raises InfeasibleError when no
-    rho is feasible, and CheckError when the answer fails its check.
+    Minimizes E(rho) of PairEnergy by Brent's method over [rho_min, rho_max]
+    (PairEnergy.bracket, then PairEnergy.search with no cutoff). Raises
+    InfeasibleError when no rho is feasible, and CheckError when the answer
+    fails its check.
     """
     energy = PairEnergy(l, q, net, sc, terms, ap)
     return _answer(energy, energy.search(*energy.bracket()), origin, {l})

@@ -216,7 +216,7 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams, seed: int = 0,
     sensing power inverted per rho, against the optimizer.
 
     The gap (solver energy - grid best)/grid best may be positive (the
-    golden-section search over rho assumes E(rho) is unimodal); it is
+    search over rho, Brent's method, assumes E(rho) is unimodal); it is
     reported, and `passed` reflects the given tolerance (default:
     report-only).
     """

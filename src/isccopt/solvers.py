@@ -1,4 +1,4 @@
-"""Golden-section search and the KKT solve of the communication-power /
+"""Golden-section search, Brent's method and the KKT solve of the communication-power /
 edge-frequency subproblem."""
 
 from __future__ import annotations
@@ -17,15 +17,12 @@ KKT_REL_TOL = 1e-10
 KKT_MAX_ITER = 500
 
 
-def golden_section(f, lb: float, ub: float, eps: float, stop=None) -> float | None:
+def golden_section(f, lb: float, ub: float, eps: float) -> float:
     """Argmin of a unimodal function on [lb, ub] by golden-section search.
 
     Shrinks the bracket by the golden ratio until its width is at most eps
     (or rounding stops it shrinking) and returns the midpoint; exactly one
     new function evaluation per iteration. Non-finite function values raise.
-    If given, `stop(lb, x1, x2, ub)` is asked with the bracket and its two
-    evaluated interior points before each shrink; the search returns None
-    as soon as it answers true.
     """
     if not lb < ub:
         raise ValueError(f"need lb < ub, got [{lb}, {ub}]")
@@ -38,8 +35,6 @@ def golden_section(f, lb: float, ub: float, eps: float, stop=None) -> float | No
         raise ValueError("non-finite objective value in golden-section search")
     width = math.inf
     while eps < ub - lb < width:
-        if stop is not None and stop(lb, x1, x2, ub):
-            return None
         width = ub - lb
         if f1 < f2:
             ub, x2, f2 = x2, x1, f1
@@ -54,6 +49,86 @@ def golden_section(f, lb: float, ub: float, eps: float, stop=None) -> float | No
             if not math.isfinite(f2):
                 raise ValueError("non-finite objective value in golden-section search")
     return 0.5 * (lb + ub)
+
+
+def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
+          stop=None) -> float | None:
+    """Argmin of a unimodal function on [lb, ub] by Brent's method, given
+    its values f_lb, f_ub at the ends.
+
+    Keeps a bracket whose ends are evaluated points and the best interior
+    point x, starting from the golden-section point of [lb, ub]. Each step
+    evaluates f once: at the vertex of the parabola through x and two
+    earlier points when that lies inside the bracket and moves less than
+    half the step before last, otherwise at the golden-section point of
+    the larger side of x; no step is shorter than eps/3. Stops when the
+    bracket is at most eps wide (or rounding stops it shrinking) and
+    returns the evaluated point of least value, the smallest on ties.
+    Non-finite values raise. If given, `stop(*xs)` is asked before each
+    step with the evaluated points in the bracket, ascending; the search
+    returns None as soon as it answers true.
+    """
+    if not lb <= ub:
+        raise ValueError(f"need lb <= ub, got [{lb}, {ub}]")
+    if not eps > 0:
+        raise ValueError(f"need eps > 0, got {eps}")
+    seen = {}   # every evaluated point and its value
+
+    def value(x, fx):
+        if not math.isfinite(fx):
+            raise ValueError("non-finite objective value in Brent's search")
+        seen[x] = fx
+        return fx
+
+    value(lb, f_lb)
+    value(ub, f_ub)
+    a, b, tol, width = lb, ub, eps / 3.0, math.inf
+    if eps < b - a:
+        # x: the interior point of least value; w, v: the other two points
+        # the parabola passes through (the better and the worse end at
+        # first); d, e: the last step and the one before (none yet, so the
+        # first step is golden)
+        x = a + (1.0 - INV_GOLDEN) * (b - a)
+        fx = value(x, f(x))
+        (fw, w), (fv, v) = sorted([(f_lb, lb), (f_ub, ub)])
+        d = e = 0.0
+    while eps < b - a < width:
+        if stop is not None and stop(*sorted(p for p in seen if a <= p <= b)):
+            return None
+        width = b - a
+        # the parabola's vertex is x + p/q
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:   # keep off the ends
+                d = math.copysign(tol, a + b - 2.0 * x)
+        else:
+            e = (a if x >= 0.5 * (a + b) else b) - x
+            d = (1.0 - INV_GOLDEN) * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = value(u, f(u))
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return min(seen, key=lambda p: (seen[p], p))
 
 
 class PowerFreqSolution(NamedTuple):

@@ -12,8 +12,8 @@ from isccopt import oracles as orc
 from isccopt.cost import check_feasible
 from isccopt.errors import InfeasibleError
 from isccopt.quant import QuantSpec
-from isccopt.solvers import golden_section, min_rate_time, solve_pc_nue
-from util import kkt_residuals
+from isccopt.solvers import brent, golden_section, min_rate_time, solve_pc_nue
+from util import UNIMODAL_BATTERY, kkt_residuals
 
 
 def report(num, ok, detail):
@@ -121,21 +121,15 @@ class TestCriterion05KktOverBudgetRange:
 
 class TestCriterion06GoldenSection:
     def test_unimodal_battery(self):
+        # golden section, and Brent's method from the evaluated ends as the
+        # pair search runs it
         eps = 1e-8
-        battery = [
-            (lambda x: (x - 2.0) ** 2, 0.0, 5.0, 2.0),
-            (lambda x: abs(x - math.pi), 0.0, 6.0, math.pi),
-            (lambda x: 3.0 * (1.3 - x) if x < 1.3 else (x - 1.3) ** 1.5,
-             0.0, 4.0, 1.3),
-            (lambda x: -x, 0.0, 1.0, 1.0),   # boundary minimum at ub
-            (lambda x: x, 0.0, 1.0, 0.0),    # boundary minimum at lb
-            (lambda x: math.exp(x) - 2.0 * x, 0.0, 2.0, math.log(2.0)),
-        ]
-        worst = max(abs(golden_section(f, lb, ub, eps) - argmin)
-                    for f, lb, ub, argmin in battery)
+        worst = max(max(abs(golden_section(f, lb, ub, eps) - argmin),
+                        abs(brent(f, lb, ub, f(lb), f(ub), eps) - argmin))
+                    for f, lb, ub, argmin in UNIMODAL_BATTERY)
         report(6, worst <= eps,
-               f"golden section battery (quadratic, |.|, piecewise, boundary): "
-               f"worst error {worst:.2e} (tol 1e-8)")
+               f"golden section and Brent battery (quadratic, |.|, piecewise, "
+               f"boundary): worst error {worst:.2e} (tol 1e-8)")
 
 
 class TestCriterion07PairSolverOptimality:

@@ -246,6 +246,51 @@ class TestMinPruningRatio:
                     min_sensing_power(rho * (1.0 - 1e-9), q, terms, p, r_t, p_max)
         assert interior >= 50
 
+    def test_cubic_lower_bound_of_the_factor(self):
+        # (ln s)^2 >= (1 - s)^2 on (0, 1], so u(rho) >= (1 - rho)^3/3 and the
+        # Newton start 1 - (3 U*)^(1/3) lies left of the root (checked up to
+        # 0.999, where the bound's slack still exceeds the rounding of u)
+        for rho in np.geomspace(1e-9, 0.999, 500):
+            assert pruning_error_factor(float(rho)) >= (1.0 - rho) ** 3 / 3.0
+
+    def test_newton_starts_at_the_cubic_bound(self, monkeypatch):
+        # U* = 1e-6: the steps start at 1 - (3e-6)^(1/3), next to the root,
+        # rather than at the floor
+        import isccopt.accuracy as acc
+        p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
+        terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.0, tail_norm=3.0)
+        r_t = ideal_accuracy(1.0, p) * (1.0 - 1e-6)
+        calls = []
+        monkeypatch.setattr(acc, "pruning_error_factor",
+                            lambda rho: calls.append(rho) or pruning_error_factor(rho))
+        rho = min_pruning_ratio(3, terms, p, r_t, 1.0, 1e-9)
+        start = 1.0 - 3e-6 ** (1.0 / 3.0)
+        assert start <= rho <= start + 1e-3
+        assert pruning_error_factor(rho) == pytest.approx(1e-6, rel=1e-6)
+        assert min(calls) == pytest.approx(start, rel=1e-9)
+        assert len(calls) <= 8
+
+    @pytest.mark.parametrize("quant_coeff, r_t, reason", [
+        (10.0, 0.5, "margin_penalty"), (0.7, 0.4, "accuracy_ceiling"),
+        (0.7, 0.2985, "sensing_power_cap")])
+    def test_infeasible_at_one_probes_only_one(self, monkeypatch, quant_coeff, r_t, reason):
+        # U* < 0: even rho = 1 misses the target, and u >= 0, so no Newton
+        # step is taken, rho = 1 is the one point probed and its reason is
+        # raised
+        import isccopt.accuracy as acc
+        p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
+        terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=quant_coeff, tail_norm=3.0)
+        probes, factors = [], []
+        monkeypatch.setattr(acc, "min_sensing_power",
+                            lambda rho, *args: probes.append(rho) or min_sensing_power(rho, *args))
+        monkeypatch.setattr(acc, "pruning_error_factor",
+                            lambda rho: factors.append(rho) or pruning_error_factor(rho))
+        with pytest.raises(InfeasibleError) as err:
+            min_pruning_ratio(2, terms, p, r_t, 1.0, 1e-9)
+        assert err.value.reason == reason
+        assert probes == [1.0]
+        assert set(factors) == {1.0}
+
     def test_floor_when_pruning_is_free(self):
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=0.0, quant_coeff=0.5, tail_norm=1.0)

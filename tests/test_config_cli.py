@@ -253,6 +253,12 @@ BAD_VALUES = [
     ("solver", "eps_rho", 0),
     ("solver", "eps_rho", float("nan")),
     ("solver", "max_iter", 0),
+    # an array that is not a JSON array is named by its path
+    ("network", "layers", 5),
+    ("echo", "clutter", 5),
+    ("echo", "clutter", {"a": 1}),
+    ("scenario", "splits", 5),
+    ("network", "target_norms", 5),
 ]
 
 
@@ -280,7 +286,12 @@ def test_bad_value_exits_3_with_message(tmp_path, capsys, block, key, value):
     ({"echo": {"clutter": [{"gain": 1.0}]}}, "missing echo.clutter[0].delay"),
     ({"echo": {"clutter": [5]}}, "echo.clutter[0] must be a JSON object"),
     ({"echo": [1]}, "echo must be a JSON object"),
-    ({"scenario": 5}, "scenario must be a JSON object")])
+    ({"scenario": 5}, "scenario must be a JSON object"),
+    ({"network": {"layers": 5}}, "network.layers must be a JSON array"),
+    ({"echo": {"clutter": 5}}, "echo.clutter must be a JSON array"),
+    ({"echo": {"clutter": {"a": 1}}}, "echo.clutter must be a JSON array"),
+    ({"scenario": {"splits": 5}}, "scenario.splits must be a JSON array"),
+    ({"network": {"target_norms": 5}}, "network.target_norms must be a JSON array")])
 def test_wrong_shape_names_its_path(raw, message):
     with pytest.raises(ConfigError) as err:
         build_config(raw)

@@ -7,9 +7,9 @@ from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
 from isccopt.optimizer import PairEnergy, penalty_terms, solve_pair
 from isccopt.oracles import random_power_freq_context
-from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, golden_section,
+from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, brent, golden_section,
                              min_rate_time, solve_pc_nue)
-from util import (kkt_residuals, make_scenario, pc_objective,
+from util import (UNIMODAL_BATTERY, kkt_residuals, make_scenario, pc_objective,
                   t_stationary_rootfind)
 
 
@@ -61,25 +61,85 @@ class TestGoldenSection:
         x = golden_section(lambda x: (x - 0.3) ** 2, 1e-9, 1.0, 1e-300)
         assert x == pytest.approx(0.3, abs=1e-12)
 
+
+def parabola(x):
+    return (x - 0.3) ** 2
+
+
+class TestBrent:
+    def test_unimodal_battery(self):
+        # criterion 06's battery, each function with fewer evaluations than
+        # golden section takes from the same evaluated ends
+        for f, lb, ub, argmin in UNIMODAL_BATTERY:
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return f(x)
+
+            x = brent(counted, lb, ub, f(lb), f(ub), 1e-8)
+            assert abs(x - argmin) <= 1e-8
+            assert lb <= min(calls) and max(calls) <= ub
+            brent_calls = len(calls)
+            golden_section(counted, lb, ub, 1e-8)
+            assert brent_calls < len(calls) - brent_calls
+
+    def test_returns_the_least_evaluated_point(self):
+        # an end is returned as given, and the smallest point wins ties
+        assert brent(lambda x: x, 0.0, 1.0, 0.0, 1.0, 1e-8) == 0.0
+        assert brent(lambda x: -x, 0.0, 1.0, 0.0, -1.0, 1e-8) == 1.0
+        assert brent(lambda x: 1.0, 0.2, 0.9, 1.0, 1.0, 1e-8) == 0.2
+
+    def test_narrow_bracket_evaluates_nothing(self):
+        def f(x):
+            raise AssertionError("evaluated")
+
+        assert brent(f, 0.5, 0.5, 2.0, 2.0, 1e-6) == 0.5
+        assert brent(f, 0.5, 0.5 + 1e-7, 2.0, 1.0, 1e-6) == 0.5 + 1e-7
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            brent(lambda x: float("nan"), 0, 1, 1.0, 1.0, 1e-6)
+        with pytest.raises(ValueError):
+            brent(parabola, 0, 1, float("inf"), 0.49, 1e-6)
+
+    def test_bad_bracket(self):
+        with pytest.raises(ValueError):
+            brent(parabola, 1, 0, 0.49, 0.09, 1e-6)
+        for eps in (0.0, -1e-6, float("nan")):
+            with pytest.raises(ValueError):
+                brent(parabola, 0, 1, 0.09, 0.49, eps)
+
+    def test_eps_below_rounding_terminates(self):
+        # the bracket stops shrinking at a few ulps: the search must stop too
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return parabola(x)
+
+        x = brent(counted, 1e-9, 1.0, parabola(1e-9), parabola(1.0), 1e-300)
+        assert x == pytest.approx(0.3, abs=1e-12)
+        assert len(calls) < 100
+
     def test_stop_abandons_the_search(self):
         seen = []
 
-        def stop(*bracket):
-            seen.append(bracket)
+        def stop(*points):
+            seen.append(points)
             return len(seen) == 3
 
-        assert golden_section(lambda x: (x - 0.3) ** 2, 0, 1, 1e-8, stop) is None
+        assert brent(parabola, 0, 1, 0.09, 0.49, 1e-8, stop) is None
         assert len(seen) == 3
-        # asked with the shrinking bracket and its two interior points
-        for lb, x1, x2, ub in seen:
-            assert lb < x1 < x2 < ub
-        assert seen[2][3] - seen[2][0] < seen[0][3] - seen[0][0]
+        # asked with the evaluated points of the shrinking bracket, ascending
+        for points in seen:
+            assert len(points) >= 3 and list(points) == sorted(set(points))
+        assert seen[0][0] == 0 and seen[0][-1] == 1
+        assert seen[2][-1] - seen[2][0] < seen[0][-1] - seen[0][0]
 
     def test_stop_that_never_fires_changes_nothing(self):
-        def f(x):
-            return (x - 0.3) ** 2
-
-        assert golden_section(f, 0, 1, 1e-8, lambda *b: False) == golden_section(f, 0, 1, 1e-8)
+        args = (parabola, 0, 1, 0.09, 0.49, 1e-8)
+        assert brent(*args, lambda *points: False) == brent(*args)
 
 
 class TestTStationary:

@@ -11,6 +11,17 @@ from isccopt.config import build_config
 from isccopt.solvers import min_rate_time
 
 
+# criterion 06's unimodal functions: (f, lb, ub, argmin)
+UNIMODAL_BATTERY = [
+    (lambda x: (x - 2.0) ** 2, 0.0, 5.0, 2.0),
+    (lambda x: abs(x - math.pi), 0.0, 6.0, math.pi),
+    (lambda x: 3.0 * (1.3 - x) if x < 1.3 else (x - 1.3) ** 1.5, 0.0, 4.0, 1.3),
+    (lambda x: -x, 0.0, 1.0, 1.0),   # boundary minimum at ub
+    (lambda x: x, 0.0, 1.0, 0.0),    # boundary minimum at lb
+    (lambda x: math.exp(x) - 2.0 * x, 0.0, 2.0, math.log(2.0)),
+]
+
+
 @functools.cache
 def stock_config():
     """The stock run configuration: DEFAULT_CONFIG with no overrides."""
