@@ -224,21 +224,6 @@ class NetworkModel:
             for layer in self.layers))
 
 
-def flops(layer: LayerSpec, rho: float = 1.0) -> float:
-    """Floating point operations to compute one layer at pruning ratio rho.
-
-    conv: (2*gamma_prev*psi^2*rho - 1)*alpha*beta*gamma
-    mp:   alpha*beta*gamma*psi^2          (rho ignored)
-    fc:   (2*n_prev*rho - 1)*n
-
-    Degenerate negative values (tiny layers at small rho) clamp to 0.
-    """
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
-    slope, intercept = flops_affine(layer)
-    return max(slope * rho + intercept, 0.0)
-
-
 def flops_affine(layer: LayerSpec) -> tuple[float, float]:
     """(slope, intercept) of the exact affine-in-rho FLOP count."""
     if layer.kind == CONV:

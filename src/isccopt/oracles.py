@@ -1,8 +1,9 @@
 """Independent brute-force and Monte-Carlo verifiers for the analytical
 results and for both subproblem solvers.
 
-Each oracle avoids the code path of the quantity it checks: order-statistics
-sampling against the closed-form pruning factor, measured forward-pass errors
+Each oracle avoids the code path of the quantity it checks: order statistics
+sampled by Renyi's representation against the closed-form pruning factor
+(with the exact finite-m mean reported beside it), measured forward-pass errors
 against the norm-product bound, raw grid search against the KKT solver and
 the full optimizer, and an end-to-end synthetic classification
 task against the accuracy lower bound.
@@ -51,9 +52,14 @@ def mc_pruning_expectation(m: int, lam: float, rho: float, trials: int,
                            seed: int, tolerance: float = 0.05) -> OracleReport:
     """Order-statistics check of the closed-form pruned-mass approximation.
 
-    Samples m magnitudes ~ Exponential(lam), sums the squares of the
-    floor((1-rho)*m) smallest, averages over trials, and compares with
-    (m/lam^2) * pruning_error_factor(rho).
+    Samples the k = floor((1-rho)*m) smallest of m magnitudes
+    ~ Exponential(lam) directly by Renyi's representation (Renyi 1953),
+    X_(i) = sum_{j<=i} E_j / (lam*(m-j+1)) with E_j ~ Exponential(1), sums
+    their squares, averages over trials, and compares with
+    (m/lam^2) * pruning_error_factor(rho). The stats also carry the exact
+    finite-m mean sum_{i<=k} (S_i + H_i^2)/lam^2, where H and S are the
+    running sums of 1/(m-j+1) and of its square, and its relative gap to
+    the formula.
     """
     if m < 1000:
         raise ValueError("order-statistics oracle needs m >= 1000")
@@ -61,27 +67,32 @@ def mc_pruning_expectation(m: int, lam: float, rho: float, trials: int,
         raise ValueError("rho must be interior for this oracle")
     rng = np.random.default_rng(seed)
     k = int(np.floor((1.0 - rho) * m))
-    chunk = max(1, int(5e6) // m)
+    weights = 1.0 / (lam * np.arange(m, m - k, -1, dtype=float))
+    chunk = max(1, int(5e6) // max(k, 1))
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < trials:
         n = min(chunk, trials - done)
-        x = rng.exponential(1.0 / lam, size=(n, m))
-        smallest = np.partition(x, k - 1, axis=1)[:, :k] if k > 0 else x[:, :0]
-        d = np.sum(smallest**2, axis=1)
+        x = rng.standard_exponential((n, k))
+        x *= weights
+        np.cumsum(x, axis=1, out=x)
+        d = np.einsum("ij,ij->i", x, x)
         total += float(d.sum())
         total_sq += float((d**2).sum())
         done += n
     mc_mean = total / trials
     mc_std = math.sqrt(max(total_sq / trials - mc_mean**2, 0.0))
+    exact_mean = float(np.sum(np.cumsum(weights**2) + np.cumsum(weights)**2))
     formula = m / lam**2 * pruning_error_factor(rho)
     rel_err = abs(mc_mean - formula) / formula if formula > 0 else math.inf
     return OracleReport(
         name="pruning-mean", trials=trials, passed=rel_err <= tolerance,
         worst_violation=rel_err, tolerance=tolerance, seed=seed,
         stats={"mc_mean": mc_mean, "mc_std": mc_std, "formula": formula,
-               "abs_gap": abs(mc_mean - formula), "m": m, "lam": lam, "rho": rho})
+               "abs_gap": abs(mc_mean - formula), "exact_mean": exact_mean,
+               "exact_gap": exact_mean / formula - 1.0 if formula > 0 else math.inf,
+               "m": m, "lam": lam, "rho": rho})
 
 
 def mc_pruning_bound_check(depth: int, widths, trials: int, seed: int) -> OracleReport:
@@ -133,8 +144,7 @@ def mc_quant_check(spec: QuantSpec, n: int, trials: int, seed: int) -> OracleRep
     """
     rng = np.random.default_rng(seed)
     mags = rng.uniform(spec.f_min, spec.f_max, size=(trials, n))
-    signs = np.where(rng.random((trials, n)) < 0.5, -1.0, 1.0)
-    f = signs * mags
+    f = (1.0 - 2.0 * (rng.random((trials, n)) < 0.5)) * mags
     quantized = quantize_vector(f, spec, seed=seed + 1)
     e2 = quantized - f
     sq = np.sum(e2**2, axis=1)

@@ -49,7 +49,7 @@ def quantize_vector(f, spec: QuantSpec, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     f = np.asarray(f, dtype=float)
-    sign = np.where(f < 0.0, -1.0, 1.0)
+    sign = 1.0 - 2.0 * (f < 0.0)
     mag = np.abs(f)
     clipped = np.clip(mag, spec.f_min, spec.f_max)
     n_clamped = int(np.count_nonzero(clipped != mag))
@@ -59,13 +59,14 @@ def quantize_vector(f, spec: QuantSpec, seed: int) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    idx = np.floor((clipped - spec.f_min) / spec.step).astype(int)
-    idx = np.minimum(idx, spec.n_knobs - 2)
+    idx = np.floor((clipped - spec.f_min) / spec.step)
+    np.minimum(idx, spec.n_knobs - 2, out=idx)
     lower = spec.f_min + spec.step * idx
     p_up = (clipped - lower) / spec.step
     up = rng.random(size=f.shape) < p_up
-    out = np.where(up, lower + spec.step, lower)
-    return sign * out
+    # arithmetic on the random draw instead of a select: a branch per
+    # element on random booleans mispredicts half the time
+    return sign * (lower + spec.step * up)
 
 
 def calibrate_range(samples, headroom: float = 1.0) -> tuple[float, float]:

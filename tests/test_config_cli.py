@@ -425,6 +425,42 @@ class TestCliValidateFitSense:
         payload = json.loads((tmp_path / "validate_quantizer.json").read_text())
         assert payload["passed"] is True
 
+    def test_validate_full_grid_caps_attempts(self, tmp_path, capsys, monkeypatch):
+        # every draw infeasible for both sides: the suite stops at the cap
+        # and fails instead of drawing forever
+        calls = []
+
+        def grid_full(*args, seed=0):
+            calls.append(seed)
+            return cli.oracles.OracleReport(
+                name="full-grid", trials=0, passed=True, worst_violation=0.0,
+                tolerance=math.inf, seed=seed, stats={"both_infeasible": 1.0})
+
+        monkeypatch.setattr(cli.oracles, "grid_full", grid_full)
+        rc = main(["validate", "--suite", "full-grid", "--out", str(tmp_path)])
+        assert rc == 1
+        assert len(calls) == cli.FULL_GRID_ATTEMPTS
+        assert "FAIL full-grid" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "validate_full-grid.json").read_text())
+        assert payload["passed"] is False
+        (median,) = payload["reports"]
+        assert median["name"] == "full-grid-median" and median["passed"] is False
+        assert median["stats"] == {"attempts": cli.FULL_GRID_ATTEMPTS,
+                                   "cases_found": 0,
+                                   "cases_needed": cli.FULL_GRID_CASES}
+
+    def test_validate_full_grid_solver_infeasible_fails(self, tmp_path, monkeypatch):
+        # the grid solves a case the solver calls infeasible: that report
+        # carries no gap stat, and the suite fails instead of raising
+        monkeypatch.setattr(cli.oracles, "grid_full", lambda *a, seed=0: cli.oracles.OracleReport(
+            name="full-grid", trials=0, passed=False, worst_violation=math.inf,
+            tolerance=math.inf, seed=seed, stats={"grid_energy": 1.0}))
+        rc = main(["validate", "--suite", "full-grid", "--out", str(tmp_path)])
+        assert rc == 1
+        payload = json.loads((tmp_path / "validate_full-grid.json").read_text())
+        assert len(payload["reports"]) == cli.FULL_GRID_CASES + 1
+        assert payload["reports"][-1]["stats"]["attempts"] == cli.FULL_GRID_CASES
+
     def test_fit_r0_recovers(self, tmp_path, capsys):
         a, b = 0.6, 50.0
         powers = np.linspace(0.001, 0.2, 50)

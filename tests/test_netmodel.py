@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isccopt import netmodel as nm
 from isccopt.config import build_config
-from util import max_rho_bisection
+from util import flops, max_rho_bisection
 
 
 def small_fc_net(weights):
@@ -23,25 +23,25 @@ def small_fc_net(weights):
 
 class TestFlops:
     def test_fc_full(self):
-        assert nm.flops(nm.fc(60, 120), 1.0) == 14340
+        assert flops(nm.fc(60, 120), 1.0) == 14340
 
     def test_fc_half(self):
-        assert nm.flops(nm.fc(60, 120), 0.5) == 7140
+        assert flops(nm.fc(60, 120), 0.5) == 7140
 
     def test_maxpool(self):
-        assert nm.flops(nm.maxpool(14, 14, 6, 2)) == 4704
+        assert flops(nm.maxpool(14, 14, 6, 2)) == 4704
 
     def test_conv_full(self):
-        assert nm.flops(nm.conv(28, 28, 6, 5, 1), 1.0) == 230496
+        assert flops(nm.conv(28, 28, 6, 5, 1), 1.0) == 230496
 
     def test_maxpool_ignores_rho(self):
         layer = nm.maxpool(14, 14, 6, 2)
-        assert nm.flops(layer, 0.3) == nm.flops(layer, 1.0)
+        assert flops(layer, 0.3) == flops(layer, 1.0)
 
     def test_affine_in_rho(self):
         # exact collinearity at three points, for each kind
         for layer in (nm.fc(60, 120), nm.conv(28, 28, 6, 5, 1)):
-            f = [nm.flops(layer, r) for r in (0.25, 0.5, 0.75)]
+            f = [flops(layer, r) for r in (0.25, 0.5, 0.75)]
             assert f[1] - f[0] == pytest.approx(f[2] - f[1], abs=0.0)
             slope, intercept = nm.flops_affine(layer)
             assert slope >= 0
@@ -49,15 +49,15 @@ class TestFlops:
 
     def test_degenerate_clamps_to_zero(self):
         layer = nm.fc(1, 2)  # (2*2*rho - 1)*1 < 0 for rho < 0.25
-        assert nm.flops(layer, 0.1) == 0.0
-        assert nm.flops(layer, 0.25) == 0.0
-        assert nm.flops(layer, 0.5) == 1.0
+        assert flops(layer, 0.1) == 0.0
+        assert flops(layer, 0.25) == 0.0
+        assert flops(layer, 0.5) == 1.0
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):
-            nm.flops(nm.fc(60, 120), 0.0)
+            flops(nm.fc(60, 120), 0.0)
         with pytest.raises(ValueError):
-            nm.flops(nm.fc(60, 120), 1.5)
+            flops(nm.fc(60, 120), 1.5)
 
 
 class TestCumFlops:
@@ -67,10 +67,10 @@ class TestCumFlops:
         return nm.NetworkModel(layers=layers, input_dim=120)
 
     def test_single_layer_range(self, two_fc):
-        assert nm.cum_flops(two_fc, 1, 1, 1.0) == nm.flops(two_fc.layer(1), 1.0)
+        assert nm.cum_flops(two_fc, 1, 1, 1.0) == flops(two_fc.layer(1), 1.0)
 
     def test_full_range_additive(self, template_net):
-        total = sum(nm.flops(template_net.layer(l), 1.0) for l in range(1, 8))
+        total = sum(flops(template_net.layer(l), 1.0) for l in range(1, 8))
         assert nm.cum_flops(template_net, 1, 7, 1.0) == total == 826015
 
     def test_half_rho_example(self, two_fc):
@@ -128,7 +128,7 @@ def rho_draws(net):
 
 def layer_sum(net, a, b, rho):
     """The per-layer reference: sum of flops(layer, rho) over a..b."""
-    return sum(nm.flops(net.layer(i), rho) for i in range(a, b + 1))
+    return sum(flops(net.layer(i), rho) for i in range(a, b + 1))
 
 
 STACKS = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from isccopt import oracles as orc
 from isccopt.quant import QuantSpec
 from isccopt.solvers import min_rate_time
-from util import make_scenario
+from util import make_scenario, pruned_mass_partition
 
 
 class TestPruningExpectation:
@@ -31,6 +32,40 @@ class TestPruningExpectation:
             orc.mc_pruning_expectation(100, 1.0, 0.5, 10, seed=0)
         with pytest.raises(ValueError):
             orc.mc_pruning_expectation(10000, 1.0, 1.0, 10, seed=0)
+
+    @pytest.mark.parametrize("m", [1000, 5000])
+    def test_exact_mean_matches_rational_sum(self, m):
+        # sum_{i<=k} (S_i + H_i^2)/lam^2 in exact rationals over the common
+        # denominator lcm(m-k+1, ..., m)^2
+        lam, rho = 1.7, 0.35
+        rep = orc.mc_pruning_expectation(m, lam, rho, 1, seed=0)
+        k = int(np.floor((1.0 - rho) * m))
+        den = math.lcm(*range(m - k + 1, m + 1))
+        h = s = total = 0
+        for j in range(1, k + 1):
+            w = den // (m - j + 1)
+            h += w
+            s += w * w
+            total += s + h * h
+        exact = Fraction(total, den**2) / Fraction(lam) ** 2
+        assert rep.stats["exact_mean"] == pytest.approx(float(exact), rel=1e-12)
+        assert rep.stats["exact_gap"] == pytest.approx(
+            rep.stats["exact_mean"] / rep.stats["formula"] - 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.9996])
+    def test_renyi_sampler_matches_partition_reference(self, rho):
+        # Renyi's representation draws the same order statistics as
+        # partitioning all m draws; rho = 0.9996 leaves k = 0 at m = 2000
+        m, lam, trials = 2000, 1.3, 2000
+        rep = orc.mc_pruning_expectation(m, lam, rho, trials, seed=31)
+        ref = pruned_mass_partition(m, lam, rho, trials, seed=32)
+        mean, sigma = rep.stats["mc_mean"], rep.stats["mc_std"] / math.sqrt(trials)
+        ref_sigma = float(np.std(ref)) / math.sqrt(trials)
+        assert abs(mean - rep.stats["exact_mean"]) <= 4.0 * sigma
+        assert abs(mean - float(np.mean(ref))) <= 4.0 * math.hypot(sigma, ref_sigma)
+        assert abs(float(np.mean(ref)) - rep.stats["exact_mean"]) <= 4.0 * ref_sigma
+        if rho == 0.9996:
+            assert mean == rep.stats["exact_mean"] == float(np.mean(ref)) == 0.0
 
     def test_deterministic(self):
         a = orc.mc_pruning_expectation(10000, 1.0, 0.4, 20, seed=9)

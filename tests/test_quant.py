@@ -4,6 +4,7 @@ import pytest
 from isccopt import netmodel as nm
 from isccopt.accuracy import quant_error_factor
 from isccopt.quant import QuantSpec, calibrate_range, delta_coeff, quantize_vector
+from util import quantize_vector_select
 
 
 class TestQuantSpec:
@@ -82,6 +83,27 @@ class TestQuantizeVector:
         with pytest.warns(RuntimeWarning):
             out = quantize_vector(np.array([2.0, -3.0]), spec, seed=10)
         np.testing.assert_array_equal(out, [1.0, -1.0])
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    @pytest.mark.parametrize("f_min", [0.0, 0.25])
+    def test_bit_identical_to_select_reference(self, bits, f_min):
+        spec = QuantSpec(bits=bits, f_min=f_min, f_max=1.7)
+        rng = np.random.default_rng(100 + bits)
+        knobs = spec.knobs
+        # signed zeros, values on every knob, between knobs, below f_min and
+        # above f_max
+        special = np.concatenate([[0.0, -0.0], knobs, -knobs,
+                                  0.5 * (knobs[1:] + knobs[:-1]),
+                                  [spec.f_max * 1.5, -spec.f_max * 3.0]])
+        drawn = rng.uniform(-2.0 * spec.f_max, 2.0 * spec.f_max, size=600)
+        flat = np.concatenate([special, drawn])
+        for f in (flat, flat[: 6 * (flat.size // 6)].reshape(6, -1)):
+            with pytest.warns(RuntimeWarning, match="clamped"):
+                got = quantize_vector(f, spec, seed=bits)
+            with pytest.warns(RuntimeWarning):
+                want = quantize_vector_select(f, spec, seed=bits)
+            assert got.shape == want.shape == f.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self):
         spec = QuantSpec(bits=4, f_min=0.0, f_max=1.0)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,55 @@ def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
     monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
     monkeypatch.setattr(optimizer, "min_sensing_power",
                         lambda *a: inverse(*a) * (0.5 if active[0] else 1.0))
+
+
+def flops(layer, rho=1.0):
+    """Floating point operations to compute one layer at pruning ratio rho,
+    the per-layer count that netmodel's FLOP table sums:
+
+    conv: (2*gamma_prev*psi^2*rho - 1)*alpha*beta*gamma
+    mp:   alpha*beta*gamma*psi^2          (rho ignored)
+    fc:   (2*n_prev*rho - 1)*n
+
+    Degenerate negative values (tiny layers at small rho) clamp to 0.
+    """
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    slope, intercept = netmodel.flops_affine(layer)
+    return max(slope * rho + intercept, 0.0)
+
+
+def pruned_mass_partition(m, lam, rho, trials, seed):
+    """Reference sampler for oracles.mc_pruning_expectation: per trial, draw
+    all m magnitudes ~ Exponential(lam), find the floor((1-rho)*m) smallest
+    with np.partition and sum their squares. Returns the per-trial sums;
+    holds trials x m floats at once."""
+    rng = np.random.default_rng(seed)
+    k = int(np.floor((1.0 - rho) * m))
+    x = rng.exponential(1.0 / lam, size=(trials, m))
+    smallest = np.partition(x, k - 1, axis=1)[:, :k] if k > 0 else x[:, :0]
+    return np.sum(smallest**2, axis=1)
+
+
+def quantize_vector_select(f, spec, seed):
+    """Reference for quant.quantize_vector: the same stochastic rounding
+    written with integer knob indices and np.where selects."""
+    rng = np.random.default_rng(seed)
+    f = np.asarray(f, dtype=float)
+    sign = np.where(f < 0.0, -1.0, 1.0)
+    mag = np.abs(f)
+    clipped = np.clip(mag, spec.f_min, spec.f_max)
+    n_clamped = int(np.count_nonzero(clipped != mag))
+    if n_clamped:
+        warnings.warn(f"{n_clamped} feature magnitude(s) clamped", RuntimeWarning,
+                      stacklevel=2)
+    idx = np.floor((clipped - spec.f_min) / spec.step).astype(int)
+    idx = np.minimum(idx, spec.n_knobs - 2)
+    lower = spec.f_min + spec.step * idx
+    p_up = (clipped - lower) / spec.step
+    up = rng.random(size=f.shape) < p_up
+    out = np.where(up, lower + spec.step, lower)
+    return sign * out
 
 
 def t_stationary_rootfind(mu1, g_over_bn0, tol=1e-14):
