@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError
+from .solvers import brent
 
 # fit_accuracy_curve searches b in FIT_B_BRACKET until the log10(b) bracket
 # is FIT_LOGB_TOL wide
@@ -200,13 +201,11 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
 def fit_accuracy_curve(samples):
     """Least-squares (a, b) fit of accuracy = a*arctan(b*power).
 
-    For fixed b the optimal a is closed-form; b is found by golden-section
-    on the residual over log10(b) in FIT_B_BRACKET (residual assumed
-    unimodal there), to FIT_LOGB_TOL. Input: iterable of (power, accuracy)
-    pairs.
+    For fixed b the optimal a is closed-form; b minimizes the residual over
+    log10(b) in FIT_B_BRACKET (residual assumed unimodal there), by Brent's
+    method from the two evaluated ends of the bracket to a log10(b) bracket
+    FIT_LOGB_TOL wide. Input: iterable of (power, accuracy) pairs.
     """
-    from .solvers import golden_section  # local import: solvers -> cost -> accuracy
-
     pairs = [(float(p), float(y)) for p, y in samples]
     if len(pairs) < 2:
         raise ValueError("need at least two samples")
@@ -230,6 +229,6 @@ def fit_accuracy_curve(samples):
         return sum((y - a * math.atan(b * p)) ** 2 for p, y in pairs)
 
     lo, hi = math.log10(FIT_B_BRACKET[0]), math.log10(FIT_B_BRACKET[1])
-    logb = golden_section(residual_logb, lo, hi, FIT_LOGB_TOL)
+    logb = brent(residual_logb, lo, hi, residual_logb(lo), residual_logb(hi), FIT_LOGB_TOL)
     b = 10.0**logb
     return a_closed_form(b), b

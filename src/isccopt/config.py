@@ -16,6 +16,16 @@ from .cost import Scenario
 from .errors import ConfigError
 from .sensing import ClutterPath, EchoParams, TargetPath
 
+# largest weight count that network.target_norms may generate. Generating
+# and checking the weights peaks at about 16.4 B per weight (the float64
+# weights and one temporary of a layer's size), so about 0.33 GB at the bound
+MAX_GENERATED_WEIGHTS = 20_000_000
+# largest echo (n_fast x n_chirps samples) and spectrogram (frames x
+# window_len bins) a config may ask for. The sense chain peaks at about 48 B
+# per echo sample (the complex echo, its noise draws or the filter's copies)
+# and 58 B per spectrogram bin, so about 0.2 GB at the bound
+MAX_ECHO_SAMPLES = 4_000_000
+
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -82,7 +92,8 @@ _SCHEMA = {
     "accuracy": set(DEFAULT_CONFIG["accuracy"]),
     "echo": set(DEFAULT_CONFIG["echo"]),
     "layer": {"kind", "alpha", "beta", "gamma", "psi", "gamma_prev", "n", "n_prev"},
-    "path": {"delay", "doppler_hz", "gain"},
+    "target": {"delay", "doppler_hz", "gain"},
+    "clutter": {"delay", "gain"},   # clutter is static: no Doppler
 }
 
 
@@ -245,6 +256,10 @@ def _build_network(block: dict) -> netmodel.NetworkModel:
         if not all(0.0 < t < math.inf for t in norms):
             raise ConfigError(f"{source} entries must be positive and finite, got {norms}")
         weight_seed = _integer(block["weight_seed"], "network.weight_seed")
+        count = sum(layer.weight_count for layer in net.layers)
+        if count > MAX_GENERATED_WEIGHTS:
+            raise ConfigError(f"network.layers hold {count:.3g} weights, more than the "
+                              f"{MAX_GENERATED_WEIGHTS} that {source} may generate")
         rates = netmodel.rates_for_norms(net, norms)
         net = netmodel.generate_weights(net, rates, weight_seed)
     _check_weights(net, source)
@@ -290,20 +305,21 @@ def _complex(value, where: str) -> complex:
     raise ConfigError(f"{where} must be a number or an [re, im] pair, got {value!r}")
 
 
-def _path(record, keys, where: str) -> dict:
-    """An echo path record with every key in `keys`."""
-    _reject_unknown(_record(record, where), "path", where)
-    _require(record, keys, where)
+def _path(record, kind: str, where: str) -> dict:
+    """An echo path record of `kind` ("target" or "clutter") with exactly the
+    keys _SCHEMA[kind]."""
+    _reject_unknown(_record(record, where), kind, where)
+    _require(record, sorted(_SCHEMA[kind]), where)
     return record
 
 
 def _build_echo(block: dict) -> tuple[EchoParams, dict]:
     _reject_unknown(block, "echo", "echo")
-    target = _path(block["target"], ("delay", "doppler_hz", "gain"), "echo.target")
+    target = _path(block["target"], "target", "echo.target")
     clutter = []
     for i, rec in enumerate(_array(block["clutter"], "echo.clutter")):
         where = f"echo.clutter[{i}]"
-        rec = _path(rec, ("delay", "gain"), where)
+        rec = _path(rec, "clutter", where)
         clutter.append(ClutterPath(delay=float(rec["delay"]),
                                    gain=_complex(rec["gain"], f"{where}.gain")))
     params = EchoParams(
@@ -318,6 +334,11 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
         noise_psd=float(block["noise_psd"]),
         chirp_bandwidth=float(block["chirp_bandwidth"]),
     )
+    # n_fast * n_chirps in floats, so a product past the float range reads inf
+    samples = np.floor(params.sample_rate * params.chirp_duration) * params.n_chirps
+    if samples > MAX_ECHO_SAMPLES:
+        raise ConfigError(f"echo.n_chirps x n_fast (echo.sample_rate x echo.chirp_duration) "
+                          f"is {samples:.3g} samples, more than {MAX_ECHO_SAMPLES}")
     processing = {
         "svd_r1": _integer(block["svd_r1"], "echo.svd_r1"),
         "svd_r2": _integer(block["svd_r2"], "echo.svd_r2"),  # 0: up to full rank
@@ -335,6 +356,11 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
                           f"got {processing['window_len']}")
     if processing["hop"] < 1:
         raise ConfigError(f"echo.hop must be >= 1, got {processing['hop']}")
+    window, hop = processing["window_len"], processing["hop"]
+    bins = ((params.n_chirps - window) // hop + 1) * window
+    if bins > MAX_ECHO_SAMPLES:
+        raise ConfigError(f"echo.window_len and echo.hop give a spectrogram of {bins:.3g} "
+                          f"bins, more than {MAX_ECHO_SAMPLES}")
     return params, processing
 
 

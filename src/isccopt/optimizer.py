@@ -166,19 +166,6 @@ def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
                     iterations=len(energy.points))
 
 
-def solve_pair(l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
-               origin: str = "proposed") -> Solution:
-    """Least-energy allocation of one (l, q) pair, checked on the split l.
-
-    Minimizes E(rho) of PairEnergy by Brent's method over [rho_min, rho_max]
-    (PairEnergy.bracket, then PairEnergy.search with no cutoff). Raises
-    InfeasibleError when no rho is feasible, and CheckError when the answer
-    fails its check.
-    """
-    energy = PairEnergy(l, q, net, sc, terms, ap)
-    return _answer(energy, energy.search(*energy.bracket()), origin, {l})
-
-
 # the pruning ratio an origin pins every pair to; the others search rho
 PINNED_RHO = {"no_prune": 1.0}
 
@@ -263,11 +250,12 @@ def _enumerate(net, sc, ap, origin):
 def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:
     """Minimum-energy allocation over all (l, q) pairs.
 
-    Solves the pairs as solve_pair does, skipping the search of every pair
-    whose exact lower bound rules it out (see _enumerate), and returns the
-    feasible solution of least energy (ties broken by smaller q, then
-    smaller l). When every pair is infeasible the Solution carries one
-    reason per pair. Raises CheckError when the answer fails its check.
+    Brackets each pair's rho and searches it by Brent's method (PairEnergy),
+    skipping the search of every pair whose exact lower bound rules it out
+    (see _enumerate), and returns the feasible solution of least energy
+    (ties broken by smaller q, then smaller l). When every pair is
+    infeasible the Solution carries one reason per pair. Raises CheckError
+    when the answer fails its check.
     """
     return _enumerate(net, sc, ap, "proposed")
 

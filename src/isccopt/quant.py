@@ -44,8 +44,8 @@ def quantize_vector(f, spec: QuantSpec, seed: int) -> np.ndarray:
     |x| in [knob_i, knob_{i+1}) maps to sign(x)*knob_i with probability
     (knob_{i+1} - |x|)/step, else sign(x)*knob_{i+1}; values exactly on a
     knob are kept with probability 1. Magnitudes outside [f_min, f_max] are
-    clamped (with a warning). sign(0) is treated as +1. Deterministic given
-    seed.
+    clamped (with a warning); NaN and +-inf features raise ValueError.
+    sign(0) is treated as +1. Deterministic given seed.
     """
     rng = np.random.default_rng(seed)
     f = np.asarray(f, dtype=float)
@@ -54,6 +54,11 @@ def quantize_vector(f, spec: QuantSpec, seed: int) -> np.ndarray:
     clipped = np.clip(mag, spec.f_min, spec.f_max)
     n_clamped = int(np.count_nonzero(clipped != mag))
     if n_clamped:
+        # a non-finite magnitude is either clamped (inf) or unequal to its
+        # clip (NaN), so only inputs with a clamp need the finiteness scan
+        n_bad = mag.size - int(np.count_nonzero(np.isfinite(mag)))
+        if n_bad:
+            raise ValueError(f"{n_bad} non-finite feature(s) in the quantizer input")
         warnings.warn(
             f"{n_clamped} feature magnitude(s) outside [{spec.f_min}, {spec.f_max}] clamped",
             RuntimeWarning,

@@ -1,13 +1,16 @@
-"""Golden-section search, Brent's method and the KKT solve of the communication-power /
+"""Brent's method, the one scalar minimizer (the pair search and the
+accuracy-curve fit), and the KKT solve of the communication-power /
 edge-frequency subproblem."""
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cost import Scenario
 from .errors import InfeasibleError
+
+if TYPE_CHECKING:
+    from .cost import Scenario
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # bracket contraction factor
 LN2 = math.log(2.0)
@@ -15,40 +18,6 @@ LN2 = math.log(2.0)
 # and gives up after KKT_MAX_ITER steps
 KKT_REL_TOL = 1e-10
 KKT_MAX_ITER = 500
-
-
-def golden_section(f, lb: float, ub: float, eps: float) -> float:
-    """Argmin of a unimodal function on [lb, ub] by golden-section search.
-
-    Shrinks the bracket by the golden ratio until its width is at most eps
-    (or rounding stops it shrinking) and returns the midpoint; exactly one
-    new function evaluation per iteration. Non-finite function values raise.
-    """
-    if not lb < ub:
-        raise ValueError(f"need lb < ub, got [{lb}, {ub}]")
-    if not eps > 0:
-        raise ValueError(f"need eps > 0, got {eps}")
-    x1 = lb + (1.0 - INV_GOLDEN) * (ub - lb)
-    x2 = lb + INV_GOLDEN * (ub - lb)
-    f1, f2 = f(x1), f(x2)
-    if not (math.isfinite(f1) and math.isfinite(f2)):
-        raise ValueError("non-finite objective value in golden-section search")
-    width = math.inf
-    while eps < ub - lb < width:
-        width = ub - lb
-        if f1 < f2:
-            ub, x2, f2 = x2, x1, f1
-            x1 = lb + (1.0 - INV_GOLDEN) * (ub - lb)
-            f1 = f(x1)
-            if not math.isfinite(f1):
-                raise ValueError("non-finite objective value in golden-section search")
-        else:
-            lb, x1, f1 = x1, x2, f2
-            x2 = lb + INV_GOLDEN * (ub - lb)
-            f2 = f(x2)
-            if not math.isfinite(f2):
-                raise ValueError("non-finite objective value in golden-section search")
-    return 0.5 * (lb + ub)
 
 
 def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,

@@ -12,8 +12,8 @@ from isccopt import oracles as orc
 from isccopt.cost import check_feasible
 from isccopt.errors import InfeasibleError
 from isccopt.quant import QuantSpec
-from isccopt.solvers import brent, golden_section, min_rate_time, solve_pc_nue
-from util import UNIMODAL_BATTERY, kkt_residuals
+from isccopt.solvers import brent, min_rate_time, solve_pc_nue
+from util import UNIMODAL_BATTERY, golden_section, kkt_residuals, solve_pair
 
 
 def report(num, ok, detail):
@@ -160,7 +160,7 @@ class TestCriterion07PairSolverOptimality:
                         except InfeasibleError:
                             pass
                     try:
-                        sol = opt.solve_pair(l, q, net, sc, terms, ap)
+                        sol = solve_pair(l, q, net, sc, terms, ap)
                     except InfeasibleError:
                         missed += math.isfinite(best)
                         continue

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from isccopt.accuracy import (AccuracyParams, PenaltyTerms, accuracy_ceiling,
-                              accuracy_lower_bound, fit_accuracy_curve,
+from isccopt.accuracy import (FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
+                              accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
                               ideal_accuracy, min_pruning_ratio,
                               min_sensing_power, penalty_factor, pruning_error_factor,
                               quant_error_factor)
 from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
+from util import fit_accuracy_curve_golden, fit_residual
 
 
 def alloc(p_s=0.1, rho=1.0, q=2, l=1):
@@ -109,6 +110,34 @@ class TestFit:
             fit_accuracy_curve([(0.1, 0.5), (0.1, 0.6)])
         with pytest.raises(ValueError):
             fit_accuracy_curve([(0.1, 0.5)])
+
+    def test_ci_samples_match_golden_section(self):
+        # the 25 noise-free samples of 0.6366*atan(100 p), p in [0.005, 0.2],
+        # that CI fits with the installed console script
+        samples = [(p, 0.6366 * math.atan(100 * p))
+                   for p in (0.005 + 0.195 * k / 24 for k in range(25))]
+        a_hat, b_hat = fit_accuracy_curve(samples)
+        _, b_ref = fit_accuracy_curve_golden(samples)
+        assert abs(math.log10(b_hat) - math.log10(b_ref)) <= FIT_LOGB_TOL
+        assert abs(a_hat / 0.6366 - 1.0) <= 1e-9
+        assert abs(b_hat / 100.0 - 1.0) <= 1e-9
+
+    def test_noisy_battery_no_worse_than_golden_section(self):
+        # on each seeded noisy draw the residual at the fitted b is at most
+        # the golden-section reference's, up to rounding
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a = rng.uniform(0.2, 2.0 / math.pi)
+            b = 10.0 ** rng.uniform(-1.0, 3.0)
+            n = int(rng.integers(5, 41))
+            powers = rng.uniform(0.0, 3.0 / b * 10.0 ** rng.uniform(-1.0, 1.0), size=n)
+            acc = a * np.arctan(b * powers) + rng.normal(0.0, rng.uniform(0.001, 0.05),
+                                                         size=n)
+            samples = list(zip(powers.tolist(), acc.tolist()))
+            _, b_hat = fit_accuracy_curve(samples)
+            _, b_ref = fit_accuracy_curve_golden(samples)
+            assert (fit_residual(samples, b_hat)[1]
+                    <= fit_residual(samples, b_ref)[1] * (1.0 + 1e-12))
 
 
 class TestPenaltyAndBound:

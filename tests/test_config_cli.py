@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isccopt
-from isccopt import cli
+from isccopt import cli, config, netmodel, sensing
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
@@ -296,6 +296,59 @@ def test_wrong_shape_names_its_path(raw, message):
     with pytest.raises(ConfigError) as err:
         build_config(raw)
     assert str(err.value).startswith(message)
+
+
+def test_clutter_doppler_rejected(tmp_path, capsys):
+    # clutter is static: a Doppler key in a clutter record is unknown, not
+    # silently dropped
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"echo": {"clutter": [
+        {"delay": 1e-6, "gain": 1.0, "doppler_hz": 500}]}}))
+    rc = main(["sense-demo", "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "echo.clutter[0]" in err and "doppler_hz" in err
+
+
+def no_allocation(name):
+    def fail(*args, **kwargs):
+        pytest.fail(f"{name} called on a config past its size bound")
+    return fail
+
+
+SENSE_CHAIN = ((sensing, "generate_echo"), (sensing, "clutter_filter"),
+               (sensing, "spectrogram"))
+# far above the bounds: a config that got past them would need terabytes;
+# (command, config, the functions that would allocate it, names in the error)
+TOO_LARGE = [
+    ("sense-demo", {"echo": {"n_chirps": 1_000_000_000}}, SENSE_CHAIN,
+     ["echo.n_chirps", str(config.MAX_ECHO_SAMPLES)]),
+    ("sense-demo", {"echo": {"sample_rate": 1e308, "chirp_duration": 1e10}}, SENSE_CHAIN,
+     ["echo.sample_rate", "echo.chirp_duration", "inf samples"]),
+    ("sense-demo", {"echo": {"n_chirps": 40_000, "window_len": 20_000, "hop": 1}},
+     SENSE_CHAIN, ["echo.window_len", "echo.hop", str(config.MAX_ECHO_SAMPLES)]),
+    ("solve", {"network": {"input_dim": 10**6,
+                           "layers": [{"kind": "fc", "n": 10**6, "n_prev": 10**6}],
+                           "target_norms": [1.0]},
+               "scenario": {"splits": [0, 1]}},
+     ((netmodel, "generate_weights"),),
+     ["network.layers", "network.target_norms", str(config.MAX_GENERATED_WEIGHTS)]),
+]
+
+
+@pytest.mark.parametrize("command, raw, allocators, names", TOO_LARGE,
+                         ids=["echo", "echo-overflow", "spectrogram", "weights"])
+def test_too_large_to_allocate_exits_3(tmp_path, capsys, monkeypatch, command, raw,
+                                       allocators, names):
+    # rejected while the config is read: nothing of that size is built
+    for module, name in allocators:
+        monkeypatch.setattr(module, name, no_allocation(name))
+    cfg_path = tmp_path / "big.json"
+    cfg_path.write_text(json.dumps(raw))
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "config error" in err and all(name in err for name in names)
 
 
 SCENARIO_VALUES = {

@@ -15,7 +15,7 @@ from isccopt.accuracy import min_pruning_ratio
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import INV_GOLDEN, min_rate_time
-from util import halve_sensing_power, make_scenario
+from util import halve_sensing_power, make_scenario, solve_pair
 
 
 class TestPenaltyTerms:
@@ -49,8 +49,7 @@ class TestSolvePair:
         # bracket ends (golden section took 32)
         for l, q in ((1, 4), (3, 6), (5, 2), (6, 3)):
             terms = opt.penalty_terms(template_net, l, default_params)
-            sol = opt.solve_pair(l, q, template_net, default_scenario, terms,
-                                 default_params)
+            sol = solve_pair(l, q, template_net, default_scenario, terms, default_params)
             energy = opt.PairEnergy(l, q, template_net, default_scenario, terms,
                                     default_params)
             rho_max = energy.rho_max()
@@ -63,7 +62,7 @@ class TestSolvePair:
     def test_on_device_split(self, template_net, default_scenario, default_params):
         sc = default_scenario
         terms = opt.penalty_terms(template_net, 7, default_params)
-        sol = opt.solve_pair(7, 2, template_net, sc, terms, default_params)
+        sol = solve_pair(7, 2, template_net, sc, terms, default_params)
         assert sol.cost.t_comm == 0.0
         assert sol.cost.e_comm == 0.0
         # nothing is uploaded at any bit width, so the split has one pair
@@ -77,7 +76,7 @@ class TestSolvePair:
         sc = make_scenario(t_max=0.5004, splits=(1,))
         terms = opt.penalty_terms(template_net, 1, default_params)
         with pytest.raises(InfeasibleError):
-            opt.solve_pair(1, 6, template_net, sc, terms, default_params)
+            solve_pair(1, 6, template_net, sc, terms, default_params)
 
     def test_edge_flops_over_budget_at_every_rho(self, template_net, default_params):
         # at t_max = 0.501 layers 1..5 need more FLOPs at rho = RHO_FLOOR than
@@ -223,7 +222,7 @@ class TestBoundAndPrune:
                         continue
                     pairs += 1
                     bound = energy.lower_bound(rho_min, rho_max)
-                    assert bound <= opt.solve_pair(l, q, net, sc, terms, ap).e_total
+                    assert bound <= solve_pair(l, q, net, sc, terms, ap).e_total
                     # the bound from interior points too, as a search uses it
                     chain = np.linspace(rho_min, rho_max, 5)
                     for rho in chain:

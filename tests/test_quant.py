@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ class TestQuantizeVector:
         with pytest.warns(RuntimeWarning):
             out = quantize_vector(np.array([2.0, -3.0]), spec, seed=10)
         np.testing.assert_array_equal(out, [1.0, -1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_non_finite_rejected(self, bad):
+        spec = QuantSpec(bits=3, f_min=0.0, f_max=1.0)
+        with pytest.raises(ValueError, match="2 non-finite feature"):
+            quantize_vector(np.array([0.3, bad, 0.7, bad]), spec, seed=12)
+        with pytest.raises(ValueError, match="1 non-finite feature"):
+            quantize_vector(np.array([[0.3, 2.0], [-0.5, bad]]), spec, seed=12)
 
     @pytest.mark.parametrize("bits", range(2, 9))
     @pytest.mark.parametrize("f_min", [0.0, 0.25])

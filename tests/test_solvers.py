@@ -5,12 +5,11 @@ import pytest
 
 from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
-from isccopt.optimizer import PairEnergy, penalty_terms, solve_pair
+from isccopt.optimizer import PairEnergy, penalty_terms
 from isccopt.oracles import random_power_freq_context
-from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, brent, golden_section,
-                             min_rate_time, solve_pc_nue)
-from util import (UNIMODAL_BATTERY, kkt_residuals, make_scenario, pc_objective,
-                  t_stationary_rootfind)
+from isccopt.solvers import INV_GOLDEN, KKT_REL_TOL, brent, min_rate_time, solve_pc_nue
+from util import (UNIMODAL_BATTERY, golden_section, kkt_residuals, make_scenario,
+                  pc_objective, solve_pair, t_stationary_rootfind)
 
 
 class TestGoldenSection:

@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 
 from isccopt import netmodel, optimizer
+from isccopt.accuracy import FIT_B_BRACKET, FIT_LOGB_TOL
 from isccopt.config import build_config
-from isccopt.solvers import min_rate_time
+from isccopt.solvers import INV_GOLDEN, min_rate_time
 
 
 # criterion 06's unimodal functions: (f, lb, ub, argmin)
@@ -21,6 +22,66 @@ UNIMODAL_BATTERY = [
     (lambda x: x, 0.0, 1.0, 0.0),    # boundary minimum at lb
     (lambda x: math.exp(x) - 2.0 * x, 0.0, 2.0, math.log(2.0)),
 ]
+
+
+def golden_section(f, lb, ub, eps):
+    """Reference for solvers.brent: argmin of a unimodal function on
+    [lb, ub] by golden-section search.
+
+    Shrinks the bracket by the golden ratio until its width is at most eps
+    (or rounding stops it shrinking) and returns the midpoint; exactly one
+    new function evaluation per iteration. Non-finite function values raise.
+    """
+    if not lb < ub:
+        raise ValueError(f"need lb < ub, got [{lb}, {ub}]")
+    if not eps > 0:
+        raise ValueError(f"need eps > 0, got {eps}")
+    x1 = lb + (1.0 - INV_GOLDEN) * (ub - lb)
+    x2 = lb + INV_GOLDEN * (ub - lb)
+    f1, f2 = f(x1), f(x2)
+    if not (math.isfinite(f1) and math.isfinite(f2)):
+        raise ValueError("non-finite objective value in golden-section search")
+    width = math.inf
+    while eps < ub - lb < width:
+        width = ub - lb
+        if f1 < f2:
+            ub, x2, f2 = x2, x1, f1
+            x1 = lb + (1.0 - INV_GOLDEN) * (ub - lb)
+            f1 = f(x1)
+            if not math.isfinite(f1):
+                raise ValueError("non-finite objective value in golden-section search")
+        else:
+            lb, x1, f1 = x1, x2, f2
+            x2 = lb + INV_GOLDEN * (ub - lb)
+            f2 = f(x2)
+            if not math.isfinite(f2):
+                raise ValueError("non-finite objective value in golden-section search")
+    return 0.5 * (lb + ub)
+
+
+def fit_residual(samples, b):
+    """(a, residual) of the least-squares fit of accuracy = a*arctan(b*power)
+    at a fixed b, with a in closed form: the expressions
+    accuracy.fit_accuracy_curve minimizes."""
+    num = den = 0.0
+    for p, y in samples:
+        t = math.atan(b * p)
+        num += y * t
+        den += t * t
+    a = num / den if den > 0 else 0.0
+    return a, sum((y - a * math.atan(b * p)) ** 2 for p, y in samples)
+
+
+def fit_accuracy_curve_golden(samples):
+    """Reference for accuracy.fit_accuracy_curve: the same fit with b found
+    by golden-section search on the residual over log10(b) in FIT_B_BRACKET,
+    to FIT_LOGB_TOL."""
+    samples = [(float(p), float(y)) for p, y in samples]
+    lo, hi = (math.log10(b) for b in FIT_B_BRACKET)
+    logb = golden_section(lambda x: fit_residual(samples, 10.0**x)[1], lo, hi,
+                          FIT_LOGB_TOL)
+    b = 10.0**logb
+    return fit_residual(samples, b)[0], b
 
 
 @functools.cache
@@ -64,6 +125,19 @@ def flops(layer, rho=1.0):
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     slope, intercept = netmodel.flops_affine(layer)
     return max(slope * rho + intercept, 0.0)
+
+
+def solve_pair(l, q, net, sc, terms, ap):
+    """Reference for one pair of optimizer._enumerate: the least-energy
+    allocation of the pair (l, q), checked on the split l.
+
+    Minimizes E(rho) of PairEnergy by Brent's method over [rho_min, rho_max]
+    (PairEnergy.bracket, then PairEnergy.search with no cutoff). Raises
+    InfeasibleError when no rho is feasible, and CheckError when the answer
+    fails its check.
+    """
+    energy = optimizer.PairEnergy(l, q, net, sc, terms, ap)
+    return optimizer._answer(energy, energy.search(*energy.bracket()), "proposed", {l})
 
 
 def pruned_mass_partition(m, lam, rho, trials, seed):
