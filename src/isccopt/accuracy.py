@@ -15,6 +15,8 @@ from .solvers import brent
 # is FIT_LOGB_TOL wide
 FIT_B_BRACKET = (1e-4, 1e4)
 FIT_LOGB_TOL = 1e-12
+# rounding slack on the accuracy cap a*pi/2 <= 1
+A_CAP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class AccuracyParams:
             raise ValueError("accuracy parameters must be finite")
         if self.a < 0 or self.b <= 0:
             raise ValueError("arctan coefficients need a >= 0, b > 0")
-        if self.a * math.pi / 2.0 > 1.0 + 1e-12:
+        if self.a * math.pi / 2.0 > 1.0 + A_CAP_SLACK:
             raise ValueError("a*pi/2 must not exceed 1 (accuracy cap)")
         if self.s <= 0:
             raise ValueError("minimum score s must be positive")
@@ -205,6 +207,11 @@ def fit_accuracy_curve(samples):
     log10(b) in FIT_B_BRACKET (residual assumed unimodal there), by Brent's
     method from the two evaluated ends of the bracket to a log10(b) bracket
     FIT_LOGB_TOL wide. Input: iterable of (power, accuracy) pairs.
+
+    Raises ValueError when the fitted a breaks the accuracy cap
+    a*pi/2 <= 1 that AccuracyParams enforces: samples that all lie in
+    atan's near-linear range (b*power about 1 or less) fix only the
+    product a*b, and the search then runs toward the small-b end.
     """
     pairs = [(float(p), float(y)) for p, y in samples]
     if len(pairs) < 2:
@@ -231,4 +238,11 @@ def fit_accuracy_curve(samples):
     lo, hi = math.log10(FIT_B_BRACKET[0]), math.log10(FIT_B_BRACKET[1])
     logb = brent(residual_logb, lo, hi, residual_logb(lo), residual_logb(hi), FIT_LOGB_TOL)
     b = 10.0**logb
-    return a_closed_form(b), b
+    a = a_closed_form(b)
+    if a * math.pi / 2.0 > 1.0 + A_CAP_SLACK:
+        raise ValueError(
+            f"fitted a = {a:.6g}, b = {b:.6g} breaks the accuracy cap a*pi/2 <= 1 "
+            f"(largest b*power {b * max(powers):.3g}); samples in atan's near-linear "
+            "range (b*power about 1 or less) fix only the product a*b: add samples "
+            "at powers where the accuracy levels off")
+    return a, b

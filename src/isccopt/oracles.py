@@ -27,6 +27,10 @@ from .quant import QuantSpec, calibrate_range, quantize_vector
 from .solvers import min_rate_time, solve_pc_nue
 
 
+# mc_quant_check streams its trials in row blocks of about this many elements
+QUANT_BLOCK = 2**16
+
+
 @dataclass(frozen=True)
 class OracleReport:
     """Outcome of one verification suite. `worst_violation` is positive when
@@ -141,13 +145,29 @@ def mc_quant_check(spec: QuantSpec, n: int, trials: int, seed: int) -> OracleRep
     Feature magnitudes are drawn uniformly in [f_min, f_max] with random
     signs; the bound n*(f_max-f_min)^2 / (4*(2^(bits-1)-1)^2) is evaluated
     inline, independent of the bound helper under test.
+
+    The trials run in blocks of about QUANT_BLOCK elements (at least one
+    row). The magnitudes are the first trials*n doubles of default_rng(seed)
+    and the sign draws the next trials*n, so a second generator advanced
+    past the magnitudes draws them block by block; the rounding draws come
+    from one default_rng(seed + 1) passed through every block. Each block's
+    errors land in one (trials, n) array, and the statistics are taken over
+    it whole.
     """
     rng = np.random.default_rng(seed)
-    mags = rng.uniform(spec.f_min, spec.f_max, size=(trials, n))
-    f = (1.0 - 2.0 * (rng.random((trials, n)) < 0.5)) * mags
-    quantized = quantize_vector(f, spec, seed=seed + 1)
-    e2 = quantized - f
-    sq = np.sum(e2**2, axis=1)
+    sign_rng = np.random.default_rng(seed)
+    sign_rng.bit_generator.advance(trials * n)
+    round_rng = np.random.default_rng(seed + 1)
+    e2 = np.empty((trials, n))
+    sq = np.empty(trials)
+    rows = max(1, QUANT_BLOCK // n)
+    for r0 in range(0, trials, rows):
+        shape = (min(rows, trials - r0), n)
+        f = rng.uniform(spec.f_min, spec.f_max, size=shape)
+        f *= 1.0 - 2.0 * (sign_rng.random(shape) < 0.5)
+        err = e2[r0:r0 + shape[0]]
+        np.subtract(quantize_vector(f, spec, seed=round_rng), f, out=err)
+        np.sum(np.square(err, out=f), axis=1, out=sq[r0:r0 + shape[0]])
     mean_sq = float(np.mean(sq))
     sigma_sq = float(np.std(sq) / math.sqrt(trials))
     bound = n * (spec.f_max - spec.f_min) ** 2 / (4.0 * (2.0 ** (spec.bits - 1) - 1.0) ** 2)
@@ -293,6 +313,14 @@ class MarginTaskSpec:
     weight_norm: float = 1.3
 
 
+def head_gap_norms(head: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(K, trials) array of ||head[y_t] - head[k]||, the norm that turns a
+    logit gap into a feature-space margin. It depends on the class pair
+    alone, so it is read from the K x K table of head-row distances."""
+    pair_norms = np.linalg.norm(head[:, None, :] - head[None, :, :], axis=2)
+    return pair_norms[y].T
+
+
 def margin_experiment(task: MarginTaskSpec, rho: float, bits: int | None,
                       trials: int, seed: int) -> OracleReport:
     """End-to-end check of the accuracy lower bound with exact margins.
@@ -331,8 +359,7 @@ def margin_experiment(task: MarginTaskSpec, rho: float, bits: int | None,
     # exact feature-space margins and scores of correctly classified samples
     gaps = logits[y, np.arange(trials)][None, :] - logits
     gaps[y, np.arange(trials)] = np.inf
-    diffs = head[y][:, None, :] - head[None, :, :]          # (trials, K, dim)
-    norms = np.linalg.norm(diffs, axis=2).T                  # (K, trials)
+    norms = head_gap_norms(head, y)                          # (K, trials)
     norms[y, np.arange(trials)] = 1.0
     margins = np.min(gaps / norms, axis=0)
     scores = math.sqrt(2.0) * np.min(gaps, axis=0)

@@ -38,14 +38,17 @@ class QuantSpec:
         return self.f_min + self.step * np.arange(self.n_knobs)
 
 
-def quantize_vector(f, spec: QuantSpec, seed: int) -> np.ndarray:
+def quantize_vector(f, spec: QuantSpec, seed: int | np.random.Generator) -> np.ndarray:
     """Unbiased stochastic rounding of each |element| to an adjacent knob.
 
     |x| in [knob_i, knob_{i+1}) maps to sign(x)*knob_i with probability
     (knob_{i+1} - |x|)/step, else sign(x)*knob_{i+1}; values exactly on a
     knob are kept with probability 1. Magnitudes outside [f_min, f_max] are
     clamped (with a warning); NaN and +-inf features raise ValueError.
-    sign(0) is treated as +1. Deterministic given seed.
+    sign(0) is treated as +1. Deterministic given seed. `seed` is an int or
+    a np.random.Generator, which is drawn from in place (one double per
+    element), so quantizing the parts of an array in order with one
+    Generator equals quantizing the whole array.
     """
     rng = np.random.default_rng(seed)
     f = np.asarray(f, dtype=float)

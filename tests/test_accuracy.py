@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from isccopt.accuracy import (FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
+from isccopt.accuracy import (A_CAP_SLACK, FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
                               accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
                               ideal_accuracy, min_pruning_ratio,
                               min_sensing_power, penalty_factor, pruning_error_factor,
@@ -134,10 +134,43 @@ class TestFit:
             acc = a * np.arctan(b * powers) + rng.normal(0.0, rng.uniform(0.001, 0.05),
                                                          size=n)
             samples = list(zip(powers.tolist(), acc.tolist()))
-            _, b_hat = fit_accuracy_curve(samples)
-            _, b_ref = fit_accuracy_curve_golden(samples)
+            a_ref, b_ref = fit_accuracy_curve_golden(samples)
+            try:
+                _, b_hat = fit_accuracy_curve(samples)
+            except ValueError:
+                # rejected only where the reference's a breaks the cap too
+                assert a_ref * math.pi / 2.0 > 1.0 + A_CAP_SLACK
+                continue
             assert (fit_residual(samples, b_hat)[1]
                     <= fit_residual(samples, b_ref)[1] * (1.0 + 1e-12))
+
+    @staticmethod
+    def near_linear_samples(seed):
+        # 10 noisy samples of 0.31*atan(466 p) with b*p <= 0.22
+        rng = np.random.default_rng(seed)
+        powers = np.linspace(0.022, 0.22, 10) / 466.0
+        acc = 0.31 * np.arctan(466.0 * powers) + rng.normal(0.0, 2e-3, size=10)
+        return list(zip(powers.tolist(), acc.tolist()))
+
+    def test_near_linear_fit_passes_accuracy_params_or_raises(self):
+        # every returned fit satisfies AccuracyParams' cap, with its slack;
+        # a rejected one (seed 39 runs to b near 1e-4, a near 1e6) says why
+        rejected = 0
+        for seed in range(40):
+            samples = self.near_linear_samples(seed)
+            try:
+                a_hat, b_hat = fit_accuracy_curve(samples)
+            except ValueError as err:
+                assert "fix only the product a*b" in str(err)
+                a_ref, _ = fit_accuracy_curve_golden(samples)
+                assert a_ref * math.pi / 2.0 > 1.0 + A_CAP_SLACK
+                rejected += 1
+                continue
+            assert a_hat * math.pi / 2.0 <= 1.0 + A_CAP_SLACK
+            AccuracyParams(a=a_hat, b=b_hat, s=1.0)
+        assert 0 < rejected < 40
+        with pytest.raises(ValueError):
+            fit_accuracy_curve(self.near_linear_samples(39))
 
 
 class TestPenaltyAndBound:

@@ -526,6 +526,18 @@ class TestCliValidateFitSense:
         assert payload["a"] == pytest.approx(a, rel=1e-6)
         assert payload["b"] == pytest.approx(b, rel=1e-6)
 
+    def test_fit_r0_near_linear_samples_exit_3(self, tmp_path, capsys):
+        # samples with b*p <= 0.22 fix only a*b; the fit breaks a*pi/2 <= 1
+        powers = np.linspace(0.022, 0.22, 10) / 466.0
+        acc = (0.31 * np.arctan(466.0 * powers)
+               + np.random.default_rng(39).normal(0.0, 2e-3, size=10))
+        path = tmp_path / "samples.csv"
+        np.savetxt(path, np.column_stack([powers, acc]), delimiter=",")
+        rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "fix only the product a*b" in capsys.readouterr().err
+        assert not (tmp_path / "fit_r0.json").exists()
+
     @pytest.mark.parametrize("suite, flag, value", [
         ("pruning-mean", "--trials", "0"),
         ("power-freq-grid", "--grid-n", "-3"),

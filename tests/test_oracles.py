@@ -7,7 +7,8 @@ import pytest
 from isccopt import oracles as orc
 from isccopt.quant import QuantSpec
 from isccopt.solvers import min_rate_time
-from util import make_scenario, pruned_mass_partition
+from util import (head_gap_norms_tensor, make_scenario, mc_quant_check_whole,
+                  pruned_mass_partition)
 
 
 class TestPruningExpectation:
@@ -108,6 +109,25 @@ class TestQuantOracle:
         got = r5.stats["mean_sq_error"] / r6.stats["mean_sq_error"]
         assert got == pytest.approx(expected, rel=0.10)
 
+    @pytest.mark.parametrize("bits", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n, trials, seed", [
+        (100, 10000, 1),                      # the validate suite's arguments
+        (100, 1001, 77),                      # 655 rows a block, ragged end
+        (37, 4000, 9001),
+        (100, 1, 5),
+        (orc.QUANT_BLOCK + 3, 3, 12)])        # one row a block
+    def test_streamed_matches_whole_array_reference(self, bits, n, trials, seed):
+        spec = QuantSpec(bits=bits, f_min=0.0, f_max=1.3)
+        got = orc.mc_quant_check(spec, n=n, trials=trials, seed=seed)
+        assert repr(got) == repr(mc_quant_check_whole(spec, n, trials, seed))
+
+    def test_many_small_blocks_match_reference(self, monkeypatch):
+        # 6 rows a block: 17 blocks, the last one of 4 rows
+        monkeypatch.setattr(orc, "QUANT_BLOCK", 64)
+        spec = QuantSpec(bits=3, f_min=0.2, f_max=1.0)
+        got = orc.mc_quant_check(spec, n=10, trials=100, seed=31)
+        assert repr(got) == repr(mc_quant_check_whole(spec, 10, 100, 31))
+
 
 class TestGridSubproblem:
     def test_boundary_corner_agrees(self):
@@ -172,6 +192,24 @@ class TestMarginExperiment:
                                     trials=3000, seed=23)
         assert rep.stats["bound"] == 0.0
         assert rep.passed  # vacuous bound is trivially satisfied
+
+    @pytest.mark.parametrize("bits", [None, 2, 8])
+    @pytest.mark.parametrize("seed", [3, 501, 9001])
+    def test_pair_table_matches_tensor_reference(self, monkeypatch, bits, seed):
+        got = orc.margin_experiment(orc.MarginTaskSpec(), rho=0.8, bits=bits,
+                                    trials=3000, seed=seed)
+        monkeypatch.setattr(orc, "head_gap_norms", head_gap_norms_tensor)
+        want = orc.margin_experiment(orc.MarginTaskSpec(), rho=0.8, bits=bits,
+                                     trials=3000, seed=seed)
+        assert repr(got) == repr(want)
+
+    def test_head_gap_norms_bit_identical_to_tensor(self):
+        rng = np.random.default_rng(4)
+        head = rng.standard_normal((7, 16))
+        y = rng.integers(0, 7, size=500)
+        got = orc.head_gap_norms(head, y)
+        assert got.shape == (7, 500)
+        assert got.tobytes() == np.ascontiguousarray(head_gap_norms_tensor(head, y)).tobytes()
 
     def test_deterministic(self):
         a = orc.margin_experiment(orc.MarginTaskSpec(), rho=0.9, bits=6,

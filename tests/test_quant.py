@@ -116,6 +116,16 @@ class TestQuantizeVector:
             assert got.shape == want.shape == f.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_generator_drawn_in_place(self):
+        # quantizing two halves with one Generator equals one whole call
+        spec = QuantSpec(bits=3, f_min=0.0, f_max=1.0)
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, size=(9, 40))
+        whole = quantize_vector(x, spec, seed=13)
+        rng = np.random.default_rng(13)
+        halves = np.concatenate([quantize_vector(x[:4], spec, seed=rng),
+                                 quantize_vector(x[4:], spec, seed=rng)])
+        assert halves.tobytes() == whole.tobytes()
+
     def test_deterministic_given_seed(self):
         spec = QuantSpec(bits=4, f_min=0.0, f_max=1.0)
         x = np.linspace(0.01, 0.99, 1000)

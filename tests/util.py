@@ -7,9 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from isccopt import netmodel, optimizer
+from isccopt import netmodel, optimizer, oracles
 from isccopt.accuracy import FIT_B_BRACKET, FIT_LOGB_TOL
 from isccopt.config import build_config
+from isccopt.quant import quantize_vector
 from isccopt.solvers import INV_GOLDEN, min_rate_time
 
 
@@ -171,6 +172,39 @@ def quantize_vector_select(f, spec, seed):
     up = rng.random(size=f.shape) < p_up
     out = np.where(up, lower + spec.step, lower)
     return sign * out
+
+
+def mc_quant_check_whole(spec, n, trials, seed):
+    """Reference for oracles.mc_quant_check: the same report from the whole
+    (trials, n) arrays at once, with the sign draws taken after the
+    magnitudes from one generator and every pass allocating a full-size
+    temporary."""
+    rng = np.random.default_rng(seed)
+    mags = rng.uniform(spec.f_min, spec.f_max, size=(trials, n))
+    f = (1.0 - 2.0 * (rng.random((trials, n)) < 0.5)) * mags
+    quantized = quantize_vector(f, spec, seed=seed + 1)
+    e2 = quantized - f
+    sq = np.sum(e2**2, axis=1)
+    mean_sq = float(np.mean(sq))
+    sigma_sq = float(np.std(sq) / math.sqrt(trials))
+    bound = n * (spec.f_max - spec.f_min) ** 2 / (4.0 * (2.0 ** (spec.bits - 1) - 1.0) ** 2)
+    bias = float(np.mean(e2))
+    sigma_bias = float(np.std(e2) / math.sqrt(e2.size)) or 1e-300
+    sq_violation = mean_sq - bound - 3.0 * sigma_sq
+    bias_violation = abs(bias) - 4.0 * sigma_bias
+    worst = max(sq_violation, bias_violation)
+    return oracles.OracleReport(
+        name="quantizer", trials=trials, passed=worst <= 0.0,
+        worst_violation=worst, tolerance=0.0, seed=seed,
+        stats={"mean_sq_error": mean_sq, "bound": bound, "bias": bias,
+               "bias_sigmas": abs(bias) / sigma_bias, "bits": spec.bits})
+
+
+def head_gap_norms_tensor(head, y):
+    """Reference for oracles.head_gap_norms: the norms of the full
+    (trials, K, dim) tensor of head-row differences head[y_t] - head[k]."""
+    diffs = head[y][:, None, :] - head[None, :, :]
+    return np.linalg.norm(diffs, axis=2).T
 
 
 def t_stationary_rootfind(mu1, g_over_bn0, tol=1e-14):
