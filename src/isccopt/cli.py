@@ -2,7 +2,8 @@
 accuracy-curve fits, and a sensing demo, all driven by a JSON config.
 
 Exit codes: 0 success, 1 validation suite failure, 2 infeasible problem,
-3 config error, 4 an answer failed its constraint check (no file written).
+3 config error (a bad config or input, or an output that cannot be written),
+4 an answer failed its constraint check (no file written).
 """
 
 from __future__ import annotations
@@ -88,11 +89,17 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 3
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         return args.handler(cfg, args, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 3
+    except OSError as err:
+        # the handlers read no file (fit-r0's samples raise ConfigError), so
+        # this is the output directory or a file written into it
+        print(f"config error: cannot write output {err.filename or out_dir}: "
+              f"{err.strerror or err}", file=sys.stderr)
         return 3
     except CheckError as err:
         print(f"answer check failed, no output written: {err}", file=sys.stderr)
@@ -243,7 +250,7 @@ def cmd_validate(cfg: RunConfig, args, out_dir: Path) -> int:
 
 def cmd_fit_r0(cfg: RunConfig, args, out_dir: Path) -> int:
     try:
-        data = np.loadtxt(args.samples, delimiter=",")
+        data = np.loadtxt(args.samples, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:
         raise ConfigError(f"cannot read samples: {err}") from err
     if data.ndim != 2 or data.shape[1] != 2:

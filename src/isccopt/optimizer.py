@@ -8,6 +8,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from typing import NamedTuple
 
 from . import netmodel
 from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
@@ -15,7 +16,7 @@ from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
 from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
-from .solvers import brent, min_rate_time, solve_pc_nue
+from .solvers import LN2, brent, check_deadline, min_rate_time, solve_pc_nue
 
 # the proposed design, then the three ablation baselines
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
@@ -59,6 +60,25 @@ def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
                         tail_norm=netmodel.tail_norm_product(net, l))
 
 
+class Split(NamedTuple):
+    """What the pairs of one split l share: the latency budget t2 left for
+    edge compute and upload after sensing and server compute, the number of
+    features uploaded, the edge FLOPs at RHO_FLOOR, and the upload's least
+    inverse spectral efficiency (min_rate_time)."""
+
+    t2: float
+    dim: int
+    a2_lo: float
+    t_min: float
+
+
+def split_constants(net, sc: Scenario, l: int) -> Split:
+    """The Split of split l; _enumerate builds it once per split and solve."""
+    t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
+    return Split(sc.t_max - sc.t_sen - t_server, netmodel.upload_dim(net, l),
+                 netmodel.cum_flops(net, 1, l, RHO_FLOOR), min_rate_time(sc))
+
+
 class PairEnergy:
     """Energy of one (l, q) pair as a function of the pruning ratio alone.
 
@@ -72,35 +92,79 @@ class PairEnergy:
     computes nothing on the edge (a2 = 0); solve_pc_nue covers both
     corners. A call raises InfeasibleError where rho admits no feasible
     point; each call that returns records (energy, p_s, p_c, nu_e, e_edge)
-    in `points`.
+    in `points`. `split` holds the split's constants (split_constants when
+    omitted).
     """
 
-    def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams):
+    def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
+                 split: Split | None = None):
         self.l, self.q, self.net, self.sc, self.terms, self.ap = l, q, net, sc, terms, ap
-        t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
-        self.t2 = sc.t_max - sc.t_sen - t_server   # left for edge compute and upload
-        self.a1 = netmodel.upload_dim(net, l) * q / sc.bandwidth
+        self.t2, dim, self.a2_lo, self.t_min = split or split_constants(net, sc, l)
+        self.a1 = dim * q / sc.bandwidth
+        self._top = None
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
-        sc = self.sc
-        p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
-        a2 = netmodel.cum_flops(self.net, 1, self.l, rho)
-        edge = solve_pc_nue(self.a1, a2, self.t2, sc)
-        energy = sc.t_sen * p_s + edge.energy
+        p_s = min_sensing_power(rho, self.q, self.terms, self.ap, self.sc.r_t, self.sc.p_max)
+        return self._record(rho, p_s, netmodel.cum_flops(self.net, 1, self.l, rho))
+
+    def _record(self, rho: float, p_s: float, a2: float) -> float:
+        """E at rho from its sensing power and edge FLOPs."""
+        edge = solve_pc_nue(self.a1, a2, self.t2, self.sc)
+        energy = self.sc.t_sen * p_s + edge.energy
         self.points[rho] = energy, p_s, edge.p_c, edge.nu_e, edge.energy
         return energy
 
     def rho_max(self) -> float:
         """Largest rho whose edge FLOPs meet the deadline at (p_max, nu_max):
         a1*t_min + cum_flops(1..l, rho)/nu_max <= t2."""
-        cap = (self.t2 - self.a1 * min_rate_time(self.sc)) * self.sc.nu_max
+        cap = (self.t2 - self.a1 * self.t_min) * self.sc.nu_max
         rho_max = netmodel.max_rho(self.net, self.l, cap)
         if rho_max <= RHO_FLOOR:
             raise InfeasibleError(
                 "latency_budget",
                 f"edge compute misses the deadline at any rho (budget {cap:.6g} FLOPs)")
         return rho_max
+
+    def top(self) -> tuple[float, float, float]:
+        """(rho, p_s, a2) at the top of the bracket, computed once: rho_max,
+        or rho = 1 at the raw-input split l = 0, where rho changes nothing.
+        Every check that evaluating E there makes before its KKT solve runs
+        here, in the same order, so a pair that fails one raises the reason
+        E would: rho_max, min_sensing_power, and solve_pc_nue's deadline
+        test."""
+        if self._top is None:
+            rho = 1.0 if self.l == 0 else self.rho_max()
+            sc = self.sc
+            p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
+            a2 = netmodel.cum_flops(self.net, 1, self.l, rho)
+            check_deadline(self.a1, a2, self.t2, self.t_min, sc)
+            self._top = rho, p_s, a2
+        return self._top
+
+    def relaxed_bound(self) -> float:
+        """Lower bound of E over every feasible rho of the pair, with no KKT
+        solve (InfeasibleError as `top` raises it):
+
+            t_sen*p_s(rho_max) + a1*T*p_c(T) + kappa*a2_lo^3/(t2 - a1*t_min)^2
+
+        with a2_lo the edge FLOPs at RHO_FLOOR, T = max((t2 - a2_lo/nu_max)/a1,
+        t_min) and p_c(t) = expm1(ln2/t)/g_over_bn0. p_s does not rise with
+        rho, and each edge term takes the other its cheapest share of the
+        deadline: the upload time is at most T, as the edge compute takes at
+        least a2_lo/nu_max, and t*p_c(t) falls as t grows; the edge
+        frequency is at least a2_lo/(t2 - a1*t_min), as the upload takes at
+        least a1*t_min (and at most nu_max, the guard in the denominator).
+        """
+        _, p_s, _ = self.top()
+        sc, a1, a2_lo, t_min = self.sc, self.a1, self.a2_lo, self.t_min
+        bound = sc.t_sen * p_s
+        if a1:
+            t = max((self.t2 - a2_lo / sc.nu_max) / a1, t_min)
+            bound += a1 * t * math.expm1(LN2 / t) / sc.g_over_bn0
+        if a2_lo:
+            bound += sc.kappa * a2_lo**3 / max(self.t2 - a1 * t_min, a2_lo / sc.nu_max) ** 2
+        return bound
 
     def bracket(self) -> tuple[float, float]:
         """(rho_min, rho_max) with E evaluated at both ends: rho_max is the
@@ -109,10 +173,10 @@ class PairEnergy:
         closed form). The raw-input split l = 0 runs no layer on the device,
         so rho changes nothing there and the bracket is [1, 1]. Raises
         InfeasibleError when no rho is feasible."""
+        rho_max, p_s, a2 = self.top()
+        self._record(rho_max, p_s, a2)
         if self.l == 0:
-            return self.pin(1.0)
-        rho_max = self.rho_max()
-        self(rho_max)   # raises the binding reason when no rho is feasible
+            return rho_max, rho_max
         rho_min = min(min_pruning_ratio(self.q, self.terms, self.ap, self.sc.r_t,
                                         self.sc.p_max, RHO_FLOOR), rho_max)
         self(rho_min)
@@ -190,17 +254,27 @@ def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
 def _enumerate(net, sc, ap, origin):
     """The one outer loop, a bound-and-prune over the origin's (l, q) pairs.
 
-    Pass 1 brackets every pair in _pairs order (PairEnergy.bracket, or the
-    origin's PINNED_RHO) and takes the pair's lower bound from the bracket
-    ends; a pair that raises leaves its reason. The least energy at any
-    bracket end is the first incumbent. Pass 2 searches the pairs whose
-    bound is within PRUNE_RTOL of the incumbent, most promising first: by
-    the mean of the bound and the better end, then q, then l. A search
-    abandons its pair as soon as no point it could return is within
-    PRUNE_RTOL of the incumbent, and a finished search lowers the incumbent
-    to the E(rho) of the point it returns. A skipped or abandoned pair can
-    neither beat nor tie the answer, so the answer is the least (E, q, l)
-    over all pairs, with its `iterations`, as if every pair were searched.
+    Pass 1 brackets the pairs (PairEnergy.bracket, or the origin's
+    PINNED_RHO) in ascending order of their relaxed bound
+    (PairEnergy.relaxed_bound, no KKT solve), then q, then l, and takes
+    each bracketed pair's lower bound from its bracket ends; a pair that
+    raises leaves its reason. The least energy at any bracket end so far is
+    the incumbent, and a pair whose relaxed bound is above it (times
+    1 + PRUNE_RTOL) is not bracketed: its ends lie above the incumbent, so
+    pass 2 starts from the same incumbent and runs the same searches as
+    with every pair bracketed. The relaxed bound raises every reason the
+    bracket's top end would, so a pair is skipped only once it has passed
+    every check that could reject it, and the reasons do not change.
+    Pinned pairs are all bracketed.
+
+    Pass 2 searches the bracketed pairs whose bound is within PRUNE_RTOL of
+    the incumbent, most promising first: by the mean of the bound and the
+    better end, then q, then l. A search abandons its pair as soon as no
+    point it could return is within PRUNE_RTOL of the incumbent, and a
+    finished search lowers the incumbent to the E(rho) of the point it
+    returns. A skipped or abandoned pair can neither beat nor tie the
+    answer, so the answer is the least (E, q, l) over all pairs, with its
+    `iterations`, as if every pair were searched.
 
     The answer is built once, by _answer: check_feasible over the splits of
     the pairs gives its cost, and CheckError names each constraint it
@@ -210,11 +284,25 @@ def _enumerate(net, sc, ap, origin):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
     pinned = PINNED_RHO.get(origin)
-    terms = {l: penalty_terms(net, l, ap) for l in {l for l, _ in pairs}}
+    terms, splits = {}, {}
+    for l in {l for l, _ in pairs}:
+        terms[l] = penalty_terms(net, l, ap)
+        splits[l] = split_constants(net, sc, l)
     reasons = []
-    bounded = []
+    ranked = []
     for l, q in pairs:
-        energy = PairEnergy(l, q, net, sc, terms[l], ap)
+        energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l])
+        try:
+            relaxed = -math.inf if pinned is not None else energy.relaxed_bound()
+        except InfeasibleError as err:
+            reasons.append((l, q, err.reason))
+            continue
+        ranked.append((relaxed, q, l, energy))
+    bounded = []
+    incumbent = math.inf
+    for relaxed, q, l, energy in sorted(ranked, key=lambda r: r[:3]):
+        if relaxed > incumbent * (1.0 + PRUNE_RTOL):
+            continue
         try:
             rhos = energy.bracket() if pinned is None else energy.pin(pinned)
         except InfeasibleError as err:
@@ -222,9 +310,9 @@ def _enumerate(net, sc, ap, origin):
             continue
         bound = energy.lower_bound(*rhos)
         end = min(energy.points[r][0] for r in rhos)
+        incumbent = min(incumbent, end)
         bounded.append((bound + end, q, l, bound, end, energy, rhos))
     best = None
-    incumbent = min((b[4] for b in bounded), default=math.inf)
     for _, q, l, bound, _, energy, rhos in sorted(bounded, key=lambda b: b[:3]):
         cutoff = incumbent * (1.0 + PRUNE_RTOL)
         if bound > cutoff:

@@ -105,15 +105,19 @@ def generate_echo(params: EchoParams, seed: int) -> np.ndarray:
         * np.arange(params.n_chirps))
     target_fast = amp * params.target.gain * _chirp(
         t - params.target.delay, params.chirp_duration, params.chirp_bandwidth)
-    data = np.outer(target_fast, doppler).astype(complex)
+    data = np.outer(target_fast, doppler)   # complex128, as doppler is
     for path in params.clutter:
         fast = amp * path.gain * _chirp(
             t - path.delay, params.chirp_duration, params.chirp_bandwidth)
         data += fast[:, None]
     if params.noise_psd > 0:
-        sigma = np.sqrt(params.noise_psd * params.sample_rate / 2.0)
-        shape = (params.n_fast, params.n_chirps)
-        data += sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # one draw of the real then the imaginary parts, the stream that two
+        # draws of the echo's shape take; added in place, with no complex
+        # temporary
+        noise = rng.standard_normal((2, params.n_fast, params.n_chirps))
+        noise *= np.sqrt(params.noise_psd * params.sample_rate / 2.0)
+        data.real += noise[0]
+        data.imag += noise[1]
     return data
 
 

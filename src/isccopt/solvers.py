@@ -113,6 +113,17 @@ def min_rate_time(sc: Scenario) -> float:
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
 
 
+def check_deadline(a1: float, a2: float, t2: float, t_min: float, sc: Scenario) -> None:
+    """Raise InfeasibleError (latency_budget) when even (p_max, nu_max)
+    misses the budget: a1*t_min + a2/nu_max > t2 beyond rounding, or
+    t2 <= 0. t_min is min_rate_time(sc)."""
+    floor = a1 * t_min + a2 / sc.nu_max
+    if floor > t2 * (1.0 + 1e-12) or t2 <= 0:
+        raise InfeasibleError(
+            "latency_budget",
+            f"best achievable latency {floor:.6g} s > budget {t2:.6g} s")
+
+
 def _mu1_ratio(z: float) -> float:
     """(z*e^z - expm1(z)) / z^2, i.e. g_over_bn0*mu1(z)/z^2 (see
     solve_pc_nue); its Taylor series below z = 1e-3, where the difference
@@ -128,12 +139,12 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
     payload/bandwidth, a2 the edge FLOPs, t2 the latency budget left after
     sensing and server compute, and t = 1/log2(1 + g_over_bn0*p_c).
 
-    Infeasible when even (p_max, nu_max) misses the deadline. Nothing
-    uploaded (a1 = 0): p_c = p_max and nu_e is the slowest frequency that
-    meets the budget, mu1 = 2*kappa*nu_e^3 (0 when a2 = 0 too, as the
-    deadline is then slack). Nothing computed on the edge (a2 = 0): the
-    upload stretches to the budget at nu_e = nu_max, and mu1 is the
-    multiplier mu1(z) below.
+    Infeasible when even (p_max, nu_max) misses the deadline
+    (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is
+    the slowest frequency that meets the budget, mu1 = 2*kappa*nu_e^3 (0
+    when a2 = 0 too, as the deadline is then slack). Nothing computed on
+    the edge (a2 = 0): the upload stretches to the budget at nu_e = nu_max,
+    and mu1 is the multiplier mu1(z) below.
 
     Otherwise the latency constraint is active at the optimum (energy falls
     monotonically toward the deadline). In the spectral efficiency
@@ -155,11 +166,7 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
         raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
     g = sc.g_over_bn0
     t_min = min_rate_time(sc)
-    floor = a1 * t_min + a2 / sc.nu_max
-    if floor > t2 * (1.0 + 1e-12) or t2 <= 0:
-        raise InfeasibleError(
-            "latency_budget",
-            f"best achievable latency {floor:.6g} s > budget {t2:.6g} s")
+    check_deadline(a1, a2, t2, t_min, sc)
     two_kappa = 2.0 * sc.kappa
     if a1 == 0.0:
         nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max

@@ -186,6 +186,24 @@ class TestCliSolve:
         assert rc == 3
         assert "config error" in capsys.readouterr().err
 
+    def test_out_naming_a_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("keep")
+        rc = main(["solve", "--out", str(path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output")
+        assert str(path) in err and "Traceback" not in err
+        assert path.read_text() == "keep"
+
+    def test_output_name_taken_by_a_directory_exits_3(self, tmp_path, capsys):
+        (tmp_path / "solution.json").mkdir()
+        rc = main(["solve", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output")
+        assert str(tmp_path / "solution.json") in err
+
 
 def stock_layers_with(index, key, value):
     """The stock network's layer records with one dimension replaced."""
@@ -573,6 +591,15 @@ class TestCliValidateFitSense:
         rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
         assert rc == 3
         assert "config error" in capsys.readouterr().err
+
+    def test_fit_r0_one_row_exits_3(self, tmp_path, capsys):
+        # a one-row file has two columns; the fit needs two samples
+        path = tmp_path / "samples.csv"
+        path.write_text("0.1,0.5\n")
+        rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
+        assert rc == 3
+        assert "need at least two samples" in capsys.readouterr().err
+        assert not (tmp_path / "fit_r0.json").exists()
 
     def test_sense_demo_negative_seed_exits_3(self, tmp_path, capsys):
         rc = main(["sense-demo", "--seed", "-1", "--out", str(tmp_path)])

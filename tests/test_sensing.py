@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from isccopt import sensing
 from isccopt.sensing import (ClutterPath, EchoParams, TargetPath,
                              clutter_filter, generate_echo, sensing_cost,
                              spectrogram)
-from util import stock_config, svd_band
+from util import generate_echo_reference, stock_config, svd_band
 
 
 def make_params(**overrides):
@@ -64,6 +65,21 @@ class TestGenerateEcho:
         phase = np.angle(y[k, :] / y[k, 0])
         expected = np.angle(np.exp(2j * np.pi * 3000.0 * 1e-5 * np.arange(64)))
         np.testing.assert_allclose(phase, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 301, 9001])
+    @pytest.mark.parametrize("rate, chirps, noise_psd", [
+        (1e7, 256, None), (2e7, 512, None), (1e7, 256, 0.0)],
+        ids=["100x256", "200x512", "100x256-noiseless"])
+    def test_bytes_equal_the_complex_temporary_expression(self, rate, chirps,
+                                                          noise_psd, seed):
+        # the stock echo (noise_psd 1e-9) at the benchmark's two sizes
+        echo = replace(stock_config().echo, sample_rate=rate, n_chirps=chirps)
+        if noise_psd is not None:
+            echo = replace(echo, noise_psd=noise_psd)
+        got, want = generate_echo(echo, seed), generate_echo_reference(echo, seed)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape == (echo.n_fast, chirps)
+        assert got.tobytes() == want.tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):

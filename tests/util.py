@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from isccopt import netmodel, optimizer, oracles
+from isccopt import netmodel, optimizer, oracles, sensing
 from isccopt.accuracy import FIT_B_BRACKET, FIT_LOGB_TOL
 from isccopt.config import build_config
 from isccopt.quant import quantize_vector
@@ -287,3 +287,27 @@ def svd_band(y, r1, r2):
     u, s, vh = np.linalg.svd(y, full_matrices=False)
     keep = slice(r1 - 1, r2)
     return (u[:, keep] * s[keep]) @ vh[keep, :]
+
+
+def generate_echo_reference(params, seed):
+    """Reference for sensing.generate_echo: the same echo built with a
+    complex copy of the target term and the noise added as one complex
+    temporary from two draws of the echo's shape."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(params.n_fast) / params.sample_rate
+    amp = np.sqrt(params.power)
+    doppler = np.exp(
+        2j * np.pi * params.target.doppler_hz * params.chirp_duration
+        * np.arange(params.n_chirps))
+    target_fast = amp * params.target.gain * sensing._chirp(
+        t - params.target.delay, params.chirp_duration, params.chirp_bandwidth)
+    data = np.outer(target_fast, doppler).astype(complex)
+    for path in params.clutter:
+        fast = amp * path.gain * sensing._chirp(
+            t - path.delay, params.chirp_duration, params.chirp_bandwidth)
+        data += fast[:, None]
+    if params.noise_psd > 0:
+        sigma = np.sqrt(params.noise_psd * params.sample_rate / 2.0)
+        shape = (params.n_fast, params.n_chirps)
+        data += sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return data
