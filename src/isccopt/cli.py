@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 validation suite failure, 2 infeasible problem,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -106,11 +108,32 @@ def main(argv=None) -> int:
         return 4
 
 
+def _write_all(outputs) -> None:
+    """Write every (path, write) output or none: each write(tmp) goes to a
+    temporary name beside its path, and the temporaries are renamed onto
+    the paths only once every write succeeded. An OSError removes the
+    temporaries and any output already renamed, and names the output."""
+    temps, done = [], []
+    try:
+        for path, write in outputs:
+            temps.append(path.with_name(f".{path.name}.tmp"))
+            write(temps[-1])
+        for (path, _), tmp in zip(outputs, temps):
+            os.replace(tmp, path)
+            done.append(path)
+    except OSError as err:
+        for stale in temps + done:
+            with contextlib.suppress(OSError):
+                stale.unlink()
+        raise OSError(err.errno, err.strerror or str(err), str(path)) from err
+
+
 def _write_solution(cfg: RunConfig, sol, out_dir: Path, stem: str) -> None:
     rows = [optimizer.solution_row(stem, sol)]
-    optimizer.write_solutions_csv(out_dir / f"{stem}.csv", rows)
-    payload = {"config": cfg.resolved, "solution": optimizer.solution_to_dict(sol)}
-    optimizer.dump_json(out_dir / f"{stem}.json", sanitize_floats(payload))
+    payload = sanitize_floats({"config": cfg.resolved,
+                               "solution": optimizer.solution_to_dict(sol)})
+    _write_all([(out_dir / f"{stem}.csv", lambda p: optimizer.write_solutions_csv(p, rows)),
+                (out_dir / f"{stem}.json", lambda p: optimizer.dump_json(p, payload))])
 
 
 def _report_infeasible(sol) -> None:
@@ -149,15 +172,15 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path) -> int:
     rows = optimizer.sweep(cfg.network, cfg.scenario, cfg.accuracy, args.axis, values)
     csv_rows = [optimizer.solution_row(f"{args.axis}={row.value!r}", row.solution)
                 for row in rows]
-    optimizer.write_solutions_csv(out_dir / "sweep.csv", csv_rows)
-    payload = {
+    payload = sanitize_floats({
         "config": cfg.resolved,
         "axis": args.axis,
         "rows": [{"value": row.value,
                   "solution": optimizer.solution_to_dict(row.solution)}
                  for row in rows],
-    }
-    optimizer.dump_json(out_dir / "sweep.json", sanitize_floats(payload))
+    })
+    _write_all([(out_dir / "sweep.csv", lambda p: optimizer.write_solutions_csv(p, csv_rows)),
+                (out_dir / "sweep.json", lambda p: optimizer.dump_json(p, payload))])
     n_bad = sum(not row.solution.feasible for row in rows)
     print(f"sweep {args.axis}: {len(rows)} rows ({n_bad} infeasible) -> {out_dir/'sweep.csv'}")
     return 0

@@ -351,8 +351,9 @@ def _build_echo(block: dict) -> tuple[EchoParams, dict]:
     if not 1 <= r1 <= (r2 or min_dim) <= min_dim:
         raise ConfigError(f"echo.svd_r1 and echo.svd_r2 need 1 <= svd_r1 <= svd_r2 <= "
                           f"{min_dim} (svd_r2 = 0: {min_dim}), got ({r1}, {r2})")
-    if not 1 <= processing["window_len"] <= params.n_chirps:
-        raise ConfigError(f"echo.window_len must lie in 1..{params.n_chirps} (n_chirps), "
+    # the periodic Hann window of length 1 is [0]: its spectrogram is all zero
+    if not 2 <= processing["window_len"] <= params.n_chirps:
+        raise ConfigError(f"echo.window_len must lie in 2..{params.n_chirps} (n_chirps), "
                           f"got {processing['window_len']}")
     if processing["hop"] < 1:
         raise ConfigError(f"echo.hop must be >= 1, got {processing['hop']}")

@@ -93,14 +93,16 @@ class PairEnergy:
     corners. A call raises InfeasibleError where rho admits no feasible
     point; each call that returns records (energy, p_s, p_c, nu_e, e_edge)
     in `points`. `split` holds the split's constants (split_constants when
-    omitted).
+    omitted). The pair prunes when its origin does (`prune`) and a layer
+    runs on the device (l > 0); one that does not holds rho at 1.
     """
 
     def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
-                 split: Split | None = None):
+                 split: Split | None = None, prune: bool = True):
         self.l, self.q, self.net, self.sc, self.terms, self.ap = l, q, net, sc, terms, ap
         self.t2, dim, self.a2_lo, self.t_min = split or split_constants(net, sc, l)
         self.a1 = dim * q / sc.bandwidth
+        self.prune = prune and l > 0
         self._top = None
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
 
@@ -127,14 +129,14 @@ class PairEnergy:
         return rho_max
 
     def top(self) -> tuple[float, float, float]:
-        """(rho, p_s, a2) at the top of the bracket, computed once: rho_max,
-        or rho = 1 at the raw-input split l = 0, where rho changes nothing.
-        Every check that evaluating E there makes before its KKT solve runs
-        here, in the same order, so a pair that fails one raises the reason
-        E would: rho_max, min_sensing_power, and solve_pc_nue's deadline
-        test."""
+        """(rho, p_s, a2) at the top of the bracket, computed once: rho_max
+        for a pair that prunes, rho = 1 (with no rho_max test) for one that
+        does not. Every check that evaluating E there makes before its KKT
+        solve runs here, in the same order, so a pair that fails one raises
+        the reason E would: rho_max, min_sensing_power, and solve_pc_nue's
+        deadline test."""
         if self._top is None:
-            rho = 1.0 if self.l == 0 else self.rho_max()
+            rho = self.rho_max() if self.prune else 1.0
             sc = self.sc
             p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
             a2 = netmodel.cum_flops(self.net, 1, self.l, rho)
@@ -146,46 +148,44 @@ class PairEnergy:
         """Lower bound of E over every feasible rho of the pair, with no KKT
         solve (InfeasibleError as `top` raises it):
 
-            t_sen*p_s(rho_max) + a1*T*p_c(T) + kappa*a2_lo^3/(t2 - a1*t_min)^2
+            t_sen*p_s(rho_top) + a1*T*p_c(T) + kappa*a2_lo*(a2_lo/(t2 - a1*t_min))^2
 
-        with a2_lo the edge FLOPs at RHO_FLOOR, T = max((t2 - a2_lo/nu_max)/a1,
-        t_min) and p_c(t) = expm1(ln2/t)/g_over_bn0. p_s does not rise with
-        rho, and each edge term takes the other its cheapest share of the
-        deadline: the upload time is at most T, as the edge compute takes at
-        least a2_lo/nu_max, and t*p_c(t) falls as t grows; the edge
-        frequency is at least a2_lo/(t2 - a1*t_min), as the upload takes at
-        least a1*t_min (and at most nu_max, the guard in the denominator).
+        with a2_lo the edge FLOPs at the bottom of the pair's rho range
+        (RHO_FLOOR, or rho = 1 for a pair that does not prune), T =
+        max((t2 - a2_lo/nu_max)/a1, t_min) and p_c(t) = expm1(ln2/t)/g_over_bn0.
+        p_s does not rise with rho, and each edge term takes the other its
+        cheapest share of the deadline: the upload time is at most T, as the
+        edge compute takes at least a2_lo/nu_max, and t*p_c(t) falls as t
+        grows; the edge frequency is at least a2_lo/(t2 - a1*t_min), as the
+        upload takes at least a1*t_min (and at most nu_max, the guard in the
+        denominator).
         """
-        _, p_s, _ = self.top()
-        sc, a1, a2_lo, t_min = self.sc, self.a1, self.a2_lo, self.t_min
+        _, p_s, a2 = self.top()
+        sc, a1, t_min = self.sc, self.a1, self.t_min
+        a2_lo = self.a2_lo if self.prune else a2
         bound = sc.t_sen * p_s
         if a1:
             t = max((self.t2 - a2_lo / sc.nu_max) / a1, t_min)
             bound += a1 * t * math.expm1(LN2 / t) / sc.g_over_bn0
         if a2_lo:
-            bound += sc.kappa * a2_lo**3 / max(self.t2 - a1 * t_min, a2_lo / sc.nu_max) ** 2
+            nu = a2_lo / max(self.t2 - a1 * t_min, a2_lo / sc.nu_max)
+            bound += sc.kappa * a2_lo * nu**2
         return bound
 
     def bracket(self) -> tuple[float, float]:
         """(rho_min, rho_max) with E evaluated at both ends: rho_max is the
         largest rho whose edge compute meets the deadline at (p_max, nu_max),
         rho_min the smallest rho whose sensing power fits under p_max (both
-        closed form). The raw-input split l = 0 runs no layer on the device,
-        so rho changes nothing there and the bracket is [1, 1]. Raises
-        InfeasibleError when no rho is feasible."""
+        closed form). A pair that does not prune has the bracket [1, 1].
+        Raises InfeasibleError when no rho is feasible."""
         rho_max, p_s, a2 = self.top()
         self._record(rho_max, p_s, a2)
-        if self.l == 0:
+        if not self.prune:
             return rho_max, rho_max
         rho_min = min(min_pruning_ratio(self.q, self.terms, self.ap, self.sc.r_t,
                                         self.sc.p_max, RHO_FLOOR), rho_max)
         self(rho_min)
         return rho_min, rho_max
-
-    def pin(self, rho: float) -> tuple[float, float]:
-        """The one-point bracket [rho, rho], with E evaluated there."""
-        self(rho)
-        return rho, rho
 
     def lower_bound(self, *rhos: float) -> float:
         """Lower bound of E on [rhos[0], rhos[-1]] from E evaluated at the
@@ -230,15 +230,11 @@ def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
                     iterations=len(energy.points))
 
 
-# the pruning ratio an origin pins every pair to; the others search rho
-PINNED_RHO = {"no_prune": 1.0}
-
-
 def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
-    """The (l, q) pairs an origin enumerates, in order; with PINNED_RHO
-    this is each origin's whole rule. proposed and no_prune take every
-    admissible pair (a split that uploads nothing, after the last layer,
-    has the one pair (l, 2)). on_server uploads the raw quantized input and
+    """The (l, q) pairs an origin enumerates, in order; with the prune rule
+    beside the call in _enumerate this is each origin's whole rule. proposed
+    and no_prune take every admissible pair (a split that uploads nothing,
+    after the last layer, has the one pair (l, 2)). on_server uploads the raw quantized input and
     runs every layer on the server: the pair (0, q_max). on_device runs
     every layer on the device and uploads nothing: the pair (L, 2)."""
     if origin == "on_server":
@@ -254,18 +250,20 @@ def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
 def _enumerate(net, sc, ap, origin):
     """The one outer loop, a bound-and-prune over the origin's (l, q) pairs.
 
-    Pass 1 brackets the pairs (PairEnergy.bracket, or the origin's
-    PINNED_RHO) in ascending order of their relaxed bound
-    (PairEnergy.relaxed_bound, no KKT solve), then q, then l, and takes
-    each bracketed pair's lower bound from its bracket ends; a pair that
-    raises leaves its reason. The least energy at any bracket end so far is
-    the incumbent, and a pair whose relaxed bound is above it (times
-    1 + PRUNE_RTOL) is not bracketed: its ends lie above the incumbent, so
-    pass 2 starts from the same incumbent and runs the same searches as
-    with every pair bracketed. The relaxed bound raises every reason the
-    bracket's top end would, so a pair is skipped only once it has passed
-    every check that could reject it, and the reasons do not change.
-    Pinned pairs are all bracketed.
+    Every pair of every origin takes the same path; the one per-origin rule
+    in the loop is PairEnergy's `prune`, false for no_prune (rho = 1).
+
+    Pass 1 brackets the pairs (PairEnergy.bracket) in ascending order of
+    their relaxed bound (PairEnergy.relaxed_bound, no KKT solve), then q,
+    then l, and takes each bracketed pair's lower bound from its bracket
+    ends; a pair that raises leaves its reason. The least energy at any
+    bracket end so far is the incumbent, and a pair whose relaxed bound is
+    above it (times 1 + PRUNE_RTOL) is not bracketed: its ends lie above
+    the incumbent, so pass 2 starts from the same incumbent and runs the
+    same searches as with every pair bracketed. The relaxed bound raises
+    every reason the bracket's top end would, so a pair is skipped only
+    once it has passed every check that could reject it, and the reasons
+    do not change.
 
     Pass 2 searches the bracketed pairs whose bound is within PRUNE_RTOL of
     the incumbent, most promising first: by the mean of the bound and the
@@ -283,7 +281,7 @@ def _enumerate(net, sc, ap, origin):
     if not all(0 <= l <= net.depth for l in sc.splits):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
-    pinned = PINNED_RHO.get(origin)
+    prune = origin != "no_prune"
     terms, splits = {}, {}
     for l in {l for l, _ in pairs}:
         terms[l] = penalty_terms(net, l, ap)
@@ -291,9 +289,9 @@ def _enumerate(net, sc, ap, origin):
     reasons = []
     ranked = []
     for l, q in pairs:
-        energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l])
+        energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l], prune)
         try:
-            relaxed = -math.inf if pinned is not None else energy.relaxed_bound()
+            relaxed = energy.relaxed_bound()
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue
@@ -304,7 +302,7 @@ def _enumerate(net, sc, ap, origin):
         if relaxed > incumbent * (1.0 + PRUNE_RTOL):
             continue
         try:
-            rhos = energy.bracket() if pinned is None else energy.pin(pinned)
+            rhos = energy.bracket()
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue
@@ -350,8 +348,8 @@ def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:
 
 def solve_baseline(kind: str, net, sc: Scenario, ap: AccuracyParams) -> Solution:
     """Ablation baseline `kind` (on_server, on_device or no_prune), solved
-    by the loop of solve_scenario over the pairs and rho rule that _pairs
-    and PINNED_RHO state for it."""
+    by the loop of solve_scenario over the pairs that _pairs states for it;
+    no_prune's pairs do not prune (rho = 1), the others' do."""
     if kind not in ORIGINS[1:]:
         raise ValueError(f"unknown baseline {kind!r}")
     return _enumerate(net, sc, ap, kind)

@@ -200,8 +200,9 @@ def spectrogram(ybar: np.ndarray, window_len: int, hop: int) -> np.ndarray:
     if ybar.ndim != 2:
         raise ValueError(f"sensing matrix ybar must be 2-D, got shape {ybar.shape}")
     n_slow = ybar.shape[1]
-    if not 1 <= window_len <= n_slow:
-        raise ValueError(f"window_len must lie in 1..{n_slow} (slow-time axis), "
+    # the periodic Hann window of length 1 is [0], which zeroes every frame
+    if not 2 <= window_len <= n_slow:
+        raise ValueError(f"window_len must lie in 2..{n_slow} (slow-time axis), "
                          f"got {window_len}")
     if hop < 1:
         raise ValueError("hop must be >= 1")

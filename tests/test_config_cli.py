@@ -203,6 +203,27 @@ class TestCliSolve:
         err = capsys.readouterr().err
         assert err.startswith("config error: cannot write output")
         assert str(tmp_path / "solution.json") in err
+        # no partial output: the CSV is not left behind, nor a temporary
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.json"]
+
+    def test_sweep_json_taken_by_a_directory_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "sweep.json").mkdir()
+        rc = main(["sweep", "--axis", "t_max", "--values", "0.8", "--out", str(tmp_path)])
+        assert rc == 3
+        assert str(tmp_path / "sweep.json") in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+    @pytest.mark.parametrize("t_max", [1e155, 1e200, 1e300])
+    def test_loose_deadline_solves(self, tmp_path, capsys, t_max):
+        # the relaxed bound's edge term is a frequency squared, so a budget
+        # far past 1e154 s does not overflow it
+        cfg_path = tmp_path / "loose.json"
+        cfg_path.write_text(json.dumps({"scenario": {"t_max": t_max}}))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+        assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
+        assert sol["cost"]["e_total"] == pytest.approx(0.0208303, rel=1e-6)
 
 
 def stock_layers_with(index, key, value):
@@ -277,6 +298,8 @@ BAD_VALUES = [
     ("echo", "clutter", {"a": 1}),
     ("scenario", "splits", 5),
     ("network", "target_norms", 5),
+    # the periodic Hann window of length 1 is [0]
+    ("echo", "window_len", 1),
 ]
 
 

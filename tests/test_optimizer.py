@@ -162,10 +162,9 @@ def exhaustive(kind, net, sc, ap):
     for l in splits:
         terms = opt.penalty_terms(net, l, ap)
         for q in [2] if l == net.depth else range(2, sc.q_max + 1):
-            energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+            energy = opt.PairEnergy(l, q, net, sc, terms, ap, prune=kind != "no_prune")
             try:
-                rho = energy.search(*(energy.pin(1.0) if kind == "no_prune"
-                                      else energy.bracket()))
+                rho = energy.search(*energy.bracket())
             except InfeasibleError as err:
                 reasons.append((l, q, err.reason))
                 continue
@@ -181,6 +180,23 @@ def exhaustive(kind, net, sc, ap):
         return opt.Solution(origin=kind, feasible=False, alloc=None, cost=None,
                             iterations=0, reasons=tuple(reasons))
     return replace(best, reasons=tuple(reasons))
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls the optimizer makes to each of its functions `names`."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(opt, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(opt, name, counted(name))
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -210,11 +226,20 @@ class TestBoundAndPrune:
 
     def test_bound_below_every_feasible_point(self, criterion07_cases):
         grid = np.linspace(opt.RHO_FLOOR, 1.0, 400)
-        pairs = 0
+        pairs = unpruned = 0
         for net, sc, ap in criterion07_cases:
             for l in sorted(sc.splits):
                 terms = opt.penalty_terms(net, l, ap)
                 for q in [2] if l == net.depth else range(2, sc.q_max + 1):
+                    # a pair that does not prune: its one point is rho = 1
+                    energy = opt.PairEnergy(l, q, net, sc, terms, ap, prune=False)
+                    try:
+                        relaxed = energy.relaxed_bound() / (1.0 + 1e-12)
+                    except InfeasibleError:
+                        pass
+                    else:
+                        assert relaxed <= energy(1.0)
+                        unpruned += 1
                     energy = opt.PairEnergy(l, q, net, sc, terms, ap)
                     try:
                         rho_min, rho_max = energy.bracket()
@@ -243,7 +268,7 @@ class TestBoundAndPrune:
                         assert relaxed <= bound <= e
                         if rho_min <= rho <= rho_max:
                             assert chain_bound <= e
-        assert pairs >= 800
+        assert pairs >= 800 and unpruned >= 800
 
     def test_relaxed_bound_raises_what_the_bracket_raises(self, criterion07_cases,
                                                           template_net, default_params):
@@ -253,43 +278,48 @@ class TestBoundAndPrune:
         cases = list(criterion07_cases)
         cases += [(template_net, make_scenario(t_max=t, r_t=r), default_params)
                   for t in (0.5001, 0.501, 0.505, 0.51, 0.52) for r in (0.85, 0.95, 0.99)]
+        # a pair that does not prune also raises what E(1) raises
         seen = set()
         for net, sc, ap in cases:
             for l, q in opt._pairs(net, sc):
                 terms = opt.penalty_terms(net, l, ap)
-                outcomes = []
-                for method in ("relaxed_bound", "bracket"):
-                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
-                    try:
-                        getattr(energy, method)()
-                        outcomes.append(None)
-                    except InfeasibleError as err:
-                        outcomes.append(err.reason)
-                assert outcomes[0] == outcomes[1], (l, q, sc)
-                seen.add(outcomes[0])
-        assert {None, "latency_budget", "sensing_power_cap"} <= seen
+                for prune in (True, False):
+                    calls = [lambda e: e.relaxed_bound(), lambda e: e.bracket()]
+                    if not prune:
+                        calls.append(lambda e: e(1.0))
+                    outcomes = []
+                    for call in calls:
+                        energy = opt.PairEnergy(l, q, net, sc, terms, ap, prune=prune)
+                        try:
+                            call(energy)
+                            outcomes.append(None)
+                        except InfeasibleError as err:
+                            outcomes.append(err.reason)
+                    assert len(set(outcomes)) == 1, (l, q, prune, sc)
+                    seen.add((prune, outcomes[0]))
+        assert {(prune, reason) for prune in (True, False)
+                for reason in (None, "latency_budget", "sensing_power_cap")} <= seen
 
     def test_stock_solve_brackets_fewer_pairs(self, template_net, default_scenario,
                                               default_params, monkeypatch):
         # 104 KKT solves and 29 min_pruning_ratio calls with every pair
         # bracketed; the answer is the one every pair searched gives
-        calls = {"solve_pc_nue": 0, "min_pruning_ratio": 0}
-
-        def counted(name):
-            fn = getattr(opt, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(opt, name, counted(name))
+        calls = count_calls(monkeypatch, "solve_pc_nue", "min_pruning_ratio")
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
         assert calls["solve_pc_nue"] <= 85
         assert calls["min_pruning_ratio"] <= 20
         monkeypatch.undo()
         assert sol == exhaustive("proposed", template_net, default_scenario, default_params)
+
+    def test_stock_no_prune_gates_its_pairs(self, template_net, default_scenario,
+                                            default_params, monkeypatch):
+        # 30 KKT solves with every no_prune pair evaluated at rho = 1; the
+        # relaxed bound rules out all but the winner
+        calls = count_calls(monkeypatch, "solve_pc_nue")
+        sol = opt.solve_baseline("no_prune", template_net, default_scenario, default_params)
+        assert calls["solve_pc_nue"] <= 2
+        monkeypatch.undo()
+        assert sol == exhaustive("no_prune", template_net, default_scenario, default_params)
 
     @pytest.mark.parametrize("axis", sorted(SWEEPS))
     def test_equals_exhaustive_search_on_stock_sweeps(self, template_net,

@@ -295,8 +295,8 @@ class TestSpectrogram:
         with pytest.raises(ValueError):
             spectrogram(y, 8, 0)
 
-    @pytest.mark.parametrize("window_len", [0, -3])
-    def test_window_below_one(self, rng, window_len):
+    @pytest.mark.parametrize("window_len", [0, -3, 1])
+    def test_window_below_two(self, rng, window_len):
         y = rng.standard_normal((2, 16)).astype(complex)
         with pytest.raises(ValueError, match="window_len"):
             spectrogram(y, window_len, 8)
