@@ -109,17 +109,29 @@ def _invert_ideal_accuracy(target: float, params: AccuracyParams) -> float:
     return math.tan(target / params.a) / params.b
 
 
+def margin_factor(terms: PenaltyTerms, params: AccuracyParams) -> float:
+    """The margin factor (w / (c_m s))^e of the penalty, saturated to inf
+    where a tiny s or c_m makes it overflow (0 when w is 0): K >= 1 meets
+    no accuracy target, so every pair with a nonzero penalty sum stays
+    infeasible, as its reasons say."""
+    try:
+        return (terms.tail_norm / (params.c_m * params.s)) ** params.margin_exponent
+    except (OverflowError, ZeroDivisionError):
+        return math.inf if terms.tail_norm else 0.0
+
+
 def penalty_factor(rho: float, q: int, terms: PenaltyTerms,
                    params: AccuracyParams) -> float:
     """Combined accuracy penalty K in bound R0(ps) * (1 - K):
 
         K = (w / (c_m s))^e * (C*u(rho) + D*v(q))
 
-    with e the margin exponent, C/D/w the split-dependent terms.
+    with e the margin exponent, C/D/w the split-dependent terms; K is 0
+    where C*u + D*v is, even with an infinite margin factor.
     """
-    margin = (terms.tail_norm / (params.c_m * params.s)) ** params.margin_exponent
     quant = terms.quant_coeff * quant_error_factor(q)
-    return margin * (terms.prune_coeff * pruning_error_factor(rho) + quant)
+    penalty = terms.prune_coeff * pruning_error_factor(rho) + quant
+    return margin_factor(terms, params) * penalty if penalty else 0.0
 
 
 def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> float:
@@ -173,8 +185,7 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
     rho = 1 is probed. Raises InfeasibleError when no rho in [floor, 1] is
     feasible.
     """
-    margin = (terms.tail_norm / (params.c_m * params.s)) ** params.margin_exponent
-    scale = margin * terms.prune_coeff
+    scale = margin_factor(terms, params) * terms.prune_coeff if terms.prune_coeff else 0.0
     ideal = ideal_accuracy(p_max, params)
     rho = floor
     if scale > 0.0 and r_t < ideal:

@@ -5,9 +5,11 @@ parameter sweeps."""
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import pairwise
 from typing import NamedTuple
 
 from . import netmodel
@@ -16,7 +18,7 @@ from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
 from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
-from .solvers import LN2, brent, check_deadline, min_rate_time, solve_pc_nue
+from .solvers import LN2, brent_steps, check_deadline, min_rate_time, solve_pc_nue
 
 # the proposed design, then the three ablation baselines
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
@@ -92,9 +94,10 @@ class PairEnergy:
     computes nothing on the edge (a2 = 0); solve_pc_nue covers both
     corners. A call raises InfeasibleError where rho admits no feasible
     point; each call that returns records (energy, p_s, p_c, nu_e, e_edge)
-    in `points`. `split` holds the split's constants (split_constants when
-    omitted). The pair prunes when its origin does (`prune`) and a layer
-    runs on the device (l > 0); one that does not holds rho at 1.
+    in `points`, and `least` is the least energy recorded. `split` holds
+    the split's constants (split_constants when omitted). The pair prunes
+    when its origin does (`prune`) and a layer runs on the device (l > 0);
+    one that does not holds rho at 1.
     """
 
     def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
@@ -105,6 +108,7 @@ class PairEnergy:
         self.prune = prune and l > 0
         self._top = None
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
+        self.least = math.inf
 
     def __call__(self, rho: float) -> float:
         p_s = min_sensing_power(rho, self.q, self.terms, self.ap, self.sc.r_t, self.sc.p_max)
@@ -115,6 +119,8 @@ class PairEnergy:
         edge = solve_pc_nue(self.a1, a2, self.t2, self.sc)
         energy = self.sc.t_sen * p_s + edge.energy
         self.points[rho] = energy, p_s, edge.p_c, edge.nu_e, edge.energy
+        if energy < self.least:
+            self.least = energy
         return energy
 
     def rho_max(self) -> float:
@@ -193,26 +199,17 @@ class PairEnergy:
         neighbours a < b. Exact, because p_s is nonincreasing in rho and the
         edge energy nondecreasing in the edge FLOPs, which are nondecreasing
         in rho."""
-        pts = [self.points[r] for r in rhos]
-        return min(self.sc.t_sen * b[1] + a[4] for a, b in zip(pts, pts[1:]))
+        t_sen, points = self.sc.t_sen, self.points
+        return min(t_sen * points[b][1] + points[a][4] for a, b in pairwise(rhos))
 
-    def search(self, rho_min: float, rho_max: float,
-               cutoff: float = math.inf) -> float | None:
-        """The least-energy point that Brent's method evaluates on the
-        bracket, stopping at a width of EPS_RHO (the bracket ends count, and
-        the smallest rho wins ties).
-
-        None when both ends and the lower bound on a Brent bracket (from the
-        points evaluated in it) exceed `cutoff`: the search stops there, as
-        every point it could return lies above the cutoff. The cutoff only
-        ends a search early, so a finished search returns the same point
-        whatever the cutoff.
-        """
-        e_min, e_max = self.points[rho_min][0], self.points[rho_max][0]
-        stop = None
-        if min(e_min, e_max) > cutoff:
-            stop = lambda *rhos: self.lower_bound(*rhos) > cutoff
-        return brent(self, rho_min, rho_max, e_min, e_max, EPS_RHO, stop)
+    def search(self, rho_min: float, rho_max: float):
+        """Brent's method on the bracket (solvers.brent_steps) to a width of
+        EPS_RHO: a generator that yields the evaluated points in its current
+        bracket, ascending, before each evaluation of E, and returns the
+        least-energy point it evaluated (the bracket ends count, and the
+        smallest rho wins ties)."""
+        return brent_steps(self, rho_min, rho_max, self.points[rho_min][0],
+                           self.points[rho_max][0], EPS_RHO)
 
 
 def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
@@ -248,31 +245,28 @@ def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
 
 
 def _enumerate(net, sc, ap, origin):
-    """The one outer loop, a bound-and-prune over the origin's (l, q) pairs.
+    """The one outer loop, a best-first branch and bound over the origin's
+    (l, q) pairs.
 
     Every pair of every origin takes the same path; the one per-origin rule
     in the loop is PairEnergy's `prune`, false for no_prune (rho = 1).
 
-    Pass 1 brackets the pairs (PairEnergy.bracket) in ascending order of
-    their relaxed bound (PairEnergy.relaxed_bound, no KKT solve), then q,
-    then l, and takes each bracketed pair's lower bound from its bracket
-    ends; a pair that raises leaves its reason. The least energy at any
-    bracket end so far is the incumbent, and a pair whose relaxed bound is
-    above it (times 1 + PRUNE_RTOL) is not bracketed: its ends lie above
-    the incumbent, so pass 2 starts from the same incumbent and runs the
-    same searches as with every pair bracketed. The relaxed bound raises
-    every reason the bracket's top end would, so a pair is skipped only
-    once it has passed every check that could reject it, and the reasons
-    do not change.
-
-    Pass 2 searches the bracketed pairs whose bound is within PRUNE_RTOL of
-    the incumbent, most promising first: by the mean of the bound and the
-    better end, then q, then l. A search abandons its pair as soon as no
-    point it could return is within PRUNE_RTOL of the incumbent, and a
-    finished search lowers the incumbent to the E(rho) of the point it
-    returns. A skipped or abandoned pair can neither beat nor tie the
-    answer, so the answer is the least (E, q, l) over all pairs, with its
-    `iterations`, as if every pair were searched.
+    One priority queue holds the pairs keyed by (lower bound, q, l), each
+    pair first with its relaxed bound (PairEnergy.relaxed_bound, no KKT
+    solve); a pair that raises leaves its reason. Each pop advances the
+    least pair by one step: a pair not yet bracketed is bracketed
+    (PairEnergy.bracket), and a bracketed pair takes one step of its search
+    (PairEnergy.search); either is pushed back keyed by the lower bound
+    from the evaluated points in its search's bracket
+    (PairEnergy.lower_bound). The least E(rho) evaluated so far is the
+    incumbent, and a finished search competes for the answer on (E, q, l).
+    The loop stops when the least key is above the incumbent times
+    (1 + PRUNE_RTOL). Every pair left in the queue then has every point it
+    could return above the incumbent, so it can neither beat nor tie the
+    answer: the answer is the least (E, q, l) over all pairs, with its
+    `iterations`, as if every pair were searched. The relaxed bound raises
+    every reason the bracket's top end would, so a pair is left unbracketed
+    only once it has passed every check that could reject it there.
 
     The answer is built once, by _answer: check_feasible over the splits of
     the pairs gives its cost, and CheckError names each constraint it
@@ -286,46 +280,33 @@ def _enumerate(net, sc, ap, origin):
     for l in {l for l, _ in pairs}:
         terms[l] = penalty_terms(net, l, ap)
         splits[l] = split_constants(net, sc, l)
-    reasons = []
-    ranked = []
+    reasons, queue = [], []
     for l, q in pairs:
         energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l], prune)
         try:
-            relaxed = energy.relaxed_bound()
+            queue.append((energy.relaxed_bound(), q, l, energy, None))
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
-            continue
-        ranked.append((relaxed, q, l, energy))
-    bounded = []
-    incumbent = math.inf
-    for relaxed, q, l, energy in sorted(ranked, key=lambda r: r[:3]):
-        if relaxed > incumbent * (1.0 + PRUNE_RTOL):
-            continue
+    heapq.heapify(queue)
+    incumbent, best = math.inf, None
+    while queue and queue[0][0] <= incumbent * (1.0 + PRUNE_RTOL):
+        _, q, l, energy, steps = queue[0]
         try:
-            rhos = energy.bracket()
+            if steps is None:
+                steps = energy.search(*energy.bracket())
+            rhos = next(steps)
         except InfeasibleError as err:
+            heapq.heappop(queue)
             reasons.append((l, q, err.reason))
             continue
-        bound = energy.lower_bound(*rhos)
-        end = min(energy.points[r][0] for r in rhos)
-        incumbent = min(incumbent, end)
-        bounded.append((bound + end, q, l, bound, end, energy, rhos))
-    best = None
-    for _, q, l, bound, _, energy, rhos in sorted(bounded, key=lambda b: b[:3]):
-        cutoff = incumbent * (1.0 + PRUNE_RTOL)
-        if bound > cutoff:
-            continue
-        try:
-            rho = energy.search(*rhos, cutoff)
-        except InfeasibleError as err:
-            reasons.append((l, q, err.reason))
-            continue
-        if rho is None:
-            continue
-        e = energy.points[rho][0]
-        if best is None or (e, q, l) < best[:3]:
-            best = (e, q, l, energy, rho)
-        incumbent = min(incumbent, e)
+        except StopIteration as done:
+            heapq.heappop(queue)
+            e = energy.points[done.value][0]
+            if best is None or (e, q, l) < best[:3]:
+                best = (e, q, l, energy, done.value)
+        else:
+            heapq.heapreplace(queue, (energy.lower_bound(*rhos), q, l, energy, steps))
+        incumbent = min(incumbent, energy.least)
     reasons = tuple(sorted(reasons))
     if best is None:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
@@ -336,12 +317,12 @@ def _enumerate(net, sc, ap, origin):
 def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:
     """Minimum-energy allocation over all (l, q) pairs.
 
-    Brackets each pair's rho and searches it by Brent's method (PairEnergy),
-    skipping the search of every pair whose exact lower bound rules it out
-    (see _enumerate), and returns the feasible solution of least energy
-    (ties broken by smaller q, then smaller l). When every pair is
-    infeasible the Solution carries one reason per pair. Raises CheckError
-    when the answer fails its check.
+    Searches each pair's rho by Brent's method (PairEnergy), one step at a
+    time from a best-first queue of lower bounds that leaves every pair it
+    rules out unfinished (see _enumerate), and returns the feasible
+    solution of least energy (ties broken by smaller q, then smaller l).
+    When every pair is infeasible the Solution carries one reason per pair.
+    Raises CheckError when the answer fails its check.
     """
     return _enumerate(net, sc, ap, "proposed")
 

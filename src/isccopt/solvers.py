@@ -4,6 +4,7 @@ edge-frequency subproblem."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -20,10 +21,12 @@ KKT_REL_TOL = 1e-10
 KKT_MAX_ITER = 500
 
 
-def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
-          stop=None) -> float | None:
-    """Argmin of a unimodal function on [lb, ub] by Brent's method, given
-    its values f_lb, f_ub at the ends.
+def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
+    """Brent's method for the argmin of a unimodal function on [lb, ub],
+    given its values f_lb, f_ub at the ends, as a generator: it yields the
+    evaluated points in its current bracket, ascending, before each
+    evaluation of f, and returns the evaluated point of least value (the
+    smallest on ties).
 
     Keeps a bracket whose ends are evaluated points and the best interior
     point x, starting from the golden-section point of [lb, ub]. Each step
@@ -31,21 +34,21 @@ def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
     earlier points when that lies inside the bracket and moves less than
     half the step before last, otherwise at the golden-section point of
     the larger side of x; no step is shorter than eps/3. Stops when the
-    bracket is at most eps wide (or rounding stops it shrinking) and
-    returns the evaluated point of least value, the smallest on ties.
-    Non-finite values raise. If given, `stop(*xs)` is asked before each
-    step with the evaluated points in the bracket, ascending; the search
-    returns None as soon as it answers true.
+    bracket is at most eps wide (or rounding stops it shrinking), so a
+    bracket no wider than eps returns with no yield. Non-finite values
+    raise. A caller may stop asking for steps at any yield.
     """
     if not lb <= ub:
         raise ValueError(f"need lb <= ub, got [{lb}, {ub}]")
     if not eps > 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    seen = {}   # every evaluated point and its value
+    seen, xs = {}, []   # every evaluated point and its value; the points, ascending
 
     def value(x, fx):
         if not math.isfinite(fx):
             raise ValueError("non-finite objective value in Brent's search")
+        if x not in seen:
+            bisect.insort(xs, x)
         seen[x] = fx
         return fx
 
@@ -53,6 +56,7 @@ def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
     value(ub, f_ub)
     a, b, tol, width = lb, ub, eps / 3.0, math.inf
     if eps < b - a:
+        yield lb, ub
         # x: the interior point of least value; w, v: the other two points
         # the parabola passes through (the better and the worse end at
         # first); d, e: the last step and the one before (none yet, so the
@@ -62,8 +66,7 @@ def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
         (fw, w), (fv, v) = sorted([(f_lb, lb), (f_ub, ub)])
         d = e = 0.0
     while eps < b - a < width:
-        if stop is not None and stop(*sorted(p for p in seen if a <= p <= b)):
-            return None
+        yield xs[bisect.bisect_left(xs, a):bisect.bisect_right(xs, b)]
         width = b - a
         # the parabola's vertex is x + p/q
         r = (x - w) * (fx - fv)
@@ -97,7 +100,17 @@ def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return min(seen, key=lambda p: (seen[p], p))
+    return min(xs, key=seen.__getitem__)   # xs ascending: the smallest wins ties
+
+
+def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float) -> float:
+    """brent_steps run to its end: the argmin it returns."""
+    steps = brent_steps(f, lb, ub, f_lb, f_ub, eps)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 class PowerFreqSolution(NamedTuple):

@@ -5,7 +5,7 @@ import pytest
 
 from isccopt.accuracy import (A_CAP_SLACK, FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
                               accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
-                              ideal_accuracy, min_pruning_ratio,
+                              ideal_accuracy, margin_factor, min_pruning_ratio,
                               min_sensing_power, penalty_factor, pruning_error_factor,
                               quant_error_factor)
 from isccopt.cost import Allocation
@@ -200,6 +200,27 @@ class TestPenaltyAndBound:
         p = AccuracyParams(a=0.6366, b=100.0, s=4.0, margin_exponent=1)
         terms = PenaltyTerms(prune_coeff=0.0, quant_coeff=0.4, tail_norm=2.0)
         assert penalty_factor(1.0, 2, terms, p) == pytest.approx(0.2)
+
+    def test_margin_saturates(self):
+        # (w/(c_m s))^2 overflows at s = 1e-300: the factor is inf, K is inf
+        # where the penalty sum is positive and 0 where it is 0, never NaN
+        p = AccuracyParams(a=0.6366, b=100.0, s=1e-300)
+        terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.0, tail_norm=2.0)
+        assert margin_factor(terms, p) == math.inf
+        assert penalty_factor(1.0, 2, terms, p) == 0.0
+        assert penalty_factor(0.5, 2, terms, p) == math.inf
+        assert min_sensing_power(1.0, 2, terms, p, 0.5, 1.0) > 0.0
+        with pytest.raises(InfeasibleError) as err:
+            min_sensing_power(0.5, 2, terms, p, 0.5, 1.0)
+        assert err.value.reason == "margin_penalty"
+        # only rho = 1 meets the target, and with no pruning term any rho
+        assert min_pruning_ratio(2, terms, p, 0.5, 1.0, 1e-9) == 1.0
+        unpruned = PenaltyTerms(prune_coeff=0.0, quant_coeff=0.0, tail_norm=2.0)
+        assert min_pruning_ratio(2, unpruned, p, 0.5, 1.0, 1e-9) == 1e-9
+        # c_m * s underflows to 0: inf for a positive tail norm, 0 for none
+        tiny = AccuracyParams(a=0.6366, b=100.0, s=1e-200, c_m=1e-200)
+        assert margin_factor(terms, tiny) == math.inf
+        assert margin_factor(PenaltyTerms(1.0, 1.0, 0.0), tiny) == 0.0
 
     def test_monotonicity(self):
         p = AccuracyParams(a=0.6366, b=100.0, s=2.0)

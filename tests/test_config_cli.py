@@ -225,6 +225,20 @@ class TestCliSolve:
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
         assert sol["cost"]["e_total"] == pytest.approx(0.0208303, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [1e-100, 1e-160, 1e-300])
+    def test_tiny_min_score_solves(self, tmp_path, capsys, s):
+        # below about s = 1e-153 the margin factor (w/(c_m s))^2 overflows
+        # and saturates to inf: only the on-device pair, whose penalty is 0
+        # at rho = 1, stays feasible, as it is already at s = 1e-100
+        cfg_path = tmp_path / "tiny-s.json"
+        cfg_path.write_text(json.dumps({"accuracy": {"s": s}}))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+        alloc = sol["allocation"]
+        assert (alloc["l"], alloc["q"], alloc["rho"]) == (7, 2, 1.0)
+        assert sol["cost"]["e_total"] == pytest.approx(0.0270924, rel=1e-6)
+
 
 def stock_layers_with(index, key, value):
     """The stock network's layer records with one dimension replaced."""

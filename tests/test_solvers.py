@@ -7,8 +7,9 @@ from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
 from isccopt.optimizer import PairEnergy, penalty_terms
 from isccopt.oracles import random_power_freq_context
-from isccopt.solvers import INV_GOLDEN, KKT_REL_TOL, brent, min_rate_time, solve_pc_nue
-from util import (UNIMODAL_BATTERY, golden_section, kkt_residuals, make_scenario,
+from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, brent, brent_steps, min_rate_time,
+                             solve_pc_nue)
+from util import (UNIMODAL_BATTERY, finish, golden_section, kkt_residuals, make_scenario,
                   pc_objective, solve_pair, t_stationary_rootfind)
 
 
@@ -121,24 +122,47 @@ class TestBrent:
         assert x == pytest.approx(0.3, abs=1e-12)
         assert len(calls) < 100
 
-    def test_stop_abandons_the_search(self):
-        seen = []
 
-        def stop(*points):
-            seen.append(points)
-            return len(seen) == 3
+class TestBrentSteps:
+    def test_yields_the_evaluated_points_of_its_bracket(self):
+        # before each evaluation: the evaluated points in the current
+        # bracket, ascending; the bracket starts at [lb, ub] and only shrinks
+        for f, lb, ub, _ in UNIMODAL_BATTERY:
+            evaluated = [lb, ub]
 
-        assert brent(parabola, 0, 1, 0.09, 0.49, 1e-8, stop) is None
-        assert len(seen) == 3
-        # asked with the evaluated points of the shrinking bracket, ascending
-        for points in seen:
-            assert len(points) >= 3 and list(points) == sorted(set(points))
-        assert seen[0][0] == 0 and seen[0][-1] == 1
-        assert seen[2][-1] - seen[2][0] < seen[0][-1] - seen[0][0]
+            def counted(x):
+                evaluated.append(x)
+                return f(x)
 
-    def test_stop_that_never_fires_changes_nothing(self):
-        args = (parabola, 0, 1, 0.09, 0.49, 1e-8)
-        assert brent(*args, lambda *points: False) == brent(*args)
+            steps = brent_steps(counted, lb, ub, f(lb), f(ub), 1e-8)
+            bracket, n_yields = (lb, ub), 0
+            while True:
+                try:
+                    points = next(steps)
+                except StopIteration:
+                    break
+                n_yields += 1
+                # one evaluation between two yields, none before the first
+                assert len(evaluated) == n_yields + 1
+                assert list(points) == sorted(set(points))
+                assert bracket[0] <= points[0] and points[-1] <= bracket[1]
+                bracket = points[0], points[-1]
+                assert list(points) == sorted(x for x in set(evaluated)
+                                              if bracket[0] <= x <= bracket[1])
+            assert n_yields >= 3 and bracket[1] - bracket[0] < ub - lb
+            assert len(evaluated) == n_yields + 2
+
+    def test_narrow_bracket_finishes_without_a_yield(self):
+        for ub in (0.5, 0.5 + 1e-7, 0.5 + 9e-7):
+            with pytest.raises(StopIteration) as done:
+                next(brent_steps(parabola, 0.5, ub, parabola(0.5), parabola(ub), 1e-6))
+            assert done.value.value == 0.5   # the end of least value
+
+    def test_run_to_its_end_is_brent(self):
+        for f, lb, ub, _ in UNIMODAL_BATTERY:
+            for eps in (1e-4, 1e-8, 1e-300):
+                args = (f, lb, ub, f(lb), f(ub), eps)
+                assert finish(brent_steps(*args)) == brent(*args)
 
 
 class TestTStationary:

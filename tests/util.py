@@ -128,17 +128,27 @@ def flops(layer, rho=1.0):
     return max(slope * rho + intercept, 0.0)
 
 
+def finish(steps):
+    """Run a search generator (solvers.brent_steps, PairEnergy.search) to
+    its end and return what it returns."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
 def solve_pair(l, q, net, sc, terms, ap):
     """Reference for one pair of optimizer._enumerate: the least-energy
     allocation of the pair (l, q), checked on the split l.
 
     Minimizes E(rho) of PairEnergy by Brent's method over [rho_min, rho_max]
-    (PairEnergy.bracket, then PairEnergy.search with no cutoff). Raises
+    (PairEnergy.bracket, then PairEnergy.search run to its end). Raises
     InfeasibleError when no rho is feasible, and CheckError when the answer
     fails its check.
     """
     energy = optimizer.PairEnergy(l, q, net, sc, terms, ap)
-    return optimizer._answer(energy, energy.search(*energy.bracket()), "proposed", {l})
+    return optimizer._answer(energy, finish(energy.search(*energy.bracket())), "proposed", {l})
 
 
 def pruned_mass_partition(m, lam, rho, trials, seed):
