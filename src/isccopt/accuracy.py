@@ -127,11 +127,12 @@ def penalty_factor(rho: float, q: int, terms: PenaltyTerms,
         K = (w / (c_m s))^e * (C*u(rho) + D*v(q))
 
     with e the margin exponent, C/D/w the split-dependent terms; K is 0
-    where C*u + D*v is, even with an infinite margin factor.
+    where either factor is, even when the other is infinite.
     """
     quant = terms.quant_coeff * quant_error_factor(q)
     penalty = terms.prune_coeff * pruning_error_factor(rho) + quant
-    return margin_factor(terms, params) * penalty if penalty else 0.0
+    margin = margin_factor(terms, params) if penalty else 0.0
+    return margin * penalty if margin else 0.0
 
 
 def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> float:
@@ -182,8 +183,10 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
     probing upward. As (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >=
     (1 - rho)^3/3, so the steps start at the larger of `floor` and
     1 - (3 U*)^(1/3); when U* < 0 no rho < 1 qualifies (u >= 0), and only
-    rho = 1 is probed. Raises InfeasibleError when no rho in [floor, 1] is
-    feasible.
+    rho = 1 is probed. A probe below rho = 1 takes no cap and compares the
+    sensing power with p_max itself, so missing the cap raises nothing;
+    rho = 1 is probed with the cap and raises InfeasibleError when no rho
+    in [floor, 1] is feasible.
     """
     scale = margin_factor(terms, params) * terms.prune_coeff if terms.prune_coeff else 0.0
     ideal = ideal_accuracy(p_max, params)
@@ -200,15 +203,16 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
                 break
             rho = min(rho + step, 1.0)
     step = math.ulp(rho)
-    while True:
+    while rho < 1.0:
         try:
-            min_sensing_power(rho, q, terms, params, r_t, p_max)
-            return rho
+            if not min_sensing_power(rho, q, terms, params, r_t, math.inf) > p_max:
+                return rho
         except InfeasibleError:
-            if rho >= 1.0:
-                raise
-            rho = min(rho + step, 1.0)
-            step *= 2.0
+            pass
+        rho = min(rho + step, 1.0)
+        step *= 2.0
+    min_sensing_power(rho, q, terms, params, r_t, p_max)
+    return rho
 
 
 def fit_accuracy_curve(samples):

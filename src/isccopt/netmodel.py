@@ -163,13 +163,19 @@ class NetworkModel:
     """Ordered layer stack with its input size.
 
     `flop_table[l]` holds the FlopPieces of layers 1..l for every split l in
-    0..L; cum_flops and max_rho read it. It is built here, so `replace` and
-    `with_weights` rebuild it, and it takes no part in equality or repr.
+    0..L; cum_flops and max_rho read it. `penalty_table[l]` holds
+    (pruning_penalty_coeff, tail_norm_product) of split l, or None where
+    either raises (a layer without weights, an all-zero layer, or norms
+    that overflow); optimizer.penalty_terms reads it. Both are built here,
+    so `replace` and `with_weights` rebuild them, and they take no part in
+    equality or repr.
     """
 
     layers: tuple[LayerSpec, ...]
     input_dim: int
     flop_table: tuple[FlopPieces, ...] = field(init=False, repr=False, compare=False)
+    penalty_table: tuple[tuple[float, float] | None, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -181,6 +187,8 @@ class NetworkModel:
         self._check_chain()
         object.__setattr__(self, "flop_table", tuple(
             _flop_pieces(layers[:l]) for l in range(len(layers) + 1)))
+        object.__setattr__(self, "penalty_table", tuple(
+            _split_penalty(self, l) for l in range(len(layers) + 1)))
 
     def _check_chain(self):
         prev_dim = self.input_dim
@@ -421,6 +429,15 @@ def pruning_penalty_coeff(net: NetworkModel, l: int) -> float:
     return _leave_one_out([prune_factors(layer)
                            for layer in map(net.layer, range(1, l + 1))
                            if layer.is_weighted])
+
+
+def _split_penalty(net: NetworkModel, l: int) -> tuple[float, float] | None:
+    """(pruning_penalty_coeff, tail_norm_product) of split l, or None where
+    either raises."""
+    try:
+        return pruning_penalty_coeff(net, l), tail_norm_product(net, l)
+    except (ValueError, ArithmeticError):
+        return None
 
 
 def random_fc_network(dims, rates, rng) -> NetworkModel:

@@ -56,10 +56,15 @@ class Solution:
 def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
     """Split-dependent accuracy penalty coefficients. The quantization
     coefficient is 0 for a split after the last layer (delta_coeff): nothing
-    is uploaded there, so quantization cannot hurt."""
-    return PenaltyTerms(prune_coeff=netmodel.pruning_penalty_coeff(net, l),
+    is uploaded there, so quantization cannot hurt. The pruning coefficient
+    and tail norm are read from `net.penalty_table`; a split with no entry
+    there computes them, and raises what they raise."""
+    factors = net.penalty_table[l] if 0 <= l <= net.depth else None
+    if factors is None:
+        factors = netmodel.pruning_penalty_coeff(net, l), netmodel.tail_norm_product(net, l)
+    return PenaltyTerms(prune_coeff=factors[0],
                         quant_coeff=delta_coeff(net, l, ap.f_min, ap.f_max),
-                        tail_norm=netmodel.tail_norm_product(net, l))
+                        tail_norm=factors[1])
 
 
 class Split(NamedTuple):
@@ -162,9 +167,9 @@ class PairEnergy:
         p_s does not rise with rho, and each edge term takes the other its
         cheapest share of the deadline: the upload time is at most T, as the
         edge compute takes at least a2_lo/nu_max, and t*p_c(t) falls as t
-        grows; the edge frequency is at least a2_lo/(t2 - a1*t_min), as the
-        upload takes at least a1*t_min (and at most nu_max, the guard in the
-        denominator).
+        grows, to ln2/g_over_bn0 (the upload term where T overflows); the
+        edge frequency is at least a2_lo/(t2 - a1*t_min), as the upload takes
+        at least a1*t_min (and at most nu_max, the guard in the denominator).
         """
         _, p_s, a2 = self.top()
         sc, a1, t_min = self.sc, self.a1, self.t_min
@@ -172,7 +177,8 @@ class PairEnergy:
         bound = sc.t_sen * p_s
         if a1:
             t = max((self.t2 - a2_lo / sc.nu_max) / a1, t_min)
-            bound += a1 * t * math.expm1(LN2 / t) / sc.g_over_bn0
+            # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
+            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / sc.g_over_bn0
         if a2_lo:
             nu = a2_lo / max(self.t2 - a1 * t_min, a2_lo / sc.nu_max)
             bound += sc.kappa * a2_lo * nu**2
@@ -253,7 +259,10 @@ def _enumerate(net, sc, ap, origin):
 
     One priority queue holds the pairs keyed by (lower bound, q, l), each
     pair first with its relaxed bound (PairEnergy.relaxed_bound, no KKT
-    solve); a pair that raises leaves its reason. Each pop advances the
+    solve); a pair that raises leaves its reason, and a NaN bound raises
+    CheckError naming the pair, as it would end the loop unsearched. A lone
+    pair has nothing to be ruled out against, so it takes no relaxed bound
+    (key -inf), and its bracket raises the same reasons. Each pop advances the
     least pair by one step: a pair not yet bracketed is bracketed
     (PairEnergy.bracket), and a bracketed pair takes one step of its search
     (PairEnergy.search); either is pushed back keyed by the lower bound
@@ -281,12 +290,17 @@ def _enumerate(net, sc, ap, origin):
         terms[l] = penalty_terms(net, l, ap)
         splits[l] = split_constants(net, sc, l)
     reasons, queue = [], []
+    lone = len(pairs) == 1
     for l, q in pairs:
         energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l], prune)
         try:
-            queue.append((energy.relaxed_bound(), q, l, energy, None))
+            bound = -math.inf if lone else energy.relaxed_bound()
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
+            continue
+        if math.isnan(bound):
+            raise CheckError(f"{origin} (l={l}, q={q}): relaxed bound is NaN")
+        queue.append((bound, q, l, energy, None))
     heapq.heapify(queue)
     incumbent, best = math.inf, None
     while queue and queue[0][0] <= incumbent * (1.0 + PRUNE_RTOL):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,9 +91,16 @@ def delta_coeff(net: NetworkModel, l: int, f_min: float, f_max: float) -> float:
     N/4 * (f_max - f_min)^2, where N is the feature size of layer l+1 when
     that layer is max-pooling (pooling shrinks the effective dimension),
     else the upload size of layer l. l=0 means quantizing the raw input; a
-    split after the last layer uploads nothing, so its coefficient is 0."""
+    split after the last layer uploads nothing, so its coefficient is 0.
+    Where (f_max - f_min)^2 overflows the coefficient saturates to inf, and
+    the accuracy bound then rejects every pair that uploads."""
     n_eff = upload_dim(net, l)
-    if n_eff and net.layer(l + 1).kind == MP:
+    if not n_eff:
+        return 0.0
+    if net.layer(l + 1).kind == MP:
         n_eff = feature_dim(net, l + 1)
-    return 0.25 * n_eff * (f_max - f_min) ** 2
+    try:
+        return 0.25 * n_eff * (f_max - f_min) ** 2
+    except OverflowError:
+        return math.inf
 

@@ -137,12 +137,12 @@ def check_deadline(a1: float, a2: float, t2: float, t_min: float, sc: Scenario) 
             f"best achievable latency {floor:.6g} s > budget {t2:.6g} s")
 
 
-def _mu1_ratio(z: float) -> float:
+def _mu1_ratio(z: float, exp_z: float) -> float:
     """(z*e^z - expm1(z)) / z^2, i.e. g_over_bn0*mu1(z)/z^2 (see
-    solve_pc_nue); its Taylor series below z = 1e-3, where the difference
-    cancels (either is within 1e-12 relative)."""
+    solve_pc_nue), given exp_z = e^z; its Taylor series below z = 1e-3,
+    where the difference cancels (either is within 1e-12 relative)."""
     if z > 1e-3:
-        return (z * math.exp(z) - math.expm1(z)) / (z * z)
+        return (z * exp_z - math.expm1(z)) / (z * z)
     return 0.5 + z * (1.0 / 3.0 + z * (0.125 + z / 30.0))
 
 
@@ -189,17 +189,19 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
         t = max(t2 / a1, t_min)
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return PowerFreqSolution(p_c, sc.nu_max, t, z * z * _mu1_ratio(z) / g, p_c * t2)
+        return PowerFreqSolution(p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g,
+                                 p_c * t2)
     # at t2/a1 the upload alone fills the budget
     t_lo, t_hi, t = t_min, t2 / a1, t_min
     for _ in range(KKT_MAX_ITER):
         z = LN2 / t
-        r = _mu1_ratio(z)
+        exp_z = math.exp(z)
+        r = _mu1_ratio(z, exp_z)
         # (mu1/(2*kappa))^(1/3), with z^2 kept out of the root: no underflow
         nu = z ** (2.0 / 3.0) * (r / (two_kappa * g)) ** (1.0 / 3.0)
         slope = a1   # d lat / d t
         if nu < sc.nu_max:
-            slope += a2 * z * math.exp(z) / (3.0 * LN2 * r * nu)
+            slope += a2 * z * exp_z / (3.0 * LN2 * r * nu)
         else:
             nu = sc.nu_max
         lat = a1 * t + a2 / nu

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,6 +222,16 @@ class TestPenaltyAndBound:
         tiny = AccuracyParams(a=0.6366, b=100.0, s=1e-200, c_m=1e-200)
         assert margin_factor(terms, tiny) == math.inf
         assert margin_factor(PenaltyTerms(1.0, 1.0, 0.0), tiny) == 0.0
+
+    def test_zero_margin_keeps_k_zero(self):
+        # a saturated (infinite) quantization coefficient behind a zero
+        # margin factor: K is 0, not 0*inf = NaN
+        p = AccuracyParams(a=0.6366, b=100.0, s=1.0)
+        terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=math.inf, tail_norm=0.0)
+        assert margin_factor(terms, p) == 0.0
+        assert penalty_factor(0.5, 2, terms, p) == 0.0
+        assert min_sensing_power(0.5, 2, terms, p, 0.5, 1.0) > 0.0
+        assert penalty_factor(0.5, 2, replace(terms, tail_norm=1.0), p) == math.inf
 
     def test_monotonicity(self):
         p = AccuracyParams(a=0.6366, b=100.0, s=2.0)

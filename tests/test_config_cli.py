@@ -213,10 +213,11 @@ class TestCliSolve:
         assert str(tmp_path / "sweep.json") in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
-    @pytest.mark.parametrize("t_max", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("t_max", [1e155, 1e200, 1e300, 1e308])
     def test_loose_deadline_solves(self, tmp_path, capsys, t_max):
         # the relaxed bound's edge term is a frequency squared, so a budget
-        # far past 1e154 s does not overflow it
+        # far past 1e154 s does not overflow it; at 1e308 s its upload time
+        # overflows, and the upload term takes its limit, not inf*0 = NaN
         cfg_path = tmp_path / "loose.json"
         cfg_path.write_text(json.dumps({"scenario": {"t_max": t_max}}))
         rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
@@ -238,6 +239,23 @@ class TestCliSolve:
         alloc = sol["allocation"]
         assert (alloc["l"], alloc["q"], alloc["rho"]) == (7, 2, 1.0)
         assert sol["cost"]["e_total"] == pytest.approx(0.0270924, rel=1e-6)
+
+    def test_huge_feature_range_rejects_the_uploading_pairs(self, tmp_path, capsys):
+        # (f_max - f_min)^2 overflows at f_max 1e200: the quantization
+        # coefficient saturates to inf, every pair that uploads misses the
+        # accuracy target, and the on-device pair answers
+        cfg_path = tmp_path / "huge-range.json"
+        cfg_path.write_text(json.dumps({"accuracy": {"f_max": 1e200}}))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+        assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
+        assert len(sol["reasons"]) == 35
+        assert {reason for _, _, reason in sol["reasons"]} == {"margin_penalty"}
+        rc = main(["baseline", "--kind", "on_server", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "on_server")])
+        assert rc == 2
+        assert "l=0 q=6: margin_penalty" in capsys.readouterr().err
 
 
 def stock_layers_with(index, key, value):

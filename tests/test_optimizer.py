@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from isccopt import netmodel as nm
 from isccopt import optimizer as opt
 from isccopt import oracles as orc
-from isccopt.accuracy import min_pruning_ratio
+from isccopt.accuracy import accuracy_ceiling, min_pruning_ratio
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import INV_GOLDEN, min_rate_time
-from util import finish, halve_sensing_power, make_scenario, solve_pair
+from util import (finish, halve_sensing_power, make_scenario, min_pruning_ratio_probing,
+                  solve_pair)
 
 
 class TestPenaltyTerms:
@@ -37,6 +38,65 @@ class TestPenaltyTerms:
         assert terms.quant_coeff == pytest.approx(0.25 * 400)  # next layer pools
         assert terms.prune_coeff == pytest.approx(
             nm.pruning_penalty_coeff(template_net, 3))
+
+
+def factors_or_error(net, l):
+    """(pruning_penalty_coeff, tail_norm_product) of split l, or the type
+    and message of what they raise."""
+    try:
+        return nm.pruning_penalty_coeff(net, l), nm.tail_norm_product(net, l)
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+def assert_penalty_table_matches(net, ap):
+    """net.penalty_table holds the two functions' values at every split,
+    and penalty_terms raises what they raise where it holds nothing."""
+    assert len(net.penalty_table) == net.depth + 1
+    for l, factors in enumerate(net.penalty_table):
+        want = factors_or_error(net, l)
+        if factors is not None:
+            assert factors == want, l
+            continue
+        with pytest.raises(want[0]) as err:
+            opt.penalty_terms(net, l, ap)
+        assert str(err.value) == want[1]
+
+
+class TestPenaltyTable:
+    """NetworkModel.penalty_table: the network-only penalty factors of every
+    split, built once per network."""
+
+    def test_equals_the_functions(self, template_net, default_params, criterion07_cases):
+        assert None not in template_net.penalty_table
+        assert_penalty_table_matches(template_net, default_params)
+        for net, _, ap in criterion07_cases:
+            assert None not in net.penalty_table
+            assert_penalty_table_matches(net, ap)
+
+    def test_with_weights_and_replace_rebuild_it(self, template_net, default_params):
+        doubled = template_net.with_weights(
+            [2.0 * layer.weights for layer in template_net.layers if layer.is_weighted])
+        pruned = nm.prune(template_net, 0.5, 3)   # built by replace
+        for net in (doubled, pruned):
+            assert net.penalty_table[1:] != template_net.penalty_table[1:]
+            assert_penalty_table_matches(net, default_params)
+
+    def test_splits_whose_factors_raise_store_nothing(self, template_net, default_params):
+        # no weights (ValueError), an all-zero layer (ValueError) and norms
+        # so small that M/lambda^2 overflows (OverflowError): penalty_terms
+        # raises as the functions do
+        bare = replace(template_net, layers=tuple(
+            replace(layer, weights=None) for layer in template_net.layers))
+        layers = list(template_net.layers)
+        layers[0] = replace(layers[0], weights=np.zeros_like(layers[0].weights))
+        zero = replace(template_net, layers=tuple(layers))
+        tiny = template_net.with_weights(
+            [1e-300 * layer.weights for layer in template_net.layers if layer.is_weighted])
+        for net, error in ((bare, ValueError), (zero, ValueError), (tiny, OverflowError)):
+            assert error in {factors_or_error(net, l)[0] for l in range(net.depth + 1)}
+            assert None in net.penalty_table
+            assert_penalty_table_matches(net, default_params)
 
 
 class TestSolvePair:
@@ -361,6 +421,124 @@ class TestBoundAndPrune:
         queued = len(opt._pairs(template_net, default_scenario)) - len(sol.reasons)
         assert sol.feasible
         assert 1 <= len(finished) < len(searches) < queued
+
+
+def probe_outcome(f, *args):
+    """What f returns, or the reason and message of the InfeasibleError it
+    raises."""
+    try:
+        return f(*args)
+    except InfeasibleError as err:
+        return err.reason, str(err)
+
+
+class TestFixedCosts:
+    """The pair loop's fixed costs cut with every answer kept (probes that
+    raise nothing, no relaxed bound for a lone pair), and the relaxed
+    bound's guards where the deadline overflows or the bound is NaN."""
+
+    def test_min_pruning_ratio_equals_the_probing_reference(
+            self, criterion07_cases, template_net, default_scenario, default_params):
+        # criterion 07's cases at their own r_t, and every stock pair on a
+        # dense r_t grid up to just past the accuracy ceiling
+        cases = [(net, sc, ap, [sc.r_t]) for net, sc, ap in criterion07_cases]
+        ceiling = accuracy_ceiling(default_params)
+        cases.append((template_net, default_scenario, default_params,
+                      [float(r) for r in np.linspace(0.0, 1.01 * ceiling, 450)]))
+        kinds = dict.fromkeys(("floor", "above", "raises"), 0)
+        for net, sc, ap, r_ts in cases:
+            for l, q in opt._pairs(net, sc):
+                terms = opt.penalty_terms(net, l, ap)
+                for r_t in r_ts:
+                    args = (q, terms, ap, r_t, sc.p_max, opt.RHO_FLOOR)
+                    got = probe_outcome(min_pruning_ratio, *args)
+                    assert got == probe_outcome(min_pruning_ratio_probing, *args), (l, q, r_t)
+                    kinds["raises" if isinstance(got, tuple) else "floor"
+                          if got == opt.RHO_FLOOR else "above"] += 1
+        assert sum(kinds.values()) >= 15000
+        assert min(kinds.values()) >= 500, kinds
+
+    def test_returning_probe_constructs_no_error(self, template_net, default_scenario,
+                                                 default_params, monkeypatch):
+        # every stock pair at tight accuracy targets: a call that returns
+        # raises nothing, although most of them probe more than once
+        import isccopt.accuracy as acc
+        made, probes = [], []
+        init, min_sensing_power = InfeasibleError.__init__, acc.min_sensing_power
+        monkeypatch.setattr(InfeasibleError, "__init__",
+                            lambda self, *args: made.append(args) or init(self, *args))
+        monkeypatch.setattr(acc, "min_sensing_power",
+                            lambda rho, *args: probes.append(rho) or
+                            min_sensing_power(rho, *args))
+        returned = probed_again = 0
+        for l, q in opt._pairs(template_net, default_scenario):
+            terms = opt.penalty_terms(template_net, l, default_params)
+            for r_t in np.linspace(0.84, 0.99, 31):
+                made.clear()
+                probes.clear()
+                try:
+                    min_pruning_ratio(q, terms, default_params, float(r_t),
+                                      default_scenario.p_max, opt.RHO_FLOOR)
+                except InfeasibleError:
+                    continue
+                assert made == [], (l, q, r_t)
+                returned += 1
+                probed_again += len(probes) > 1
+        assert returned >= 500 and probed_again >= returned // 2
+
+    def test_lone_pair_takes_no_relaxed_bound(self, template_net, default_params,
+                                              monkeypatch):
+        # on_server and on_device have one pair: it is bracketed at once,
+        # and a pair rejected at its top end keeps the reason the relaxed
+        # bound would raise; the other origins bound every pair
+        calls = []
+        relaxed_bound = opt.PairEnergy.relaxed_bound
+        monkeypatch.setattr(opt.PairEnergy, "relaxed_bound",
+                            lambda self: calls.append(self) or relaxed_bound(self))
+        rejected = 0
+        for t_max, r_t in ((0.8, 0.9), (0.51, 0.85), (0.5001, 0.9), (1.8, 0.99)):
+            sc = make_scenario(t_max=t_max, r_t=r_t)
+            n_pairs = len(opt._pairs(template_net, sc))
+            for origin, want in (("proposed", n_pairs), ("no_prune", n_pairs),
+                                 ("on_server", 0), ("on_device", 0)):
+                calls.clear()
+                sol = opt._enumerate(template_net, sc, default_params, origin)
+                assert len(calls) == want, (origin, t_max, r_t)
+                if want or sol.feasible:
+                    continue
+                rejected += 1
+                [(l, q, reason)] = sol.reasons
+                energy = opt.PairEnergy(l, q, template_net, sc,
+                                        opt.penalty_terms(template_net, l, default_params),
+                                        default_params)
+                assert probe_outcome(relaxed_bound, energy)[0] == reason
+        assert rejected >= 2
+
+    def test_nan_bound_fails_closed(self, template_net, default_scenario, default_params,
+                                    monkeypatch):
+        relaxed_bound = opt.PairEnergy.relaxed_bound
+        monkeypatch.setattr(opt.PairEnergy, "relaxed_bound",
+                            lambda self: math.nan if (self.l, self.q) == (3, 4)
+                            else relaxed_bound(self))
+        with pytest.raises(CheckError, match=r"proposed \(l=3, q=4\): relaxed bound is NaN"):
+            opt.solve_scenario(template_net, default_scenario, default_params)
+
+    def test_overflowing_deadline_solves_as_a_finite_one(self, template_net, default_params):
+        # at t_max 1e308 the relaxed bound's upload time overflows to inf,
+        # and its upload term takes its limit; the answer is 1e300's, apart
+        # from the edge frequency and times that the deadline scales
+        scaled = {"nu_e", "t_comp_edge"}
+        for origin in ("proposed", "no_prune"):
+            got = opt._enumerate(template_net, make_scenario(t_max=1e308), default_params,
+                                 origin)
+            want = opt._enumerate(template_net, make_scenario(t_max=1e300), default_params,
+                                  origin)
+            assert got.feasible
+            assert got.e_total == want.e_total
+            for a, b in ((got, want), (got.alloc, want.alloc), (got.cost, want.cost)):
+                for f in fields(a):
+                    if f.name not in scaled | {"alloc", "cost"}:
+                        assert getattr(a, f.name) == getattr(b, f.name), (origin, f.name)
 
 
 def golden_search(energy, rho_min, rho_max):

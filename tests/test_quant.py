@@ -164,6 +164,17 @@ class TestQuantErrorBound:
         bound = delta_coeff(net, 0, 0.0, 2.0) * quant_error_factor(2)
         assert bound == pytest.approx(32 * 4 / 4)
 
+    def test_saturates_where_the_range_squared_overflows(self):
+        # (f_max - f_min)^2 overflows past about 1.3e154: inf for a split
+        # that uploads, 0 for one that uploads nothing, even when the range
+        # itself overflows
+        net = nm.NetworkModel(layers=(nm.fc(8, 32), nm.fc(4, 8)), input_dim=32)
+        assert delta_coeff(net, 1, 0.0, 1e200) == math.inf
+        assert delta_coeff(net, 0, -1e308, 1e308) == math.inf
+        assert delta_coeff(net, 2, 0.0, 1e200) == 0.0
+        assert delta_coeff(net, 2, -1e308, 1e308) == 0.0
+        assert delta_coeff(net, 1, 0.0, 1e150) == 0.25 * 8 * 1e150 ** 2
+
 
 class TestCalibrateRange:
     def test_scans_peak(self):

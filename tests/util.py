@@ -8,8 +8,10 @@ from dataclasses import replace
 import numpy as np
 
 from isccopt import netmodel, optimizer, oracles, sensing
-from isccopt.accuracy import FIT_B_BRACKET, FIT_LOGB_TOL
+from isccopt.accuracy import (FIT_B_BRACKET, FIT_LOGB_TOL, ideal_accuracy, margin_factor,
+                              min_sensing_power, penalty_factor, pruning_error_factor)
 from isccopt.config import build_config
+from isccopt.errors import InfeasibleError
 from isccopt.quant import quantize_vector
 from isccopt.solvers import INV_GOLDEN, min_rate_time
 
@@ -149,6 +151,36 @@ def solve_pair(l, q, net, sc, terms, ap):
     """
     energy = optimizer.PairEnergy(l, q, net, sc, terms, ap)
     return optimizer._answer(energy, finish(energy.search(*energy.bracket())), "proposed", {l})
+
+
+def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
+    """Reference for accuracy.min_pruning_ratio: the same Newton start and
+    steps, then upward probes that each call min_sensing_power with the cap
+    p_max and catch the InfeasibleError of every probe that misses it."""
+    scale = margin_factor(terms, params) * terms.prune_coeff if terms.prune_coeff else 0.0
+    ideal = ideal_accuracy(p_max, params)
+    rho = floor
+    if scale > 0.0 and r_t < ideal:
+        u_star = (1.0 - r_t / ideal - penalty_factor(1.0, q, terms, params)) / scale
+        if u_star < 0.0:
+            rho = 1.0
+        elif 3.0 * u_star < 1.0:
+            rho = max(floor, 1.0 - (3.0 * u_star) ** (1.0 / 3.0))
+        while rho < 1.0:
+            step = (pruning_error_factor(rho) - u_star) / math.log(rho) ** 2
+            if not rho + step > rho:
+                break
+            rho = min(rho + step, 1.0)
+    step = math.ulp(rho)
+    while True:
+        try:
+            min_sensing_power(rho, q, terms, params, r_t, p_max)
+            return rho
+        except InfeasibleError:
+            if rho >= 1.0:
+                raise
+            rho = min(rho + step, 1.0)
+            step *= 2.0
 
 
 def pruned_mass_partition(m, lam, rho, trials, seed):
