@@ -77,11 +77,15 @@ def pruning_error_factor(rho: float) -> float:
     Equals 0 at rho=1 and decreases monotonically as rho grows;
     derivative is -(ln rho)^2.
     """
+    _check_rho(rho)
+    return 2.0 - rho - rho * (math.log(rho) - 1.0) ** 2
+
+
+def _check_rho(rho: float) -> None:
     if rho <= 0:
         raise ValueError("rho must be positive")
     if rho > 1.0:
         raise ValueError("rho must not exceed 1")
-    return 2.0 - rho - rho * (math.log(rho) - 1.0) ** 2
 
 
 def quant_error_factor(q: int) -> float:
@@ -101,12 +105,6 @@ def ideal_accuracy(ps: float, params: AccuracyParams) -> float:
 def accuracy_ceiling(params: AccuracyParams) -> float:
     """Supremum of the ideal-accuracy curve."""
     return params.a * math.pi / 2.0
-
-
-def _invert_ideal_accuracy(target: float, params: AccuracyParams) -> float:
-    if target <= 0.0:
-        return 0.0
-    return math.tan(target / params.a) / params.b
 
 
 def margin_factor(terms: PenaltyTerms, params: AccuracyParams) -> float:
@@ -152,20 +150,36 @@ def min_sensing_power(rho: float, q: int, terms: PenaltyTerms,
     Inverts the lower bound R0(ps)*(1-K) = r_t. Raises InfeasibleError
     tagged with the failing condition: margin_penalty (K >= 1),
     accuracy_ceiling (required ideal accuracy unattainable), or
-    sensing_power_cap (result above p_max).
+    sensing_power_cap (result above p_max). Checks q and rho, then
+    evaluates sensing_power.
     """
-    k = penalty_factor(rho, q, terms, params)
+    quant = terms.quant_coeff * quant_error_factor(q)
+    _check_rho(rho)
+    return sensing_power(rho, terms.prune_coeff, quant, margin_factor(terms, params), r_t,
+                         params.a, params.b, accuracy_ceiling(params), p_max)
+
+
+def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r_t: float,
+                  a: float, b: float, ceiling: float, p_max: float) -> float:
+    """min_sensing_power with its constants bound: prune_coeff of the split,
+    quant = quant_coeff*quant_error_factor(q) of the pair, margin =
+    margin_factor(terms, params) and ceiling = accuracy_ceiling(params);
+    rho in (0, 1] is not checked. penalty_factor's K and the arctan
+    inverse are written out, so a call makes no further Python call.
+    """
+    penalty = prune_coeff * (2.0 - rho - rho * (math.log(rho) - 1.0) ** 2) + quant
+    k = margin * penalty if penalty and margin else 0.0
     if k >= 1.0:
         raise InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
     if r_t <= 0.0:
         return 0.0
     target = r_t / (1.0 - k)
-    if target >= accuracy_ceiling(params):
+    if target >= ceiling:
         raise InfeasibleError(
             "accuracy_ceiling",
-            f"required ideal accuracy {target:.6g} >= ceiling {accuracy_ceiling(params):.6g}",
+            f"required ideal accuracy {target:.6g} >= ceiling {ceiling:.6g}",
         )
-    ps = _invert_ideal_accuracy(target, params)
+    ps = math.tan(target / a) / b
     if ps > p_max:
         raise InfeasibleError("sensing_power_cap", f"needs {ps:.6g} W > {p_max:.6g} W")
     return ps
@@ -183,35 +197,59 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
     probing upward. As (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >=
     (1 - rho)^3/3, so the steps start at the larger of `floor` and
     1 - (3 U*)^(1/3); when U* < 0 no rho < 1 qualifies (u >= 0), and only
-    rho = 1 is probed. A probe below rho = 1 takes no cap and compares the
-    sensing power with p_max itself, so missing the cap raises nothing;
-    rho = 1 is probed with the cap and raises InfeasibleError when no rho
-    in [floor, 1] is feasible.
+    rho = 1 is probed. A probe below rho = 1 compares the sensing power
+    with p_max and raises nothing where it misses; rho = 1 is probed by
+    sensing_power with the cap, which raises InfeasibleError when no rho in
+    [floor, 1] is feasible. Checks q and floor, then evaluates
+    pruning_floor.
     """
-    scale = margin_factor(terms, params) * terms.prune_coeff if terms.prune_coeff else 0.0
     ideal = ideal_accuracy(p_max, params)
+    quant = terms.quant_coeff * quant_error_factor(q)
+    _check_rho(floor)
+    return pruning_floor(terms.prune_coeff, quant, margin_factor(terms, params), r_t,
+                         params.a, params.b, accuracy_ceiling(params), ideal, p_max, floor)
+
+
+def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a: float,
+                  b: float, ceiling: float, ideal: float, p_max: float,
+                  floor: float) -> float:
+    """min_pruning_ratio with the constants of sensing_power bound, and
+    ideal = ideal_accuracy(p_max, params); floor in (0, 1] is not checked.
+    The Newton steps and the probes below rho = 1 write out u(rho), K and
+    the arctan inverse; only the probe at rho = 1 calls sensing_power.
+    """
+    scale = margin * prune_coeff if prune_coeff else 0.0
     rho = floor
     if scale > 0.0 and r_t < ideal:
-        u_star = (1.0 - r_t / ideal - penalty_factor(1.0, q, terms, params)) / scale
+        penalty = prune_coeff * 0.0 + quant   # u(1) = 0
+        k = margin * penalty if penalty and margin else 0.0
+        u_star = (1.0 - r_t / ideal - k) / scale
         if u_star < 0.0:
             rho = 1.0
         elif 3.0 * u_star < 1.0:
             rho = max(floor, 1.0 - (3.0 * u_star) ** (1.0 / 3.0))
         while rho < 1.0:
-            step = (pruning_error_factor(rho) - u_star) / math.log(rho) ** 2
+            log_rho = math.log(rho)
+            step = (2.0 - rho - rho * (log_rho - 1.0) ** 2 - u_star) / log_rho ** 2
             if not rho + step > rho:
                 break
             rho = min(rho + step, 1.0)
     step = math.ulp(rho)
     while rho < 1.0:
-        try:
-            if not min_sensing_power(rho, q, terms, params, r_t, math.inf) > p_max:
-                return rho
-        except InfeasibleError:
-            pass
+        # sensing_power(rho, ..., math.inf) <= p_max, where a miss raises nothing
+        penalty = prune_coeff * (2.0 - rho - rho * (math.log(rho) - 1.0) ** 2) + quant
+        k = margin * penalty if penalty and margin else 0.0
+        if not k >= 1.0:
+            if r_t <= 0.0:
+                if not 0.0 > p_max:
+                    return rho
+            else:
+                target = r_t / (1.0 - k)
+                if not target >= ceiling and not math.tan(target / a) / b > p_max:
+                    return rho
         rho = min(rho + step, 1.0)
         step *= 2.0
-    min_sensing_power(rho, q, terms, params, r_t, p_max)
+    sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling, p_max)
     return rho
 
 

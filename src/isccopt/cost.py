@@ -4,6 +4,7 @@ checker for the full constraint system."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import netmodel
@@ -15,8 +16,11 @@ from .sensing import sensing_cost
 # widest feature word, in bits, that a bit width q may ask for
 MAX_BITS = 64
 
-# check_feasible passes a constraint whose slack is at least -FEASIBLE_TOL
+# check_feasible passes a constraint whose slack is at least -FEASIBLE_TOL;
+# the latency check also forgives LATENCY_ULPS roundings of t_max, as the
+# slack t_max - t_total of a deadline-active answer rounds on t_max's scale
 FEASIBLE_TOL = 1e-9
+LATENCY_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -190,11 +194,13 @@ def check_feasible(alloc: Allocation, net: NetworkModel, sc: Scenario,
 
     `splits` overrides the admissible split set (baselines use l=0 or l=L
     outside the scenario's set). Slacks within -FEASIBLE_TOL still pass, so
-    boundary-active converged solutions report ok. A box check's slack is
-    the distance to its nearer bound, so a failing check never shows a
-    positive slack. Where total_cost has no value (a split outside 0..L, a
-    power or frequency outside its domain, rho outside (0, 1]) the report
-    carries no cost and the latency slack is -inf.
+    boundary-active converged solutions report ok; a latency slack passes
+    within a further LATENCY_ULPS*epsilon*t_max, under 1e-15 s for t_max
+    <= 1 s. A box check's slack is the distance to its nearer bound, so a
+    failing check never shows a positive slack. Where total_cost has no
+    value (a split outside 0..L, a power or frequency outside its domain,
+    rho outside (0, 1]) the report carries no cost and the latency slack
+    is -inf.
     """
     allowed = set(splits) if splits is not None else set(sc.splits)
     a = alloc
@@ -213,7 +219,9 @@ def check_feasible(alloc: Allocation, net: NetworkModel, sc: Scenario,
     integral_q = float(a.q).is_integer()
     checks = (
         accuracy_check,
-        ConstraintCheck("latency", latency >= -FEASIBLE_TOL, latency),
+        ConstraintCheck("latency", latency >= -(FEASIBLE_TOL + LATENCY_ULPS
+                                                 * sys.float_info.epsilon * sc.t_max),
+                        latency),
         ConstraintCheck("split", a.l in allowed, 0.0 if a.l in allowed else -1.0),
         _box("prune_ratio", 0.0 < a.rho <= 1.0 + FEASIBLE_TOL, a.rho, 0.0, 1.0),
         _box("sensing_power", 0.0 <= a.p_s <= sc.p_max + FEASIBLE_TOL, a.p_s, 0.0, sc.p_max),

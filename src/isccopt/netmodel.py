@@ -141,6 +141,11 @@ class FlopPieces(NamedTuple):
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
 
+    def at(self, rho: float) -> float:
+        """The count at rho in (0, 1] (not checked)."""
+        j = bisect_left(self.points, rho)
+        return self.slopes[j] * rho + self.intercepts[j]
+
 
 def _flop_pieces(layers) -> FlopPieces:
     """FlopPieces of `layers`. Slopes and intercepts are whole numbers, so
@@ -264,15 +269,14 @@ def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0) -> fl
         raise IndexError(f"range {l_from}..{l_to} outside 1..{net.depth}")
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
+    if l_from == 1:
+        return table[l_to].at(rho)
     points, slopes, intercepts = table[l_to]
     j = bisect_left(points, rho)
     slope, intercept = slopes[j], intercepts[j]
-    if l_from > 1:
-        points, slopes, intercepts = table[l_from - 1]
-        j = bisect_left(points, rho)
-        slope -= slopes[j]
-        intercept -= intercepts[j]
-    return slope * rho + intercept
+    points, slopes, intercepts = table[l_from - 1]
+    j = bisect_left(points, rho)
+    return (slope - slopes[j]) * rho + (intercept - intercepts[j])
 
 
 def max_rho(net: NetworkModel, l: int, cap: float) -> float:

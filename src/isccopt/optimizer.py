@@ -13,12 +13,12 @@ from itertools import pairwise
 from typing import NamedTuple
 
 from . import netmodel
-from .accuracy import (AccuracyParams, PenaltyTerms, min_pruning_ratio,
-                       min_sensing_power)
+from .accuracy import (AccuracyParams, PenaltyTerms, accuracy_ceiling, ideal_accuracy,
+                       margin_factor, pruning_floor, quant_error_factor, sensing_power)
 from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
-from .solvers import LN2, brent_steps, check_deadline, min_rate_time, solve_pc_nue
+from .solvers import LN2, brent_steps, check_deadline, min_rate_time, power_freq
 
 # the proposed design, then the three ablation baselines
 ORIGINS = ("proposed", "on_server", "on_device", "no_prune")
@@ -70,20 +70,28 @@ def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
 class Split(NamedTuple):
     """What the pairs of one split l share: the latency budget t2 left for
     edge compute and upload after sensing and server compute, the number of
-    features uploaded, the edge FLOPs at RHO_FLOOR, and the upload's least
-    inverse spectral efficiency (min_rate_time)."""
+    features uploaded, the edge FLOPs at RHO_FLOOR, the upload's least
+    inverse spectral efficiency (min_rate_time), the FlopPieces of the
+    edge layers 1..l, the pruning coefficient of the accuracy penalty and
+    its margin factor (accuracy.margin_factor)."""
 
     t2: float
     dim: int
     a2_lo: float
     t_min: float
+    flops: netmodel.FlopPieces
+    prune_coeff: float
+    margin: float
 
 
-def split_constants(net, sc: Scenario, l: int) -> Split:
-    """The Split of split l; _enumerate builds it once per split and solve."""
+def split_constants(net, sc: Scenario, l: int, terms: PenaltyTerms,
+                    ap: AccuracyParams) -> Split:
+    """The Split of split l with penalty terms `terms`; _enumerate builds it
+    once per split and solve."""
     t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
     return Split(sc.t_max - sc.t_sen - t_server, netmodel.upload_dim(net, l),
-                 netmodel.cum_flops(net, 1, l, RHO_FLOOR), min_rate_time(sc))
+                 netmodel.cum_flops(net, 1, l, RHO_FLOOR), min_rate_time(sc),
+                 net.flop_table[l], terms.prune_coeff, margin_factor(terms, ap))
 
 
 class PairEnergy:
@@ -96,34 +104,48 @@ class PairEnergy:
         E(rho) = t_sen * p_s(rho) + e_comm + e_comp.
 
     The on-device split l = L uploads nothing (a1 = 0), and the split l = 0
-    computes nothing on the edge (a2 = 0); solve_pc_nue covers both
+    computes nothing on the edge (a2 = 0); power_freq covers both
     corners. A call raises InfeasibleError where rho admits no feasible
     point; each call that returns records (energy, p_s, p_c, nu_e, e_edge)
     in `points`, and `least` is the least energy recorded. `split` holds
     the split's constants (split_constants when omitted). The pair prunes
     when its origin does (`prune`) and a layer runs on the device (l > 0);
     one that does not holds rho at 1.
+
+    E is evaluated by the kernels accuracy.sensing_power, FlopPieces.at
+    and solvers.power_freq from constants bound once, not per call: the
+    Split's (t_min, the FlopPieces, the pruning coefficient and margin
+    factor), built once per split and solve, and the scenario's scalars,
+    the accuracy ceiling, the quantization term quant_coeff*v(q) and the
+    upload size a1, bound here.
     """
 
     def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
                  split: Split | None = None, prune: bool = True):
         self.l, self.q, self.net, self.sc, self.terms, self.ap = l, q, net, sc, terms, ap
-        self.t2, dim, self.a2_lo, self.t_min = split or split_constants(net, sc, l)
+        (self.t2, dim, self.a2_lo, self.t_min, self.flops, self.prune_coeff,
+         self.margin) = split or split_constants(net, sc, l, terms, ap)
         self.a1 = dim * q / sc.bandwidth
+        self.quant = terms.quant_coeff * quant_error_factor(q)
+        self.r_t, self.p_max, self.t_sen = sc.r_t, sc.p_max, sc.t_sen
+        self.g, self.kappa, self.nu_max = sc.g_over_bn0, sc.kappa, sc.nu_max
+        self.a, self.b, self.ceiling = ap.a, ap.b, accuracy_ceiling(ap)
         self.prune = prune and l > 0
         self._top = None
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
         self.least = math.inf
 
     def __call__(self, rho: float) -> float:
-        p_s = min_sensing_power(rho, self.q, self.terms, self.ap, self.sc.r_t, self.sc.p_max)
-        return self._record(rho, p_s, netmodel.cum_flops(self.net, 1, self.l, rho))
+        p_s = sensing_power(rho, self.prune_coeff, self.quant, self.margin, self.r_t,
+                            self.a, self.b, self.ceiling, self.p_max)
+        return self._record(rho, p_s, self.flops.at(rho))
 
     def _record(self, rho: float, p_s: float, a2: float) -> float:
         """E at rho from its sensing power and edge FLOPs."""
-        edge = solve_pc_nue(self.a1, a2, self.t2, self.sc)
-        energy = self.sc.t_sen * p_s + edge.energy
-        self.points[rho] = energy, p_s, edge.p_c, edge.nu_e, edge.energy
+        p_c, nu_e, _, _, e_edge = power_freq(self.a1, a2, self.t2, self.t_min, self.g,
+                                             self.kappa, self.p_max, self.nu_max)
+        energy = self.t_sen * p_s + e_edge
+        self.points[rho] = energy, p_s, p_c, nu_e, e_edge
         if energy < self.least:
             self.least = energy
         return energy
@@ -144,14 +166,14 @@ class PairEnergy:
         for a pair that prunes, rho = 1 (with no rho_max test) for one that
         does not. Every check that evaluating E there makes before its KKT
         solve runs here, in the same order, so a pair that fails one raises
-        the reason E would: rho_max, min_sensing_power, and solve_pc_nue's
-        deadline test."""
+        the reason E would: rho_max, sensing_power, and power_freq's
+        deadline test (check_deadline)."""
         if self._top is None:
             rho = self.rho_max() if self.prune else 1.0
-            sc = self.sc
-            p_s = min_sensing_power(rho, self.q, self.terms, self.ap, sc.r_t, sc.p_max)
-            a2 = netmodel.cum_flops(self.net, 1, self.l, rho)
-            check_deadline(self.a1, a2, self.t2, self.t_min, sc)
+            p_s = sensing_power(rho, self.prune_coeff, self.quant, self.margin, self.r_t,
+                                self.a, self.b, self.ceiling, self.p_max)
+            a2 = self.flops.at(rho)
+            check_deadline(self.a1, a2, self.t2, self.t_min, self.sc)
             self._top = rho, p_s, a2
         return self._top
 
@@ -194,8 +216,10 @@ class PairEnergy:
         self._record(rho_max, p_s, a2)
         if not self.prune:
             return rho_max, rho_max
-        rho_min = min(min_pruning_ratio(self.q, self.terms, self.ap, self.sc.r_t,
-                                        self.sc.p_max, RHO_FLOOR), rho_max)
+        rho_min = min(pruning_floor(self.prune_coeff, self.quant, self.margin, self.r_t,
+                                    self.a, self.b, self.ceiling,
+                                    ideal_accuracy(self.p_max, self.ap), self.p_max,
+                                    RHO_FLOOR), rho_max)
         self(rho_min)
         return rho_min, rho_max
 
@@ -288,7 +312,7 @@ def _enumerate(net, sc, ap, origin):
     terms, splits = {}, {}
     for l in {l for l, _ in pairs}:
         terms[l] = penalty_terms(net, l, ap)
-        splits[l] = split_constants(net, sc, l)
+        splits[l] = split_constants(net, sc, l, terms[l], ap)
     reasons, queue = [], []
     lone = len(pairs) == 1
     for l, q in pairs:

@@ -151,6 +151,19 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
     a1*t*p_c + kappa*a2*nu_e^2 subject to a1*t + a2/nu_e <= t2, where a1 is
     payload/bandwidth, a2 the edge FLOPs, t2 the latency budget left after
     sensing and server compute, and t = 1/log2(1 + g_over_bn0*p_c).
+    Solved by power_freq with the scenario's constants.
+    """
+    return PowerFreqSolution(*power_freq(a1, a2, t2, min_rate_time(sc), sc.g_over_bn0,
+                                         sc.kappa, sc.p_max, sc.nu_max))
+
+
+def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: float,
+               p_max: float, nu_max: float) -> tuple[float, float, float, float, float]:
+    """The fields of solve_pc_nue's PowerFreqSolution from plain floats:
+    t_min = min_rate_time(sc) and the scenario's g_over_bn0, kappa, p_max
+    and nu_max. check_deadline's test and, in the Newton loop, _mu1_ratio
+    are written out, so a solve with a1 > 0 and a2 > 0 makes no Python
+    call.
 
     Infeasible when even (p_max, nu_max) misses the deadline
     (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is
@@ -177,33 +190,36 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
     """
     if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
         raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
-    g = sc.g_over_bn0
-    t_min = min_rate_time(sc)
-    check_deadline(a1, a2, t2, t_min, sc)
-    two_kappa = 2.0 * sc.kappa
+    floor = a1 * t_min + a2 / nu_max   # check_deadline
+    if floor > t2 * (1.0 + 1e-12) or t2 <= 0:
+        raise InfeasibleError(
+            "latency_budget",
+            f"best achievable latency {floor:.6g} s > budget {t2:.6g} s")
+    two_kappa = 2.0 * kappa
     if a1 == 0.0:
-        nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
-        return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0,
-                                 sc.kappa * a2 * nu**2)
+        nu = min(a2 / t2, nu_max) if a2 else nu_max
+        return p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, kappa * a2 * nu**2
     if a2 == 0.0:
         t = max(t2 / a1, t_min)
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return PowerFreqSolution(p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g,
-                                 p_c * t2)
+        return p_c, nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * t2
+    two_kappa_g = two_kappa * g
     # at t2/a1 the upload alone fills the budget
     t_lo, t_hi, t = t_min, t2 / a1, t_min
     for _ in range(KKT_MAX_ITER):
         z = LN2 / t
         exp_z = math.exp(z)
-        r = _mu1_ratio(z, exp_z)
+        # _mu1_ratio(z, exp_z), written out
+        r = ((z * exp_z - math.expm1(z)) / (z * z) if z > 1e-3
+             else 0.5 + z * (1.0 / 3.0 + z * (0.125 + z / 30.0)))
         # (mu1/(2*kappa))^(1/3), with z^2 kept out of the root: no underflow
-        nu = z ** (2.0 / 3.0) * (r / (two_kappa * g)) ** (1.0 / 3.0)
+        nu = z ** (2.0 / 3.0) * (r / two_kappa_g) ** (1.0 / 3.0)
         slope = a1   # d lat / d t
-        if nu < sc.nu_max:
+        if nu < nu_max:
             slope += a2 * z * exp_z / (3.0 * LN2 * r * nu)
         else:
-            nu = sc.nu_max
+            nu = nu_max
         lat = a1 * t + a2 / nu
         if abs(lat - t2) <= KKT_REL_TOL * t2:
             break
@@ -214,9 +230,9 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
         else:
             # the latency misses t2 even at t = t_min, so that bound binds:
             # upload at p_max, the edge takes the rest of the budget
-            nu = a2 / max(t2 - a1 * t_min, a2 / sc.nu_max)
-            return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3,
-                                     sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2)
+            nu = a2 / max(t2 - a1 * t_min, a2 / nu_max)
+            return (p_max, nu, t_min, two_kappa * nu**3,
+                    p_max * a1 * t_min + kappa * a2 * nu**2)
         t -= (lat - t2) / slope
         if not t_lo < t < t_hi:
             t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)   # bisect z: t_hi may be inf
@@ -224,4 +240,4 @@ def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolu
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {t2:.12g} s")
     p_c = math.expm1(z) / g
-    return PowerFreqSolution(p_c, nu, t, z * z * r / g, p_c * a1 * t + sc.kappa * a2 * nu**2)
+    return p_c, nu, t, z * z * r / g, p_c * a1 * t + kappa * a2 * nu**2

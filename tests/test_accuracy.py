@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,10 +9,11 @@ from isccopt.accuracy import (A_CAP_SLACK, FIT_LOGB_TOL, AccuracyParams, Penalty
                               accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
                               ideal_accuracy, margin_factor, min_pruning_ratio,
                               min_sensing_power, penalty_factor, pruning_error_factor,
-                              quant_error_factor)
+                              quant_error_factor, sensing_power)
 from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
-from util import fit_accuracy_curve_golden, fit_residual
+from util import (fit_accuracy_curve_golden, fit_residual, min_pruning_ratio_probing,
+                  min_sensing_power_composed, outcome, record_math)
 
 
 def alloc(p_s=0.1, rho=1.0, q=2, l=1):
@@ -311,6 +313,51 @@ class TestMinSensingPower:
         assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
 
 
+class TestSensingPowerKernel:
+    """accuracy.sensing_power writes u(rho), penalty_factor's K and the
+    arctan inverse out; it gives the bits and reasons of their composition
+    (tests/util.min_sensing_power_composed)."""
+
+    def test_equals_the_composition(self):
+        rhos = [float(r) for r in np.geomspace(1e-9, 1.0, 24)] + [1.0 - 2.0**-53, 1.0]
+        seen = set()
+        for s in (3.0, 1e-300):   # the margin factor overflows to inf at 1e-300
+            p = AccuracyParams(a=0.6366, b=100.0, s=s)
+            for c, d, w in itertools.product((0.0, 0.05, 1.0), (0.0, 0.5, 10.0), (0.0, 3.0)):
+                terms = PenaltyTerms(prune_coeff=c, quant_coeff=d, tail_norm=w)
+                margin = margin_factor(terms, p)
+                for q, rho, r_t, p_max in itertools.product(
+                        (2, 3, 6), rhos, (0.0, 0.3, 0.6, 0.9, 0.99, 0.99999), (1.0, 0.01)):
+                    args = (rho, q, terms, p, r_t, p_max)
+                    got = outcome(min_sensing_power, *args)
+                    assert got == outcome(min_sensing_power_composed, *args), args
+                    assert got == outcome(sensing_power, rho, c, d * quant_error_factor(q),
+                                          margin, r_t, p.a, p.b, accuracy_ceiling(p), p_max)
+                    kind = (got[0] if isinstance(got, tuple)
+                            else "zero" if got == "0.0" else "power")
+                    seen.add((margin if margin in (0.0, math.inf) else "finite", kind))
+        reasons = ("margin_penalty", "accuracy_ceiling", "sensing_power_cap")
+        assert {("finite", kind) for kind in reasons + ("zero", "power")} <= seen
+        assert {(0.0, "power"), (0.0, "zero"), (0.0, "accuracy_ceiling"),
+                (0.0, "sensing_power_cap"), (math.inf, "margin_penalty"),
+                (math.inf, "power")} <= seen
+
+    def test_wrappers_check_their_arguments(self):
+        # the kernels take rho (or the floor) in (0, 1] and q >= 2 on trust;
+        # min_sensing_power and min_pruning_ratio check them
+        p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
+        terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.5, tail_norm=1.0)
+        for rho, q, match in ((0.0, 2, "rho must be positive"),
+                              (1.5, 2, "rho must not exceed 1"),
+                              (0.5, 1, "quantization bits")):
+            with pytest.raises(ValueError, match=match):
+                min_sensing_power(rho, q, terms, p, 0.5, 1.0)
+            with pytest.raises(ValueError, match=match):
+                min_sensing_power_composed(rho, q, terms, p, 0.5, 1.0)
+            with pytest.raises(ValueError, match=match):
+                min_pruning_ratio(q, terms, p, 0.5, 1.0, rho)
+
+
 class TestMinPruningRatio:
     def test_boundary_of_the_sensing_power_cap(self):
         # min_sensing_power succeeds at the closed-form rho_min and raises
@@ -349,41 +396,67 @@ class TestMinPruningRatio:
 
     def test_newton_starts_at_the_cubic_bound(self, monkeypatch):
         # U* = 1e-6: the steps start at 1 - (3e-6)^(1/3), next to the root,
-        # rather than at the floor
+        # rather than at the floor; each Newton step and each probe takes
+        # one ln(rho), and the one probe one tan
         import isccopt.accuracy as acc
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.0, tail_norm=3.0)
         r_t = ideal_accuracy(1.0, p) * (1.0 - 1e-6)
-        calls = []
-        monkeypatch.setattr(acc, "pruning_error_factor",
-                            lambda rho: calls.append(rho) or pruning_error_factor(rho))
+        calls = record_math(monkeypatch, acc, "log", "tan")
         rho = min_pruning_ratio(3, terms, p, r_t, 1.0, 1e-9)
+        monkeypatch.undo()
         start = 1.0 - 3e-6 ** (1.0 / 3.0)
         assert start <= rho <= start + 1e-3
         assert pruning_error_factor(rho) == pytest.approx(1e-6, rel=1e-6)
-        assert min(calls) == pytest.approx(start, rel=1e-9)
-        assert len(calls) <= 8
+        assert min(calls["log"]) == pytest.approx(start, rel=1e-9)
+        assert len(calls["log"]) <= 5
+        assert len(calls["tan"]) == 1
 
     @pytest.mark.parametrize("quant_coeff, r_t, reason", [
         (10.0, 0.5, "margin_penalty"), (0.7, 0.4, "accuracy_ceiling"),
         (0.7, 0.2985, "sensing_power_cap")])
     def test_infeasible_at_one_probes_only_one(self, monkeypatch, quant_coeff, r_t, reason):
         # U* < 0: even rho = 1 misses the target, and u >= 0, so no Newton
-        # step is taken, rho = 1 is the one point probed and its reason is
-        # raised
+        # step is taken, rho = 1 is the one point probed (by sensing_power,
+        # the one ln(rho) taken) and its reason is raised
         import isccopt.accuracy as acc
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=quant_coeff, tail_norm=3.0)
-        probes, factors = [], []
-        monkeypatch.setattr(acc, "min_sensing_power",
-                            lambda rho, *args: probes.append(rho) or min_sensing_power(rho, *args))
-        monkeypatch.setattr(acc, "pruning_error_factor",
-                            lambda rho: factors.append(rho) or pruning_error_factor(rho))
+        probes = []
+        monkeypatch.setattr(acc, "sensing_power",
+                            lambda rho, *args: probes.append(rho) or sensing_power(rho, *args))
+        factors = record_math(monkeypatch, acc, "log")["log"]
         with pytest.raises(InfeasibleError) as err:
             min_pruning_ratio(2, terms, p, r_t, 1.0, 1e-9)
         assert err.value.reason == reason
         assert probes == [1.0]
-        assert set(factors) == {1.0}
+        assert factors == [1.0]
+
+    def test_equals_the_probing_reference(self):
+        # pruning_floor writes u(rho), K and the probes out: the floors and
+        # reasons of the reference that probes by the composition, also
+        # where the margin factor is 0 (w = 0) or saturates to inf
+        rhos, seen = set(), set()
+        for s in (3.0, 1e-300):
+            p = AccuracyParams(a=0.6366, b=100.0, s=s)
+            for c, d, w in itertools.product((0.0, 0.05, 1.0), (0.0, 0.5, 10.0), (0.0, 3.0)):
+                terms = PenaltyTerms(prune_coeff=c, quant_coeff=d, tail_norm=w)
+                margin = margin_factor(terms, p)
+                for q, r_t, p_max in itertools.product(
+                        (2, 3, 6), np.linspace(0.0, 0.99999, 40), (1.0, 0.01)):
+                    args = (q, terms, p, float(r_t), p_max, 1e-9)
+                    got = outcome(min_pruning_ratio, *args)
+                    assert got == outcome(min_pruning_ratio_probing, *args), args
+                    if isinstance(got, tuple):
+                        seen.add((margin if margin in (0.0, math.inf) else "finite", got[0]))
+                    else:
+                        rhos.add(float(got))
+                        seen.add((margin if margin in (0.0, math.inf) else "finite", "floor"))
+        assert len(rhos) >= 100
+        assert {(m, "floor") for m in (0.0, math.inf, "finite")} <= seen
+        assert {("finite", reason) for reason in
+                ("margin_penalty", "accuracy_ceiling", "sensing_power_cap")} <= seen
+        assert (math.inf, "margin_penalty") in seen
 
     def test_floor_when_pruning_is_free(self):
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)

@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from isccopt import cost
 from isccopt import netmodel as nm
 from isccopt.cost import (Allocation, Scenario, check_feasible, comm_cost,
                           comp_cost, total_cost)
@@ -135,6 +137,30 @@ class TestCheckFeasible:
         assert not report.ok
         assert latency == pytest.approx(0.4 - breakdown.t_total)
         assert latency < 0
+
+    def test_latency_rounding_scales_with_the_deadline(self, template_net, default_params):
+        # t_max - t_total rounds on t_max's scale: at a deadline near 1e68 s
+        # a slack of two ulps passes and one of 16 ulps fails, and at t_max
+        # <= 1 s the tolerance stays within 1e-14 s of FEASIBLE_TOL
+        from isccopt.optimizer import penalty_terms
+        terms = penalty_terms(template_net, 7, default_params)
+        a = make_alloc(l=7, q=2, rho=1.0, p_c=1.0, nu_e=1e-62)
+        t_total = total_cost(a, template_net, make_scenario()).t_total
+        assert 1e67 < t_total < 1e69
+        for ulps, ok in ((0, True), (1, True), (2, True), (16, False)):
+            sc = make_scenario(t_max=t_total - ulps * math.ulp(t_total))
+            report = check_feasible(a, template_net, sc, terms, default_params)
+            assert report.slack("latency") == -ulps * math.ulp(t_total)
+            assert [c for c in report.checks if c.name == "latency"][0].ok is ok, ulps
+        for t_max in (1e-3, 0.5, 1.0):
+            sc = make_scenario(t_max=t_max)
+            assert cost.LATENCY_ULPS * sys.float_info.epsilon * sc.t_max < 1e-14
+        a = make_alloc(p_s=0.9, nu_e=8e6, rho=1.0)
+        t_total = total_cost(a, template_net, make_scenario()).t_total
+        for slack, ok in ((-cost.FEASIBLE_TOL, True), (-cost.FEASIBLE_TOL - 1e-14, False)):
+            sc = make_scenario(t_max=t_total + slack)
+            report = check_feasible(a, template_net, sc, terms, default_params)
+            assert [c for c in report.checks if c.name == "latency"][0].ok is ok, slack
 
     def test_quant_bits_domain(self, template_net, default_scenario,
                                default_params, terms):

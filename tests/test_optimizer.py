@@ -16,7 +16,8 @@ from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import INV_GOLDEN, min_rate_time
 from util import (finish, halve_sensing_power, make_scenario, min_pruning_ratio_probing,
-                  solve_pair)
+                  min_sensing_power_composed, outcome, record_math, solve_pair,
+                  solve_pc_nue_reference)
 
 
 class TestPenaltyTerms:
@@ -362,12 +363,12 @@ class TestBoundAndPrune:
 
     def test_stock_solve_brackets_fewer_pairs(self, template_net, default_scenario,
                                               default_params, monkeypatch):
-        # 104 KKT solves and 29 min_pruning_ratio calls with every pair
-        # bracketed; the answer is the one every pair searched gives
-        calls = count_calls(monkeypatch, "solve_pc_nue", "min_pruning_ratio")
+        # 104 KKT solves and 29 pruning floors with every pair bracketed;
+        # the answer is the one every pair searched gives
+        calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
-        assert calls["solve_pc_nue"] <= 85
-        assert calls["min_pruning_ratio"] <= 20
+        assert calls["power_freq"] == 83
+        assert calls["pruning_floor"] == 19
         monkeypatch.undo()
         assert sol == exhaustive("proposed", template_net, default_scenario, default_params)
 
@@ -375,9 +376,9 @@ class TestBoundAndPrune:
                                             default_params, monkeypatch):
         # 30 KKT solves with every no_prune pair evaluated at rho = 1; the
         # relaxed bound rules out all but the winner
-        calls = count_calls(monkeypatch, "solve_pc_nue")
+        calls = count_calls(monkeypatch, "power_freq")
         sol = opt.solve_baseline("no_prune", template_net, default_scenario, default_params)
-        assert calls["solve_pc_nue"] <= 2
+        assert calls["power_freq"] == 1
         monkeypatch.undo()
         assert sol == exhaustive("no_prune", template_net, default_scenario, default_params)
 
@@ -423,13 +424,40 @@ class TestBoundAndPrune:
         assert 1 <= len(finished) < len(searches) < queued
 
 
-def probe_outcome(f, *args):
-    """What f returns, or the reason and message of the InfeasibleError it
-    raises."""
-    try:
-        return f(*args)
-    except InfeasibleError as err:
-        return err.reason, str(err)
+class TestBoundConstants:
+    """PairEnergy evaluates E(rho) by the kernels from constants bound per
+    solve, split and pair; each point it records has the bits and reasons
+    of E composed from the references of the kernels."""
+
+    def test_points_equal_the_composed_energy(self, criterion07_cases, template_net,
+                                              default_scenario, default_params):
+        cases = list(criterion07_cases[:40])
+        cases += [(template_net, make_scenario(t_max=t, r_t=r), default_params)
+                  for t, r in ((0.8, 0.9), (0.51, 0.85), (0.52, 0.95), (1.8, 0.99))]
+        rhos = [float(r) for r in np.geomspace(opt.RHO_FLOOR, 1.0, 12)]
+        kinds = set()
+        for net, sc, ap in cases:
+            for l, q in opt._pairs(net, sc):
+                terms = opt.penalty_terms(net, l, ap)
+                energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+
+                def recorded(rho):
+                    energy(rho)
+                    return energy.points[rho]
+
+                def composed(rho):
+                    p_s = min_sensing_power_composed(rho, q, terms, ap, sc.r_t, sc.p_max)
+                    edge = solve_pc_nue_reference(energy.a1, nm.cum_flops(net, 1, l, rho),
+                                                  energy.t2, sc)
+                    return (sc.t_sen * p_s + edge.energy, p_s, edge.p_c, edge.nu_e,
+                            edge.energy)
+
+                for rho in rhos:
+                    got = outcome(recorded, rho)
+                    assert got == outcome(composed, rho), (l, q, rho)
+                    kinds.add(got[0] if isinstance(got, tuple) else "feasible")
+        assert {"feasible", "latency_budget", "sensing_power_cap", "margin_penalty",
+                "accuracy_ceiling"} <= kinds
 
 
 class TestFixedCosts:
@@ -451,25 +479,24 @@ class TestFixedCosts:
                 terms = opt.penalty_terms(net, l, ap)
                 for r_t in r_ts:
                     args = (q, terms, ap, r_t, sc.p_max, opt.RHO_FLOOR)
-                    got = probe_outcome(min_pruning_ratio, *args)
-                    assert got == probe_outcome(min_pruning_ratio_probing, *args), (l, q, r_t)
+                    got = outcome(min_pruning_ratio, *args)
+                    assert got == outcome(min_pruning_ratio_probing, *args), (l, q, r_t)
                     kinds["raises" if isinstance(got, tuple) else "floor"
-                          if got == opt.RHO_FLOOR else "above"] += 1
+                          if got == repr(opt.RHO_FLOOR) else "above"] += 1
         assert sum(kinds.values()) >= 15000
         assert min(kinds.values()) >= 500, kinds
 
     def test_returning_probe_constructs_no_error(self, template_net, default_scenario,
                                                  default_params, monkeypatch):
         # every stock pair at tight accuracy targets: a call that returns
-        # raises nothing, although most of them probe more than once
+        # raises nothing, although most of them probe the cap more than
+        # once (a probe that reaches the cap takes one tan)
         import isccopt.accuracy as acc
-        made, probes = [], []
-        init, min_sensing_power = InfeasibleError.__init__, acc.min_sensing_power
+        made = []
+        init = InfeasibleError.__init__
         monkeypatch.setattr(InfeasibleError, "__init__",
                             lambda self, *args: made.append(args) or init(self, *args))
-        monkeypatch.setattr(acc, "min_sensing_power",
-                            lambda rho, *args: probes.append(rho) or
-                            min_sensing_power(rho, *args))
+        probes = record_math(monkeypatch, acc, "tan")["tan"]
         returned = probed_again = 0
         for l, q in opt._pairs(template_net, default_scenario):
             terms = opt.penalty_terms(template_net, l, default_params)
@@ -511,7 +538,7 @@ class TestFixedCosts:
                 energy = opt.PairEnergy(l, q, template_net, sc,
                                         opt.penalty_terms(template_net, l, default_params),
                                         default_params)
-                assert probe_outcome(relaxed_bound, energy)[0] == reason
+                assert outcome(relaxed_bound, energy)[0] == reason
         assert rejected >= 2
 
     def test_nan_bound_fails_closed(self, template_net, default_scenario, default_params,

@@ -7,10 +7,12 @@ from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
 from isccopt.optimizer import PairEnergy, penalty_terms
 from isccopt.oracles import random_power_freq_context
-from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, brent, brent_steps, min_rate_time,
-                             solve_pc_nue)
+from isccopt import solvers
+from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, LN2, PowerFreqSolution, brent,
+                             brent_steps, min_rate_time, power_freq, solve_pc_nue)
 from util import (UNIMODAL_BATTERY, finish, golden_section, kkt_residuals, make_scenario,
-                  pc_objective, solve_pair, t_stationary_rootfind)
+                  outcome, pc_objective, solve_pair, solve_pc_nue_reference,
+                  t_stationary_rootfind)
 
 
 class TestGoldenSection:
@@ -322,6 +324,74 @@ class TestSolvePcNue:
                            (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)):
             with pytest.raises(ValueError):
                 solve_pc_nue(a1, a2, t2, sc)
+
+
+class TestPowerFreqKernel:
+    """solvers.power_freq, solve_pc_nue's body with check_deadline and the
+    mu1 ratio written out, gives the bits and reasons of the body that
+    calls them (tests/util.solve_pc_nue_reference) on every branch."""
+
+    SCENARIOS = ({}, {"nu_max": 1e5}, {"kappa": 1e-26}, {"g_over_bn0": 1e4})
+    # fractions of the floor a1*t_min + a2/nu_max; those next to 1 meet and
+    # miss check_deadline's rounding allowance of 1e-12
+    BUDGETS = (0.5, 1.0 - 1e-9, 1.0 - 5e-12, 1.0 - 5e-13, 1.0, 1.0 + 1e-13, 1.001, 1.5,
+               10.0, 1e3, 1e6)
+
+    @staticmethod
+    def branch(a1, a2, t2, sc):
+        """The exit of power_freq that returns for (a1, a2, t2), or the
+        reason it raises."""
+        try:
+            sol = solve_pc_nue(a1, a2, t2, sc)
+        except InfeasibleError as err:
+            return err.reason
+        if a1 == 0.0 or a2 == 0.0:
+            return "no_upload" if a1 == 0.0 else "no_edge_compute"
+        if sol.t == min_rate_time(sc) and sol.p_c == sc.p_max:
+            return "t_min_binds"
+        if LN2 / sol.t <= 1e-3:
+            return "taylor"
+        return "nu_max_clamp" if sol.nu_e == sc.nu_max else "interior"
+
+    def cases(self):
+        for kw in self.SCENARIOS:
+            sc = make_scenario(**kw)
+            for a1 in (0.0, 1e-4, 0.02, 2.0):
+                for a2 in (0.0, 1e3, 2e5, 1e8):
+                    floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
+                    for t2 in [floor * f for f in self.BUDGETS] + [0.0, -1.0, 0.1, 10.0]:
+                        yield a1, a2, t2, sc
+        # random contexts at their own budget and just above the floor,
+        # where t_min binds for some
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            (a1, a2, t2), sc = random_power_freq_context(rng)
+            floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
+            for budget in (t2, floor * 1.001, floor):
+                yield a1, a2, budget, sc
+
+    def test_equals_the_reference_on_every_branch(self):
+        seen = {}
+        for a1, a2, t2, sc in self.cases():
+            got = outcome(solve_pc_nue, a1, a2, t2, sc)
+            assert got == outcome(solve_pc_nue_reference, a1, a2, t2, sc), (a1, a2, t2, sc)
+            kernel = outcome(lambda *args: PowerFreqSolution(*power_freq(*args)), a1, a2, t2,
+                             min_rate_time(sc), sc.g_over_bn0, sc.kappa, sc.p_max, sc.nu_max)
+            assert kernel == got
+            branch = self.branch(a1, a2, t2, sc)
+            seen[branch] = seen.get(branch, 0) + 1
+        assert set(seen) == {"latency_budget", "no_upload", "no_edge_compute", "t_min_binds",
+                             "taylor", "nu_max_clamp", "interior"}, seen
+
+    def test_equals_the_reference_when_the_iterations_run_out(self, monkeypatch):
+        # two Newton steps are too few for most interior solves
+        monkeypatch.setattr(solvers, "KKT_MAX_ITER", 2)
+        reasons = 0
+        for a1, a2, t2, sc in self.cases():
+            got = outcome(solve_pc_nue, a1, a2, t2, sc)
+            assert got == outcome(solve_pc_nue_reference, a1, a2, t2, sc), (a1, a2, t2, sc)
+            reasons += got[0] == "bisection_bracket"
+        assert reasons >= 20
 
 
 def rho_context(template_net, default_params, **kw):

@@ -2,18 +2,20 @@
 
 import functools
 import math
+import types
 import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from isccopt import netmodel, optimizer, oracles, sensing
-from isccopt.accuracy import (FIT_B_BRACKET, FIT_LOGB_TOL, ideal_accuracy, margin_factor,
-                              min_sensing_power, penalty_factor, pruning_error_factor)
+from isccopt import netmodel, optimizer, oracles, sensing, solvers
+from isccopt.accuracy import (FIT_B_BRACKET, FIT_LOGB_TOL, accuracy_ceiling, ideal_accuracy,
+                              margin_factor, penalty_factor, pruning_error_factor)
 from isccopt.config import build_config
 from isccopt.errors import InfeasibleError
 from isccopt.quant import quantize_vector
-from isccopt.solvers import INV_GOLDEN, min_rate_time
+from isccopt.solvers import (INV_GOLDEN, LN2, PowerFreqSolution, _mu1_ratio, check_deadline,
+                             min_rate_time)
 
 
 # criterion 06's unimodal functions: (f, lb, ub, argmin)
@@ -100,9 +102,9 @@ def make_scenario(**kw):
 
 def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
     """Make the solver return answers that fail their accuracy check:
-    optimizer.min_sensing_power gives half the accuracy inverse in the
-    solves of the (origin, scenario) pairs that `when` selects."""
-    inverse, solve = optimizer.min_sensing_power, optimizer._enumerate
+    optimizer.sensing_power gives half the accuracy inverse in the solves
+    of the (origin, scenario) pairs that `when` selects."""
+    inverse, solve = optimizer.sensing_power, optimizer._enumerate
     active = [False]
 
     def enumerate_(net, sc, ap, origin):
@@ -110,8 +112,28 @@ def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
         return solve(net, sc, ap, origin)
 
     monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
-    monkeypatch.setattr(optimizer, "min_sensing_power",
+    monkeypatch.setattr(optimizer, "sensing_power",
                         lambda *a: inverse(*a) * (0.5 if active[0] else 1.0))
+
+
+def record_math(monkeypatch, module, *names):
+    """Record the calls that `module` makes to the math functions `names`:
+    its `math` becomes a namespace of the same functions, with each of
+    `names` logging its argument (the tuple of them, for two or more).
+    Returns {name: [argument, ...]}. The kernels write u(rho), the arctan
+    inverse and the mu1 ratio out, so their math calls are what shows how
+    often they evaluate each."""
+    calls = {name: [] for name in names}
+    space = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
+                                     if not k.startswith("_")})
+
+    def logged(fn, log):
+        return lambda *args: log.append(args[0] if len(args) == 1 else args) or fn(*args)
+
+    for name in names:
+        setattr(space, name, logged(getattr(math, name), calls[name]))
+    monkeypatch.setattr(module, "math", space)
+    return calls
 
 
 def flops(layer, rho=1.0):
@@ -153,10 +175,93 @@ def solve_pair(l, q, net, sc, terms, ap):
     return optimizer._answer(energy, finish(energy.search(*energy.bracket())), "proposed", {l})
 
 
+def outcome(f, *args):
+    """repr of what f returns (equal reprs are equal bits), or the reason
+    and message of the InfeasibleError it raises."""
+    try:
+        return repr(f(*args))
+    except InfeasibleError as err:
+        return err.reason, str(err)
+
+
+def min_sensing_power_composed(rho, q, terms, params, r_t, p_max):
+    """Reference for accuracy.sensing_power: min_sensing_power composed of
+    penalty_factor's K, accuracy_ceiling and the arctan inverse, the
+    functions that the kernel writes out."""
+    k = penalty_factor(rho, q, terms, params)
+    if k >= 1.0:
+        raise InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
+    if r_t <= 0.0:
+        return 0.0
+    target = r_t / (1.0 - k)
+    if target >= accuracy_ceiling(params):
+        raise InfeasibleError(
+            "accuracy_ceiling",
+            f"required ideal accuracy {target:.6g} >= ceiling {accuracy_ceiling(params):.6g}",
+        )
+    ps = 0.0 if target <= 0.0 else math.tan(target / params.a) / params.b
+    if ps > p_max:
+        raise InfeasibleError("sensing_power_cap", f"needs {ps:.6g} W > {p_max:.6g} W")
+    return ps
+
+
+def solve_pc_nue_reference(a1, a2, t2, sc):
+    """Reference for solvers.power_freq: solve_pc_nue with the scenario
+    read at each use, check_deadline and _mu1_ratio called, and the KKT
+    stopping constants read from `solvers` at the call."""
+    if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
+        raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
+    g = sc.g_over_bn0
+    t_min = min_rate_time(sc)
+    check_deadline(a1, a2, t2, t_min, sc)
+    two_kappa = 2.0 * sc.kappa
+    if a1 == 0.0:
+        nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
+        return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0,
+                                 sc.kappa * a2 * nu**2)
+    if a2 == 0.0:
+        t = max(t2 / a1, t_min)
+        z = LN2 / t
+        p_c = math.expm1(z) / g
+        return PowerFreqSolution(p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g,
+                                 p_c * t2)
+    t_lo, t_hi, t = t_min, t2 / a1, t_min
+    for _ in range(solvers.KKT_MAX_ITER):
+        z = LN2 / t
+        exp_z = math.exp(z)
+        r = _mu1_ratio(z, exp_z)
+        nu = z ** (2.0 / 3.0) * (r / (two_kappa * g)) ** (1.0 / 3.0)
+        slope = a1
+        if nu < sc.nu_max:
+            slope += a2 * z * exp_z / (3.0 * LN2 * r * nu)
+        else:
+            nu = sc.nu_max
+        lat = a1 * t + a2 / nu
+        if abs(lat - t2) <= solvers.KKT_REL_TOL * t2:
+            break
+        if lat < t2:
+            t_lo = t
+        elif t > t_lo:
+            t_hi = t
+        else:
+            nu = a2 / max(t2 - a1 * t_min, a2 / sc.nu_max)
+            return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3,
+                                     sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2)
+        t -= (lat - t2) / slope
+        if not t_lo < t < t_hi:
+            t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)
+    else:
+        raise InfeasibleError("bisection_bracket",
+                              f"latency {lat:.12g} s vs budget {t2:.12g} s")
+    p_c = math.expm1(z) / g
+    return PowerFreqSolution(p_c, nu, t, z * z * r / g, p_c * a1 * t + sc.kappa * a2 * nu**2)
+
+
 def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
     """Reference for accuracy.min_pruning_ratio: the same Newton start and
-    steps, then upward probes that each call min_sensing_power with the cap
-    p_max and catch the InfeasibleError of every probe that misses it."""
+    steps, then upward probes that each call min_sensing_power_composed
+    with the cap p_max and catch the InfeasibleError of every probe that
+    misses it."""
     scale = margin_factor(terms, params) * terms.prune_coeff if terms.prune_coeff else 0.0
     ideal = ideal_accuracy(p_max, params)
     rho = floor
@@ -174,7 +279,7 @@ def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
     step = math.ulp(rho)
     while True:
         try:
-            min_sensing_power(rho, q, terms, params, r_t, p_max)
+            min_sensing_power_composed(rho, q, terms, params, r_t, p_max)
             return rho
         except InfeasibleError:
             if rho >= 1.0:
