@@ -77,15 +77,11 @@ def pruning_error_factor(rho: float) -> float:
     Equals 0 at rho=1 and decreases monotonically as rho grows;
     derivative is -(ln rho)^2.
     """
-    _check_rho(rho)
-    return 2.0 - rho - rho * (math.log(rho) - 1.0) ** 2
-
-
-def _check_rho(rho: float) -> None:
     if rho <= 0:
         raise ValueError("rho must be positive")
     if rho > 1.0:
         raise ValueError("rho must not exceed 1")
+    return 2.0 - rho - rho * (math.log(rho) - 1.0) ** 2
 
 
 def quant_error_factor(q: int) -> float:
@@ -124,13 +120,20 @@ def penalty_factor(rho: float, q: int, terms: PenaltyTerms,
 
         K = (w / (c_m s))^e * (C*u(rho) + D*v(q))
 
-    with e the margin exponent, C/D/w the split-dependent terms; K is 0
-    where either factor is, even when the other is infinite.
+    with e the margin exponent, C/D/w the split-dependent terms
+    (margin_penalty).
     """
     quant = terms.quant_coeff * quant_error_factor(q)
-    penalty = terms.prune_coeff * pruning_error_factor(rho) + quant
-    margin = margin_factor(terms, params) if penalty else 0.0
-    return margin * penalty if margin else 0.0
+    return margin_penalty(pruning_error_factor(rho), terms.prune_coeff, quant,
+                          margin_factor(terms, params))
+
+
+def margin_penalty(u: float, prune_coeff: float, quant: float, margin: float) -> float:
+    """penalty_factor's K = margin*(prune_coeff*u + quant), unchecked, at
+    u = pruning_error_factor(rho); 0 where either factor is, even when the
+    other is infinite."""
+    penalty = prune_coeff * u + quant
+    return margin * penalty if penalty and margin else 0.0
 
 
 def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> float:
@@ -150,11 +153,10 @@ def min_sensing_power(rho: float, q: int, terms: PenaltyTerms,
     Inverts the lower bound R0(ps)*(1-K) = r_t. Raises InfeasibleError
     tagged with the failing condition: margin_penalty (K >= 1),
     accuracy_ceiling (required ideal accuracy unattainable), or
-    sensing_power_cap (result above p_max). Checks q and rho, then
-    evaluates sensing_power.
+    sensing_power_cap (result above p_max). Checks q, then evaluates
+    sensing_power, which checks rho.
     """
     quant = terms.quant_coeff * quant_error_factor(q)
-    _check_rho(rho)
     return sensing_power(rho, terms.prune_coeff, quant, margin_factor(terms, params), r_t,
                          params.a, params.b, accuracy_ceiling(params), p_max)
 
@@ -164,11 +166,8 @@ def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r
     """min_sensing_power with its constants bound: prune_coeff of the split,
     quant = quant_coeff*quant_error_factor(q) of the pair, margin =
     margin_factor(terms, params) and ceiling = accuracy_ceiling(params);
-    rho in (0, 1] is not checked. penalty_factor's K and the arctan
-    inverse are written out, so a call makes no further Python call.
-    """
-    penalty = prune_coeff * (2.0 - rho - rho * (math.log(rho) - 1.0) ** 2) + quant
-    k = margin * penalty if penalty and margin else 0.0
+    pruning_error_factor checks rho."""
+    k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
     if k >= 1.0:
         raise InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
     if r_t <= 0.0:
@@ -197,15 +196,16 @@ def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
     probing upward. As (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >=
     (1 - rho)^3/3, so the steps start at the larger of `floor` and
     1 - (3 U*)^(1/3); when U* < 0 no rho < 1 qualifies (u >= 0), and only
-    rho = 1 is probed. A probe below rho = 1 compares the sensing power
-    with p_max and raises nothing where it misses; rho = 1 is probed by
-    sensing_power with the cap, which raises InfeasibleError when no rho in
-    [floor, 1] is feasible. Checks q and floor, then evaluates
+    rho = 1 is probed, and raises InfeasibleError with its reason when no
+    rho in [floor, 1] is feasible. Checks q and floor, then evaluates
     pruning_floor.
     """
     ideal = ideal_accuracy(p_max, params)
     quant = terms.quant_coeff * quant_error_factor(q)
-    _check_rho(floor)
+    if floor <= 0:
+        raise ValueError("rho must be positive")
+    if floor > 1.0:
+        raise ValueError("rho must not exceed 1")
     return pruning_floor(terms.prune_coeff, quant, margin_factor(terms, params), r_t,
                          params.a, params.b, accuracy_ceiling(params), ideal, p_max, floor)
 
@@ -215,15 +215,16 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
                   floor: float) -> float:
     """min_pruning_ratio with the constants of sensing_power bound, and
     ideal = ideal_accuracy(p_max, params); floor in (0, 1] is not checked.
-    The Newton steps and the probes below rho = 1 write out u(rho), K and
-    the arctan inverse; only the probe at rho = 1 calls sensing_power.
+    U* comes from K(1) = margin_penalty(0, ...). A Newton step writes u(rho)
+    out to share its ln with the slope, so each step and each probe takes
+    one ln. A probe below rho = 1 calls sensing_power with no cap and
+    compares with p_max, so a cap miss constructs no error; rho = 1 is
+    probed with the cap, which raises its reason on a miss.
     """
     scale = margin * prune_coeff if prune_coeff else 0.0
     rho = floor
     if scale > 0.0 and r_t < ideal:
-        penalty = prune_coeff * 0.0 + quant   # u(1) = 0
-        k = margin * penalty if penalty and margin else 0.0
-        u_star = (1.0 - r_t / ideal - k) / scale
+        u_star = (1.0 - r_t / ideal - margin_penalty(0.0, prune_coeff, quant, margin)) / scale
         if u_star < 0.0:
             rho = 1.0
         elif 3.0 * u_star < 1.0:
@@ -236,17 +237,12 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
             rho = min(rho + step, 1.0)
     step = math.ulp(rho)
     while rho < 1.0:
-        # sensing_power(rho, ..., math.inf) <= p_max, where a miss raises nothing
-        penalty = prune_coeff * (2.0 - rho - rho * (math.log(rho) - 1.0) ** 2) + quant
-        k = margin * penalty if penalty and margin else 0.0
-        if not k >= 1.0:
-            if r_t <= 0.0:
-                if not 0.0 > p_max:
-                    return rho
-            else:
-                target = r_t / (1.0 - k)
-                if not target >= ceiling and not math.tan(target / a) / b > p_max:
-                    return rho
+        try:
+            if not sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling,
+                                 math.inf) > p_max:
+                return rho
+        except InfeasibleError:
+            pass
         rho = min(rho + step, 1.0)
         step *= 2.0
     sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling, p_max)

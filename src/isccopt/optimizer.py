@@ -106,18 +106,17 @@ class PairEnergy:
     The on-device split l = L uploads nothing (a1 = 0), and the split l = 0
     computes nothing on the edge (a2 = 0); power_freq covers both
     corners. A call raises InfeasibleError where rho admits no feasible
-    point; each call that returns records (energy, p_s, p_c, nu_e, e_edge)
-    in `points`, and `least` is the least energy recorded. `split` holds
-    the split's constants (split_constants when omitted). The pair prunes
-    when its origin does (`prune`) and a layer runs on the device (l > 0);
-    one that does not holds rho at 1.
+    point or E overflows to inf; each call that returns records (energy,
+    p_s, p_c, nu_e, e_edge) in `points`, and `least` is the least energy
+    recorded. `split` holds the split's constants (split_constants when
+    omitted). The pair prunes when its origin does (`prune`) and a layer
+    runs on the device (l > 0); one that does not holds rho at 1.
 
     E is evaluated by the kernels accuracy.sensing_power, FlopPieces.at
     and solvers.power_freq from constants bound once, not per call: the
-    Split's (t_min, the FlopPieces, the pruning coefficient and margin
-    factor), built once per split and solve, and the scenario's scalars,
+    Split's, built once per split and solve, and the scenario's scalars,
     the accuracy ceiling, the quantization term quant_coeff*v(q) and the
-    upload size a1, bound here.
+    upload size a1, bound here, which every method reads.
     """
 
     def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
@@ -141,10 +140,13 @@ class PairEnergy:
         return self._record(rho, p_s, self.flops.at(rho))
 
     def _record(self, rho: float, p_s: float, a2: float) -> float:
-        """E at rho from its sensing power and edge FLOPs."""
+        """E at rho from its sensing power and edge FLOPs; raises
+        InfeasibleError (energy_overflow) where E overflows to inf."""
         p_c, nu_e, _, _, e_edge = power_freq(self.a1, a2, self.t2, self.t_min, self.g,
                                              self.kappa, self.p_max, self.nu_max)
         energy = self.t_sen * p_s + e_edge
+        if energy == math.inf:
+            raise InfeasibleError("energy_overflow", f"energy at rho = {rho:.6g} overflows")
         self.points[rho] = energy, p_s, p_c, nu_e, e_edge
         if energy < self.least:
             self.least = energy
@@ -153,7 +155,7 @@ class PairEnergy:
     def rho_max(self) -> float:
         """Largest rho whose edge FLOPs meet the deadline at (p_max, nu_max):
         a1*t_min + cum_flops(1..l, rho)/nu_max <= t2."""
-        cap = (self.t2 - self.a1 * self.t_min) * self.sc.nu_max
+        cap = (self.t2 - self.a1 * self.t_min) * self.nu_max
         rho_max = netmodel.max_rho(self.net, self.l, cap)
         if rho_max <= RHO_FLOOR:
             raise InfeasibleError(
@@ -173,7 +175,7 @@ class PairEnergy:
             p_s = sensing_power(rho, self.prune_coeff, self.quant, self.margin, self.r_t,
                                 self.a, self.b, self.ceiling, self.p_max)
             a2 = self.flops.at(rho)
-            check_deadline(self.a1, a2, self.t2, self.t_min, self.sc)
+            check_deadline(self.a1, a2, self.t2, self.t_min, self.nu_max)
             self._top = rho, p_s, a2
         return self._top
 
@@ -194,16 +196,16 @@ class PairEnergy:
         at least a1*t_min (and at most nu_max, the guard in the denominator).
         """
         _, p_s, a2 = self.top()
-        sc, a1, t_min = self.sc, self.a1, self.t_min
+        a1, t_min, nu_max = self.a1, self.t_min, self.nu_max
         a2_lo = self.a2_lo if self.prune else a2
-        bound = sc.t_sen * p_s
+        bound = self.t_sen * p_s
         if a1:
-            t = max((self.t2 - a2_lo / sc.nu_max) / a1, t_min)
+            t = max((self.t2 - a2_lo / nu_max) / a1, t_min)
             # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
-            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / sc.g_over_bn0
+            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / self.g
         if a2_lo:
-            nu = a2_lo / max(self.t2 - a1 * t_min, a2_lo / sc.nu_max)
-            bound += sc.kappa * a2_lo * nu**2
+            nu = a2_lo / max(self.t2 - a1 * t_min, a2_lo / nu_max)
+            bound += self.kappa * a2_lo * nu**2
         return bound
 
     def bracket(self) -> tuple[float, float]:
@@ -229,15 +231,15 @@ class PairEnergy:
         neighbours a < b. Exact, because p_s is nonincreasing in rho and the
         edge energy nondecreasing in the edge FLOPs, which are nondecreasing
         in rho."""
-        t_sen, points = self.sc.t_sen, self.points
+        t_sen, points = self.t_sen, self.points
         return min(t_sen * points[b][1] + points[a][4] for a, b in pairwise(rhos))
 
     def search(self, rho_min: float, rho_max: float):
         """Brent's method on the bracket (solvers.brent_steps) to a width of
         EPS_RHO: a generator that yields the evaluated points in its current
-        bracket, ascending, before each evaluation of E, and returns the
-        least-energy point it evaluated (the bracket ends count, and the
-        smallest rho wins ties)."""
+        bracket, the distinct points of Brent's (a, x, b), before each
+        evaluation of E, and returns the least-energy point it evaluated
+        (the bracket ends count, and the smallest rho wins ties)."""
         return brent_steps(self, rho_min, rho_max, self.points[rho_min][0],
                            self.points[rho_max][0], EPS_RHO)
 
@@ -283,15 +285,13 @@ def _enumerate(net, sc, ap, origin):
 
     One priority queue holds the pairs keyed by (lower bound, q, l), each
     pair first with its relaxed bound (PairEnergy.relaxed_bound, no KKT
-    solve); a pair that raises leaves its reason, and a NaN bound raises
-    CheckError naming the pair, as it would end the loop unsearched. A lone
-    pair has nothing to be ruled out against, so it takes no relaxed bound
-    (key -inf), and its bracket raises the same reasons. Each pop advances the
-    least pair by one step: a pair not yet bracketed is bracketed
-    (PairEnergy.bracket), and a bracketed pair takes one step of its search
-    (PairEnergy.search); either is pushed back keyed by the lower bound
-    from the evaluated points in its search's bracket
-    (PairEnergy.lower_bound). The least E(rho) evaluated so far is the
+    solve), on_server's and on_device's one pair too; a pair that raises
+    leaves its reason, and a NaN bound raises CheckError naming the pair,
+    as it would end the loop unsearched. Each pop advances the least pair
+    by one step: a pair not yet bracketed is bracketed (PairEnergy.bracket),
+    and a bracketed pair takes one step of its search (PairEnergy.search);
+    either is pushed back keyed by the lower bound from the points its
+    search yields (PairEnergy.lower_bound). The least E(rho) evaluated so far is the
     incumbent, and a finished search competes for the answer on (E, q, l).
     The loop stops when the least key is above the incumbent times
     (1 + PRUNE_RTOL). Every pair left in the queue then has every point it
@@ -314,11 +314,10 @@ def _enumerate(net, sc, ap, origin):
         terms[l] = penalty_terms(net, l, ap)
         splits[l] = split_constants(net, sc, l, terms[l], ap)
     reasons, queue = [], []
-    lone = len(pairs) == 1
     for l, q in pairs:
         energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l], prune)
         try:
-            bound = -math.inf if lone else energy.relaxed_bound()
+            bound = energy.relaxed_bound()
         except InfeasibleError as err:
             reasons.append((l, q, err.reason))
             continue

@@ -4,7 +4,6 @@ edge-frequency subproblem."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -28,9 +27,13 @@ def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
     evaluation of f, and returns the evaluated point of least value (the
     smallest on ties).
 
-    Keeps a bracket whose ends are evaluated points and the best interior
-    point x, starting from the golden-section point of [lb, ub]. Each step
-    evaluates f once: at the vertex of the parabola through x and two
+    Keeps a bracket [a, b] whose ends are evaluated points and the best
+    interior point x, starting from the golden-section point of [lb, ub].
+    Each step evaluates f once inside the bracket and cuts it there or at
+    x, so the points evaluated inside [a, b] are a, x and b: the first
+    yield is (lb, ub), each later one the distinct points of (a, x, b),
+    which is (a, b) where a step of rounding size leaves x on an end. A
+    step evaluates f at the vertex of the parabola through x and two
     earlier points when that lies inside the bracket and moves less than
     half the step before last, otherwise at the golden-section point of
     the larger side of x; no step is shorter than eps/3. Stops when the
@@ -42,13 +45,11 @@ def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
         raise ValueError(f"need lb <= ub, got [{lb}, {ub}]")
     if not eps > 0:
         raise ValueError(f"need eps > 0, got {eps}")
-    seen, xs = {}, []   # every evaluated point and its value; the points, ascending
+    seen = {}   # every evaluated point and its value
 
     def value(x, fx):
         if not math.isfinite(fx):
             raise ValueError("non-finite objective value in Brent's search")
-        if x not in seen:
-            bisect.insort(xs, x)
         seen[x] = fx
         return fx
 
@@ -66,7 +67,7 @@ def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
         (fw, w), (fv, v) = sorted([(f_lb, lb), (f_ub, ub)])
         d = e = 0.0
     while eps < b - a < width:
-        yield xs[bisect.bisect_left(xs, a):bisect.bisect_right(xs, b)]
+        yield (a, x, b) if a < x < b else (a, b)
         width = b - a
         # the parabola's vertex is x + p/q
         r = (x - w) * (fx - fv)
@@ -100,7 +101,7 @@ def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
                 v, fv, w, fw = w, fw, u, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
-    return min(xs, key=seen.__getitem__)   # xs ascending: the smallest wins ties
+    return min(seen, key=lambda x: (seen[x], x))
 
 
 def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float) -> float:
@@ -126,11 +127,11 @@ def min_rate_time(sc: Scenario) -> float:
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
 
 
-def check_deadline(a1: float, a2: float, t2: float, t_min: float, sc: Scenario) -> None:
+def check_deadline(a1: float, a2: float, t2: float, t_min: float, nu_max: float) -> None:
     """Raise InfeasibleError (latency_budget) when even (p_max, nu_max)
     misses the budget: a1*t_min + a2/nu_max > t2 beyond rounding, or
     t2 <= 0. t_min is min_rate_time(sc)."""
-    floor = a1 * t_min + a2 / sc.nu_max
+    floor = a1 * t_min + a2 / nu_max
     if floor > t2 * (1.0 + 1e-12) or t2 <= 0:
         raise InfeasibleError(
             "latency_budget",
@@ -161,9 +162,8 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
                p_max: float, nu_max: float) -> tuple[float, float, float, float, float]:
     """The fields of solve_pc_nue's PowerFreqSolution from plain floats:
     t_min = min_rate_time(sc) and the scenario's g_over_bn0, kappa, p_max
-    and nu_max. check_deadline's test and, in the Newton loop, _mu1_ratio
-    are written out, so a solve with a1 > 0 and a2 > 0 makes no Python
-    call.
+    and nu_max. The Newton loop writes _mu1_ratio out, so a step makes no
+    Python call.
 
     Infeasible when even (p_max, nu_max) misses the deadline
     (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is
@@ -183,18 +183,15 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     The latency a1*t + a2/nu_e(z) rises strictly with t on [t_min, t2/a1].
     If it already reaches t2 at t_min, that bound binds: the upload runs at
     p_max, the edge takes the rest of the budget, nu_e = a2/(t2 - a1*t_min),
-    and mu1 = 2*kappa*nu_e^3. Otherwise Newton steps in t with the analytic
+    and mu1 = 2*kappa*nu_e^3; so it does where 2*kappa*g overflows, as
+    nu_e(z) then rounds to 0. Otherwise Newton steps in t with the analytic
     slope solve latency = t2 from t_min; a step leaving the bracket is
     replaced by bisection in z. Stops when the latency matches t2 within
     KKT_REL_TOL.
     """
     if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
         raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
-    floor = a1 * t_min + a2 / nu_max   # check_deadline
-    if floor > t2 * (1.0 + 1e-12) or t2 <= 0:
-        raise InfeasibleError(
-            "latency_budget",
-            f"best achievable latency {floor:.6g} s > budget {t2:.6g} s")
+    check_deadline(a1, a2, t2, t_min, nu_max)
     two_kappa = 2.0 * kappa
     if a1 == 0.0:
         nu = min(a2 / t2, nu_max) if a2 else nu_max
@@ -210,17 +207,16 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     for _ in range(KKT_MAX_ITER):
         z = LN2 / t
         exp_z = math.exp(z)
-        # _mu1_ratio(z, exp_z), written out
+        # _mu1_ratio(z, exp_z), written out: a call per step costs 1.5% of
+        # the solve time
         r = ((z * exp_z - math.expm1(z)) / (z * z) if z > 1e-3
              else 0.5 + z * (1.0 / 3.0 + z * (0.125 + z / 30.0)))
-        # (mu1/(2*kappa))^(1/3), with z^2 kept out of the root: no underflow
+        # (mu1/(2*kappa))^(1/3), with z^2 kept out of the root: it rounds to
+        # 0 only where 2*kappa*g overflows, and the latency is then unbounded
         nu = z ** (2.0 / 3.0) * (r / two_kappa_g) ** (1.0 / 3.0)
-        slope = a1   # d lat / d t
-        if nu < nu_max:
-            slope += a2 * z * exp_z / (3.0 * LN2 * r * nu)
-        else:
+        if not nu < nu_max:
             nu = nu_max
-        lat = a1 * t + a2 / nu
+        lat = a1 * t + a2 / nu if nu else math.inf
         if abs(lat - t2) <= KKT_REL_TOL * t2:
             break
         if lat < t2:
@@ -233,6 +229,8 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
             nu = a2 / max(t2 - a1 * t_min, a2 / nu_max)
             return (p_max, nu, t_min, two_kappa * nu**3,
                     p_max * a1 * t_min + kappa * a2 * nu**2)
+        # d lat / d t
+        slope = a1 + a2 * z * exp_z / (3.0 * LN2 * r * nu) if nu < nu_max else a1
         t -= (lat - t2) / slope
         if not t_lo < t < t_hi:
             t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)   # bisect z: t_hi may be inf

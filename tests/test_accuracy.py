@@ -314,9 +314,9 @@ class TestMinSensingPower:
 
 
 class TestSensingPowerKernel:
-    """accuracy.sensing_power writes u(rho), penalty_factor's K and the
-    arctan inverse out; it gives the bits and reasons of their composition
-    (tests/util.min_sensing_power_composed)."""
+    """accuracy.sensing_power, K from margin_penalty and the arctan
+    inverse, gives the bits and reasons of the composition of
+    penalty_factor and the inverse (tests/util.min_sensing_power_composed)."""
 
     def test_equals_the_composition(self):
         rhos = [float(r) for r in np.geomspace(1e-9, 1.0, 24)] + [1.0 - 2.0**-53, 1.0]
@@ -433,8 +433,9 @@ class TestMinPruningRatio:
         assert factors == [1.0]
 
     def test_equals_the_probing_reference(self):
-        # pruning_floor writes u(rho), K and the probes out: the floors and
-        # reasons of the reference that probes by the composition, also
+        # pruning_floor, with its Newton step's u(rho) written out and its
+        # probes through sensing_power: the floors and reasons of the
+        # reference that probes by the composition, also
         # where the margin factor is 0 (w = 0) or saturates to inf
         rhos, seen = set(), set()
         for s in (3.0, 1e-300):

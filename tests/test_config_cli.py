@@ -259,6 +259,21 @@ class TestCliSolve:
         assert rc == 2
         assert "l=0 q=6: margin_penalty" in capsys.readouterr().err
 
+    def test_huge_kappa_solves_and_on_device_names_the_overflow(self, tmp_path, capsys):
+        # at kappa 1e300 the edge energy overflows on the device: solve
+        # answers by the raw-input upload, and on_device exits 2 and names
+        # the reason
+        cfg_path = tmp_path / "huge-kappa.json"
+        cfg_path.write_text(json.dumps({"scenario": {"kappa": 1e300}}))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        sol = json.loads((tmp_path / "solution.json").read_text())["solution"]
+        assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (0, 6)
+        rc = main(["baseline", "--kind", "on_device", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "on_device")])
+        assert rc == 2
+        assert "l=7 q=2: energy_overflow" in capsys.readouterr().err
+
 
 def stock_layers_with(index, key, value):
     """The stock network's layer records with one dimension replaced."""

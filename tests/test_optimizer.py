@@ -462,8 +462,9 @@ class TestBoundConstants:
 
 class TestFixedCosts:
     """The pair loop's fixed costs cut with every answer kept (probes that
-    raise nothing, no relaxed bound for a lone pair), and the relaxed
-    bound's guards where the deadline overflows or the bound is NaN."""
+    raise nothing, one relaxed bound for a lone pair), the relaxed bound's
+    guards where the deadline overflows or the bound is NaN, and the pairs
+    rejected where the edge energy overflows."""
 
     def test_min_pruning_ratio_equals_the_probing_reference(
             self, criterion07_cases, template_net, default_scenario, default_params):
@@ -513,11 +514,11 @@ class TestFixedCosts:
                 probed_again += len(probes) > 1
         assert returned >= 500 and probed_again >= returned // 2
 
-    def test_lone_pair_takes_no_relaxed_bound(self, template_net, default_params,
-                                              monkeypatch):
-        # on_server and on_device have one pair: it is bracketed at once,
-        # and a pair rejected at its top end keeps the reason the relaxed
-        # bound would raise; the other origins bound every pair
+    def test_lone_pair_takes_one_relaxed_bound(self, template_net, default_params,
+                                               monkeypatch):
+        # every pair of every origin takes its relaxed bound, so on_server
+        # and on_device, with one pair, take exactly one; a lone pair
+        # rejected there keeps the reason the relaxed bound raises
         calls = []
         relaxed_bound = opt.PairEnergy.relaxed_bound
         monkeypatch.setattr(opt.PairEnergy, "relaxed_bound",
@@ -527,11 +528,11 @@ class TestFixedCosts:
             sc = make_scenario(t_max=t_max, r_t=r_t)
             n_pairs = len(opt._pairs(template_net, sc))
             for origin, want in (("proposed", n_pairs), ("no_prune", n_pairs),
-                                 ("on_server", 0), ("on_device", 0)):
+                                 ("on_server", 1), ("on_device", 1)):
                 calls.clear()
                 sol = opt._enumerate(template_net, sc, default_params, origin)
                 assert len(calls) == want, (origin, t_max, r_t)
-                if want or sol.feasible:
+                if want > 1 or sol.feasible:
                     continue
                 rejected += 1
                 [(l, q, reason)] = sol.reasons
@@ -566,6 +567,25 @@ class TestFixedCosts:
                 for f in fields(a):
                     if f.name not in scaled | {"alloc", "cost"}:
                         assert getattr(a, f.name) == getattr(b, f.name), (origin, f.name)
+
+    @pytest.mark.parametrize("kappa",
+                             [1e290, 1e300, 1e305, 1e308, 1.7e308, sys.float_info.max])
+    def test_overflowing_edge_energy_is_rejected(self, template_net, default_params, kappa):
+        # from kappa 1e290 up the edge energy kappa*a2*nu_e^2 overflows to
+        # inf on the device, and from 9e307 up 2*kappa*g overflows too, so
+        # the KKT solve's frequency rounds to 0; such a pair is rejected
+        # (energy_overflow), and the raw-input upload, which computes
+        # nothing on the edge, answers as at kappa 1e290
+        sc = make_scenario(kappa=kappa)
+        got = opt.solve_scenario(template_net, sc, default_params)
+        want = opt.solve_scenario(template_net, make_scenario(kappa=1e290), default_params)
+        assert (got.alloc.l, got.alloc.q) == (0, 6)
+        assert got.alloc == want.alloc and got.cost == want.cost
+        assert got.e_total == pytest.approx(0.0266748, abs=5e-8)
+        device = opt.solve_baseline("on_device", template_net, sc, default_params)
+        assert device.reasons == ((template_net.depth, 2, "energy_overflow"),)
+        no_prune = opt.solve_baseline("no_prune", template_net, sc, default_params)
+        assert no_prune.alloc == got.alloc
 
 
 def golden_search(energy, rho_min, rho_max):

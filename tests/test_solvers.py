@@ -5,7 +5,7 @@ import pytest
 
 from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
-from isccopt.optimizer import PairEnergy, penalty_terms
+from isccopt.optimizer import EPS_RHO, PairEnergy, _pairs, penalty_terms
 from isccopt.oracles import random_power_freq_context
 from isccopt import solvers
 from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, LN2, PowerFreqSolution, brent,
@@ -126,33 +126,76 @@ class TestBrent:
 
 
 class TestBrentSteps:
+    @staticmethod
+    def check_yields(f, lb, ub, eps):
+        """Run brent_steps on f over [lb, ub] and check each yield against
+        the evaluations it made: before each evaluation, the evaluated
+        points in the current bracket, ascending; (lb, ub) first, then the
+        distinct points of (a, x, b), with x the interior point of least
+        value (the latest on ties), as in Brent's method. Returns the number
+        of yields, the last bracket, and the number of yields where x lies
+        on an end of [a, b]."""
+        f_lb, f_ub = f(lb), f(ub)
+        evaluated, x = [lb, ub], []   # x: (point, value) after each evaluation
+
+        def counted(u):
+            fu = f(u)
+            if not x or fu <= x[-1][1]:
+                x.append((u, fu))
+            evaluated.append(u)
+            return fu
+
+        steps = brent_steps(counted, lb, ub, f_lb, f_ub, eps)
+        bracket, n_yields, on_end = (lb, ub), 0, 0
+        while True:
+            try:
+                points = next(steps)
+            except StopIteration:
+                break
+            n_yields += 1
+            # one evaluation between two yields, none before the first
+            assert len(evaluated) == n_yields + 1
+            assert list(points) == sorted(set(points))
+            assert bracket[0] <= points[0] and points[-1] <= bracket[1]
+            bracket = points[0], points[-1]
+            assert list(points) == sorted(u for u in set(evaluated)
+                                          if bracket[0] <= u <= bracket[1])
+            if n_yields == 1:
+                assert tuple(points) == (lb, ub)
+            else:
+                assert tuple(points) == tuple(sorted({bracket[0], x[-1][0], bracket[1]}))
+                assert 2 <= len(points) <= 3
+                on_end += len(points) == 2
+        assert len(evaluated) == n_yields + 2
+        return n_yields, bracket, on_end
+
     def test_yields_the_evaluated_points_of_its_bracket(self):
-        # before each evaluation: the evaluated points in the current
-        # bracket, ascending; the bracket starts at [lb, ub] and only shrinks
+        # the bracket starts at [lb, ub] and only shrinks, and the points
+        # Brent's method has evaluated inside it are a, x and b; at eps
+        # 1e-300 steps of rounding size leave x on an end (a yield of two)
+        on_end = 0
         for f, lb, ub, _ in UNIMODAL_BATTERY:
-            evaluated = [lb, ub]
+            for eps in (1e-8, 1e-300):
+                n_yields, bracket, ends = self.check_yields(f, lb, ub, eps)
+                assert n_yields >= 3 and bracket[1] - bracket[0] < ub - lb
+                on_end += ends
+        assert on_end >= 1
 
-            def counted(x):
-                evaluated.append(x)
-                return f(x)
-
-            steps = brent_steps(counted, lb, ub, f(lb), f(ub), 1e-8)
-            bracket, n_yields = (lb, ub), 0
-            while True:
-                try:
-                    points = next(steps)
-                except StopIteration:
-                    break
-                n_yields += 1
-                # one evaluation between two yields, none before the first
-                assert len(evaluated) == n_yields + 1
-                assert list(points) == sorted(set(points))
-                assert bracket[0] <= points[0] and points[-1] <= bracket[1]
-                bracket = points[0], points[-1]
-                assert list(points) == sorted(x for x in set(evaluated)
-                                              if bracket[0] <= x <= bracket[1])
-            assert n_yields >= 3 and bracket[1] - bracket[0] < ub - lb
-            assert len(evaluated) == n_yields + 2
+    def test_pair_search_yields_a_x_and_b(self, template_net, default_scenario,
+                                          default_params):
+        # E(rho) of every stock pair on its bracket, at EPS_RHO
+        searched = 0
+        for l, q in _pairs(template_net, default_scenario):
+            energy = PairEnergy(l, q, template_net, default_scenario,
+                                penalty_terms(template_net, l, default_params),
+                                default_params)
+            try:
+                rho_min, rho_max = energy.bracket()
+            except InfeasibleError:
+                continue
+            if rho_max - rho_min > EPS_RHO:
+                searched += self.check_yields(energy, rho_min, rho_max, EPS_RHO)[0] >= 3
+        assert searched >= 20
 
     def test_narrow_bracket_finishes_without_a_yield(self):
         for ub in (0.5, 0.5 + 1e-7, 0.5 + 9e-7):
@@ -327,9 +370,9 @@ class TestSolvePcNue:
 
 
 class TestPowerFreqKernel:
-    """solvers.power_freq, solve_pc_nue's body with check_deadline and the
-    mu1 ratio written out, gives the bits and reasons of the body that
-    calls them (tests/util.solve_pc_nue_reference) on every branch."""
+    """solvers.power_freq, solve_pc_nue's body with the mu1 ratio written
+    out, gives the bits and reasons of the body that calls _mu1_ratio
+    (tests/util.solve_pc_nue_reference) on every branch."""
 
     SCENARIOS = ({}, {"nu_max": 1e5}, {"kappa": 1e-26}, {"g_over_bn0": 1e4})
     # fractions of the floor a1*t_min + a2/nu_max; those next to 1 meet and

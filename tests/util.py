@@ -120,9 +120,9 @@ def record_math(monkeypatch, module, *names):
     """Record the calls that `module` makes to the math functions `names`:
     its `math` becomes a namespace of the same functions, with each of
     `names` logging its argument (the tuple of them, for two or more).
-    Returns {name: [argument, ...]}. The kernels write u(rho), the arctan
-    inverse and the mu1 ratio out, so their math calls are what shows how
-    often they evaluate each."""
+    Returns {name: [argument, ...]}. u(rho) takes one ln and the arctan
+    inverse one tan, so these math calls show how often the kernels
+    evaluate each."""
     calls = {name: [] for name in names}
     space = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math)
                                      if not k.startswith("_")})
@@ -213,7 +213,7 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
     g = sc.g_over_bn0
     t_min = min_rate_time(sc)
-    check_deadline(a1, a2, t2, t_min, sc)
+    check_deadline(a1, a2, t2, t_min, sc.nu_max)
     two_kappa = 2.0 * sc.kappa
     if a1 == 0.0:
         nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
