@@ -146,27 +146,20 @@ def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> 
     return max(0.0, ideal_accuracy(alloc.p_s, params) * (1.0 - k))
 
 
-def min_sensing_power(rho: float, q: int, terms: PenaltyTerms,
-                      params: AccuracyParams, r_t: float, p_max: float) -> float:
-    """Smallest sensing power meeting accuracy target r_t at (rho, q).
+def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r_t: float,
+                  a: float, b: float, ceiling: float, p_max: float) -> float:
+    """Smallest sensing power meeting accuracy target r_t at pruning ratio
+    rho, from constants the caller binds: prune_coeff of the split, quant =
+    quant_coeff*quant_error_factor(q) of the pair, margin =
+    margin_factor(terms, params), the fit's a and b, and ceiling =
+    accuracy_ceiling(params).
 
     Inverts the lower bound R0(ps)*(1-K) = r_t. Raises InfeasibleError
     tagged with the failing condition: margin_penalty (K >= 1),
     accuracy_ceiling (required ideal accuracy unattainable), or
-    sensing_power_cap (result above p_max). Checks q, then evaluates
-    sensing_power, which checks rho.
+    sensing_power_cap (result above p_max). pruning_error_factor checks
+    rho (ValueError outside (0, 1]).
     """
-    quant = terms.quant_coeff * quant_error_factor(q)
-    return sensing_power(rho, terms.prune_coeff, quant, margin_factor(terms, params), r_t,
-                         params.a, params.b, accuracy_ceiling(params), p_max)
-
-
-def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r_t: float,
-                  a: float, b: float, ceiling: float, p_max: float) -> float:
-    """min_sensing_power with its constants bound: prune_coeff of the split,
-    quant = quant_coeff*quant_error_factor(q) of the pair, margin =
-    margin_factor(terms, params) and ceiling = accuracy_ceiling(params);
-    pruning_error_factor checks rho."""
     k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
     if k >= 1.0:
         raise InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
@@ -184,42 +177,24 @@ def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r
     return ps
 
 
-def min_pruning_ratio(q: int, terms: PenaltyTerms, params: AccuracyParams,
-                      r_t: float, p_max: float, floor: float) -> float:
-    """Smallest rho >= floor at which min_sensing_power stays within p_max.
-
-    Within p_max means K <= K* = 1 - r_t/ideal_accuracy(p_max), that is
-    u(rho) = pruning_error_factor(rho) <= U*. The factor is convex and
-    decreasing with derivative -(ln rho)^2, so Newton steps from a point
-    left of the root rise monotonically to it; they stop once a step no
-    longer moves rho. The last few ulps of rounding are then closed by
-    probing upward. As (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >=
-    (1 - rho)^3/3, so the steps start at the larger of `floor` and
-    1 - (3 U*)^(1/3); when U* < 0 no rho < 1 qualifies (u >= 0), and only
-    rho = 1 is probed, and raises InfeasibleError with its reason when no
-    rho in [floor, 1] is feasible. Checks q and floor, then evaluates
-    pruning_floor.
-    """
-    ideal = ideal_accuracy(p_max, params)
-    quant = terms.quant_coeff * quant_error_factor(q)
-    if floor <= 0:
-        raise ValueError("rho must be positive")
-    if floor > 1.0:
-        raise ValueError("rho must not exceed 1")
-    return pruning_floor(terms.prune_coeff, quant, margin_factor(terms, params), r_t,
-                         params.a, params.b, accuracy_ceiling(params), ideal, p_max, floor)
-
-
 def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a: float,
                   b: float, ceiling: float, ideal: float, p_max: float,
                   floor: float) -> float:
-    """min_pruning_ratio with the constants of sensing_power bound, and
-    ideal = ideal_accuracy(p_max, params); floor in (0, 1] is not checked.
-    U* comes from K(1) = margin_penalty(0, ...). A Newton step writes u(rho)
-    out to share its ln with the slope, so each step and each probe takes
-    one ln. A probe below rho = 1 calls sensing_power with no cap and
-    compares with p_max, so a cap miss constructs no error; rho = 1 is
-    probed with the cap, which raises its reason on a miss.
+    """Smallest rho >= floor at which sensing_power stays within p_max, from
+    its constants and ideal = ideal_accuracy(p_max, params); floor in (0, 1]
+    is not checked. That is K <= K* = 1 - r_t/ideal, or u(rho) =
+    pruning_error_factor(rho) <= U*, with U* from K(1) = margin_penalty(0, ...).
+
+    u is convex and decreasing with derivative -(ln rho)^2, so Newton steps
+    from left of the root rise monotonically to it, until a step no longer
+    moves rho; each step writes u out to share its ln with the slope. As
+    (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >= (1 - rho)^3/3, so the steps
+    start at the larger of `floor` and 1 - (3 U*)^(1/3); when U* < 0 no
+    rho < 1 qualifies (u >= 0). Upward probes, one ln each, then close the
+    last ulps of rounding: below rho = 1 a probe calls sensing_power with no
+    cap and compares with p_max, so a cap miss constructs no error; rho = 1
+    is probed with the cap, and raises InfeasibleError with its reason when
+    no rho in [floor, 1] is feasible.
     """
     scale = margin * prune_coeff if prune_coeff else 0.0
     rho = floor

@@ -1,12 +1,13 @@
 """Independent brute-force and Monte-Carlo verifiers for the analytical
 results and for both subproblem solvers.
 
-Each oracle avoids the code path of the quantity it checks: order statistics
+Each oracle reaches the quantity it checks by another route: order statistics
 sampled by Renyi's representation against the closed-form pruning factor
 (with the exact finite-m mean reported beside it), measured forward-pass errors
 against the norm-product bound, raw grid search against the KKT solver and
-the full optimizer, and an end-to-end synthetic classification
-task against the accuracy lower bound.
+the full optimizer, and an end-to-end synthetic classification task against
+the accuracy lower bound. grid_full shares the solver's closed-form
+sensing-power inverse: it checks the search over (l, q, rho, nu_e, p_c).
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netmodel
-from .accuracy import (AccuracyParams, min_sensing_power,
-                       pruning_error_factor, quant_error_factor)
+from .accuracy import (AccuracyParams, accuracy_ceiling, margin_factor,
+                       pruning_error_factor, quant_error_factor, sensing_power)
 from .cost import Scenario
 from .errors import InfeasibleError
 from .netmodel import forward, prune, pruning_error_bound, random_fc_network
 from .optimizer import penalty_terms, solve_scenario
 from .quant import QuantSpec, calibrate_range, quantize_vector
-from .solvers import min_rate_time, solve_pc_nue
+from .solvers import min_rate_time, power_freq
 
 
 # mc_quant_check streams its trials in row blocks of about this many elements
@@ -186,7 +187,7 @@ def mc_quant_check(spec: QuantSpec, n: int, trials: int, seed: int) -> OracleRep
 def grid_subproblem(a1: float, a2: float, t2: float, sc: Scenario, grid_n: int,
                     seed: int = 0, tolerance: float = 5e-3) -> OracleReport:
     """Exhaustive (t, nu_e) grid against the KKT power/frequency solver of
-    the subproblem (a1, a2, t2) with a1, a2 > 0 (see solve_pc_nue).
+    the subproblem (a1, a2, t2) with a1, a2 > 0 (see power_freq).
 
     Grid energy is evaluated from the raw formulas; the solver must come
     within `tolerance` relative of the best feasible grid point (it should
@@ -196,9 +197,10 @@ def grid_subproblem(a1: float, a2: float, t2: float, sc: Scenario, grid_n: int,
     t_hi = t2 / a1
     grid_feasible = t_hi >= t_min
     try:
-        sol = solve_pc_nue(a1, a2, t2, sc)
-        solver_obj = (a1 * math.expm1(math.log(2.0) / sol.t) * sol.t
-                      / sc.g_over_bn0 + sc.kappa * a2 * sol.nu_e**2)
+        _, nu_e, t_kkt, _, _ = power_freq(a1, a2, t2, t_min, sc.g_over_bn0, sc.kappa,
+                                          sc.p_max, sc.nu_max)
+        solver_obj = (a1 * math.expm1(math.log(2.0) / t_kkt) * t_kkt
+                      / sc.g_over_bn0 + sc.kappa * a2 * nu_e**2)
         solver_feasible = True
     except InfeasibleError:
         solver_obj = math.inf
@@ -228,7 +230,7 @@ def grid_subproblem(a1: float, a2: float, t2: float, sc: Scenario, grid_n: int,
         name="power-freq-grid", trials=grid_n**2, passed=violation <= tolerance,
         worst_violation=violation, tolerance=tolerance, seed=seed,
         stats={"solver_energy": solver_obj, "grid_energy": best,
-               "latency_slack": t2 - (a1 * sol.t + a2 / sol.nu_e)
+               "latency_slack": t2 - (a1 * t_kkt + a2 / nu_e)
                if solver_feasible else math.nan})
 
 
@@ -256,17 +258,20 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams, seed: int = 0,
     rho_grid = np.linspace(GRID_RHO_LO, 1.0, GRID_RHO_N)
     nu_grid = np.geomspace(sc.nu_max * 1e-3, sc.nu_max, GRID_NUE_N)
     pc_grid = np.geomspace(sc.p_max * 1e-4, sc.p_max, GRID_PC_N)
+    ceiling = accuracy_ceiling(ap)
     for l in splits:
         terms = penalty_terms(net, l, ap)
+        margin = margin_factor(terms, ap)
         t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
         edge = np.array([netmodel.cum_flops(net, 1, l, r) for r in rho_grid])
         n_up = netmodel.upload_dim(net, l)
         for q in range(2, (sc.q_max if n_up else 2) + 1):
+            quant = terms.quant_coeff * quant_error_factor(q)
             ps = np.full(rho_grid.shape, np.nan)
             for i, r in enumerate(rho_grid):
                 try:
-                    ps[i] = min_sensing_power(float(r), q, terms, ap,
-                                              sc.r_t, sc.p_max)
+                    ps[i] = sensing_power(float(r), terms.prune_coeff, quant, margin, sc.r_t,
+                                          ap.a, ap.b, ceiling, sc.p_max)
                 except InfeasibleError:
                     pass
             ok_rho = ~np.isnan(ps)

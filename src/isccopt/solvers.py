@@ -5,7 +5,7 @@ edge-frequency subproblem."""
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError
 
@@ -14,7 +14,7 @@ if TYPE_CHECKING:
 
 INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # bracket contraction factor
 LN2 = math.log(2.0)
-# solve_pc_nue stops when the latency is within KKT_REL_TOL of the budget,
+# power_freq stops when the latency is within KKT_REL_TOL of the budget,
 # and gives up after KKT_MAX_ITER steps
 KKT_REL_TOL = 1e-10
 KKT_MAX_ITER = 500
@@ -114,14 +114,6 @@ def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float) -> floa
             return done.value
 
 
-class PowerFreqSolution(NamedTuple):
-    p_c: float
-    nu_e: float
-    t: float       # inverse spectral efficiency 1/log2(1+SNR)
-    mu1: float     # multiplier of the latency constraint
-    energy: float  # p_c * a1 * t + kappa * a2 * nu_e^2
-
-
 def min_rate_time(sc: Scenario) -> float:
     """Smallest admissible inverse spectral efficiency, reached at p_max."""
     return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
@@ -140,30 +132,26 @@ def check_deadline(a1: float, a2: float, t2: float, t_min: float, nu_max: float)
 
 def _mu1_ratio(z: float, exp_z: float) -> float:
     """(z*e^z - expm1(z)) / z^2, i.e. g_over_bn0*mu1(z)/z^2 (see
-    solve_pc_nue), given exp_z = e^z; its Taylor series below z = 1e-3,
+    power_freq), given exp_z = e^z; its Taylor series below z = 1e-3,
     where the difference cancels (either is within 1e-12 relative)."""
     if z > 1e-3:
         return (z * exp_z - math.expm1(z)) / (z * z)
     return 0.5 + z * (1.0 / 3.0 + z * (0.125 + z / 30.0))
 
 
-def solve_pc_nue(a1: float, a2: float, t2: float, sc: Scenario) -> PowerFreqSolution:
+def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: float,
+               p_max: float, nu_max: float) -> tuple[float, float, float, float, float]:
     """Jointly optimal communication power and edge frequency: the least
     a1*t*p_c + kappa*a2*nu_e^2 subject to a1*t + a2/nu_e <= t2, where a1 is
     payload/bandwidth, a2 the edge FLOPs, t2 the latency budget left after
-    sensing and server compute, and t = 1/log2(1 + g_over_bn0*p_c).
-    Solved by power_freq with the scenario's constants.
-    """
-    return PowerFreqSolution(*power_freq(a1, a2, t2, min_rate_time(sc), sc.g_over_bn0,
-                                         sc.kappa, sc.p_max, sc.nu_max))
+    sensing and server compute, and t = 1/log2(1 + g*p_c). The scenario's
+    constants come as plain floats: t_min = min_rate_time(sc), g =
+    g_over_bn0, kappa, p_max and nu_max.
 
-
-def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: float,
-               p_max: float, nu_max: float) -> tuple[float, float, float, float, float]:
-    """The fields of solve_pc_nue's PowerFreqSolution from plain floats:
-    t_min = min_rate_time(sc) and the scenario's g_over_bn0, kappa, p_max
-    and nu_max. The Newton loop writes _mu1_ratio out, so a step makes no
-    Python call.
+    Returns (p_c, nu_e, t, mu1, energy): t is the inverse spectral
+    efficiency 1/log2(1 + SNR), mu1 the multiplier of the latency
+    constraint, and energy = p_c*a1*t + kappa*a2*nu_e^2. The Newton loop
+    writes _mu1_ratio out, so a step makes no Python call.
 
     Infeasible when even (p_max, nu_max) misses the deadline
     (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is

@@ -12,8 +12,8 @@ from isccopt import oracles as orc
 from isccopt.cost import check_feasible
 from isccopt.errors import InfeasibleError
 from isccopt.quant import QuantSpec
-from isccopt.solvers import brent, min_rate_time, solve_pc_nue
-from util import UNIMODAL_BATTERY, golden_section, kkt_residuals, solve_pair
+from isccopt.solvers import brent, min_rate_time, power_freq
+from util import UNIMODAL_BATTERY, golden_section, kkt_args, kkt_residuals, solve_pair
 
 
 def report(num, ok, detail):
@@ -73,8 +73,9 @@ class TestCriterion04PowerFreqOptimality:
             rep = orc.grid_subproblem(*abc, sc, 400, seed=i, tolerance=5e-3)
             assert rep.passed, rep.stats
             worst_gap = max(worst_gap, rep.worst_violation)
-            sol = solve_pc_nue(*abc, sc)
-            lat = abs(a1 * sol.t + a2 / sol.nu_e - t2) / t2
+            sol = power_freq(*abc, *kkt_args(sc))
+            _, nu_e, t, _, _ = sol
+            lat = abs(a1 * t + a2 / nu_e - t2) / t2
             worst_lat = max(worst_lat, lat)
             worst_kkt = max(worst_kkt, max(kkt_residuals(abc, sc, sol)))
         ok = worst_gap <= 5e-3 and worst_lat <= 1e-9 and worst_kkt <= 1e-8
@@ -102,11 +103,12 @@ class TestCriterion05KktOverBudgetRange:
             for f in factors:
                 t2 = floor * f
                 try:
-                    sol = solve_pc_nue(a1, a2, t2, sc)
+                    sol = power_freq(a1, a2, t2, *kkt_args(sc))
                 except InfeasibleError:
                     raised += 1
                     continue
-                worst_lat = max(worst_lat, abs(a1 * sol.t + a2 / sol.nu_e - t2) / t2)
+                _, nu_e, t, _, _ = sol
+                worst_lat = max(worst_lat, abs(a1 * t + a2 / nu_e - t2) / t2)
                 if f <= 10.0:
                     worst_kkt = max(worst_kkt, max(kkt_residuals((a1, a2, t2), sc, sol)))
                 else:

@@ -7,13 +7,13 @@ import pytest
 
 from isccopt.accuracy import (A_CAP_SLACK, FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
                               accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
-                              ideal_accuracy, margin_factor, min_pruning_ratio,
-                              min_sensing_power, penalty_factor, pruning_error_factor,
-                              quant_error_factor, sensing_power)
+                              ideal_accuracy, margin_factor, penalty_factor,
+                              pruning_error_factor, quant_error_factor, sensing_power)
 from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
 from util import (fit_accuracy_curve_golden, fit_residual, min_pruning_ratio_probing,
-                  min_sensing_power_composed, outcome, record_math)
+                  min_sensing_power_composed, outcome, pruning_floor_at, record_math,
+                  sensing_power_at)
 
 
 def alloc(p_s=0.1, rho=1.0, q=2, l=1):
@@ -212,14 +212,14 @@ class TestPenaltyAndBound:
         assert margin_factor(terms, p) == math.inf
         assert penalty_factor(1.0, 2, terms, p) == 0.0
         assert penalty_factor(0.5, 2, terms, p) == math.inf
-        assert min_sensing_power(1.0, 2, terms, p, 0.5, 1.0) > 0.0
+        assert sensing_power_at(1.0, 2, terms, p, 0.5, 1.0) > 0.0
         with pytest.raises(InfeasibleError) as err:
-            min_sensing_power(0.5, 2, terms, p, 0.5, 1.0)
+            sensing_power_at(0.5, 2, terms, p, 0.5, 1.0)
         assert err.value.reason == "margin_penalty"
         # only rho = 1 meets the target, and with no pruning term any rho
-        assert min_pruning_ratio(2, terms, p, 0.5, 1.0, 1e-9) == 1.0
+        assert pruning_floor_at(2, terms, p, 0.5, 1.0, 1e-9) == 1.0
         unpruned = PenaltyTerms(prune_coeff=0.0, quant_coeff=0.0, tail_norm=2.0)
-        assert min_pruning_ratio(2, unpruned, p, 0.5, 1.0, 1e-9) == 1e-9
+        assert pruning_floor_at(2, unpruned, p, 0.5, 1.0, 1e-9) == 1e-9
         # c_m * s underflows to 0: inf for a positive tail norm, 0 for none
         tiny = AccuracyParams(a=0.6366, b=100.0, s=1e-200, c_m=1e-200)
         assert margin_factor(terms, tiny) == math.inf
@@ -232,7 +232,7 @@ class TestPenaltyAndBound:
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=math.inf, tail_norm=0.0)
         assert margin_factor(terms, p) == 0.0
         assert penalty_factor(0.5, 2, terms, p) == 0.0
-        assert min_sensing_power(0.5, 2, terms, p, 0.5, 1.0) > 0.0
+        assert sensing_power_at(0.5, 2, terms, p, 0.5, 1.0) > 0.0
         assert penalty_factor(0.5, 2, replace(terms, tail_norm=1.0), p) == math.inf
 
     def test_monotonicity(self):
@@ -245,36 +245,39 @@ class TestPenaltyAndBound:
 
 
 class TestMinSensingPower:
+    """accuracy.sensing_power at (q, terms, params), bound by
+    tests/util.sensing_power_at."""
+
     def make_terms(self, k_at_q2=0.1):
         # margin term 1, quant factor v(2)=1 -> K = quant_coeff at rho=1
         return PenaltyTerms(prune_coeff=0.0, quant_coeff=k_at_q2, tail_norm=1.0)
 
     def test_zero_target(self):
         p = AccuracyParams(a=0.6, b=50.0, s=1.0)
-        assert min_sensing_power(1.0, 2, self.make_terms(), p, 0.0, 1.0) == 0.0
+        assert sensing_power_at(1.0, 2, self.make_terms(), p, 0.0, 1.0) == 0.0
 
     def test_ceiling_infeasible(self):
         p = AccuracyParams(a=0.6, b=50.0, s=1.0)
         with pytest.raises(InfeasibleError) as err:
-            min_sensing_power(1.0, 2, self.make_terms(0.1), p, 0.85, 10.0)
+            sensing_power_at(1.0, 2, self.make_terms(0.1), p, 0.85, 10.0)
         assert err.value.reason == "accuracy_ceiling"
 
     def test_closed_form_inversion(self):
         p = AccuracyParams(a=0.63, b=50.0, s=1.0)
-        got = min_sensing_power(1.0, 2, self.make_terms(0.1), p, 0.85, 10.0)
+        got = sensing_power_at(1.0, 2, self.make_terms(0.1), p, 0.85, 10.0)
         assert got == pytest.approx(math.tan((0.85 / 0.9) / 0.63) / 50.0, rel=1e-12)
         assert got == pytest.approx(0.2785470, rel=1e-5)
 
     def test_power_cap(self):
         p = AccuracyParams(a=0.63, b=50.0, s=1.0)
         with pytest.raises(InfeasibleError) as err:
-            min_sensing_power(1.0, 2, self.make_terms(0.1), p, 0.85, 0.2)
+            sensing_power_at(1.0, 2, self.make_terms(0.1), p, 0.85, 0.2)
         assert err.value.reason == "sensing_power_cap"
 
     def test_margin_penalty_infeasible(self):
         p = AccuracyParams(a=0.63, b=50.0, s=1.0)
         with pytest.raises(InfeasibleError) as err:
-            min_sensing_power(1.0, 2, self.make_terms(1.5), p, 0.5, 1.0)
+            sensing_power_at(1.0, 2, self.make_terms(1.5), p, 0.5, 1.0)
         assert err.value.reason == "margin_penalty"
 
     def test_round_trip(self):
@@ -288,7 +291,7 @@ class TestMinSensingPower:
             q = int(rng.integers(2, 7))
             r_t = float(rng.uniform(0.3, 0.9))
             try:
-                ps = min_sensing_power(rho, q, terms, p, r_t, 1e6)
+                ps = sensing_power_at(rho, q, terms, p, r_t, 1e6)
             except InfeasibleError:
                 continue
             a = alloc(p_s=ps, rho=rho, q=q)
@@ -298,7 +301,7 @@ class TestMinSensingPower:
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=1.5, quant_coeff=0.2, tail_norm=1.0)
         grid = np.linspace(0.05, 1.0, 60)
-        ps = [min_sensing_power(r, 3, terms, p, 0.8, 1e6) for r in grid]
+        ps = [sensing_power_at(r, 3, terms, p, 0.8, 1e6) for r in grid]
         assert all(a >= b - 1e-15 for a, b in zip(ps, ps[1:]))
 
     def test_inverse_derivative_nondecreasing_along_u(self):
@@ -329,10 +332,9 @@ class TestSensingPowerKernel:
                 for q, rho, r_t, p_max in itertools.product(
                         (2, 3, 6), rhos, (0.0, 0.3, 0.6, 0.9, 0.99, 0.99999), (1.0, 0.01)):
                     args = (rho, q, terms, p, r_t, p_max)
-                    got = outcome(min_sensing_power, *args)
+                    got = outcome(sensing_power, rho, c, d * quant_error_factor(q), margin,
+                                  r_t, p.a, p.b, accuracy_ceiling(p), p_max)
                     assert got == outcome(min_sensing_power_composed, *args), args
-                    assert got == outcome(sensing_power, rho, c, d * quant_error_factor(q),
-                                          margin, r_t, p.a, p.b, accuracy_ceiling(p), p_max)
                     kind = (got[0] if isinstance(got, tuple)
                             else "zero" if got == "0.0" else "power")
                     seen.add((margin if margin in (0.0, math.inf) else "finite", kind))
@@ -342,25 +344,29 @@ class TestSensingPowerKernel:
                 (0.0, "sensing_power_cap"), (math.inf, "margin_penalty"),
                 (math.inf, "power")} <= seen
 
-    def test_wrappers_check_their_arguments(self):
-        # the kernels take rho (or the floor) in (0, 1] and q >= 2 on trust;
-        # min_sensing_power and min_pruning_ratio check them
+    def test_rho_outside_zero_one_raises(self):
+        # the kernel takes v(q) on trust (PairEnergy's quant_error_factor
+        # checks q), but pruning_error_factor checks rho; the reference
+        # checks both
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.5, tail_norm=1.0)
         for rho, q, match in ((0.0, 2, "rho must be positive"),
                               (1.5, 2, "rho must not exceed 1"),
                               (0.5, 1, "quantization bits")):
-            with pytest.raises(ValueError, match=match):
-                min_sensing_power(rho, q, terms, p, 0.5, 1.0)
+            if q > 1:
+                with pytest.raises(ValueError, match=match):
+                    sensing_power(rho, 1.0, 0.5, margin_factor(terms, p), 0.5, p.a, p.b,
+                                  accuracy_ceiling(p), 1.0)
             with pytest.raises(ValueError, match=match):
                 min_sensing_power_composed(rho, q, terms, p, 0.5, 1.0)
-            with pytest.raises(ValueError, match=match):
-                min_pruning_ratio(q, terms, p, 0.5, 1.0, rho)
 
 
 class TestMinPruningRatio:
+    """accuracy.pruning_floor at (q, terms, params), bound by
+    tests/util.pruning_floor_at."""
+
     def test_boundary_of_the_sensing_power_cap(self):
-        # min_sensing_power succeeds at the closed-form rho_min and raises
+        # sensing_power succeeds at the closed-form rho_min and raises
         # just below it (unless rho_min is the floor itself)
         rng = np.random.default_rng(19)
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
@@ -373,18 +379,18 @@ class TestMinPruningRatio:
             r_t = float(rng.uniform(0.3, 0.9))
             p_max = float(10.0 ** rng.uniform(-2, 0))
             try:
-                min_sensing_power(1.0, q, terms, p, r_t, p_max)
+                sensing_power_at(1.0, q, terms, p, r_t, p_max)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    min_pruning_ratio(q, terms, p, r_t, p_max, 1e-9)
+                    pruning_floor_at(q, terms, p, r_t, p_max, 1e-9)
                 continue
-            rho = min_pruning_ratio(q, terms, p, r_t, p_max, 1e-9)
+            rho = pruning_floor_at(q, terms, p, r_t, p_max, 1e-9)
             assert 1e-9 <= rho <= 1.0
-            min_sensing_power(rho, q, terms, p, r_t, p_max)
+            sensing_power_at(rho, q, terms, p, r_t, p_max)
             if rho > 1e-9:
                 interior += 1
                 with pytest.raises(InfeasibleError):
-                    min_sensing_power(rho * (1.0 - 1e-9), q, terms, p, r_t, p_max)
+                    sensing_power_at(rho * (1.0 - 1e-9), q, terms, p, r_t, p_max)
         assert interior >= 50
 
     def test_cubic_lower_bound_of_the_factor(self):
@@ -403,7 +409,7 @@ class TestMinPruningRatio:
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.0, tail_norm=3.0)
         r_t = ideal_accuracy(1.0, p) * (1.0 - 1e-6)
         calls = record_math(monkeypatch, acc, "log", "tan")
-        rho = min_pruning_ratio(3, terms, p, r_t, 1.0, 1e-9)
+        rho = pruning_floor_at(3, terms, p, r_t, 1.0, 1e-9)
         monkeypatch.undo()
         start = 1.0 - 3e-6 ** (1.0 / 3.0)
         assert start <= rho <= start + 1e-3
@@ -427,7 +433,7 @@ class TestMinPruningRatio:
                             lambda rho, *args: probes.append(rho) or sensing_power(rho, *args))
         factors = record_math(monkeypatch, acc, "log")["log"]
         with pytest.raises(InfeasibleError) as err:
-            min_pruning_ratio(2, terms, p, r_t, 1.0, 1e-9)
+            pruning_floor_at(2, terms, p, r_t, 1.0, 1e-9)
         assert err.value.reason == reason
         assert probes == [1.0]
         assert factors == [1.0]
@@ -446,7 +452,7 @@ class TestMinPruningRatio:
                 for q, r_t, p_max in itertools.product(
                         (2, 3, 6), np.linspace(0.0, 0.99999, 40), (1.0, 0.01)):
                     args = (q, terms, p, float(r_t), p_max, 1e-9)
-                    got = outcome(min_pruning_ratio, *args)
+                    got = outcome(pruning_floor_at, *args)
                     assert got == outcome(min_pruning_ratio_probing, *args), args
                     if isinstance(got, tuple):
                         seen.add((margin if margin in (0.0, math.inf) else "finite", got[0]))
@@ -462,6 +468,6 @@ class TestMinPruningRatio:
     def test_floor_when_pruning_is_free(self):
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=0.0, quant_coeff=0.5, tail_norm=1.0)
-        assert min_pruning_ratio(3, terms, p, 0.8, 1.0, 1e-9) == 1e-9
+        assert pruning_floor_at(3, terms, p, 0.8, 1.0, 1e-9) == 1e-9
         terms = PenaltyTerms(prune_coeff=0.5, quant_coeff=0.5, tail_norm=1.0)
-        assert min_pruning_ratio(3, terms, p, 0.0, 1.0, 1e-9) == 1e-9
+        assert pruning_floor_at(3, terms, p, 0.0, 1.0, 1e-9) == 1e-9

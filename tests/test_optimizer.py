@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from isccopt import netmodel as nm
 from isccopt import optimizer as opt
 from isccopt import oracles as orc
-from isccopt.accuracy import accuracy_ceiling, min_pruning_ratio
+from isccopt.accuracy import accuracy_ceiling
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import INV_GOLDEN, min_rate_time
 from util import (finish, halve_sensing_power, make_scenario, min_pruning_ratio_probing,
-                  min_sensing_power_composed, outcome, record_math, solve_pair,
-                  solve_pc_nue_reference)
+                  min_sensing_power_composed, outcome, pruning_floor_at, record_math,
+                  solve_pair, solve_pc_nue_reference)
 
 
 class TestPenaltyTerms:
@@ -114,8 +114,8 @@ class TestSolvePair:
             energy = opt.PairEnergy(l, q, template_net, default_scenario, terms,
                                     default_params)
             rho_max = energy.rho_max()
-            rho_min = min_pruning_ratio(q, terms, default_params, default_scenario.r_t,
-                                        default_scenario.p_max, opt.RHO_FLOOR)
+            rho_min = pruning_floor_at(q, terms, default_params, default_scenario.r_t,
+                                       default_scenario.p_max, opt.RHO_FLOOR)
             assert sol.e_total <= min(energy(rho_min), energy(rho_max)) * (1 + 1e-12)
             assert rho_min <= sol.alloc.rho <= rho_max
             assert 3 <= sol.iterations <= 13
@@ -429,6 +429,14 @@ class TestBoundConstants:
     solve, split and pair; each point it records has the bits and reasons
     of E composed from the references of the kernels."""
 
+    @pytest.mark.parametrize("q", [1, 2.5])
+    def test_bits_below_two_or_fractional_raise(self, template_net, default_scenario,
+                                                default_params, q):
+        # the kernels take v(q) on trust; binding it checks q
+        terms = opt.penalty_terms(template_net, 2, default_params)
+        with pytest.raises(ValueError, match="quantization bits"):
+            opt.PairEnergy(2, q, template_net, default_scenario, terms, default_params)
+
     def test_points_equal_the_composed_energy(self, criterion07_cases, template_net,
                                               default_scenario, default_params):
         cases = list(criterion07_cases[:40])
@@ -447,10 +455,9 @@ class TestBoundConstants:
 
                 def composed(rho):
                     p_s = min_sensing_power_composed(rho, q, terms, ap, sc.r_t, sc.p_max)
-                    edge = solve_pc_nue_reference(energy.a1, nm.cum_flops(net, 1, l, rho),
-                                                  energy.t2, sc)
-                    return (sc.t_sen * p_s + edge.energy, p_s, edge.p_c, edge.nu_e,
-                            edge.energy)
+                    p_c, nu_e, _, _, e_edge = solve_pc_nue_reference(
+                        energy.a1, nm.cum_flops(net, 1, l, rho), energy.t2, sc)
+                    return sc.t_sen * p_s + e_edge, p_s, p_c, nu_e, e_edge
 
                 for rho in rhos:
                     got = outcome(recorded, rho)
@@ -480,7 +487,7 @@ class TestFixedCosts:
                 terms = opt.penalty_terms(net, l, ap)
                 for r_t in r_ts:
                     args = (q, terms, ap, r_t, sc.p_max, opt.RHO_FLOOR)
-                    got = outcome(min_pruning_ratio, *args)
+                    got = outcome(pruning_floor_at, *args)
                     assert got == outcome(min_pruning_ratio_probing, *args), (l, q, r_t)
                     kinds["raises" if isinstance(got, tuple) else "floor"
                           if got == repr(opt.RHO_FLOOR) else "above"] += 1
@@ -505,8 +512,8 @@ class TestFixedCosts:
                 made.clear()
                 probes.clear()
                 try:
-                    min_pruning_ratio(q, terms, default_params, float(r_t),
-                                      default_scenario.p_max, opt.RHO_FLOOR)
+                    pruning_floor_at(q, terms, default_params, float(r_t),
+                                     default_scenario.p_max, opt.RHO_FLOOR)
                 except InfeasibleError:
                     continue
                 assert made == [], (l, q, r_t)

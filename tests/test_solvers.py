@@ -8,10 +8,10 @@ from isccopt.errors import InfeasibleError
 from isccopt.optimizer import EPS_RHO, PairEnergy, _pairs, penalty_terms
 from isccopt.oracles import random_power_freq_context
 from isccopt import solvers
-from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, LN2, PowerFreqSolution, brent,
-                             brent_steps, min_rate_time, power_freq, solve_pc_nue)
-from util import (UNIMODAL_BATTERY, finish, golden_section, kkt_residuals, make_scenario,
-                  outcome, pc_objective, solve_pair, solve_pc_nue_reference,
+from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, LN2, brent, brent_steps, min_rate_time,
+                             power_freq)
+from util import (UNIMODAL_BATTERY, finish, golden_section, kkt_args, kkt_residuals,
+                  make_scenario, outcome, pc_objective, solve_pair, solve_pc_nue_reference,
                   t_stationary_rootfind)
 
 
@@ -212,17 +212,16 @@ class TestBrentSteps:
 
 class TestTStationary:
     def test_inverse_rate_matches_rootfinding(self):
-        # off its t_min bound, the inverse rate solve_pc_nue returns is the
+        # off its t_min bound, the inverse rate power_freq returns is the
         # stationary point of its multiplier
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(400):
             abc, sc = random_power_freq_context(rng)
-            sol = solve_pc_nue(*abc, sc)
-            if sol.t > min_rate_time(sc):
+            _, _, t, mu1, _ = power_freq(*abc, *kkt_args(sc))
+            if t > min_rate_time(sc):
                 checked += 1
-                assert sol.t == pytest.approx(
-                    t_stationary_rootfind(sol.mu1, sc.g_over_bn0), rel=1e-10)
+                assert t == pytest.approx(t_stationary_rootfind(mu1, sc.g_over_bn0), rel=1e-10)
         assert checked >= 350
 
 
@@ -230,17 +229,17 @@ class TestSolvePcNue:
     def test_boundary_active_corner(self):
         sc = make_scenario()
         t_min = min_rate_time(sc)
-        sol = solve_pc_nue(0.01, 1e5, 0.01 * t_min + 1e5 / sc.nu_max, sc)
-        assert sol.p_c == pytest.approx(sc.p_max, rel=1e-6)
-        assert sol.nu_e == pytest.approx(sc.nu_max, rel=1e-6)
+        p_c, nu_e, _, _, _ = power_freq(0.01, 1e5, 0.01 * t_min + 1e5 / sc.nu_max,
+                                        *kkt_args(sc))
+        assert p_c == pytest.approx(sc.p_max, rel=1e-6)
+        assert nu_e == pytest.approx(sc.nu_max, rel=1e-6)
 
     def test_latency_active_with_slack_budget(self):
         sc = make_scenario()
         a1, a2, t2 = 0.02, 2e5, 0.25
-        sol = solve_pc_nue(a1, a2, t2, sc)
-        assert a1 * sol.t + a2 / sol.nu_e == pytest.approx(t2, rel=1e-9)
-        assert sol.energy == pytest.approx(pc_objective((a1, a2, t2), sc, sol.t, sol.nu_e),
-                                           rel=1e-12)
+        _, nu_e, t, _, energy = power_freq(a1, a2, t2, *kkt_args(sc))
+        assert a1 * t + a2 / nu_e == pytest.approx(t2, rel=1e-9)
+        assert energy == pytest.approx(pc_objective((a1, a2, t2), sc, t, nu_e), rel=1e-12)
 
     @pytest.mark.parametrize("a1, a2, t2, g, nu_max, kappa", [
         (0.001373648480281528, 177307.34392644008, 6.868667743383109,
@@ -255,8 +254,9 @@ class TestSolvePcNue:
         sc = Scenario(t_max=1.0, r_t=0.5, p_max=1.0, nu_max=nu_max, nu_s=1e11,
                       kappa=kappa, bandwidth=1e5, g_over_bn0=g, t0=1e-5,
                       m_chirps=1000, q_max=4, splits=(1,))
-        sol = solve_pc_nue(a1, a2, t2, sc)
-        assert abs(a1 * sol.t + a2 / sol.nu_e - t2) <= KKT_REL_TOL * t2
+        sol = power_freq(a1, a2, t2, *kkt_args(sc))
+        _, nu_e, t, _, _ = sol
+        assert abs(a1 * t + a2 / nu_e - t2) <= KKT_REL_TOL * t2
         assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-8
 
     def test_budget_at_the_floor(self):
@@ -265,8 +265,8 @@ class TestSolvePcNue:
         for _ in range(50):
             (a1, a2, _), sc = random_power_freq_context(rng)
             t_min = min_rate_time(sc)
-            sol = solve_pc_nue(a1, a2, a1 * t_min + a2 / sc.nu_max, sc)
-            assert sol.energy == pytest.approx(
+            energy = power_freq(a1, a2, a1 * t_min + a2 / sc.nu_max, *kkt_args(sc))[4]
+            assert energy == pytest.approx(
                 sc.p_max * a1 * t_min + sc.kappa * a2 * sc.nu_max**2, rel=1e-12)
 
     def test_t_min_binds_near_the_floor(self):
@@ -278,14 +278,15 @@ class TestSolvePcNue:
             (a1, a2, _), sc = random_power_freq_context(rng)
             t_min = min_rate_time(sc)
             t2 = (a1 * t_min + a2 / sc.nu_max) * 1.001
-            sol = solve_pc_nue(a1, a2, t2, sc)
-            if sol.t == t_min:
+            sol = power_freq(a1, a2, t2, *kkt_args(sc))
+            p_c, nu_e, t, _, _ = sol
+            if t == t_min:
                 bound += 1
-                assert sol.p_c == sc.p_max
-                assert sol.nu_e == a2 / (t2 - a1 * t_min) < sc.nu_max
+                assert p_c == sc.p_max
+                assert nu_e == a2 / (t2 - a1 * t_min) < sc.nu_max
                 assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-8
             else:
-                assert sol.t > t_min
+                assert t > t_min
         assert bound >= 3
 
     @pytest.mark.parametrize("a1", [1e-18, 1e-300])
@@ -295,18 +296,18 @@ class TestSolvePcNue:
         # a1 = 0 answer
         (_, a2, _), sc = random_power_freq_context(np.random.default_rng(1))
         t2 = 4.0 * a2 / sc.nu_max
-        sol = solve_pc_nue(a1, a2, t2, sc)
-        corner = solve_pc_nue(0.0, a2, t2, sc)
-        assert abs(a1 * sol.t + a2 / sol.nu_e - t2) <= KKT_REL_TOL * t2
-        assert sol.nu_e == pytest.approx(corner.nu_e, rel=1e-9)
-        assert sol.energy == pytest.approx(corner.energy, rel=1e-9)
+        _, nu_e, t, _, energy = power_freq(a1, a2, t2, *kkt_args(sc))
+        _, corner_nu_e, _, _, corner_energy = power_freq(0.0, a2, t2, *kkt_args(sc))
+        assert abs(a1 * t + a2 / nu_e - t2) <= KKT_REL_TOL * t2
+        assert nu_e == pytest.approx(corner_nu_e, rel=1e-9)
+        assert energy == pytest.approx(corner_energy, rel=1e-9)
 
     def test_infeasible_budget(self):
         sc = make_scenario()
         t_min = min_rate_time(sc)
         floor = 0.01 * t_min + 1e5 / sc.nu_max
         with pytest.raises(InfeasibleError) as err:
-            solve_pc_nue(0.01, 1e5, floor * 0.9, sc)
+            power_freq(0.01, 1e5, floor * 0.9, *kkt_args(sc))
         assert err.value.reason == "latency_budget"
 
     @pytest.mark.parametrize("a1, a2", [(0.0, 1e5), (0.01, 0.0), (0.0, 0.0)],
@@ -319,22 +320,22 @@ class TestSolvePcNue:
         sc = make_scenario()
         floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
         t2 = 2.0 * floor or 0.1
-        sol = solve_pc_nue(a1, a2, t2, sc)
+        sol = power_freq(a1, a2, t2, *kkt_args(sc))
+        p_c, nu_e, t, _, energy = sol
         if a1 == 0.0:
-            assert sol.p_c == sc.p_max
-            assert sol.nu_e == (a2 / t2 if a2 else sc.nu_max)
-            assert sol.energy == sc.kappa * a2 * sol.nu_e**2
+            assert p_c == sc.p_max
+            assert nu_e == (a2 / t2 if a2 else sc.nu_max)
+            assert energy == sc.kappa * a2 * nu_e**2
         else:
-            assert sol.t == t2 / a1
-            assert sol.nu_e == sc.nu_max
-            assert sol.energy == pytest.approx(pc_objective((a1, a2, t2), sc, sol.t, sol.nu_e),
-                                               rel=1e-12)
-        assert (sol.energy == 0.0) == (a1 == a2 == 0.0)
+            assert t == t2 / a1
+            assert nu_e == sc.nu_max
+            assert energy == pytest.approx(pc_objective((a1, a2, t2), sc, t, nu_e), rel=1e-12)
+        assert (energy == 0.0) == (a1 == a2 == 0.0)
         assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-12
         if floor:
-            solve_pc_nue(a1, a2, floor, sc)
+            power_freq(a1, a2, floor, *kkt_args(sc))
         with pytest.raises(InfeasibleError) as err:
-            solve_pc_nue(a1, a2, floor * (1.0 - 1e-9), sc)
+            power_freq(a1, a2, floor * (1.0 - 1e-9), *kkt_args(sc))
         assert err.value.reason == "latency_budget"
 
     def test_against_fine_grid(self):
@@ -342,22 +343,21 @@ class TestSolvePcNue:
         for _ in range(20):
             abc, sc = random_power_freq_context(rng)
             a1, a2, t2 = abc
-            sol = solve_pc_nue(*abc, sc)
+            _, nu_e, t_kkt, _, _ = power_freq(*abc, *kkt_args(sc))
             t = np.linspace(min_rate_time(sc), t2 / a1, 300)
             nu = np.geomspace(sc.nu_max * 1e-4, sc.nu_max, 300)
             energy = (a1 * np.expm1(math.log(2.0) / t)[:, None] * t[:, None]
                       / sc.g_over_bn0 + sc.kappa * a2 * nu[None, :] ** 2)
             feas = a1 * t[:, None] + a2 / nu[None, :] <= t2
             best = float(np.min(energy[feas]))
-            got = pc_objective(abc, sc, sol.t, sol.nu_e)
+            got = pc_objective(abc, sc, t_kkt, nu_e)
             assert got <= best * (1 + 5e-3)
 
     def test_kkt_residuals(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
             abc, sc = random_power_freq_context(rng)
-            sol = solve_pc_nue(*abc, sc)
-            res = kkt_residuals(abc, sc, sol)
+            res = kkt_residuals(abc, sc, power_freq(*abc, *kkt_args(sc)))
             assert max(res) <= 1e-8
 
     def test_a_constants_validated(self):
@@ -366,12 +366,12 @@ class TestSolvePcNue:
         for a1, a2, t2 in ((-1e-3, 1.0, 1.0), (1.0, -1.0, 1.0), (math.nan, 1.0, 1.0),
                            (1.0, 1.0, math.inf), (1.0, 1.0, math.nan)):
             with pytest.raises(ValueError):
-                solve_pc_nue(a1, a2, t2, sc)
+                power_freq(a1, a2, t2, *kkt_args(sc))
 
 
 class TestPowerFreqKernel:
-    """solvers.power_freq, solve_pc_nue's body with the mu1 ratio written
-    out, gives the bits and reasons of the body that calls _mu1_ratio
+    """solvers.power_freq, with the mu1 ratio written out, gives the bits
+    and reasons of the body that calls _mu1_ratio
     (tests/util.solve_pc_nue_reference) on every branch."""
 
     SCENARIOS = ({}, {"nu_max": 1e5}, {"kappa": 1e-26}, {"g_over_bn0": 1e4})
@@ -385,16 +385,16 @@ class TestPowerFreqKernel:
         """The exit of power_freq that returns for (a1, a2, t2), or the
         reason it raises."""
         try:
-            sol = solve_pc_nue(a1, a2, t2, sc)
+            p_c, nu_e, t, _, _ = power_freq(a1, a2, t2, *kkt_args(sc))
         except InfeasibleError as err:
             return err.reason
         if a1 == 0.0 or a2 == 0.0:
             return "no_upload" if a1 == 0.0 else "no_edge_compute"
-        if sol.t == min_rate_time(sc) and sol.p_c == sc.p_max:
+        if t == min_rate_time(sc) and p_c == sc.p_max:
             return "t_min_binds"
-        if LN2 / sol.t <= 1e-3:
+        if LN2 / t <= 1e-3:
             return "taylor"
-        return "nu_max_clamp" if sol.nu_e == sc.nu_max else "interior"
+        return "nu_max_clamp" if nu_e == sc.nu_max else "interior"
 
     def cases(self):
         for kw in self.SCENARIOS:
@@ -416,11 +416,8 @@ class TestPowerFreqKernel:
     def test_equals_the_reference_on_every_branch(self):
         seen = {}
         for a1, a2, t2, sc in self.cases():
-            got = outcome(solve_pc_nue, a1, a2, t2, sc)
+            got = outcome(power_freq, a1, a2, t2, *kkt_args(sc))
             assert got == outcome(solve_pc_nue_reference, a1, a2, t2, sc), (a1, a2, t2, sc)
-            kernel = outcome(lambda *args: PowerFreqSolution(*power_freq(*args)), a1, a2, t2,
-                             min_rate_time(sc), sc.g_over_bn0, sc.kappa, sc.p_max, sc.nu_max)
-            assert kernel == got
             branch = self.branch(a1, a2, t2, sc)
             seen[branch] = seen.get(branch, 0) + 1
         assert set(seen) == {"latency_budget", "no_upload", "no_edge_compute", "t_min_binds",
@@ -431,7 +428,7 @@ class TestPowerFreqKernel:
         monkeypatch.setattr(solvers, "KKT_MAX_ITER", 2)
         reasons = 0
         for a1, a2, t2, sc in self.cases():
-            got = outcome(solve_pc_nue, a1, a2, t2, sc)
+            got = outcome(power_freq, a1, a2, t2, *kkt_args(sc))
             assert got == outcome(solve_pc_nue_reference, a1, a2, t2, sc), (a1, a2, t2, sc)
             reasons += got[0] == "bisection_bracket"
         assert reasons >= 20

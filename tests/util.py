@@ -10,12 +10,12 @@ import numpy as np
 
 from isccopt import netmodel, optimizer, oracles, sensing, solvers
 from isccopt.accuracy import (FIT_B_BRACKET, FIT_LOGB_TOL, accuracy_ceiling, ideal_accuracy,
-                              margin_factor, penalty_factor, pruning_error_factor)
+                              margin_factor, penalty_factor, pruning_error_factor, pruning_floor,
+                              quant_error_factor, sensing_power)
 from isccopt.config import build_config
 from isccopt.errors import InfeasibleError
 from isccopt.quant import quantize_vector
-from isccopt.solvers import (INV_GOLDEN, LN2, PowerFreqSolution, _mu1_ratio, check_deadline,
-                             min_rate_time)
+from isccopt.solvers import INV_GOLDEN, LN2, _mu1_ratio, check_deadline, min_rate_time
 
 
 # criterion 06's unimodal functions: (f, lb, ub, argmin)
@@ -184,10 +184,31 @@ def outcome(f, *args):
         return err.reason, str(err)
 
 
+def sensing_power_at(rho, q, terms, params, r_t, p_max):
+    """accuracy.sensing_power at pair bits q, with the constants that
+    PairEnergy binds computed from (q, terms, params)."""
+    return sensing_power(rho, terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
+                         margin_factor(terms, params), r_t, params.a, params.b,
+                         accuracy_ceiling(params), p_max)
+
+
+def pruning_floor_at(q, terms, params, r_t, p_max, floor):
+    """accuracy.pruning_floor at pair bits q, with the constants that
+    PairEnergy.bracket binds computed from (q, terms, params)."""
+    return pruning_floor(terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
+                         margin_factor(terms, params), r_t, params.a, params.b,
+                         accuracy_ceiling(params), ideal_accuracy(p_max, params), p_max, floor)
+
+
+def kkt_args(sc):
+    """The scenario constants of solvers.power_freq after (a1, a2, t2)."""
+    return min_rate_time(sc), sc.g_over_bn0, sc.kappa, sc.p_max, sc.nu_max
+
+
 def min_sensing_power_composed(rho, q, terms, params, r_t, p_max):
-    """Reference for accuracy.sensing_power: min_sensing_power composed of
-    penalty_factor's K, accuracy_ceiling and the arctan inverse, the
-    functions that the kernel writes out."""
+    """Reference for accuracy.sensing_power: the least sensing power
+    composed of penalty_factor's K, accuracy_ceiling and the arctan
+    inverse, the functions that the kernel writes out."""
     k = penalty_factor(rho, q, terms, params)
     if k >= 1.0:
         raise InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
@@ -206,9 +227,10 @@ def min_sensing_power_composed(rho, q, terms, params, r_t, p_max):
 
 
 def solve_pc_nue_reference(a1, a2, t2, sc):
-    """Reference for solvers.power_freq: solve_pc_nue with the scenario
-    read at each use, check_deadline and _mu1_ratio called, and the KKT
-    stopping constants read from `solvers` at the call."""
+    """Reference for solvers.power_freq: its (p_c, nu_e, t, mu1, energy)
+    with the scenario read at each use, check_deadline and _mu1_ratio
+    called, and the KKT stopping constants read from `solvers` at the
+    call."""
     if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
         raise ValueError(f"need a1 >= 0, a2 >= 0 and a finite t2, got {a1}, {a2}, {t2}")
     g = sc.g_over_bn0
@@ -217,14 +239,12 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
     two_kappa = 2.0 * sc.kappa
     if a1 == 0.0:
         nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
-        return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0,
-                                 sc.kappa * a2 * nu**2)
+        return sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, sc.kappa * a2 * nu**2
     if a2 == 0.0:
         t = max(t2 / a1, t_min)
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return PowerFreqSolution(p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g,
-                                 p_c * t2)
+        return p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * t2
     t_lo, t_hi, t = t_min, t2 / a1, t_min
     for _ in range(solvers.KKT_MAX_ITER):
         z = LN2 / t
@@ -245,8 +265,8 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
             t_hi = t
         else:
             nu = a2 / max(t2 - a1 * t_min, a2 / sc.nu_max)
-            return PowerFreqSolution(sc.p_max, nu, t_min, two_kappa * nu**3,
-                                     sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2)
+            return (sc.p_max, nu, t_min, two_kappa * nu**3,
+                    sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2)
         t -= (lat - t2) / slope
         if not t_lo < t < t_hi:
             t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)
@@ -254,11 +274,11 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {t2:.12g} s")
     p_c = math.expm1(z) / g
-    return PowerFreqSolution(p_c, nu, t, z * z * r / g, p_c * a1 * t + sc.kappa * a2 * nu**2)
+    return p_c, nu, t, z * z * r / g, p_c * a1 * t + sc.kappa * a2 * nu**2
 
 
 def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
-    """Reference for accuracy.min_pruning_ratio: the same Newton start and
+    """Reference for accuracy.pruning_floor: the same Newton start and
     steps, then upward probes that each call min_sensing_power_composed
     with the cap p_max and catch the InfeasibleError of every probe that
     misses it."""
@@ -405,24 +425,26 @@ def pc_objective(abc, sc, t, nu):
 
 def kkt_residuals(abc, sc, sol):
     """Relative stationarity and complementary-slackness residuals of a
-    solution of the power/frequency subproblem abc = (a1, a2, t2)."""
+    solution sol = (p_c, nu_e, t, mu1, energy) of the power/frequency
+    subproblem abc = (a1, a2, t2), as solvers.power_freq returns it."""
     a1, a2, _ = abc
+    _, nu_e, t, mu1, _ = sol
     g = sc.g_over_bn0
-    z = math.log(2.0) / sol.t
+    z = math.log(2.0) / t
     phi_t = (a1 / g) * (math.exp(z) * (1.0 - z) - 1.0)
     mu2 = 0.0
     t_min = min_rate_time(sc)
-    if sol.t <= t_min * (1 + 1e-9):
-        mu2 = phi_t + sol.mu1 * a1
-    stat_t = phi_t + sol.mu1 * a1 - mu2
-    scale_t = max(abs(phi_t), sol.mu1 * a1, 1e-300)
+    if t <= t_min * (1 + 1e-9):
+        mu2 = phi_t + mu1 * a1
+    stat_t = phi_t + mu1 * a1 - mu2
+    scale_t = max(abs(phi_t), mu1 * a1, 1e-300)
     mu3 = 0.0
-    if sol.nu_e >= sc.nu_max * (1 - 1e-9):
-        mu3 = sol.mu1 * a2 / sol.nu_e**2 - 2 * sc.kappa * a2 * sol.nu_e
-    stat_nu = 2 * sc.kappa * a2 * sol.nu_e - sol.mu1 * a2 / sol.nu_e**2 + mu3
-    scale_nu = max(2 * sc.kappa * a2 * sol.nu_e, 1e-300)
-    comp2 = mu2 * (t_min - sol.t)
-    comp3 = mu3 * (sol.nu_e - sc.nu_max)
+    if nu_e >= sc.nu_max * (1 - 1e-9):
+        mu3 = mu1 * a2 / nu_e**2 - 2 * sc.kappa * a2 * nu_e
+    stat_nu = 2 * sc.kappa * a2 * nu_e - mu1 * a2 / nu_e**2 + mu3
+    scale_nu = max(2 * sc.kappa * a2 * nu_e, 1e-300)
+    comp2 = mu2 * (t_min - t)
+    comp3 = mu3 * (nu_e - sc.nu_max)
     return (abs(stat_t) / scale_t, abs(stat_nu) / scale_nu,
             abs(comp2) / max(abs(mu2) * t_min, 1e-300) if mu2 else 0.0,
             abs(comp3) / max(abs(mu3) * sc.nu_max, 1e-300) if mu3 else 0.0)
