@@ -11,6 +11,7 @@ from . import netmodel
 from .accuracy import AccuracyParams, PenaltyTerms, accuracy_lower_bound
 from .netmodel import NetworkModel
 from .sensing import sensing_cost
+from .solvers import LN2
 
 
 # widest feature word, in bits, that a bit width q may ask for
@@ -107,8 +108,9 @@ class CostBreakdown:
 
 
 def comm_rate(p_c: float, sc: Scenario) -> float:
-    """Achievable uplink rate B*log2(1 + SNR(p_c)) in bit/s."""
-    return sc.bandwidth * math.log2(1.0 + sc.g_over_bn0 * p_c)
+    """Achievable uplink rate B*log2(1 + SNR(p_c)) in bit/s, through log1p,
+    so an SNR below the rounding of 1 + SNR still gives a positive rate."""
+    return sc.bandwidth * math.log1p(sc.g_over_bn0 * p_c) / LN2
 
 
 def comm_cost(l: int, q: int, p_c: float, net: NetworkModel,

@@ -350,15 +350,14 @@ class TestSensingPowerKernel:
         # checks both
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=0.5, tail_norm=1.0)
-        for rho, q, match in ((0.0, 2, "rho must be positive"),
-                              (1.5, 2, "rho must not exceed 1"),
-                              (0.5, 1, "quantization bits")):
-            if q > 1:
-                with pytest.raises(ValueError, match=match):
-                    sensing_power(rho, 1.0, 0.5, margin_factor(terms, p), 0.5, p.a, p.b,
-                                  accuracy_ceiling(p), 1.0)
+        for rho, match in ((0.0, "rho must be positive"), (1.5, "rho must not exceed 1")):
             with pytest.raises(ValueError, match=match):
-                min_sensing_power_composed(rho, q, terms, p, 0.5, 1.0)
+                sensing_power(rho, 1.0, 0.5, margin_factor(terms, p), 0.5, p.a, p.b,
+                              accuracy_ceiling(p), 1.0)
+            with pytest.raises(ValueError, match=match):
+                min_sensing_power_composed(rho, 2, terms, p, 0.5, 1.0)
+        with pytest.raises(ValueError, match="quantization bits"):
+            min_sensing_power_composed(0.5, 1, terms, p, 0.5, 1.0)
 
 
 class TestMinPruningRatio:

@@ -274,6 +274,21 @@ class TestCliSolve:
         assert rc == 2
         assert "l=7 q=2: energy_overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, t_max", [
+        (["baseline", "--kind", "on_server"], 1e15),
+        (["baseline", "--kind", "on_server"], 1e200),
+        (["baseline", "--kind", "on_server"], 1e300),
+        (["sweep", "--axis", "snr", "--values", "10,100"], 1e200)],
+        ids=["on_server-1e15", "on_server-1e200", "on_server-1e300", "sweep_snr-1e200"])
+    def test_raw_upload_under_a_loose_deadline_answers(self, tmp_path, capsys, command, t_max):
+        # the raw-input upload stretches to the deadline, so its SNR g*p_c
+        # falls far below the rounding of 1 + SNR: the rate must stay
+        # positive (log1p), not divide the payload by 0
+        cfg_path = tmp_path / "loose.json"
+        cfg_path.write_text(json.dumps({"scenario": {"t_max": t_max}}))
+        rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+
 
 def stock_layers_with(index, key, value):
     """The stock network's layer records with one dimension replaced."""

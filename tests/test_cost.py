@@ -56,6 +56,16 @@ class TestCommCost:
         with pytest.raises(ValueError):
             comm_cost(5, 4, 0.0, template_net, default_scenario)
 
+    def test_rate_stays_positive_below_the_rounding_of_one_plus_snr(self, default_scenario):
+        # at SNR g*p_c = 1e-20, 1 + SNR rounds to 1, and log2 of it to 0;
+        # the rate is B*SNR/ln2 to first order
+        sc = default_scenario
+        p_c = 1e-20 / sc.g_over_bn0
+        want = sc.bandwidth * 1e-20 / math.log(2.0)
+        got = cost.comm_rate(p_c, sc)
+        assert got > 0.0
+        assert abs(got - want) <= 1e-15 * want
+
 
 class TestCompCost:
     def test_all_on_server(self, template_net, default_scenario):
