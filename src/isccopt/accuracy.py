@@ -71,6 +71,11 @@ class PenaltyTerms:
             raise ValueError("penalty terms must be nonnegative")
 
 
+def _u(rho: float, log_rho: float) -> float:
+    """pruning_error_factor's u(rho), unchecked, from log_rho = ln(rho)."""
+    return 2.0 - rho - rho * (log_rho - 1.0) ** 2
+
+
 def pruning_error_factor(rho: float) -> float:
     """Dimensionless pruning error factor 2 - rho - rho*(ln(rho) - 1)^2.
 
@@ -81,7 +86,7 @@ def pruning_error_factor(rho: float) -> float:
         raise ValueError("rho must be positive")
     if rho > 1.0:
         raise ValueError("rho must not exceed 1")
-    return 2.0 - rho - rho * (math.log(rho) - 1.0) ** 2
+    return _u(rho, math.log(rho))
 
 
 def quant_error_factor(q: int) -> float:
@@ -187,7 +192,7 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
 
     u is convex and decreasing with derivative -(ln rho)^2, so Newton steps
     from left of the root rise monotonically to it, until a step no longer
-    moves rho; each step writes u out to share its ln with the slope. As
+    moves rho; each step passes its ln to _u and to the slope. As
     (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >= (1 - rho)^3/3, so the steps
     start at the larger of `floor` and 1 - (3 U*)^(1/3); when U* < 0 no
     rho < 1 qualifies (u >= 0). Upward probes, one ln each, then close the
@@ -206,7 +211,7 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
             rho = max(floor, 1.0 - (3.0 * u_star) ** (1.0 / 3.0))
         while rho < 1.0:
             log_rho = math.log(rho)
-            step = (2.0 - rho - rho * (log_rho - 1.0) ** 2 - u_star) / log_rho ** 2
+            step = (_u(rho, log_rho) - u_star) / log_rho ** 2
             if not rho + step > rho:
                 break
             rho = min(rho + step, 1.0)

@@ -133,7 +133,8 @@ def comp_cost(l: int, rho: float, nu_e: float, net: NetworkModel,
 
     Edge runs layers 1..l at pruning ratio rho and frequency nu_e; the
     server runs the rest unpruned at its fixed frequency. Edge energy is
-    kappa * FLOPs * nu_e^2; server energy is not accounted.
+    kappa * FLOPs * nu_e^2, 0 with no edge FLOPs (where nu_e^2 may
+    overflow); server energy is not accounted.
     """
     if nu_e <= 0:
         raise ValueError("edge frequency must be positive")
@@ -141,7 +142,7 @@ def comp_cost(l: int, rho: float, nu_e: float, net: NetworkModel,
     server_flops = netmodel.cum_flops(net, l + 1, net.depth, 1.0)
     t_edge = edge_flops / nu_e
     t_server = server_flops / sc.nu_s
-    return t_edge, t_server, sc.kappa * edge_flops * nu_e**2
+    return t_edge, t_server, sc.kappa * edge_flops * nu_e**2 if edge_flops else 0.0
 
 
 def total_cost(alloc: Allocation, net: NetworkModel, sc: Scenario) -> CostBreakdown:

@@ -9,8 +9,6 @@ import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import pairwise
-from typing import NamedTuple
 
 from . import netmodel
 from .accuracy import (AccuracyParams, PenaltyTerms, accuracy_ceiling, ideal_accuracy,
@@ -67,31 +65,28 @@ def penalty_terms(net, l: int, ap: AccuracyParams) -> PenaltyTerms:
                         tail_norm=factors[1])
 
 
-class Split(NamedTuple):
-    """What the pairs of one split l share: the latency budget t2 left for
-    edge compute and upload after sensing and server compute, the number of
-    features uploaded, the edge FLOPs at RHO_FLOOR, the upload's least
-    inverse spectral efficiency (min_rate_time), the FlopPieces of the
-    edge layers 1..l, the pruning coefficient of the accuracy penalty and
-    its margin factor (accuracy.margin_factor)."""
+class Split:
+    """What every pair of split l reads, built once per split and solve:
+    the network, scenario and accuracy model with the split's penalty
+    terms; the budget t2 left for edge compute and upload after sensing and
+    server compute; the number of features uploaded; the edge FLOPs a2_lo
+    at RHO_FLOOR and the FlopPieces of layers 1..l; the upload's least
+    inverse spectral efficiency t_min (min_rate_time); the margin factor
+    (accuracy.margin_factor); and the scalars the pair kernels take, with
+    the accuracy ceiling and the ideal accuracy at p_max."""
 
-    t2: float
-    dim: int
-    a2_lo: float
-    t_min: float
-    flops: netmodel.FlopPieces
-    prune_coeff: float
-    margin: float
-
-
-def split_constants(net, sc: Scenario, l: int, terms: PenaltyTerms,
-                    ap: AccuracyParams) -> Split:
-    """The Split of split l with penalty terms `terms`; _enumerate builds it
-    once per split and solve."""
-    t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
-    return Split(sc.t_max - sc.t_sen - t_server, netmodel.upload_dim(net, l),
-                 netmodel.cum_flops(net, 1, l, RHO_FLOOR), min_rate_time(sc),
-                 net.flop_table[l], terms.prune_coeff, margin_factor(terms, ap))
+    def __init__(self, net, sc: Scenario, ap: AccuracyParams, l: int):
+        self.net, self.sc, self.ap, self.l = net, sc, ap, l
+        self.terms = terms = penalty_terms(net, l, ap)
+        t_server = netmodel.cum_flops(net, l + 1, net.depth, 1.0) / sc.nu_s
+        self.t2, self.dim = sc.t_max - sc.t_sen - t_server, netmodel.upload_dim(net, l)
+        self.a2_lo, self.flops = netmodel.cum_flops(net, 1, l, RHO_FLOOR), net.flop_table[l]
+        self.t_min = min_rate_time(sc)
+        self.prune_coeff, self.margin = terms.prune_coeff, margin_factor(terms, ap)
+        self.r_t, self.p_max, self.t_sen = sc.r_t, sc.p_max, sc.t_sen
+        self.g, self.kappa, self.nu_max = sc.g_over_bn0, sc.kappa, sc.nu_max
+        self.a, self.b, self.ceiling = ap.a, ap.b, accuracy_ceiling(ap)
+        self.ideal = ideal_accuracy(sc.p_max, ap)
 
 
 class PairEnergy:
@@ -108,43 +103,35 @@ class PairEnergy:
     corners. A call raises InfeasibleError where rho admits no feasible
     point or E overflows to inf; each call that returns records (energy,
     p_s, p_c, nu_e, e_edge) in `points`, and `least` is the least energy
-    recorded. `split` holds the split's constants (split_constants when
-    omitted). The pair prunes when its origin does (`prune`) and a layer
+    recorded. The pair prunes when its origin does (`prune`) and a layer
     runs on the device (l > 0); one that does not holds rho at 1.
 
     E is evaluated by the kernels accuracy.sensing_power, FlopPieces.at
     and solvers.power_freq from constants bound once, not per call: the
-    Split's, built once per split and solve, and the scenario's scalars,
-    the accuracy ceiling, the quantization term quant_coeff*v(q) and the
-    upload size a1, bound here, which every method reads.
-    """
+    Split's, and the pair's quantization term quant_coeff*v(q) and upload
+    size a1, bound here."""
 
-    def __init__(self, l, q, net, sc: Scenario, terms: PenaltyTerms, ap: AccuracyParams,
-                 split: Split | None = None, prune: bool = True):
-        self.l, self.q, self.net, self.sc, self.terms, self.ap = l, q, net, sc, terms, ap
-        (self.t2, dim, self.a2_lo, self.t_min, self.flops, self.prune_coeff,
-         self.margin) = split or split_constants(net, sc, l, terms, ap)
-        self.a1 = dim * q / sc.bandwidth
-        self.quant = terms.quant_coeff * quant_error_factor(q)
-        self.r_t, self.p_max, self.t_sen = sc.r_t, sc.p_max, sc.t_sen
-        self.g, self.kappa, self.nu_max = sc.g_over_bn0, sc.kappa, sc.nu_max
-        self.a, self.b, self.ceiling = ap.a, ap.b, accuracy_ceiling(ap)
-        self.prune = prune and l > 0
-        self._top = None
+    def __init__(self, split: Split, q: int, prune: bool = True):
+        self.split, self.q = split, q
+        self.a1 = split.dim * q / split.sc.bandwidth
+        self.quant = split.terms.quant_coeff * quant_error_factor(q)
+        self.prune = prune and split.l > 0
+        self._top, self.least = None, math.inf
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
-        self.least = math.inf
 
     def __call__(self, rho: float) -> float:
-        p_s = sensing_power(rho, self.prune_coeff, self.quant, self.margin, self.r_t,
-                            self.a, self.b, self.ceiling, self.p_max)
-        return self._record(rho, p_s, self.flops.at(rho))
+        s = self.split
+        p_s = sensing_power(rho, s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
+                            s.ceiling, s.p_max)
+        return self._record(rho, p_s, s.flops.at(rho))
 
     def _record(self, rho: float, p_s: float, a2: float) -> float:
         """E at rho from its sensing power and edge FLOPs; raises
         InfeasibleError (energy_overflow) where E overflows to inf."""
-        p_c, nu_e, _, _, e_edge = power_freq(self.a1, a2, self.t2, self.t_min, self.g,
-                                             self.kappa, self.p_max, self.nu_max)
-        energy = self.t_sen * p_s + e_edge
+        s = self.split
+        p_c, nu_e, _, _, e_edge = power_freq(self.a1, a2, s.t2, s.t_min, s.g, s.kappa,
+                                             s.p_max, s.nu_max)
+        energy = s.t_sen * p_s + e_edge
         if energy == math.inf:
             raise InfeasibleError("energy_overflow", f"energy at rho = {rho:.6g} overflows")
         self.points[rho] = energy, p_s, p_c, nu_e, e_edge
@@ -155,8 +142,9 @@ class PairEnergy:
     def rho_max(self) -> float:
         """Largest rho whose edge FLOPs meet the deadline at (p_max, nu_max):
         a1*t_min + cum_flops(1..l, rho)/nu_max <= t2."""
-        cap = (self.t2 - self.a1 * self.t_min) * self.nu_max
-        rho_max = netmodel.max_rho(self.net, self.l, cap)
+        s = self.split
+        cap = (s.t2 - self.a1 * s.t_min) * s.nu_max
+        rho_max = netmodel.max_rho(s.net, s.l, cap)
         if rho_max <= RHO_FLOOR:
             raise InfeasibleError(
                 "latency_budget",
@@ -171,11 +159,12 @@ class PairEnergy:
         the reason E would: rho_max, sensing_power, and power_freq's
         deadline test (check_deadline)."""
         if self._top is None:
+            s = self.split
             rho = self.rho_max() if self.prune else 1.0
-            p_s = sensing_power(rho, self.prune_coeff, self.quant, self.margin, self.r_t,
-                                self.a, self.b, self.ceiling, self.p_max)
-            a2 = self.flops.at(rho)
-            check_deadline(self.a1, a2, self.t2, self.t_min, self.nu_max)
+            p_s = sensing_power(rho, s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
+                                s.ceiling, s.p_max)
+            a2 = s.flops.at(rho)
+            check_deadline(self.a1, a2, s.t2, s.t_min, s.nu_max)
             self._top = rho, p_s, a2
         return self._top
 
@@ -196,16 +185,16 @@ class PairEnergy:
         at least a1*t_min (and at most nu_max, the guard in the denominator).
         """
         _, p_s, a2 = self.top()
-        a1, t_min, nu_max = self.a1, self.t_min, self.nu_max
-        a2_lo = self.a2_lo if self.prune else a2
-        bound = self.t_sen * p_s
+        s, a1 = self.split, self.a1
+        a2_lo = s.a2_lo if self.prune else a2
+        bound = s.t_sen * p_s
         if a1:
-            t = max((self.t2 - a2_lo / nu_max) / a1, t_min)
+            t = max((s.t2 - a2_lo / s.nu_max) / a1, s.t_min)
             # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
-            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / self.g
+            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
         if a2_lo:
-            nu = a2_lo / max(self.t2 - a1 * t_min, a2_lo / nu_max)
-            bound += self.kappa * a2_lo * nu**2
+            nu = a2_lo / max(s.t2 - a1 * s.t_min, a2_lo / s.nu_max)
+            bound += s.kappa * a2_lo * nu**2
         return bound
 
     def bracket(self) -> tuple[float, float]:
@@ -218,21 +207,25 @@ class PairEnergy:
         self._record(rho_max, p_s, a2)
         if not self.prune:
             return rho_max, rho_max
-        rho_min = min(pruning_floor(self.prune_coeff, self.quant, self.margin, self.r_t,
-                                    self.a, self.b, self.ceiling,
-                                    ideal_accuracy(self.p_max, self.ap), self.p_max,
-                                    RHO_FLOOR), rho_max)
+        s = self.split
+        rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
+                                    s.ceiling, s.ideal, s.p_max, RHO_FLOOR), rho_max)
         self(rho_min)
         return rho_min, rho_max
 
     def lower_bound(self, *rhos: float) -> float:
         """Lower bound of E on [rhos[0], rhos[-1]] from E evaluated at the
-        increasing points `rhos`: the least t_sen * p_s(b) + e_edge(a) over
-        neighbours a < b. Exact, because p_s is nonincreasing in rho and the
-        edge energy nondecreasing in the edge FLOPs, which are nondecreasing
-        in rho."""
-        t_sen, points = self.t_sen, self.points
-        return min(t_sen * points[b][1] + points[a][4] for a, b in pairwise(rhos))
+        increasing points `rhos` (2 or 3 from a Brent step): the least
+        t_sen * p_s(b) + e_edge(a) over neighbours a < b. Exact, because p_s
+        is nonincreasing in rho and the edge energy nondecreasing in the edge
+        FLOPs, which are nondecreasing in rho."""
+        t_sen, points = self.split.t_sen, self.points
+        bound = t_sen * points[rhos[1]][1] + points[rhos[0]][4]
+        for i in range(2, len(rhos)):
+            right = t_sen * points[rhos[i]][1] + points[rhos[i - 1]][4]
+            if right < bound:
+                bound = right
+        return bound
 
     def search(self, rho_min: float, rho_max: float):
         """Brent's method on the bracket (solvers.brent_steps) to a width of
@@ -250,8 +243,9 @@ def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
     names each constraint it fails, with its slack; `iterations` is the
     number of points E was evaluated at."""
     _, p_s, p_c, nu_e, _ = energy.points[rho]
-    alloc = Allocation(l=energy.l, q=energy.q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
-    report = check_feasible(alloc, energy.net, energy.sc, energy.terms, energy.ap, splits)
+    s = energy.split
+    alloc = Allocation(l=s.l, q=energy.q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
+    report = check_feasible(alloc, s.net, s.sc, s.terms, s.ap, splits)
     failed = [f"{c.name} slack {c.slack!r}" for c in report.checks if not c.ok]
     if failed:
         raise CheckError(f"{origin} (l={alloc.l}, q={alloc.q}): " + ", ".join(failed))
@@ -303,19 +297,17 @@ def _enumerate(net, sc, ap, origin):
 
     The answer is built once, by _answer: check_feasible over the splits of
     the pairs gives its cost, and CheckError names each constraint it
-    fails, with its slack.
+    fails, with its slack. A loop that ends with a finite incumbent but no
+    finished search broke the invariant above (a key above its pair's least
+    E): it raises CheckError naming the origin, not an infeasible answer.
     """
     if not all(0 <= l <= net.depth for l in sc.splits):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
-    prune = origin != "no_prune"
-    terms, splits = {}, {}
-    for l in {l for l, _ in pairs}:
-        terms[l] = penalty_terms(net, l, ap)
-        splits[l] = split_constants(net, sc, l, terms[l], ap)
+    splits = {l: Split(net, sc, ap, l) for l in {l for l, _ in pairs}}
     reasons, queue = [], []
     for l, q in pairs:
-        energy = PairEnergy(l, q, net, sc, terms[l], ap, splits[l], prune)
+        energy = PairEnergy(splits[l], q, origin != "no_prune")
         try:
             bound = energy.relaxed_bound()
         except InfeasibleError as err:
@@ -345,10 +337,12 @@ def _enumerate(net, sc, ap, origin):
             heapq.heapreplace(queue, (energy.lower_bound(*rhos), q, l, energy, steps))
         incumbent = min(incumbent, energy.least)
     reasons = tuple(sorted(reasons))
+    if best is None and incumbent < math.inf:
+        raise CheckError(f"{origin}: no pair finished its search, incumbent {incumbent!r} J")
     if best is None:
         return Solution(origin=origin, feasible=False, alloc=None, cost=None,
                         iterations=0, reasons=reasons)
-    return replace(_answer(*best[3:], origin, set(terms)), reasons=reasons)
+    return replace(_answer(*best[3:], origin, splits), reasons=reasons)
 
 
 def solve_scenario(net, sc: Scenario, ap: AccuracyParams) -> Solution:

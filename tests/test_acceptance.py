@@ -151,10 +151,10 @@ class TestCriterion07PairSolverOptimality:
             net, sc, ap = orc.random_test_case(rng)
             any_pair = False
             for l in sorted(sc.splits):
-                terms = opt.penalty_terms(net, l, ap)
+                split = opt.Split(net, sc, ap, l)
                 qs = [2] if l == net.depth else range(2, sc.q_max + 1)
                 for q in qs:
-                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    energy = opt.PairEnergy(split, q)
                     best = math.inf
                     for rho in grid:
                         try:
@@ -162,12 +162,12 @@ class TestCriterion07PairSolverOptimality:
                         except InfeasibleError:
                             pass
                     try:
-                        sol = solve_pair(l, q, net, sc, terms, ap)
+                        sol = solve_pair(l, q, net, sc, ap)
                     except InfeasibleError:
                         missed += math.isfinite(best)
                         continue
                     any_pair = True
-                    unchecked += not check_feasible(sol.alloc, net, sc, terms, ap).ok
+                    unchecked += not check_feasible(sol.alloc, net, sc, split.terms, ap).ok
                     if math.isfinite(best):
                         gaps.append(sol.e_total / best - 1.0)
             if any_pair:

@@ -289,6 +289,50 @@ class TestCliSolve:
         rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("nu_max", [1e155, 1e300, sys.float_info.max])
+    def test_raw_upload_at_a_huge_edge_frequency_answers(self, tmp_path, capsys, nu_max,
+                                                         template_net, default_scenario,
+                                                         default_params):
+        # the raw-input split computes nothing on the edge, and its answer
+        # reports nu_e = nu_max, whose square overflows past about 1.3e154:
+        # the edge energy of no FLOPs is 0, not an OverflowError, and the
+        # answer costs what it costs at the stock nu_max
+        cfg_path = tmp_path / "fast-edge.json"
+        cfg_path.write_text(json.dumps({"scenario": {"nu_max": nu_max}}))
+        rc = main(["baseline", "--kind", "on_server", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "on_server")])
+        assert rc == 0, capsys.readouterr().err
+        out = tmp_path / "on_server" / "baseline_on_server.json"
+        sol = json.loads(out.read_text())["solution"]
+        assert (sol["allocation"]["l"], sol["allocation"]["nu_e"]) == (0, nu_max)
+        assert sol["cost"]["e_comp"] == 0.0
+        stock = solve_baseline("on_server", template_net, default_scenario, default_params)
+        assert sol["cost"]["e_total"] == pytest.approx(stock.e_total, rel=1e-12)
+        rc = main(["sweep", "--axis", "t_max", "--values", "0.55,0.8", "--config",
+                   str(cfg_path), "--out", str(tmp_path / "sweep")])
+        assert rc == 0, capsys.readouterr().err
+
+    def test_deep_stack_that_finishes_no_search_exits_4(self, tmp_path, capsys):
+        # a 12-layer FC stack (weight seed 20) where u(rho) = 2 - rho -
+        # rho*(ln rho - 1)^2 cancels near rho = 1: the search of (10, 6)
+        # pushes a key above its own least E, so the loop stops with a
+        # finite incumbent and no finished search. That is a broken
+        # invariant, not an infeasible problem: exit 4, not 2
+        layers = ([{"kind": "fc", "n": 128, "n_prev": 256}]
+                  + [{"kind": "fc", "n": 128, "n_prev": 128}] * 10
+                  + [{"kind": "fc", "n": 10, "n_prev": 128}])
+        norms = [round(math.sqrt(2 * r["n"] * r["n_prev"]) / 50, 3) for r in layers]
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text(json.dumps({
+            "network": {"input_dim": 256, "layers": layers, "weight_seed": 20,
+                        "target_norms": norms},
+            "scenario": {"splits": list(range(13))}}))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4, err
+        assert "proposed: no pair finished its search" in err
+        assert not (tmp_path / "out" / "solution.json").exists()
+
 
 def stock_layers_with(index, key, value):
     """The stock network's layer records with one dimension replaced."""

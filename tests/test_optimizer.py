@@ -109,12 +109,11 @@ class TestSolvePair:
         # and Brent's method stops after at most 11 evaluations besides the
         # bracket ends (golden section took 32)
         for l, q in ((1, 4), (3, 6), (5, 2), (6, 3)):
-            terms = opt.penalty_terms(template_net, l, default_params)
-            sol = solve_pair(l, q, template_net, default_scenario, terms, default_params)
-            energy = opt.PairEnergy(l, q, template_net, default_scenario, terms,
-                                    default_params)
+            split = opt.Split(template_net, default_scenario, default_params, l)
+            sol = solve_pair(l, q, template_net, default_scenario, default_params)
+            energy = opt.PairEnergy(split, q)
             rho_max = energy.rho_max()
-            rho_min = pruning_floor_at(q, terms, default_params, default_scenario.r_t,
+            rho_min = pruning_floor_at(q, split.terms, default_params, default_scenario.r_t,
                                        default_scenario.p_max, opt.RHO_FLOOR)
             assert sol.e_total <= min(energy(rho_min), energy(rho_max)) * (1 + 1e-12)
             assert rho_min <= sol.alloc.rho <= rho_max
@@ -122,8 +121,7 @@ class TestSolvePair:
 
     def test_on_device_split(self, template_net, default_scenario, default_params):
         sc = default_scenario
-        terms = opt.penalty_terms(template_net, 7, default_params)
-        sol = solve_pair(7, 2, template_net, sc, terms, default_params)
+        sol = solve_pair(7, 2, template_net, sc, default_params)
         assert sol.cost.t_comm == 0.0
         assert sol.cost.e_comm == 0.0
         # nothing is uploaded at any bit width, so the split has one pair
@@ -135,18 +133,16 @@ class TestSolvePair:
 
     def test_infeasible_budget_raises(self, template_net, default_params):
         sc = make_scenario(t_max=0.5004, splits=(1,))
-        terms = opt.penalty_terms(template_net, 1, default_params)
         with pytest.raises(InfeasibleError):
-            solve_pair(1, 6, template_net, sc, terms, default_params)
+            solve_pair(1, 6, template_net, sc, default_params)
 
     def test_edge_flops_over_budget_at_every_rho(self, template_net, default_params):
         # at t_max = 0.501 layers 1..5 need more FLOPs at rho = RHO_FLOOR than
         # the deadline leaves at nu_max: the deadline, not the accuracy
         # target, rules the pair out
         sc = make_scenario(t_max=0.501)
-        terms = opt.penalty_terms(template_net, 5, default_params)
-        energy = opt.PairEnergy(5, 2, template_net, sc, terms, default_params)
-        cap = (energy.t2 - energy.a1 * min_rate_time(sc)) * sc.nu_max
+        energy = opt.PairEnergy(opt.Split(template_net, sc, default_params, 5), 2)
+        cap = (energy.split.t2 - energy.a1 * min_rate_time(sc)) * sc.nu_max
         assert nm.cum_flops(template_net, 1, 5, opt.RHO_FLOOR) > cap > 0
         with pytest.raises(InfeasibleError) as err:
             energy.bracket()
@@ -221,9 +217,9 @@ def exhaustive(kind, net, sc, ap):
     best, reasons = None, []
     splits = [net.depth] if kind == "on_device" else sorted(sc.splits)
     for l in splits:
-        terms = opt.penalty_terms(net, l, ap)
+        split = opt.Split(net, sc, ap, l)
         for q in [2] if l == net.depth else range(2, sc.q_max + 1):
-            energy = opt.PairEnergy(l, q, net, sc, terms, ap, prune=kind != "no_prune")
+            energy = opt.PairEnergy(split, q, prune=kind != "no_prune")
             try:
                 rho = finish(energy.search(*energy.bracket()))
             except InfeasibleError as err:
@@ -290,10 +286,10 @@ class TestBoundAndPrune:
         pairs = unpruned = 0
         for net, sc, ap in criterion07_cases:
             for l in sorted(sc.splits):
-                terms = opt.penalty_terms(net, l, ap)
+                split = opt.Split(net, sc, ap, l)
                 for q in [2] if l == net.depth else range(2, sc.q_max + 1):
                     # a pair that does not prune: its one point is rho = 1
-                    energy = opt.PairEnergy(l, q, net, sc, terms, ap, prune=False)
+                    energy = opt.PairEnergy(split, q, prune=False)
                     try:
                         relaxed = energy.relaxed_bound() / (1.0 + 1e-12)
                     except InfeasibleError:
@@ -301,7 +297,7 @@ class TestBoundAndPrune:
                     else:
                         assert relaxed <= energy(1.0)
                         unpruned += 1
-                    energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    energy = opt.PairEnergy(split, q)
                     try:
                         rho_min, rho_max = energy.bracket()
                     except InfeasibleError:
@@ -313,14 +309,14 @@ class TestBoundAndPrune:
                     # apart, far inside the gate's PRUNE_RTOL margin
                     relaxed = energy.relaxed_bound() / (1.0 + 1e-12)
                     assert relaxed <= bound
-                    assert bound <= solve_pair(l, q, net, sc, terms, ap).e_total
+                    assert bound <= solve_pair(l, q, net, sc, ap).e_total
                     # the bound from interior points too, as a search uses it
                     chain = np.linspace(rho_min, rho_max, 5)
                     for rho in chain:
                         energy(float(rho))
                     chain_bound = energy.lower_bound(*map(float, chain))
                     assert bound <= chain_bound
-                    fresh = opt.PairEnergy(l, q, net, sc, terms, ap)
+                    fresh = opt.PairEnergy(split, q)
                     for rho in grid:
                         try:
                             e = fresh(float(rho))
@@ -343,14 +339,14 @@ class TestBoundAndPrune:
         seen = set()
         for net, sc, ap in cases:
             for l, q in opt._pairs(net, sc):
-                terms = opt.penalty_terms(net, l, ap)
+                split = opt.Split(net, sc, ap, l)
                 for prune in (True, False):
                     calls = [lambda e: e.relaxed_bound(), lambda e: e.bracket()]
                     if not prune:
                         calls.append(lambda e: e(1.0))
                     outcomes = []
                     for call in calls:
-                        energy = opt.PairEnergy(l, q, net, sc, terms, ap, prune=prune)
+                        energy = opt.PairEnergy(split, q, prune=prune)
                         try:
                             call(energy)
                             outcomes.append(None)
@@ -433,9 +429,9 @@ class TestBoundConstants:
     def test_bits_below_two_or_fractional_raise(self, template_net, default_scenario,
                                                 default_params, q):
         # the kernels take v(q) on trust; binding it checks q
-        terms = opt.penalty_terms(template_net, 2, default_params)
+        split = opt.Split(template_net, default_scenario, default_params, 2)
         with pytest.raises(ValueError, match="quantization bits"):
-            opt.PairEnergy(2, q, template_net, default_scenario, terms, default_params)
+            opt.PairEnergy(split, q)
 
     def test_points_equal_the_composed_energy(self, criterion07_cases, template_net,
                                               default_scenario, default_params):
@@ -446,8 +442,8 @@ class TestBoundConstants:
         kinds = set()
         for net, sc, ap in cases:
             for l, q in opt._pairs(net, sc):
-                terms = opt.penalty_terms(net, l, ap)
-                energy = opt.PairEnergy(l, q, net, sc, terms, ap)
+                energy = opt.PairEnergy(opt.Split(net, sc, ap, l), q)
+                terms = energy.split.terms
 
                 def recorded(rho):
                     energy(rho)
@@ -456,7 +452,7 @@ class TestBoundConstants:
                 def composed(rho):
                     p_s = min_sensing_power_composed(rho, q, terms, ap, sc.r_t, sc.p_max)
                     p_c, nu_e, _, _, e_edge = solve_pc_nue_reference(
-                        energy.a1, nm.cum_flops(net, 1, l, rho), energy.t2, sc)
+                        energy.a1, nm.cum_flops(net, 1, l, rho), energy.split.t2, sc)
                     return sc.t_sen * p_s + e_edge, p_s, p_c, nu_e, e_edge
 
                 for rho in rhos:
@@ -543,9 +539,7 @@ class TestFixedCosts:
                     continue
                 rejected += 1
                 [(l, q, reason)] = sol.reasons
-                energy = opt.PairEnergy(l, q, template_net, sc,
-                                        opt.penalty_terms(template_net, l, default_params),
-                                        default_params)
+                energy = opt.PairEnergy(opt.Split(template_net, sc, default_params, l), q)
                 assert outcome(relaxed_bound, energy)[0] == reason
         assert rejected >= 2
 
@@ -553,7 +547,7 @@ class TestFixedCosts:
                                     monkeypatch):
         relaxed_bound = opt.PairEnergy.relaxed_bound
         monkeypatch.setattr(opt.PairEnergy, "relaxed_bound",
-                            lambda self: math.nan if (self.l, self.q) == (3, 4)
+                            lambda self: math.nan if (self.split.l, self.q) == (3, 4)
                             else relaxed_bound(self))
         with pytest.raises(CheckError, match=r"proposed \(l=3, q=4\): relaxed bound is NaN"):
             opt.solve_scenario(template_net, default_scenario, default_params)

@@ -5,7 +5,7 @@ import pytest
 
 from isccopt.cost import Scenario
 from isccopt.errors import InfeasibleError
-from isccopt.optimizer import EPS_RHO, PairEnergy, _pairs, penalty_terms
+from isccopt.optimizer import EPS_RHO, PairEnergy, Split, _pairs, penalty_terms
 from isccopt.oracles import random_power_freq_context
 from isccopt import solvers
 from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, LN2, brent, brent_steps, min_rate_time,
@@ -186,9 +186,7 @@ class TestBrentSteps:
         # E(rho) of every stock pair on its bracket, at EPS_RHO
         searched = 0
         for l, q in _pairs(template_net, default_scenario):
-            energy = PairEnergy(l, q, template_net, default_scenario,
-                                penalty_terms(template_net, l, default_params),
-                                default_params)
+            energy = PairEnergy(Split(template_net, default_scenario, default_params, l), q)
             try:
                 rho_min, rho_max = energy.bracket()
             except InfeasibleError:
@@ -434,11 +432,9 @@ class TestPowerFreqKernel:
         assert reasons >= 20
 
 
-def rho_context(template_net, default_params, **kw):
-    sc = make_scenario(**kw)
+def rho_context(**kw):
     l = kw.pop("l", 3)
-    terms = penalty_terms(template_net, l, default_params)
-    return l, sc, terms
+    return l, make_scenario(**kw)
 
 
 def feasible_energies(energy, grid):
@@ -457,21 +453,22 @@ class TestPairRhoSearch:
     energy E(rho)."""
 
     def test_zero_target_returns_lower_bracket(self, template_net, default_params):
-        l, sc, terms = rho_context(template_net, default_params, r_t=0.0)
-        sol = solve_pair(l, 4, template_net, sc, terms, default_params)
+        l, sc = rho_context(r_t=0.0)
+        sol = solve_pair(l, 4, template_net, sc, default_params)
         assert sol.alloc.p_s == 0.0
         assert sol.alloc.rho <= 1e-6  # pinned to the bottom of the bracket
 
     def test_budget_exhausted(self, template_net, default_params):
-        l, sc, terms = rho_context(template_net, default_params, t_max=0.5001)
+        l, sc = rho_context(t_max=0.5001)
         with pytest.raises(InfeasibleError) as err:
-            solve_pair(l, 4, template_net, sc, terms, default_params)
+            solve_pair(l, 4, template_net, sc, default_params)
         assert err.value.reason == "latency_budget"
 
     def test_accuracy_constraint_active(self, template_net, default_params):
         from isccopt.accuracy import accuracy_lower_bound
-        l, sc, terms = rho_context(template_net, default_params)
-        sol = solve_pair(l, 4, template_net, sc, terms, default_params)
+        l, sc = rho_context()
+        sol = solve_pair(l, 4, template_net, sc, default_params)
+        terms = penalty_terms(template_net, l, default_params)
         assert accuracy_lower_bound(sol.alloc, terms, default_params) == pytest.approx(
             sc.r_t, abs=1e-9)
 
@@ -484,17 +481,15 @@ class TestPairRhoSearch:
             q = int(rng.integers(2, 7))
             sc = make_scenario(t_max=float(rng.uniform(0.6, 1.2)),
                                r_t=float(rng.uniform(0.5, 0.9)))
-            terms = penalty_terms(template_net, l, default_params)
+            split = Split(template_net, sc, default_params, l)
             q = 2 if l == template_net.depth else q
             try:
-                sol = solve_pair(l, q, template_net, sc, terms, default_params)
+                sol = solve_pair(l, q, template_net, sc, default_params)
             except InfeasibleError:
-                assert feasible_energies(PairEnergy(l, q, template_net, sc, terms,
-                                                    default_params), grid).size == 0
+                assert feasible_energies(PairEnergy(split, q), grid).size == 0
                 continue
             checked += 1
-            vals = feasible_energies(
-                PairEnergy(l, q, template_net, sc, terms, default_params), grid)
+            vals = feasible_energies(PairEnergy(split, q), grid)
             assert sol.e_total <= vals.min() + 1e-9
 
     def test_objective_unimodal_on_bracket(self, template_net, default_params):
@@ -503,11 +498,9 @@ class TestPairRhoSearch:
         for _ in range(10):
             l = int(rng.integers(1, 8))
             q = 2 if l == template_net.depth else int(rng.integers(2, 7))
-            terms = penalty_terms(template_net, l, default_params)
             sc = make_scenario(r_t=float(rng.uniform(0.5, 0.9)))
-            vals = feasible_energies(
-                PairEnergy(l, q, template_net, sc, terms, default_params),
-                np.linspace(0.05, 1.0, 200))
+            vals = feasible_energies(PairEnergy(Split(template_net, sc, default_params, l), q),
+                                     np.linspace(0.05, 1.0, 200))
             if vals.size < 3:
                 continue
             diffs = np.diff(vals)

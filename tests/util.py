@@ -162,7 +162,7 @@ def finish(steps):
             return done.value
 
 
-def solve_pair(l, q, net, sc, terms, ap):
+def solve_pair(l, q, net, sc, ap):
     """Reference for one pair of optimizer._enumerate: the least-energy
     allocation of the pair (l, q), checked on the split l.
 
@@ -171,7 +171,7 @@ def solve_pair(l, q, net, sc, terms, ap):
     InfeasibleError when no rho is feasible, and CheckError when the answer
     fails its check.
     """
-    energy = optimizer.PairEnergy(l, q, net, sc, terms, ap)
+    energy = optimizer.PairEnergy(optimizer.Split(net, sc, ap, l), q)
     return optimizer._answer(energy, finish(energy.search(*energy.bracket())), "proposed", {l})
 
 
