@@ -116,7 +116,7 @@ class PairEnergy:
         self.a1 = split.dim * q / split.sc.bandwidth
         self.quant = split.terms.quant_coeff * quant_error_factor(q)
         self.prune = prune and split.l > 0
-        self._top, self.least = None, math.inf
+        self.least = math.inf
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
@@ -151,68 +151,6 @@ class PairEnergy:
                 f"edge compute misses the deadline at any rho (budget {cap:.6g} FLOPs)")
         return rho_max
 
-    def top(self) -> tuple[float, float, float]:
-        """(rho, p_s, a2) at the top of the bracket, computed once: rho_max
-        for a pair that prunes, rho = 1 (with no rho_max test) for one that
-        does not. Every check that evaluating E there makes before its KKT
-        solve runs here, in the same order, so a pair that fails one raises
-        the reason E would: rho_max, sensing_power, and power_freq's
-        deadline test (check_deadline)."""
-        if self._top is None:
-            s = self.split
-            rho = self.rho_max() if self.prune else 1.0
-            p_s = sensing_power(rho, s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
-                                s.ceiling, s.p_max)
-            a2 = s.flops.at(rho)
-            check_deadline(self.a1, a2, s.t2, s.t_min, s.nu_max)
-            self._top = rho, p_s, a2
-        return self._top
-
-    def relaxed_bound(self) -> float:
-        """Lower bound of E over every feasible rho of the pair, with no KKT
-        solve (InfeasibleError as `top` raises it):
-
-            t_sen*p_s(rho_top) + a1*T*p_c(T) + kappa*a2_lo*(a2_lo/(t2 - a1*t_min))^2
-
-        with a2_lo the edge FLOPs at the bottom of the pair's rho range
-        (RHO_FLOOR, or rho = 1 for a pair that does not prune), T =
-        max((t2 - a2_lo/nu_max)/a1, t_min) and p_c(t) = expm1(ln2/t)/g_over_bn0.
-        p_s does not rise with rho, and each edge term takes the other its
-        cheapest share of the deadline: the upload time is at most T, as the
-        edge compute takes at least a2_lo/nu_max, and t*p_c(t) falls as t
-        grows, to ln2/g_over_bn0 (the upload term where T overflows); the
-        edge frequency is at least a2_lo/(t2 - a1*t_min), as the upload takes
-        at least a1*t_min (and at most nu_max, the guard in the denominator).
-        """
-        _, p_s, a2 = self.top()
-        s, a1 = self.split, self.a1
-        a2_lo = s.a2_lo if self.prune else a2
-        bound = s.t_sen * p_s
-        if a1:
-            t = max((s.t2 - a2_lo / s.nu_max) / a1, s.t_min)
-            # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
-            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
-        if a2_lo:
-            nu = a2_lo / max(s.t2 - a1 * s.t_min, a2_lo / s.nu_max)
-            bound += s.kappa * a2_lo * nu**2
-        return bound
-
-    def bracket(self) -> tuple[float, float]:
-        """(rho_min, rho_max) with E evaluated at both ends: rho_max is the
-        largest rho whose edge compute meets the deadline at (p_max, nu_max),
-        rho_min the smallest rho whose sensing power fits under p_max (both
-        closed form). A pair that does not prune has the bracket [1, 1].
-        Raises InfeasibleError when no rho is feasible."""
-        rho_max, p_s, a2 = self.top()
-        self._record(rho_max, p_s, a2)
-        if not self.prune:
-            return rho_max, rho_max
-        s = self.split
-        rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
-                                    s.ceiling, s.ideal, s.p_max, RHO_FLOOR), rho_max)
-        self(rho_min)
-        return rho_min, rho_max
-
     def lower_bound(self, *rhos: float) -> float:
         """Lower bound of E on [rhos[0], rhos[-1]] from E evaluated at the
         increasing points `rhos` (2 or 3 from a Brent step): the least
@@ -227,14 +165,64 @@ class PairEnergy:
                 bound = right
         return bound
 
-    def search(self, rho_min: float, rho_max: float):
-        """Brent's method on the bracket (solvers.brent_steps) to a width of
-        EPS_RHO: a generator that yields the evaluated points in its current
-        bracket, the distinct points of Brent's (a, x, b), before each
-        evaluation of E, and returns the least-energy point it evaluated
-        (the bracket ends count, and the smallest rho wins ties)."""
-        return brent_steps(self, rho_min, rho_max, self.points[rho_min][0],
-                           self.points[rho_max][0], EPS_RHO)
+    def steps(self):
+        """The pair's search as a generator: before each unit of work it
+        yields a lower bound of E over the rho it can still return; it
+        returns the least-energy rho it evaluated (the smallest on ties),
+        and raises InfeasibleError where no rho is feasible. Three stages:
+
+        1. The top end, rho_max for a pair that prunes and rho = 1 for one
+           that does not, with every check E makes there before its KKT
+           solve, in order (rho_max, sensing_power, check_deadline); then a
+           yield of the relaxed bound, with no KKT solve:
+
+               t_sen*p_s(top) + a1*T*p_c(T) + kappa*a2_lo*(a2_lo/(t2 - a1*t_min))^2
+
+           with a2_lo the edge FLOPs at the bottom of the pair's rho range
+           (RHO_FLOOR, or the top for a pair that does not prune), T =
+           max((t2 - a2_lo/nu_max)/a1, t_min) and p_c(t) =
+           expm1(ln2/t)/g_over_bn0. p_s does not rise with rho, and each edge
+           term takes the other its cheapest share of the deadline: the
+           upload time is at most T, as the edge compute takes at least
+           a2_lo/nu_max, and t*p_c(t) falls as t grows, to ln2/g_over_bn0
+           (the upload term where T overflows); the edge frequency is at
+           least a2_lo/(t2 - a1*t_min), as the upload takes at least
+           a1*t_min (and at most nu_max, the guard in the denominator).
+        2. The bracket: E at the top, then at rho_min, the smallest rho
+           whose sensing power fits under p_max (pruning_floor). A pair that
+           does not prune returns the top here.
+        3. Brent's method on [rho_min, top] (solvers.brent_steps) to a
+           width of EPS_RHO, with a yield of lower_bound over the evaluated
+           points of its bracket before each evaluation of E.
+        """
+        s, a1 = self.split, self.a1
+        top = self.rho_max() if self.prune else 1.0
+        p_s = sensing_power(top, s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
+                            s.ceiling, s.p_max)
+        a2 = s.flops.at(top)
+        check_deadline(a1, a2, s.t2, s.t_min, s.nu_max)
+        a2_lo = s.a2_lo if self.prune else a2
+        bound = s.t_sen * p_s
+        if a1:
+            t = max((s.t2 - a2_lo / s.nu_max) / a1, s.t_min)
+            # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
+            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
+        if a2_lo:
+            nu = a2_lo / max(s.t2 - a1 * s.t_min, a2_lo / s.nu_max)
+            bound += s.kappa * a2_lo * nu**2
+        yield bound
+        e_top = self._record(top, p_s, a2)
+        if not self.prune:
+            return top
+        rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
+                                    s.ceiling, s.ideal, s.p_max, RHO_FLOOR), top)
+        search = brent_steps(self, rho_min, top, self(rho_min), e_top, EPS_RHO)
+        while True:
+            try:
+                rhos = next(search)
+            except StopIteration as done:
+                return done.value
+            yield self.lower_bound(*rhos)
 
 
 def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
@@ -272,58 +260,40 @@ def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
 
 def _enumerate(net, sc, ap, origin):
     """The one outer loop, a best-first branch and bound over the origin's
-    (l, q) pairs.
+    (l, q) pairs; the one per-origin rule in it is PairEnergy's `prune`,
+    false for no_prune (rho = 1).
 
-    Every pair of every origin takes the same path; the one per-origin rule
-    in the loop is PairEnergy's `prune`, false for no_prune (rho = 1).
-
-    One priority queue holds the pairs keyed by (lower bound, q, l), each
-    pair first with its relaxed bound (PairEnergy.relaxed_bound, no KKT
-    solve), on_server's and on_device's one pair too; a pair that raises
-    leaves its reason, and a NaN bound raises CheckError naming the pair,
-    as it would end the loop unsearched. Each pop advances the least pair
-    by one step: a pair not yet bracketed is bracketed (PairEnergy.bracket),
-    and a bracketed pair takes one step of its search (PairEnergy.search);
-    either is pushed back keyed by the lower bound from the points its
-    search yields (PairEnergy.lower_bound). The least E(rho) evaluated so far is the
-    incumbent, and a finished search competes for the answer on (E, q, l).
-    The loop stops when the least key is above the incumbent times
+    One priority queue holds each pair's search (PairEnergy.steps) keyed
+    by (lower bound, q, l), every pair first at -inf. Each pass advances
+    the least entry by one step: a yielded key puts it back (a NaN key
+    raises CheckError naming the pair, as it would end the loop unsearched),
+    an InfeasibleError leaves its reason, and a finished search competes
+    for the answer on (E, q, l). The least E(rho) evaluated so far is the
+    incumbent, and the loop stops when the least key is above it times
     (1 + PRUNE_RTOL). Every pair left in the queue then has every point it
-    could return above the incumbent, so it can neither beat nor tie the
-    answer: the answer is the least (E, q, l) over all pairs, with its
-    `iterations`, as if every pair were searched. The relaxed bound raises
-    every reason the bracket's top end would, so a pair is left unbracketed
-    only once it has passed every check that could reject it there.
+    could return above the incumbent, so the answer is the least (E, q, l)
+    over all pairs, with its `iterations`, as if every pair were searched.
 
-    The answer is built once, by _answer: check_feasible over the splits of
-    the pairs gives its cost, and CheckError names each constraint it
-    fails, with its slack. A loop that ends with a finite incumbent but no
-    finished search broke the invariant above (a key above its pair's least
-    E): it raises CheckError naming the origin, not an infeasible answer.
+    The answer is built once, by _answer, which raises CheckError naming
+    each constraint it fails. A loop that ends with a finite incumbent but
+    no finished search broke the invariant above (a key above its pair's
+    least E): it raises CheckError naming the origin, not an infeasible
+    answer.
     """
     if not all(0 <= l <= net.depth for l in sc.splits):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
     splits = {l: Split(net, sc, ap, l) for l in {l for l, _ in pairs}}
-    reasons, queue = [], []
+    queue = []
     for l, q in pairs:
         energy = PairEnergy(splits[l], q, origin != "no_prune")
-        try:
-            bound = energy.relaxed_bound()
-        except InfeasibleError as err:
-            reasons.append((l, q, err.reason))
-            continue
-        if math.isnan(bound):
-            raise CheckError(f"{origin} (l={l}, q={q}): relaxed bound is NaN")
-        queue.append((bound, q, l, energy, None))
+        queue.append((-math.inf, q, l, energy, energy.steps()))
     heapq.heapify(queue)
-    incumbent, best = math.inf, None
+    reasons, incumbent, best = [], math.inf, None
     while queue and queue[0][0] <= incumbent * (1.0 + PRUNE_RTOL):
         _, q, l, energy, steps = queue[0]
         try:
-            if steps is None:
-                steps = energy.search(*energy.bracket())
-            rhos = next(steps)
+            key = next(steps)
         except InfeasibleError as err:
             heapq.heappop(queue)
             reasons.append((l, q, err.reason))
@@ -334,7 +304,9 @@ def _enumerate(net, sc, ap, origin):
             if best is None or (e, q, l) < best[:3]:
                 best = (e, q, l, energy, done.value)
         else:
-            heapq.heapreplace(queue, (energy.lower_bound(*rhos), q, l, energy, steps))
+            if math.isnan(key):
+                raise CheckError(f"{origin} (l={l}, q={q}): lower bound is NaN")
+            heapq.heapreplace(queue, (key, q, l, energy, steps))
         incumbent = min(incumbent, energy.least)
     reasons = tuple(sorted(reasons))
     if best is None and incumbent < math.inf:

@@ -15,7 +15,8 @@ from isccopt.accuracy import accuracy_ceiling
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import INV_GOLDEN, min_rate_time
-from util import (finish, halve_sensing_power, make_scenario, min_pruning_ratio_probing,
+from util import (bracketed, finish, halve_sensing_power, make_scenario,
+                  min_pruning_ratio_probing,
                   min_sensing_power_composed, outcome, pruning_floor_at, record_math,
                   solve_pair, solve_pc_nue_reference)
 
@@ -145,7 +146,7 @@ class TestSolvePair:
         cap = (energy.split.t2 - energy.a1 * min_rate_time(sc)) * sc.nu_max
         assert nm.cum_flops(template_net, 1, 5, opt.RHO_FLOOR) > cap > 0
         with pytest.raises(InfeasibleError) as err:
-            energy.bracket()
+            next(energy.steps())
         assert err.value.reason == "latency_budget"
 
 
@@ -221,7 +222,7 @@ def exhaustive(kind, net, sc, ap):
         for q in [2] if l == net.depth else range(2, sc.q_max + 1):
             energy = opt.PairEnergy(split, q, prune=kind != "no_prune")
             try:
-                rho = finish(energy.search(*energy.bracket()))
+                rho = finish(energy.steps())
             except InfeasibleError as err:
                 reasons.append((l, q, err.reason))
                 continue
@@ -237,6 +238,28 @@ def exhaustive(kind, net, sc, ap):
         return opt.Solution(origin=kind, feasible=False, alloc=None, cost=None,
                             iterations=0, reasons=tuple(reasons))
     return replace(best, reasons=tuple(reasons))
+
+
+def watch_steps(monkeypatch, key):
+    """Patch PairEnergy.steps to pass each pair's i-th yield (from 0)
+    through key(energy, i, bound); returns the list of pairs whose search
+    returns, filled as they return."""
+    steps = opt.PairEnergy.steps
+    finished = []
+
+    def watched(self):
+        search, i = steps(self), 0
+        while True:
+            try:
+                bound = next(search)
+            except StopIteration as done:
+                finished.append(self)
+                return done.value
+            yield key(self, i, bound)
+            i += 1
+
+    monkeypatch.setattr(opt.PairEnergy, "steps", watched)
+    return finished
 
 
 def count_calls(monkeypatch, *names):
@@ -291,7 +314,7 @@ class TestBoundAndPrune:
                     # a pair that does not prune: its one point is rho = 1
                     energy = opt.PairEnergy(split, q, prune=False)
                     try:
-                        relaxed = energy.relaxed_bound() / (1.0 + 1e-12)
+                        relaxed = next(energy.steps()) / (1.0 + 1e-12)
                     except InfeasibleError:
                         pass
                     else:
@@ -299,15 +322,17 @@ class TestBoundAndPrune:
                         unpruned += 1
                     energy = opt.PairEnergy(split, q)
                     try:
-                        rho_min, rho_max = energy.bracket()
+                        relaxed, rho_min, rho_max, second = bracketed(energy)
                     except InfeasibleError:
                         continue
                     pairs += 1
                     bound = energy.lower_bound(rho_min, rho_max)
+                    # the second yield, where the bracket is wider than EPS_RHO
+                    assert second == (bound if rho_max - rho_min > opt.EPS_RHO else None)
                     # the relaxed bound can be exact (rho_min = RHO_FLOOR
                     # with the upload at p_max): then it and E round an ulp
                     # apart, far inside the gate's PRUNE_RTOL margin
-                    relaxed = energy.relaxed_bound() / (1.0 + 1e-12)
+                    relaxed /= 1.0 + 1e-12
                     assert relaxed <= bound
                     assert bound <= solve_pair(l, q, net, sc, ap).e_total
                     # the bound from interior points too, as a search uses it
@@ -341,7 +366,7 @@ class TestBoundAndPrune:
             for l, q in opt._pairs(net, sc):
                 split = opt.Split(net, sc, ap, l)
                 for prune in (True, False):
-                    calls = [lambda e: e.relaxed_bound(), lambda e: e.bracket()]
+                    calls = [lambda e: next(e.steps()), bracketed]
                     if not prune:
                         calls.append(lambda e: e(1.0))
                     outcomes = []
@@ -404,17 +429,16 @@ class TestBoundAndPrune:
         # the stock solve starts searches on fewer pairs than it queues
         # (the relaxed bound keeps the others from being bracketed) and
         # abandons some of the searches it starts
-        searches, finished = [], []
-        search = opt.PairEnergy.search
+        searches = set()
 
-        def logged(self, *rhos):
-            searches.append(self)
-            rho = yield from search(self, *rhos)
-            finished.append(self)
-            return rho
+        def key(energy, i, bound):
+            if i:
+                searches.add(energy)   # a yield past the relaxed bound
+            return bound
 
-        monkeypatch.setattr(opt.PairEnergy, "search", logged)
+        finished = watch_steps(monkeypatch, key)
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
+        searches.update(finished)
         queued = len(opt._pairs(template_net, default_scenario)) - len(sol.reasons)
         assert sol.feasible
         assert 1 <= len(finished) < len(searches) < queued
@@ -523,9 +547,13 @@ class TestFixedCosts:
         # and on_device, with one pair, take exactly one; a lone pair
         # rejected there keeps the reason the relaxed bound raises
         calls = []
-        relaxed_bound = opt.PairEnergy.relaxed_bound
-        monkeypatch.setattr(opt.PairEnergy, "relaxed_bound",
-                            lambda self: calls.append(self) or relaxed_bound(self))
+        steps = opt.PairEnergy.steps
+
+        def counted(self):
+            calls.append(self)
+            return (yield from steps(self))
+
+        monkeypatch.setattr(opt.PairEnergy, "steps", counted)
         rejected = 0
         for t_max, r_t in ((0.8, 0.9), (0.51, 0.85), (0.5001, 0.9), (1.8, 0.99)):
             sc = make_scenario(t_max=t_max, r_t=r_t)
@@ -540,16 +568,14 @@ class TestFixedCosts:
                 rejected += 1
                 [(l, q, reason)] = sol.reasons
                 energy = opt.PairEnergy(opt.Split(template_net, sc, default_params, l), q)
-                assert outcome(relaxed_bound, energy)[0] == reason
+                assert outcome(next, steps(energy))[0] == reason
         assert rejected >= 2
 
     def test_nan_bound_fails_closed(self, template_net, default_scenario, default_params,
                                     monkeypatch):
-        relaxed_bound = opt.PairEnergy.relaxed_bound
-        monkeypatch.setattr(opt.PairEnergy, "relaxed_bound",
-                            lambda self: math.nan if (self.split.l, self.q) == (3, 4)
-                            else relaxed_bound(self))
-        with pytest.raises(CheckError, match=r"proposed \(l=3, q=4\): relaxed bound is NaN"):
+        watch_steps(monkeypatch, lambda energy, i, bound: math.nan
+                    if (energy.split.l, energy.q, i) == (3, 4, 0) else bound)
+        with pytest.raises(CheckError, match=r"proposed \(l=3, q=4\): lower bound is NaN"):
             opt.solve_scenario(template_net, default_scenario, default_params)
 
     def test_overflowing_deadline_solves_as_a_finite_one(self, template_net, default_params):
@@ -589,15 +615,59 @@ class TestFixedCosts:
         assert no_prune.alloc == got.alloc
 
 
-def golden_search(energy, rho_min, rho_max):
+class TestOnePathLoop:
+    """_enumerate advances every pair's search (PairEnergy.steps) the same
+    way, from its first step to its last."""
+
+    @pytest.mark.parametrize("i", [1, 5, 11])
+    def test_nan_key_fails_closed_at_a_later_step(self, template_net, default_scenario,
+                                                  default_params, monkeypatch, i):
+        # the stock winner (2, 6) yields 12 keys: its relaxed bound, then a
+        # bound per search step
+        watch_steps(monkeypatch, lambda energy, j, bound: math.nan
+                    if (energy.split.l, energy.q, j) == (2, 6, i) else bound)
+        with pytest.raises(CheckError, match=r"proposed \(l=2, q=6\): lower bound is NaN"):
+            opt.solve_scenario(template_net, default_scenario, default_params)
+
+    def test_unbracketable_pair_raises_on_its_first_step(self, template_net,
+                                                         default_params):
+        # a pair whose top end fails raises on its first next(), with the
+        # reason and message that E raises there, and evaluates nothing
+        seen = set()
+        for t_max in (0.5001, 0.501, 0.505, 0.51):
+            for r_t in (0.85, 0.95, 0.99):
+                sc = make_scenario(t_max=t_max, r_t=r_t)
+                for l, q in opt._pairs(template_net, sc):
+                    split = opt.Split(template_net, sc, default_params, l)
+                    for prune in (True, False):
+                        top = opt.PairEnergy(split, q, prune=prune)
+                        want = outcome(lambda e: e(e.rho_max() if e.prune else 1.0), top)
+                        if not isinstance(want, tuple):
+                            continue
+                        energy = opt.PairEnergy(split, q, prune=prune)
+                        assert outcome(next, energy.steps()) == want, (l, q, prune, sc)
+                        assert energy.points == {}
+                        seen.add(want[0])
+        assert {"latency_budget", "sensing_power_cap"} <= seen
+
+    @pytest.mark.parametrize("origin, kkt, floors", [
+        ("proposed", 83, 19), ("on_server", 1, 0), ("on_device", 13, 1), ("no_prune", 1, 0)])
+    def test_stock_kernel_calls(self, template_net, default_scenario, default_params,
+                                monkeypatch, origin, kkt, floors):
+        calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
+        opt._enumerate(template_net, default_scenario, default_params, origin)
+        assert (calls["power_freq"], calls["pruning_floor"]) == (kkt, floors)
+
+
+def golden_search(energy, rho_min, rho_max, e_min, e_max, eps):
     """The golden-section pair search that Brent's method replaced, as a
-    reference for PairEnergy.search, with its protocol: golden-section steps
-    to a bracket of EPS_RHO, yielding the evaluated points of the golden
-    bracket (its ends and interior points), ascending, before each
-    evaluation of E; returns the least E of rho_min, the final bracket's
+    reference for solvers.brent_steps in PairEnergy.steps, with its
+    protocol: golden-section steps to a bracket of eps, yielding the
+    evaluated points of the golden bracket (its ends and interior points),
+    ascending, before each evaluation of E; returns the least E of rho_min, the final bracket's
     midpoint and rho_max."""
     rhos = [rho_min, rho_max]
-    if rho_max - rho_min > opt.EPS_RHO:
+    if rho_max - rho_min > eps:
         lb, ub = rho_min, rho_max
         x1, x2 = lb + (1.0 - INV_GOLDEN) * (ub - lb), lb + INV_GOLDEN * (ub - lb)
         yield lb, ub
@@ -605,7 +675,7 @@ def golden_search(energy, rho_min, rho_max):
         yield lb, x1, ub
         f2 = energy(x2)
         width = math.inf
-        while opt.EPS_RHO < ub - lb < width:
+        while eps < ub - lb < width:
             yield lb, x1, x2, ub
             width = ub - lb
             if f1 < f2:
@@ -658,7 +728,7 @@ class TestBrentPairSearch:
         # same feasibility, pair and reasons as the golden-section search,
         # no higher energy, and no more E(rho) evaluations on any input
         got = count_evaluations(monkeypatch, search_cases)
-        monkeypatch.setattr(opt.PairEnergy, "search", golden_search)
+        monkeypatch.setattr(opt, "brent_steps", golden_search)
         want = count_evaluations(monkeypatch, search_cases)
         for i, ((g, g_evals), (w, w_evals)) in enumerate(zip(got, want)):
             assert (g.feasible, g.reasons) == (w.feasible, w.reasons), i

@@ -10,7 +10,7 @@ from isccopt.oracles import random_power_freq_context
 from isccopt import solvers
 from isccopt.solvers import (INV_GOLDEN, KKT_REL_TOL, LN2, brent, brent_steps, min_rate_time,
                              power_freq)
-from util import (UNIMODAL_BATTERY, finish, golden_section, kkt_args, kkt_residuals,
+from util import (UNIMODAL_BATTERY, bracketed, finish, golden_section, kkt_args, kkt_residuals,
                   make_scenario, outcome, pc_objective, solve_pair, solve_pc_nue_reference,
                   t_stationary_rootfind)
 
@@ -188,7 +188,7 @@ class TestBrentSteps:
         for l, q in _pairs(template_net, default_scenario):
             energy = PairEnergy(Split(template_net, default_scenario, default_params, l), q)
             try:
-                rho_min, rho_max = energy.bracket()
+                _, rho_min, rho_max, _ = bracketed(energy)
             except InfeasibleError:
                 continue
             if rho_max - rho_min > EPS_RHO:

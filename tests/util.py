@@ -153,7 +153,7 @@ def flops(layer, rho=1.0):
 
 
 def finish(steps):
-    """Run a search generator (solvers.brent_steps, PairEnergy.search) to
+    """Run a search generator (solvers.brent_steps, PairEnergy.steps) to
     its end and return what it returns."""
     while True:
         try:
@@ -167,12 +167,22 @@ def solve_pair(l, q, net, sc, ap):
     allocation of the pair (l, q), checked on the split l.
 
     Minimizes E(rho) of PairEnergy by Brent's method over [rho_min, rho_max]
-    (PairEnergy.bracket, then PairEnergy.search run to its end). Raises
-    InfeasibleError when no rho is feasible, and CheckError when the answer
-    fails its check.
+    (PairEnergy.steps run to its end). Raises InfeasibleError when no rho is
+    feasible, and CheckError when the answer fails its check.
     """
     energy = optimizer.PairEnergy(optimizer.Split(net, sc, ap, l), q)
-    return optimizer._answer(energy, finish(energy.search(*energy.bracket())), "proposed", {l})
+    return optimizer._answer(energy, finish(energy.steps()), "proposed", {l})
+
+
+def bracketed(energy):
+    """Run a fresh pair's search (PairEnergy.steps) through its bracket:
+    its first yield (the relaxed bound), the bracket (rho_min, rho_max) it
+    evaluated E at, and its second yield, None where the search returned
+    there. Raises the InfeasibleError the search raises."""
+    steps = energy.steps()
+    relaxed = next(steps)
+    second = next(steps, None)
+    return relaxed, min(energy.points), max(energy.points), second
 
 
 def outcome(f, *args):
@@ -194,7 +204,7 @@ def sensing_power_at(rho, q, terms, params, r_t, p_max):
 
 def pruning_floor_at(q, terms, params, r_t, p_max, floor):
     """accuracy.pruning_floor at pair bits q, with the constants that
-    PairEnergy.bracket binds computed from (q, terms, params)."""
+    PairEnergy.steps binds computed from (q, terms, params)."""
     return pruning_floor(terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
                          margin_factor(terms, params), r_t, params.a, params.b,
                          accuracy_ceiling(params), ideal_accuracy(p_max, params), p_max, floor)
