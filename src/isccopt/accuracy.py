@@ -17,6 +17,9 @@ FIT_B_BRACKET = (1e-4, 1e4)
 FIT_LOGB_TOL = 1e-12
 # rounding slack on the accuracy cap a*pi/2 <= 1
 A_CAP_SLACK = 1e-12
+# rounding of K as sensing_power composes it and of K* = 1 - r_t/ideal, a
+# few ulps of 1, which pruning_floor's root of u = U* carries
+K_ROUNDING = 4.0 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -71,13 +74,35 @@ class PenaltyTerms:
             raise ValueError("penalty terms must be nonnegative")
 
 
+# _u sums u's series where ln(rho) >= U_SERIES_X, by Horner over these
+# coefficients 1/((k+3) k!), k = 12..0
+U_SERIES_X = -0.3
+_U_SERIES = tuple(1.0 / ((k + 3) * math.factorial(k)) for k in range(12, -1, -1))
+
+
 def _u(rho: float, log_rho: float) -> float:
-    """pruning_error_factor's u(rho), unchecked, from log_rho = ln(rho)."""
-    return 2.0 - rho - rho * (log_rho - 1.0) ** 2
+    """pruning_error_factor's u(rho) = integral of (ln t)^2 over [rho, 1],
+    unchecked, from x = log_rho = ln(rho).
+
+    The closed form 2 - rho - rho*(x - 1)^2 cancels as rho -> 1, where u ~
+    -x^3/3. So for x >= U_SERIES_X (rho >= 0.74) u is summed from its series
+    -sum_k x^(k+3)/((k+3) k!), 13 terms: the first left out is below 1e-17
+    of the sum, and each term is at most 3|x|/4 of the one before, so the
+    sum keeps a few ulps. Below, the closed form's rounding, a few ulps of
+    1, is at most 7e-14 of u > 0.0073. So u is >= 0 and within 1e-13
+    relative of u at the float rho (5.2e-14 measured against a 120-digit
+    reference, the worst just below U_SERIES_X)."""
+    if log_rho < U_SERIES_X:
+        return 2.0 - rho - rho * (log_rho - 1.0) ** 2
+    s = 0.0
+    for c in _U_SERIES:
+        s = s * log_rho + c
+    return -log_rho ** 3 * s
 
 
 def pruning_error_factor(rho: float) -> float:
-    """Dimensionless pruning error factor 2 - rho - rho*(ln(rho) - 1)^2.
+    """Dimensionless pruning error factor 2 - rho - rho*(ln(rho) - 1)^2,
+    evaluated without cancellation near rho = 1 (_u).
 
     Equals 0 at rho=1 and decreases monotonically as rho grows;
     derivative is -(ln rho)^2.
@@ -185,8 +210,8 @@ def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r
 def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a: float,
                   b: float, ceiling: float, ideal: float, p_max: float,
                   floor: float) -> float:
-    """Smallest rho >= floor at which sensing_power stays within p_max, from
-    its constants and ideal = ideal_accuracy(p_max, params); floor in (0, 1]
+    """Smallest rho >= floor, to the rounding of K, at which sensing_power
+    stays within p_max, from its constants and ideal = ideal_accuracy(p_max, params); floor in (0, 1]
     is not checked. That is K <= K* = 1 - r_t/ideal, or u(rho) =
     pruning_error_factor(rho) <= U*, with U* from K(1) = margin_penalty(0, ...).
 
@@ -196,13 +221,17 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
     (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >= (1 - rho)^3/3, so the steps
     start at the larger of `floor` and 1 - (3 U*)^(1/3); when U* < 0 no
     rho < 1 qualifies (u >= 0). Upward probes, one ln each, then close the
-    last ulps of rounding: below rho = 1 a probe calls sensing_power with no
-    cap and compares with p_max, so a cap miss constructs no error; rho = 1
-    is probed with the cap, and raises InfeasibleError with its reason when
-    no rho in [floor, 1] is feasible.
+    gap that rounding leaves, with steps that double. K and K* round by
+    about K_ROUNDING, which moves the root by K_ROUNDING/(scale (ln rho)^2):
+    where the steps raised rho above `floor`, the probes start that step
+    above the root, and elsewhere at rho with a step of an ulp. Below
+    rho = 1 a probe calls sensing_power with no cap and compares with
+    p_max, so a cap miss constructs no error; rho = 1 is probed with the
+    cap, and raises InfeasibleError with its reason when no rho in
+    [floor, 1] is feasible.
     """
     scale = margin * prune_coeff if prune_coeff else 0.0
-    rho = floor
+    rho, step = floor, 0.0
     if scale > 0.0 and r_t < ideal:
         u_star = (1.0 - r_t / ideal - margin_penalty(0.0, prune_coeff, quant, margin)) / scale
         if u_star < 0.0:
@@ -211,11 +240,14 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
             rho = max(floor, 1.0 - (3.0 * u_star) ** (1.0 / 3.0))
         while rho < 1.0:
             log_rho = math.log(rho)
-            step = (_u(rho, log_rho) - u_star) / log_rho ** 2
-            if not rho + step > rho:
+            newton = (_u(rho, log_rho) - u_star) / log_rho ** 2
+            if not rho + newton > rho:
+                if rho > floor:
+                    step = K_ROUNDING / (scale * log_rho ** 2)
+                    rho = min(rho + step, 1.0)
                 break
-            rho = min(rho + step, 1.0)
-    step = math.ulp(rho)
+            rho = min(rho + newton, 1.0)
+    step = max(step, math.ulp(rho))
     while rho < 1.0:
         try:
             if not sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling,

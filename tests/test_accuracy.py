@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 from dataclasses import replace
@@ -40,6 +41,30 @@ class TestPruningErrorFactor:
             numeric = (pruning_error_factor(rho + h)
                        - pruning_error_factor(rho - h)) / (2 * h)
             assert abs(numeric - (-(math.log(rho)) ** 2)) <= 1e-6
+
+    def test_matches_a_120_digit_reference(self):
+        # u(rho) = 2 - rho - rho*(ln rho - 1)^2 at the float rho in 120-digit
+        # decimal arithmetic; near rho = 1 the float closed form cancels (at
+        # 1 - 7.4e-12 it gave -2.2e-16), the stable u keeps 1e-13
+        rhos = [*np.geomspace(1e-9, 1.0, 2000)[:-1], *(1.0 - np.geomspace(1e-16, 0.9, 2000))]
+        rhos += [1.0 - 10.0**-k for k in range(1, 16)] + [1.0 - 7.4e-12, math.exp(-0.3)]
+        rhos += [math.nextafter(math.exp(-0.3), d) for d in (0.0, 1.0)]
+        worst = 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 120
+            for rho in map(float, rhos):
+                r = decimal.Decimal(rho)
+                want = 2 - r - r * (r.ln() - 1) ** 2
+                got = decimal.Decimal(pruning_error_factor(rho))
+                worst = max(worst, abs((got - want) / want))
+        assert worst <= 1e-13
+
+    def test_nonnegative_and_nonincreasing_up_to_one(self):
+        grid = np.concatenate([np.linspace(1e-9, 1.0, 100001),
+                               1.0 - np.geomspace(1e-16, 1e-2, 20001)[::-1]])
+        vals = [pruning_error_factor(float(r)) for r in np.unique(grid)]
+        assert min(vals) >= 0.0 and vals[-1] == 0.0
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
 from isccopt.cost import check_feasible, total_cost
 from isccopt.errors import ConfigError
-from isccopt.optimizer import (ORIGINS, _pairs, penalty_terms, solution_from_dict,
-                               solve_baseline, solve_scenario)
+from isccopt.optimizer import (ORIGINS, PairEnergy, _pairs, penalty_terms,
+                               solution_from_dict, solve_baseline, solve_scenario)
 from isccopt.oracles import random_test_case
 from util import halve_sensing_power
 
@@ -312,12 +312,11 @@ class TestCliSolve:
                    str(cfg_path), "--out", str(tmp_path / "sweep")])
         assert rc == 0, capsys.readouterr().err
 
-    def test_deep_stack_that_finishes_no_search_exits_4(self, tmp_path, capsys):
-        # a 12-layer FC stack (weight seed 20) where u(rho) = 2 - rho -
-        # rho*(ln rho - 1)^2 cancels near rho = 1: the search of (10, 6)
-        # pushes a key above its own least E, so the loop stops with a
-        # finite incumbent and no finished search. That is a broken
-        # invariant, not an infeasible problem: exit 4, not 2
+    def test_deep_stack_answers(self, tmp_path, capsys):
+        # a 12-layer FC stack (weight seed 20) whose best pair prunes next
+        # to rho = 1, where u(rho)'s closed form 2 - rho - rho*(ln rho - 1)^2
+        # cancels: with the closed form, the search of (10, 6) pushed a key
+        # above its own least E and the solve exited 4
         layers = ([{"kind": "fc", "n": 128, "n_prev": 256}]
                   + [{"kind": "fc", "n": 128, "n_prev": 128}] * 10
                   + [{"kind": "fc", "n": 10, "n_prev": 128}])
@@ -328,9 +327,21 @@ class TestCliSolve:
                         "target_norms": norms},
             "scenario": {"splits": list(range(13))}}))
         rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        alloc = json.loads((tmp_path / "out" / "solution.json").read_text())["solution"][
+            "allocation"]
+        assert (alloc["l"], alloc["q"]) == (10, 6)
+
+    def test_search_that_finishes_no_pair_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a key above every point of its pair breaks the loop's invariant:
+        # the on-device pair is bracketed, its search is keyed at inf, and
+        # the loop stops with a finite incumbent and no finished search.
+        # That is a broken invariant, not an infeasible problem: exit 4
+        monkeypatch.setattr(PairEnergy, "lower_bound", lambda self, *rhos: math.inf)
+        rc = main(["baseline", "--kind", "on_device", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4, err
-        assert "proposed: no pair finished its search" in err
+        assert "on_device: no pair finished its search" in err
         assert not (tmp_path / "out" / "solution.json").exists()
 
 

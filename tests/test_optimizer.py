@@ -518,8 +518,11 @@ class TestFixedCosts:
                                                  default_params, monkeypatch):
         # every stock pair at tight accuracy targets: a call that returns
         # raises nothing, although most of them probe the cap more than
-        # once (a probe that reaches the cap takes one tan)
+        # once (a probe that reaches the cap takes one tan). With K_ROUNDING
+        # at 0 the probes start at the Newton root; from K_ROUNDING above
+        # it nearly every call returns at its first probe
         import isccopt.accuracy as acc
+        monkeypatch.setattr(acc, "K_ROUNDING", 0.0)
         made = []
         init = InfeasibleError.__init__
         monkeypatch.setattr(InfeasibleError, "__init__",
@@ -657,6 +660,33 @@ class TestOnePathLoop:
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
         opt._enumerate(template_net, default_scenario, default_params, origin)
         assert (calls["power_freq"], calls["pruning_floor"]) == (kkt, floors)
+
+
+class TestDeepStacks:
+    """Fully connected stacks whose penalty coefficients grow geometrically
+    with depth (to 1.4e36 at depth 32), so that K = 1 is crossed within
+    1e-12 of rho = 1, where u(rho) must not cancel."""
+
+    @pytest.mark.parametrize("depth, pair, e_total", [
+        (12, (10, 6), 0.02149083), (16, (14, 6), 0.02231660),
+        (24, (22, 6), 0.02581916), (32, (29, 6), 0.03219955)])
+    def test_answers_and_relaxed_bounds(self, default_params, monkeypatch,
+                                        depth, pair, e_total):
+        # the closed-form u answered depth 12 with no finished search,
+        # and depths 16-32 with (14, 6) 0.01332 J, (23, 5) 0.005554 J and
+        # (31, 6) 0.01306 J at points where the rounded u < 0 (p_s down to
+        # 5.5e-20 W), below their pairs' relaxed bounds
+        net = nm.random_fc_network([256] + [128] * (depth - 1) + [10], [50.0] * depth, 1)
+        sc = make_scenario(splits=tuple(range(depth + 1)), q_max=6)
+        first = {}
+        watch_steps(monkeypatch, lambda energy, i, bound:
+                    first.setdefault(energy, bound) if i == 0 else bound)
+        sol = opt.solve_scenario(net, sc, default_params)
+        assert (sol.alloc.l, sol.alloc.q) == pair
+        assert sol.e_total == pytest.approx(e_total, rel=1e-6)
+        assert sum(len(energy.points) for energy in first) >= 20
+        for energy, bound in first.items():
+            assert all(bound <= point[0] for point in energy.points.values())
 
 
 def golden_search(energy, rho_min, rho_max, e_min, e_max, eps):

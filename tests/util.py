@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from isccopt import netmodel, optimizer, oracles, sensing, solvers
+from isccopt import accuracy, netmodel, optimizer, oracles, sensing, solvers
 from isccopt.accuracy import (FIT_B_BRACKET, FIT_LOGB_TOL, accuracy_ceiling, ideal_accuracy,
                               margin_factor, penalty_factor, pruning_error_factor, pruning_floor,
                               quant_error_factor, sensing_power)
@@ -288,13 +288,13 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
 
 
 def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
-    """Reference for accuracy.pruning_floor: the same Newton start and
-    steps, then upward probes that each call min_sensing_power_composed
-    with the cap p_max and catch the InfeasibleError of every probe that
-    misses it."""
+    """Reference for accuracy.pruning_floor: the same Newton start, steps
+    and first probe step, then upward probes that each call
+    min_sensing_power_composed with the cap p_max and catch the
+    InfeasibleError of every probe that misses it."""
     scale = margin_factor(terms, params) * terms.prune_coeff if terms.prune_coeff else 0.0
     ideal = ideal_accuracy(p_max, params)
-    rho = floor
+    rho, step = floor, 0.0
     if scale > 0.0 and r_t < ideal:
         u_star = (1.0 - r_t / ideal - penalty_factor(1.0, q, terms, params)) / scale
         if u_star < 0.0:
@@ -302,11 +302,15 @@ def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
         elif 3.0 * u_star < 1.0:
             rho = max(floor, 1.0 - (3.0 * u_star) ** (1.0 / 3.0))
         while rho < 1.0:
-            step = (pruning_error_factor(rho) - u_star) / math.log(rho) ** 2
-            if not rho + step > rho:
+            newton = (pruning_error_factor(rho) - u_star) / math.log(rho) ** 2
+            if not rho + newton > rho:
+                if rho > floor:
+                    # the rounding of K and K* moves the root by this step
+                    step = accuracy.K_ROUNDING / (scale * math.log(rho) ** 2)
+                    rho = min(rho + step, 1.0)
                 break
-            rho = min(rho + step, 1.0)
-    step = math.ulp(rho)
+            rho = min(rho + newton, 1.0)
+    step = max(step, math.ulp(rho))
     while True:
         try:
             min_sensing_power_composed(rho, q, terms, params, r_t, p_max)
