@@ -11,7 +11,7 @@ from . import netmodel
 from .accuracy import AccuracyParams, PenaltyTerms, accuracy_lower_bound
 from .netmodel import NetworkModel
 from .sensing import sensing_cost
-from .solvers import LN2
+from .solvers import LN2, min_rate_time
 
 
 # widest feature word, in bits, that a bit width q may ask for
@@ -61,10 +61,10 @@ class Scenario:
             raise ValueError("target accuracy must lie in [0, 1)")
         if int(self.q_max) != self.q_max or not 2 <= self.q_max <= MAX_BITS:
             raise ValueError(f"q_max must be an integer in 2..{MAX_BITS}, got {self.q_max}")
-        if math.log2(1.0 + self.g_over_bn0 * self.p_max) <= 0.0:
+        if not (self.g_over_bn0 * self.p_max > 0.0 and min_rate_time(self) < math.inf):
             raise ValueError(f"the SNR at p_max, g_over_bn0 * p_max = "
                              f"{self.g_over_bn0 * self.p_max:.3g}, is too small for "
-                             f"any uplink rate (log2(1 + SNR) rounds to 0)")
+                             f"any uplink rate (1/log2(1 + SNR) is not finite)")
         if not self.splits or len(set(self.splits)) != len(self.splits):
             raise ValueError(f"splits must be nonempty without repeats, got {self.splits}")
         if any(int(l) != l or l < 0 for l in self.splits):

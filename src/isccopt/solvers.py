@@ -115,8 +115,9 @@ def brent(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float) -> floa
 
 
 def min_rate_time(sc: Scenario) -> float:
-    """Smallest admissible inverse spectral efficiency, reached at p_max."""
-    return 1.0 / math.log2(1.0 + sc.g_over_bn0 * sc.p_max)
+    """Smallest admissible inverse spectral efficiency 1/log2(1 + SNR),
+    reached at p_max, through log1p, as cost.comm_rate takes the rate."""
+    return LN2 / math.log1p(sc.g_over_bn0 * sc.p_max)
 
 
 def check_deadline(a1: float, a2: float, t2: float, t_min: float, nu_max: float) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -312,6 +313,31 @@ class TestCliSolve:
                    str(cfg_path), "--out", str(tmp_path / "sweep")])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr_db", [-165, -300])
+    @pytest.mark.parametrize("command", [["solve"], ["baseline", "--kind", "on_device"]])
+    def test_tiny_snr_answers_on_the_device(self, tmp_path, capsys, snr_db, command):
+        # log2(1 + g*p_max) rounds to 0 below g*p_max = 1.1e-16, but the
+        # rate ln(1 + SNR)/ln2 through log1p stays positive: the problem is
+        # not refused, and the device, which uploads nothing, answers
+        cfg_path = tmp_path / "snr.json"
+        cfg_path.write_text(json.dumps({"scenario": {"snr_db": snr_db}}))
+        rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        [path] = (tmp_path / "out").glob("*.json")
+        sol = json.loads(path.read_text())["solution"]
+        assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
+        assert sol["cost"]["e_total"] == pytest.approx(0.0233641, rel=1e-5)
+
+    def test_tiny_sensing_power_cap_is_infeasible(self, tmp_path, capsys):
+        # p_max = 1e-300 leaves a tiny but positive uplink rate, so the
+        # config is not refused: every pair is rejected with its reason
+        cfg_path = tmp_path / "pmax.json"
+        cfg_path.write_text(json.dumps({"scenario": {"p_max": 1e-300}}))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "l=7 q=2: sensing_power_cap" in err
+
     def test_deep_stack_answers(self, tmp_path, capsys):
         # a 12-layer FC stack (weight seed 20) whose best pair prunes next
         # to rho = 1, where u(rho)'s closed form 2 - rho - rho*(ln rho - 1)^2
@@ -406,7 +432,8 @@ BAD_VALUES = [
     ("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0}),
     ("echo", "clutter", [{"delay": 1e-6}]),
     ("echo", "clutter", [{"delay": 1e-6, "gain": True}]),
-    ("scenario", "p_max", 1e-300),
+    # g*p_max below about 4e-309: the least inverse rate ln2/log1p(SNR) is inf
+    ("scenario", "p_max", 1e-320),
     # the solver block is gone: its keys are unknown and named in the message
     ("solver", "eps_rho", 0),
     ("solver", "eps_rho", float("nan")),
@@ -583,10 +610,20 @@ class TestCliSweepAndBaseline:
 
     def test_sweep_bad_values(self, tmp_path):
         # not a number, and an SNR too small for any uplink rate
-        for axis, values in (("t_max", "abc"), ("snr", "1e-300")):
+        for axis, values in (("t_max", "abc"), ("snr", "1e-320")):
             rc = main(["sweep", "--axis", axis, "--values", values,
                        "--out", str(tmp_path)])
             assert rc == 3, values
+
+    def test_sweep_at_a_tiny_snr_answers(self, tmp_path):
+        # at g/(B N0) = 1e-300 the uplink rate is tiny but positive: the
+        # on-device row, which uploads nothing, answers as at the stock SNR
+        rc = main(["sweep", "--axis", "snr", "--values", "1e-300", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        rows = {row["origin"]: row for row in csv.DictReader(lines)}
+        assert rows["on_device"]["feasible"] == "True"
+        assert float(rows["on_device"]["e_total"]) == pytest.approx(0.0233641, rel=1e-5)
 
     def test_baseline(self, tmp_path, capsys):
         rc = main(["baseline", "--kind", "on_device", "--out", str(tmp_path)])
