@@ -74,26 +74,24 @@ class PenaltyTerms:
             raise ValueError("penalty terms must be nonnegative")
 
 
-# _u sums u's series where ln(rho) >= U_SERIES_X, by Horner over these
-# coefficients 1/((k+3) k!), k = 12..0
-U_SERIES_X = -0.3
+# coefficients 1/((k+3) k!), k = 12..0, of u's series, summed by Horner in _u
 _U_SERIES = tuple(1.0 / ((k + 3) * math.factorial(k)) for k in range(12, -1, -1))
 
 
 def _u(rho: float, log_rho: float) -> float:
     """pruning_error_factor's u(rho) = integral of (ln t)^2 over [rho, 1],
-    unchecked, from x = log_rho = ln(rho).
-
-    The closed form 2 - rho - rho*(x - 1)^2 cancels as rho -> 1, where u ~
-    -x^3/3. So for x >= U_SERIES_X (rho >= 0.74) u is summed from its series
-    -sum_k x^(k+3)/((k+3) k!), 13 terms: the first left out is below 1e-17
-    of the sum, and each term is at most 3|x|/4 of the one before, so the
-    sum keeps a few ulps. Below, the closed form's rounding, a few ulps of
-    1, is at most 7e-14 of u > 0.0073. So u is >= 0 and within 1e-13
-    relative of u at the float rho (5.2e-14 measured against a 120-digit
-    reference, the worst just below U_SERIES_X)."""
-    if log_rho < U_SERIES_X:
+    unchecked, from x = log_rho = ln(rho). The closed form 2 - rho -
+    rho*(x - 1)^2 cancels as rho -> 1, where u ~ -x^3/3, so for x >= -0.3
+    (rho >= 0.74) u is summed from its series
+    -sum_k x^(k+3)/((k+3) k!): 13 terms leave out less than 1e-17 of the
+    sum, each at most 3|x|/4 of the one before. Below, the closed form's
+    rounding, a few ulps of 1, is at most 7e-14 of u > 0.0073. So u is >= 0
+    and within 1e-13 relative of u at the float rho (5.2e-14 measured
+    against a 120-digit reference, the worst just below x = -0.3)."""
+    if log_rho < -0.3:
         return 2.0 - rho - rho * (log_rho - 1.0) ** 2
+    if not log_rho:   # rho = 1, where every pair that does not prune sits
+        return 0.0
     s = 0.0
     for c in _U_SERIES:
         s = s * log_rho + c
@@ -211,24 +209,23 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
                   b: float, ceiling: float, ideal: float, p_max: float,
                   floor: float) -> float:
     """Smallest rho >= floor, to the rounding of K, at which sensing_power
-    stays within p_max, from its constants and ideal = ideal_accuracy(p_max, params); floor in (0, 1]
-    is not checked. That is K <= K* = 1 - r_t/ideal, or u(rho) =
-    pruning_error_factor(rho) <= U*, with U* from K(1) = margin_penalty(0, ...).
+    stays within p_max, from its constants and ideal = ideal_accuracy(p_max,
+    params); floor in (0, 1] is not checked. That is K <= K* = 1 - r_t/ideal,
+    or u(rho) <= U*, with U* from K(1) = margin_penalty(0, ...).
 
     u is convex and decreasing with derivative -(ln rho)^2, so Newton steps
     from left of the root rise monotonically to it, until a step no longer
     moves rho; each step passes its ln to _u and to the slope. As
     (ln s)^2 >= (1 - s)^2 on (0, 1], u(rho) >= (1 - rho)^3/3, so the steps
     start at the larger of `floor` and 1 - (3 U*)^(1/3); when U* < 0 no
-    rho < 1 qualifies (u >= 0). Upward probes, one ln each, then close the
-    gap that rounding leaves, with steps that double. K and K* round by
-    about K_ROUNDING, which moves the root by K_ROUNDING/(scale (ln rho)^2):
-    where the steps raised rho above `floor`, the probes start that step
-    above the root, and elsewhere at rho with a step of an ulp. Below
-    rho = 1 a probe calls sensing_power with no cap and compares with
-    p_max, so a cap miss constructs no error; rho = 1 is probed with the
-    cap, and raises InfeasibleError with its reason when no rho in
-    [floor, 1] is feasible.
+    rho < 1 qualifies (u >= 0). Upward probes, one ln each, with steps that
+    double, then close the gap that rounding leaves: K and K* round by
+    about K_ROUNDING, which moves the root by K_ROUNDING/(scale (ln rho)^2),
+    so the probes start that step above a root the steps rose to (at rho,
+    with a step of an ulp, elsewhere). Below rho = 1 a probe calls
+    sensing_power with no cap and compares with p_max, so a cap miss
+    constructs no error; rho = 1 is probed with the cap, and raises
+    InfeasibleError with its reason when no rho in [floor, 1] is feasible.
     """
     scale = margin * prune_coeff if prune_coeff else 0.0
     rho, step = floor, 0.0

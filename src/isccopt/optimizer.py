@@ -284,10 +284,8 @@ def _enumerate(net, sc, ap, origin):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
     splits = {l: Split(net, sc, ap, l) for l in {l for l, _ in pairs}}
-    queue = []
-    for l, q in pairs:
-        energy = PairEnergy(splits[l], q, origin != "no_prune")
-        queue.append((-math.inf, q, l, energy, energy.steps()))
+    energies = [PairEnergy(splits[l], q, origin != "no_prune") for l, q in pairs]
+    queue = [(-math.inf, e.q, e.split.l, e, e.steps()) for e in energies]
     heapq.heapify(queue)
     reasons, incumbent, best = [], math.inf, None
     while queue and queue[0][0] <= incumbent * (1.0 + PRUNE_RTOL):
