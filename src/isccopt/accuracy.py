@@ -82,12 +82,12 @@ def _u(rho: float, log_rho: float) -> float:
     """pruning_error_factor's u(rho) = integral of (ln t)^2 over [rho, 1],
     unchecked, from x = log_rho = ln(rho). The closed form 2 - rho -
     rho*(x - 1)^2 cancels as rho -> 1, where u ~ -x^3/3, so for x >= -0.3
-    (rho >= 0.74) u is summed from its series
-    -sum_k x^(k+3)/((k+3) k!): 13 terms leave out less than 1e-17 of the
-    sum, each at most 3|x|/4 of the one before. Below, the closed form's
-    rounding, a few ulps of 1, is at most 7e-14 of u > 0.0073. So u is >= 0
-    and within 1e-13 relative of u at the float rho (5.2e-14 measured
-    against a 120-digit reference, the worst just below x = -0.3)."""
+    (rho >= 0.74) u is summed from its series -sum_k x^(k+3)/((k+3) k!):
+    13 terms leave out less than 1e-17 of the sum, each at most 3|x|/4 of
+    the one before. Below, the closed form's rounding, a few ulps of 1, is
+    at most 7e-14 of u > 0.0073. So u is >= 0 and within 1e-13 relative of
+    u at the float rho (5.2e-14 measured against a 120-digit reference, the
+    worst just below x = -0.3)."""
     if log_rho < -0.3:
         return 2.0 - rho - rho * (log_rho - 1.0) ** 2
     if not log_rho:   # rho = 1, where every pair that does not prune sits
