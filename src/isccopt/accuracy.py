@@ -205,6 +205,35 @@ def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r
     return ps
 
 
+def sensing_power_slope(rho: float, log_rho: float, prune_coeff: float, quant: float,
+                        margin: float, r_t: float, a: float, b: float,
+                        ceiling: float) -> tuple[float, float]:
+    """sensing_power at rho with no cap, from x = log_rho = ln(rho) and the
+    same constants, and its slope in u: with T = r_t/(1 - K) the target,
+
+        dp_s/du = (1 + (b p_s)^2) (T/(1 - K)) margin prune_coeff / (a b),
+
+    as dT/dK = T/(1 - K), so dp_s/drho = -(ln rho)^2 dp_s/du. (inf, inf)
+    where no sensing power meets r_t (K >= 1 or T at the ceiling), p_s's
+    limit there. p_s is convex in rho: T is convex and increasing in K, K
+    is convex in rho (u is), and tan is convex and increasing on
+    [0, pi/2)."""
+    scale = margin * prune_coeff if prune_coeff else 0.0
+    k = margin_penalty(_u(rho, log_rho), prune_coeff, quant, margin)
+    if k >= 1.0:
+        return math.inf, math.inf
+    if r_t <= 0.0:
+        return 0.0, 0.0
+    target = r_t / (1.0 - k)
+    if target >= ceiling:
+        return math.inf, math.inf
+    ps = math.tan(target / a) / b
+    if not scale:
+        return ps, 0.0
+    bp = b * ps
+    return ps, (1.0 + bp * bp) * (target / (1.0 - k)) * scale / a / b
+
+
 def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a: float,
                   b: float, ceiling: float, ideal: float, p_max: float,
                   floor: float) -> float:

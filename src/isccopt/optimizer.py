@@ -8,11 +8,13 @@ import csv
 import heapq
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import netmodel
 from .accuracy import (AccuracyParams, PenaltyTerms, accuracy_ceiling, ideal_accuracy,
-                       margin_factor, pruning_floor, quant_error_factor, sensing_power)
+                       margin_factor, pruning_floor, quant_error_factor, sensing_power,
+                       sensing_power_slope)
 from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
@@ -32,6 +34,10 @@ EPS_RHO = 1e-6
 # E(rho) times (1 + PRUNE_RTOL); the margin absorbs the rounding between
 # E(rho), its bounds and the KKT stopping test
 PRUNE_RTOL = 1e-9
+
+# secant steps of the surrogate bound (PairEnergy.surrogate_bound) after its
+# first two points
+SURROGATE_STEPS = 1
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ class PairEnergy:
         """The pair's search as a generator: before each unit of work it
         yields a lower bound of E over the rho it can still return; it
         returns the least-energy rho it evaluated (the smallest on ties),
-        and raises InfeasibleError where no rho is feasible. Three stages:
+        and raises InfeasibleError where no rho is feasible. Four stages:
 
         1. The top end, rho_max for a pair that prunes and rho = 1 for one
            that does not, with every check E makes there before its KKT
@@ -188,12 +194,14 @@ class PairEnergy:
            (the upload term where T overflows); the edge frequency is at
            least a2_lo/(t2 - a1*t_min), as the upload takes at least
            a1*t_min (and at most nu_max, the guard in the denominator).
-        2. The bracket: E at the top, then at rho_min, the smallest rho
-           whose sensing power fits under p_max (pruning_floor). A pair that
-           does not prune returns the top here.
-        3. Brent's method on [rho_min, top] (solvers.brent_steps) to a
-           width of EPS_RHO, with a yield of lower_bound over the evaluated
-           points of its bracket before each evaluation of E.
+        2. E at the top. A pair that does not prune returns the top here.
+        3. Where the KKT solve at the top runs below nu_max, the surrogate
+           bound (surrogate_bound), with a yield each time it rises.
+        4. The bracket, E at rho_min, the smallest rho whose sensing power
+           fits under p_max (pruning_floor), then Brent's method on
+           [rho_min, top] (solvers.brent_steps) to a width of EPS_RHO, with a
+           yield before each evaluation of E of the larger of stage 3's
+           bound and lower_bound over the evaluated points of its bracket.
         """
         s, a1 = self.split, self.a1
         top = self.rho_max() if self.prune else 1.0
@@ -202,18 +210,21 @@ class PairEnergy:
         a2 = s.flops.at(top)
         check_deadline(a1, a2, s.t2, s.t_min, s.nu_max)
         a2_lo = s.a2_lo if self.prune else a2
-        bound = s.t_sen * p_s
+        upload = compute = 0.0
         if a1:
             t = max((s.t2 - a2_lo / s.nu_max) / a1, s.t_min)
             # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
-            bound += (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
+            upload = (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
         if a2_lo:
             nu = a2_lo / max(s.t2 - a1 * s.t_min, a2_lo / s.nu_max)
-            bound += s.kappa * a2_lo * nu**2
+            compute = s.kappa * a2_lo * nu**2
+        bound = s.t_sen * p_s + upload + compute
         yield bound
         e_top = self._record(top, p_s, a2)
         if not self.prune:
             return top
+        if self.points[top][3] < s.nu_max and a2:
+            bound = yield from self.surrogate_bound(top, a2, upload + compute, bound)
         rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
                                     s.ceiling, s.ideal, s.p_max, RHO_FLOOR), top)
         search = brent_steps(self, rho_min, top, self(rho_min), e_top, EPS_RHO)
@@ -222,7 +233,109 @@ class PairEnergy:
                 rhos = next(search)
             except StopIteration as done:
                 return done.value
-            yield self.lower_bound(*rhos)
+            key = self.lower_bound(*rhos)
+            yield key if key > bound else bound
+
+    def surrogate_bound(self, top: float, a2_top: float, edge_lo: float, bound: float):
+        """Stage 3 of steps, as a generator: a lower bound of E over
+        [RHO_FLOOR, top] from E's surrogate
+
+            f(rho) = t_sen*p_s(rho) + max(edge_lo, D*(a2(rho)/a2_top)^3)
+
+        with p_s uncapped, edge_lo the edge terms of the relaxed bound and D
+        the edge energy of the KKT solve at the top, which must run below
+        nu_max. E >= f: scaling the edge FLOPs by s <= 1 scales the compute
+        energy kappa*a2^3/time^2 of any split of the deadline by s^3, and the
+        upload energy (>= 0) is at least s^3 of itself, so the least edge
+        energy without the cap nu_max is at least s^3 D; the cap only adds
+        to it, and at the top it does not bind. f is convex (p_s is, a2 is
+        convex and piecewise affine, and the cube and the max keep that), so
+        its tangents at a < b with f'(a) <= 0 < f'(b) cross below its least
+        value.
+
+        b starts at the top, and a where f' <= 0 is proven. Below the top,
+        f' <= beta*R(rho)^2 - A*(ln rho)^2, with A = t_sen*dp_s/du and
+        beta = 3*D*a2'/a2_top at the top (dp_s/du rises as rho falls, and
+        a2' does not), and R the chord of a2/a2_top from RHO_FLOOR to the
+        top (a2 is convex, so below it). So f' <= 0 at and below the root
+        of g(rho) = -ln(rho) - sqrt(beta/A)*R(rho), which is convex and
+        decreasing: Newton steps from exp(-sqrt(beta/A)), where g >= 0 as
+        R <= 1, stay below the root. Then up to SURROGATE_STEPS secant
+        steps on f' replace a or b by the sign of f' there. A point where f
+        is infinite (p_s has no value) lies left of every feasible rho, as
+        does one where f' is -inf; until a is found, the bound is b's
+        tangent at the leftmost such point (or RHO_FLOOR). The stage stops
+        early where f at a point is at most the bound, which no tangent can
+        then raise. Yields the bound each time it rises above `bound` (the
+        relaxed bound), and returns it."""
+        s = self.split
+        t_sen, d_top = s.t_sen, self.points[top][4]
+        points, slopes, intercepts = s.flops
+        terms = s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b, s.ceiling
+
+        def f(rho):
+            """(f, f', t_sen*dp_s/du) at rho; (inf, -inf, inf) left of the
+            rho at which some sensing power meets r_t."""
+            log_rho = math.log(rho)
+            p_s, dp_du = sensing_power_slope(rho, log_rho, *terms)
+            if p_s == math.inf:
+                return math.inf, -math.inf, math.inf
+            j = bisect_left(points, rho)
+            a2 = slopes[j] * rho + intercepts[j]
+            cube = d_top * (a2 / a2_top) ** 3
+            ds_du = t_sen * dp_du
+            slope = -ds_du * (log_rho * log_rho) if log_rho else 0.0
+            if cube > edge_lo:
+                return t_sen * p_s + cube, slope + 3.0 * cube * slopes[j] / a2, ds_du
+            return t_sen * p_s + edge_lo, slope, ds_du
+
+        f_b, g_b, a_top = f(top)
+        if not g_b > 0.0:
+            # f does not rise to the top, so its least value is there
+            if f_b > bound:
+                bound = f_b
+                yield bound
+            return bound
+        # a: three Newton steps on g, with c = sqrt(beta/A) and the chord
+        # R(rho) = r_lo + r_slope*(rho - RHO_FLOOR)
+        c = (math.sqrt(3.0 * d_top * slopes[bisect_left(points, top)] / a2_top / a_top)
+             if a_top else math.inf)
+        r_lo = s.a2_lo / a2_top
+        r_slope = (1.0 - r_lo) / (top - RHO_FLOOR)
+        rho = math.exp(-c)
+        for _ in range(3):
+            if not RHO_FLOOR < rho < top:
+                break
+            g = -math.log(rho) - c * (r_lo + r_slope * (rho - RHO_FLOOR))
+            rho += g / (1.0 / rho + c * r_slope)
+        lo, b, a = RHO_FLOOR, top, None
+        for _ in range(SURROGATE_STEPS + 1):
+            if not (lo < rho < b and f_b > bound):
+                break
+            f_c, g_c, _ = f(rho)
+            if f_c <= bound:
+                break
+            if g_c == -math.inf:
+                lo = rho
+            elif g_c <= 0.0:
+                lo = a = rho
+                f_a, g_a = f_c, g_c
+            else:
+                b, f_b, g_b = rho, f_c, g_c
+            if a is None:
+                key, rho = f_b - g_b * (b - lo), 0.5 * (lo + b)
+            else:
+                # the tangents cross theta*rise below f(a); the secant of f'
+                # is 0 at a + theta*(b - a)
+                span = g_b - g_a
+                if span == math.inf:
+                    break
+                theta, rise = -g_a / span, f_a - f_b + g_b * (b - a)
+                key, rho = f_a - theta * rise, a + theta * (b - a)
+            if key > bound:
+                bound = key
+                yield bound
+        return bound
 
 
 def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:

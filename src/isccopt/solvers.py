@@ -158,8 +158,9 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is
     the slowest frequency that meets the budget, mu1 = 2*kappa*nu_e^3 (0
     when a2 = 0 too, as the deadline is then slack). Nothing computed on
-    the edge (a2 = 0): the upload stretches to the budget at nu_e = nu_max,
-    and mu1 is the multiplier mu1(z) below.
+    the edge (a2 = 0): the upload stretches to the budget at nu_e = nu_max
+    (to t = t2 where t2/a1 overflows), and mu1 is the multiplier mu1(z)
+    below.
 
     Otherwise the latency constraint is active at the optimum (energy falls
     monotonically toward the deadline). In the spectral efficiency
@@ -186,10 +187,14 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
         nu = min(a2 / t2, nu_max) if a2 else nu_max
         return p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, kappa * a2 * nu**2
     if a2 == 0.0:
-        t = max(t2 / a1, t_min)
+        t, busy = max(t2 / a1, t_min), t2
+        if t == math.inf:
+            # t2/a1 overflows, so a1 < 1 and the upload fits in t2; its
+            # energy a1*t*p_c(t) is then a1*ln2/g, its limit, to rounding
+            t, busy = t2, a1 * t2
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return p_c, nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * t2
+        return p_c, nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy
     two_kappa_g = two_kappa * g
     # at t2/a1 the upload alone fills the budget
     t_lo, t_hi, t = t_min, t2 / a1, t_min

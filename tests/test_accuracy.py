@@ -9,7 +9,8 @@ import pytest
 from isccopt.accuracy import (A_CAP_SLACK, FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
                               accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
                               ideal_accuracy, margin_factor, penalty_factor,
-                              pruning_error_factor, quant_error_factor, sensing_power)
+                              pruning_error_factor, quant_error_factor, sensing_power,
+                              sensing_power_slope)
 from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
 from util import (fit_accuracy_curve_golden, fit_residual, min_pruning_ratio_probing,
@@ -384,6 +385,47 @@ class TestSensingPowerKernel:
         with pytest.raises(ValueError, match="quantization bits"):
             min_sensing_power_composed(0.5, 1, terms, p, 0.5, 1.0)
 
+
+class TestSensingPowerSlope:
+    """accuracy.sensing_power_slope: sensing_power with no cap, and a slope
+    that matches its central differences and rises with rho (p_s is
+    convex in rho), which the surrogate bound's tangents rely on."""
+
+    def test_value_slope_and_convexity(self):
+        rhos = [float(r) for r in np.geomspace(1e-3, 1.0, 40)]
+        p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
+        compared = 0
+        for c, d, w in itertools.product((0.0, 0.05, 1.0), (0.0, 0.5), (0.0, 3.0)):
+            terms = PenaltyTerms(prune_coeff=c, quant_coeff=d, tail_norm=w)
+            margin = margin_factor(terms, p)
+            for q, r_t in itertools.product((2, 6), (0.0, 0.3, 0.6, 0.9)):
+                args = (c, d * quant_error_factor(q), margin, r_t, p.a, p.b,
+                        accuracy_ceiling(p))
+
+                def power(rho):
+                    try:
+                        return sensing_power(rho, *args, math.inf)
+                    except InfeasibleError as err:
+                        assert err.reason in ("margin_penalty", "accuracy_ceiling")
+                        return math.inf
+
+                slopes = []
+                for rho in rhos:
+                    p_s, dp_du = sensing_power_slope(rho, math.log(rho), *args)
+                    assert repr(p_s) == repr(power(rho))
+                    if p_s == math.inf:
+                        assert dp_du == math.inf
+                        continue
+                    slope = -math.log(rho) ** 2 * dp_du
+                    slopes.append(slope)
+                    h = 1e-6 * rho
+                    ends = power(rho - h), power(min(rho + h, 1.0))
+                    if rho < 1.0 and math.inf not in ends:
+                        diff = (ends[1] - ends[0]) / (min(rho + h, 1.0) - (rho - h))
+                        assert slope == pytest.approx(diff, rel=1e-4, abs=1e-9 * p_s)
+                        compared += 1
+                assert slopes == sorted(slopes)
+        assert compared >= 500
 
 class TestMinPruningRatio:
     """accuracy.pruning_floor at (q, terms, params), bound by

@@ -290,6 +290,25 @@ class TestCliSolve:
         rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert rc == 0, capsys.readouterr().err
 
+    def test_raw_upload_under_an_overflowing_deadline_answers(self, tmp_path, capsys):
+        # at t_max 1e308 the raw-input upload's time t2/a1 overflows, and it
+        # must not become p_c = 0 (an infinite latency, exit 4): the upload
+        # takes t2, and its energy is at its limit a1*ln2/g, as at 1e300
+        answers = {}
+        for t_max in (1e300, 1e308):
+            cfg_path = tmp_path / f"vast-{t_max}.json"
+            cfg_path.write_text(json.dumps({"scenario": {"t_max": t_max}}))
+            out = tmp_path / f"on_server-{t_max}"
+            rc = main(["baseline", "--kind", "on_server", "--config", str(cfg_path),
+                       "--out", str(out)])
+            assert rc == 0, capsys.readouterr().err
+            answers[t_max] = json.loads((out / "baseline_on_server.json").read_text())
+        sol = answers[1e308]["solution"]
+        assert sol["allocation"]["p_c"] > 0.0
+        assert sol["cost"]["t_total"] <= 1e308
+        assert sol["cost"]["e_comm"] == pytest.approx(
+            answers[1e300]["solution"]["cost"]["e_comm"], rel=1e-12)
+
     @pytest.mark.parametrize("nu_max", [1e155, 1e300, sys.float_info.max])
     def test_raw_upload_at_a_huge_edge_frequency_answers(self, tmp_path, capsys, nu_max,
                                                          template_net, default_scenario,

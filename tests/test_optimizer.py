@@ -18,7 +18,7 @@ from isccopt.solvers import INV_GOLDEN, min_rate_time
 from util import (bracketed, finish, halve_sensing_power, make_scenario,
                   min_pruning_ratio_probing,
                   min_sensing_power_composed, outcome, pruning_floor_at, record_math,
-                  solve_pair, solve_pc_nue_reference)
+                  solve_pair, solve_pc_nue_reference, stock_config)
 
 
 class TestPenaltyTerms:
@@ -322,17 +322,22 @@ class TestBoundAndPrune:
                         unpruned += 1
                     energy = opt.PairEnergy(split, q)
                     try:
-                        relaxed, rho_min, rho_max, second = bracketed(energy)
+                        keys, rho_min, rho_max, second = bracketed(energy)
                     except InfeasibleError:
                         continue
                     pairs += 1
                     bound = energy.lower_bound(rho_min, rho_max)
-                    # the second yield, where the bracket is wider than EPS_RHO
-                    assert second == (bound if rho_max - rho_min > opt.EPS_RHO else None)
+                    # the first yield after the bracket, where it is wider
+                    # than EPS_RHO: the larger of lower_bound and the last
+                    # key before the bracket (the surrogate bound, or the
+                    # relaxed bound where there is none)
+                    assert keys == sorted(keys)
+                    assert second == (max(keys[-1], bound) if rho_max - rho_min > opt.EPS_RHO
+                                      else None)
                     # the relaxed bound can be exact (rho_min = RHO_FLOOR
                     # with the upload at p_max): then it and E round an ulp
                     # apart, far inside the gate's PRUNE_RTOL margin
-                    relaxed /= 1.0 + 1e-12
+                    relaxed = keys[0] / (1.0 + 1e-12)
                     assert relaxed <= bound
                     assert bound <= solve_pair(l, q, net, sc, ap).e_total
                     # the bound from interior points too, as a search uses it
@@ -384,12 +389,14 @@ class TestBoundAndPrune:
 
     def test_stock_solve_brackets_fewer_pairs(self, template_net, default_scenario,
                                               default_params, monkeypatch):
-        # 104 KKT solves and 29 pruning floors with every pair bracketed;
-        # the answer is the one every pair searched gives
+        # 104 KKT solves and 29 pruning floors with every pair bracketed,
+        # 83 and 19 with the relaxed bound alone; the surrogate bound rules
+        # out 18 of the 19 pairs the relaxed bound left before their bracket.
+        # The answer is the one every pair searched gives
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
-        assert calls["power_freq"] == 83
-        assert calls["pruning_floor"] == 19
+        assert calls["power_freq"] == 31
+        assert calls["pruning_floor"] == 1
         monkeypatch.undo()
         assert sol == exhaustive("proposed", template_net, default_scenario, default_params)
 
@@ -625,8 +632,8 @@ class TestOnePathLoop:
     @pytest.mark.parametrize("i", [1, 5, 11])
     def test_nan_key_fails_closed_at_a_later_step(self, template_net, default_scenario,
                                                   default_params, monkeypatch, i):
-        # the stock winner (2, 6) yields 12 keys: its relaxed bound, then a
-        # bound per search step
+        # the stock winner (2, 6) yields 12 keys: its relaxed bound, its
+        # surrogate bound (yield 1), then a bound per search step
         watch_steps(monkeypatch, lambda energy, j, bound: math.nan
                     if (energy.split.l, energy.q, j) == (2, 6, i) else bound)
         with pytest.raises(CheckError, match=r"proposed \(l=2, q=6\): lower bound is NaN"):
@@ -654,12 +661,73 @@ class TestOnePathLoop:
         assert {"latency_budget", "sensing_power_cap"} <= seen
 
     @pytest.mark.parametrize("origin, kkt, floors", [
-        ("proposed", 83, 19), ("on_server", 1, 0), ("on_device", 13, 1), ("no_prune", 1, 0)])
+        ("proposed", 31, 1), ("on_server", 1, 0), ("on_device", 13, 1), ("no_prune", 1, 0)])
     def test_stock_kernel_calls(self, template_net, default_scenario, default_params,
                                 monkeypatch, origin, kkt, floors):
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
         opt._enumerate(template_net, default_scenario, default_params, origin)
         assert (calls["power_freq"], calls["pruning_floor"]) == (kkt, floors)
+
+
+def check_keys(split, q):
+    """Run the pair (split, q)'s whole search and check every key it yields
+    (the relaxed bound, the surrogate bounds and the Brent-phase bounds)
+    against every E it evaluates and against the least E over a 400-point
+    grid of its feasible rho, [rho_min, top], each with a factor 1 + 1e-12
+    for rounding. Returns (number of feasible grid points, whether the
+    surrogate bound rose above the relaxed bound, whether the KKT solve at
+    the top ran at nu_max), or None for a pair with no feasible rho."""
+    energy = opt.PairEnergy(split, q)
+    steps, keys, before_bracket = energy.steps(), [], 0
+    try:
+        while True:
+            keys.append(next(steps))
+            before_bracket += len(energy.points) <= 1
+    except StopIteration:
+        pass
+    except InfeasibleError:
+        return None
+    top = max(energy.points)
+    s = split
+    rho_min = min(pruning_floor_at(q, s.terms, s.ap, s.r_t, s.p_max, opt.RHO_FLOOR), top)
+    grid = opt.PairEnergy(split, q)
+    least = math.inf
+    for rho in np.linspace(rho_min, top, 400):
+        try:
+            least = min(least, grid(float(rho)))
+        except InfeasibleError:
+            continue
+    evaluated = min(point[0] for point in energy.points.values())
+    for key in keys:
+        assert key <= min(evaluated, least) * (1.0 + 1e-12), (s.l, q, keys)
+    return len(grid.points), before_bracket > 1, energy.points[top][3] == s.nu_max
+
+
+class TestSurrogateBound:
+    """Every key a pair yields, the surrogate bound's among them, is at
+    most every E the pair can return."""
+
+    def test_every_key_below_every_point(self):
+        # 200 random_test_case draws (rng 7000), whose first 100 are
+        # criterion 07's cases, and the stock scenario on a tight grid, where
+        # the KKT solve at the top runs at nu_max for most pairs
+        rng = np.random.default_rng(7000)
+        cases = [orc.random_test_case(rng) for _ in range(200)]
+        net, sc, ap = stock_config().network, stock_config().scenario, stock_config().accuracy
+        cases += [(net, replace(sc, t_max=t, r_t=r), ap) for t in (0.52, 0.56, 0.6, 1.0)
+                  for r in (0.85, 0.95)]
+        points = surrogates = at_nu_max = 0
+        for net, sc, ap in cases:
+            for l, q in opt._pairs(net, sc):
+                if l == 0:
+                    continue   # the raw-input split does not prune
+                checked = check_keys(opt.Split(net, sc, ap, l), q)
+                if checked is not None:
+                    points += checked[0]
+                    surrogates += checked[1]
+                    at_nu_max += checked[2]
+        assert points >= 400 * 1000
+        assert surrogates >= 1000 and at_nu_max >= 50
 
 
 class TestDeepStacks:
@@ -684,9 +752,16 @@ class TestDeepStacks:
         sol = opt.solve_scenario(net, sc, default_params)
         assert (sol.alloc.l, sol.alloc.q) == pair
         assert sol.e_total == pytest.approx(e_total, rel=1e-6)
-        assert sum(len(energy.points) for energy in first) >= 20
         for energy, bound in first.items():
             assert all(bound <= point[0] for point in energy.points.values())
+        # every key of every pair that prunes, against its points and a
+        # dense grid of its feasible rho
+        monkeypatch.undo()
+        points = 0
+        for l, q in opt._pairs(net, sc):
+            checked = check_keys(opt.Split(net, sc, default_params, l), q) if l else None
+            points += checked[0] if checked else 0
+        assert points >= 20
 
 
 def golden_search(energy, rho_min, rho_max, e_min, e_max, eps):
@@ -771,14 +846,15 @@ class TestBrentPairSearch:
 
     def test_evaluation_counts(self, search_cases, template_net, default_scenario,
                                default_params, monkeypatch):
-        # the best-first queue's E(rho) evaluations: 4724 on these cases
-        # (the two-pass loop it replaced made 4968), and 83 for the stock
-        # solve
+        # the best-first queue's E(rho) evaluations: 3024 on these cases
+        # with the surrogate bound (4724 with the relaxed bound alone, and
+        # the two-pass loop before the queue made 4968), and 31 for the
+        # stock solve (83)
         counts = count_evaluations(monkeypatch, search_cases)
-        assert sum(n for _, n in counts) <= 4724
+        assert sum(n for _, n in counts) <= 3024
         (_, stock), = count_evaluations(
             monkeypatch, [("proposed", template_net, default_scenario, default_params)])
-        assert stock <= 83
+        assert stock <= 31
 
 
 class TestBaselines:

@@ -366,6 +366,20 @@ class TestSolvePcNue:
             with pytest.raises(ValueError):
                 power_freq(a1, a2, t2, *kkt_args(sc))
 
+    @pytest.mark.parametrize("t2", [1e300, 1e308, 1.7976931348623157e308])
+    def test_raw_upload_over_a_vast_budget(self, t2):
+        # nothing computed on the edge: the upload stretches to the budget,
+        # and where t2/a1 overflows (from about t2 1.1e307 at the stock a1
+        # 0.06144) it takes t2; either way its power stays positive, it meets
+        # the budget, and its energy is a1*ln2/g, the limit the relaxed bound
+        # takes, to rounding
+        sc = make_scenario()
+        a1 = 0.06144
+        p_c, nu_e, t, _, energy = power_freq(a1, 0.0, t2, *kkt_args(sc))
+        assert p_c > 0.0 and nu_e == sc.nu_max
+        assert a1 * t <= t2
+        assert energy == pytest.approx(a1 * LN2 / sc.g_over_bn0, rel=1e-12)
+
 
 class TestPowerFreqKernel:
     """solvers.power_freq, with the mu1 ratio written out, gives the bits

@@ -103,17 +103,25 @@ def make_scenario(**kw):
 def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
     """Make the solver return answers that fail their accuracy check:
     optimizer.sensing_power gives half the accuracy inverse in the solves
-    of the (origin, scenario) pairs that `when` selects."""
-    inverse, solve = optimizer.sensing_power, optimizer._enumerate
+    of the (origin, scenario) pairs that `when` selects, and
+    optimizer.sensing_power_slope, which the surrogate bound reads, half of
+    it and of its slope, so that the bounds stay below the halved E."""
+    inverse, slope, solve = (optimizer.sensing_power, optimizer.sensing_power_slope,
+                             optimizer._enumerate)
     active = [False]
 
     def enumerate_(net, sc, ap, origin):
         active[0] = when(origin, sc)
         return solve(net, sc, ap, origin)
 
+    def halved_slope(*args):
+        p_s, dp_du = slope(*args)
+        return (0.5 * p_s, 0.5 * dp_du) if active[0] else (p_s, dp_du)
+
     monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
     monkeypatch.setattr(optimizer, "sensing_power",
                         lambda *a: inverse(*a) * (0.5 if active[0] else 1.0))
+    monkeypatch.setattr(optimizer, "sensing_power_slope", halved_slope)
 
 
 def record_math(monkeypatch, module, *names):
@@ -176,13 +184,18 @@ def solve_pair(l, q, net, sc, ap):
 
 def bracketed(energy):
     """Run a fresh pair's search (PairEnergy.steps) through its bracket:
-    its first yield (the relaxed bound), the bracket (rho_min, rho_max) it
-    evaluated E at, and its second yield, None where the search returned
-    there. Raises the InfeasibleError the search raises."""
+    the keys it yields before it (the relaxed bound first, then those of
+    the surrogate bound), the bracket (rho_min, rho_max) it evaluated E at,
+    and its first yield after it, None where the search returned there.
+    Raises the InfeasibleError the search raises."""
     steps = energy.steps()
-    relaxed = next(steps)
-    second = next(steps, None)
-    return relaxed, min(energy.points), max(energy.points), second
+    keys, after = [next(steps)], None
+    for key in steps:
+        if len(energy.points) > 1:
+            after = key
+            break
+        keys.append(key)
+    return keys, min(energy.points), max(energy.points), after
 
 
 def outcome(f, *args):
@@ -251,10 +264,12 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
         return sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, sc.kappa * a2 * nu**2
     if a2 == 0.0:
-        t = max(t2 / a1, t_min)
+        # the upload takes the budget, or t2 where t2/a1 overflows (a1 < 1)
+        t = max(t2 / a1, t_min) if t2 / a1 < math.inf else t2
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * t2
+        return (p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g,
+                p_c * (t2 if t2 / a1 < math.inf else a1 * t2))
     t_lo, t_hi, t = t_min, t2 / a1, t_min
     for _ in range(solvers.KKT_MAX_ITER):
         z = LN2 / t
