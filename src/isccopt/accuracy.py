@@ -1,7 +1,7 @@
 """Analytical accuracy model: ideal-accuracy curve and its fit, the pruning
-and quantization penalty factors, the accuracy lower bound, the inverse
-map from a target accuracy to the minimum sensing power, and the least
-pruning ratio whose sensing power fits under the cap."""
+and quantization penalty factors, the accuracy lower bound, the one inverse
+map from a target accuracy to the minimum sensing power, the error naming
+why a power above the cap fails, and the least pruning ratio under the cap."""
 
 from __future__ import annotations
 
@@ -175,51 +175,24 @@ def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> 
 
 
 def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r_t: float,
-                  a: float, b: float, ceiling: float, p_max: float) -> float:
-    """Smallest sensing power meeting accuracy target r_t at pruning ratio
-    rho, from constants the caller binds: prune_coeff of the split, quant =
+                  a: float, b: float, ceiling: float) -> tuple[float, float]:
+    """(p_s, dp_s/du): the smallest sensing power meeting accuracy target
+    r_t at pruning ratio rho, with no cap, and its slope in u, from
+    constants the caller binds: prune_coeff of the split, quant =
     quant_coeff*quant_error_factor(q) of the pair, margin =
     margin_factor(terms, params), the fit's a and b, and ceiling =
-    accuracy_ceiling(params).
-
-    Inverts the lower bound R0(ps)*(1-K) = r_t. Raises InfeasibleError
-    tagged with the failing condition: margin_penalty (K >= 1),
-    accuracy_ceiling (required ideal accuracy unattainable), or
-    sensing_power_cap (result above p_max). pruning_error_factor checks
-    rho (ValueError outside (0, 1]).
-    """
-    k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
-    if k >= 1.0:
-        raise InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
-    if r_t <= 0.0:
-        return 0.0
-    target = r_t / (1.0 - k)
-    if target >= ceiling:
-        raise InfeasibleError(
-            "accuracy_ceiling",
-            f"required ideal accuracy {target:.6g} >= ceiling {ceiling:.6g}",
-        )
-    ps = math.tan(target / a) / b
-    if ps > p_max:
-        raise InfeasibleError("sensing_power_cap", f"needs {ps:.6g} W > {p_max:.6g} W")
-    return ps
-
-
-def sensing_power_slope(rho: float, log_rho: float, prune_coeff: float, quant: float,
-                        margin: float, r_t: float, a: float, b: float,
-                        ceiling: float) -> tuple[float, float]:
-    """sensing_power at rho with no cap, from x = log_rho = ln(rho) and the
-    same constants, and its slope in u: with T = r_t/(1 - K) the target,
+    accuracy_ceiling(params). It inverts R0(p_s)*(1 - K) = r_t; with
+    T = r_t/(1 - K) the target,
 
         dp_s/du = (1 + (b p_s)^2) (T/(1 - K)) margin prune_coeff / (a b),
 
     as dT/dK = T/(1 - K), so dp_s/drho = -(ln rho)^2 dp_s/du. (inf, inf)
     where no sensing power meets r_t (K >= 1 or T at the ceiling), p_s's
-    limit there. p_s is convex in rho: T is convex and increasing in K, K
-    is convex in rho (u is), and tan is convex and increasing on
-    [0, pi/2)."""
-    scale = margin * prune_coeff if prune_coeff else 0.0
-    k = margin_penalty(_u(rho, log_rho), prune_coeff, quant, margin)
+    limit there; sensing_power_error names why. p_s is convex in rho: T is
+    convex and increasing in K, K is convex in rho (u is), and tan is
+    convex and increasing on [0, pi/2). pruning_error_factor checks rho
+    (ValueError outside (0, 1])."""
+    k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
     if k >= 1.0:
         return math.inf, math.inf
     if r_t <= 0.0:
@@ -228,10 +201,30 @@ def sensing_power_slope(rho: float, log_rho: float, prune_coeff: float, quant: f
     if target >= ceiling:
         return math.inf, math.inf
     ps = math.tan(target / a) / b
+    scale = margin * prune_coeff if prune_coeff else 0.0
     if not scale:
         return ps, 0.0
     bp = b * ps
     return ps, (1.0 + bp * bp) * (target / (1.0 - k)) * scale / a / b
+
+
+def sensing_power_error(rho: float, prune_coeff: float, quant: float, margin: float,
+                        r_t: float, ceiling: float, p_s: float,
+                        p_max: float) -> InfeasibleError:
+    """The InfeasibleError for p_s = sensing_power(rho, ...)[0] above p_max,
+    from K and the target derived again and tagged with the first that
+    fails: margin_penalty (K >= 1), accuracy_ceiling (the target is not
+    below the ceiling), else sensing_power_cap."""
+    k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
+    if k >= 1.0:
+        return InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
+    target = r_t / (1.0 - k)
+    if target >= ceiling:
+        return InfeasibleError(
+            "accuracy_ceiling",
+            f"required ideal accuracy {target:.6g} >= ceiling {ceiling:.6g}",
+        )
+    return InfeasibleError("sensing_power_cap", f"needs {p_s:.6g} W > {p_max:.6g} W")
 
 
 def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a: float,
@@ -251,10 +244,10 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
     double, then close the gap that rounding leaves: K and K* round by
     about K_ROUNDING, which moves the root by K_ROUNDING/(scale (ln rho)^2),
     so the probes start that step above a root the steps rose to (at rho,
-    with a step of an ulp, elsewhere). Below rho = 1 a probe calls
-    sensing_power with no cap and compares with p_max, so a cap miss
-    constructs no error; rho = 1 is probed with the cap, and raises
-    InfeasibleError with its reason when no rho in [floor, 1] is feasible.
+    with a step of an ulp, elsewhere). Each probe compares sensing_power
+    with p_max and constructs no error; where the probe at rho = 1 misses
+    p_max too, no rho in [floor, 1] is feasible, and sensing_power_error
+    names its reason.
     """
     scale = margin * prune_coeff if prune_coeff else 0.0
     rho, step = floor, 0.0
@@ -274,17 +267,15 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
                 break
             rho = min(rho + newton, 1.0)
     step = max(step, math.ulp(rho))
-    while rho < 1.0:
-        try:
-            if not sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling,
-                                 math.inf) > p_max:
-                return rho
-        except InfeasibleError:
-            pass
+    while True:
+        p_s, _ = sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling)
+        if not p_s > p_max:
+            return rho
+        if rho >= 1.0:
+            raise sensing_power_error(rho, prune_coeff, quant, margin, r_t, ceiling, p_s,
+                                      p_max)
         rho = min(rho + step, 1.0)
         step *= 2.0
-    sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling, p_max)
-    return rho
 
 
 def fit_accuracy_curve(samples):

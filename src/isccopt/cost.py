@@ -118,12 +118,15 @@ def comm_cost(l: int, q: int, p_c: float, net: NetworkModel,
     """(latency, energy) of uploading the split feature vector.
 
     Payload is upload_dim(l) * q bits at the achievable rate; a split after
-    the last layer uploads nothing and costs (0, 0).
+    the last layer uploads nothing and costs (0, 0), also where the rate
+    underflows to 0.
     """
     if p_c <= 0:
         raise ValueError("communication power must be positive")
-    rate = comm_rate(p_c, sc)
-    t_comm = netmodel.upload_dim(net, l) * q / rate
+    bits = netmodel.upload_dim(net, l) * q
+    if not bits:
+        return 0.0, 0.0
+    t_comm = bits / comm_rate(p_c, sc)
     return t_comm, p_c * t_comm
 
 

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from . import netmodel
 from .accuracy import (AccuracyParams, PenaltyTerms, accuracy_ceiling, ideal_accuracy,
                        margin_factor, pruning_floor, quant_error_factor, sensing_power,
-                       sensing_power_slope)
+                       sensing_power_error)
 from .cost import Allocation, CostBreakdown, Scenario, check_feasible
 from .errors import CheckError, InfeasibleError
 from .quant import delta_coeff
@@ -114,21 +114,25 @@ class PairEnergy:
 
     E is evaluated by the kernels accuracy.sensing_power, FlopPieces.at
     and solvers.power_freq from constants bound once, not per call: the
-    Split's, and the pair's quantization term quant_coeff*v(q) and upload
-    size a1, bound here."""
+    Split's, and the pair's quantization term quant_coeff*v(q), upload
+    size a1 and sensing_power's constants `inverse`, bound here."""
 
     def __init__(self, split: Split, q: int, prune: bool = True):
         self.split, self.q = split, q
         self.a1 = split.dim * q / split.sc.bandwidth
         self.quant = split.terms.quant_coeff * quant_error_factor(q)
+        self.inverse = (split.prune_coeff, self.quant, split.margin, split.r_t, split.a,
+                        split.b, split.ceiling)
         self.prune = prune and split.l > 0
         self.least = math.inf
         self.points: dict[float, tuple[float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
         s = self.split
-        p_s = sensing_power(rho, s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
-                            s.ceiling, s.p_max)
+        p_s, _ = sensing_power(rho, *self.inverse)
+        if p_s > s.p_max:
+            raise sensing_power_error(rho, s.prune_coeff, self.quant, s.margin, s.r_t,
+                                      s.ceiling, p_s, s.p_max)
         return self._record(rho, p_s, s.flops.at(rho))
 
     def _record(self, rho: float, p_s: float, a2: float) -> float:
@@ -205,8 +209,10 @@ class PairEnergy:
         """
         s, a1 = self.split, self.a1
         top = self.rho_max() if self.prune else 1.0
-        p_s = sensing_power(top, s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
-                            s.ceiling, s.p_max)
+        p_s, _ = sensing_power(top, *self.inverse)
+        if p_s > s.p_max:
+            raise sensing_power_error(top, s.prune_coeff, self.quant, s.margin, s.r_t,
+                                      s.ceiling, p_s, s.p_max)
         a2 = s.flops.at(top)
         check_deadline(a1, a2, s.t2, s.t_min, s.nu_max)
         a2_lo = s.a2_lo if self.prune else a2
@@ -271,15 +277,15 @@ class PairEnergy:
         s = self.split
         t_sen, d_top = s.t_sen, self.points[top][4]
         points, slopes, intercepts = s.flops
-        terms = s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b, s.ceiling
+        inverse = self.inverse
 
         def f(rho):
             """(f, f', t_sen*dp_s/du) at rho; (inf, -inf, inf) left of the
             rho at which some sensing power meets r_t."""
-            log_rho = math.log(rho)
-            p_s, dp_du = sensing_power_slope(rho, log_rho, *terms)
+            p_s, dp_du = sensing_power(rho, *inverse)
             if p_s == math.inf:
                 return math.inf, -math.inf, math.inf
+            log_rho = math.log(rho)
             j = bisect_left(points, rho)
             a2 = slopes[j] * rho + intercepts[j]
             cube = d_top * (a2 / a2_top) ** 3

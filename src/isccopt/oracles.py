@@ -267,14 +267,9 @@ def grid_full(net, sc: Scenario, ap: AccuracyParams, seed: int = 0,
         n_up = netmodel.upload_dim(net, l)
         for q in range(2, (sc.q_max if n_up else 2) + 1):
             quant = terms.quant_coeff * quant_error_factor(q)
-            ps = np.full(rho_grid.shape, np.nan)
-            for i, r in enumerate(rho_grid):
-                try:
-                    ps[i] = sensing_power(float(r), terms.prune_coeff, quant, margin, sc.r_t,
-                                          ap.a, ap.b, ceiling, sc.p_max)
-                except InfeasibleError:
-                    pass
-            ok_rho = ~np.isnan(ps)
+            ps = np.array([sensing_power(float(r), terms.prune_coeff, quant, margin, sc.r_t,
+                                         ap.a, ap.b, ceiling)[0] for r in rho_grid])
+            ok_rho = ps <= sc.p_max
             if not np.any(ok_rho):
                 continue
             e_sen = sc.t_sen * ps

@@ -5,6 +5,7 @@ edge-frequency subproblem."""
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleError
@@ -157,10 +158,15 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     Infeasible when even (p_max, nu_max) misses the deadline
     (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is
     the slowest frequency that meets the budget, mu1 = 2*kappa*nu_e^3 (0
-    when a2 = 0 too, as the deadline is then slack). Nothing computed on
-    the edge (a2 = 0): the upload stretches to the budget at nu_e = nu_max
-    (to t = t2 where t2/a1 overflows), and mu1 is the multiplier mu1(z)
-    below.
+    when a2 = 0 too, as the deadline is then slack). The upload never
+    stretches past t_normal, the longest finite t (and at least t_min) at
+    which p_c = expm1(ln2/t)/g is twice the least normal float or more;
+    where the latency there is still under t2, the deadline is slack, the
+    upload takes t_normal, and its energy is at its limit a1*ln2/g to
+    rounding.
+    Nothing computed on the edge (a2 = 0): the upload stretches to the
+    budget (or t_normal) at nu_e = nu_max, and mu1 is the multiplier
+    mu1(z) below.
 
     Otherwise the latency constraint is active at the optimum (energy falls
     monotonically toward the deadline). In the spectral efficiency
@@ -175,7 +181,8 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     p_max, the edge takes the rest of the budget, nu_e = a2/(t2 - a1*t_min),
     and mu1 = 2*kappa*nu_e^3; so it does where 2*kappa*g overflows, as
     nu_e(z) then rounds to 0. Otherwise Newton steps in t with the analytic
-    slope solve latency = t2 from t_min; a step leaving the bracket is
+    slope solve latency = t2 from t_min (from t_normal where t2/a1 is
+    longer, as the bracket's top); a step leaving the bracket is
     replaced by bisection in z. Stops when the latency matches t2 within
     KKT_REL_TOL.
     """
@@ -186,18 +193,24 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     if a1 == 0.0:
         nu = min(a2 / t2, nu_max) if a2 else nu_max
         return p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, kappa * a2 * nu**2
+    # past t_normal, p_c = expm1(ln2/t)/g falls below twice the least
+    # normal float; the upload then stops at t_normal, kept finite and at
+    # least t_min (the min and max are paid only there)
+    t_normal = LN2 / (2.0 * sys.float_info.min) / g
     if a2 == 0.0:
         t, busy = max(t2 / a1, t_min), t2
-        if t == math.inf:
-            # t2/a1 overflows, so a1 < 1 and the upload fits in t2; its
-            # energy a1*t*p_c(t) is then a1*ln2/g, its limit, to rounding
-            t, busy = t2, a1 * t2
+        if not t < t_normal:
+            t = max(min(t_normal, sys.float_info.max), t_min)
+            busy = a1 * t
         z = LN2 / t
         p_c = math.expm1(z) / g
         return p_c, nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy
     two_kappa_g = two_kappa * g
-    # at t2/a1 the upload alone fills the budget
+    # at t2/a1 the upload alone fills the budget; past t_normal the search
+    # starts at t_normal, and stops there where the deadline is slack
     t_lo, t_hi, t = t_min, t2 / a1, t_min
+    if not t_hi < t_normal:
+        t_hi = t = max(min(t_normal, sys.float_info.max), t_min)
     for _ in range(KKT_MAX_ITER):
         z = LN2 / t
         exp_z = math.exp(z)
@@ -214,12 +227,15 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
         if abs(lat - t2) <= KKT_REL_TOL * t2:
             break
         if lat < t2:
+            if t == t_hi:   # at t_normal, with the deadline slack
+                break
             t_lo = t
-        elif t > t_lo:
+        elif t > t_lo and nu:
             t_hi = t
         else:
-            # the latency misses t2 even at t = t_min, so that bound binds:
-            # upload at p_max, the edge takes the rest of the budget
+            # the latency misses t2 even at t = t_min (or at every t, where
+            # nu rounds to 0), so that bound binds: upload at p_max, the
+            # edge takes the rest of the budget
             nu = a2 / max(t2 - a1 * t_min, a2 / nu_max)
             return (p_max, nu, t_min, two_kappa * nu**3,
                     p_max * a1 * t_min + kappa * a2 * nu**2)
@@ -227,7 +243,7 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
         slope = a1 + a2 * z * exp_z / (3.0 * LN2 * r * nu) if nu < nu_max else a1
         t -= (lat - t2) / slope
         if not t_lo < t < t_hi:
-            t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)   # bisect z: t_hi may be inf
+            t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)   # bisect z
     else:
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {t2:.12g} s")

@@ -9,8 +9,7 @@ import pytest
 from isccopt.accuracy import (A_CAP_SLACK, FIT_LOGB_TOL, AccuracyParams, PenaltyTerms,
                               accuracy_ceiling, accuracy_lower_bound, fit_accuracy_curve,
                               ideal_accuracy, margin_factor, penalty_factor,
-                              pruning_error_factor, quant_error_factor, sensing_power,
-                              sensing_power_slope)
+                              pruning_error_factor, quant_error_factor, sensing_power)
 from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
 from util import (fit_accuracy_curve_golden, fit_residual, min_pruning_ratio_probing,
@@ -358,8 +357,7 @@ class TestSensingPowerKernel:
                 for q, rho, r_t, p_max in itertools.product(
                         (2, 3, 6), rhos, (0.0, 0.3, 0.6, 0.9, 0.99, 0.99999), (1.0, 0.01)):
                     args = (rho, q, terms, p, r_t, p_max)
-                    got = outcome(sensing_power, rho, c, d * quant_error_factor(q), margin,
-                                  r_t, p.a, p.b, accuracy_ceiling(p), p_max)
+                    got = outcome(sensing_power_at, *args)
                     assert got == outcome(min_sensing_power_composed, *args), args
                     kind = (got[0] if isinstance(got, tuple)
                             else "zero" if got == "0.0" else "power")
@@ -379,7 +377,7 @@ class TestSensingPowerKernel:
         for rho, match in ((0.0, "rho must be positive"), (1.5, "rho must not exceed 1")):
             with pytest.raises(ValueError, match=match):
                 sensing_power(rho, 1.0, 0.5, margin_factor(terms, p), 0.5, p.a, p.b,
-                              accuracy_ceiling(p), 1.0)
+                              accuracy_ceiling(p))
             with pytest.raises(ValueError, match=match):
                 min_sensing_power_composed(rho, 2, terms, p, 0.5, 1.0)
         with pytest.raises(ValueError, match="quantization bits"):
@@ -387,9 +385,9 @@ class TestSensingPowerKernel:
 
 
 class TestSensingPowerSlope:
-    """accuracy.sensing_power_slope: sensing_power with no cap, and a slope
-    that matches its central differences and rises with rho (p_s is
-    convex in rho), which the surrogate bound's tangents rely on."""
+    """accuracy.sensing_power's slope: it matches the central differences
+    of the power and rises with rho (p_s is convex in rho), which the
+    surrogate bound's tangents rely on."""
 
     def test_value_slope_and_convexity(self):
         rhos = [float(r) for r in np.geomspace(1e-3, 1.0, 40)]
@@ -403,16 +401,11 @@ class TestSensingPowerSlope:
                         accuracy_ceiling(p))
 
                 def power(rho):
-                    try:
-                        return sensing_power(rho, *args, math.inf)
-                    except InfeasibleError as err:
-                        assert err.reason in ("margin_penalty", "accuracy_ceiling")
-                        return math.inf
+                    return sensing_power(rho, *args)[0]
 
                 slopes = []
                 for rho in rhos:
-                    p_s, dp_du = sensing_power_slope(rho, math.log(rho), *args)
-                    assert repr(p_s) == repr(power(rho))
+                    p_s, dp_du = sensing_power(rho, *args)
                     if p_s == math.inf:
                         assert dp_du == math.inf
                         continue
@@ -490,7 +483,7 @@ class TestMinPruningRatio:
     def test_infeasible_at_one_probes_only_one(self, monkeypatch, quant_coeff, r_t, reason):
         # U* < 0: even rho = 1 misses the target, and u >= 0, so no Newton
         # step is taken, rho = 1 is the one point probed (by sensing_power,
-        # the one ln(rho) taken) and its reason is raised
+        # with one ln(rho)) and its reason is raised
         import isccopt.accuracy as acc
         p = AccuracyParams(a=0.6366, b=100.0, s=3.0)
         terms = PenaltyTerms(prune_coeff=1.0, quant_coeff=quant_coeff, tail_norm=3.0)
@@ -502,7 +495,8 @@ class TestMinPruningRatio:
             pruning_floor_at(2, terms, p, r_t, 1.0, 1e-9)
         assert err.value.reason == reason
         assert probes == [1.0]
-        assert factors == [1.0]
+        # the probe's ln, and the one sensing_power_error takes to name it
+        assert factors == [1.0, 1.0]
 
     def test_equals_the_probing_reference(self):
         # pruning_floor, with its Newton step's u(rho) written out and its

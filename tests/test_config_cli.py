@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import isccopt
@@ -332,6 +333,56 @@ class TestCliSolve:
                    str(cfg_path), "--out", str(tmp_path / "sweep")])
         assert rc == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, command", [
+        ({"accuracy": {"s": 1e10}, "scenario": {"bandwidth": 1e115, "t_max": 1e300}},
+         ["solve"]),
+        ({"accuracy": {"s": 1e10}, "scenario": {"bandwidth": 1e115, "t_max": 1e300}},
+         ["baseline", "--kind", "no_prune"]),
+        ({"scenario": {"snr_db": 271.1, "t_max": 1e300}}, ["baseline", "--kind", "on_server"]),
+        ({"scenario": {"snr_db": 3031.5, "bandwidth": 1.7e60}},
+         ["baseline", "--kind", "on_server"]),
+        ({"scenario": {"bandwidth": 436098046991.4267, "t_max": 1e300}},
+         ["baseline", "--kind", "on_server"])],
+        ids=["tiny_upload-solve", "tiny_upload-no_prune", "snr_db-271.1", "snr_db-3031.5",
+             "bandwidth-4.4e11"])
+    def test_upload_past_the_normal_floats_answers(self, tmp_path, capsys, overrides,
+                                                   command):
+        # the upload that fills the budget would take so long that its power
+        # expm1(ln2/t)/g leaves the normal floats (the KKT slope divided by
+        # nu_e = 0 at t = inf, or p_c underflowed and the latency check
+        # failed): the upload stops where p_c is still normal, as the
+        # deadline is slack there, and every number of the answer is finite
+        cfg_path = tmp_path / "upload.json"
+        cfg_path.write_text(json.dumps(overrides))
+        rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        [path] = (tmp_path / "out").glob("*.json")
+        sol = json.loads(path.read_text())["solution"]
+        assert sol["allocation"]["p_c"] >= sys.float_info.min
+        assert all(map(math.isfinite, [*sol["allocation"].values(), *sol["cost"].values()]))
+
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["baseline", "--kind", "on_device"], ["baseline", "--kind", "no_prune"],
+        ["sweep", "--axis", "t_max", "--values", "0.55,0.8"]])
+    def test_rate_underflow_answers_on_the_device(self, tmp_path, capsys, command):
+        # at bandwidth 5.9e-187 and snr_db -1523 the rate B*log1p(g*p_c)/ln2
+        # underflows to 0, and the device's split uploads no bits: it costs
+        # (0, 0) to upload, not 0/0, and the device answers as at snr_db
+        # -1523 alone, every uploading split missing the deadline
+        cfg_path = tmp_path / "rate.json"
+        cfg_path.write_text(json.dumps({"scenario": {"bandwidth": 5.9e-187,
+                                                     "snr_db": -1523.0}}))
+        rc = main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        if command[0] == "sweep":
+            return
+        [path] = (tmp_path / "out").glob("*.json")
+        sol = json.loads(path.read_text())["solution"]
+        assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
+        assert sol["cost"]["e_comm"] == 0.0
+        if command[-1] != "no_prune":
+            assert sol["cost"]["e_total"] == pytest.approx(0.0233641, rel=1e-5)
+
     @pytest.mark.parametrize("snr_db", [-165, -300])
     @pytest.mark.parametrize("command", [["solve"], ["baseline", "--kind", "on_device"]])
     def test_tiny_snr_answers_on_the_device(self, tmp_path, capsys, snr_db, command):
@@ -617,6 +668,68 @@ def test_config_values_fail_closed_or_solve_feasibly(raw):
 def test_random_cases_solve_feasibly_or_give_reasons(seed):
     assert_every_origin_solves_or_gives_reasons(
         *random_test_case(np.random.default_rng(seed)))
+
+
+# the numeric scenario and accuracy fields the whole-domain property test
+# draws: positive ones at 10^U(-300, 300) times their stock value, snr_db in
+# +-3200 dB, and f_min (stock 0) at a signed 10^U(-300, 300)
+POSITIVE_FIELDS = [("scenario", key) for key in ("t_max", "r_t", "p_max", "nu_max", "nu_s",
+                                                 "kappa", "bandwidth", "t0")]
+POSITIVE_FIELDS += [("accuracy", key) for key in ("a", "b", "s", "c_m", "f_max")]
+DOMAIN_FIELDS = POSITIVE_FIELDS + [("scenario", "snr_db"), ("accuracy", "f_min")]
+DOMAIN_COMMANDS = (["solve"], ["baseline", "--kind", "on_server"],
+                   ["baseline", "--kind", "on_device"], ["baseline", "--kind", "no_prune"],
+                   ["sweep", "--axis", "t_max", "--values", "0.55,1.0"])
+
+
+@st.composite
+def domain_overrides(draw):
+    """1-3 numeric scenario or accuracy fields drawn over the float range."""
+    raw = {}
+    for block, key in draw(st.lists(st.sampled_from(DOMAIN_FIELDS), min_size=1,
+                                    max_size=3, unique=True)):
+        if key == "snr_db":
+            value = draw(st.floats(-3200.0, 3200.0))
+        else:
+            stock = DEFAULT_CONFIG[block][key] or draw(st.sampled_from((-1.0, 1.0)))
+            value = stock * 10.0 ** draw(st.floats(-300.0, 300.0))
+        raw.setdefault(block, {})[key] = value
+    return raw
+
+
+def answers_of(payload):
+    """The solutions in a solve, baseline or sweep JSON payload."""
+    return [row["solution"] for row in payload["rows"]] if "rows" in payload \
+        else [payload["solution"]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example({"accuracy": {"s": 1e10}, "scenario": {"bandwidth": 1e115, "t_max": 1e300}})
+@example({"scenario": {"snr_db": 271.1, "t_max": 1e300}})
+@example({"scenario": {"snr_db": 3031.5, "bandwidth": 1.7e60}})
+@example({"scenario": {"bandwidth": 436098046991.4267, "t_max": 1e300}})
+@example({"scenario": {"bandwidth": 5.9e-187, "snr_db": -1523.0}})
+@given(domain_overrides())
+def test_every_command_fails_closed_or_answers_finitely(raw):
+    # solve, the three baselines and a sweep, in-process, on configs drawn
+    # over the whole float range: each exits 0 (answered), 2 (infeasible,
+    # with reasons) or 3 (config refused), never with an exception or a
+    # failed answer check (4), and every number of an answer is finite
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        for command in DOMAIN_COMMANDS:
+            out = Path(tmp) / command[-1]
+            rc = main([*command, "--config", str(cfg_path), "--out", str(out)])
+            assert rc in (0, 2, 3), (raw, command, rc)
+            if rc:
+                continue
+            [path] = out.glob("*.json")
+            for sol in answers_of(json.loads(path.read_text())):
+                if sol["feasible"]:
+                    numbers = [*sol["allocation"].values(), *sol["cost"].values()]
+                    assert all(isinstance(v, (int, float)) and math.isfinite(v)
+                               for v in numbers), (raw, command, sol)
 
 
 class TestCliSweepAndBaseline:

@@ -15,7 +15,7 @@ from isccopt.accuracy import accuracy_ceiling
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
 from isccopt.solvers import INV_GOLDEN, min_rate_time
-from util import (bracketed, finish, halve_sensing_power, make_scenario,
+from util import (SWEEPS, bracketed, finish, halve_sensing_power, make_scenario,
                   min_pruning_ratio_probing,
                   min_sensing_power_composed, outcome, pruning_floor_at, record_math,
                   solve_pair, solve_pc_nue_reference, stock_config)
@@ -295,11 +295,6 @@ def criterion07_cases():
     return cases
 
 
-SWEEPS = {"t_max": [0.5001, 0.51, 0.55, 0.6, 0.8, 1.0, 1.2, 1.4, 2.0],
-          "r_t": [0.0, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99],
-          "snr": [1.0, 10.0, 50.0, 100.0, 500.0, 1000.0]}
-
-
 class TestBoundAndPrune:
     """The endpoint lower bound and the best-first search that skips pairs
     it rules out."""
@@ -550,6 +545,28 @@ class TestFixedCosts:
                 returned += 1
                 probed_again += len(probes) > 1
         assert returned >= 500 and probed_again >= returned // 2
+
+    def test_errors_are_made_only_for_the_pairs_that_fail(self, template_net,
+                                                         default_scenario, default_params,
+                                                         monkeypatch):
+        # every InfeasibleError a solve constructs is the reason of a pair it
+        # rejects: no E(rho) evaluation, surrogate bound or pruning_floor
+        # probe that succeeds constructs one, on the stock sweeps by every
+        # origin, which reject pairs for each reason sensing_power_error names
+        made = []
+        init = InfeasibleError.__init__
+        monkeypatch.setattr(InfeasibleError, "__init__",
+                            lambda self, *args: made.append(args[0]) or init(self, *args))
+        seen = set()
+        for axis in sorted(SWEEPS):
+            for value in SWEEPS[axis]:
+                sc = opt.apply_axis(default_scenario, axis, value)
+                for origin in opt.ORIGINS:
+                    made.clear()
+                    sol = solve_origin(origin, template_net, sc, default_params)
+                    assert sorted(made) == sorted(r[2] for r in sol.reasons), (axis, value)
+                    seen.update(made)
+        assert {"margin_penalty", "accuracy_ceiling", "sensing_power_cap"} <= seen, seen
 
     def test_lone_pair_takes_one_relaxed_bound(self, template_net, default_params,
                                                monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -380,6 +381,46 @@ class TestSolvePcNue:
         assert a1 * t <= t2
         assert energy == pytest.approx(a1 * LN2 / sc.g_over_bn0, rel=1e-12)
 
+    @pytest.mark.parametrize("g, a1", [(1.288249551693143e27, 0.06144), (100.0, 1.408843e-8)],
+                             ids=["snr_db-271.1", "bandwidth-4.4e11"])
+    def test_raw_upload_stops_where_its_power_leaves_the_normal_floats(self, g, a1):
+        # stretched to a budget of 1e300 s, the upload's power expm1(ln2/t)/g
+        # would underflow to 0 or to a subnormal, and the rate the cost model
+        # reads back from it to 0 or to a rounded value; the upload stops at
+        # t_normal, with a normal power, inside the budget, and its energy
+        # at its limit a1*ln2/g
+        sc = make_scenario(g_over_bn0=g)
+        p_c, nu_e, t, _, energy = power_freq(a1, 0.0, 1e300, *kkt_args(sc))
+        assert p_c >= sys.float_info.min and nu_e == sc.nu_max
+        assert a1 * LN2 / math.log1p(g * p_c) == pytest.approx(a1 * t, rel=1e-12)
+        assert a1 * t < 1e300
+        assert energy == pytest.approx(a1 * LN2 / g, rel=1e-12)
+
+    def test_edge_split_upload_stops_where_its_power_leaves_the_normal_floats(self):
+        # a1 = 1e-112 under a budget of 1e300 s: t2/a1 overflows, and the
+        # bisection in z once doubled t to inf, where nu_e rounds to 0 and
+        # the Newton slope divided by 0; the search starts at t_normal, and
+        # stops there, as the deadline is slack there
+        sc = make_scenario()
+        a1, a2, t2 = 1e-112, 1e6, 1e300
+        p_c, nu_e, t, _, energy = power_freq(a1, a2, t2, *kkt_args(sc))
+        assert p_c >= sys.float_info.min and 0.0 < nu_e < sc.nu_max
+        assert a1 * t + a2 / nu_e < 1e-6 * t2
+        assert energy == pytest.approx(a1 * LN2 / sc.g_over_bn0 + sc.kappa * a2 * nu_e**2,
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [{}, {"g_over_bn0": 1e27}])
+    def test_search_from_t_normal_meets_a_binding_deadline(self, kw):
+        # t2/a1 = 1e306 lies past t_normal, but the edge compute misses the
+        # deadline there: the Newton steps run down from t_normal to the
+        # KKT point, with the latency on the budget
+        sc = make_scenario(**kw)
+        abc = a1, a2, t2 = 1e-306, 1e6, 1.0
+        sol = power_freq(*abc, *kkt_args(sc))
+        _, nu_e, t, _, _ = sol
+        assert a1 * t + a2 / nu_e == pytest.approx(t2, rel=KKT_REL_TOL)
+        assert max(kkt_residuals(abc, sc, sol)) <= 1e-8
+
 
 class TestPowerFreqKernel:
     """solvers.power_freq, with the mu1 ratio written out, gives the bits
@@ -404,6 +445,8 @@ class TestPowerFreqKernel:
             return "no_upload" if a1 == 0.0 else "no_edge_compute"
         if t == min_rate_time(sc) and p_c == sc.p_max:
             return "t_min_binds"
+        if a1 * t + a2 / nu_e < 1e-6 * t2:
+            return "slack_at_t_normal"
         if LN2 / t <= 1e-3:
             return "taylor"
         return "nu_max_clamp" if nu_e == sc.nu_max else "interior"
@@ -424,6 +467,12 @@ class TestPowerFreqKernel:
             floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
             for budget in (t2, floor * 1.001, floor):
                 yield a1, a2, budget, sc
+        # upload times t2/a1 past t_normal, where p_c would leave the normal
+        # floats: slack there, or binding below it
+        for kw in ({}, {"g_over_bn0": 1e27}):
+            for a1, a2, t2 in ((0.06144, 0.0, 1e300), (1e-112, 1e6, 1e300),
+                               (1e-306, 1e6, 1.0)):
+                yield a1, a2, t2, make_scenario(**kw)
 
     def test_equals_the_reference_on_every_branch(self):
         seen = {}
@@ -433,7 +482,7 @@ class TestPowerFreqKernel:
             branch = self.branch(a1, a2, t2, sc)
             seen[branch] = seen.get(branch, 0) + 1
         assert set(seen) == {"latency_budget", "no_upload", "no_edge_compute", "t_min_binds",
-                             "taylor", "nu_max_clamp", "interior"}, seen
+                             "slack_at_t_normal", "taylor", "nu_max_clamp", "interior"}, seen
 
     def test_equals_the_reference_when_the_iterations_run_out(self, monkeypatch):
         # two Newton steps are too few for most interior solves

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import types
 import warnings
 from dataclasses import replace
@@ -11,7 +12,7 @@ import numpy as np
 from isccopt import accuracy, netmodel, optimizer, oracles, sensing, solvers
 from isccopt.accuracy import (FIT_B_BRACKET, FIT_LOGB_TOL, accuracy_ceiling, ideal_accuracy,
                               margin_factor, penalty_factor, pruning_error_factor, pruning_floor,
-                              quant_error_factor, sensing_power)
+                              quant_error_factor, sensing_power, sensing_power_error)
 from isccopt.config import build_config
 from isccopt.errors import InfeasibleError
 from isccopt.quant import quantize_vector
@@ -89,6 +90,12 @@ def fit_accuracy_curve_golden(samples):
     return fit_residual(samples, b)[0], b
 
 
+# the stock sweeps (optimizer.apply_axis's axes): the tests' and identity.py's
+SWEEPS = {"t_max": [0.5001, 0.51, 0.55, 0.6, 0.8, 1.0, 1.2, 1.4, 2.0],
+          "r_t": [0.0, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 0.99],
+          "snr": [1.0, 10.0, 50.0, 100.0, 500.0, 1000.0]}
+
+
 @functools.cache
 def stock_config():
     """The stock run configuration: DEFAULT_CONFIG with no overrides."""
@@ -102,26 +109,23 @@ def make_scenario(**kw):
 
 def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
     """Make the solver return answers that fail their accuracy check:
-    optimizer.sensing_power gives half the accuracy inverse in the solves
-    of the (origin, scenario) pairs that `when` selects, and
-    optimizer.sensing_power_slope, which the surrogate bound reads, half of
-    it and of its slope, so that the bounds stay below the halved E."""
-    inverse, slope, solve = (optimizer.sensing_power, optimizer.sensing_power_slope,
-                             optimizer._enumerate)
+    optimizer.sensing_power gives half the accuracy inverse, and half its
+    slope, in the solves of the (origin, scenario) pairs that `when`
+    selects. E and the surrogate bound read the one kernel, so the bounds
+    stay below the halved E."""
+    inverse, solve = optimizer.sensing_power, optimizer._enumerate
     active = [False]
 
     def enumerate_(net, sc, ap, origin):
         active[0] = when(origin, sc)
         return solve(net, sc, ap, origin)
 
-    def halved_slope(*args):
-        p_s, dp_du = slope(*args)
+    def halved(*args):
+        p_s, dp_du = inverse(*args)
         return (0.5 * p_s, 0.5 * dp_du) if active[0] else (p_s, dp_du)
 
     monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
-    monkeypatch.setattr(optimizer, "sensing_power",
-                        lambda *a: inverse(*a) * (0.5 if active[0] else 1.0))
-    monkeypatch.setattr(optimizer, "sensing_power_slope", halved_slope)
+    monkeypatch.setattr(optimizer, "sensing_power", halved)
 
 
 def record_math(monkeypatch, module, *names):
@@ -208,11 +212,16 @@ def outcome(f, *args):
 
 
 def sensing_power_at(rho, q, terms, params, r_t, p_max):
-    """accuracy.sensing_power at pair bits q, with the constants that
-    PairEnergy binds computed from (q, terms, params)."""
-    return sensing_power(rho, terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
-                         margin_factor(terms, params), r_t, params.a, params.b,
-                         accuracy_ceiling(params), p_max)
+    """accuracy.sensing_power at pair bits q under the cap p_max, with the
+    constants that PairEnergy binds computed from (q, terms, params):
+    the power, or the InfeasibleError that sensing_power_error names
+    where it is above p_max."""
+    args = (terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
+            margin_factor(terms, params), r_t)
+    p_s, _ = sensing_power(rho, *args, params.a, params.b, accuracy_ceiling(params))
+    if p_s > p_max:
+        raise sensing_power_error(rho, *args, accuracy_ceiling(params), p_s, p_max)
+    return p_s
 
 
 def pruning_floor_at(q, terms, params, r_t, p_max, floor):
@@ -263,14 +272,21 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
     if a1 == 0.0:
         nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
         return sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, sc.kappa * a2 * nu**2
+    # the longest upload, at which p_c = expm1(ln2/t)/g is at least twice
+    # the least normal float, and the upload time past which it stops there
+    t_normal = max(min(LN2 / (2.0 * sys.float_info.min) / g, sys.float_info.max), t_min)
+    t_stop = LN2 / (2.0 * sys.float_info.min) / g
     if a2 == 0.0:
-        # the upload takes the budget, or t2 where t2/a1 overflows (a1 < 1)
-        t = max(t2 / a1, t_min) if t2 / a1 < math.inf else t2
+        # the upload takes the budget, or t_normal where that is longer
+        t = max(t2 / a1, t_min)
+        busy = t2 if t < t_stop else a1 * t_normal
+        t = t if t < t_stop else t_normal
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return (p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g,
-                p_c * (t2 if t2 / a1 < math.inf else a1 * t2))
+        return p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy
     t_lo, t_hi, t = t_min, t2 / a1, t_min
+    if t_hi >= t_stop:
+        t_hi = t = t_normal
     for _ in range(solvers.KKT_MAX_ITER):
         z = LN2 / t
         exp_z = math.exp(z)
@@ -284,6 +300,8 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         lat = a1 * t + a2 / nu
         if abs(lat - t2) <= solvers.KKT_REL_TOL * t2:
             break
+        if lat < t2 and t == t_hi:
+            break   # the deadline is slack at t_normal
         if lat < t2:
             t_lo = t
         elif t > t_lo:
