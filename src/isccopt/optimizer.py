@@ -175,6 +175,28 @@ class PairEnergy:
                 bound = right
         return bound
 
+    def edge_floor(self, a2: float, busy: float) -> float:
+        """A floor on the least edge energy at edge FLOPs a2 where the upload
+        takes at most `busy` of the budget t2 (a1*t <= busy):
+
+            a1*T*p_c(T) + kappa*a2*(a2/max(t2 - a1*t_min, a2/nu_max))^2
+
+        with T = max(busy/a1, t_min) and p_c(t) = expm1(ln2/t)/g_over_bn0.
+        t*p_c(t) falls as t grows, to ln2/g_over_bn0 (the upload term where T
+        overflows), and the edge frequency is at least a2/(t2 - a1*t_min), as
+        the upload takes at least a1*t_min; the guard a2/nu_max only lowers
+        that term, and keeps it finite where t2 - a1*t_min rounds to 0 or
+        below (where the KKT solve runs at nu_max too)."""
+        s, a1 = self.split, self.a1
+        upload = compute = 0.0
+        if a1:
+            t = max(busy / a1, s.t_min)
+            upload = (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
+        if a2:
+            nu = a2 / max(s.t2 - a1 * s.t_min, a2 / s.nu_max)
+            compute = s.kappa * a2 * nu**2
+        return upload + compute
+
     def steps(self):
         """The pair's search as a generator: before each unit of work it
         yields a lower bound of E over the rho it can still return; it
@@ -184,53 +206,40 @@ class PairEnergy:
         1. The top end, rho_max for a pair that prunes and rho = 1 for one
            that does not, with every check E makes there before its KKT
            solve, in order (rho_max, sensing_power, check_deadline); then a
-           yield of the relaxed bound, with no KKT solve:
-
-               t_sen*p_s(top) + a1*T*p_c(T) + kappa*a2_lo*(a2_lo/(t2 - a1*t_min))^2
-
-           with a2_lo the edge FLOPs at the bottom of the pair's rho range
-           (RHO_FLOOR, or the top for a pair that does not prune), T =
-           max((t2 - a2_lo/nu_max)/a1, t_min) and p_c(t) =
-           expm1(ln2/t)/g_over_bn0. p_s does not rise with rho, and each edge
-           term takes the other its cheapest share of the deadline: the
-           upload time is at most T, as the edge compute takes at least
-           a2_lo/nu_max, and t*p_c(t) falls as t grows, to ln2/g_over_bn0
-           (the upload term where T overflows); the edge frequency is at
-           least a2_lo/(t2 - a1*t_min), as the upload takes at least
-           a1*t_min (and at most nu_max, the guard in the denominator).
-        2. E at the top. A pair that does not prune returns the top here.
-        3. Where the KKT solve at the top runs below nu_max, the surrogate
-           bound (surrogate_bound), with a yield each time it rises.
+           yield of the relaxed bound, with no KKT solve: t_sen*p_s(top)
+           plus edge_floor at a2_lo, the edge FLOPs at the bottom of the
+           pair's rho range (RHO_FLOOR, or the top for a pair that does not
+           prune), with the upload taking at most t2 - a2_lo/nu_max, as the
+           edge compute takes at least a2_lo/nu_max. p_s does not rise with
+           rho, and the edge energy does not fall as the edge FLOPs rise.
+        2. For a pair that prunes, the surrogate bound (surrogate_bound),
+           with a yield each time it rises; its D is edge_floor at the top
+           with the upload given the whole budget t2: no cap on nu_e.
+        3. E at the top. A pair that does not prune returns the top here.
         4. The bracket, E at rho_min, the smallest rho whose sensing power
            fits under p_max (pruning_floor), then Brent's method on
            [rho_min, top] (solvers.brent_steps) to a width of EPS_RHO, with a
-           yield before each evaluation of E of the larger of stage 3's
+           yield before each evaluation of E of the larger of stage 2's
            bound and lower_bound over the evaluated points of its bracket.
         """
-        s, a1 = self.split, self.a1
+        s = self.split
         top = self.rho_max() if self.prune else 1.0
         p_s, _ = sensing_power(top, *self.inverse)
         if p_s > s.p_max:
             raise sensing_power_error(top, s.prune_coeff, self.quant, s.margin, s.r_t,
                                       s.ceiling, p_s, s.p_max)
         a2 = s.flops.at(top)
-        check_deadline(a1, a2, s.t2, s.t_min, s.nu_max)
+        check_deadline(self.a1, a2, s.t2, s.t_min, s.nu_max)
         a2_lo = s.a2_lo if self.prune else a2
-        upload = compute = 0.0
-        if a1:
-            t = max((s.t2 - a2_lo / s.nu_max) / a1, s.t_min)
-            # t*expm1(ln2/t) -> ln2 as t grows: its limit where t overflows
-            upload = (a1 * t * math.expm1(LN2 / t) if t < math.inf else a1 * LN2) / s.g
-        if a2_lo:
-            nu = a2_lo / max(s.t2 - a1 * s.t_min, a2_lo / s.nu_max)
-            compute = s.kappa * a2_lo * nu**2
-        bound = s.t_sen * p_s + upload + compute
+        edge_lo = self.edge_floor(a2_lo, s.t2 - a2_lo / s.nu_max)
+        bound = s.t_sen * p_s + edge_lo
         yield bound
+        if self.prune and a2:
+            bound = yield from self.surrogate_bound(top, a2, self.edge_floor(a2, s.t2),
+                                                    edge_lo, bound)
         e_top = self._record(top, p_s, a2)
         if not self.prune:
             return top
-        if self.points[top][3] < s.nu_max and a2:
-            bound = yield from self.surrogate_bound(top, a2, upload + compute, bound)
         rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
                                     s.ceiling, s.ideal, s.p_max, RHO_FLOOR), top)
         search = brent_steps(self, rho_min, top, self(rho_min), e_top, EPS_RHO)
@@ -242,22 +251,22 @@ class PairEnergy:
             key = self.lower_bound(*rhos)
             yield key if key > bound else bound
 
-    def surrogate_bound(self, top: float, a2_top: float, edge_lo: float, bound: float):
-        """Stage 3 of steps, as a generator: a lower bound of E over
+    def surrogate_bound(self, top: float, a2_top: float, d_top: float, edge_lo: float,
+                        bound: float):
+        """Stage 2 of steps, as a generator: a lower bound of E over
         [RHO_FLOOR, top] from E's surrogate
 
             f(rho) = t_sen*p_s(rho) + max(edge_lo, D*(a2(rho)/a2_top)^3)
 
-        with p_s uncapped, edge_lo the edge terms of the relaxed bound and D
-        the edge energy of the KKT solve at the top, which must run below
-        nu_max. E >= f: scaling the edge FLOPs by s <= 1 scales the compute
+        with p_s uncapped, edge_lo the edge terms of the relaxed bound and
+        D = d_top a floor on the least edge energy at a2_top with no cap on
+        nu_e. E >= f: scaling the edge FLOPs by s <= 1 scales the compute
         energy kappa*a2^3/time^2 of any split of the deadline by s^3, and the
         upload energy (>= 0) is at least s^3 of itself, so the least edge
         energy without the cap nu_max is at least s^3 D; the cap only adds
-        to it, and at the top it does not bind. f is convex (p_s is, a2 is
-        convex and piecewise affine, and the cube and the max keep that), so
-        its tangents at a < b with f'(a) <= 0 < f'(b) cross below its least
-        value.
+        to it. f is convex (p_s is, a2 is convex and piecewise affine, and
+        the cube and the max keep that), so its tangents at a < b with
+        f'(a) <= 0 < f'(b) cross below its least value.
 
         b starts at the top, and a where f' <= 0 is proven. Below the top,
         f' <= beta*R(rho)^2 - A*(ln rho)^2, with A = t_sen*dp_s/du and
@@ -275,7 +284,7 @@ class PairEnergy:
         then raise. Yields the bound each time it rises above `bound` (the
         relaxed bound), and returns it."""
         s = self.split
-        t_sen, d_top = s.t_sen, self.points[top][4]
+        t_sen = s.t_sen
         points, slopes, intercepts = s.flops
         inverse = self.inverse
 

@@ -14,7 +14,7 @@ from isccopt import oracles as orc
 from isccopt.accuracy import accuracy_ceiling
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
-from isccopt.solvers import INV_GOLDEN, min_rate_time
+from isccopt.solvers import INV_GOLDEN, min_rate_time, power_freq
 from util import (SWEEPS, bracketed, finish, halve_sensing_power, make_scenario,
                   min_pruning_ratio_probing,
                   min_sensing_power_composed, outcome, pruning_floor_at, record_math,
@@ -385,13 +385,25 @@ class TestBoundAndPrune:
     def test_stock_solve_brackets_fewer_pairs(self, template_net, default_scenario,
                                               default_params, monkeypatch):
         # 104 KKT solves and 29 pruning floors with every pair bracketed,
-        # 83 and 19 with the relaxed bound alone; the surrogate bound rules
-        # out 18 of the 19 pairs the relaxed bound left before their bracket.
-        # The answer is the one every pair searched gives
+        # 83 and 19 with the relaxed bound alone, 31 and 1 with the surrogate
+        # bound after E at the top; ahead of it, the surrogate bound rules
+        # out 18 of the 19 pairs the relaxed bound leaves before they record
+        # a point. The answer is the one every pair searched gives
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
+        past_relaxed = set()
+
+        def key(energy, i, bound):
+            if i:
+                past_relaxed.add(energy)   # a yield past the relaxed bound
+            return bound
+
+        finished = watch_steps(monkeypatch, key)
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
-        assert calls["power_freq"] == 31
+        assert calls["power_freq"] == 13
         assert calls["pruning_floor"] == 1
+        ruled_out = past_relaxed - set(finished)
+        assert len(ruled_out) == 18
+        assert all(energy.points == {} for energy in ruled_out)
         monkeypatch.undo()
         assert sol == exhaustive("proposed", template_net, default_scenario, default_params)
 
@@ -678,7 +690,7 @@ class TestOnePathLoop:
         assert {"latency_budget", "sensing_power_cap"} <= seen
 
     @pytest.mark.parametrize("origin, kkt, floors", [
-        ("proposed", 31, 1), ("on_server", 1, 0), ("on_device", 13, 1), ("no_prune", 1, 0)])
+        ("proposed", 13, 1), ("on_server", 1, 0), ("on_device", 13, 1), ("no_prune", 1, 0)])
     def test_stock_kernel_calls(self, template_net, default_scenario, default_params,
                                 monkeypatch, origin, kkt, floors):
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
@@ -727,7 +739,8 @@ class TestSurrogateBound:
     def test_every_key_below_every_point(self):
         # 200 random_test_case draws (rng 7000), whose first 100 are
         # criterion 07's cases, and the stock scenario on a tight grid, where
-        # the KKT solve at the top runs at nu_max for most pairs
+        # the KKT solve at the top runs at nu_max for most pairs: there the
+        # surrogate bound must hold too, as its D has no cap on nu_e
         rng = np.random.default_rng(7000)
         cases = [orc.random_test_case(rng) for _ in range(200)]
         net, sc, ap = stock_config().network, stock_config().scenario, stock_config().accuracy
@@ -742,9 +755,64 @@ class TestSurrogateBound:
                 if checked is not None:
                     points += checked[0]
                     surrogates += checked[1]
-                    at_nu_max += checked[2]
+                    at_nu_max += checked[1] and checked[2]
         assert points >= 400 * 1000
         assert surrogates >= 1000 and at_nu_max >= 50
+
+    def test_floor_below_the_kkt_edge_energy_at_the_top(self):
+        # D, edge_floor at the top with the upload given the whole budget t2,
+        # is at most the KKT solve's edge energy there, with the cap nu_max
+        # and without it, on every pair that prunes of 400 random_test_case
+        # draws (rng 7000) and of the stock network on the tight-deadline
+        # grid; the cap binds at the top of at least 50 of them
+        rng = np.random.default_rng(7000)
+        cases = [orc.random_test_case(rng) for _ in range(400)]
+        net, sc, ap = stock_config().network, stock_config().scenario, stock_config().accuracy
+        cases += [(net, replace(sc, t_max=0.51 + 0.01 * k, r_t=r), ap) for k in range(10)
+                  for r in (0.85, 0.9, 0.95)]
+        pairs = capped = 0
+        for net, sc, ap in cases:
+            for l, q in opt._pairs(net, sc):
+                if l == 0:
+                    continue   # the raw-input split does not prune
+                s = opt.Split(net, sc, ap, l)
+                energy = opt.PairEnergy(s, q)
+                try:
+                    a2 = s.flops.at(energy.rho_max())
+                    kkt = [power_freq(energy.a1, a2, s.t2, s.t_min, s.g, s.kappa, s.p_max, cap)
+                           for cap in (s.nu_max, math.inf)]
+                except InfeasibleError:
+                    continue
+                floor = energy.edge_floor(a2, s.t2)
+                for *_, e_edge in kkt:
+                    assert floor <= e_edge * (1.0 + 1e-12), (l, q, sc)
+                pairs += 1
+                capped += kkt[0][1] == s.nu_max
+        assert pairs >= 2000 and capped >= 50
+
+    @pytest.mark.parametrize("edge", ["slack", "zero", "below", "overflow"])
+    def test_floor_at_the_edges_of_the_deadline(self, template_net, default_params, edge):
+        # where (p_max, nu_max) meets the deadline only within check_deadline's
+        # 1e-12 slack, where t2 - a1*t_min rounds to 0 or below, and where the
+        # upload time t2/a1 overflows, edge_floor in both its uses (the
+        # relaxed bound's upload time and the whole budget) is finite and at
+        # most the KKT edge energy
+        sc = make_scenario(t_max=1e308 if edge == "overflow" else 0.8)
+        s = opt.Split(template_net, sc, default_params, 2)
+        energy = opt.PairEnergy(s, 6)
+        a1, a2 = energy.a1, s.flops.at(0.5)
+        if edge == "slack":
+            s.t2 = (a1 * s.t_min + a2 / s.nu_max) / (1.0 + 5e-13)
+        elif edge in ("zero", "below"):
+            s.t2 = a1 * s.t_min * (1.0 if edge == "zero" else 1.0 - 1e-13)
+            a2 = s.t2 * s.nu_max * 1e-13
+        gap = s.t2 - a1 * s.t_min
+        assert {"slack": 0.0 < gap < a2 / s.nu_max, "zero": gap == 0.0, "below": gap < 0.0,
+                "overflow": s.t2 / a1 == math.inf}[edge]
+        *_, e_edge = power_freq(a1, a2, s.t2, s.t_min, s.g, s.kappa, s.p_max, s.nu_max)
+        for busy in (s.t2 - a2 / s.nu_max, s.t2):
+            floor = energy.edge_floor(a2, busy)
+            assert math.isfinite(floor) and floor <= e_edge * (1.0 + 1e-12), busy
 
 
 class TestDeepStacks:
