@@ -191,8 +191,10 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     check_deadline(a1, a2, t2, t_min, nu_max)
     two_kappa = 2.0 * kappa
     if a1 == 0.0:
-        nu = min(a2 / t2, nu_max) if a2 else nu_max
-        return p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, kappa * a2 * nu**2
+        if not a2:   # nothing uploaded or computed; nu_max**2 may overflow
+            return p_max, nu_max, t_min, 0.0, 0.0
+        nu = min(a2 / t2, nu_max)
+        return p_max, nu, t_min, two_kappa * nu**3, kappa * a2 * nu**2
     # past t_normal, p_c = expm1(ln2/t)/g falls below twice the least
     # normal float; the upload then stops at t_normal, kept finite and at
     # least t_min (the min and max are paid only there)

@@ -7,7 +7,10 @@ Run from the repository root:
 It prints `<solves> <sha256> <E(rho) evaluations>`: the number of solves,
 the sha256 of their `repr(Solution)`s joined by newlines, and the number of
 `PairEnergy._record` calls they made. Equal hashes mean bit-identical
-answers, reasons and iteration counts. The solves, in order:
+answers, reasons and iteration counts. It exits 1, with "identity hash
+moved", unless the solve count and the hash are `EXPECTED`; the evaluation
+count is not gated. A change that moves the answers on purpose updates
+`EXPECTED`. The solves, in order:
 
 1. the solve operations of the benchmark workloads (`benchmarks/workloads`)
    at seeds 301 and 9001, workloads in `workloads.NAMES` order, each
@@ -31,6 +34,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT / "tests")
 import workloads  # noqa: E402
 from isccopt import optimizer, oracles  # noqa: E402
 from util import SWEEPS, stock_config  # noqa: E402
+
+EXPECTED = "3788 a96476b5f6e3ef044cd545229f5e60d5918aa803272e85c342046fe792b6d3ac"
 
 
 def cases():
@@ -63,7 +68,10 @@ def main():
         sols += [row.solution for row in optimizer.sweep(cfg.network, cfg.scenario,
                                                           cfg.accuracy, axis, values)]
     digest = hashlib.sha256("\n".join(map(repr, sols)).encode()).hexdigest()
-    print(len(sols), digest, calls[0])
+    line = f"{len(sols)} {digest}"
+    print(line, calls[0])
+    if line != EXPECTED:
+        sys.exit("identity hash moved")
 
 
 if __name__ == "__main__":
