@@ -12,7 +12,8 @@ whole-domain property test takes each row's config as an example. A row
 passes when its run
 - exits with the row's code, with no traceback on stderr and the row's
   stderr text, if it has one;
-- on exit 0, writes no answer with a number that is not finite;
+- writes no answer with a number that is not finite, and on exit 0 of
+  solve, baseline or sweep writes exactly one answer JSON;
 - on exit 3, writes or changes no file.
 
 Each row runs in an empty directory of its own, with `--out` left at its
@@ -36,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 TIMEOUT_S = 600   # a run past this is a hang
+ANSWERING = ("solve", "baseline", "sweep")   # the commands that write one answer JSON
 
 
 class Case(NamedTuple):
@@ -72,6 +74,7 @@ def _near_linear_samples():
 ON_SERVER = "baseline --kind on_server".split()
 ON_DEVICE = "baseline --kind on_device".split()
 NO_PRUNE = "baseline --kind no_prune".split()
+HUGE_NU_MAX_SWEEP = "sweep --axis t_max --values 0.55,0.8".split()
 LOG1P_RATE = ("the raw-input upload's SNR g*p_c falls below the rounding of 1 + SNR: "
               "the rate stays positive (log1p), not a division of the payload by 0")
 HUGE_NU_MAX = ("the raw-input split computes nothing on the edge and reports nu_e = "
@@ -161,8 +164,12 @@ CASES = [
          HUGE_NU_MAX),
     Case("nu_max-max-on_server", ON_SERVER, {"scenario": {"nu_max": sys.float_info.max}},
          0, None, HUGE_NU_MAX),
-    Case("nu_max-1e155-sweep", "sweep --axis t_max --values 0.55,0.8".split(),
-         {"scenario": {"nu_max": 1e155}}, 0, None, HUGE_NU_MAX),
+    Case("nu_max-1e155-sweep", HUGE_NU_MAX_SWEEP, {"scenario": {"nu_max": 1e155}}, 0, None,
+         HUGE_NU_MAX),
+    Case("nu_max-1e300-sweep", HUGE_NU_MAX_SWEEP, {"scenario": {"nu_max": 1e300}}, 0, None,
+         HUGE_NU_MAX),
+    Case("nu_max-max-sweep", HUGE_NU_MAX_SWEEP, {"scenario": {"nu_max": sys.float_info.max}},
+         0, None, HUGE_NU_MAX),
     Case("deep-stack", ["solve"], fc_stack(12, 128, 20), 0, None,
          "the best pair of a 12-layer stack prunes within 1e-6 of rho = 1, where u(rho)'s "
          "closed form cancels: u is summed from its series"),
@@ -206,14 +213,24 @@ def answers_of(payload):
     return [payload["solution"]] if "solution" in payload else []
 
 
-def unfinite_answers(out):
-    """The feasible answers in the JSON files under `out` with a number that
-    is not a finite float."""
-    return [sol for path in sorted(Path(out).glob("*.json"))
-            for sol in answers_of(json.loads(path.read_text()))
-            if sol["feasible"] and not all(
-                isinstance(v, (int, float)) and math.isfinite(v)
-                for v in (*sol["allocation"].values(), *sol["cost"].values()))]
+def _finite(sol):
+    return all(isinstance(v, (int, float)) and math.isfinite(v)
+               for v in (*sol["allocation"].values(), *sol["cost"].values()))
+
+
+def written_answers(command, rc, out):
+    """The answers a run of `command` (solve, sweep, ...) that exited with
+    `rc` wrote under `out`, and the ways they break the table's rules: on
+    exit 0, solve, baseline and sweep write exactly one JSON, and no
+    feasible answer holds a number that is not a finite float."""
+    paths = sorted(path for path in Path(out).glob("*.json") if path.is_file())
+    answers = [sol for path in paths for sol in answers_of(json.loads(path.read_text()))]
+    problems = []
+    if rc == 0 and command in ANSWERING and len(paths) != 1:
+        problems.append(f"{len(paths)} answer files written, not one")
+    if any(sol["feasible"] and not _finite(sol) for sol in answers):
+        problems.append("an answer with a number that is not finite")
+    return answers, problems
 
 
 def _files(root):
@@ -236,25 +253,25 @@ def config_args(case, root):
     return ["--config", "config.json"]
 
 
-def run(case, root, call):
-    """Run `case` in the empty directory `root` by call(argv), which runs the
-    CLI there and returns its exit code and stderr. Returns the exit code,
-    the stderr and the ways the run breaks the row."""
-    argv = [*case.argv, *config_args(case, root)]
+def run(case, root, call, command=None):
+    """Run `command`, or else the row's own, on the config and files of
+    `case` in the empty directory `root` by call(argv), which runs the CLI
+    there and returns its exit code and stderr. Returns the exit code, the
+    stderr, the answers written and the ways the run breaks the row."""
+    command = command or case.argv
+    argv = [*command, *config_args(case, root)]
     before = _files(root)
     rc, err = call(argv)
-    problems = []
+    answers, problems = written_answers(command[0], rc, root / "out")
     if rc != case.exit:
         problems.append(f"exit {rc}, expected {case.exit}")
     if "Traceback" in err:
         problems.append("a traceback on stderr")
     if case.stderr is not None and case.stderr not in err:
         problems.append(f"no {case.stderr!r} on stderr")
-    if rc == 0 and unfinite_answers(root / "out"):
-        problems.append("an answer with a number that is not finite")
     if rc == 3 and _files(root) != before:
         problems.append("exit 3 wrote or changed a file")
-    return rc, err, problems
+    return rc, err, answers, problems
 
 
 def console(exe, cwd, argv):
@@ -276,7 +293,8 @@ def main():
     failed = 0
     for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            rc, err, problems = run(case, Path(tmp), lambda argv: console(exe, tmp, argv))
+            rc, err, _, problems = run(case, Path(tmp),
+                                       lambda argv: console(exe, tmp, argv))
         failed += bool(problems)
         print(f"{'FAIL' if problems else 'ok'} {case.name}: exit {rc}"
               + "".join(f"; {p}" for p in problems))

@@ -22,17 +22,28 @@ from isccopt.errors import ConfigError
 from isccopt.optimizer import (ORIGINS, PairEnergy, _pairs, penalty_terms,
                                solution_from_dict, solve_baseline, solve_scenario)
 from isccopt.oracles import random_test_case
-from edge_cases import CASE, CASES, answers_of, config_args, fc_stack, run, unfinite_answers
+from edge_cases import CASE, CASES, fc_stack, run, written_answers
 from util import halve_sensing_power
+
+
+def row_answers(case, root, monkeypatch, capsys, command=None):
+    """Run `command`, or else the row's own, in-process through cli.main on
+    an edge-case row's config and files in the new directory `root`; assert
+    that the run keeps the row and return the answers it wrote."""
+    root.mkdir(exist_ok=True)
+    monkeypatch.chdir(root)
+    def call(argv):
+        return main(argv), capsys.readouterr().err
+    _, err, answers, problems = run(case, root, call, command)
+    assert not problems, (problems, err)
+    return answers
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
 def test_edge_case(tmp_path, monkeypatch, capsys, case):
     # one row of the edge-case table (tests/edge_cases.py), in-process; CI
     # runs the same rows through the installed console script
-    monkeypatch.chdir(tmp_path)
-    rc, err, problems = run(case, tmp_path, lambda argv: (main(argv), capsys.readouterr().err))
-    assert not problems, (problems, err)
+    row_answers(case, tmp_path, monkeypatch, capsys)
 
 
 def table_rows(*names, key=None):
@@ -45,18 +56,6 @@ def table_rows(*names, key=None):
         [value] = [block[key] for block in case.overrides.values() if key in block]
         return str(value)
     return [pytest.param(CASE[name], id=ident(CASE[name])) for name in names]
-
-
-def run_row(case, root, monkeypatch, capsys, command=None):
-    """Run `command`, or else the row's own, in-process in the directory
-    `root` on an edge-case row's config and files; return the exit code, the
-    stderr and the answers written."""
-    root.mkdir(exist_ok=True)
-    monkeypatch.chdir(root)
-    rc = main([*(command or case.argv), *config_args(case, root)])
-    answers = [sol for path in sorted((root / "out").glob("*.json"))
-               for sol in answers_of(json.loads(path.read_text()))]
-    return rc, capsys.readouterr().err, answers
 
 
 class TestConfig:
@@ -252,8 +251,7 @@ class TestCliSolve:
     @pytest.mark.parametrize("case", table_rows("t_max-7.2e67", "t_max-1e155", "t_max-1e200",
                                                 "t_max-1e300", "t_max-1e308", key="t_max"))
     def test_loose_deadline_solves(self, tmp_path, monkeypatch, capsys, case):
-        rc, err, [sol] = run_row(case, tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        [sol] = row_answers(case, tmp_path, monkeypatch, capsys)
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
         assert sol["cost"]["e_total"] == pytest.approx(0.0208303, rel=1e-6)
 
@@ -261,33 +259,24 @@ class TestCliSolve:
     def test_tiny_min_score_solves(self, tmp_path, monkeypatch, capsys, case):
         # only the on-device pair, whose penalty is 0 at rho = 1, stays
         # feasible, as it is already at s = 1e-100
-        rc, err, [sol] = run_row(case, tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        [sol] = row_answers(case, tmp_path, monkeypatch, capsys)
         alloc = sol["allocation"]
         assert (alloc["l"], alloc["q"], alloc["rho"]) == (7, 2, 1.0)
         assert sol["cost"]["e_total"] == pytest.approx(0.0270924, rel=1e-6)
 
     def test_huge_feature_range_rejects_the_uploading_pairs(self, tmp_path, monkeypatch,
                                                             capsys):
-        rc, err, [sol] = run_row(CASE["f_max-1e200"], tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        # on_server's exit 2 with its reason is the row f_max-1e200-on_server
+        [sol] = row_answers(CASE["f_max-1e200"], tmp_path, monkeypatch, capsys)
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
         assert len(sol["reasons"]) == 35
         assert {reason for _, _, reason in sol["reasons"]} == {"margin_penalty"}
-        rc, err, _ = run_row(CASE["f_max-1e200-on_server"], tmp_path / "on_server",
-                             monkeypatch, capsys)
-        assert rc == 2
-        assert "l=0 q=6: margin_penalty" in err
 
     def test_huge_kappa_solves_and_on_device_names_the_overflow(self, tmp_path, monkeypatch,
                                                                 capsys):
-        rc, err, [sol] = run_row(CASE["kappa-1e300"], tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        # on_device's exit 2 with its reason is the row kappa-1e300-on_device
+        [sol] = row_answers(CASE["kappa-1e300"], tmp_path, monkeypatch, capsys)
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (0, 6)
-        rc, err, _ = run_row(CASE["kappa-1e300-on_device"], tmp_path / "on_device",
-                             monkeypatch, capsys)
-        assert rc == 2
-        assert "l=7 q=2: energy_overflow" in err
 
     def test_raw_upload_under_an_overflowing_deadline_answers(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -295,9 +284,7 @@ class TestCliSolve:
         # 1e300
         answers = {}
         for name in ("t_max-1e300-on_server", "t_max-1e308-on_server"):
-            rc, err, [answers[name]] = run_row(CASE[name], tmp_path / name, monkeypatch,
-                                               capsys)
-            assert rc == 0, err
+            [answers[name]] = row_answers(CASE[name], tmp_path / name, monkeypatch, capsys)
         sol = answers["t_max-1e308-on_server"]
         assert sol["allocation"]["p_c"] > 0.0
         assert sol["cost"]["t_total"] <= 1e308
@@ -310,8 +297,7 @@ class TestCliSolve:
                                                          case, template_net, default_scenario,
                                                          default_params):
         # the answer costs what it costs at the stock nu_max
-        rc, err, [sol] = run_row(case, tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        [sol] = row_answers(case, tmp_path, monkeypatch, capsys)
         nu_max = case.overrides["scenario"]["nu_max"]
         assert (sol["allocation"]["l"], sol["allocation"]["nu_e"]) == (0, nu_max)
         assert sol["cost"]["e_comp"] == 0.0
@@ -322,8 +308,7 @@ class TestCliSolve:
                                                 "snr_db-271.1", "snr_db-3031.5",
                                                 "bandwidth-4.4e11"))
     def test_upload_past_the_normal_floats_answers(self, tmp_path, monkeypatch, capsys, case):
-        rc, err, [sol] = run_row(case, tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        [sol] = row_answers(case, tmp_path, monkeypatch, capsys)
         assert sol["allocation"]["p_c"] >= sys.float_info.min
 
     @pytest.mark.parametrize("command", [
@@ -332,9 +317,8 @@ class TestCliSolve:
                                                   command):
         # the device answers as at snr_db -1523 alone, every uploading split
         # missing the deadline
-        rc, err, [sol] = run_row(CASE["null_rate-on_device"], tmp_path, monkeypatch, capsys,
-                                 command)
-        assert rc == 0, err
+        [sol] = row_answers(CASE["null_rate-on_device"], tmp_path, monkeypatch, capsys,
+                            command)
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
         assert sol["cost"]["e_comm"] == 0.0
         if command[-1] != "no_prune":
@@ -345,8 +329,7 @@ class TestCliSolve:
     @pytest.mark.parametrize("command", [["solve"], ["baseline", "--kind", "on_device"]])
     def test_tiny_snr_answers_on_the_device(self, tmp_path, monkeypatch, capsys, case,
                                             command):
-        rc, err, [sol] = run_row(case, tmp_path, monkeypatch, capsys, command)
-        assert rc == 0, err
+        [sol] = row_answers(case, tmp_path, monkeypatch, capsys, command)
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
         assert sol["cost"]["e_total"] == pytest.approx(0.0233641, rel=1e-5)
 
@@ -363,8 +346,7 @@ class TestCliSolve:
     def test_deep_stack_answers(self, tmp_path, monkeypatch, capsys):
         # with u's closed form, the search of (10, 6) pushed a key above its
         # own least E and the solve exited 4
-        rc, err, [sol] = run_row(CASE["deep-stack"], tmp_path, monkeypatch, capsys)
-        assert rc == 0, err
+        [sol] = row_answers(CASE["deep-stack"], tmp_path, monkeypatch, capsys)
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (10, 6)
 
     def test_search_that_finishes_no_pair_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -644,7 +626,8 @@ def test_every_command_fails_closed_or_answers_finitely(raw):
     # solve, the three baselines and a sweep, in-process, on configs drawn
     # over the whole float range: each exits 0 (answered), 2 (infeasible,
     # with reasons) or 3 (config refused), never with an exception or a
-    # failed answer check (4), and every number of an answer is finite
+    # failed answer check (4); on exit 0 it writes one answer JSON, and every
+    # number of an answer is finite
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp) / "config.json"
         cfg_path.write_text(json.dumps(raw))
@@ -652,7 +635,8 @@ def test_every_command_fails_closed_or_answers_finitely(raw):
             out = Path(tmp) / command[-1]
             rc = main([*command, "--config", str(cfg_path), "--out", str(out)])
             assert rc in (0, 2, 3), (raw, command, rc)
-            assert not unfinite_answers(out), (raw, command)
+            _, problems = written_answers(command[0], rc, out)
+            assert not problems, (raw, command, problems)
 
 
 class TestCliSweepAndBaseline:
