@@ -175,37 +175,41 @@ def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> 
 
 
 def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r_t: float,
-                  a: float, b: float, ceiling: float) -> tuple[float, float]:
-    """(p_s, dp_s/du): the smallest sensing power meeting accuracy target
-    r_t at pruning ratio rho, with no cap, and its slope in u, from
-    constants the caller binds: prune_coeff of the split, quant =
-    quant_coeff*quant_error_factor(q) of the pair, margin =
-    margin_factor(terms, params), the fit's a and b, and ceiling =
-    accuracy_ceiling(params). It inverts R0(p_s)*(1 - K) = r_t; with
-    T = r_t/(1 - K) the target,
+                  a: float, b: float, ceiling: float) -> tuple[float, float, float]:
+    """(p_s, dp_s/du, ln rho): the smallest sensing power meeting accuracy
+    target r_t at pruning ratio rho, with no cap, its slope in u, and the
+    ln rho it takes once, for u and for the caller's slope in rho,
+    dp_s/drho = -(ln rho)^2 dp_s/du. The constants are the caller's:
+    prune_coeff of the split, quant = quant_coeff*quant_error_factor(q) of
+    the pair, margin = margin_factor(terms, params), the fit's a and b, and
+    ceiling = accuracy_ceiling(params). It inverts R0(p_s)*(1 - K) = r_t;
+    with T = r_t/(1 - K) the target,
 
         dp_s/du = (1 + (b p_s)^2) (T/(1 - K)) margin prune_coeff / (a b),
 
-    as dT/dK = T/(1 - K), so dp_s/drho = -(ln rho)^2 dp_s/du. (inf, inf)
-    where no sensing power meets r_t (K >= 1 or T at the ceiling), p_s's
-    limit there; sensing_power_error names why. p_s is convex in rho: T is
-    convex and increasing in K, K is convex in rho (u is), and tan is
-    convex and increasing on [0, pi/2). pruning_error_factor checks rho
-    (ValueError outside (0, 1])."""
-    k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
+    as dT/dK = T/(1 - K). (inf, inf) in the first two where no sensing
+    power meets r_t (K >= 1 or T at the ceiling), p_s's limit there;
+    sensing_power_error names why. p_s is convex in rho: T is convex and
+    increasing in K, K is convex in rho (u is), and tan is convex and
+    increasing on [0, pi/2). A rho outside (0, 1] raises
+    pruning_error_factor's ValueError."""
+    if not 0.0 < rho <= 1.0:
+        pruning_error_factor(rho)   # raises, but lets a NaN through, as there
+    log_rho = math.log(rho)
+    k = margin_penalty(_u(rho, log_rho), prune_coeff, quant, margin)
     if k >= 1.0:
-        return math.inf, math.inf
+        return math.inf, math.inf, log_rho
     if r_t <= 0.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, log_rho
     target = r_t / (1.0 - k)
     if target >= ceiling:
-        return math.inf, math.inf
+        return math.inf, math.inf, log_rho
     ps = math.tan(target / a) / b
     scale = margin * prune_coeff if prune_coeff else 0.0
     if not scale:
-        return ps, 0.0
+        return ps, 0.0, log_rho
     bp = b * ps
-    return ps, (1.0 + bp * bp) * (target / (1.0 - k)) * scale / a / b
+    return ps, (1.0 + bp * bp) * (target / (1.0 - k)) * scale / a / b, log_rho
 
 
 def sensing_power_error(rho: float, prune_coeff: float, quant: float, margin: float,
@@ -268,7 +272,7 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
             rho = min(rho + newton, 1.0)
     step = max(step, math.ulp(rho))
     while True:
-        p_s, _ = sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling)
+        p_s = sensing_power(rho, prune_coeff, quant, margin, r_t, a, b, ceiling)[0]
         if not p_s > p_max:
             return rho
         if rho >= 1.0:

@@ -92,7 +92,6 @@ def main(argv=None) -> int:
         return 3
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         return args.handler(cfg, args, out_dir)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -108,11 +107,15 @@ def main(argv=None) -> int:
         return 4
 
 
-def _write_all(outputs) -> None:
-    """Write every (path, write) output or none: each write(tmp) goes to a
-    temporary name beside its path, and the temporaries are renamed onto
-    the paths only once every write succeeded. An OSError removes the
-    temporaries and any output already renamed, and names the output."""
+def _write_all(out_dir: Path, outputs) -> None:
+    """Write every (name, write) output into out_dir, or none. out_dir is
+    made here, with its parents, so a command that fails before it writes
+    leaves no new directory. Each write(tmp) goes to a temporary name
+    beside its path, and the temporaries are renamed onto the paths only
+    once every write succeeded. An OSError removes the temporaries and any
+    output already renamed, and names the output."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = [(out_dir / name, write) for name, write in outputs]
     temps, done = [], []
     try:
         for path, write in outputs:
@@ -132,8 +135,8 @@ def _write_solution(cfg: RunConfig, sol, out_dir: Path, stem: str) -> None:
     rows = [optimizer.solution_row(stem, sol)]
     payload = sanitize_floats({"config": cfg.resolved,
                                "solution": optimizer.solution_to_dict(sol)})
-    _write_all([(out_dir / f"{stem}.csv", lambda p: optimizer.write_solutions_csv(p, rows)),
-                (out_dir / f"{stem}.json", lambda p: optimizer.dump_json(p, payload))])
+    _write_all(out_dir, [(f"{stem}.csv", lambda p: optimizer.write_solutions_csv(p, rows)),
+                         (f"{stem}.json", lambda p: optimizer.dump_json(p, payload))])
 
 
 def _report_infeasible(sol) -> None:
@@ -179,8 +182,8 @@ def cmd_sweep(cfg: RunConfig, args, out_dir: Path) -> int:
                   "solution": optimizer.solution_to_dict(row.solution)}
                  for row in rows],
     })
-    _write_all([(out_dir / "sweep.csv", lambda p: optimizer.write_solutions_csv(p, csv_rows)),
-                (out_dir / "sweep.json", lambda p: optimizer.dump_json(p, payload))])
+    _write_all(out_dir, [("sweep.csv", lambda p: optimizer.write_solutions_csv(p, csv_rows)),
+                         ("sweep.json", lambda p: optimizer.dump_json(p, payload))])
     n_bad = sum(not row.solution.feasible for row in rows)
     print(f"sweep {args.axis}: {len(rows)} rows ({n_bad} infeasible) -> {out_dir/'sweep.csv'}")
     return 0
@@ -267,7 +270,8 @@ def cmd_validate(cfg: RunConfig, args, out_dir: Path) -> int:
         payload = sanitize_floats({"suite": name, "passed": ok,
                                    "config": cfg.resolved,
                                    "reports": [r.to_dict() for r in reports]})
-        optimizer.dump_json(out_dir / f"validate_{name}.json", payload)
+        _write_all(out_dir, [(f"validate_{name}.json",
+                              lambda p: optimizer.dump_json(p, payload))])
     return 0 if all_ok else 1
 
 
@@ -284,9 +288,8 @@ def cmd_fit_r0(cfg: RunConfig, args, out_dir: Path) -> int:
         a, b = fit_accuracy_curve(data)
     except ValueError as err:
         raise ConfigError(f"cannot fit samples: {err}") from err
-    optimizer.dump_json(out_dir / "fit_r0.json",
-                        {"a": a, "b": b, "n_samples": int(data.shape[0]),
-                         "config": cfg.resolved})
+    payload = {"a": a, "b": b, "n_samples": int(data.shape[0]), "config": cfg.resolved}
+    _write_all(out_dir, [("fit_r0.json", lambda p: optimizer.dump_json(p, payload))])
     print(f"a={a!r} b={b!r}")
     return 0
 
@@ -298,7 +301,7 @@ def cmd_sense_demo(cfg: RunConfig, args, out_dir: Path) -> int:
     filtered = sensing.clutter_filter(echo, proc["svd_r1"], r2)
     spec = sensing.spectrogram(filtered, proc["window_len"], proc["hop"])
     path = out_dir / "spectrogram.csv"
-    np.savetxt(path, spec[None, :], delimiter=",")
+    _write_all(out_dir, [(path.name, lambda p: np.savetxt(p, spec[None, :], delimiter=","))])
     print(f"echo {echo.shape[0]}x{echo.shape[1]} -> spectrogram of "
           f"{spec.size} bins (norm {np.linalg.norm(spec):.3f}) -> {path}")
     return 0

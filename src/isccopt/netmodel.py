@@ -141,10 +141,13 @@ class FlopPieces(NamedTuple):
     slopes: tuple[float, ...]
     intercepts: tuple[float, ...]
 
-    def at(self, rho: float) -> float:
-        """The count at rho in (0, 1] (not checked)."""
+    def at(self, rho: float) -> tuple[float, float]:
+        """The count at rho in (0, 1] (not checked) and its slope there,
+        from one bisect. At a clamp point the slope is the piece's below
+        it: the count is convex, so either piece's slope is a subgradient."""
         j = bisect_left(self.points, rho)
-        return self.slopes[j] * rho + self.intercepts[j]
+        slope = self.slopes[j]
+        return slope * rho + self.intercepts[j], slope
 
 
 def _flop_pieces(layers) -> FlopPieces:
@@ -270,7 +273,7 @@ def cum_flops(net: NetworkModel, l_from: int, l_to: int, rho: float = 1.0) -> fl
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     if l_from == 1:
-        return table[l_to].at(rho)
+        return table[l_to].at(rho)[0]
     points, slopes, intercepts = table[l_to]
     j = bisect_left(points, rho)
     slope, intercept = slopes[j], intercepts[j]

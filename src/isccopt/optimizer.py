@@ -8,7 +8,6 @@ import csv
 import heapq
 import json
 import math
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields, replace
 
 from . import netmodel
@@ -108,9 +107,11 @@ class PairEnergy:
     computes nothing on the edge (a2 = 0); power_freq covers both
     corners. A call raises InfeasibleError where rho admits no feasible
     point or E overflows to inf; each call that returns records (energy,
-    p_s, p_c, nu_e, e_edge) in `points`, and `least` is the least energy
-    recorded. The pair prunes when its origin does (`prune`) and a layer
-    runs on the device (l > 0); one that does not holds rho at 1.
+    p_s, p_c, nu_e, e_edge, slope) in `points`, and `least` is the least
+    energy recorded. The slope is E' = t_sen*dp_s/drho + dE_edge/da2 *
+    da2/drho, from values the kernels return (see _record). The pair
+    prunes when its origin does (`prune`) and a layer runs on the device
+    (l > 0); one that does not holds rho at 1.
 
     E is evaluated by the kernels accuracy.sensing_power, FlopPieces.at
     and solvers.power_freq from constants bound once, not per call: the
@@ -125,26 +126,33 @@ class PairEnergy:
                         split.b, split.ceiling)
         self.prune = prune and split.l > 0
         self.least = math.inf
-        self.points: dict[float, tuple[float, float, float, float, float]] = {}
+        self.points: dict[float, tuple[float, float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
         s = self.split
-        p_s, _ = sensing_power(rho, *self.inverse)
+        p_s, dp_du, log_rho = sensing_power(rho, *self.inverse)
         if p_s > s.p_max:
             raise sensing_power_error(rho, s.prune_coeff, self.quant, s.margin, s.r_t,
                                       s.ceiling, p_s, s.p_max)
-        return self._record(rho, p_s, s.flops.at(rho))
+        a2, da2 = s.flops.at(rho)
+        return self._record(rho, p_s, -dp_du * log_rho * log_rho, a2, da2)
 
-    def _record(self, rho: float, p_s: float, a2: float) -> float:
-        """E at rho from its sensing power and edge FLOPs; raises
-        InfeasibleError (energy_overflow) where E overflows to inf."""
+    def _record(self, rho: float, p_s: float, dp_s: float, a2: float, da2: float) -> float:
+        """E at rho from its sensing power p_s and slope dp_s = dp_s/drho,
+        and its edge FLOPs a2 and their slope da2 (FlopPieces.at); raises
+        InfeasibleError (energy_overflow) where E overflows to inf. The
+        slope E' = t_sen*dp_s + dE_edge/da2 * da2 takes dE_edge/da2 from
+        power_freq; E is convex on the pair's rho range (p_s is convex, a2
+        convex and piecewise affine, and the least edge energy convex and
+        nondecreasing in a2), so E' gives a tangent below E. An overflow
+        can leave E' infinite or NaN; lower_bound stays a bound there."""
         s = self.split
-        p_c, nu_e, _, _, e_edge = power_freq(self.a1, a2, s.t2, s.t_min, s.g, s.kappa,
-                                             s.p_max, s.nu_max)
+        p_c, nu_e, _, _, e_edge, de_da2 = power_freq(self.a1, a2, s.t2, s.t_min, s.g,
+                                                     s.kappa, s.p_max, s.nu_max)
         energy = s.t_sen * p_s + e_edge
         if energy == math.inf:
             raise InfeasibleError("energy_overflow", f"energy at rho = {rho:.6g} overflows")
-        self.points[rho] = energy, p_s, p_c, nu_e, e_edge
+        self.points[rho] = energy, p_s, p_c, nu_e, e_edge, s.t_sen * dp_s + de_da2 * da2
         if energy < self.least:
             self.least = energy
         return energy
@@ -161,19 +169,64 @@ class PairEnergy:
                 f"edge compute misses the deadline at any rho (budget {cap:.6g} FLOPs)")
         return rho_max
 
-    def lower_bound(self, *rhos: float) -> float:
-        """Lower bound of E on [rhos[0], rhos[-1]] from E evaluated at the
-        increasing points `rhos` (2 or 3 from a Brent step): the least
-        t_sen * p_s(b) + e_edge(a) over neighbours a < b. Exact, because p_s
-        is nonincreasing in rho and the edge energy nondecreasing in the edge
-        FLOPs, which are nondecreasing in rho."""
+    def lower_bound(self, rhos) -> float:
+        """Lower bound of E over the rho the pair can still return, from E
+        evaluated at the increasing points `rhos` (any number from 2; 2 or
+        3 from a Brent step): every rho in [rhos[0], rhos[-1]], and the
+        points already evaluated. It is the larger of two bounds over
+        neighbours a < b, each the least over the segments [a, b]:
+
+        - the chain, t_sen*p_s(b) + e_edge(a): p_s is nonincreasing in rho
+          and the edge energy nondecreasing in the edge FLOPs, which are
+          nondecreasing in rho;
+        - the tangents: E is convex, so on [a, b] it lies above the larger
+          of its tangents at a and b (their recorded slopes), whose least
+          value there is at their crossing where the slopes have opposite
+          signs. The bound is the tangents' value at their crossing,
+          clamped to [a, b] (a's tangent at b where the crossing lies
+          right of b, E(a) where it lies left of a), or none where the
+          slopes fall from a to b (rounding, or an overflow to inf or
+          NaN).
+
+        Where the slopes share a sign, that value can exceed E's least on
+        [a, b], which then lies at a or b, an evaluated point; so the key
+        is capped at `least`. That keeps it a bound, and keeps the key of
+        the search that holds the incumbent at or below it, so that search
+        always finishes."""
         t_sen, points = self.split.t_sen, self.points
-        bound = t_sen * points[rhos[1]][1] + points[rhos[0]][4]
-        for i in range(2, len(rhos)):
-            right = t_sen * points[rhos[i]][1] + points[rhos[i - 1]][4]
-            if right < bound:
-                bound = right
-        return bound
+        a = rhos[0]
+        e_a, _, _, _, edge_a, g_a = points[a]
+        chain = tangent = math.inf
+        for i in range(1, len(rhos)):
+            b = rhos[i]
+            e_b, p_b, _, _, edge_b, g_b = points[b]
+            right = t_sen * p_b + edge_a
+            if right < chain:
+                chain = right
+            # the tangents cross rise/span right of a, where rise is E(a)
+            # less b's tangent at a
+            width = b - a
+            span = g_b - g_a
+            if span >= 0.0:
+                rise = e_a - e_b + g_b * width
+                if rise >= span * width:
+                    cross = e_a + g_a * width
+                elif rise > 0.0:
+                    cross = e_b - g_b * (width - rise / span)
+                else:
+                    cross = e_a
+                if cross < tangent:
+                    tangent = cross
+            else:
+                tangent = -math.inf
+            a = b
+            e_a = e_b
+            edge_a = edge_b
+            g_a = g_b
+        if tangent > chain:
+            chain = tangent
+        least = self.least
+        return least if chain > least else chain
 
     def edge_floor(self, a2: float, busy: float) -> float:
         """A floor on the least edge energy at edge FLOPs a2 where the upload
@@ -220,24 +273,25 @@ class PairEnergy:
            fits under p_max (pruning_floor), then Brent's method on
            [rho_min, top] (solvers.brent_steps) to a width of EPS_RHO, with a
            yield before each evaluation of E of the larger of stage 2's
-           bound and lower_bound over the evaluated points of its bracket.
+           bound and lower_bound over the evaluated points of its bracket
+           (their chain and tangent bounds, capped at the least E).
         """
         s = self.split
         top = self.rho_max() if self.prune else 1.0
-        p_s, _ = sensing_power(top, *self.inverse)
+        p_s, dp_du, log_rho = sensing_power(top, *self.inverse)
         if p_s > s.p_max:
             raise sensing_power_error(top, s.prune_coeff, self.quant, s.margin, s.r_t,
                                       s.ceiling, p_s, s.p_max)
-        a2 = s.flops.at(top)
+        a2, da2 = s.flops.at(top)
         check_deadline(self.a1, a2, s.t2, s.t_min, s.nu_max)
         a2_lo = s.a2_lo if self.prune else a2
         edge_lo = self.edge_floor(a2_lo, s.t2 - a2_lo / s.nu_max)
         bound = s.t_sen * p_s + edge_lo
         yield bound
         if self.prune and a2:
-            bound = yield from self.surrogate_bound(top, a2, self.edge_floor(a2, s.t2),
+            bound = yield from self.surrogate_bound(top, a2, da2, self.edge_floor(a2, s.t2),
                                                     edge_lo, bound)
-        e_top = self._record(top, p_s, a2)
+        e_top = self._record(top, p_s, -dp_du * log_rho * log_rho, a2, da2)
         if not self.prune:
             return top
         rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
@@ -248,11 +302,11 @@ class PairEnergy:
                 rhos = next(search)
             except StopIteration as done:
                 return done.value
-            key = self.lower_bound(*rhos)
+            key = self.lower_bound(rhos)
             yield key if key > bound else bound
 
-    def surrogate_bound(self, top: float, a2_top: float, d_top: float, edge_lo: float,
-                        bound: float):
+    def surrogate_bound(self, top: float, a2_top: float, da2_top: float, d_top: float,
+                        edge_lo: float, bound: float):
         """Stage 2 of steps, as a generator: a lower bound of E over
         [RHO_FLOOR, top] from E's surrogate
 
@@ -270,11 +324,11 @@ class PairEnergy:
 
         b starts at the top, and a where f' <= 0 is proven. Below the top,
         f' <= beta*R(rho)^2 - A*(ln rho)^2, with A = t_sen*dp_s/du and
-        beta = 3*D*a2'/a2_top at the top (dp_s/du rises as rho falls, and
-        a2' does not), and R the chord of a2/a2_top from RHO_FLOOR to the
-        top (a2 is convex, so below it). So f' <= 0 at and below the root
-        of g(rho) = -ln(rho) - sqrt(beta/A)*R(rho), which is convex and
-        decreasing: Newton steps from exp(-sqrt(beta/A)), where g >= 0 as
+        beta = 3*D*a2'/a2_top at the top, a2' = da2_top (dp_s/du rises as
+        rho falls, and a2' does not), and R the chord of a2/a2_top from
+        RHO_FLOOR to the top (a2 is convex, so below it). So f' <= 0 at
+        and below the root of g(rho) = -ln(rho) - sqrt(beta/A)*R(rho),
+        which is convex and decreasing: Newton steps from exp(-sqrt(beta/A)), where g >= 0 as
         R <= 1, stay below the root. Then up to SURROGATE_STEPS secant
         steps on f' replace a or b by the sign of f' there. A point where f
         is infinite (p_s has no value) lies left of every feasible rho, as
@@ -284,24 +338,21 @@ class PairEnergy:
         then raise. Yields the bound each time it rises above `bound` (the
         relaxed bound), and returns it."""
         s = self.split
-        t_sen = s.t_sen
-        points, slopes, intercepts = s.flops
+        t_sen, flops_at = s.t_sen, s.flops.at
         inverse = self.inverse
 
         def f(rho):
             """(f, f', t_sen*dp_s/du) at rho; (inf, -inf, inf) left of the
             rho at which some sensing power meets r_t."""
-            p_s, dp_du = sensing_power(rho, *inverse)
+            p_s, dp_du, log_rho = sensing_power(rho, *inverse)
             if p_s == math.inf:
                 return math.inf, -math.inf, math.inf
-            log_rho = math.log(rho)
-            j = bisect_left(points, rho)
-            a2 = slopes[j] * rho + intercepts[j]
+            a2, da2 = flops_at(rho)
             cube = d_top * (a2 / a2_top) ** 3
             ds_du = t_sen * dp_du
             slope = -ds_du * (log_rho * log_rho) if log_rho else 0.0
             if cube > edge_lo:
-                return t_sen * p_s + cube, slope + 3.0 * cube * slopes[j] / a2, ds_du
+                return t_sen * p_s + cube, slope + 3.0 * cube * da2 / a2, ds_du
             return t_sen * p_s + edge_lo, slope, ds_du
 
         f_b, g_b, a_top = f(top)
@@ -313,8 +364,7 @@ class PairEnergy:
             return bound
         # a: three Newton steps on g, with c = sqrt(beta/A) and the chord
         # R(rho) = r_lo + r_slope*(rho - RHO_FLOOR)
-        c = (math.sqrt(3.0 * d_top * slopes[bisect_left(points, top)] / a2_top / a_top)
-             if a_top else math.inf)
+        c = math.sqrt(3.0 * d_top * da2_top / a2_top / a_top) if a_top else math.inf
         r_lo = s.a2_lo / a2_top
         r_slope = (1.0 - r_lo) / (top - RHO_FLOOR)
         rho = math.exp(-c)
@@ -358,7 +408,7 @@ def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:
     check_feasible over `splits` gives its cost breakdown, and CheckError
     names each constraint it fails, with its slack; `iterations` is the
     number of points E was evaluated at."""
-    _, p_s, p_c, nu_e, _ = energy.points[rho]
+    _, p_s, p_c, nu_e, _, _ = energy.points[rho]
     s = energy.split
     alloc = Allocation(l=s.l, q=energy.q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
     report = check_feasible(alloc, s.net, s.sc, s.terms, s.ap, splits)
@@ -386,19 +436,26 @@ def _pairs(net, sc, origin: str = "proposed") -> list[tuple[int, int]]:
             for q in range(2, (sc.q_max if netmodel.upload_dim(net, l) else 2) + 1)]
 
 
+def _nan_key(origin: str, l: int, q: int) -> CheckError:
+    return CheckError(f"{origin} (l={l}, q={q}): lower bound is NaN")
+
+
 def _enumerate(net, sc, ap, origin):
     """The one outer loop, a best-first branch and bound over the origin's
     (l, q) pairs; the one per-origin rule in it is PairEnergy's `prune`,
     false for no_prune (rho = 1).
 
-    One priority queue holds each pair's search (PairEnergy.steps) keyed
-    by (lower bound, q, l), every pair first at -inf. Each pass advances
-    the least entry by one step: a yielded key puts it back (a NaN key
-    raises CheckError naming the pair, as it would end the loop unsearched),
-    an InfeasibleError leaves its reason, and a finished search competes
-    for the answer on (E, q, l). The least E(rho) evaluated so far is the
-    incumbent, and the loop stops when the least key is above it times
-    (1 + PRUNE_RTOL). Every pair left in the queue then has every point it
+    Every pair's search (PairEnergy.steps) first takes its first step, in
+    the origin's pair order: each search yields its relaxed bound there or
+    raises InfeasibleError, and none records a point, so the order cannot
+    matter. One priority queue, heapified once, then holds each search
+    that yielded, keyed by (lower bound, q, l), a total order. Each pass
+    advances the least entry by one step: a yielded key puts it back (a
+    NaN key, first or later, raises CheckError naming the pair, as it
+    would end the loop unsearched), an InfeasibleError leaves its reason,
+    and a finished search competes for the answer on (E, q, l). The least
+    E(rho) evaluated so far is the incumbent, and the loop stops when the
+    least key is above it times (1 + PRUNE_RTOL). Every pair left in the queue then has every point it
     could return above the incumbent, so the answer is the least (E, q, l)
     over all pairs, with its `iterations`, as if every pair were searched.
 
@@ -412,10 +469,20 @@ def _enumerate(net, sc, ap, origin):
         raise ValueError(f"scenario.splits {sc.splits} must lie in 0..{net.depth}")
     pairs = _pairs(net, sc, origin)
     splits = {l: Split(net, sc, ap, l) for l in {l for l, _ in pairs}}
-    energies = [PairEnergy(splits[l], q, origin != "no_prune") for l, q in pairs]
-    queue = [(-math.inf, e.q, e.split.l, e, e.steps()) for e in energies]
+    reasons, queue = [], []
+    for l, q in pairs:
+        energy = PairEnergy(splits[l], q, origin != "no_prune")
+        steps = energy.steps()
+        try:
+            key = next(steps)
+        except InfeasibleError as err:
+            reasons.append((l, q, err.reason))
+            continue
+        if math.isnan(key):
+            raise _nan_key(origin, l, q)
+        queue.append((key, q, l, energy, steps))
     heapq.heapify(queue)
-    reasons, incumbent, best = [], math.inf, None
+    incumbent, best = math.inf, None
     while queue and queue[0][0] <= incumbent * (1.0 + PRUNE_RTOL):
         _, q, l, energy, steps = queue[0]
         try:
@@ -431,9 +498,10 @@ def _enumerate(net, sc, ap, origin):
                 best = (e, q, l, energy, done.value)
         else:
             if math.isnan(key):
-                raise CheckError(f"{origin} (l={l}, q={q}): lower bound is NaN")
+                raise _nan_key(origin, l, q)
             heapq.heapreplace(queue, (key, q, l, energy, steps))
-        incumbent = min(incumbent, energy.least)
+        if energy.least < incumbent:
+            incumbent = energy.least
     reasons = tuple(sorted(reasons))
     if best is None and incumbent < math.inf:
         raise CheckError(f"{origin}: no pair finished its search, incumbent {incumbent!r} J")

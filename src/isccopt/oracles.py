@@ -197,8 +197,8 @@ def grid_subproblem(a1: float, a2: float, t2: float, sc: Scenario, grid_n: int,
     t_hi = t2 / a1
     grid_feasible = t_hi >= t_min
     try:
-        _, nu_e, t_kkt, _, _ = power_freq(a1, a2, t2, t_min, sc.g_over_bn0, sc.kappa,
-                                          sc.p_max, sc.nu_max)
+        _, nu_e, t_kkt, _, _, _ = power_freq(a1, a2, t2, t_min, sc.g_over_bn0, sc.kappa,
+                                             sc.p_max, sc.nu_max)
         solver_obj = (a1 * math.expm1(math.log(2.0) / t_kkt) * t_kkt
                       / sc.g_over_bn0 + sc.kappa * a2 * nu_e**2)
         solver_feasible = True

@@ -142,7 +142,7 @@ def _mu1_ratio(z: float, exp_z: float) -> float:
 
 
 def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: float,
-               p_max: float, nu_max: float) -> tuple[float, float, float, float, float]:
+               p_max: float, nu_max: float) -> tuple[float, float, float, float, float, float]:
     """Jointly optimal communication power and edge frequency: the least
     a1*t*p_c + kappa*a2*nu_e^2 subject to a1*t + a2/nu_e <= t2, where a1 is
     payload/bandwidth, a2 the edge FLOPs, t2 the latency budget left after
@@ -150,10 +150,14 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     constants come as plain floats: t_min = min_rate_time(sc), g =
     g_over_bn0, kappa, p_max and nu_max.
 
-    Returns (p_c, nu_e, t, mu1, energy): t is the inverse spectral
+    Returns (p_c, nu_e, t, mu1, energy, slope): t is the inverse spectral
     efficiency 1/log2(1 + SNR), mu1 the multiplier of the latency
-    constraint, and energy = p_c*a1*t + kappa*a2*nu_e^2. The Newton loop
-    writes _mu1_ratio out, so a step makes no Python call.
+    constraint, energy = p_c*a1*t + kappa*a2*nu_e^2, and slope the
+    derivative of the least energy in a2, kappa*nu_e^2 + mu1/nu_e by the
+    envelope theorem (3*kappa*nu_e^2 where mu1 = 2*kappa*nu_e^3, with no
+    division), or 0 at a2 = 0, where the least energy, convex and
+    nondecreasing in a2, has the subgradient 0. The Newton loop writes
+    _mu1_ratio out, so a step makes no Python call.
 
     Infeasible when even (p_max, nu_max) misses the deadline
     (check_deadline). Nothing uploaded (a1 = 0): p_c = p_max and nu_e is
@@ -192,9 +196,9 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
     two_kappa = 2.0 * kappa
     if a1 == 0.0:
         if not a2:   # nothing uploaded or computed; nu_max**2 may overflow
-            return p_max, nu_max, t_min, 0.0, 0.0
+            return p_max, nu_max, t_min, 0.0, 0.0, 0.0
         nu = min(a2 / t2, nu_max)
-        return p_max, nu, t_min, two_kappa * nu**3, kappa * a2 * nu**2
+        return p_max, nu, t_min, two_kappa * nu**3, kappa * a2 * nu**2, 3.0 * kappa * nu * nu
     # past t_normal, p_c = expm1(ln2/t)/g falls below twice the least
     # normal float; the upload then stops at t_normal, kept finite and at
     # least t_min (the min and max are paid only there)
@@ -206,7 +210,7 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
             busy = a1 * t
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return p_c, nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy
+        return p_c, nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy, 0.0
     two_kappa_g = two_kappa * g
     # at t2/a1 the upload alone fills the budget; past t_normal the search
     # starts at t_normal, and stops there where the deadline is slack
@@ -240,7 +244,7 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
             # edge takes the rest of the budget
             nu = a2 / max(t2 - a1 * t_min, a2 / nu_max)
             return (p_max, nu, t_min, two_kappa * nu**3,
-                    p_max * a1 * t_min + kappa * a2 * nu**2)
+                    p_max * a1 * t_min + kappa * a2 * nu**2, 3.0 * kappa * nu * nu)
         # d lat / d t
         slope = a1 + a2 * z * exp_z / (3.0 * LN2 * r * nu) if nu < nu_max else a1
         t -= (lat - t2) / slope
@@ -250,4 +254,5 @@ def power_freq(a1: float, a2: float, t2: float, t_min: float, g: float, kappa: f
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {t2:.12g} s")
     p_c = math.expm1(z) / g
-    return p_c, nu, t, z * z * r / g, p_c * a1 * t + kappa * a2 * nu**2
+    mu1 = z * z * r / g
+    return p_c, nu, t, mu1, p_c * a1 * t + kappa * a2 * nu**2, kappa * nu * nu + mu1 / nu

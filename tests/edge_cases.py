@@ -14,7 +14,8 @@ passes when its run
   stderr text, if it has one;
 - writes no answer with a number that is not finite, and on exit 0 of
   solve, baseline or sweep writes exactly one answer JSON;
-- on exit 3, writes or changes no file.
+- on exit 3 or 4, writes or changes no file and makes no directory: a
+  failed run leaves no empty `out` behind.
 
 Each row runs in an empty directory of its own, with `--out` left at its
 default `out`. A row with overrides gets `--config config.json`, holding
@@ -104,8 +105,13 @@ CASES = [
          "pruning-mean at its default --trials 200, which --trials 20 leaves ungated"),
     Case("fit-r0-near-linear", "fit-r0 --samples samples.csv".split(), None, 3,
          "fix only the product a*b",
-         "samples with b*p <= 0.22 fix only a*b, and the fit must say so, not answer",
+         "samples with b*p <= 0.22 fix only a*b, and the fit must say so, not answer "
+         "(and make no output directory)",
          files={"samples.csv": _near_linear_samples()}),
+    Case("sweep-bad-values", "sweep --axis t_max --values abc".split(), None, 3,
+         "config error: bad sweep values",
+         "a sweep value that is not a number is refused before any solve, and no "
+         "output directory is made"),
     Case("out-is-a-file", ["solve"], None, 3, "config error: cannot write output out",
          "an --out that names an existing file is refused and left as it was",
          files={"out": "keep"}),
@@ -233,8 +239,9 @@ def written_answers(command, rc, out):
     return answers, problems
 
 
-def _files(root):
-    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+def _tree(root):
+    """Every file under root with its bytes, and every directory (None)."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
 def config_args(case, root):
@@ -260,7 +267,7 @@ def run(case, root, call, command=None):
     stderr, the answers written and the ways the run breaks the row."""
     command = command or case.argv
     argv = [*command, *config_args(case, root)]
-    before = _files(root)
+    before = _tree(root)
     rc, err = call(argv)
     answers, problems = written_answers(command[0], rc, root / "out")
     if rc != case.exit:
@@ -269,8 +276,8 @@ def run(case, root, call, command=None):
         problems.append("a traceback on stderr")
     if case.stderr is not None and case.stderr not in err:
         problems.append(f"no {case.stderr!r} on stderr")
-    if rc == 3 and _files(root) != before:
-        problems.append("exit 3 wrote or changed a file")
+    if rc in (3, 4) and _tree(root) != before:
+        problems.append(f"exit {rc} wrote or changed a file or directory")
     return rc, err, answers, problems
 
 

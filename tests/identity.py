@@ -8,9 +8,10 @@ It prints `<solves> <sha256> <E(rho) evaluations>`: the number of solves,
 the sha256 of their `repr(Solution)`s joined by newlines, and the number of
 `PairEnergy._record` calls they made. Equal hashes mean bit-identical
 answers, reasons and iteration counts. It exits 1, with "identity hash
-moved", unless the solve count and the hash are `EXPECTED`; the evaluation
-count is not gated. A change that moves the answers on purpose updates
-`EXPECTED`. The solves, in order:
+moved", unless the solve count and the hash are `EXPECTED`, and with "too
+many E(rho) evaluations" where the count is above `MAX_EVALUATIONS`. A
+change that moves the answers on purpose updates `EXPECTED`; one that
+saves evaluations lowers `MAX_EVALUATIONS`. The solves, in order:
 
 1. the solve operations of the benchmark workloads (`benchmarks/workloads`)
    at seeds 301 and 9001, workloads in `workloads.NAMES` order, each
@@ -36,6 +37,9 @@ from isccopt import optimizer, oracles  # noqa: E402
 from util import SWEEPS, stock_config  # noqa: E402
 
 EXPECTED = "3788 a96476b5f6e3ef044cd545229f5e60d5918aa803272e85c342046fe792b6d3ac"
+# the E(rho) evaluations the solves make with tangent keys (31,045 with
+# the chain bound alone)
+MAX_EVALUATIONS = 29341
 
 
 def cases():
@@ -72,6 +76,8 @@ def main():
     print(line, calls[0])
     if line != EXPECTED:
         sys.exit("identity hash moved")
+    if calls[0] > MAX_EVALUATIONS:
+        sys.exit(f"too many E(rho) evaluations: {calls[0]} > {MAX_EVALUATIONS}")
 
 
 if __name__ == "__main__":

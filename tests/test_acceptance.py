@@ -13,7 +13,8 @@ from isccopt.cost import check_feasible
 from isccopt.errors import InfeasibleError
 from isccopt.quant import QuantSpec
 from isccopt.solvers import brent, min_rate_time, power_freq
-from util import UNIMODAL_BATTERY, golden_section, kkt_args, kkt_residuals, solve_pair
+from util import (UNIMODAL_BATTERY, golden_section, kkt_args, kkt_residuals, solve_pair,
+                  u_error)
 
 
 def report(num, ok, detail):
@@ -74,7 +75,7 @@ class TestCriterion04PowerFreqOptimality:
             assert rep.passed, rep.stats
             worst_gap = max(worst_gap, rep.worst_violation)
             sol = power_freq(*abc, *kkt_args(sc))
-            _, nu_e, t, _, _ = sol
+            _, nu_e, t, _, _, _ = sol
             lat = abs(a1 * t + a2 / nu_e - t2) / t2
             worst_lat = max(worst_lat, lat)
             worst_kkt = max(worst_kkt, max(kkt_residuals(abc, sc, sol)))
@@ -107,7 +108,7 @@ class TestCriterion05KktOverBudgetRange:
                 except InfeasibleError:
                     raised += 1
                     continue
-                _, nu_e, t, _, _ = sol
+                _, nu_e, t, _, _, _ = sol
                 worst_lat = max(worst_lat, abs(a1 * t + a2 / nu_e - t2) / t2)
                 if f <= 10.0:
                     worst_kkt = max(worst_kkt, max(kkt_residuals((a1, a2, t2), sc, sol)))
@@ -138,9 +139,13 @@ class TestCriterion07PairSolverOptimality:
     def test_pairs_at_or_below_rho_grid(self):
         # every pair the solver returns is at or below a 400-point rho grid
         # of E(rho) with the exact KKT block, and passes check_feasible;
-        # every pair feasible on the grid is feasible for the solver
+        # every pair feasible on the grid is feasible for the solver. The
+        # grid's E, the solver and check_feasible all take u(rho) from
+        # accuracy._u, so u is checked on the grid against a 120-digit
+        # decimal reference (util.u_error) within the 1e-13 _u states
         rng = np.random.default_rng(7000)
         grid = np.linspace(opt.RHO_FLOOR, 1.0, 400)
+        u_worst = max(u_error(float(rho)) for rho in grid)
         feasible_cases = 0
         attempts = 0
         gaps = []
@@ -174,13 +179,14 @@ class TestCriterion07PairSolverOptimality:
                 feasible_cases += 1
         worst = max(gaps)
         ok = (feasible_cases == 100 and worst <= 1e-9 and missed == 0
-              and unchecked == 0)
+              and unchecked == 0 and u_worst <= 1e-13)
         report(7, ok,
                f"pair solver on {feasible_cases} feasible random scenarios "
                f"({len(gaps)} pairs) vs a 400-point rho grid with the exact KKT "
                f"block: worst gap {worst:.2e} (tol 1e-9), median gap "
                f"{float(np.median(gaps)):.2e}, grid-feasible pairs rejected "
-               f"{missed}, check_feasible failures {unchecked}")
+               f"{missed}, check_feasible failures {unchecked}, worst u(rho) on "
+               f"the grid vs a decimal reference {u_worst:.2e} (tol 1e-13)")
 
 
 @pytest.fixture(scope="module")

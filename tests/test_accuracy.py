@@ -1,4 +1,3 @@
-import decimal
 import itertools
 import math
 from dataclasses import replace
@@ -14,7 +13,7 @@ from isccopt.cost import Allocation
 from isccopt.errors import InfeasibleError
 from util import (fit_accuracy_curve_golden, fit_residual, min_pruning_ratio_probing,
                   min_sensing_power_composed, outcome, pruning_floor_at, record_math,
-                  sensing_power_at)
+                  sensing_power_at, u_error)
 
 
 def alloc(p_s=0.1, rho=1.0, q=2, l=1):
@@ -49,15 +48,7 @@ class TestPruningErrorFactor:
         rhos = [*np.geomspace(1e-9, 1.0, 2000)[:-1], *(1.0 - np.geomspace(1e-16, 0.9, 2000))]
         rhos += [1.0 - 10.0**-k for k in range(1, 16)] + [1.0 - 7.4e-12, math.exp(-0.3)]
         rhos += [math.nextafter(math.exp(-0.3), d) for d in (0.0, 1.0)]
-        worst = 0.0
-        with decimal.localcontext() as ctx:
-            ctx.prec = 120
-            for rho in map(float, rhos):
-                r = decimal.Decimal(rho)
-                want = 2 - r - r * (r.ln() - 1) ** 2
-                got = decimal.Decimal(pruning_error_factor(rho))
-                worst = max(worst, abs((got - want) / want))
-        assert worst <= 1e-13
+        assert max(u_error(float(rho)) for rho in rhos) <= 1e-13
 
     def test_nonnegative_and_nonincreasing_up_to_one(self):
         grid = np.concatenate([np.linspace(1e-9, 1.0, 100001),
@@ -405,7 +396,7 @@ class TestSensingPowerSlope:
 
                 slopes = []
                 for rho in rhos:
-                    p_s, dp_du = sensing_power(rho, *args)
+                    p_s, dp_du, _ = sensing_power(rho, *args)
                     if p_s == math.inf:
                         assert dp_du == math.inf
                         continue

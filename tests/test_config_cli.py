@@ -354,7 +354,7 @@ class TestCliSolve:
         # the on-device pair is bracketed, its search is keyed at inf, and
         # the loop stops with a finite incumbent and no finished search.
         # That is a broken invariant, not an infeasible problem: exit 4
-        monkeypatch.setattr(PairEnergy, "lower_bound", lambda self, *rhos: math.inf)
+        monkeypatch.setattr(PairEnergy, "lower_bound", lambda self, rhos: math.inf)
         rc = main(["baseline", "--kind", "on_device", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4, err

@@ -14,7 +14,7 @@ from isccopt import oracles as orc
 from isccopt.accuracy import accuracy_ceiling
 from isccopt.cost import Allocation, check_feasible, comm_cost, total_cost
 from isccopt.errors import CheckError, InfeasibleError
-from isccopt.solvers import INV_GOLDEN, min_rate_time, power_freq
+from isccopt.solvers import INV_GOLDEN, KKT_REL_TOL, min_rate_time, power_freq
 from util import (SWEEPS, bracketed, finish, halve_sensing_power, make_scenario,
                   min_pruning_ratio_probing,
                   min_sensing_power_composed, outcome, pruning_floor_at, record_math,
@@ -226,7 +226,7 @@ def exhaustive(kind, net, sc, ap):
             except InfeasibleError as err:
                 reasons.append((l, q, err.reason))
                 continue
-            _, p_s, p_c, nu_e, _ = energy.points[rho]
+            _, p_s, p_c, nu_e, _, _ = energy.points[rho]
             alloc = Allocation(l=l, q=q, rho=rho, p_s=p_s, p_c=p_c, nu_e=nu_e)
             sol = opt.Solution(origin=kind, feasible=True, alloc=alloc,
                                cost=total_cost(alloc, net, sc),
@@ -321,7 +321,7 @@ class TestBoundAndPrune:
                     except InfeasibleError:
                         continue
                     pairs += 1
-                    bound = energy.lower_bound(rho_min, rho_max)
+                    bound = energy.lower_bound((rho_min, rho_max))
                     # the first yield after the bracket, where it is wider
                     # than EPS_RHO: the larger of lower_bound and the last
                     # key before the bracket (the surrogate bound, or the
@@ -339,7 +339,7 @@ class TestBoundAndPrune:
                     chain = np.linspace(rho_min, rho_max, 5)
                     for rho in chain:
                         energy(float(rho))
-                    chain_bound = energy.lower_bound(*map(float, chain))
+                    chain_bound = energy.lower_bound([float(rho) for rho in chain])
                     assert bound <= chain_bound
                     fresh = opt.PairEnergy(split, q)
                     for rho in grid:
@@ -484,12 +484,14 @@ class TestBoundConstants:
                 terms = energy.split.terms
 
                 def recorded(rho):
+                    # the slope, the sixth field, is checked against E on a
+                    # grid (TestTangents)
                     energy(rho)
-                    return energy.points[rho]
+                    return energy.points[rho][:5]
 
                 def composed(rho):
                     p_s = min_sensing_power_composed(rho, q, terms, ap, sc.r_t, sc.p_max)
-                    p_c, nu_e, _, _, e_edge = solve_pc_nue_reference(
+                    p_c, nu_e, _, _, e_edge, _ = solve_pc_nue_reference(
                         energy.a1, nm.cum_flops(net, 1, l, rho), energy.split.t2, sc)
                     return sc.t_sen * p_s + e_edge, p_s, p_c, nu_e, e_edge
 
@@ -778,13 +780,13 @@ class TestSurrogateBound:
                 s = opt.Split(net, sc, ap, l)
                 energy = opt.PairEnergy(s, q)
                 try:
-                    a2 = s.flops.at(energy.rho_max())
+                    a2 = s.flops.at(energy.rho_max())[0]
                     kkt = [power_freq(energy.a1, a2, s.t2, s.t_min, s.g, s.kappa, s.p_max, cap)
                            for cap in (s.nu_max, math.inf)]
                 except InfeasibleError:
                     continue
                 floor = energy.edge_floor(a2, s.t2)
-                for *_, e_edge in kkt:
+                for *_, e_edge, _ in kkt:
                     assert floor <= e_edge * (1.0 + 1e-12), (l, q, sc)
                 pairs += 1
                 capped += kkt[0][1] == s.nu_max
@@ -800,7 +802,7 @@ class TestSurrogateBound:
         sc = make_scenario(t_max=1e308 if edge == "overflow" else 0.8)
         s = opt.Split(template_net, sc, default_params, 2)
         energy = opt.PairEnergy(s, 6)
-        a1, a2 = energy.a1, s.flops.at(0.5)
+        a1, a2 = energy.a1, s.flops.at(0.5)[0]
         if edge == "slack":
             s.t2 = (a1 * s.t_min + a2 / s.nu_max) / (1.0 + 5e-13)
         elif edge in ("zero", "below"):
@@ -809,7 +811,7 @@ class TestSurrogateBound:
         gap = s.t2 - a1 * s.t_min
         assert {"slack": 0.0 < gap < a2 / s.nu_max, "zero": gap == 0.0, "below": gap < 0.0,
                 "overflow": s.t2 / a1 == math.inf}[edge]
-        *_, e_edge = power_freq(a1, a2, s.t2, s.t_min, s.g, s.kappa, s.p_max, s.nu_max)
+        *_, e_edge, _ = power_freq(a1, a2, s.t2, s.t_min, s.g, s.kappa, s.p_max, s.nu_max)
         for busy in (s.t2 - a2 / s.nu_max, s.t2):
             floor = energy.edge_floor(a2, busy)
             assert math.isfinite(floor) and floor <= e_edge * (1.0 + 1e-12), busy
@@ -847,6 +849,74 @@ class TestDeepStacks:
             checked = check_keys(opt.Split(net, sc, default_params, l), q) if l else None
             points += checked[0] if checked else 0
         assert points >= 20
+
+
+# how far above E(rho), relative, a recorded tangent may reach: E and E'
+# come from power_freq, which stops where the latency is within KKT_REL_TOL
+# of its budget (the energy was within 6.4e-11 of a 50-digit reference at
+# that stop, ROADMAP item 5), so the floor is KKT_REL_TOL, a tenth of the
+# PRUNE_RTOL margin the queue's stop test grants every key
+TANGENT_FLOOR = KKT_REL_TOL
+
+
+def tangent_excess(split, q, n=200):
+    """Run the pair (split, q)'s whole search, then return the largest
+    (tangent - E)/E of any recorded tangent E(r) + E'(r)*(x - r) over a
+    grid of n points x spanning the evaluated rho, and the number of grid
+    points; None for a pair with no feasible rho."""
+    energy = opt.PairEnergy(split, q)
+    try:
+        finish(energy.steps())
+    except InfeasibleError:
+        return None
+    grid = opt.PairEnergy(split, q)
+    xs, es = [], []
+    for x in np.linspace(min(energy.points), max(energy.points), n):
+        try:
+            es.append(grid(float(x)))
+        except InfeasibleError:
+            continue
+        xs.append(float(x))
+    xs, es = np.array(xs), np.array(es)
+    worst = -math.inf
+    for r, (e, *_, slope) in energy.points.items():
+        if math.isfinite(slope):
+            worst = max(worst, float(np.max((e + slope * (xs - r) - es) / es)))
+    return worst, len(xs)
+
+
+class TestTangents:
+    """E is convex on a pair's rho range, so every tangent that E(rho)
+    records (its slope E', from the kernels' dp_s/du, mu1 and FLOP slope)
+    lies below E, within TANGENT_FLOOR."""
+
+    def test_floor_inside_the_prune_margin(self):
+        assert TANGENT_FLOOR < opt.PRUNE_RTOL
+
+    def test_tangents_below_e(self, criterion07_cases):
+        # criterion 07's random_test_case draws, the stock network on the
+        # tight-deadline grid (where the KKT solve runs at nu_max at many
+        # tops) and the depth-32 and -64 stacks, whose pairs prune within
+        # 1e-6 of rho = 1 or not at all
+        cfg = stock_config()
+        cases = [("random", *case) for case in criterion07_cases[:40]]
+        cases += [("tight", cfg.network, replace(cfg.scenario, t_max=t, r_t=r), cfg.accuracy)
+                  for t in np.linspace(0.51, 0.60, 10) for r in (0.85, 0.9, 0.95)]
+        for depth in (32, 64):
+            net = nm.random_fc_network([256] + [128] * (depth - 1) + [10], [50.0] * depth, 1)
+            cases.append(("stack", net, make_scenario(splits=tuple(range(depth + 1)), q_max=6),
+                          cfg.accuracy))
+        worst, points = {}, {}
+        for kind, net, sc, ap in cases:
+            for l, q in opt._pairs(net, sc):
+                if l == 0:
+                    continue   # the raw-input split does not prune
+                checked = tangent_excess(opt.Split(net, sc, ap, l), q)
+                if checked is not None:
+                    worst[kind] = max(worst.get(kind, -math.inf), checked[0])
+                    points[kind] = points.get(kind, 0) + checked[1]
+        assert max(worst.values()) <= TANGENT_FLOOR, worst
+        assert points["random"] >= 40 * 1000 and points["tight"] >= 30 * 1000, points
 
 
 def golden_search(energy, rho_min, rho_max, e_min, e_max, eps):
@@ -931,15 +1001,17 @@ class TestBrentPairSearch:
 
     def test_evaluation_counts(self, search_cases, template_net, default_scenario,
                                default_params, monkeypatch):
-        # the best-first queue's E(rho) evaluations: 3024 on these cases
-        # with the surrogate bound (4724 with the relaxed bound alone, and
-        # the two-pass loop before the queue made 4968), and 31 for the
-        # stock solve (83)
+        # the best-first queue's E(rho) evaluations: 2387 on these cases
+        # with tangent keys (2622 with the chain bound alone, 3024 with the
+        # surrogate bound after E at the top, 4724 with the relaxed bound
+        # alone, and the two-pass loop before the queue made 4968), and 13
+        # for the stock solve (31 with the surrogate bound after the top,
+        # 83 with the relaxed bound alone)
         counts = count_evaluations(monkeypatch, search_cases)
-        assert sum(n for _, n in counts) <= 3024
+        assert sum(n for _, n in counts) <= 2387
         (_, stock), = count_evaluations(
             monkeypatch, [("proposed", template_net, default_scenario, default_params)])
-        assert stock <= 31
+        assert stock <= 13
 
 
 class TestBaselines:

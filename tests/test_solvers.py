@@ -217,7 +217,7 @@ class TestTStationary:
         checked = 0
         for _ in range(400):
             abc, sc = random_power_freq_context(rng)
-            _, _, t, mu1, _ = power_freq(*abc, *kkt_args(sc))
+            _, _, t, mu1, _, _ = power_freq(*abc, *kkt_args(sc))
             if t > min_rate_time(sc):
                 checked += 1
                 assert t == pytest.approx(t_stationary_rootfind(mu1, sc.g_over_bn0), rel=1e-10)
@@ -228,15 +228,15 @@ class TestSolvePcNue:
     def test_boundary_active_corner(self):
         sc = make_scenario()
         t_min = min_rate_time(sc)
-        p_c, nu_e, _, _, _ = power_freq(0.01, 1e5, 0.01 * t_min + 1e5 / sc.nu_max,
-                                        *kkt_args(sc))
+        p_c, nu_e, _, _, _, _ = power_freq(0.01, 1e5, 0.01 * t_min + 1e5 / sc.nu_max,
+                                           *kkt_args(sc))
         assert p_c == pytest.approx(sc.p_max, rel=1e-6)
         assert nu_e == pytest.approx(sc.nu_max, rel=1e-6)
 
     def test_latency_active_with_slack_budget(self):
         sc = make_scenario()
         a1, a2, t2 = 0.02, 2e5, 0.25
-        _, nu_e, t, _, energy = power_freq(a1, a2, t2, *kkt_args(sc))
+        _, nu_e, t, _, energy, _ = power_freq(a1, a2, t2, *kkt_args(sc))
         assert a1 * t + a2 / nu_e == pytest.approx(t2, rel=1e-9)
         assert energy == pytest.approx(pc_objective((a1, a2, t2), sc, t, nu_e), rel=1e-12)
 
@@ -254,7 +254,7 @@ class TestSolvePcNue:
                       kappa=kappa, bandwidth=1e5, g_over_bn0=g, t0=1e-5,
                       m_chirps=1000, q_max=4, splits=(1,))
         sol = power_freq(a1, a2, t2, *kkt_args(sc))
-        _, nu_e, t, _, _ = sol
+        _, nu_e, t, _, _, _ = sol
         assert abs(a1 * t + a2 / nu_e - t2) <= KKT_REL_TOL * t2
         assert max(kkt_residuals((a1, a2, t2), sc, sol)) <= 1e-8
 
@@ -278,7 +278,7 @@ class TestSolvePcNue:
             t_min = min_rate_time(sc)
             t2 = (a1 * t_min + a2 / sc.nu_max) * 1.001
             sol = power_freq(a1, a2, t2, *kkt_args(sc))
-            p_c, nu_e, t, _, _ = sol
+            p_c, nu_e, t, _, _, _ = sol
             if t == t_min:
                 bound += 1
                 assert p_c == sc.p_max
@@ -295,8 +295,8 @@ class TestSolvePcNue:
         # a1 = 0 answer
         (_, a2, _), sc = random_power_freq_context(np.random.default_rng(1))
         t2 = 4.0 * a2 / sc.nu_max
-        _, nu_e, t, _, energy = power_freq(a1, a2, t2, *kkt_args(sc))
-        _, corner_nu_e, _, _, corner_energy = power_freq(0.0, a2, t2, *kkt_args(sc))
+        _, nu_e, t, _, energy, _ = power_freq(a1, a2, t2, *kkt_args(sc))
+        _, corner_nu_e, _, _, corner_energy, _ = power_freq(0.0, a2, t2, *kkt_args(sc))
         assert abs(a1 * t + a2 / nu_e - t2) <= KKT_REL_TOL * t2
         assert nu_e == pytest.approx(corner_nu_e, rel=1e-9)
         assert energy == pytest.approx(corner_energy, rel=1e-9)
@@ -320,7 +320,7 @@ class TestSolvePcNue:
         floor = a1 * min_rate_time(sc) + a2 / sc.nu_max
         t2 = 2.0 * floor or 0.1
         sol = power_freq(a1, a2, t2, *kkt_args(sc))
-        p_c, nu_e, t, _, energy = sol
+        p_c, nu_e, t, _, energy, _ = sol
         if a1 == 0.0:
             assert p_c == sc.p_max
             assert nu_e == (a2 / t2 if a2 else sc.nu_max)
@@ -342,7 +342,7 @@ class TestSolvePcNue:
         for _ in range(20):
             abc, sc = random_power_freq_context(rng)
             a1, a2, t2 = abc
-            _, nu_e, t_kkt, _, _ = power_freq(*abc, *kkt_args(sc))
+            _, nu_e, t_kkt, _, _, _ = power_freq(*abc, *kkt_args(sc))
             t = np.linspace(min_rate_time(sc), t2 / a1, 300)
             nu = np.geomspace(sc.nu_max * 1e-4, sc.nu_max, 300)
             energy = (a1 * np.expm1(math.log(2.0) / t)[:, None] * t[:, None]
@@ -358,6 +358,24 @@ class TestSolvePcNue:
             abc, sc = random_power_freq_context(rng)
             res = kkt_residuals(abc, sc, power_freq(*abc, *kkt_args(sc)))
             assert max(res) <= 1e-8
+
+    def test_slope_is_the_energy_derivative_in_a2(self):
+        # the sixth output, the least energy's slope in the edge FLOPs,
+        # matches the central difference of the energy in a2 (the envelope
+        # theorem) on random_power_freq_context draws
+        rng = np.random.default_rng(29)
+        compared = 0
+        for _ in range(200):
+            (a1, a2, t2), sc = random_power_freq_context(rng)
+            h = 1e-5 * a2
+            try:
+                ends = [power_freq(a1, a2 + d, t2, *kkt_args(sc))[4] for d in (-h, h)]
+            except InfeasibleError:
+                continue
+            slope = power_freq(a1, a2, t2, *kkt_args(sc))[5]
+            assert slope == pytest.approx((ends[1] - ends[0]) / (2.0 * h), rel=1e-4)
+            compared += 1
+        assert compared >= 150
 
     def test_a_constants_validated(self):
         # a negative payload or FLOP count, or a budget that is not finite
@@ -376,7 +394,7 @@ class TestSolvePcNue:
         # takes, to rounding
         sc = make_scenario()
         a1 = 0.06144
-        p_c, nu_e, t, _, energy = power_freq(a1, 0.0, t2, *kkt_args(sc))
+        p_c, nu_e, t, _, energy, _ = power_freq(a1, 0.0, t2, *kkt_args(sc))
         assert p_c > 0.0 and nu_e == sc.nu_max
         assert a1 * t <= t2
         assert energy == pytest.approx(a1 * LN2 / sc.g_over_bn0, rel=1e-12)
@@ -390,7 +408,7 @@ class TestSolvePcNue:
         # t_normal, with a normal power, inside the budget, and its energy
         # at its limit a1*ln2/g
         sc = make_scenario(g_over_bn0=g)
-        p_c, nu_e, t, _, energy = power_freq(a1, 0.0, 1e300, *kkt_args(sc))
+        p_c, nu_e, t, _, energy, _ = power_freq(a1, 0.0, 1e300, *kkt_args(sc))
         assert p_c >= sys.float_info.min and nu_e == sc.nu_max
         assert a1 * LN2 / math.log1p(g * p_c) == pytest.approx(a1 * t, rel=1e-12)
         assert a1 * t < 1e300
@@ -403,7 +421,7 @@ class TestSolvePcNue:
         # stops there, as the deadline is slack there
         sc = make_scenario()
         a1, a2, t2 = 1e-112, 1e6, 1e300
-        p_c, nu_e, t, _, energy = power_freq(a1, a2, t2, *kkt_args(sc))
+        p_c, nu_e, t, _, energy, _ = power_freq(a1, a2, t2, *kkt_args(sc))
         assert p_c >= sys.float_info.min and 0.0 < nu_e < sc.nu_max
         assert a1 * t + a2 / nu_e < 1e-6 * t2
         assert energy == pytest.approx(a1 * LN2 / sc.g_over_bn0 + sc.kappa * a2 * nu_e**2,
@@ -417,7 +435,7 @@ class TestSolvePcNue:
         sc = make_scenario(**kw)
         abc = a1, a2, t2 = 1e-306, 1e6, 1.0
         sol = power_freq(*abc, *kkt_args(sc))
-        _, nu_e, t, _, _ = sol
+        _, nu_e, t, _, _, _ = sol
         assert a1 * t + a2 / nu_e == pytest.approx(t2, rel=KKT_REL_TOL)
         assert max(kkt_residuals(abc, sc, sol)) <= 1e-8
 
@@ -438,7 +456,7 @@ class TestPowerFreqKernel:
         """The exit of power_freq that returns for (a1, a2, t2), or the
         reason it raises."""
         try:
-            p_c, nu_e, t, _, _ = power_freq(a1, a2, t2, *kkt_args(sc))
+            p_c, nu_e, t, _, _, _ = power_freq(a1, a2, t2, *kkt_args(sc))
         except InfeasibleError as err:
             return err.reason
         if a1 == 0.0 or a2 == 0.0:

@@ -1,5 +1,6 @@
 """Helpers shared between the solver tests and the acceptance suite."""
 
+import decimal
 import functools
 import math
 import sys
@@ -121,8 +122,8 @@ def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
         return solve(net, sc, ap, origin)
 
     def halved(*args):
-        p_s, dp_du = inverse(*args)
-        return (0.5 * p_s, 0.5 * dp_du) if active[0] else (p_s, dp_du)
+        p_s, dp_du, log_rho = inverse(*args)
+        return (0.5 * p_s, 0.5 * dp_du, log_rho) if active[0] else (p_s, dp_du, log_rho)
 
     monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
     monkeypatch.setattr(optimizer, "sensing_power", halved)
@@ -218,7 +219,7 @@ def sensing_power_at(rho, q, terms, params, r_t, p_max):
     where it is above p_max."""
     args = (terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
             margin_factor(terms, params), r_t)
-    p_s, _ = sensing_power(rho, *args, params.a, params.b, accuracy_ceiling(params))
+    p_s = sensing_power(rho, *args, params.a, params.b, accuracy_ceiling(params))[0]
     if p_s > p_max:
         raise sensing_power_error(rho, *args, accuracy_ceiling(params), p_s, p_max)
     return p_s
@@ -230,6 +231,19 @@ def pruning_floor_at(q, terms, params, r_t, p_max, floor):
     return pruning_floor(terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
                          margin_factor(terms, params), r_t, params.a, params.b,
                          accuracy_ceiling(params), ideal_accuracy(p_max, params), p_max, floor)
+
+
+def u_error(rho):
+    """Relative error of accuracy.pruning_error_factor at the float rho
+    against u(rho) = 2 - rho - rho*(ln rho - 1)^2 in 120-digit decimal
+    arithmetic, a reference that shares no code with accuracy._u (the
+    absolute error where u is 0, at rho = 1)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        r = decimal.Decimal(rho)
+        want = 2 - r - r * (r.ln() - 1) ** 2
+        got = decimal.Decimal(pruning_error_factor(rho))
+        return float(abs((got - want) / want) if want else abs(got))
 
 
 def kkt_args(sc):
@@ -259,8 +273,8 @@ def min_sensing_power_composed(rho, q, terms, params, r_t, p_max):
 
 
 def solve_pc_nue_reference(a1, a2, t2, sc):
-    """Reference for solvers.power_freq: its (p_c, nu_e, t, mu1, energy)
-    with the scenario read at each use, check_deadline and _mu1_ratio
+    """Reference for solvers.power_freq: its (p_c, nu_e, t, mu1, energy,
+    slope) with the scenario read at each use, check_deadline and _mu1_ratio
     called, and the KKT stopping constants read from `solvers` at the
     call."""
     if not (a1 >= 0.0 and a2 >= 0.0 and math.isfinite(t2)):
@@ -271,7 +285,8 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
     two_kappa = 2.0 * sc.kappa
     if a1 == 0.0:
         nu = min(a2 / t2, sc.nu_max) if a2 else sc.nu_max
-        return sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, sc.kappa * a2 * nu**2
+        return (sc.p_max, nu, t_min, two_kappa * nu**3 if a2 else 0.0, sc.kappa * a2 * nu**2,
+                3.0 * sc.kappa * nu * nu if a2 else 0.0)
     # the longest upload, at which p_c = expm1(ln2/t)/g is at least twice
     # the least normal float, and the upload time past which it stops there
     t_normal = max(min(LN2 / (2.0 * sys.float_info.min) / g, sys.float_info.max), t_min)
@@ -283,7 +298,7 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         t = t if t < t_stop else t_normal
         z = LN2 / t
         p_c = math.expm1(z) / g
-        return p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy
+        return p_c, sc.nu_max, t, z * z * _mu1_ratio(z, math.exp(z)) / g, p_c * busy, 0.0
     t_lo, t_hi, t = t_min, t2 / a1, t_min
     if t_hi >= t_stop:
         t_hi = t = t_normal
@@ -309,7 +324,7 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         else:
             nu = a2 / max(t2 - a1 * t_min, a2 / sc.nu_max)
             return (sc.p_max, nu, t_min, two_kappa * nu**3,
-                    sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2)
+                    sc.p_max * a1 * t_min + sc.kappa * a2 * nu**2, 3.0 * sc.kappa * nu * nu)
         t -= (lat - t2) / slope
         if not t_lo < t < t_hi:
             t = 2.0 / (1.0 / t_lo + 1.0 / t_hi)
@@ -317,7 +332,9 @@ def solve_pc_nue_reference(a1, a2, t2, sc):
         raise InfeasibleError("bisection_bracket",
                               f"latency {lat:.12g} s vs budget {t2:.12g} s")
     p_c = math.expm1(z) / g
-    return p_c, nu, t, z * z * r / g, p_c * a1 * t + sc.kappa * a2 * nu**2
+    mu1 = z * z * r / g
+    return (p_c, nu, t, mu1, p_c * a1 * t + sc.kappa * a2 * nu**2,
+            sc.kappa * nu * nu + mu1 / nu)
 
 
 def min_pruning_ratio_probing(q, terms, params, r_t, p_max, floor):
@@ -472,10 +489,10 @@ def pc_objective(abc, sc, t, nu):
 
 def kkt_residuals(abc, sc, sol):
     """Relative stationarity and complementary-slackness residuals of a
-    solution sol = (p_c, nu_e, t, mu1, energy) of the power/frequency
+    solution sol = (p_c, nu_e, t, mu1, energy, slope) of the power/frequency
     subproblem abc = (a1, a2, t2), as solvers.power_freq returns it."""
     a1, a2, _ = abc
-    _, nu_e, t, mu1, _ = sol
+    _, nu_e, t, mu1, _, _ = sol
     g = sc.g_over_bn0
     z = math.log(2.0) / t
     phi_t = (a1 / g) * (math.exp(z) * (1.0 - z) - 1.0)
