@@ -176,49 +176,52 @@ def accuracy_lower_bound(alloc, terms: PenaltyTerms, params: AccuracyParams) -> 
 
 def sensing_power(rho: float, prune_coeff: float, quant: float, margin: float, r_t: float,
                   a: float, b: float, ceiling: float) -> tuple[float, float, float]:
-    """(p_s, dp_s/du, ln rho): the smallest sensing power meeting accuracy
-    target r_t at pruning ratio rho, with no cap, its slope in u, and the
-    ln rho it takes once, for u and for the caller's slope in rho,
-    dp_s/drho = -(ln rho)^2 dp_s/du. The constants are the caller's:
-    prune_coeff of the split, quant = quant_coeff*quant_error_factor(q) of
-    the pair, margin = margin_factor(terms, params), the fit's a and b, and
-    ceiling = accuracy_ceiling(params). It inverts R0(p_s)*(1 - K) = r_t;
-    with T = r_t/(1 - K) the target,
+    """(p_s, dp_s/du, dp_s/drho): the smallest sensing power meeting
+    accuracy target r_t at pruning ratio rho, with no cap, and its slopes in
+    u and in rho, dp_s/drho = -(ln rho)^2 dp_s/du (u' = -(ln rho)^2), the
+    one copy of that chain rule. The seven constants, in this order, are
+    the caller's (PairEnergy.inverse), and sensing_power_error and
+    pruning_floor take them in the same order: prune_coeff of the split,
+    quant = quant_coeff*quant_error_factor(q) of the pair, margin =
+    margin_factor(terms, params), the fit's a and b, and ceiling =
+    accuracy_ceiling(params). It inverts R0(p_s)*(1 - K) = r_t; with
+    T = r_t/(1 - K) the target,
 
         dp_s/du = (1 + (b p_s)^2) (T/(1 - K)) margin prune_coeff / (a b),
 
-    as dT/dK = T/(1 - K). (inf, inf) in the first two where no sensing
-    power meets r_t (K >= 1 or T at the ceiling), p_s's limit there;
-    sensing_power_error names why. p_s is convex in rho: T is convex and
-    increasing in K, K is convex in rho (u is), and tan is convex and
-    increasing on [0, pi/2). A rho outside (0, 1] raises
-    pruning_error_factor's ValueError."""
+    as dT/dK = T/(1 - K). (inf, inf, -inf) where no sensing power meets r_t
+    (K >= 1 or T at the ceiling), p_s's limit there; sensing_power_error
+    names why. p_s is convex in rho: T is convex and increasing in K, K is
+    convex in rho (u is), and tan is convex and increasing on [0, pi/2). A
+    rho outside (0, 1] raises pruning_error_factor's ValueError."""
     if not 0.0 < rho <= 1.0:
         pruning_error_factor(rho)   # raises, but lets a NaN through, as there
     log_rho = math.log(rho)
     k = margin_penalty(_u(rho, log_rho), prune_coeff, quant, margin)
     if k >= 1.0:
-        return math.inf, math.inf, log_rho
+        return math.inf, math.inf, -math.inf
     if r_t <= 0.0:
-        return 0.0, 0.0, log_rho
+        return 0.0, 0.0, 0.0
     target = r_t / (1.0 - k)
     if target >= ceiling:
-        return math.inf, math.inf, log_rho
+        return math.inf, math.inf, -math.inf
     ps = math.tan(target / a) / b
     scale = margin * prune_coeff if prune_coeff else 0.0
     if not scale:
-        return ps, 0.0, log_rho
+        return ps, 0.0, 0.0
     bp = b * ps
-    return ps, (1.0 + bp * bp) * (target / (1.0 - k)) * scale / a / b, log_rho
+    dp_du = (1.0 + bp * bp) * (target / (1.0 - k)) * scale / a / b
+    return ps, dp_du, -(log_rho * log_rho) * dp_du
 
 
 def sensing_power_error(rho: float, prune_coeff: float, quant: float, margin: float,
-                        r_t: float, ceiling: float, p_s: float,
+                        r_t: float, a: float, b: float, ceiling: float, p_s: float,
                         p_max: float) -> InfeasibleError:
     """The InfeasibleError for p_s = sensing_power(rho, ...)[0] above p_max,
-    from K and the target derived again and tagged with the first that
-    fails: margin_penalty (K >= 1), accuracy_ceiling (the target is not
-    below the ceiling), else sensing_power_cap."""
+    from sensing_power's seven constants, with K and the target derived
+    again and tagged with the first that fails: margin_penalty (K >= 1),
+    accuracy_ceiling (the target is not below the ceiling), else
+    sensing_power_cap."""
     k = margin_penalty(pruning_error_factor(rho), prune_coeff, quant, margin)
     if k >= 1.0:
         return InfeasibleError("margin_penalty", f"penalty {k:.6g} >= 1")
@@ -235,9 +238,10 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
                   b: float, ceiling: float, ideal: float, p_max: float,
                   floor: float) -> float:
     """Smallest rho >= floor, to the rounding of K, at which sensing_power
-    stays within p_max, from its constants and ideal = ideal_accuracy(p_max,
-    params); floor in (0, 1] is not checked. That is K <= K* = 1 - r_t/ideal,
-    or u(rho) <= U*, with U* from K(1) = margin_penalty(0, ...).
+    stays within p_max, from its seven constants, in its order, and ideal =
+    ideal_accuracy(p_max, params); floor in (0, 1] is not checked. That is
+    K <= K* = 1 - r_t/ideal, or u(rho) <= U*, with U* from K(1) =
+    margin_penalty(0, ...).
 
     u is convex and decreasing with derivative -(ln rho)^2, so Newton steps
     from left of the root rise monotonically to it, until a step no longer
@@ -276,8 +280,8 @@ def pruning_floor(prune_coeff: float, quant: float, margin: float, r_t: float, a
         if not p_s > p_max:
             return rho
         if rho >= 1.0:
-            raise sensing_power_error(rho, prune_coeff, quant, margin, r_t, ceiling, p_s,
-                                      p_max)
+            raise sensing_power_error(rho, prune_coeff, quant, margin, r_t, a, b, ceiling,
+                                      p_s, p_max)
         rho = min(rho + step, 1.0)
         step *= 2.0
 

@@ -34,7 +34,7 @@ EPS_RHO = 1e-6
 # E(rho), its bounds and the KKT stopping test
 PRUNE_RTOL = 1e-9
 
-# secant steps of the surrogate bound (PairEnergy.surrogate_bound) after its
+# secant steps of the surrogate bound (stage 2 of PairEnergy.steps) after its
 # first two points
 SURROGATE_STEPS = 1
 
@@ -88,10 +88,9 @@ class Split:
         self.a2_lo, self.flops = netmodel.cum_flops(net, 1, l, RHO_FLOOR), net.flop_table[l]
         self.t_min = min_rate_time(sc)
         self.prune_coeff, self.margin = terms.prune_coeff, margin_factor(terms, ap)
-        self.r_t, self.p_max, self.t_sen = sc.r_t, sc.p_max, sc.t_sen
+        self.p_max, self.t_sen = sc.p_max, sc.t_sen
         self.g, self.kappa, self.nu_max = sc.g_over_bn0, sc.kappa, sc.nu_max
-        self.a, self.b, self.ceiling = ap.a, ap.b, accuracy_ceiling(ap)
-        self.ideal = ideal_accuracy(sc.p_max, ap)
+        self.ceiling, self.ideal = accuracy_ceiling(ap), ideal_accuracy(sc.p_max, ap)
 
 
 class PairEnergy:
@@ -116,26 +115,26 @@ class PairEnergy:
     E is evaluated by the kernels accuracy.sensing_power, FlopPieces.at
     and solvers.power_freq from constants bound once, not per call: the
     Split's, and the pair's quantization term quant_coeff*v(q), upload
-    size a1 and sensing_power's constants `inverse`, bound here."""
+    size a1 and sensing_power's seven constants `inverse`, bound here, which
+    sensing_power_error and pruning_floor take too."""
 
     def __init__(self, split: Split, q: int, prune: bool = True):
         self.split, self.q = split, q
         self.a1 = split.dim * q / split.sc.bandwidth
         self.quant = split.terms.quant_coeff * quant_error_factor(q)
-        self.inverse = (split.prune_coeff, self.quant, split.margin, split.r_t, split.a,
-                        split.b, split.ceiling)
+        self.inverse = (split.prune_coeff, self.quant, split.margin, split.sc.r_t,
+                        split.ap.a, split.ap.b, split.ceiling)
         self.prune = prune and split.l > 0
         self.least = math.inf
         self.points: dict[float, tuple[float, float, float, float, float, float]] = {}
 
     def __call__(self, rho: float) -> float:
         s = self.split
-        p_s, dp_du, log_rho = sensing_power(rho, *self.inverse)
+        p_s, _, dp_s = sensing_power(rho, *self.inverse)
         if p_s > s.p_max:
-            raise sensing_power_error(rho, s.prune_coeff, self.quant, s.margin, s.r_t,
-                                      s.ceiling, p_s, s.p_max)
+            raise sensing_power_error(rho, *self.inverse, p_s, s.p_max)
         a2, da2 = s.flops.at(rho)
-        return self._record(rho, p_s, -dp_du * log_rho * log_rho, a2, da2)
+        return self._record(rho, p_s, dp_s, a2, da2)
 
     def _record(self, rho: float, p_s: float, dp_s: float, a2: float, da2: float) -> float:
         """E at rho from its sensing power p_s and slope dp_s = dp_s/drho,
@@ -265,9 +264,37 @@ class PairEnergy:
            prune), with the upload taking at most t2 - a2_lo/nu_max, as the
            edge compute takes at least a2_lo/nu_max. p_s does not rise with
            rho, and the edge energy does not fall as the edge FLOPs rise.
-        2. For a pair that prunes, the surrogate bound (surrogate_bound),
-           with a yield each time it rises; its D is edge_floor at the top
-           with the upload given the whole budget t2: no cap on nu_e.
+        2. For a pair that prunes, the surrogate bound: the least value over
+           [RHO_FLOOR, top] of E's surrogate
+
+               f(rho) = t_sen*p_s(rho) + max(edge_lo, D*(a2(rho)/a2_top)^3)
+
+           with p_s uncapped, edge_lo the edge terms of the relaxed bound
+           and D = edge_floor(a2_top, t2), a floor on the least edge energy
+           at the top with the upload given the whole budget: no cap on
+           nu_e. E >= f: scaling the edge FLOPs by s <= 1 scales the compute
+           energy kappa*a2^3/time^2 of any split of the deadline by s^3, and
+           the upload energy (>= 0) is at least s^3 of itself, so the least
+           edge energy without the cap nu_max is at least s^3 D; the cap
+           only adds to it. f is convex (p_s is, a2 is convex and piecewise
+           affine, and the cube and the max keep that), so its tangents at
+           a < b with f'(a) <= 0 < f'(b) cross below its least value. Where
+           D <= edge_lo, f's least value is the relaxed bound, at the top.
+
+           f at the top is read from stage 1's values. b starts there, and
+           a where f' <= 0 is proven. Below the top, f' <= beta*R(rho)^2 -
+           A*(ln rho)^2, with A = t_sen*dp_s/du and beta = 3*D*a2'/a2_top at
+           the top (dp_s/du rises as rho falls, and a2' does not), and R the
+           chord of a2/a2_top from RHO_FLOOR to the top (a2 is convex, so
+           below it). So f' <= 0 at and below the root of g(rho) = -ln(rho)
+           - sqrt(beta/A)*R(rho), which is convex and decreasing: Newton
+           steps from exp(-sqrt(beta/A)), where g >= 0 as R <= 1, stay below
+           the root. Then up to SURROGATE_STEPS secant steps on f' replace a
+           or b by the sign of f' there. A point where f is infinite (p_s
+           has no value) lies left of every feasible rho, as does one where
+           f' is -inf; until a is found, the bound is b's tangent at the
+           leftmost such point (or RHO_FLOOR). The stage yields its bound
+           each time it rises.
         3. E at the top. A pair that does not prune returns the top here.
         4. The bracket, E at rho_min, the smallest rho whose sensing power
            fits under p_max (pruning_floor), then Brent's method on
@@ -276,26 +303,83 @@ class PairEnergy:
            bound and lower_bound over the evaluated points of its bracket
            (their chain and tangent bounds, capped at the least E).
         """
-        s = self.split
+        s, inverse = self.split, self.inverse
         top = self.rho_max() if self.prune else 1.0
-        p_s, dp_du, log_rho = sensing_power(top, *self.inverse)
+        p_s, dp_du, dp_s = sensing_power(top, *inverse)
         if p_s > s.p_max:
-            raise sensing_power_error(top, s.prune_coeff, self.quant, s.margin, s.r_t,
-                                      s.ceiling, p_s, s.p_max)
-        a2, da2 = s.flops.at(top)
-        check_deadline(self.a1, a2, s.t2, s.t_min, s.nu_max)
-        a2_lo = s.a2_lo if self.prune else a2
+            raise sensing_power_error(top, *inverse, p_s, s.p_max)
+        a2_top, da2_top = s.flops.at(top)
+        check_deadline(self.a1, a2_top, s.t2, s.t_min, s.nu_max)
+        t_sen = s.t_sen
+        a2_lo = s.a2_lo if self.prune else a2_top
         edge_lo = self.edge_floor(a2_lo, s.t2 - a2_lo / s.nu_max)
-        bound = s.t_sen * p_s + edge_lo
+        bound = t_sen * p_s + edge_lo
         yield bound
-        if self.prune and a2:
-            bound = yield from self.surrogate_bound(top, a2, da2, self.edge_floor(a2, s.t2),
-                                                    edge_lo, bound)
-        e_top = self._record(top, p_s, -dp_du * log_rho * log_rho, a2, da2)
+        # stage 2, which can rise above the relaxed bound only where D > edge_lo
+        d_top = self.edge_floor(a2_top, s.t2) if self.prune and a2_top else edge_lo
+        if d_top > edge_lo:
+            f_b = t_sen * p_s + d_top
+            g_b = t_sen * dp_s + 3.0 * d_top * da2_top / a2_top
+            if g_b > 0.0:
+                flops_at = s.flops.at
+
+                def f(rho):
+                    """(f, f') at rho; (inf, -inf) left of the rho at which
+                    some sensing power meets r_t."""
+                    p_s, _, dp_s = sensing_power(rho, *inverse)
+                    if p_s == math.inf:
+                        return math.inf, -math.inf
+                    a2, da2 = flops_at(rho)
+                    cube = d_top * (a2 / a2_top) ** 3
+                    if cube > edge_lo:
+                        return t_sen * p_s + cube, t_sen * dp_s + 3.0 * cube * da2 / a2
+                    return t_sen * p_s + edge_lo, t_sen * dp_s
+
+                # a: three Newton steps on g, with c = sqrt(beta/A) and the
+                # chord R(rho) = r_lo + r_slope*(rho - RHO_FLOOR)
+                a_top = t_sen * dp_du
+                c = math.sqrt(3.0 * d_top * da2_top / a2_top / a_top) if a_top else math.inf
+                r_lo = s.a2_lo / a2_top
+                r_slope = (1.0 - r_lo) / (top - RHO_FLOOR)
+                rho = math.exp(-c)
+                for _ in range(3):
+                    if not RHO_FLOOR < rho < top:
+                        break
+                    g = -math.log(rho) - c * (r_lo + r_slope * (rho - RHO_FLOOR))
+                    rho += g / (1.0 / rho + c * r_slope)
+                lo, b, a = RHO_FLOOR, top, None
+                for _ in range(SURROGATE_STEPS + 1):
+                    if not (lo < rho < b and f_b > bound):
+                        break
+                    f_c, g_c = f(rho)
+                    if g_c == -math.inf:
+                        lo = rho
+                    elif g_c <= 0.0:
+                        lo = a = rho
+                        f_a, g_a = f_c, g_c
+                    else:
+                        b, f_b, g_b = rho, f_c, g_c
+                    if a is None:
+                        key, rho = f_b - g_b * (b - lo), 0.5 * (lo + b)
+                    else:
+                        # the tangents cross theta*rise below f(a); the
+                        # secant of f' is 0 at a + theta*(b - a)
+                        span = g_b - g_a
+                        if span == math.inf:
+                            break
+                        theta, rise = -g_a / span, f_a - f_b + g_b * (b - a)
+                        key, rho = f_a - theta * rise, a + theta * (b - a)
+                    if key > bound:
+                        bound = key
+                        yield bound
+            elif f_b > bound:
+                # f does not rise to the top, so its least value is there
+                bound = f_b
+                yield bound
+        e_top = self._record(top, p_s, dp_s, a2_top, da2_top)
         if not self.prune:
             return top
-        rho_min = min(pruning_floor(s.prune_coeff, self.quant, s.margin, s.r_t, s.a, s.b,
-                                    s.ceiling, s.ideal, s.p_max, RHO_FLOOR), top)
+        rho_min = min(pruning_floor(*inverse, s.ideal, s.p_max, RHO_FLOOR), top)
         search = brent_steps(self, rho_min, top, self(rho_min), e_top, EPS_RHO)
         while True:
             try:
@@ -304,103 +388,6 @@ class PairEnergy:
                 return done.value
             key = self.lower_bound(rhos)
             yield key if key > bound else bound
-
-    def surrogate_bound(self, top: float, a2_top: float, da2_top: float, d_top: float,
-                        edge_lo: float, bound: float):
-        """Stage 2 of steps, as a generator: a lower bound of E over
-        [RHO_FLOOR, top] from E's surrogate
-
-            f(rho) = t_sen*p_s(rho) + max(edge_lo, D*(a2(rho)/a2_top)^3)
-
-        with p_s uncapped, edge_lo the edge terms of the relaxed bound and
-        D = d_top a floor on the least edge energy at a2_top with no cap on
-        nu_e. E >= f: scaling the edge FLOPs by s <= 1 scales the compute
-        energy kappa*a2^3/time^2 of any split of the deadline by s^3, and the
-        upload energy (>= 0) is at least s^3 of itself, so the least edge
-        energy without the cap nu_max is at least s^3 D; the cap only adds
-        to it. f is convex (p_s is, a2 is convex and piecewise affine, and
-        the cube and the max keep that), so its tangents at a < b with
-        f'(a) <= 0 < f'(b) cross below its least value.
-
-        b starts at the top, and a where f' <= 0 is proven. Below the top,
-        f' <= beta*R(rho)^2 - A*(ln rho)^2, with A = t_sen*dp_s/du and
-        beta = 3*D*a2'/a2_top at the top, a2' = da2_top (dp_s/du rises as
-        rho falls, and a2' does not), and R the chord of a2/a2_top from
-        RHO_FLOOR to the top (a2 is convex, so below it). So f' <= 0 at
-        and below the root of g(rho) = -ln(rho) - sqrt(beta/A)*R(rho),
-        which is convex and decreasing: Newton steps from exp(-sqrt(beta/A)), where g >= 0 as
-        R <= 1, stay below the root. Then up to SURROGATE_STEPS secant
-        steps on f' replace a or b by the sign of f' there. A point where f
-        is infinite (p_s has no value) lies left of every feasible rho, as
-        does one where f' is -inf; until a is found, the bound is b's
-        tangent at the leftmost such point (or RHO_FLOOR). The stage stops
-        early where f at a point is at most the bound, which no tangent can
-        then raise. Yields the bound each time it rises above `bound` (the
-        relaxed bound), and returns it."""
-        s = self.split
-        t_sen, flops_at = s.t_sen, s.flops.at
-        inverse = self.inverse
-
-        def f(rho):
-            """(f, f', t_sen*dp_s/du) at rho; (inf, -inf, inf) left of the
-            rho at which some sensing power meets r_t."""
-            p_s, dp_du, log_rho = sensing_power(rho, *inverse)
-            if p_s == math.inf:
-                return math.inf, -math.inf, math.inf
-            a2, da2 = flops_at(rho)
-            cube = d_top * (a2 / a2_top) ** 3
-            ds_du = t_sen * dp_du
-            slope = -ds_du * (log_rho * log_rho) if log_rho else 0.0
-            if cube > edge_lo:
-                return t_sen * p_s + cube, slope + 3.0 * cube * da2 / a2, ds_du
-            return t_sen * p_s + edge_lo, slope, ds_du
-
-        f_b, g_b, a_top = f(top)
-        if not g_b > 0.0:
-            # f does not rise to the top, so its least value is there
-            if f_b > bound:
-                bound = f_b
-                yield bound
-            return bound
-        # a: three Newton steps on g, with c = sqrt(beta/A) and the chord
-        # R(rho) = r_lo + r_slope*(rho - RHO_FLOOR)
-        c = math.sqrt(3.0 * d_top * da2_top / a2_top / a_top) if a_top else math.inf
-        r_lo = s.a2_lo / a2_top
-        r_slope = (1.0 - r_lo) / (top - RHO_FLOOR)
-        rho = math.exp(-c)
-        for _ in range(3):
-            if not RHO_FLOOR < rho < top:
-                break
-            g = -math.log(rho) - c * (r_lo + r_slope * (rho - RHO_FLOOR))
-            rho += g / (1.0 / rho + c * r_slope)
-        lo, b, a = RHO_FLOOR, top, None
-        for _ in range(SURROGATE_STEPS + 1):
-            if not (lo < rho < b and f_b > bound):
-                break
-            f_c, g_c, _ = f(rho)
-            if f_c <= bound:
-                break
-            if g_c == -math.inf:
-                lo = rho
-            elif g_c <= 0.0:
-                lo = a = rho
-                f_a, g_a = f_c, g_c
-            else:
-                b, f_b, g_b = rho, f_c, g_c
-            if a is None:
-                key, rho = f_b - g_b * (b - lo), 0.5 * (lo + b)
-            else:
-                # the tangents cross theta*rise below f(a); the secant of f'
-                # is 0 at a + theta*(b - a)
-                span = g_b - g_a
-                if span == math.inf:
-                    break
-                theta, rise = -g_a / span, f_a - f_b + g_b * (b - a)
-                key, rho = f_a - theta * rise, a + theta * (b - a)
-            if key > bound:
-                bound = key
-                yield bound
-        return bound
 
 
 def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:

@@ -84,6 +84,7 @@ TINY_S = ("the accuracy margin factor (w/(c_m s))^2 overflows below about s = 1e
           "saturates, not raises: the on-device pair answers")
 NORMAL_UPLOAD = ("the raw-input upload's power underflows to 0 or to a subnormal: the "
                  "upload stops where it is still a normal float")
+COUNT_BELOW_ONE = "a count below one is refused before any suite runs"
 NULL_RATE = ("the uplink rate underflows to 0: the device's split uploads no bits and "
              "costs nothing to upload, not 0 bits divided by a rate of 0")
 
@@ -112,6 +113,21 @@ CASES = [
          "config error: bad sweep values",
          "a sweep value that is not a number is refused before any solve, and no "
          "output directory is made"),
+    Case("sweep-snr-1e-320", "sweep --axis snr --values 1e-320".split(), None, 3,
+         "too small for any uplink rate",
+         "an SNR at p_max with no finite inverse rate is refused before any solve"),
+    Case("fit-r0-one-row", "fit-r0 --samples samples.csv".split(), None, 3,
+         "need at least two samples",
+         "a one-row samples file has two columns, but the fit needs two samples",
+         files={"samples.csv": "0.1,0.5\n"}),
+    Case("validate-trials-zero", "validate --suite pruning-mean --trials 0".split(), None, 3,
+         "--trials must lie in 1..", COUNT_BELOW_ONE),
+    Case("validate-grid-n-negative", "validate --suite power-freq-grid --grid-n -3".split(),
+         None, 3, "--grid-n must lie in 1..", COUNT_BELOW_ONE),
+    Case("validate-grid-n-zero", "validate --suite power-freq-grid --grid-n 0".split(), None,
+         3, "--grid-n must lie in 1..", COUNT_BELOW_ONE),
+    Case("sense-demo-negative-seed", "sense-demo --seed -1".split(), None, 3,
+         "seed must be nonnegative", "a negative seed is refused, not wrapped"),
     Case("out-is-a-file", ["solve"], None, 3, "config error: cannot write output out",
          "an --out that names an existing file is refused and left as it was",
          files={"out": "keep"}),
@@ -157,6 +173,10 @@ CASES = [
     Case("f_max-1e200-on_server", ON_SERVER, {"accuracy": {"f_max": 1e200}}, 2,
          "l=0 q=6: margin_penalty", "the raw-input upload misses the accuracy target "
          "there, and names why"),
+    Case("p_max-1e-300", ["solve"], {"scenario": {"p_max": 1e-300}}, 2,
+         "l=7 q=2: sensing_power_cap",
+         "p_max = 1e-300 leaves a tiny but positive uplink rate, so the config is not "
+         "refused: every pair is rejected, and names why"),
     Case("kappa-1e300", ["solve"], {"scenario": {"kappa": 1e300}}, 0, None,
          "the edge energy of every pair that computes on the device overflows: those "
          "pairs are rejected (energy_overflow), not the search"),

@@ -376,9 +376,10 @@ class TestSensingPowerKernel:
 
 
 class TestSensingPowerSlope:
-    """accuracy.sensing_power's slope: it matches the central differences
-    of the power and rises with rho (p_s is convex in rho), which the
-    surrogate bound's tangents rely on."""
+    """accuracy.sensing_power's slopes: dp_s/drho is -(ln rho)^2 dp_s/du to
+    the bit, it matches the central differences of the power in rho, and it
+    rises with rho (p_s is convex in rho), which the surrogate bound's and
+    the tangent keys' tangents rely on."""
 
     def test_value_slope_and_convexity(self):
         rhos = [float(r) for r in np.geomspace(1e-3, 1.0, 40)]
@@ -396,17 +397,18 @@ class TestSensingPowerSlope:
 
                 slopes = []
                 for rho in rhos:
-                    p_s, dp_du, _ = sensing_power(rho, *args)
+                    p_s, dp_du, dp_s = sensing_power(rho, *args)
                     if p_s == math.inf:
-                        assert dp_du == math.inf
+                        assert (dp_du, dp_s) == (math.inf, -math.inf)
                         continue
-                    slope = -math.log(rho) ** 2 * dp_du
-                    slopes.append(slope)
+                    log_rho = math.log(rho)
+                    assert dp_s == -(log_rho * log_rho) * dp_du, (rho, args)
+                    slopes.append(dp_s)
                     h = 1e-6 * rho
                     ends = power(rho - h), power(min(rho + h, 1.0))
                     if rho < 1.0 and math.inf not in ends:
                         diff = (ends[1] - ends[0]) / (min(rho + h, 1.0) - (rho - h))
-                        assert slope == pytest.approx(diff, rel=1e-4, abs=1e-9 * p_s)
+                        assert dp_s == pytest.approx(diff, rel=1e-4, abs=1e-9 * p_s)
                         compared += 1
                 assert slopes == sorted(slopes)
         assert compared >= 500

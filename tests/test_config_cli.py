@@ -333,16 +333,6 @@ class TestCliSolve:
         assert (sol["allocation"]["l"], sol["allocation"]["q"]) == (7, 2)
         assert sol["cost"]["e_total"] == pytest.approx(0.0233641, rel=1e-5)
 
-    def test_tiny_sensing_power_cap_is_infeasible(self, tmp_path, capsys):
-        # p_max = 1e-300 leaves a tiny but positive uplink rate, so the
-        # config is not refused: every pair is rejected with its reason
-        cfg_path = tmp_path / "pmax.json"
-        cfg_path.write_text(json.dumps({"scenario": {"p_max": 1e-300}}))
-        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert rc == 2, err
-        assert "l=7 q=2: sensing_power_cap" in err
-
     def test_deep_stack_answers(self, tmp_path, monkeypatch, capsys):
         # with u's closed form, the search of (10, 6) pushed a key above its
         # own least E and the solve exited 4
@@ -647,13 +637,6 @@ class TestCliSweepAndBaseline:
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1 + 5 * 4  # header + 5 values x 4 origins
 
-    def test_sweep_bad_values(self, tmp_path):
-        # not a number, and an SNR too small for any uplink rate
-        for axis, values in (("t_max", "abc"), ("snr", "1e-320")):
-            rc = main(["sweep", "--axis", axis, "--values", values,
-                       "--out", str(tmp_path)])
-            assert rc == 3, values
-
     def test_sweep_at_a_tiny_snr_answers(self, tmp_path):
         # at g/(B N0) = 1e-300 the uplink rate is tiny but positive: the
         # on-device row, which uploads nothing, answers as at the stock SNR
@@ -762,15 +745,6 @@ class TestCliValidateFitSense:
         assert payload["a"] == pytest.approx(a, rel=1e-6)
         assert payload["b"] == pytest.approx(b, rel=1e-6)
 
-    @pytest.mark.parametrize("suite, flag, value", [
-        ("pruning-mean", "--trials", "0"),
-        ("power-freq-grid", "--grid-n", "-3"),
-        ("power-freq-grid", "--grid-n", "0")])
-    def test_validate_counts_below_one_exit_3(self, tmp_path, capsys, suite, flag, value):
-        rc = main(["validate", "--suite", suite, flag, value, "--out", str(tmp_path)])
-        assert rc == 3
-        assert flag in capsys.readouterr().err
-
     @pytest.mark.parametrize("flag, top", [("--trials", "MAX_TRIALS"),
                                            ("--grid-n", "MAX_GRID_N")])
     def test_validate_counts_above_bound_exit_3(self, tmp_path, capsys, monkeypatch,
@@ -797,20 +771,6 @@ class TestCliValidateFitSense:
         rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
         assert rc == 3
         assert "config error" in capsys.readouterr().err
-
-    def test_fit_r0_one_row_exits_3(self, tmp_path, capsys):
-        # a one-row file has two columns; the fit needs two samples
-        path = tmp_path / "samples.csv"
-        path.write_text("0.1,0.5\n")
-        rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
-        assert rc == 3
-        assert "need at least two samples" in capsys.readouterr().err
-        assert not (tmp_path / "fit_r0.json").exists()
-
-    def test_sense_demo_negative_seed_exits_3(self, tmp_path, capsys):
-        rc = main(["sense-demo", "--seed", "-1", "--out", str(tmp_path)])
-        assert rc == 3
-        assert "seed" in capsys.readouterr().err
 
     def test_sense_demo(self, tmp_path, capsys):
         rc = main(["sense-demo", "--out", str(tmp_path)])

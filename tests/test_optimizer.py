@@ -695,9 +695,14 @@ class TestOnePathLoop:
         ("proposed", 13, 1), ("on_server", 1, 0), ("on_device", 13, 1), ("no_prune", 1, 0)])
     def test_stock_kernel_calls(self, template_net, default_scenario, default_params,
                                 monkeypatch, origin, kkt, floors):
-        calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
+        # sensing_power runs once per point: the surrogate bound reads the
+        # top's values from the top-end checks (87 and 16 calls when it
+        # evaluated the top again)
+        powers = {"proposed": 68, "on_server": 1, "on_device": 15, "no_prune": 36}[origin]
+        calls = count_calls(monkeypatch, "power_freq", "pruning_floor", "sensing_power")
         opt._enumerate(template_net, default_scenario, default_params, origin)
-        assert (calls["power_freq"], calls["pruning_floor"]) == (kkt, floors)
+        assert ((calls["power_freq"], calls["pruning_floor"], calls["sensing_power"])
+                == (kkt, floors, powers))
 
 
 def check_keys(split, q):
@@ -720,7 +725,7 @@ def check_keys(split, q):
         return None
     top = max(energy.points)
     s = split
-    rho_min = min(pruning_floor_at(q, s.terms, s.ap, s.r_t, s.p_max, opt.RHO_FLOOR), top)
+    rho_min = min(pruning_floor_at(q, s.terms, s.ap, s.sc.r_t, s.p_max, opt.RHO_FLOOR), top)
     grid = opt.PairEnergy(split, q)
     least = math.inf
     for rho in np.linspace(rho_min, top, 400):

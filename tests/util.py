@@ -111,9 +111,9 @@ def make_scenario(**kw):
 def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
     """Make the solver return answers that fail their accuracy check:
     optimizer.sensing_power gives half the accuracy inverse, and half its
-    slope, in the solves of the (origin, scenario) pairs that `when`
-    selects. E and the surrogate bound read the one kernel, so the bounds
-    stay below the halved E."""
+    slopes in u and in rho, in the solves of the (origin, scenario) pairs
+    that `when` selects. E and the surrogate bound read the one kernel, so
+    the bounds stay below the halved E."""
     inverse, solve = optimizer.sensing_power, optimizer._enumerate
     active = [False]
 
@@ -122,8 +122,8 @@ def halve_sensing_power(monkeypatch, when=lambda origin, sc: True):
         return solve(net, sc, ap, origin)
 
     def halved(*args):
-        p_s, dp_du, log_rho = inverse(*args)
-        return (0.5 * p_s, 0.5 * dp_du, log_rho) if active[0] else (p_s, dp_du, log_rho)
+        p_s, dp_du, dp_s = inverse(*args)
+        return (0.5 * p_s, 0.5 * dp_du, 0.5 * dp_s) if active[0] else (p_s, dp_du, dp_s)
 
     monkeypatch.setattr(optimizer, "_enumerate", enumerate_)
     monkeypatch.setattr(optimizer, "sensing_power", halved)
@@ -212,25 +212,30 @@ def outcome(f, *args):
         return err.reason, str(err)
 
 
+def inverse_at(q, terms, params, r_t):
+    """The seven constants of accuracy.sensing_power, in its order, that
+    PairEnergy binds as `inverse`, computed from (q, terms, params, r_t)."""
+    return (terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
+            margin_factor(terms, params), r_t, params.a, params.b, accuracy_ceiling(params))
+
+
 def sensing_power_at(rho, q, terms, params, r_t, p_max):
     """accuracy.sensing_power at pair bits q under the cap p_max, with the
     constants that PairEnergy binds computed from (q, terms, params):
     the power, or the InfeasibleError that sensing_power_error names
     where it is above p_max."""
-    args = (terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
-            margin_factor(terms, params), r_t)
-    p_s = sensing_power(rho, *args, params.a, params.b, accuracy_ceiling(params))[0]
+    inverse = inverse_at(q, terms, params, r_t)
+    p_s = sensing_power(rho, *inverse)[0]
     if p_s > p_max:
-        raise sensing_power_error(rho, *args, accuracy_ceiling(params), p_s, p_max)
+        raise sensing_power_error(rho, *inverse, p_s, p_max)
     return p_s
 
 
 def pruning_floor_at(q, terms, params, r_t, p_max, floor):
     """accuracy.pruning_floor at pair bits q, with the constants that
     PairEnergy.steps binds computed from (q, terms, params)."""
-    return pruning_floor(terms.prune_coeff, terms.quant_coeff * quant_error_factor(q),
-                         margin_factor(terms, params), r_t, params.a, params.b,
-                         accuracy_ceiling(params), ideal_accuracy(p_max, params), p_max, floor)
+    return pruning_floor(*inverse_at(q, terms, params, r_t), ideal_accuracy(p_max, params),
+                         p_max, floor)
 
 
 def u_error(rho):
