@@ -295,13 +295,27 @@ class PairEnergy:
            f' is -inf; until a is found, the bound is b's tangent at the
            leftmost such point (or RHO_FLOOR). The stage yields its bound
            each time it rises.
-        3. E at the top. A pair that does not prune returns the top here.
-        4. The bracket, E at rho_min, the smallest rho whose sensing power
+        3. E at the top. A pair that does not prune returns the top here,
+           and so does one whose recorded slope E'(top) is at most 0: E is
+           convex, so that slope (a value between E's one-sided slopes at
+           the top) puts E's least value over [rho_min, top] at the top.
+        4. The seed: stage 2's estimate of f's minimizer, the point its
+           loop ends on (its next secant point, or its midpoint where it
+           found no point with f' <= 0), where that lies inside
+           (RHO_FLOOR, top). A yield, then E at the seed; where that raises
+           InfeasibleError (the seed lies below rho_min, or E overflows
+           there) the seed is dropped. Otherwise a yield of the larger of
+           stage 2's bound and, where E'(seed) <= 0, lower_bound over
+           (seed, top): a convex E does not fall left of such a seed, and
+           E(seed) is at least the capped lower_bound.
+        5. The bracket, E at rho_min, the smallest rho whose sensing power
            fits under p_max (pruning_floor), then Brent's method on
-           [rho_min, top] (solvers.brent_steps) to a width of EPS_RHO, with a
-           yield before each evaluation of E of the larger of stage 2's
-           bound and lower_bound over the evaluated points of its bracket
-           (their chain and tangent bounds, capped at the least E).
+           [rho_min, top] (solvers.brent_steps) to a width of EPS_RHO, from
+           the seed where there is one (above rho_min) and from the
+           golden-section point otherwise, with a yield before each
+           evaluation of E of the larger of stage 2's bound and
+           lower_bound over the evaluated points of its bracket (their
+           chain and tangent bounds, capped at the least E).
         """
         s, inverse = self.split, self.inverse
         top = self.rho_max() if self.prune else 1.0
@@ -316,6 +330,7 @@ class PairEnergy:
         bound = t_sen * p_s + edge_lo
         yield bound
         # stage 2, which can rise above the relaxed bound only where D > edge_lo
+        seed = None
         d_top = self.edge_floor(a2_top, s.t2) if self.prune and a2_top else edge_lo
         if d_top > edge_lo:
             f_b = t_sen * p_s + d_top
@@ -372,15 +387,35 @@ class PairEnergy:
                     if key > bound:
                         bound = key
                         yield bound
+                if RHO_FLOOR < rho < top:
+                    seed = rho
             elif f_b > bound:
                 # f does not rise to the top, so its least value is there
                 bound = f_b
                 yield bound
         e_top = self._record(top, p_s, dp_s, a2_top, da2_top)
-        if not self.prune:
+        points = self.points
+        if not self.prune or points[top][5] <= 0.0:
             return top
+        e_seed = None
+        if seed is not None:
+            yield bound
+            try:
+                e_seed = self(seed)
+            except InfeasibleError:
+                seed = None
+            else:
+                # right of the seed lower_bound holds; left of it E(seed),
+                # at least that capped bound, where E'(seed) <= 0, and
+                # only stage 2's bound otherwise
+                key = self.lower_bound((seed, top)) if points[seed][5] <= 0.0 else bound
+                yield key if key > bound else bound
         rho_min = min(pruning_floor(*inverse, s.ideal, s.p_max, RHO_FLOOR), top)
-        search = brent_steps(self, rho_min, top, self(rho_min), e_top, EPS_RHO)
+        if seed is not None and not rho_min < seed:
+            # pruning_floor stops within the rounding of K above the least
+            # feasible rho, so a feasible seed can lie at or below it
+            seed = None
+        search = brent_steps(self, rho_min, top, self(rho_min), e_top, EPS_RHO, seed, e_seed)
         while True:
             try:
                 rhos = next(search)

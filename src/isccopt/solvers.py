@@ -21,7 +21,8 @@ KKT_REL_TOL = 1e-10
 KKT_MAX_ITER = 500
 
 
-def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
+def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float,
+                x: float | None = None, fx: float | None = None):
     """Brent's method for the argmin of a unimodal function on [lb, ub],
     given its values f_lb, f_ub at the ends, as a generator: it yields the
     evaluated points in its current bracket, ascending, before each
@@ -29,18 +30,21 @@ def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
     smallest on ties).
 
     Keeps a bracket [a, b] whose ends are evaluated points and the best
-    interior point x, starting from the golden-section point of [lb, ub].
-    Each step evaluates f once inside the bracket and cuts it there or at
-    x, so the points evaluated inside [a, b] are a, x and b: the first
-    yield is (lb, ub), each later one the distinct points of (a, x, b),
-    which is (a, b) where a step of rounding size leaves x on an end. A
-    step evaluates f at the vertex of the parabola through x and two
-    earlier points when that lies inside the bracket and moves less than
-    half the step before last, otherwise at the golden-section point of
-    the larger side of x; no step is shorter than eps/3. Stops when the
+    interior point x, starting from the optional first point x, with its
+    value fx, where the caller gives one (lb < x < ub), and from the
+    golden-section point of [lb, ub] otherwise. Each step evaluates f once
+    inside the bracket and cuts it there or at x, so the points evaluated
+    inside [a, b] are a, x and b: the first yield is (lb, ub) without a
+    first point, (lb, x, ub) with one, each later one the distinct points
+    of (a, x, b), which is (a, b) where a step of rounding size leaves x on
+    an end. A step evaluates f at the vertex of the parabola through x and
+    two earlier points when that lies inside the bracket and moves less
+    than half the step before last, otherwise at the golden-section point
+    of the larger side of x; no step is shorter than eps/3. Stops when the
     bracket is at most eps wide (or rounding stops it shrinking), so a
-    bracket no wider than eps returns with no yield. Non-finite values
-    raise. A caller may stop asking for steps at any yield.
+    bracket no wider than eps returns with no yield (the least of lb, ub
+    and a given first point). Non-finite values raise. A caller may stop
+    asking for steps at any yield.
     """
     if not lb <= ub:
         raise ValueError(f"need lb <= ub, got [{lb}, {ub}]")
@@ -56,15 +60,18 @@ def brent_steps(f, lb: float, ub: float, f_lb: float, f_ub: float, eps: float):
 
     value(lb, f_lb)
     value(ub, f_ub)
+    if x is not None:
+        value(x, fx)
     a, b, tol, width = lb, ub, eps / 3.0, math.inf
     if eps < b - a:
-        yield lb, ub
         # x: the interior point of least value; w, v: the other two points
         # the parabola passes through (the better and the worse end at
         # first); d, e: the last step and the one before (none yet, so the
         # first step is golden)
-        x = a + (1.0 - INV_GOLDEN) * (b - a)
-        fx = value(x, f(x))
+        if x is None:
+            yield lb, ub
+            x = a + (1.0 - INV_GOLDEN) * (b - a)
+            fx = value(x, f(x))
         (fw, w), (fv, v) = sorted([(f_lb, lb), (f_ub, ub)])
         d = e = 0.0
     while eps < b - a < width:

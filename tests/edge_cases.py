@@ -75,6 +75,7 @@ def _near_linear_samples():
 ON_SERVER = "baseline --kind on_server".split()
 ON_DEVICE = "baseline --kind on_device".split()
 NO_PRUNE = "baseline --kind no_prune".split()
+FIT_R0 = "fit-r0 --samples samples.csv".split()
 HUGE_NU_MAX_SWEEP = "sweep --axis t_max --values 0.55,0.8".split()
 LOG1P_RATE = ("the raw-input upload's SNR g*p_c falls below the rounding of 1 + SNR: "
               "the rate stays positive (log1p), not a division of the payload by 0")
@@ -104,7 +105,7 @@ CASES = [
          "or 10000, or take none, run as they are"),
     Case("validate-pruning-mean", "validate --suite pruning-mean".split(), None, 0, None,
          "pruning-mean at its default --trials 200, which --trials 20 leaves ungated"),
-    Case("fit-r0-near-linear", "fit-r0 --samples samples.csv".split(), None, 3,
+    Case("fit-r0-near-linear", FIT_R0, None, 3,
          "fix only the product a*b",
          "samples with b*p <= 0.22 fix only a*b, and the fit must say so, not answer "
          "(and make no output directory)",
@@ -116,10 +117,20 @@ CASES = [
     Case("sweep-snr-1e-320", "sweep --axis snr --values 1e-320".split(), None, 3,
          "too small for any uplink rate",
          "an SNR at p_max with no finite inverse rate is refused before any solve"),
-    Case("fit-r0-one-row", "fit-r0 --samples samples.csv".split(), None, 3,
-         "need at least two samples",
+    Case("fit-r0-one-row", FIT_R0, None, 3, "need at least two samples",
          "a one-row samples file has two columns, but the fit needs two samples",
          files={"samples.csv": "0.1,0.5\n"}),
+    Case("fit-r0-ragged", FIT_R0, None, 3, "config error: cannot read samples",
+         "a samples row with one column is refused as unreadable, not padded",
+         files={"samples.csv": "0.1,0.2\n0.3\n"}),
+    Case("fit-r0-non-finite", FIT_R0, None, 3, "samples CSV has non-finite entries",
+         "a NaN accuracy is refused before the fit", files={"samples.csv": "0.1,nan\n0.2,0.5\n"}),
+    Case("fit-r0-negative-power", FIT_R0, None, 3, "powers must be nonnegative",
+         "a negative sensing power is refused, not fitted",
+         files={"samples.csv": "-0.1,0.2\n0.2,0.5\n"}),
+    Case("fit-r0-equal-powers", FIT_R0, None, 3, "all powers equal",
+         "samples at one power cannot fix the curve's scale b",
+         files={"samples.csv": "0.1,0.2\n0.1,0.3\n"}),
     Case("validate-trials-zero", "validate --suite pruning-mean --trials 0".split(), None, 3,
          "--trials must lie in 1..", COUNT_BELOW_ONE),
     Case("validate-grid-n-negative", "validate --suite power-freq-grid --grid-n -3".split(),

@@ -759,19 +759,6 @@ class TestCliValidateFitSense:
         assert flag in err and value in err
         assert not list(tmp_path.glob("validate_*.json"))
 
-    @pytest.mark.parametrize("text", [
-        "0.1,0.2\n0.3\n",              # ragged
-        "0.1,nan\n0.2,0.5\n",          # non-finite
-        "-0.1,0.2\n0.2,0.5\n",         # negative power
-        "0.1,0.2\n0.1,0.3\n"],         # all powers equal
-        ids=["ragged", "non-finite", "negative", "equal-powers"])
-    def test_fit_r0_bad_samples_exit_3(self, tmp_path, capsys, text):
-        path = tmp_path / "samples.csv"
-        path.write_text(text)
-        rc = main(["fit-r0", "--samples", str(path), "--out", str(tmp_path)])
-        assert rc == 3
-        assert "config error" in capsys.readouterr().err
-
     def test_sense_demo(self, tmp_path, capsys):
         rc = main(["sense-demo", "--out", str(tmp_path)])
         assert rc == 0

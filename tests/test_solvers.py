@@ -128,16 +128,21 @@ class TestBrent:
 
 class TestBrentSteps:
     @staticmethod
-    def check_yields(f, lb, ub, eps):
-        """Run brent_steps on f over [lb, ub] and check each yield against
-        the evaluations it made: before each evaluation, the evaluated
-        points in the current bracket, ascending; (lb, ub) first, then the
+    def check_yields(f, lb, ub, eps, first=None):
+        """Run brent_steps on f over [lb, ub], from the first point `first`
+        where one is given, and check each yield against the evaluations it
+        made: before each evaluation, the evaluated points in the current
+        bracket, ascending; (lb, ub) first, or (lb, first, ub), then the
         distinct points of (a, x, b), with x the interior point of least
         value (the latest on ties), as in Brent's method. Returns the number
         of yields, the last bracket, and the number of yields where x lies
         on an end of [a, b]."""
         f_lb, f_ub = f(lb), f(ub)
         evaluated, x = [lb, ub], []   # x: (point, value) after each evaluation
+        seed = () if first is None else (first, f(first))
+        if seed:
+            evaluated.append(first)
+            x.append(seed)
 
         def counted(u):
             fu = f(u)
@@ -146,7 +151,7 @@ class TestBrentSteps:
             evaluated.append(u)
             return fu
 
-        steps = brent_steps(counted, lb, ub, f_lb, f_ub, eps)
+        steps = brent_steps(counted, lb, ub, f_lb, f_ub, eps, *seed)
         bracket, n_yields, on_end = (lb, ub), 0, 0
         while True:
             try:
@@ -155,19 +160,19 @@ class TestBrentSteps:
                 break
             n_yields += 1
             # one evaluation between two yields, none before the first
-            assert len(evaluated) == n_yields + 1
+            assert len(evaluated) == n_yields + 1 + bool(seed)
             assert list(points) == sorted(set(points))
             assert bracket[0] <= points[0] and points[-1] <= bracket[1]
             bracket = points[0], points[-1]
             assert list(points) == sorted(u for u in set(evaluated)
                                           if bracket[0] <= u <= bracket[1])
-            if n_yields == 1:
+            if n_yields == 1 and not seed:
                 assert tuple(points) == (lb, ub)
             else:
                 assert tuple(points) == tuple(sorted({bracket[0], x[-1][0], bracket[1]}))
                 assert 2 <= len(points) <= 3
                 on_end += len(points) == 2
-        assert len(evaluated) == n_yields + 2
+        assert len(evaluated) == n_yields + 2 + bool(seed)
         return n_yields, bracket, on_end
 
     def test_yields_the_evaluated_points_of_its_bracket(self):
@@ -181,6 +186,27 @@ class TestBrentSteps:
                 assert n_yields >= 3 and bracket[1] - bracket[0] < ub - lb
                 on_end += ends
         assert on_end >= 1
+
+    def test_first_point_replaces_the_golden_point(self):
+        # from a given first point the search yields (lb, x, ub) first,
+        # evaluates f at x no more, and still finds the argmin; with no
+        # first point it is the golden-start search, point for point
+        for f, lb, ub, argmin in UNIMODAL_BATTERY:
+            for first in (lb + 0.01 * (ub - lb), 0.5 * (lb + ub), ub - 0.3 * (ub - lb)):
+                n_yields, bracket, _ = self.check_yields(f, lb, ub, 1e-8, first)
+                assert n_yields >= 2 and bracket[0] - 1e-8 <= argmin <= bracket[1] + 1e-8
+                args = (f, lb, ub, f(lb), f(ub), 1e-8)
+                assert abs(finish(brent_steps(*args, first, f(first))) - argmin) <= 1e-8
+            golden = lb + (1.0 - INV_GOLDEN) * (ub - lb)
+            args = (f, lb, ub, f(lb), f(ub), 1e-8)
+            assert finish(brent_steps(*args, golden, f(golden))) == brent(*args)
+
+    def test_narrow_bracket_returns_a_better_first_point(self):
+        # no step, no yield: the least of the ends and the first point
+        with pytest.raises(StopIteration) as done:
+            next(brent_steps(parabola, 0.3 - 4e-7, 0.3 + 4e-7, 1.0, 1.0, 1e-6,
+                             0.3, parabola(0.3)))
+        assert done.value.value == 0.3
 
     def test_pair_search_yields_a_x_and_b(self, template_net, default_scenario,
                                           default_params):

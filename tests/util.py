@@ -189,18 +189,35 @@ def solve_pair(l, q, net, sc, ap):
 
 def bracketed(energy):
     """Run a fresh pair's search (PairEnergy.steps) through its bracket:
-    the keys it yields before it (the relaxed bound first, then those of
-    the surrogate bound), the bracket (rho_min, rho_max) it evaluated E at,
-    and its first yield after it, None where the search returned there.
-    Raises the InfeasibleError the search raises."""
-    steps = energy.steps()
-    keys, after = [next(steps)], None
-    for key in steps:
-        if len(energy.points) > 1:
-            after = key
-            break
+    the keys it yields before E at the bracket's bottom end (the relaxed
+    bound first, then those of the surrogate bound and of the seed), the
+    bracket (rho_min, rho_max) it evaluated E at, and its first yield
+    after it, None where the search returned there. A search that returns
+    at the top (E'(top) <= 0) has the bracket (top, top). Raises the
+    InfeasibleError the search raises."""
+    keys, s = [], energy.split
+    for key in energy.steps():
+        if energy.points:
+            top = next(iter(energy.points))   # the first point E records
+            rho_min = min(top, pruning_floor(*energy.inverse, s.ideal, s.p_max,
+                                             optimizer.RHO_FLOOR))
+            if rho_min in energy.points:
+                return keys, rho_min, top, key
         keys.append(key)
-    return keys, min(energy.points), max(energy.points), after
+    return keys, min(energy.points), max(energy.points), None
+
+
+def unseeded_pair(energy):
+    """The golden-start reference for one pair's search: Brent's method
+    (solvers.brent) on [rho_min, rho_max] from the golden-section point,
+    with no seed and no early return at the top, on the fresh PairEnergy
+    `energy` (a pair that prunes). Returns the argmin; raises what E
+    raises at the ends."""
+    s = energy.split
+    top = energy.rho_max()
+    e_top = energy(top)
+    rho_min = min(top, pruning_floor(*energy.inverse, s.ideal, s.p_max, optimizer.RHO_FLOOR))
+    return solvers.brent(energy, rho_min, top, energy(rho_min), e_top, optimizer.EPS_RHO)
 
 
 def outcome(f, *args):
