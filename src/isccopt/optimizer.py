@@ -93,6 +93,23 @@ class Split:
         self.ceiling, self.ideal = accuracy_ceiling(ap), ideal_accuracy(sc.p_max, ap)
 
 
+def tangent_floor(width: float, e_a: float, g_a: float, e_b: float, g_b: float) -> float:
+    """The least value over [a, b], b = a + width, of the larger tangent of
+    a convex function with values e_a, e_b and slopes g_a, g_b at a and b:
+    the tangents' value where they cross, rise/span right of a (rise is e_a
+    less b's tangent at a), clamped to [a, b]; -inf where the slopes fall
+    from a to b (rounding, or an overflow to inf or NaN)."""
+    span = g_b - g_a
+    if not span >= 0.0:
+        return -math.inf
+    rise = e_a - e_b + g_b * width
+    if rise >= span * width:
+        return e_a + g_a * width
+    if rise > 0.0:
+        return e_b - g_b * (width - rise / span)
+    return e_a
+
+
 class PairEnergy:
     """Energy of one (l, q) pair as a function of the pruning ratio alone.
 
@@ -180,18 +197,14 @@ class PairEnergy:
           nondecreasing in rho;
         - the tangents: E is convex, so on [a, b] it lies above the larger
           of its tangents at a and b (their recorded slopes), whose least
-          value there is at their crossing where the slopes have opposite
-          signs. The bound is the tangents' value at their crossing,
-          clamped to [a, b] (a's tangent at b where the crossing lies
-          right of b, E(a) where it lies left of a), or none where the
-          slopes fall from a to b (rounding, or an overflow to inf or
-          NaN).
+          value there is tangent_floor.
 
         Where the slopes share a sign, that value can exceed E's least on
         [a, b], which then lies at a or b, an evaluated point; so the key
         is capped at `least`. That keeps it a bound, and keeps the key of
         the search that holds the incumbent at or below it, so that search
-        always finishes."""
+        always finishes. It reads only evaluated points: after E at the
+        top, every key steps yields is this bound."""
         t_sen, points = self.split.t_sen, self.points
         a = rhos[0]
         e_a, _, _, _, edge_a, g_a = points[a]
@@ -202,22 +215,9 @@ class PairEnergy:
             right = t_sen * p_b + edge_a
             if right < chain:
                 chain = right
-            # the tangents cross rise/span right of a, where rise is E(a)
-            # less b's tangent at a
-            width = b - a
-            span = g_b - g_a
-            if span >= 0.0:
-                rise = e_a - e_b + g_b * width
-                if rise >= span * width:
-                    cross = e_a + g_a * width
-                elif rise > 0.0:
-                    cross = e_b - g_b * (width - rise / span)
-                else:
-                    cross = e_a
-                if cross < tangent:
-                    tangent = cross
-            else:
-                tangent = -math.inf
+            cross = tangent_floor(b - a, e_a, g_a, e_b, g_b)
+            if cross < tangent:
+                tangent = cross
             a = b
             e_a = e_b
             edge_a = edge_b
@@ -253,7 +253,11 @@ class PairEnergy:
         """The pair's search as a generator: before each unit of work it
         yields a lower bound of E over the rho it can still return; it
         returns the least-energy rho it evaluated (the smallest on ties),
-        and raises InfeasibleError where no rho is feasible. Four stages:
+        and raises InfeasibleError where no rho is feasible. Every key after
+        E at the top is lower_bound over points it evaluated, and no yield
+        repeats the key the pair holds: the pair heads the queue when it
+        evaluates E, with a key at most its least E, so a repeat would
+        change nothing. Five stages:
 
         1. The top end, rho_max for a pair that prunes and rho = 1 for one
            that does not, with every check E makes there before its KKT
@@ -277,8 +281,8 @@ class PairEnergy:
            the upload energy (>= 0) is at least s^3 of itself, so the least
            edge energy without the cap nu_max is at least s^3 D; the cap
            only adds to it. f is convex (p_s is, a2 is convex and piecewise
-           affine, and the cube and the max keep that), so its tangents at
-           a < b with f'(a) <= 0 < f'(b) cross below its least value. Where
+           affine, and the cube and the max keep that), so tangent_floor
+           over a < b with f'(a) <= 0 < f'(b) is below its least value. Where
            D <= edge_lo, f's least value is the relaxed bound, at the top.
 
            f at the top is read from stage 1's values. b starts there, and
@@ -302,20 +306,19 @@ class PairEnergy:
         4. The seed: stage 2's estimate of f's minimizer, the point its
            loop ends on (its next secant point, or its midpoint where it
            found no point with f' <= 0), where that lies inside
-           (RHO_FLOOR, top). A yield, then E at the seed; where that raises
+           (RHO_FLOOR, top). E at the seed; where that raises
            InfeasibleError (the seed lies below rho_min, or E overflows
-           there) the seed is dropped. Otherwise a yield of the larger of
-           stage 2's bound and, where E'(seed) <= 0, lower_bound over
-           (seed, top): a convex E does not fall left of such a seed, and
-           E(seed) is at least the capped lower_bound.
+           there) the seed is dropped. Otherwise, where E'(seed) <= 0, a
+           yield of lower_bound over (seed, top): a convex E does not fall
+           left of such a seed, and E(seed) is at least the capped
+           lower_bound.
         5. The bracket, E at rho_min, the smallest rho whose sensing power
            fits under p_max (pruning_floor), then Brent's method on
            [rho_min, top] (solvers.brent_steps) to a width of EPS_RHO, from
            the seed where there is one (above rho_min) and from the
            golden-section point otherwise, with a yield before each
-           evaluation of E of the larger of stage 2's bound and
-           lower_bound over the evaluated points of its bracket (their
-           chain and tangent bounds, capped at the least E).
+           evaluation of E of lower_bound over the evaluated points of its
+           bracket (their chain and tangent bounds, capped at the least E).
         """
         s, inverse = self.split, self.inverse
         top = self.rho_max() if self.prune else 1.0
@@ -377,13 +380,11 @@ class PairEnergy:
                     if a is None:
                         key, rho = f_b - g_b * (b - lo), 0.5 * (lo + b)
                     else:
-                        # the tangents cross theta*rise below f(a); the
-                        # secant of f' is 0 at a + theta*(b - a)
                         span = g_b - g_a
                         if span == math.inf:
                             break
-                        theta, rise = -g_a / span, f_a - f_b + g_b * (b - a)
-                        key, rho = f_a - theta * rise, a + theta * (b - a)
+                        key = tangent_floor(b - a, f_a, g_a, f_b, g_b)
+                        rho = a - g_a / span * (b - a)   # where the secant of f' is 0
                     if key > bound:
                         bound = key
                         yield bound
@@ -391,25 +392,22 @@ class PairEnergy:
                     seed = rho
             elif f_b > bound:
                 # f does not rise to the top, so its least value is there
-                bound = f_b
-                yield bound
+                yield f_b
         e_top = self._record(top, p_s, dp_s, a2_top, da2_top)
         points = self.points
         if not self.prune or points[top][5] <= 0.0:
             return top
         e_seed = None
         if seed is not None:
-            yield bound
             try:
                 e_seed = self(seed)
             except InfeasibleError:
                 seed = None
             else:
-                # right of the seed lower_bound holds; left of it E(seed),
-                # at least that capped bound, where E'(seed) <= 0, and
-                # only stage 2's bound otherwise
-                key = self.lower_bound((seed, top)) if points[seed][5] <= 0.0 else bound
-                yield key if key > bound else bound
+                # right of the seed lower_bound holds, and left of it
+                # E(seed), at least that capped bound, where E'(seed) <= 0
+                if points[seed][5] <= 0.0:
+                    yield self.lower_bound((seed, top))
         rho_min = min(pruning_floor(*inverse, s.ideal, s.p_max, RHO_FLOOR), top)
         if seed is not None and not rho_min < seed:
             # pruning_floor stops within the rounding of K above the least
@@ -421,8 +419,7 @@ class PairEnergy:
                 rhos = next(search)
             except StopIteration as done:
                 return done.value
-            key = self.lower_bound(rhos)
-            yield key if key > bound else bound
+            yield self.lower_bound(rhos)
 
 
 def _answer(energy: PairEnergy, rho: float, origin: str, splits) -> Solution:

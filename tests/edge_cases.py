@@ -86,6 +86,7 @@ TINY_S = ("the accuracy margin factor (w/(c_m s))^2 overflows below about s = 1e
 NORMAL_UPLOAD = ("the raw-input upload's power underflows to 0 or to a subnormal: the "
                  "upload stops where it is still a normal float")
 COUNT_BELOW_ONE = "a count below one is refused before any suite runs"
+NOT_AN_ARRAY = "an array field given a number or an object is refused by its path, not iterated"
 NULL_RATE = ("the uplink rate underflows to 0: the device's split uploads no bits and "
              "costs nothing to upload, not 0 bits divided by a rate of 0")
 
@@ -148,6 +149,15 @@ CASES = [
          files={"out/solution.json": None}),
     Case("layers-not-an-array", ["solve"], {"network": {"layers": 5}}, 3,
          "network.layers must be a JSON array", "a malformed network names its key"),
+    Case("clutter-5", ["solve"], {"echo": {"clutter": 5}}, 3,
+         "config error: echo.clutter must be a JSON array", NOT_AN_ARRAY),
+    Case("clutter-an-object", ["solve"], {"echo": {"clutter": {"a": 1}}}, 3,
+         "config error: echo.clutter must be a JSON array", NOT_AN_ARRAY),
+    Case("splits-5", ["solve"], {"scenario": {"splits": 5}}, 3,
+         "config error: scenario.splits must be a JSON array", NOT_AN_ARRAY),
+    Case("window_len-1", ["solve"], {"echo": {"window_len": 1}}, 3,
+         "config error: echo.window_len must lie in 2..256",
+         "the periodic Hann window of length 1 is [0], so a window is at least 2 long"),
     Case("clutter-doppler", ["sense-demo"],
          {"echo": {"clutter": [{"delay": 1e-6, "gain": 1.0, "doppler_hz": 500}]}}, 3,
          "['doppler_hz'] in echo.clutter[0]",

@@ -37,9 +37,6 @@ from isccopt import optimizer, oracles  # noqa: E402
 from util import SWEEPS, stock_config  # noqa: E402
 
 EXPECTED = "3788 2abcd9c3075650d2d0f19eba6ab21be500753860eea30c8296e683968f51b1b6"
-# the E(rho) evaluations the solves make with each pair's search started at
-# its seed and settled at the top where E'(top) <= 0 (29,341 from the
-# golden-section point, 31,045 with the chain bound alone)
 MAX_EVALUATIONS = 25011
 
 

@@ -421,12 +421,7 @@ BAD_VALUES = [
     ("solver", "max_iter", 0),
     # an array that is not a JSON array is named by its path
     ("network", "layers", 5),
-    ("echo", "clutter", 5),
-    ("echo", "clutter", {"a": 1}),
-    ("scenario", "splits", 5),
     ("network", "target_norms", 5),
-    # the periodic Hann window of length 1 is [0]
-    ("echo", "window_len", 1),
 ]
 
 

@@ -263,6 +263,12 @@ def watch_steps(monkeypatch, key):
     return finished
 
 
+# the stock solve's work by origin: (KKT solves, pruning floors,
+# sensing_power calls)
+STOCK_WORK = {"proposed": (14, 1, 69), "on_server": (1, 0, 1), "on_device": (10, 1, 12),
+              "no_prune": (1, 0, 36)}
+
+
 def count_calls(monkeypatch, *names):
     """Count the calls the optimizer makes to each of its functions `names`."""
     calls = dict.fromkeys(names, 0)
@@ -322,15 +328,15 @@ class TestBoundAndPrune:
                     except InfeasibleError:
                         continue
                     pairs += 1
-                    # the first yield after the bracket, where it is wider
-                    # than EPS_RHO: the larger of stage 2's bound (the last
-                    # key before E at the top, which the yield before the
-                    # seed repeats) and lower_bound over the evaluated
-                    # points, the seed's among them
-                    assert keys == sorted(keys)
-                    seeded = len(energy.points) == 3
-                    first = max(keys[-2 if seeded else -1],
-                                energy.lower_bound(sorted(energy.points)))
+                    # the keys before E at the top rise; the seed's key, where
+                    # E'(seed) <= 0, and the first yield after the bracket,
+                    # where it is wider than EPS_RHO, are lower_bound over
+                    # the evaluated points, the seed's among them
+                    rhos = list(energy.points)   # the top, any seed, rho_min
+                    seed_key = len(rhos) == 3 and energy.points[rhos[1]][5] <= 0.0
+                    rising = keys[:-1] if seed_key else keys
+                    assert rising == sorted(rising)
+                    first = energy.lower_bound(sorted(rhos))
                     assert second == (first if rho_max - rho_min > opt.EPS_RHO else None)
                     bound = energy.lower_bound((rho_min, rho_max))
                     # the relaxed bound can be exact (rho_min = RHO_FLOOR
@@ -388,13 +394,9 @@ class TestBoundAndPrune:
 
     def test_stock_solve_brackets_fewer_pairs(self, template_net, default_scenario,
                                               default_params, monkeypatch):
-        # 104 KKT solves and 29 pruning floors with every pair bracketed,
-        # 83 and 19 with the relaxed bound alone, 31 and 1 with the surrogate
-        # bound after E at the top, 13 and 1 with the search started at the
-        # golden-section point, not the seed (one more point, three fewer
-        # Brent steps for the winner); ahead of it, the surrogate bound rules
-        # out 18 of the 19 pairs the relaxed bound leaves before they record
-        # a point. The answer is the one every pair searched gives
+        # the surrogate bound rules out 18 of the 19 pairs the relaxed bound
+        # leaves before they record a point, so only the winner is
+        # bracketed. The answer is the one every pair searched gives
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
         past_relaxed = set()
 
@@ -405,8 +407,7 @@ class TestBoundAndPrune:
 
         finished = watch_steps(monkeypatch, key)
         sol = opt.solve_scenario(template_net, default_scenario, default_params)
-        assert calls["power_freq"] == 14
-        assert calls["pruning_floor"] == 1
+        assert (calls["power_freq"], calls["pruning_floor"]) == STOCK_WORK["proposed"][:2]
         ruled_out = past_relaxed - set(finished)
         assert len(ruled_out) == 18
         assert all(energy.points == {} for energy in ruled_out)
@@ -415,11 +416,11 @@ class TestBoundAndPrune:
 
     def test_stock_no_prune_gates_its_pairs(self, template_net, default_scenario,
                                             default_params, monkeypatch):
-        # 30 KKT solves with every no_prune pair evaluated at rho = 1; the
-        # relaxed bound rules out all but the winner
+        # the relaxed bound rules out every no_prune pair but the winner, so
+        # one KKT solve, where every pair evaluated at rho = 1 makes 30
         calls = count_calls(monkeypatch, "power_freq")
         sol = opt.solve_baseline("no_prune", template_net, default_scenario, default_params)
-        assert calls["power_freq"] == 1
+        assert calls["power_freq"] == STOCK_WORK["no_prune"][0]
         monkeypatch.undo()
         assert sol == exhaustive("no_prune", template_net, default_scenario, default_params)
 
@@ -669,9 +670,9 @@ class TestOnePathLoop:
     @pytest.mark.parametrize("i", [1, 5, 11])
     def test_nan_key_fails_closed_at_a_later_step(self, template_net, default_scenario,
                                                   default_params, monkeypatch, i):
-        # the stock winner (2, 6) yields 14 keys: its relaxed bound, the
-        # yield before E at the seed (1), the seed's key, then a bound per
-        # search step
+        # the stock winner (2, 6) yields 12 keys: its relaxed bound, then a
+        # lower_bound before each of Brent's 11 evaluations, the first (1)
+        # after the bracket and the last (11) before its search returns
         watch_steps(monkeypatch, lambda energy, j, bound: math.nan
                     if (energy.split.l, energy.q, j) == (2, 6, i) else bound)
         with pytest.raises(CheckError, match=r"proposed \(l=2, q=6\): lower bound is NaN"):
@@ -698,32 +699,27 @@ class TestOnePathLoop:
                         seen.add(want[0])
         assert {"latency_budget", "sensing_power_cap"} <= seen
 
-    @pytest.mark.parametrize("origin, kkt, floors", [
-        ("proposed", 14, 1), ("on_server", 1, 0), ("on_device", 10, 1), ("no_prune", 1, 0)])
+    @pytest.mark.parametrize("origin", opt.ORIGINS)
     def test_stock_kernel_calls(self, template_net, default_scenario, default_params,
-                                monkeypatch, origin, kkt, floors):
+                                monkeypatch, origin):
         # sensing_power runs once per point: the surrogate bound reads the
-        # top's values from the top-end checks (87 and 16 calls when it
-        # evaluated the top again). Started at the golden-section point, not
-        # the seed, the search made 13 KKT solves for proposed and on_device,
-        # and 68 and 15 sensing_power calls
-        powers = {"proposed": 69, "on_server": 1, "on_device": 12, "no_prune": 36}[origin]
+        # top's values from the top-end checks
         calls = count_calls(monkeypatch, "power_freq", "pruning_floor", "sensing_power")
         opt._enumerate(template_net, default_scenario, default_params, origin)
         assert ((calls["power_freq"], calls["pruning_floor"], calls["sensing_power"])
-                == (kkt, floors, powers))
+                == STOCK_WORK[origin])
 
 
 def check_keys(split, q):
     """Run the pair (split, q)'s whole search and check every key it yields
-    (the relaxed bound, the surrogate bounds, the keys before and after E
-    at the seed, and the Brent-phase bounds) against every E it evaluates
-    and against the least E over a 400-point grid of its feasible rho,
-    [rho_min, top], each with a factor 1 + 1e-12 for rounding. Returns
-    (number of feasible grid points, whether the surrogate bound rose above
-    the relaxed bound, whether the KKT solve at the top ran at nu_max,
-    whether E was evaluated at a seed, whether the seed's key rose above
-    stage 2's bound), or None for a pair with no feasible rho."""
+    (the relaxed bound, the surrogate bounds, the seed's key and the
+    Brent-phase bounds) against every E it evaluates and against the least
+    E over a 400-point grid of its feasible rho, [rho_min, top], each with
+    a factor 1 + 1e-12 for rounding. Returns (number of feasible grid
+    points, whether the surrogate bound rose above the relaxed bound,
+    whether the KKT solve at the top ran at nu_max, whether E was evaluated
+    at a seed, whether a key was yielded after E at the seed), or None for
+    a pair with no feasible rho."""
     energy = opt.PairEnergy(split, q)
     steps, keys = energy.steps(), {}   # keys by the number of points before each
     try:
@@ -749,17 +745,16 @@ def check_keys(split, q):
         assert key <= min(evaluated, least) * (1.0 + 1e-12), (s.l, q, keys)
     # with a seed, the second point E records is the seed, not rho_min
     seeded = len(energy.points) > 1 and list(energy.points)[1] != rho_min
-    rose = seeded and keys[2][0] > keys[1][-1]   # the seed's key, after the one before it
     return (len(grid.points), len(keys.get(0, ())) > 1, energy.points[top][3] == s.nu_max,
-            seeded, rose)
+            seeded, seeded and 2 in keys)
 
 
-def fc_stack_case(depth, ap):
+def fc_stack_case(depth, ap, q_max=6):
     """A fully connected stack of `depth` layers, 128 units wide, with
-    every split allowed and q_max 6: its pairs prune within 1e-6 of
-    rho = 1 or not at all (TestDeepStacks)."""
+    every split allowed and q_max 6 unless given: its pairs prune within
+    1e-6 of rho = 1 or not at all (TestDeepStacks)."""
     net = nm.random_fc_network([256] + [128] * (depth - 1) + [10], [50.0] * depth, 1)
-    return net, make_scenario(splits=tuple(range(depth + 1)), q_max=6), ap
+    return net, make_scenario(splits=tuple(range(depth + 1)), q_max=q_max), ap
 
 
 class TestSurrogateBound:
@@ -771,16 +766,16 @@ class TestSurrogateBound:
         # criterion 07's cases, the stock scenario on a tight grid, where
         # the KKT solve at the top runs at nu_max for most pairs: there the
         # surrogate bound must hold too, as its D has no cap on nu_e; and
-        # the depth-32 and -64 stacks. The seed's key rises above stage 2's
-        # bound only where E'(seed) <= 0: a key that took E(seed) as a bound
-        # left of the seed whatever its slope fails here
+        # the depth-32 and -64 stacks. The seed yields a key only where
+        # E'(seed) <= 0: a key that took E(seed) as a bound left of the seed
+        # whatever its slope fails here
         rng = np.random.default_rng(7000)
         cases = [orc.random_test_case(rng) for _ in range(200)]
         net, sc, ap = stock_config().network, stock_config().scenario, stock_config().accuracy
         cases += [(net, replace(sc, t_max=t, r_t=r), ap) for t in (0.52, 0.56, 0.6, 1.0)
                   for r in (0.85, 0.95)]
         cases += [fc_stack_case(depth, ap) for depth in (32, 64)]
-        points = surrogates = at_nu_max = seeded = rose = 0
+        points = surrogates = at_nu_max = seeded = seed_keys = 0
         for net, sc, ap in cases:
             for l, q in opt._pairs(net, sc):
                 if l == 0:
@@ -791,10 +786,10 @@ class TestSurrogateBound:
                     surrogates += checked[1]
                     at_nu_max += checked[1] and checked[2]
                     seeded += checked[3]
-                    rose += checked[4]
+                    seed_keys += checked[4]
         assert points >= 400 * 1000
         assert surrogates >= 1000 and at_nu_max >= 50
-        assert seeded >= 1500 and rose >= 800, (seeded, rose)
+        assert seeded >= 1500 and seed_keys >= 1042, (seeded, seed_keys)
 
     def test_floor_below_the_kkt_edge_energy_at_the_top(self):
         # D, edge_floor at the top with the upload given the whole budget t2,
@@ -883,6 +878,16 @@ class TestDeepStacks:
             checked = check_keys(opt.Split(net, sc, default_params, l), q) if l else None
             points += checked[0] if checked else 0
         assert points >= 20
+
+    @pytest.mark.parametrize("depth, kkt, floors", [
+        pytest.param(32, 152, 76, id="depth-32"), pytest.param(64, 162, 81, id="depth-64")])
+    def test_work_at_q_max_16(self, default_params, monkeypatch, depth, kkt, floors):
+        # ceilings on the proposed solve's KKT solves and pruning floors,
+        # where most splits have no feasible pair
+        net, sc, _ = fc_stack_case(depth, default_params, q_max=16)
+        calls = count_calls(monkeypatch, "power_freq", "pruning_floor")
+        assert opt.solve_scenario(net, sc, default_params).feasible
+        assert calls["power_freq"] <= kkt and calls["pruning_floor"] <= floors, calls
 
 
 # how far above E(rho), relative, a recorded tangent may reach: E and E'
@@ -1109,8 +1114,9 @@ class TestBrentPairSearch:
     def test_no_worse_than_golden_section(self, search_cases, monkeypatch):
         # on criterion 07's cases and the stock sweeps by every origin: the
         # same feasibility, pair and reasons as the golden-section search,
-        # no higher energy, and no more E(rho) evaluations on any input
-        # (both evaluate E at the seed, which only Brent's method starts from)
+        # no higher energy, no more E(rho) evaluations on any input and at
+        # most 0.7 of them in all (both evaluate E at the seed, which only
+        # Brent's method starts from)
         got = count_evaluations(monkeypatch, search_cases)
         monkeypatch.setattr(opt, "brent_steps", golden_search)
         want = count_evaluations(monkeypatch, search_cases)
@@ -1120,23 +1126,17 @@ class TestBrentPairSearch:
                 assert (g.alloc.l, g.alloc.q) == (w.alloc.l, w.alloc.q), i
                 assert g.e_total <= w.e_total * (1 + 1e-12), i
             assert g_evals <= w_evals, i
-        # about three fifths fewer in all (2035 against 5382)
         assert sum(n for _, n in got) <= 0.7 * sum(n for _, n in want)
 
     def test_evaluation_counts(self, search_cases, template_net, default_scenario,
                                default_params, monkeypatch):
-        # the best-first queue's E(rho) evaluations: 2035 on these cases
-        # with each search started at its seed (2387 from the golden-section
-        # point, 2622 with the chain bound alone, 3024 with the surrogate
-        # bound after E at the top, 4724 with the relaxed bound alone, and
-        # the two-pass loop before the queue made 4968), and 14 for the
-        # stock solve (13 from the golden-section point, 31 with the
-        # surrogate bound after the top, 83 with the relaxed bound alone)
+        # the best-first queue's E(rho) evaluations on these cases, and on
+        # the stock solve one per KKT solve
         counts = count_evaluations(monkeypatch, search_cases)
         assert sum(n for _, n in counts) <= 2035
         (_, stock), = count_evaluations(
             monkeypatch, [("proposed", template_net, default_scenario, default_params)])
-        assert stock <= 14
+        assert stock <= STOCK_WORK["proposed"][0]
 
 
 class TestBaselines:

@@ -190,11 +190,11 @@ def solve_pair(l, q, net, sc, ap):
 def bracketed(energy):
     """Run a fresh pair's search (PairEnergy.steps) through its bracket:
     the keys it yields before E at the bracket's bottom end (the relaxed
-    bound first, then those of the surrogate bound and of the seed), the
-    bracket (rho_min, rho_max) it evaluated E at, and its first yield
-    after it, None where the search returned there. A search that returns
-    at the top (E'(top) <= 0) has the bracket (top, top). Raises the
-    InfeasibleError the search raises."""
+    bound first, then the rising keys of the surrogate bound, then the
+    seed's lower_bound where E'(seed) <= 0), the bracket (rho_min, rho_max)
+    it evaluated E at, and its first yield after it, None where the search
+    returned there. A search that returns at the top (E'(top) <= 0) has
+    the bracket (top, top). Raises the InfeasibleError the search raises."""
     keys, s = [], energy.split
     for key in energy.steps():
         if energy.points:
