@@ -85,23 +85,20 @@ DEFAULT_CONFIG = {
     },
 }
 
-_SCHEMA = {
-    "": {"seed", "scenario", "network", "accuracy", "echo"},
-    "scenario": set(DEFAULT_CONFIG["scenario"]),
-    "network": {"input_dim", "layers", "weight_seed", "target_norms", "weights_file"},
-    "accuracy": set(DEFAULT_CONFIG["accuracy"]),
-    "echo": set(DEFAULT_CONFIG["echo"]),
-    "layer": {"kind", "alpha", "beta", "gamma", "psi", "gamma_prev", "n", "n_prev"},
-    "target": {"delay", "doppler_hz", "gain"},
-    "clutter": {"delay", "gain"},   # clutter is static: no Doppler
-}
+# DEFAULT_CONFIG is the schema: each block and echo path record takes the keys
+# of its stock default, and each number is read as the type of its default
+# (an int default reads an integer, a float default a real). The network
+# block may also name a weights file, and a layer record takes the keys of
+# its kind
+_NETWORK_KEYS = {*DEFAULT_CONFIG["network"], "weights_file"}
+_LAYER_KEYS = {"kind", "alpha", "beta", "gamma", "psi", "gamma_prev", "n", "n_prev"}
 
 
-def _reject_unknown(block: dict, schema_key: str, where: str):
+def _reject_unknown(block: dict, allowed, where: str):
     # an unknown block is named with the keys it sets ("solver.eps_rho"),
     # so the message points at the setting the user wrote
     unknown = []
-    for key in set(block) - _SCHEMA[schema_key]:
+    for key in set(block) - set(allowed):
         value = block[key]
         unknown += [f"{key}.{k}" for k in value] if isinstance(value, dict) and value else [key]
     if unknown:
@@ -157,7 +154,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:
+            # ValueError: bad JSON or UTF-8, or an integer of more digits
+            # than int() reads (sys.get_int_max_str_digits)
             raise ConfigError(f"cannot read config {path}: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -167,7 +166,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
 
 
 def build_config(raw: dict) -> RunConfig:
-    _reject_unknown(raw, "", "")
+    _reject_unknown(raw, DEFAULT_CONFIG, "")
     try:
         resolved = {key: _merged(DEFAULT_CONFIG[key], _record(raw.get(key, {}), key))
                     for key in ("scenario", "network", "accuracy", "echo")}
@@ -189,37 +188,47 @@ def build_config(raw: dict) -> RunConfig:
                      echo_processing=processing, seed=seed, resolved=resolved)
 
 
-def _integer(value, name: str) -> int:
+def _real(value, where: str) -> float:
+    """A JSON number as float. Booleans, strings, null, arrays, objects and
+    integers past the float range are refused by their path."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} must be a number within the float range, got an "
+                          f"integer of {value.bit_length()} bits") from None
+
+
+def _integer(value, where: str) -> int:
     """An integral JSON number as int; 50000.7, NaN and booleans are
     rejected rather than truncated."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+            or not _real(value, where).is_integer()):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 
+def _numbers(record: dict, defaults: dict, where: str) -> dict:
+    """Every key of `record` whose stock default in `defaults` is a number,
+    read as the type of that default."""
+    return {key: (_integer if type(default) is int else _real)(record[key], f"{where}.{key}")
+            for key, default in defaults.items() if isinstance(default, (int, float))}
+
+
 def _build_scenario(block: dict) -> Scenario:
-    _reject_unknown(block, "scenario", "scenario")
-    return Scenario(
-        t_max=float(block["t_max"]),
-        r_t=float(block["r_t"]),
-        p_max=float(block["p_max"]),
-        nu_max=float(block["nu_max"]),
-        nu_s=float(block["nu_s"]),
-        kappa=float(block["kappa"]),
-        bandwidth=float(block["bandwidth"]),
-        g_over_bn0=10.0 ** (float(block["snr_db"]) / 10.0),
-        t0=float(block["t0"]),
-        m_chirps=_integer(block["m_chirps"], "scenario.m_chirps"),
-        q_max=_integer(block["q_max"], "scenario.q_max"),
-        splits=tuple(_integer(l, "scenario.splits[]")
-                     for l in _array(block["splits"], "scenario.splits")),
-    )
+    stock = DEFAULT_CONFIG["scenario"]
+    _reject_unknown(block, stock, "scenario")
+    numbers = _numbers(block, stock, "scenario")
+    snr_db = numbers.pop("snr_db")
+    return Scenario(**numbers, g_over_bn0=10.0 ** (snr_db / 10.0),
+                    splits=tuple(_integer(l, "scenario.splits[]")
+                                 for l in _array(block["splits"], "scenario.splits")))
 
 
 def _build_layer(i: int, record: dict) -> netmodel.LayerSpec:
     where = f"network.layers[{i}]"
-    _reject_unknown(_record(record, where), "layer", where)
+    _reject_unknown(_record(record, where), _LAYER_KEYS, where)
     kind = record.get("kind")
 
     def dims(*keys):
@@ -236,7 +245,7 @@ def _build_layer(i: int, record: dict) -> netmodel.LayerSpec:
 
 
 def _build_network(block: dict) -> netmodel.NetworkModel:
-    _reject_unknown(block, "network", "network")
+    _reject_unknown(block, _NETWORK_KEYS, "network")
     layers = tuple(_build_layer(i, rec)
                    for i, rec in enumerate(_array(block["layers"], "network.layers")))
     net = netmodel.NetworkModel(
@@ -252,7 +261,8 @@ def _build_network(block: dict) -> netmodel.NetworkModel:
         if not block.get("target_norms"):
             raise ConfigError(f"the network needs weights: set network.weights_file "
                               f"or a non-empty {source}")
-        norms = [float(t) for t in _array(block["target_norms"], source)]
+        norms = [_real(t, f"{source}[{i}]")
+                 for i, t in enumerate(_array(block["target_norms"], source))]
         if not all(0.0 < t < math.inf for t in norms):
             raise ConfigError(f"{source} entries must be positive and finite, got {norms}")
         weight_seed = _integer(block["weight_seed"], "network.weight_seed")
@@ -285,66 +295,46 @@ def _check_weights(net: netmodel.NetworkModel, source: str) -> None:
 
 
 def _build_accuracy(block: dict) -> AccuracyParams:
-    _reject_unknown(block, "accuracy", "accuracy")
-    return AccuracyParams(
-        a=float(block["a"]), b=float(block["b"]), s=float(block["s"]),
-        c_m=float(block["c_m"]),
-        margin_exponent=_integer(block["margin_exponent"], "accuracy.margin_exponent"),
-        f_min=float(block["f_min"]), f_max=float(block["f_max"]))
+    _reject_unknown(block, DEFAULT_CONFIG["accuracy"], "accuracy")
+    return AccuracyParams(**_numbers(block, DEFAULT_CONFIG["accuracy"], "accuracy"))
 
 
 def _complex(value, where: str) -> complex:
     """A path gain: a real number or an [re, im] pair of them."""
-    def real(v):
-        return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-    if real(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(real, value)):
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where} must be a number or an [re, im] pair, got {value!r}")
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    try:
+        return complex(*(_real(part, where) for part in parts))
+    except ConfigError:
+        raise ConfigError(f"{where} must be a number or an [re, im] pair, "
+                          f"got {value!r}") from None
 
 
-def _path(record, kind: str, where: str) -> dict:
-    """An echo path record of `kind` ("target" or "clutter") with exactly the
-    keys _SCHEMA[kind]."""
-    _reject_unknown(_record(record, where), kind, where)
-    _require(record, sorted(_SCHEMA[kind]), where)
-    return record
+def _path(record, stock: dict, where: str) -> dict:
+    """An echo path record with exactly the keys of the stock record `stock`,
+    as the keyword arguments of its path class."""
+    _reject_unknown(_record(record, where), stock, where)
+    _require(record, stock, where)
+    return {**_numbers(record, stock, where),
+            "gain": _complex(record["gain"], f"{where}.gain")}
 
 
 def _build_echo(block: dict) -> tuple[EchoParams, dict]:
-    _reject_unknown(block, "echo", "echo")
-    target = _path(block["target"], "target", "echo.target")
-    clutter = []
-    for i, rec in enumerate(_array(block["clutter"], "echo.clutter")):
-        where = f"echo.clutter[{i}]"
-        rec = _path(rec, "clutter", where)
-        clutter.append(ClutterPath(delay=float(rec["delay"]),
-                                   gain=_complex(rec["gain"], f"{where}.gain")))
+    stock = DEFAULT_CONFIG["echo"]
+    _reject_unknown(block, stock, "echo")
+    numbers = _numbers(block, stock, "echo")
+    # svd_r2 = 0: up to full rank
+    processing = {key: numbers.pop(key) for key in ("svd_r1", "svd_r2", "window_len", "hop")}
     params = EchoParams(
-        power=float(block["power"]),
-        chirp_duration=float(block["chirp_duration"]),
-        n_chirps=_integer(block["n_chirps"], "echo.n_chirps"),
-        sample_rate=float(block["sample_rate"]),
-        target=TargetPath(delay=float(target["delay"]),
-                          doppler_hz=float(target["doppler_hz"]),
-                          gain=_complex(target["gain"], "echo.target.gain")),
-        clutter=tuple(clutter),
-        noise_psd=float(block["noise_psd"]),
-        chirp_bandwidth=float(block["chirp_bandwidth"]),
+        **numbers,
+        target=TargetPath(**_path(block["target"], stock["target"], "echo.target")),
+        clutter=tuple(ClutterPath(**_path(rec, stock["clutter"][0], f"echo.clutter[{i}]"))
+                      for i, rec in enumerate(_array(block["clutter"], "echo.clutter"))),
     )
     # n_fast * n_chirps in floats, so a product past the float range reads inf
     samples = np.floor(params.sample_rate * params.chirp_duration) * params.n_chirps
     if samples > MAX_ECHO_SAMPLES:
         raise ConfigError(f"echo.n_chirps x n_fast (echo.sample_rate x echo.chirp_duration) "
                           f"is {samples:.3g} samples, more than {MAX_ECHO_SAMPLES}")
-    processing = {
-        "svd_r1": _integer(block["svd_r1"], "echo.svd_r1"),
-        "svd_r2": _integer(block["svd_r2"], "echo.svd_r2"),  # 0: up to full rank
-        "window_len": _integer(block["window_len"], "echo.window_len"),
-        "hop": _integer(block["hop"], "echo.hop"),
-    }
     # the sense chain runs on an n_fast x n_chirps echo
     min_dim = min(params.n_fast, params.n_chirps)
     r1, r2 = processing["svd_r1"], processing["svd_r2"]

@@ -12,6 +12,7 @@ NetworkModel.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -302,7 +303,12 @@ def max_rho(net: NetworkModel, l: int, cap: float) -> float:
     for j in range(bisect_left(points, hi), 0, -1):
         rho = (cap - intercepts[j]) / slopes[j]
         if rho >= points[j - 1]:
-            return min(rho, hi)
+            rho = min(rho, hi)
+            # cap - intercept cancels near a clamp point, where the rounded
+            # root can count above the cap: step down to one that does not
+            while rho > points[j - 1] and slopes[j] * rho + intercepts[j] > cap:
+                rho = math.nextafter(rho, 0.0)
+            return rho
         hi = points[j - 1]
     return hi if intercepts[0] <= cap else 0.0
 

@@ -87,6 +87,8 @@ NORMAL_UPLOAD = ("the raw-input upload's power underflows to 0 or to a subnormal
                  "upload stops where it is still a normal float")
 COUNT_BELOW_ONE = "a count below one is refused before any suite runs"
 NOT_AN_ARRAY = "an array field given a number or an object is refused by its path, not iterated"
+WRONG_TYPE = ("a number is read as the type of its stock default: a boolean, string, null, "
+              "array or object is refused by its path, not coerced")
 NULL_RATE = ("the uplink rate underflows to 0: the device's split uploads no bits and "
              "costs nothing to upload, not 0 bits divided by a rate of 0")
 
@@ -158,6 +160,21 @@ CASES = [
     Case("window_len-1", ["solve"], {"echo": {"window_len": 1}}, 3,
          "config error: echo.window_len must lie in 2..256",
          "the periodic Hann window of length 1 is [0], so a window is at least 2 long"),
+    Case("p_max-true", ["solve"], {"scenario": {"p_max": True}}, 3,
+         "config error: scenario.p_max must be a number, got True", WRONG_TYPE),
+    Case("doppler_hz-true", ["sense-demo"],
+         {"echo": {"target": {"delay": 2e-6, "doppler_hz": True, "gain": 1}}}, 3,
+         "config error: echo.target.doppler_hz must be a number, got True", WRONG_TYPE),
+    Case("a-null", ["solve"], {"accuracy": {"a": None}}, 3,
+         "config error: accuracy.a must be a number, got None", WRONG_TYPE),
+    Case("t_max-10**400", ["solve"], {"scenario": {"t_max": 10**400}}, 3,
+         "config error: scenario.t_max must be a number within the float range",
+         "an integer that no float holds is refused by its path, not by an OverflowError "
+         "that names no field"),
+    Case("t_max-5000-digits", "solve --config big.json".split(), None, 3, "config error: ",
+         "an integer of more digits than int() reads (4300 by default) is refused "
+         "as unreadable or by its path, not raised as a ValueError",
+         files={"big.json": '{"scenario": {"t_max": ' + "9" * 5000 + "}}"}),
     Case("clutter-doppler", ["sense-demo"],
          {"echo": {"clutter": [{"delay": 1e-6, "gain": 1.0, "doppler_hz": 500}]}}, 3,
          "['doppler_hz'] in echo.clutter[0]",

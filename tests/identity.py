@@ -36,7 +36,7 @@ import workloads  # noqa: E402
 from isccopt import optimizer, oracles  # noqa: E402
 from util import SWEEPS, stock_config  # noqa: E402
 
-EXPECTED = "3788 2abcd9c3075650d2d0f19eba6ab21be500753860eea30c8296e683968f51b1b6"
+EXPECTED = "3788 0303c43904c3b2edcca7d569532c01afdaec97c56469b715f0989805e7f524af"
 MAX_EVALUATIONS = 25011
 
 

@@ -1,6 +1,10 @@
+import copy
 import csv
+import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -15,13 +19,15 @@ from hypothesis import strategies as st
 
 import isccopt
 from isccopt import cli, config, netmodel, sensing
+from isccopt.accuracy import AccuracyParams
 from isccopt.cli import main
 from isccopt.config import DEFAULT_CONFIG, build_config, load_config
-from isccopt.cost import check_feasible, total_cost
+from isccopt.cost import Scenario, check_feasible, total_cost
 from isccopt.errors import ConfigError
 from isccopt.optimizer import (ORIGINS, PairEnergy, _pairs, penalty_terms,
                                solution_from_dict, solve_baseline, solve_scenario)
 from isccopt.oracles import random_test_case
+from isccopt.sensing import ClutterPath, EchoParams, TargetPath
 from edge_cases import CASE, CASES, fc_stack, run, written_answers
 from util import halve_sensing_power
 
@@ -158,6 +164,12 @@ class TestConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_config_not_in_utf_8_is_refused(self, tmp_path):
+        path = tmp_path / "latin-1.json"
+        path.write_bytes(b'{"scenario": {"t_max": 0.8}} \xff')
+        with pytest.raises(ConfigError, match="^cannot read config"):
             load_config(path)
 
     def test_resolved_echoes_defaults(self):
@@ -371,57 +383,70 @@ def stock_weights_file(head):
 
 
 # the stock echo is 100 fast-time samples x 256 chirps; the stock network's
-# first layer has 150 weights
+# first layer has 150 weights. Each entry names its test, so an entry added
+# or deleted renames no other
 BAD_VALUES = [
-    ("scenario", "t_max", float("nan")),
-    ("scenario", "nu_max", float("inf")),
-    ("scenario", "m_chirps", 50000.7),
-    ("scenario", "splits", []),
-    ("scenario", "splits", [-1]),
-    ("scenario", "splits", [2.5]),
-    ("echo", "power", float("nan")),
-    ("echo", "noise_psd", float("inf")),
-    ("echo", "target", {"delay": 2e-6, "doppler_hz": float("nan"), "gain": [1.0, 0.0]}),
-    ("scenario", "splits", [1, 1]),
-    ("echo", "svd_r1", 0),
-    ("echo", "svd_r1", 101),
-    ("echo", "svd_r2", -1),
-    ("echo", "svd_r2", 101),
-    ("echo", "window_len", 0),
-    ("echo", "window_len", 257),
-    ("echo", "hop", 0),
-    ("network", "weights_file", "no-such-weights.bin"),
-    ("network", "weights_file", stock_weights_file(np.zeros(150))),
-    ("network", "weights_file", stock_weights_file([np.nan])),
-    ("network", "rates", [0, 1, 1, 1, 1]),
-    ("network", "target_norms", [0, 2.5, 2.5, 0.6, 0.6]),
-    ("network", "target_norms", [1e-300, 2.5, 2.5, 0.6, 0.6]),
-    ("network", "target_norms", [1e300, 2.5, 2.5, 0.6, 0.6]),
-    ("network", "target_norms", []),
-    ("network", "target_norms", None),
+    pytest.param("scenario", "t_max", float("nan"), id="scenario-t_max-nan"),
+    pytest.param("scenario", "nu_max", float("inf"), id="scenario-nu_max-inf"),
+    pytest.param("scenario", "m_chirps", 50000.7, id="scenario-m_chirps-50000.7"),
+    pytest.param("scenario", "splits", [], id="scenario-splits-value3"),
+    pytest.param("scenario", "splits", [-1], id="scenario-splits-value4"),
+    pytest.param("scenario", "splits", [2.5], id="scenario-splits-value5"),
+    pytest.param("echo", "power", float("nan"), id="echo-power-nan"),
+    pytest.param("echo", "noise_psd", float("inf"), id="echo-noise_psd-inf"),
+    pytest.param("echo", "target",
+                 {"delay": 2e-6, "doppler_hz": float("nan"), "gain": [1.0, 0.0]},
+                 id="echo-target-value8"),
+    pytest.param("scenario", "splits", [1, 1], id="scenario-splits-value9"),
+    pytest.param("echo", "svd_r1", 0, id="echo-svd_r1-0"),
+    pytest.param("echo", "svd_r1", 101, id="echo-svd_r1-101"),
+    pytest.param("echo", "svd_r2", -1, id="echo-svd_r2--1"),
+    pytest.param("echo", "svd_r2", 101, id="echo-svd_r2-101"),
+    pytest.param("echo", "window_len", 0, id="echo-window_len-0"),
+    pytest.param("echo", "window_len", 257, id="echo-window_len-257"),
+    pytest.param("echo", "hop", 0, id="echo-hop-0"),
+    pytest.param("network", "weights_file", "no-such-weights.bin",
+                 id="network-weights_file-no-such-weights.bin"),
+    pytest.param("network", "weights_file", stock_weights_file(np.zeros(150)),
+                 id="network-weights_file-write0"),
+    pytest.param("network", "weights_file", stock_weights_file([np.nan]),
+                 id="network-weights_file-write1"),
+    pytest.param("network", "rates", [0, 1, 1, 1, 1], id="network-rates-value20"),
+    pytest.param("network", "target_norms", [0, 2.5, 2.5, 0.6, 0.6],
+                 id="network-target_norms-value21"),
+    pytest.param("network", "target_norms", [1e-300, 2.5, 2.5, 0.6, 0.6],
+                 id="network-target_norms-value22"),
+    pytest.param("network", "target_norms", [1e300, 2.5, 2.5, 0.6, 0.6],
+                 id="network-target_norms-value23"),
+    pytest.param("network", "target_norms", [], id="network-target_norms-value24"),
+    pytest.param("network", "target_norms", None, id="network-target_norms-None"),
     # each layer dimension is named in the message: network.layers[i].<key>
-    ("network", "layers", stock_layers_with(4, "n", 2.5)),
-    ("network", "layers", stock_layers_with(2, "gamma", True)),
-    ("network", "layers", stock_layers_with(1, "psi", "5")),
-    ("network", "layers", [{"kind": "fc", "n": 4}]),
-    ("scenario", "q_max", 65),
+    pytest.param("network", "layers", stock_layers_with(4, "n", 2.5), id="network-layers-value26"),
+    pytest.param("network", "layers", stock_layers_with(2, "gamma", True),
+                 id="network-layers-value27"),
+    pytest.param("network", "layers", stock_layers_with(1, "psi", "5"),
+                 id="network-layers-value28"),
+    pytest.param("network", "layers", [{"kind": "fc", "n": 4}], id="network-layers-value29"),
+    pytest.param("scenario", "q_max", 65, id="scenario-q_max-65"),
     # a record that is not a JSON object, a gain that is neither a number
     # nor an [re, im] pair, and a missing path key are named by their path
-    ("echo", "target", [1, 2]),
-    ("network", "layers", [[1, 2]]),
-    ("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0, "gain": [1]}),
-    ("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0}),
-    ("echo", "clutter", [{"delay": 1e-6}]),
-    ("echo", "clutter", [{"delay": 1e-6, "gain": True}]),
+    pytest.param("echo", "target", [1, 2], id="echo-target-value31"),
+    pytest.param("network", "layers", [[1, 2]], id="network-layers-value32"),
+    pytest.param("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0, "gain": [1]},
+                 id="echo-target-value33"),
+    pytest.param("echo", "target", {"delay": 2e-6, "doppler_hz": 3000.0},
+                 id="echo-target-value34"),
+    pytest.param("echo", "clutter", [{"delay": 1e-6}], id="echo-clutter-value35"),
+    pytest.param("echo", "clutter", [{"delay": 1e-6, "gain": True}], id="echo-clutter-value36"),
     # g*p_max below about 4e-309: the least inverse rate ln2/log1p(SNR) is inf
-    ("scenario", "p_max", 1e-320),
+    pytest.param("scenario", "p_max", 1e-320, id="scenario-p_max-1e-320"),
     # the solver block is gone: its keys are unknown and named in the message
-    ("solver", "eps_rho", 0),
-    ("solver", "eps_rho", float("nan")),
-    ("solver", "max_iter", 0),
+    pytest.param("solver", "eps_rho", 0, id="solver-eps_rho-0"),
+    pytest.param("solver", "eps_rho", float("nan"), id="solver-eps_rho-nan"),
+    pytest.param("solver", "max_iter", 0, id="solver-max_iter-0"),
     # an array that is not a JSON array is named by its path
-    ("network", "layers", 5),
-    ("network", "target_norms", 5),
+    pytest.param("network", "layers", 5, id="network-layers-5"),
+    pytest.param("network", "target_norms", 5, id="network-target_norms-5"),
 ]
 
 
@@ -459,6 +484,52 @@ def test_wrong_shape_names_its_path(raw, message):
     with pytest.raises(ConfigError) as err:
         build_config(raw)
     assert str(err.value).startswith(message)
+
+
+def numeric_keys(*path):
+    """The paths of the numbers in the DEFAULT_CONFIG record at `path`."""
+    record = functools.reduce(operator.getitem, path, DEFAULT_CONFIG)
+    return [(*path, key) for key, value in record.items() if isinstance(value, (int, float))]
+
+
+# every numeric leaf of DEFAULT_CONFIG but the layer dimensions, splits and
+# gains, each in a record of its own or as the first entry of its array
+NUMERIC_LEAVES = [*numeric_keys("scenario"), *numeric_keys("accuracy"), *numeric_keys("echo"),
+                  *numeric_keys("echo", "target"), *numeric_keys("echo", "clutter", 0),
+                  *numeric_keys("network"), ("network", "target_norms", 0)]
+
+
+def leaf_name(path):
+    """`path` as the config's messages write it: echo.clutter[0].delay."""
+    return "".join(f"[{part}]" if isinstance(part, int) else f".{part}"
+                   for part in path).lstrip(".")
+
+
+@pytest.mark.parametrize("value", [True, "1", None, [1], 10**400],
+                         ids=["true", "string", "null", "array", "past-float"])
+@pytest.mark.parametrize("path", NUMERIC_LEAVES, ids=[leaf_name(p) for p in NUMERIC_LEAVES])
+def test_wrong_typed_number_names_its_path(path, value):
+    # a number is read as the type of its stock default, and a boolean,
+    # string, null, array or an integer no float holds is refused by path
+    raw = copy.deepcopy(DEFAULT_CONFIG)
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, raw)[key] = value
+    with pytest.raises(ConfigError) as err:
+        build_config(raw)
+    assert str(err.value).startswith(f"{leaf_name(path)} must be "), str(err.value)
+
+
+@pytest.mark.parametrize("cls, stock", [
+    (Scenario, DEFAULT_CONFIG["scenario"]), (AccuracyParams, DEFAULT_CONFIG["accuracy"]),
+    (EchoParams, DEFAULT_CONFIG["echo"]), (TargetPath, DEFAULT_CONFIG["echo"]["target"]),
+    (ClutterPath, DEFAULT_CONFIG["echo"]["clutter"][0])],
+    ids=["scenario", "accuracy", "echo", "target", "clutter"])
+def test_stock_defaults_have_their_field_types(cls, stock):
+    # the config reads each number as the type of its stock default, so an
+    # int field with a float default (q_max 6.0) would read as a real
+    for field in dataclasses.fields(cls):
+        if field.type == "int" or (field.type == "float" and field.name in stock):
+            assert type(stock[field.name]).__name__ == field.type, field.name
 
 
 def no_allocation(name):

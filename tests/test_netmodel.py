@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isccopt import netmodel as nm
@@ -131,6 +131,17 @@ def layer_sum(net, a, b, rho):
     return sum(flops(net.layer(i), rho) for i in range(a, b + 1))
 
 
+@st.composite
+def max_rho_cases(draw):
+    """A stack, a split l and two caps on its count: a fraction in
+    [-0.1, 1.2] of the count at rho = 1, and the count at a drawn rho."""
+    net = draw(layer_stacks())
+    l = draw(st.integers(1, net.depth))
+    rho = draw(st.sampled_from(rho_draws(net)))
+    return net, l, [draw(st.floats(-0.1, 1.2)) * nm.cum_flops(net, 1, l, 1.0),
+                    nm.cum_flops(net, 1, l, rho)]
+
+
 STACKS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
@@ -184,12 +195,12 @@ class TestFlopTable:
                 nm.cum_flops(template_net, 4, 7, rho)
 
     @STACKS
-    @given(layer_stacks(), st.data())
-    def test_max_rho_inverts_the_count(self, net, data):
-        l = data.draw(st.integers(1, net.depth))
-        rho = data.draw(st.sampled_from(rho_draws(net)))
-        caps = [data.draw(st.floats(-0.1, 1.2)) * nm.cum_flops(net, 1, l, 1.0),
-                nm.cum_flops(net, 1, l, rho)]
+    @given(max_rho_cases())
+    # cap - intercept cancels near the clamp point 0.25: the affine root
+    # rounds to a rho that counts 3.5762786887e-07, above the cap
+    @example((nm.NetworkModel(layers=(nm.fc(1, 2),), input_dim=2), 1, [3.576278688e-07]))
+    def test_max_rho_inverts_the_count(self, case):
+        net, l, caps = case
         for cap in caps:
             r = nm.max_rho(net, l, cap)
             if r == 0.0:   # the max-pooling FLOPs alone exceed the cap
